@@ -6,14 +6,10 @@
 //
 //   --backend=scalar|packed   simulation backend (default: packed)
 //   --threads=N               worker threads for the campaign (default: 1)
-//   --simd=auto|64|256|512|tiled[:N]  packed lane-block or tile width (default: auto —
-//                             widest the CPU supports; forced widths error
-//                             cleanly when the CPU lacks them)
-//   --schedule=dense|repack   fault-universe scheduler (default: repack —
-//                             survivor repacking + settle-exit +
-//                             collapsing; dense = static reference)
-//   --collapse=on|off         structural fault collapsing under repack
-//                             (default: on)
+//   --simd=auto|64|256|512|tiled[:4096]  packed lane-block or tile width (default:
+//                             auto — widest the CPU supports; forced widths
+//                             error cleanly when the CPU lacks them)
+//   --collapse=on|off         structural fault collapsing (default: on)
 //   --json=PATH               where to write the bench's JSON result line
 //
 // Both `--flag=value` and `--flag value` are accepted.  The spec's
@@ -46,7 +42,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& defa
     std::string arg = argv[i];
     // Accept both `--flag=value` and `--flag value`.
     if ((arg == "--backend" || arg == "--threads" || arg == "--simd" || arg == "--json" ||
-         arg == "--schedule" || arg == "--collapse") &&
+         arg == "--collapse") &&
         i + 1 < argc)
       arg += std::string("=") + argv[++i];
     const auto starts = [&](const char* p) { return arg.rfind(p, 0) == 0; };
@@ -64,18 +60,11 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& defa
     } else if (starts("--simd=")) {
       const auto req = simd::parse_request(arg.substr(7));
       if (!req) {
-        std::fprintf(stderr, "unknown simd width '%s' (want auto|64|256|512|tiled[:4096|:32768])\n",
+        std::fprintf(stderr, "unknown simd width '%s' (want auto|64|256|512|tiled[:4096])\n",
                      arg.c_str() + 7);
         std::exit(1);
       }
       a.spec.simd = *req;
-    } else if (starts("--schedule=")) {
-      const auto mode = api::parse_schedule(arg.substr(11));
-      if (!mode) {
-        std::fprintf(stderr, "unknown schedule '%s' (want dense|repack)\n", arg.c_str() + 11);
-        std::exit(1);
-      }
-      a.spec.schedule = *mode;
     } else if (starts("--collapse=")) {
       const auto on = api::parse_on_off(arg.substr(11));
       if (!on) {
@@ -88,8 +77,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& defa
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (want --backend=scalar|packed --threads=N "
-                   "--simd=auto|64|256|512|tiled[:N] --schedule=dense|repack --collapse=on|off "
-                   "--json=PATH)\n",
+                   "--simd=auto|64|256|512|tiled[:4096] --collapse=on|off --json=PATH)\n",
                    arg.c_str());
       std::exit(1);
     }

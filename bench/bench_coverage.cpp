@@ -12,19 +12,16 @@
 // them) executed by api::run_campaign with the human table sink — exactly
 // what `twm_cli run` would do for the same spec file.  Flags select the
 // backend (--backend=scalar|packed), worker count (--threads=N), packed
-// lane-block or tile width (--simd=auto|64|256|512|tiled[:N]), and scheduler
-// (--schedule=dense|repack, --collapse=on|off).  The bench then times the
+// lane-block or tile width (--simd=auto|64|256|512|tiled[:4096]) and
+// structural collapsing (--collapse=on|off).  The bench then times the
 // scalar reference, the 64-lane packed baseline, and the selected wide
-// width (all on the dense static scheduler, the committed-baseline axis)
-// plus the survivor-repacking scheduler at the same width, on a
-// production-shaped high-detection fault list; a second "settling"
-// workload (RET + SAF over several contents, most verdicts final after
-// the first seed round) isolates the survivor-repacking win.  Lane
+// width on a production-shaped high-detection fault list; a second
+// "settling" workload (RET + SAF over several contents, most verdicts final
+// after the first seed round) exercises survivor repacking.  Lane
 // occupancy, session-element, and collapsing counters are emitted so the
 // scheduler gains stay attributable.  Writes everything to
 // BENCH_coverage.json (--json=PATH overrides) and exits non-zero if ANY
-// pair — backend, width, or scheduler mode — disagrees
-// verdict-for-verdict.
+// pair — backend, width, or region count — disagrees verdict-for-verdict.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -107,59 +104,55 @@ int main(int argc, char** argv) {
   const std::vector<Fault> scalar_slice(workload.begin(), workload.begin() + kScalarSlice);
 
   const unsigned threads = args.spec.threads;
-  // The scalar / 64-lane / wide timings run the DENSE (static) scheduler —
-  // the PR 3/4 baseline the committed BENCH_coverage.json numbers track —
-  // so the repack row below attributes the scheduler win cleanly.
+  const bool collapse = args.spec.collapse;
   const CampaignRunner scalar_runner(
-      kBenchWords, kBenchWidth,
-      {CoverageBackend::Scalar, threads, simd::Request::Auto, ScheduleMode::Dense});
+      kBenchWords, kBenchWidth, {CoverageBackend::Scalar, threads, simd::Request::Auto, collapse});
   const CampaignRunner packed64_runner(
-      kBenchWords, kBenchWidth,
-      {CoverageBackend::Packed, threads, simd::Request::W64, ScheduleMode::Dense});
+      kBenchWords, kBenchWidth, {CoverageBackend::Packed, threads, simd::Request::W64, collapse});
   const CampaignRunner packed_runner(
-      kBenchWords, kBenchWidth,
-      {CoverageBackend::Packed, threads, args.spec.simd, ScheduleMode::Dense});
-  const CampaignRunner repack_runner(
-      kBenchWords, kBenchWidth,
-      {CoverageBackend::Packed, threads, args.spec.simd, ScheduleMode::Repack,
-       args.spec.collapse});
+      kBenchWords, kBenchWidth, {CoverageBackend::Packed, threads, args.spec.simd, collapse});
   const auto per_fault_stats = [&](const CampaignRunner& r, const std::vector<Fault>& faults,
                                    const std::vector<std::uint64_t>& seeds,
                                    CampaignStats* stats) {
     return r.per_fault(SchemeKind::ProposedExact, march, faults, seeds, stats);
   };
-  std::vector<bool> v_scalar, v_packed64, v_packed, v_repack;
-  CampaignStats dense_stats, repack_stats;
+  std::vector<bool> v_scalar, v_packed64, v_packed;
+  CampaignStats packed_stats;
   const double t_scalar = bench::time_seconds([&] {
     v_scalar = per_fault_stats(scalar_runner, scalar_slice, bench_seeds, nullptr);
   });
-  const double t_packed64 = bench::time_seconds([&] {
-    v_packed64 = per_fault_stats(packed64_runner, workload, bench_seeds, nullptr);
-  });
-  const double t_packed = bench::time_seconds([&] {
-    v_packed = per_fault_stats(packed_runner, workload, bench_seeds, &dense_stats);
-  });
-  const double t_repack = bench::time_seconds([&] {
-    v_repack = per_fault_stats(repack_runner, workload, bench_seeds, &repack_stats);
-  });
+  // The two packed rows feed the CI gates (packed faults/s and their
+  // ratio, widen_speedup) and take a few ms each, so one slow scheduling
+  // slice could decide either: each is the fastest of kPackedReps runs,
+  // alternated so a slow stretch of the host hits both rows alike.
+  const unsigned kPackedReps = 15;
+  double t_packed64 = 0, t_packed = 0;
+  for (unsigned rep = 0; rep < kPackedReps; ++rep) {
+    const double t64 = bench::time_seconds([&] {
+      v_packed64 = per_fault_stats(packed64_runner, workload, bench_seeds, nullptr);
+    });
+    const double tw = bench::time_seconds([&] {
+      v_packed = per_fault_stats(packed_runner, workload, bench_seeds,
+                                 rep == 0 ? &packed_stats : nullptr);
+    });
+    t_packed64 = rep == 0 ? t64 : std::min(t_packed64, t64);
+    t_packed = rep == 0 ? tw : std::min(t_packed, tw);
+  }
   const double fps_scalar = scalar_slice.size() / t_scalar;
   const double fps_packed64 = workload.size() / t_packed64;
   const double fps_packed = workload.size() / t_packed;
-  const double fps_repack = workload.size() / t_repack;
   const double speedup = fps_packed / fps_scalar;
   const double widen_speedup = fps_packed / fps_packed64;
-  const double repack_speedup = fps_repack / fps_packed;
   const unsigned lanes = simd::lanes(simd_width);
-  const double occupancy = repack_stats.mean_live_lanes() / (lanes - 1);
+  const double occupancy = packed_stats.mean_live_lanes() / (lanes - 1);
   const double elements_frac =
-      repack_stats.elements_total.load()
-          ? static_cast<double>(repack_stats.elements_executed.load()) /
-                static_cast<double>(repack_stats.elements_total.load())
+      packed_stats.elements_total.load()
+          ? static_cast<double>(packed_stats.elements_executed.load()) /
+                static_cast<double>(packed_stats.elements_total.load())
           : 1.0;
   const bool scalar_slice_equal =
       std::equal(v_scalar.begin(), v_scalar.end(), v_packed.begin()) &&
       std::equal(v_scalar.begin(), v_scalar.end(), v_packed64.begin());
-  const bool schedule_equal = v_repack == v_packed;
   std::printf("\nbackend throughput (TWMarch exact, N=%zu, B=%u, %zu faults x %zu contents, "
               "%u threads; scalar timed on a %zu-fault slice):\n",
               kBenchWords, kBenchWidth, workload.size(), bench_seeds.size(), threads,
@@ -168,73 +161,52 @@ int main(int argc, char** argv) {
   std::printf("  packed/64:     %8.0f faults/s  (%.3fs)  -> %.1fx over scalar\n", fps_packed64,
               t_packed64, fps_packed64 / fps_scalar);
   std::printf("  packed/%-5s  %8.0f faults/s  (%.3fs)  -> %.1fx over scalar, %.2fx over "
-              "64-lane\n",
+              "64-lane (%zu of %zu faults simulated, %.0f%% of march elements run)\n",
               (simd::to_string(simd_width) + ":").c_str(), fps_packed, t_packed, speedup,
-              widen_speedup);
-  std::printf("  repack/%-5s  %8.0f faults/s  (%.3fs)  -> %.2fx over dense "
-              "(%zu of %zu faults simulated, %.0f%% of march elements run)\n",
-              (simd::to_string(simd_width) + ":").c_str(), fps_repack, t_repack, repack_speedup,
-              static_cast<std::size_t>(repack_stats.faults_simulated.load()), workload.size(),
-              100.0 * elements_frac);
+              widen_speedup, static_cast<std::size_t>(packed_stats.faults_simulated.load()),
+              workload.size(), 100.0 * elements_frac);
 
   // The tiled backend on the same workload: 4096 fault universes per pass
-  // (array-of-lane-blocks, memsim/lane_tile.h), repack scheduler — the
-  // whole 7680-fault list runs in two tile units per round.  Must agree
-  // verdict-for-verdict with every row above.
+  // (array-of-lane-blocks, memsim/lane_tile.h) — the whole 7680-fault list
+  // runs in two tile units per round.  Must agree verdict-for-verdict with
+  // every row above.
   const simd::Width tiled_width = simd::Width::Tiled4096;
   const CampaignRunner tiled_runner(
       kBenchWords, kBenchWidth,
-      {CoverageBackend::Packed, threads, simd::Request::Tiled4096, ScheduleMode::Repack,
-       args.spec.collapse});
+      {CoverageBackend::Packed, threads, simd::Request::Tiled4096, collapse});
   CampaignStats tiled_stats;
   std::vector<bool> v_tiled;
   const double t_tiled = bench::time_seconds([&] {
     v_tiled = per_fault_stats(tiled_runner, workload, bench_seeds, &tiled_stats);
   });
   const double fps_tiled = workload.size() / t_tiled;
-  const double tiled_speedup = fps_tiled / fps_repack;
+  const double tiled_speedup = fps_tiled / fps_packed;
   const double tiled_occupancy =
       tiled_stats.mean_live_lanes() / (simd::lanes(tiled_width) - 1);
-  const bool tiled_equal = v_tiled == v_repack;
+  const bool tiled_equal = v_tiled == v_packed;
   std::printf("  tiled/4096:    %8.0f faults/s  (%.3fs, %.0f%% live lanes)  -> %.2fx over "
-              "repack/%s\n",
+              "packed/%s\n",
               fps_tiled, t_tiled, 100.0 * tiled_occupancy, tiled_speedup,
               simd::to_string(simd_width).c_str());
 
   // The settling workload: most faults' verdicts settle in the first seed
   // round (RET faults are invisible to a Del-free March C-, so their "all"
   // verdict drops at seed 0), which is where survivor repacking pays —
-  // dense batches drag the settled universes through every remaining
-  // round, repacked rounds shrink to the undecided tail.
+  // later rounds shrink to the undecided tail.
   std::vector<Fault> settling = all_rets(kBenchWords, kBenchWidth, 1);
   for (auto& f : all_safs(kBenchWords, kBenchWidth)) settling.push_back(f);
   const std::vector<std::uint64_t> settling_seeds{1, 2, 3, 4};
-  CampaignStats settling_dense_stats, settling_repack_stats;
-  std::vector<bool> vs_dense, vs_repack;
-  const double ts_dense = bench::time_seconds([&] {
-    vs_dense = per_fault_stats(packed_runner, settling, settling_seeds, &settling_dense_stats);
-  });
-  const double ts_repack = bench::time_seconds([&] {
-    vs_repack = per_fault_stats(repack_runner, settling, settling_seeds,
-                                &settling_repack_stats);
-  });
-  const double fps_settling_dense = settling.size() / ts_dense;
-  const double fps_settling_repack = settling.size() / ts_repack;
-  const double settling_speedup = fps_settling_repack / fps_settling_dense;
-  const double settling_occupancy = settling_repack_stats.mean_live_lanes() / (lanes - 1);
-  const double settling_dense_occupancy =
-      settling_dense_stats.mean_live_lanes() / (lanes - 1);
-  const bool settling_equal = vs_dense == vs_repack;
+  CampaignStats settling_stats;
+  const double ts_packed = bench::time_seconds(
+      [&] { per_fault_stats(packed_runner, settling, settling_seeds, &settling_stats); });
+  const double fps_settling = settling.size() / ts_packed;
+  const double settling_occupancy = settling_stats.mean_live_lanes() / (lanes - 1);
   std::printf("\nsettling workload (RET+SAF, %zu faults x %zu contents; RETs settle in seed "
               "round 0):\n",
               settling.size(), settling_seeds.size());
-  std::printf("  dense/%-5s   %8.0f faults/s  (%.3fs, %.0f%% live lanes)\n",
-              (simd::to_string(simd_width) + ":").c_str(), fps_settling_dense, ts_dense,
-              100.0 * settling_dense_occupancy);
-  std::printf("  repack/%-5s  %8.0f faults/s  (%.3fs, %.0f%% live lanes)  -> %.2fx over "
-              "dense\n",
-              (simd::to_string(simd_width) + ":").c_str(), fps_settling_repack, ts_repack,
-              100.0 * settling_occupancy, settling_speedup);
+  std::printf("  packed/%-5s  %8.0f faults/s  (%.3fs, %.0f%% live lanes)\n",
+              (simd::to_string(simd_width) + ":").c_str(), fps_settling, ts_packed,
+              100.0 * settling_occupancy);
 
   // Huge-memory workload: a 1M-word geometry with a footprint-bounded
   // sampled fault list ("@N" selectors — the only runnable shape at this
@@ -255,12 +227,9 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> huge_seeds{0};
   const CampaignRunner huge_runner(
       kHugeWords, kHugeWidth,
-      {CoverageBackend::Packed, threads, args.spec.simd, ScheduleMode::Repack,
-       args.spec.collapse, kHugeRegions});
+      {CoverageBackend::Packed, threads, args.spec.simd, collapse, kHugeRegions});
   const CampaignRunner huge_runner_r1(
-      kHugeWords, kHugeWidth,
-      {CoverageBackend::Packed, threads, args.spec.simd, ScheduleMode::Repack,
-       args.spec.collapse, 1});
+      kHugeWords, kHugeWidth, {CoverageBackend::Packed, threads, args.spec.simd, collapse, 1});
   CampaignStats huge_stats;
   std::vector<bool> vh_regions, vh_flat;
   const double t_huge = bench::time_seconds([&] {
@@ -272,8 +241,7 @@ int main(int argc, char** argv) {
   const std::uint64_t huge_packed_peak = huge_stats.packed_pages_peak.load();
   const std::size_t huge_pages_total = (kHugeWords + kMemPageWords - 1) / kMemPageWords;
   const bool huge_equal = vh_regions == vh_flat;
-  std::printf("\nhuge-memory workload (N=%zu words, %zu sampled faults, %u regions, "
-              "repack):\n",
+  std::printf("\nhuge-memory workload (N=%zu words, %zu sampled faults, %u regions):\n",
               kHugeWords, huge.size(), kHugeRegions);
   std::printf("  regions/%u:     %8.0f faults/s  (%.3fs; peak %llu of %zu pages touched, "
               "%llu in lane-block form = %.2f%% of the address space)\n",
@@ -289,8 +257,7 @@ int main(int argc, char** argv) {
   // single-block widths.
   const CampaignRunner huge_tiled_runner(
       kHugeWords, kHugeWidth,
-      {CoverageBackend::Packed, threads, simd::Request::Tiled4096, ScheduleMode::Repack,
-       args.spec.collapse, kHugeRegions});
+      {CoverageBackend::Packed, threads, simd::Request::Tiled4096, collapse, kHugeRegions});
   CampaignStats huge_tiled_stats;
   std::vector<bool> vh_tiled;
   const double t_huge_tiled = bench::time_seconds([&] {
@@ -303,11 +270,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(huge_tiled_stats.pages_peak.load()),
               static_cast<unsigned long long>(huge_tiled_stats.packed_pages_peak.load()));
 
-  const bool verdicts_equal = scalar_slice_equal && v_packed64 == v_packed &&
-                              schedule_equal && tiled_equal && settling_equal && huge_equal &&
-                              huge_tiled_equal;
-  std::printf("\n  verdict equality (scalar == packed/64 == packed/%s == repack == tiled/4096, "
-              "dense == repack on settling, regions %u == 1 == tiled on huge): %s\n",
+  const bool verdicts_equal =
+      scalar_slice_equal && v_packed64 == v_packed && tiled_equal && huge_equal && huge_tiled_equal;
+  std::printf("\n  verdict equality (scalar == packed/64 == packed/%s == tiled/4096, "
+              "regions %u == 1 == tiled on huge): %s\n",
               simd::to_string(simd_width).c_str(), kHugeRegions,
               verdicts_equal ? "EXACT" : "MISMATCH");
 
@@ -319,21 +285,17 @@ int main(int argc, char** argv) {
        << ",\"simd_lanes\":" << simd::lanes(simd_width)
        << ",\"scalar_faults_per_sec\":" << fps_scalar
        << ",\"packed64_faults_per_sec\":" << fps_packed64
-       << ",\"packed_faults_per_sec\":" << fps_packed
-       << ",\"repack_faults_per_sec\":" << fps_repack << ",\"speedup\":" << speedup
-       << ",\"widen_speedup\":" << widen_speedup << ",\"repack_speedup\":" << repack_speedup
-       << ",\"faults_simulated\":" << repack_stats.faults_simulated.load()
-       << ",\"mean_live_lanes\":" << repack_stats.mean_live_lanes()
+       << ",\"packed_faults_per_sec\":" << fps_packed << ",\"speedup\":" << speedup
+       << ",\"widen_speedup\":" << widen_speedup
+       << ",\"faults_simulated\":" << packed_stats.faults_simulated.load()
+       << ",\"mean_live_lanes\":" << packed_stats.mean_live_lanes()
        << ",\"lane_occupancy\":" << occupancy
-       << ",\"session_elements_total\":" << repack_stats.elements_total.load()
-       << ",\"session_elements_executed\":" << repack_stats.elements_executed.load()
+       << ",\"session_elements_total\":" << packed_stats.elements_total.load()
+       << ",\"session_elements_executed\":" << packed_stats.elements_executed.load()
        << ",\"settling_faults\":" << settling.size()
        << ",\"settling_seeds\":" << settling_seeds.size()
-       << ",\"settling_dense_faults_per_sec\":" << fps_settling_dense
-       << ",\"settling_repack_faults_per_sec\":" << fps_settling_repack
-       << ",\"settling_repack_speedup\":" << settling_speedup
+       << ",\"settling_faults_per_sec\":" << fps_settling
        << ",\"settling_lane_occupancy\":" << settling_occupancy
-       << ",\"settling_dense_lane_occupancy\":" << settling_dense_occupancy
        << ",\"tiled_lanes\":" << simd::lanes(tiled_width)
        << ",\"tiled_faults_per_sec\":" << fps_tiled
        << ",\"tiled_speedup\":" << tiled_speedup

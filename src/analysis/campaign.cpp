@@ -19,14 +19,6 @@ std::string to_string(CoverageBackend b) {
   return "?";
 }
 
-std::string to_string(ScheduleMode m) {
-  switch (m) {
-    case ScheduleMode::Dense: return "dense";
-    case ScheduleMode::Repack: return "repack";
-  }
-  return "?";
-}
-
 void run_pool(unsigned threads, const std::function<void()>& worker) {
   std::mutex mu;
   std::exception_ptr err;
@@ -136,35 +128,25 @@ class RemappingObserver final : public UnitObserver {
 }  // namespace
 
 void CampaignRunner::dispatch(const CampaignJob& job, simd::Width simd_width) const {
-  const bool repack = job.schedule == ScheduleMode::Repack;
   if (options_.backend == CoverageBackend::Scalar) {
-    repack ? run_campaign_engine_repack<ScalarEngine>(job)
-           : run_campaign_engine<ScalarEngine>(job);
+    run_campaign_engine<ScalarEngine>(job);
     return;
   }
-  // simd::resolve() in run() guaranteed the CPU executes the chosen width;
-  // the wide entries dispatch on job.schedule internally.
+  // simd::resolve() in run() guaranteed the CPU executes the chosen width.
   switch (simd_width) {
-    case simd::Width::W64:
-      repack ? run_campaign_engine_repack<PackedEngine>(job)
-             : run_campaign_engine<PackedEngine>(job);
-      break;
+    case simd::Width::W64: run_campaign_engine<PackedEngine>(job); break;
     case simd::Width::W256: run_campaign_w256(job); break;
     case simd::Width::W512: run_campaign_w512(job); break;
     case simd::Width::Tiled4096:
-    case simd::Width::Tiled32768: {
-      // Tiled widths name a lane COUNT, not an instruction set: pick the
-      // widest inner block this CPU executes and let the tiled entry
-      // instantiate the matching LaneTile (memsim/lane_tile.h).
-      const unsigned lanes = simd::lanes(simd_width);
+      // The tiled width names a lane COUNT, not an instruction set: pick
+      // the widest inner block this CPU executes (memsim/lane_tile.h).
       if (simd::supported(simd::Width::W512))
-        run_campaign_tiled_w512(job, lanes);
+        run_campaign_tiled_w512(job);
       else if (simd::supported(simd::Width::W256))
-        run_campaign_tiled_w256(job, lanes);
+        run_campaign_tiled_w256(job);
       else
-        run_campaign_tiled_base(job, lanes);
+        run_campaign_tiled_base(job);
       break;
-    }
   }
 }
 
@@ -259,13 +241,11 @@ void CampaignRunner::run_list(const SchemePlan& plan, simd::Width simd_width,
   job.need_any = need_any;
   job.matrix = out_matrix;
   job.observer = observer;
-  job.schedule = options_.schedule;
-  job.settle_exit = options_.schedule == ScheduleMode::Repack;
   job.stats = stats;
 
-  // Structural collapsing (repack only): simulate one representative per
-  // equivalence bucket, expand every verdict back to the full list.
-  if (options_.schedule == ScheduleMode::Repack && options_.collapse && n > 1) {
+  // Structural collapsing: simulate one representative per equivalence
+  // bucket, expand every verdict back to the full list.
+  if (options_.collapse && n > 1) {
     const FaultCollapse fc = collapse_faults(faults, plan, seeds);
     if (fc.collapsed()) {
       const std::size_t reps = fc.representatives.size();

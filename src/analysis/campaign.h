@@ -14,8 +14,17 @@
 //
 // — and exposes three result shapes: aggregate counts (evaluate), a
 // per-fault verdict vector (per_fault), and the full per-fault x per-seed
-// verdict matrix (matrix).  analysis/coverage.h keeps the classic
-// CoverageEvaluator interface as a thin facade over this runner.
+// verdict matrix (matrix).
+//
+// Schemes (SchemeKind, core/scheme_session.h) are evaluated per fault under
+// each seed in `seeds`: detection may in principle depend on the initial
+// contents of a transparent test, so results carry both the faults
+// detected under every content (detected_all — what the paper's theorem
+// promises) and under at least one content (detected_any).  Seed 0 is
+// special: it loads all-zero contents, the base the nontransparent
+// reference operates on, so transparent and reference sessions perform
+// operation-for-operation the same port traffic and per-fault verdicts
+// must agree exactly.
 #ifndef TWM_ANALYSIS_CAMPAIGN_H
 #define TWM_ANALYSIS_CAMPAIGN_H
 
@@ -39,7 +48,7 @@ namespace twm {
 //   Packed  bit-parallel batches of (lanes - 1) faults + 1 golden lane per
 //           packed-memory pass, where `lanes` is the resolved SIMD width
 //           (a single lane block of 64 / 256 / 512 lanes, or a lane TILE
-//           of 4096 / 32768 lanes — core/simd.h, memsim/lane_tile.h).
+//           of 4096 lanes — core/simd.h, memsim/lane_tile.h).
 //           Verdicts are lane-for-lane identical to the scalar backend at
 //           every width (tests/coverage_backend_test.cpp,
 //           tests/tiled_engine_test.cpp).
@@ -47,25 +56,11 @@ enum class CoverageBackend { Scalar, Packed };
 
 std::string to_string(CoverageBackend b);
 
-// How the campaign's fault universes are scheduled onto units.
-//
-//   Dense   Static batch membership (the PR 3/4 scheduler, byte-identical
-//           behavior): faults are sharded into fixed units up front, every
-//           unit runs its full seed loop, every session runs full length.
-//           The pristine debug/reference mode.
-//   Repack  Dynamic scheduling: seed-major rounds rebuild batches from
-//           still-undecided faults only (survivor repacking keeps SIMD
-//           lanes dense as the tail shrinks), sessions with monotone
-//           verdicts abort once every lane settled (mid-session
-//           settle-exit + per-lane fault dropping), and — when
-//           CoverageOptions.collapse is on — structurally equivalent
-//           faults are simulated once per bucket with verdicts expanded
-//           back to the full list.  Verdict-for-verdict identical to
-//           Dense (tests/scheduler_test.cpp enforces it byte-for-byte).
-enum class ScheduleMode { Dense, Repack };
-
-std::string to_string(ScheduleMode m);
-
+// How a campaign executes.  Whatever the options, the scheduler is the same
+// (analysis/campaign_exec.h): seed-major rounds rebuild batches from
+// still-undecided faults only, and sessions with monotone verdicts abort
+// once every lane settled.  Verdicts are byte-identical to a plain
+// fault x seed loop (tests/oracle.h, tests/scheduler_test.cpp).
 struct CoverageOptions {
   CoverageBackend backend = CoverageBackend::Scalar;
   // Worker threads the campaign's units are sharded across; <= 1 runs
@@ -75,11 +70,8 @@ struct CoverageOptions {
   // Auto picks the widest the CPU supports; a forced width throws
   // std::runtime_error at run() time when the CPU cannot execute it.
   simd::Request simd = simd::Request::Auto;
-  // Fault-universe scheduling (see ScheduleMode).  Repack is the default;
-  // Dense is the debug mode differential tests compare against.
-  ScheduleMode schedule = ScheduleMode::Repack;
-  // Structural fault collapsing (Repack only): pre-bucket equivalent
-  // faults (analysis/fault_list.h collapse_faults) and simulate one
+  // Structural fault collapsing: pre-bucket equivalent faults
+  // (analysis/fault_list.h collapse_faults) and simulate one
   // representative per bucket.  Off = every fault simulated individually,
   // for differential attribution of the collapsing win.
   bool collapse = true;
@@ -98,7 +90,7 @@ struct CoverageOptions {
 
 // Scheduler forward-progress counters, accumulated across worker threads
 // when a CampaignStats* is handed to CampaignRunner::run.  They attribute
-// where a scheduler mode's speedup comes from:
+// where the scheduler's speedup comes from:
 //
 //   lane occupancy   lane_slots / (units * kFaultsPerUnit) — how densely
 //                    the executed unit-sessions were packed with
@@ -113,21 +105,20 @@ struct CampaignStats {
   std::atomic<std::uint64_t> faults_simulated{0};  // faults after collapsing
   std::atomic<std::uint64_t> elements_total{0};     // full-length march elements
   std::atomic<std::uint64_t> elements_executed{0};  // march elements entered
-  // Peak memory pages any worker materialized (repack scheduler only —
-  // the dense scheduler's per-unit memories are not observable).  A
-  // transparent march writes every word, so this tracks the pages the
-  // march walk touched; most of them hold lane-uniform data in the cheap
-  // scalar form (width limbs per page).
+  // Peak memory pages any worker materialized.  A transparent march writes
+  // every word, so this tracks the pages the march walk touched; most of
+  // them hold lane-uniform data in the cheap scalar form (width limbs per
+  // page).
   std::atomic<std::uint64_t> pages_peak{0};
   // Peak pages in the expensive lane-block form.  The huge-memory claim in
   // one number: bounded by the batch's fault footprint (one region's slice
   // under address-region sharding), not by `words`.
   std::atomic<std::uint64_t> packed_pages_peak{0};
-  // Fresh page heap allocations across every worker memory (repack
-  // scheduler only).  The allocation-free round-rebuild contract in one
-  // number: worker memories live for the whole campaign and recycle pages
-  // through their free-lists, so this stays flat as seed rounds are added
-  // instead of growing per round (tests/tiled_engine_test.cpp pins it).
+  // Fresh page heap allocations across every worker memory.  The
+  // allocation-free round-rebuild contract in one number: worker memories
+  // live for the whole campaign and recycle pages through their
+  // free-lists, so this stays flat as seed rounds are added instead of
+  // growing per round (tests/tiled_engine_test.cpp pins it).
   std::atomic<std::uint64_t> page_allocs{0};
 
   double mean_live_lanes() const {

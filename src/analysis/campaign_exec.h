@@ -11,13 +11,13 @@
 //   campaign_w256.cpp   PackedEngineT<LaneBlock<4>>   built with -mavx2
 //   campaign_w512.cpp   PackedEngineT<LaneBlock<8>>   built with -mavx512f
 //
-// and the TILED backend (4096 / 32768 fault universes per pass) compiles
-// the same templates over LaneTile<Inner, T> blocks, one translation unit
-// per inner width:
+// and the TILED backend (4096 fault universes per pass) compiles the same
+// template over LaneTile<Inner, T> blocks, one translation unit per inner
+// width:
 //
-//   campaign_tiled.cpp       LaneTile<std::uint64_t, 64|512>   (portable)
-//   campaign_tiled_w256.cpp  LaneTile<LaneBlock<4>, 16|128>    -mavx2
-//   campaign_tiled_w512.cpp  LaneTile<LaneBlock<8>, 8|64>      -mavx512f
+//   campaign_tiled.cpp       LaneTile<std::uint64_t, 64>   (portable)
+//   campaign_tiled_w256.cpp  LaneTile<LaneBlock<4>, 16>    -mavx2
+//   campaign_tiled_w512.cpp  LaneTile<LaneBlock<8>, 8>     -mavx512f
 //
 // The wide entry points (run_campaign_w256/w512, run_campaign_tiled_*)
 // must only be called after core/simd.h confirmed the CPU supports the
@@ -56,11 +56,6 @@ struct CampaignJob {
   // per evaluated seed) and polled for cooperative cancellation before a
   // worker claims its next unit.
   UnitObserver* observer = nullptr;
-  // Scheduler selection + instrumentation (see analysis/campaign.h).  The
-  // wide translation units dispatch on `schedule` internally so the
-  // ABI-stable entry signature stays a single CampaignJob.
-  ScheduleMode schedule = ScheduleMode::Dense;
-  bool settle_exit = false;         // arm mid-session brakes (Repack only)
   CampaignStats* stats = nullptr;   // optional forward-progress counters
 };
 
@@ -77,68 +72,8 @@ void check_golden_lane(const LaneTile<Inner, T>& verdicts) {
   require_golden_lane_clear(block_word0(verdicts));
 }
 
-template <class Engine>
-void run_campaign_engine(const CampaignJob& job) {
-  using Verdict = typename Engine::Verdict;
-  constexpr unsigned kPerUnit = Engine::kFaultsPerUnit;
-  const std::size_t n = job.num_faults;
-  const std::size_t units = (n + kPerUnit - 1) / kPerUnit;
-  const unsigned threads = std::max(1u, job.threads);
-  const std::size_t plan_elems = plan_session_elements(*job.plan);
-
-  const bool seed_events = job.observer && job.observer->want_seed_verdicts();
-  std::atomic<std::size_t> next{0};
-  run_pool(threads, [&] {
-    for (;;) {
-      if (job.observer && job.observer->cancelled()) break;
-      const std::size_t u = next.fetch_add(1);
-      if (u >= units) break;
-      const std::size_t lo = u * kPerUnit;
-      const unsigned count = static_cast<unsigned>(std::min<std::size_t>(kPerUnit, n - lo));
-      const Verdict used = Engine::used_mask(count);
-      Verdict a = used, y = Verdict{};
-      for (std::size_t s = 0; s < job.num_seeds; ++s) {
-        if (job.stats) {
-          // Lanes whose verdicts this seed can still change — dense units
-          // keep their founding members, so decided lanes ride along dead.
-          unsigned live = 0;
-          for (unsigned i = 0; i < count; ++i)
-            live += !(!Engine::bit(a, i) && (Engine::bit(y, i) || !job.need_any));
-          job.stats->units.fetch_add(1, std::memory_order_relaxed);
-          job.stats->lane_slots.fetch_add(live, std::memory_order_relaxed);
-          job.stats->elements_total.fetch_add(plan_elems, std::memory_order_relaxed);
-          job.stats->elements_executed.fetch_add(plan_elems, std::memory_order_relaxed);
-        }
-        const Verdict d =
-            run_campaign_unit<Engine>(*job.plan, job.words, &job.faults[lo], count, job.seeds[s]);
-        check_golden_lane(d);
-        a &= d;
-        y |= d;
-        if (seed_events)
-          for (unsigned i = 0; i < count; ++i)
-            job.observer->on_seed_verdict(lo + i, s, Engine::bit(d, i));
-        if (job.matrix) {
-          for (unsigned i = 0; i < count; ++i)
-            job.matrix->bits[(lo + i) * job.num_seeds + s] = static_cast<char>(Engine::bit(d, i));
-        } else if (!seed_events && a == Verdict{} && (y == used || !job.need_any)) {
-          // Requested verdicts settled for every fault in the unit.  An
-          // observer that asked for per-seed verdicts gets the COMPLETE
-          // (fault, seed) stream instead — like the matrix path, the early
-          // exit would silently drop the remaining seeds' records.
-          break;
-        }
-      }
-      for (unsigned i = 0; i < count; ++i) {
-        job.all[lo + i] = static_cast<char>(Engine::bit(a, i));
-        job.any[lo + i] = static_cast<char>(Engine::bit(y, i));
-      }
-      if (job.observer) job.observer->on_unit_settled(lo, count, job.all + lo, job.any + lo);
-    }
-  });
-}
-
-// The survivor-repacking scheduler: seed-major rounds over the shrinking
-// set of still-undecided faults.
+// The campaign scheduler (survivor repacking): seed-major rounds over the
+// shrinking set of still-undecided faults.
 //
 //   round s:  pack the live faults densely into units of kFaultsPerUnit,
 //             shard the units across the pool, evaluate every unit under
@@ -150,8 +85,8 @@ void run_campaign_engine(const CampaignJob& job) {
 // A fault is decided once its "all" verdict dropped to 0 and (when the
 // caller asked for it) its "any" verdict rose to 1; remaining seeds cannot
 // change either, so the fault stops occupying a lane.  The verdicts are
-// exactly the dense scheduler's: every evaluated (fault, seed) pair yields
-// the same bit (lanes are independent, so batch composition is
+// exactly those of a plain fault x seed loop: every evaluated (fault, seed)
+// pair yields the same bit (lanes are independent, so batch composition is
 // irrelevant), and skipped pairs are skipped only when provably
 // irrelevant.  A matrix request or a per-seed-verdict observer needs the
 // COMPLETE (fault, seed) stream, which disables dropping (every fault
@@ -160,7 +95,7 @@ void run_campaign_engine(const CampaignJob& job) {
 // job.all/job.any must be preset by the caller (all = 1, any = 0), exactly
 // as CampaignRunner::run does.
 template <class Engine>
-void run_campaign_engine_repack(const CampaignJob& job) {
+void run_campaign_engine(const CampaignJob& job) {
   using Verdict = typename Engine::Verdict;
   constexpr unsigned kPerUnit = Engine::kFaultsPerUnit;
   const std::size_t n = job.num_faults;
@@ -169,10 +104,6 @@ void run_campaign_engine_repack(const CampaignJob& job) {
   const std::size_t plan_elems = plan_session_elements(*job.plan);
   const bool seed_events = job.observer && job.observer->want_seed_verdicts();
   const bool no_drop = job.matrix != nullptr || seed_events;
-  // Armed for every scheme: run_scheme_session downgrades per scheme (the
-  // MISR case turns the exit off and only keeps the skip of the unconsumed
-  // stream compare; the symmetric session never sees the brake).
-  const bool arm_exit = job.settle_exit;
 
   // Worker state lives for the WHOLE campaign, not one round: the memory's
   // page free-list, fault index buckets, baseline cache and the batch
@@ -219,8 +150,11 @@ void run_campaign_engine_repack(const CampaignJob& job) {
             static_cast<unsigned>(std::min<std::size_t>(kPerUnit, live.size() - lo));
         batch.clear();
         for (unsigned i = 0; i < count; ++i) batch.push_back(job.faults[live[lo + i]]);
-        typename Engine::Brake brake =
-            Engine::make_brake(mem, Engine::used_mask(count), arm_exit);
+        // Armed for every scheme: run_scheme_session downgrades per scheme
+        // (the MISR case turns the exit off and only keeps the skip of the
+        // unconsumed stream compare; the symmetric session never sees the
+        // brake).
+        typename Engine::Brake brake = Engine::make_brake(mem, Engine::used_mask(count));
         const Verdict d = run_campaign_unit_in<Engine>(mem, *job.plan, batch.data(), count,
                                                        job.seeds[s], &brake);
         check_golden_lane(d);
@@ -298,13 +232,12 @@ void run_campaign_engine_repack(const CampaignJob& job) {
 TWM_WIDE_ENTRY void run_campaign_w256(const CampaignJob& job);
 TWM_WIDE_ENTRY void run_campaign_w512(const CampaignJob& job);
 
-// Tiled entry points: one per compiled inner-block width, each dispatching
-// internally on `lanes` (kTileLanesSmall / kTileLanesLarge).  The base
-// entry is portable code — safe on any CPU; the _w256/_w512 ones carry the
-// same cpuid contract as the single-block entries above.
-TWM_WIDE_ENTRY void run_campaign_tiled_base(const CampaignJob& job, unsigned lanes);
-TWM_WIDE_ENTRY void run_campaign_tiled_w256(const CampaignJob& job, unsigned lanes);
-TWM_WIDE_ENTRY void run_campaign_tiled_w512(const CampaignJob& job, unsigned lanes);
+// Tiled entry points: one 4096-lane tile per compiled inner-block width.
+// The base entry is portable code — safe on any CPU; the _w256/_w512 ones
+// carry the same cpuid contract as the single-block entries above.
+TWM_WIDE_ENTRY void run_campaign_tiled_base(const CampaignJob& job);
+TWM_WIDE_ENTRY void run_campaign_tiled_w256(const CampaignJob& job);
+TWM_WIDE_ENTRY void run_campaign_tiled_w512(const CampaignJob& job);
 
 }  // namespace twm
 

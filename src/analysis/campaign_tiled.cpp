@@ -1,36 +1,17 @@
-// Tiled campaign backend, portable inner block: LaneTile<std::uint64_t, T>
-// — T plain 64-bit words per lane operation, 4096 or 32768 fault universes
-// per machine pass (memsim/lane_tile.h).
+// Tiled campaign backend, portable inner block: LaneTile<std::uint64_t, 64>
+// — 64 plain 64-bit words per lane operation, 4096 fault universes per
+// machine pass (memsim/lane_tile.h).
 //
 // This is the fallback tile instantiation: no arch flags, safe on every
 // CPU.  The dispatcher (analysis/campaign.cpp) only lands here when the
 // running CPU supports neither AVX2 nor AVX-512F; otherwise it calls the
 // vector-inner-block twins in campaign_tiled_w256.cpp / _w512.cpp.
-#include <stdexcept>
-
 #include "analysis/campaign_exec.h"
 
 namespace twm {
 
-namespace {
-
-template <class Tile>
-void run_tiled(const CampaignJob& job) {
-  if (job.schedule == ScheduleMode::Repack)
-    run_campaign_engine_repack<PackedEngineT<Tile>>(job);
-  else
-    run_campaign_engine<PackedEngineT<Tile>>(job);
-}
-
-}  // namespace
-
-void run_campaign_tiled_base(const CampaignJob& job, unsigned lanes) {
-  switch (lanes) {
-    case kTileLanesSmall: return run_tiled<LaneTile<std::uint64_t, 64>>(job);
-    case kTileLanesLarge: return run_tiled<LaneTile<std::uint64_t, 512>>(job);
-  }
-  throw std::logic_error("tiled backend: no tile compiled for " + std::to_string(lanes) +
-                         " lanes");
+void run_campaign_tiled_base(const CampaignJob& job) {
+  run_campaign_engine<PackedEngineT<LaneTile<std::uint64_t, 64>>>(job);
 }
 
 }  // namespace twm

@@ -1,35 +1,15 @@
-// Tiled campaign backend, AVX-512 inner block: LaneTile<LaneBlock<8>, T> —
-// every per-cell tile loop is T 512-bit vector operations (4096 lanes =
-// 8 x LaneBlock<8>, 32768 lanes = 64 x LaneBlock<8>).
+// Tiled campaign backend, AVX-512 inner block: LaneTile<LaneBlock<8>, 8> —
+// every per-cell tile loop is 8 512-bit vector operations (4096 lanes).
 //
 // Compiled with -mavx512f (see CMakeLists.txt).  Nothing in here may run
 // before simd::supported(Width::W512) returned true — the dispatcher in
 // analysis/campaign.cpp is the only caller and checks exactly that.
-#include <stdexcept>
-
 #include "analysis/campaign_exec.h"
 
 namespace twm {
 
-namespace {
-
-template <class Tile>
-void run_tiled(const CampaignJob& job) {
-  if (job.schedule == ScheduleMode::Repack)
-    run_campaign_engine_repack<PackedEngineT<Tile>>(job);
-  else
-    run_campaign_engine<PackedEngineT<Tile>>(job);
-}
-
-}  // namespace
-
-void run_campaign_tiled_w512(const CampaignJob& job, unsigned lanes) {
-  switch (lanes) {
-    case kTileLanesSmall: return run_tiled<LaneTile<LaneBlock<8>, 8>>(job);
-    case kTileLanesLarge: return run_tiled<LaneTile<LaneBlock<8>, 64>>(job);
-  }
-  throw std::logic_error("tiled backend: no tile compiled for " + std::to_string(lanes) +
-                         " lanes");
+void run_campaign_tiled_w512(const CampaignJob& job) {
+  run_campaign_engine<PackedEngineT<LaneTile<LaneBlock<8>, 8>>>(job);
 }
 
 }  // namespace twm

@@ -11,10 +11,7 @@
 namespace twm {
 
 void run_campaign_w256(const CampaignJob& job) {
-  if (job.schedule == ScheduleMode::Repack)
-    run_campaign_engine_repack<PackedEngineT<LaneBlock<4>>>(job);
-  else
-    run_campaign_engine<PackedEngineT<LaneBlock<4>>>(job);
+  run_campaign_engine<PackedEngineT<LaneBlock<4>>>(job);
 }
 
 }  // namespace twm

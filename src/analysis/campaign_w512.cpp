@@ -11,10 +11,7 @@
 namespace twm {
 
 void run_campaign_w512(const CampaignJob& job) {
-  if (job.schedule == ScheduleMode::Repack)
-    run_campaign_engine_repack<PackedEngineT<LaneBlock<8>>>(job);
-  else
-    run_campaign_engine<PackedEngineT<LaneBlock<8>>>(job);
+  run_campaign_engine<PackedEngineT<LaneBlock<8>>>(job);
 }
 
 }  // namespace twm

@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "analysis/coverage.h"
+#include "analysis/campaign.h"
 
 namespace twm {
 

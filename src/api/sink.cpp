@@ -48,7 +48,6 @@ void JsonLinesSink::on_campaign_begin(const CampaignMeta& meta) {
   out_ << "],\"backend\":" << json_quote(to_string(s.backend)) << ",\"threads\":" << s.threads
        << ",\"simd\":" << json_quote(simd::to_string(s.simd))
        << ",\"resolved_simd\":" << simd::lanes(meta.resolved_simd)
-       << ",\"schedule\":" << json_quote(to_string(s.schedule))
        << ",\"collapse\":" << bool_str(s.collapse)
        << ",\"total_faults\":" << meta.total_faults << "}\n";
   out_.flush();
@@ -150,8 +149,7 @@ void TableSink::on_campaign_begin(const CampaignMeta& meta) {
   if (spec_.backend == CoverageBackend::Packed)
     out_ << " (simd " << simd::to_string(meta.resolved_simd) << ", "
          << (spec_.simd == simd::Request::Auto ? "auto" : "forced") << ")";
-  out_ << ", schedule=" << twm::to_string(spec_.schedule);
-  if (spec_.schedule == ScheduleMode::Repack && !spec_.collapse) out_ << " (no collapse)";
+  if (!spec_.collapse) out_ << ", no collapse";
   out_ << ", threads=" << spec_.threads << ", " << spec_.seeds.size() << " contents\n";
 }
 

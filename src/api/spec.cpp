@@ -113,12 +113,6 @@ std::optional<CoverageBackend> parse_backend(std::string_view s) {
   return std::nullopt;
 }
 
-std::optional<ScheduleMode> parse_schedule(std::string_view s) {
-  if (s == "dense") return ScheduleMode::Dense;
-  if (s == "repack") return ScheduleMode::Repack;
-  return std::nullopt;
-}
-
 std::optional<bool> parse_on_off(std::string_view s) {
   if (s == "on") return true;
   if (s == "off") return false;
@@ -401,7 +395,8 @@ std::string march_display(const CampaignSpec& spec) {
 
 std::string_view engine_revision() {
   // r6: the PR 5 scheduler generation (repack + settle-exit + collapsing,
-  // all verdict-identical to dense).  Bump on any verdict-affecting change.
+  // all verdict-identical to a plain fault x seed loop).  Bump on any
+  // verdict-affecting change.
   return "twm-engine-r6";
 }
 
@@ -472,7 +467,6 @@ JsonValue spec_to_value(const CampaignSpec& s) {
   run.set("backend", JsonValue::string(to_string(s.backend)));
   run.set("threads", JsonValue::number(s.threads));
   run.set("simd", JsonValue::string(simd::to_string(s.simd)));
-  run.set("schedule", JsonValue::string(to_string(s.schedule)));
   run.set("collapse", JsonValue::boolean(s.collapse));
   // regions = 1 is the implicit default; omitting it keeps every pre-region
   // serialization (and the golden-serialization test) byte-identical.
@@ -609,16 +603,13 @@ class SpecReader {
             s.simd = *r;
           else
             fail("run.simd",
-                 "must be \"auto\", \"64\", \"256\", \"512\" or \"tiled[:4096|:32768]\"");
+                 "must be \"auto\", \"64\", \"256\", \"512\", \"tiled\" or \"tiled:4096\"");
         }
-        if (const JsonValue* schedule = run->find("schedule")) {
-          const auto m = schedule->is_string() ? parse_schedule(schedule->as_string())
-                                               : std::nullopt;
-          if (m)
-            s.schedule = *m;
-          else
-            fail("run.schedule", "must be \"dense\" or \"repack\"");
-        }
+        // The one scheduler's name, still carried by older specs: read and
+        // dropped, never stored or re-serialized.
+        if (const JsonValue* schedule = run->find("schedule"))
+          if (!schedule->is_string() || schedule->as_string() != "repack")
+            fail("run.schedule", "must be \"repack\" (the only scheduler)");
         if (const JsonValue* collapse = run->find("collapse")) {
           if (collapse->is_bool())
             s.collapse = collapse->as_bool();

@@ -113,15 +113,13 @@ struct CampaignSpec {
   CoverageBackend backend = CoverageBackend::Packed;
   unsigned threads = 1;
   simd::Request simd = simd::Request::Auto;
-  // Fault-universe scheduling: "repack" (default — survivor repacking,
-  // mid-session settle-exit, structural collapsing) or "dense" (static
-  // batches, the byte-identical debug/reference scheduler).
-  ScheduleMode schedule = ScheduleMode::Repack;
-  // Structural fault collapsing (repack only); off isolates the
-  // repacking/settle-exit win for differential attribution.
+  // Structural fault collapsing; off isolates the repacking/settle-exit
+  // win for differential attribution.  (A "schedule":"repack" key, from
+  // specs written when a second scheduler existed, is accepted and
+  // dropped; nothing else is.)
   bool collapse = true;
   // Address-region sharding (power of two, <= words; 1 = off).  Execution-
-  // transparent like schedule/collapse: verdicts, records and cache
+  // transparent like collapse: verdicts, records and cache
   // identities are unchanged — only the working-set bound and the
   // checkpoint grain move.  Serialized only when != 1.
   unsigned regions = 1;
@@ -135,7 +133,7 @@ struct CampaignSpec {
   std::uint64_t deadline_ms = 0;
 
   CoverageOptions options() const {
-    return {backend, threads, simd, schedule, collapse, regions};
+    return {backend, threads, simd, collapse, regions};
   }
 
   friend bool operator==(const CampaignSpec&, const CampaignSpec&) = default;
@@ -156,9 +154,6 @@ void require_valid(const CampaignSpec& spec);
 // unknown spelling — no partial matches, no case folding.
 
 std::optional<CoverageBackend> parse_backend(std::string_view s);
-
-// "dense" | "repack" (to_string(ScheduleMode) is its inverse).
-std::optional<ScheduleMode> parse_schedule(std::string_view s);
 
 // "on" | "off" — the canonical spelling of boolean flags (--collapse) on
 // every flag surface; nullopt on anything else.
@@ -220,8 +215,8 @@ std::vector<Fault> build_fault_list(const ClassSel& c, std::size_t words, unsign
 
 // Folded into every cell identity; bump whenever a change can alter ANY
 // verdict (fault semantics, scheme sessions, march library, fault-list
-// generators).  Pure perf/scheduling work keeps the revision — dense and
-// repack, scalar and packed, every SIMD width are verdict-identical by
+// generators).  Pure perf/scheduling work keeps the revision — scalar and
+// packed, every SIMD width and collapse on or off are verdict-identical by
 // construction, so cached cells are shared across all of them.
 std::string_view engine_revision();
 

@@ -102,7 +102,7 @@ struct PackedTransparentOutcomeT {
 
 // Cooperative mid-session brake for sessions whose per-lane verdict is
 // MONOTONE (exact stream/value comparison: a lane's bit, once set, is
-// final).  The repack scheduler (analysis/campaign_exec.h) arms one per
+// final).  The campaign scheduler (analysis/campaign_exec.h) arms one per
 // unit so a session can
 //
 //   * abort the remaining march work once every lane in `target` has a

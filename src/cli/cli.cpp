@@ -326,19 +326,16 @@ std::optional<api::CampaignSpec> spec_from_flags(const Options& o, std::ostream&
     const auto req = simd::parse_request(it->second);
     if (!req) {
       err << "error: unknown simd width '" << it->second
-          << "' (want auto|64|256|512|tiled[:4096|:32768])\n";
+          << "' (want auto|64|256|512|tiled[:4096])\n";
       return std::nullopt;
     }
     spec.simd = *req;
   }
 
-  if (auto it = o.flags.find("schedule"); it != o.flags.end()) {
-    const auto mode = api::parse_schedule(it->second);
-    if (!mode) {
-      err << "error: unknown schedule '" << it->second << "' (want dense|repack)\n";
-      return std::nullopt;
-    }
-    spec.schedule = *mode;
+  // Accepted for older command lines, like "schedule" in spec files.
+  if (auto it = o.flags.find("schedule"); it != o.flags.end() && it->second != "repack") {
+    err << "error: unknown schedule '" << it->second << "' (repack is the only scheduler)\n";
+    return std::nullopt;
   }
 
   if (auto it = o.flags.find("collapse"); it != o.flags.end()) {
@@ -405,8 +402,8 @@ int cmd_coverage(const Options& o, std::ostream& out, std::ostream& err) {
   if (o.positional.size() < 2) {
     err << "usage: coverage <march> --width B --words N [--scheme S|all] [--classes C,..]\n"
            "                [--seeds 0,1,2] [--backend scalar|packed] [--threads T]\n"
-           "                [--simd auto|64|256|512|tiled[:N]] [--schedule dense|repack]\n"
-           "                [--collapse on|off] [--regions N]\n";
+           "                [--simd auto|64|256|512|tiled[:4096]] [--collapse on|off]\n"
+           "                [--regions N]\n";
     return 1;
   }
   const auto spec = spec_from_flags(o, err);

@@ -17,26 +17,25 @@
 //   coverage <march> --width B --words N [--scheme twm|twm-misr|sym|tsmarch|
 //            s1|tomt|ref|womarch|all] [--classes saf,tf,cfst,cfid,cfin,ret,af]
 //            [--seeds 0,1,2] [--backend scalar|packed] [--threads T]
-//            [--simd auto|64|256|512] [--schedule dense|repack]
-//            [--collapse on|off] [--regions N]
+//            [--simd auto|64|256|512|tiled[:4096]] [--collapse on|off]
+//            [--regions N]
 //                                          per-fault-class coverage campaign
 //                                          on the selected simulation backend
 //                                          (packed = one fault universe per
-//                                          SIMD lane, 64/256/512 per
-//                                          bit-parallel pass; --simd auto
+//                                          SIMD lane, 64/256/512 or a
+//                                          4096-lane tile per bit-parallel
+//                                          pass; --simd auto
 //                                          picks the widest the CPU supports,
 //                                          a forced width errors cleanly when
 //                                          unsupported); --scheme all sweeps
 //                                          every scheme and prints a scheme x
-//                                          fault-class table; --schedule
-//                                          repack (default) drops settled
-//                                          fault universes between seed
-//                                          rounds, aborts settled sessions
-//                                          early and collapses equivalent
-//                                          faults (--collapse off isolates
-//                                          that), dense is the verdict-
-//                                          identical static reference
-//                                          scheduler; --regions N shards the
+//                                          fault-class table; the scheduler
+//                                          drops settled fault universes
+//                                          between seed rounds, aborts
+//                                          settled sessions early and
+//                                          collapses equivalent faults
+//                                          (--collapse off isolates that);
+//                                          --regions N shards the
 //                                          fault list by victim address slice
 //                                          so a huge-memory campaign touches
 //                                          one region's page working set at a

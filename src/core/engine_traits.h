@@ -13,7 +13,7 @@
 //                                            PackedEngine alias), a wide
 //                                            LaneBlock<K> (256/512 lanes,
 //                                            compiled per width), or a
-//                                            LaneTile<Inner, T> (4096/32768
+//                                            LaneTile<Inner, T> (4096
 //                                            lanes, memsim/lane_tile.h) —
 //                                            selected at runtime via
 //                                            core/simd.h
@@ -123,10 +123,10 @@ struct ScalarEngine {
   // One fault universe per session.
   static constexpr unsigned kFaultsPerUnit = 1;
 
-  static Brake make_brake(Memory& /*mem*/, Verdict used, bool exit_enabled) {
+  static Brake make_brake(Memory& /*mem*/, Verdict used) {
     Brake b;
     b.target = used;
-    b.exit_enabled = exit_enabled;
+    b.exit_enabled = true;
     return b;
   }
 
@@ -194,10 +194,10 @@ struct PackedEngineT {
 
   // An armed brake also drops settled lanes' faults from the memory's
   // per-address index buckets (fault dropping inside a live batch).
-  static Brake make_brake(Memory& mem, Verdict used, bool exit_enabled) {
+  static Brake make_brake(Memory& mem, Verdict used) {
     Brake b;
     b.target = used;
-    b.exit_enabled = exit_enabled;
+    b.exit_enabled = true;
     b.retire_from = &mem;
     return b;
   }

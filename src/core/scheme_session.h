@@ -142,12 +142,12 @@ typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const 
 // contents, the nontransparent reference's base), captures the TOMT parity
 // ledger while the memory is healthy, injects `count` faults (scalar: the
 // single fault; packed: lanes 1..count, lane 0 golden), and runs the
-// session.
+// session.  No scheduler, no reused state: the scheduler-free reference
+// every campaign mode is tested against (tests/oracle.h).
 template <class Engine>
 typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t words,
                                            const Fault* faults, unsigned count,
-                                           std::uint64_t seed,
-                                           typename Engine::Brake* brake = nullptr) {
+                                           std::uint64_t seed) {
   typename Engine::Memory mem(words, plan.width);
   if (seed != 0) mem.fill_seeded(seed);
 
@@ -157,7 +157,7 @@ typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t w
 
   for (unsigned i = 0; i < count; ++i) Engine::inject(mem, faults[i], i);
 
-  return run_scheme_session<Engine>(mem, plan, ledger, brake);
+  return run_scheme_session<Engine>(mem, plan, ledger);
 }
 
 // run_campaign_unit against a caller-owned memory, reset in place: the

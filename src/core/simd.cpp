@@ -40,9 +40,7 @@ std::optional<Request> parse_request(std::string_view s) {
   if (s == "64") return Request::W64;
   if (s == "256") return Request::W256;
   if (s == "512") return Request::W512;
-  if (s == "tiled") return Request::Tiled;
-  if (s == "tiled:4096") return Request::Tiled4096;
-  if (s == "tiled:32768") return Request::Tiled32768;
+  if (s == "tiled" || s == "tiled:4096") return Request::Tiled4096;
   return std::nullopt;
 }
 
@@ -53,9 +51,7 @@ Width resolve(Request r) {
     case Request::W64: w = Width::W64; break;
     case Request::W256: w = Width::W256; break;
     case Request::W512: w = Width::W512; break;
-    case Request::Tiled:
     case Request::Tiled4096: w = Width::Tiled4096; break;
-    case Request::Tiled32768: w = Width::Tiled32768; break;
     case Request::Auto: break;  // handled above
   }
   if (!supported(w))
@@ -76,9 +72,7 @@ std::string to_string(Request r) {
     case Request::W64: return to_string(Width::W64);
     case Request::W256: return to_string(Width::W256);
     case Request::W512: return to_string(Width::W512);
-    case Request::Tiled: return "tiled";
     case Request::Tiled4096: return to_string(Width::Tiled4096);
-    case Request::Tiled32768: return to_string(Width::Tiled32768);
   }
   return "?";
 }

@@ -18,8 +18,8 @@
 // On non-x86 builds only the 64-lane width reports as supported; the wide
 // code paths still compile (plain word loops) but are never dispatched.
 //
-// The TILED widths (4096 / 32768 lanes; "--simd tiled[:<lanes>]") select
-// the array-of-blocks backend (memsim/lane_tile.h) instead of a single
+// The TILED width (4096 lanes; "--simd tiled[:4096]") selects the
+// array-of-blocks backend (memsim/lane_tile.h) instead of a single
 // lane block.  A tiled width is supported on every CPU: the tile's INNER
 // block width is itself a cpuid decision the campaign dispatcher makes
 // (analysis/campaign.cpp picks the AVX-512, AVX2 or portable tile
@@ -42,20 +42,17 @@ enum class Width : unsigned {
   W256 = 256,
   W512 = 512,
   Tiled4096 = 4096,
-  Tiled32768 = 32768,
 };
 
 // The single-lane-block widths (cpuid-gated; what Auto chooses between).
 inline constexpr Width kAllWidths[] = {Width::W64, Width::W256, Width::W512};
 // The tiled widths (always dispatchable; never chosen by Auto).
-inline constexpr Width kTiledWidths[] = {Width::Tiled4096, Width::Tiled32768};
+inline constexpr Width kTiledWidths[] = {Width::Tiled4096};
 
 inline constexpr unsigned lanes(Width w) { return static_cast<unsigned>(w); }
 
 // True when `w` names a tiled (array-of-blocks) backend width.
-inline constexpr bool is_tiled(Width w) {
-  return w == Width::Tiled4096 || w == Width::Tiled32768;
-}
+inline constexpr bool is_tiled(Width w) { return w == Width::Tiled4096; }
 
 // True when the running CPU can execute the lane-block code compiled for
 // `w` (W64: always; W256: AVX2; W512: AVX-512F; tiled widths: always —
@@ -65,16 +62,14 @@ bool supported(Width w);
 // Widest supported single-block width — the Auto choice (never tiled).
 Width best_width();
 
-// A campaign's width request, as it comes in from --simd.  Tiled (the bare
-// "tiled" spelling) defers the tile-size choice to resolve(), which picks
-// Tiled4096.
-enum class Request { Auto, W64, W256, W512, Tiled, Tiled4096, Tiled32768 };
+// A campaign's width request, as it comes in from --simd.
+enum class Request { Auto, W64, W256, W512, Tiled4096 };
 
-// Parses "auto" | "64" | "256" | "512" | "tiled" | "tiled:4096" |
-// "tiled:32768"; nullopt on anything else.
+// Parses "auto" | "64" | "256" | "512" | "tiled" | "tiled:4096" (both tiled
+// spellings name Tiled4096); nullopt on anything else.
 std::optional<Request> parse_request(std::string_view s);
 
-// Auto -> best_width(); Tiled -> Tiled4096; a forced width resolves to
+// Auto -> best_width(); a forced width resolves to
 // itself when supported and throws std::runtime_error otherwise.
 Width resolve(Request r);
 

@@ -125,7 +125,6 @@ JsonValue spec_to_value(const ExploreSpec& s) {
   run.set("backend", JsonValue::string(to_string(s.backend)));
   run.set("threads", JsonValue::number(s.threads));
   run.set("simd", JsonValue::string(simd::to_string(s.simd)));
-  run.set("schedule", JsonValue::string(to_string(s.schedule)));
   run.set("collapse", JsonValue::boolean(s.collapse));
 
   JsonValue v = JsonValue::object();
@@ -328,16 +327,12 @@ class ExploreReader {
         s.simd = *r;
       else
         fail("run.simd",
-             "must be \"auto\", \"64\", \"256\", \"512\" or \"tiled[:4096|:32768]\"");
+             "must be \"auto\", \"64\", \"256\", \"512\", \"tiled\" or \"tiled:4096\"");
     }
-    if (const JsonValue* schedule = v.find("schedule")) {
-      const auto m =
-          schedule->is_string() ? api::parse_schedule(schedule->as_string()) : std::nullopt;
-      if (m)
-        s.schedule = *m;
-      else
-        fail("run.schedule", "must be \"dense\" or \"repack\"");
-    }
+    // Accepted and dropped, as in CampaignSpec.
+    if (const JsonValue* schedule = v.find("schedule"))
+      if (!schedule->is_string() || schedule->as_string() != "repack")
+        fail("run.schedule", "must be \"repack\" (the only scheduler)");
     if (const JsonValue* collapse = v.find("collapse")) {
       if (collapse->is_bool())
         s.collapse = collapse->as_bool();

@@ -1,5 +1,5 @@
 // Lane tiles: an array-of-lane-blocks execution unit for the many-thousand-
-// lane regime (4096 – 32768 fault universes per machine pass).
+// lane regime (4096 fault universes per machine pass).
 //
 // The lane-block stack went 64 -> 512 lanes purely by widening the Block
 // type the packed engine is templated over (memsim/lane_block.h).  This
@@ -8,7 +8,7 @@
 // Block concept, so PackedMemoryT<LaneTile<...>>, PackedMarchRunnerT,
 // PackedMisrT, SessionBrakeT, the engine traits and every traits-templated
 // scheme session run on it UNCHANGED.  One simulated march operation then
-// advances up to 32768 fault universes.
+// advances 4096 fault universes.
 //
 // Why a tile instead of an ever-wider LaneBlock<K>?  The inner block stays
 // the width the CPU's vector unit natively executes (std::uint64_t
@@ -19,7 +19,7 @@
 // (PackedMemoryT::prefetch, issued one address ahead by the march sweep)
 // keep fed from L2 instead of stalling per block.  Runtime selection of
 // the inner width lives with the other arch dispatching in core/simd.h /
-// analysis/campaign.cpp; the shipped tile sizes are 4096 and 32768 lanes
+// analysis/campaign.cpp; the one shipped tile size is 4096 lanes
 // (src/analysis/campaign_tiled*.cpp).
 //
 // Lane numbering is global and row-major over the tile: lane L lives in
@@ -121,19 +121,6 @@ template <class Inner, unsigned T>
 std::uint64_t block_word0(const LaneTile<Inner, T>& t) {
   return block_word0(t.b[0]);
 }
-
-// --- the shipped tile configurations -------------------------------------
-//
-// Both runtime tile sizes (4096 and 32768 lanes) exist for each compiled
-// inner width; which inner width executes is a cpuid decision made by the
-// campaign dispatcher, exactly like the 256/512-lane lane-block widths.
-//
-//   portable    Tile4096  = LaneTile<std::uint64_t, 64>
-//               Tile32768 = LaneTile<std::uint64_t, 512>
-//   -mavx2      LaneTile<LaneBlock<4>, 16 / 128>   (campaign_tiled_w256.cpp)
-//   -mavx512f   LaneTile<LaneBlock<8>, 8 / 64>     (campaign_tiled_w512.cpp)
-inline constexpr unsigned kTileLanesSmall = 4096;
-inline constexpr unsigned kTileLanesLarge = 32768;
 
 }  // namespace twm
 

@@ -203,10 +203,14 @@ void ServiceServer::serve_forever() {
       break;
     }
     if (active_clients_.load(std::memory_order_relaxed) >= config_.max_clients) {
+      // Count before the refusal frame leaves: a client that reads the
+      // frame and then asks for stats must already see its refusal.
+      {
+        const std::lock_guard<std::mutex> lock(counters_mu_);
+        ++counters_.clients_refused;
+      }
       send_line(fd, error_frame("frame", "server at max_clients capacity"));
       ::close(fd);
-      const std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.clients_refused;
       continue;
     }
     active_clients_.fetch_add(1, std::memory_order_relaxed);

@@ -1,18 +1,18 @@
 // Tests for the streaming ResultSink surface: per-unit records arrive
 // during the run, cooperative cancellation truncates the stream to a
 // prefix, the shipped sinks emit well-formed output, and spec-driven
-// campaigns are verdict-identical to the legacy CoverageEvaluator facade.
+// campaigns are verdict-identical to the scheduler-free oracle.
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <sstream>
 
-#include "analysis/coverage.h"
 #include "analysis/report.h"
 #include "api/json.h"
 #include "api/runner.h"
 #include "api/sink.h"
 #include "march/library.h"
+#include "oracle.h"
 
 namespace twm::api {
 namespace {
@@ -197,8 +197,8 @@ TEST(ResultSinkTest, TableSinkPrintsHeaderAndFooter) {
 }
 
 // The redesign's core promise: a spec-driven campaign is verdict-identical
-// to the legacy CoverageEvaluator facade it replaces.
-TEST(ResultSinkTest, SpecCampaignMatchesLegacyEvaluator) {
+// to the scheduler-free oracle.
+TEST(ResultSinkTest, SpecCampaignMatchesTheOracle) {
   CampaignSpec spec;
   spec.words = 4;
   spec.width = 4;
@@ -212,17 +212,22 @@ TEST(ResultSinkTest, SpecCampaignMatchesLegacyEvaluator) {
   const CampaignSummary summary = run_campaign(spec);
   ASSERT_EQ(summary.cells.size(), 6u);
 
-  const CoverageEvaluator legacy(spec.words, spec.width);
   const MarchTest march = march_by_name(spec.march);
   std::size_t i = 0;
   for (SchemeKind k : spec.schemes) {
     for (const ClassSel& cls : spec.classes) {
       const auto faults = build_fault_list(cls, spec.words, spec.width);
-      const CoverageOutcome want = legacy.evaluate(k, march, faults, spec.seeds);
+      const VerdictMatrix want =
+          oracle_matrix(k, march, spec.words, spec.width, faults, spec.seeds);
+      std::size_t all = 0, any = 0;
+      for (std::size_t f = 0; f < faults.size(); ++f) {
+        all += want.detected_all(f);
+        any += want.detected_any(f);
+      }
       const CoverageOutcome& got = summary.cells[i++].outcome;
-      EXPECT_EQ(got.total, want.total) << scheme_id(k) << "/" << to_string(cls);
-      EXPECT_EQ(got.detected_all, want.detected_all) << scheme_id(k) << "/" << to_string(cls);
-      EXPECT_EQ(got.detected_any, want.detected_any) << scheme_id(k) << "/" << to_string(cls);
+      EXPECT_EQ(got.total, faults.size()) << scheme_id(k) << "/" << to_string(cls);
+      EXPECT_EQ(got.detected_all, all) << scheme_id(k) << "/" << to_string(cls);
+      EXPECT_EQ(got.detected_any, any) << scheme_id(k) << "/" << to_string(cls);
     }
   }
 }

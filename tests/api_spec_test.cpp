@@ -153,14 +153,14 @@ TEST(SpecEnums, BackendRoundTrips) {
 
 TEST(SpecEnums, SimdRequestRoundTrips) {
   for (simd::Request r : {simd::Request::Auto, simd::Request::W64, simd::Request::W256,
-                          simd::Request::W512, simd::Request::Tiled, simd::Request::Tiled4096,
-                          simd::Request::Tiled32768}) {
+                          simd::Request::W512, simd::Request::Tiled4096}) {
     const auto parsed = simd::parse_request(simd::to_string(r));
     ASSERT_TRUE(parsed.has_value()) << simd::to_string(r);
     EXPECT_EQ(*parsed, r);
   }
   EXPECT_FALSE(simd::parse_request("128").has_value());
   EXPECT_FALSE(simd::parse_request("AUTO").has_value());
+  EXPECT_FALSE(simd::parse_request("tiled:32768").has_value());
 }
 
 TEST(SpecEnums, SchemeIdRoundTrips) {
@@ -244,7 +244,6 @@ TEST(SpecJson, RoundTripEverySchemeClassBackendAndBigSeeds) {
   s.backend = CoverageBackend::Scalar;
   s.threads = 16;
   s.simd = simd::Request::W256;
-  s.schedule = ScheduleMode::Dense;
   s.collapse = false;
   EXPECT_EQ(spec_from_json(to_json(s)), s);
 }
@@ -270,36 +269,59 @@ TEST(SpecJson, GoldenSerialization) {
       "\"classes\":[\"saf\"],"
       "\"seeds\":[0,1],"
       "\"run\":{\"backend\":\"packed\",\"threads\":2,\"simd\":\"auto\","
-      "\"schedule\":\"repack\",\"collapse\":true}}";
+      "\"collapse\":true}}";
   EXPECT_EQ(to_json(s, /*pretty=*/false), expected);
 }
 
-TEST(SpecJson, ScheduleAndCollapseRoundTripAndReject) {
+TEST(SpecJson, CollapseRoundTripsAndRejects) {
   auto s = valid_spec();
-  s.schedule = ScheduleMode::Dense;
   s.collapse = false;
   EXPECT_EQ(spec_from_json(to_json(s)), s);
-  // Omitting the fields keeps the defaults (older spec files stay valid).
+  // Omitting the field keeps the default (older spec files stay valid).
   const CampaignSpec parsed = spec_from_json(
       R"({"name":"x","memory":{"words":2,"width":2},"march":"March C-",
           "schemes":["twm"],"classes":["saf"],"seeds":[0]})");
-  EXPECT_EQ(parsed.schedule, ScheduleMode::Repack);
   EXPECT_TRUE(parsed.collapse);
   // Bad spellings name their paths.
   try {
     spec_from_json(
         R"({"name":"x","memory":{"words":2,"width":2},"march":"March C-",
             "schemes":["twm"],"classes":["saf"],"seeds":[0],
-            "run":{"schedule":"sparse","collapse":"yes"}})");
+            "run":{"collapse":"yes"}})");
     FAIL() << "expected SpecValidationError";
   } catch (const SpecValidationError& e) {
-    EXPECT_TRUE(has_error_at(e.errors(), "run.schedule"));
     EXPECT_TRUE(has_error_at(e.errors(), "run.collapse"));
   }
-  // parse(to_string(x)) == x for the schedule enum.
-  for (ScheduleMode m : {ScheduleMode::Dense, ScheduleMode::Repack})
-    EXPECT_EQ(parse_schedule(twm::to_string(m)), m);
-  EXPECT_FALSE(parse_schedule("static").has_value());
+}
+
+// Spec files written when a second scheduler existed carry
+// "schedule":"repack": it is read and dropped, never stored or re-emitted.
+TEST(SpecJson, ScheduleRepackIsAcceptedAndNotReemitted) {
+  const std::string head =
+      R"({"name":"x","memory":{"words":2,"width":2},"march":"March C-",
+          "schemes":["twm"],"classes":["saf"],"seeds":[0],"run":)";
+  const CampaignSpec with = spec_from_json(head + R"({"schedule":"repack"}})");
+  const CampaignSpec without = spec_from_json(head + "{}}");
+  EXPECT_EQ(with, without);
+  EXPECT_EQ(to_json(with).find("schedule"), std::string::npos);
+}
+
+// The removed modes are SpecErrors at their paths, not silently mapped.
+TEST(SpecJson, RemovedDenseSchedulerAndLargeTileAreRejected) {
+  const std::string head =
+      R"({"name":"x","memory":{"words":2,"width":2},"march":"March C-",
+          "schemes":["twm"],"classes":["saf"],"seeds":[0],"run":)";
+  for (const auto& [run, path] :
+       {std::pair<std::string, std::string>{R"({"schedule":"dense"})", "run.schedule"},
+        {R"({"schedule":7})", "run.schedule"},
+        {R"({"simd":"tiled:32768"})", "run.simd"}}) {
+    try {
+      spec_from_json(head + run + "}");
+      FAIL() << "expected SpecValidationError for " << run;
+    } catch (const SpecValidationError& e) {
+      EXPECT_TRUE(has_error_at(e.errors(), path)) << run;
+    }
+  }
 }
 
 TEST(SpecJson, StructuralErrorsNameTheirPaths) {
@@ -481,7 +503,6 @@ TEST(SpecContent, IdentityCoversEveryVerdictRelevantFieldAndNothingElse) {
   changed.backend = CoverageBackend::Scalar;
   changed.threads = 7;
   changed.simd = simd::Request::W64;
-  changed.schedule = ScheduleMode::Dense;
   changed.collapse = false;
   EXPECT_EQ(cell_key(changed, base.schemes[0], base.classes[0]), key);
 }

@@ -1,11 +1,11 @@
-// Backend equivalence for the coverage evaluator: the bit-parallel packed
+// Backend equivalence for the campaign runner: the bit-parallel packed
 // backend must reproduce the scalar per-fault verdict vector exactly — for
 // every scheme, at every compiled SIMD lane-block width the CPU supports,
 // under zero and random contents, single- and multi-threaded.  This is
 // what keeps the batched fast path differentially checkable.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.h"
+#include "analysis/campaign.h"
 #include "analysis/fault_list.h"
 #include "core/simd.h"
 #include "march/library.h"
@@ -41,7 +41,9 @@ std::vector<Fault> every_fault() {
 
 class CoverageBackendFixture : public ::testing::Test {
  protected:
-  CoverageEvaluator eval{kWords, kWidth};
+  static CampaignRunner run(const CoverageOptions& options = {}) {
+    return CampaignRunner(kWords, kWidth, options);
+  }
   MarchTest march = march_by_name("March C-");
   std::vector<Fault> faults = every_fault();
 };
@@ -54,10 +56,10 @@ TEST_F(CoverageBackendFixture, PerFaultVerdictsMatchScalarForEverySchemeAtEveryW
   ASSERT_GT(faults.size(), 63u) << "fault list must span multiple packed batches";
   const std::vector<std::uint64_t> seeds{0, 7};
   for (SchemeKind k : kAllSchemes) {
-    const auto scalar = eval.per_fault(k, march, faults, seeds);
+    const auto scalar = run().per_fault(k, march, faults, seeds);
     for (simd::Request w : supported_widths()) {
       const auto packed =
-          eval.per_fault(k, march, faults, seeds, {CoverageBackend::Packed, 1, w});
+          run({CoverageBackend::Packed, 1, w}).per_fault(k, march, faults, seeds);
       EXPECT_EQ(scalar, packed) << to_string(k) << " at --simd " << simd::to_string(w);
     }
   }
@@ -69,14 +71,14 @@ TEST_F(CoverageBackendFixture, PerFaultVerdictsMatchScalarForEverySchemeAtEveryW
 TEST_F(CoverageBackendFixture, PartialBatchSmallerThanOneUnitMatchesScalar) {
   const std::vector<Fault> few{faults[0], faults[40], faults[100]};
   const std::vector<std::uint64_t> seeds{0, 3};
-  const auto scalar = eval.per_fault(SchemeKind::ProposedExact, march, few, seeds);
+  const auto scalar = run().per_fault(SchemeKind::ProposedExact, march, few, seeds);
   ASSERT_EQ(scalar.size(), few.size());
   for (simd::Request w : supported_widths()) {
-    const auto packed =
-        eval.per_fault(SchemeKind::ProposedExact, march, few, seeds, {CoverageBackend::Packed, 1, w});
+    const auto packed = run({CoverageBackend::Packed, 1, w})
+                            .per_fault(SchemeKind::ProposedExact, march, few, seeds);
     EXPECT_EQ(scalar, packed) << "--simd " << simd::to_string(w);
-    const auto counts =
-        eval.evaluate(SchemeKind::ProposedExact, march, few, seeds, {CoverageBackend::Packed, 1, w});
+    const auto counts = run({CoverageBackend::Packed, 1, w})
+                            .evaluate(SchemeKind::ProposedExact, march, few, seeds);
     EXPECT_EQ(counts.total, few.size()) << "--simd " << simd::to_string(w);
     EXPECT_LE(counts.detected_any, few.size()) << "phantom universes at --simd "
                                                << simd::to_string(w);
@@ -92,9 +94,9 @@ TEST_F(CoverageBackendFixture, DecoderFaultsAgreeAtEveryWidth) {
   for (SchemeKind k : {SchemeKind::NontransparentReference, SchemeKind::WordOrientedMarch,
                        SchemeKind::ProposedExact, SchemeKind::ProposedMisr,
                        SchemeKind::TomtModel}) {
-    const auto scalar = eval.per_fault(k, march, afs, seeds);
+    const auto scalar = run().per_fault(k, march, afs, seeds);
     for (simd::Request w : supported_widths()) {
-      const auto packed = eval.per_fault(k, march, afs, seeds, {CoverageBackend::Packed, 2, w});
+      const auto packed = run({CoverageBackend::Packed, 2, w}).per_fault(k, march, afs, seeds);
       EXPECT_EQ(scalar, packed) << to_string(k) << " at --simd " << simd::to_string(w);
     }
   }
@@ -103,8 +105,8 @@ TEST_F(CoverageBackendFixture, DecoderFaultsAgreeAtEveryWidth) {
 TEST_F(CoverageBackendFixture, EvaluateCountsMatchScalarForEveryScheme) {
   const std::vector<std::uint64_t> seeds{0, 3, 9};
   for (SchemeKind k : kAllSchemes) {
-    const auto scalar = eval.evaluate(k, march, faults, seeds);
-    const auto packed = eval.evaluate(k, march, faults, seeds, {CoverageBackend::Packed, 1});
+    const auto scalar = run().evaluate(k, march, faults, seeds);
+    const auto packed = run({CoverageBackend::Packed, 1}).evaluate(k, march, faults, seeds);
     EXPECT_EQ(scalar.total, packed.total) << to_string(k);
     EXPECT_EQ(scalar.detected_all, packed.detected_all) << to_string(k);
     EXPECT_EQ(scalar.detected_any, packed.detected_any) << to_string(k);
@@ -115,19 +117,17 @@ TEST_F(CoverageBackendFixture, EvaluateCountsMatchScalarForEveryScheme) {
 TEST_F(CoverageBackendFixture, ThreadCountDoesNotChangeVerdicts) {
   const std::vector<std::uint64_t> seeds{0, 5};
   for (unsigned threads : {2u, 4u}) {
-    const auto one =
-        eval.per_fault(SchemeKind::ProposedExact, march, faults, seeds,
-                       {CoverageBackend::Packed, 1});
-    const auto many =
-        eval.per_fault(SchemeKind::ProposedExact, march, faults, seeds,
-                       {CoverageBackend::Packed, threads});
+    const auto one = run({CoverageBackend::Packed, 1})
+                         .per_fault(SchemeKind::ProposedExact, march, faults, seeds);
+    const auto many = run({CoverageBackend::Packed, threads})
+                          .per_fault(SchemeKind::ProposedExact, march, faults, seeds);
     EXPECT_EQ(one, many) << threads << " threads";
   }
   // The scalar backend shards across threads too.
-  const auto scalar1 = eval.per_fault(SchemeKind::TomtModel, march, faults, {0},
-                                      {CoverageBackend::Scalar, 1});
-  const auto scalar4 = eval.per_fault(SchemeKind::TomtModel, march, faults, {0},
-                                      {CoverageBackend::Scalar, 4});
+  const auto scalar1 =
+      run({CoverageBackend::Scalar, 1}).per_fault(SchemeKind::TomtModel, march, faults, {0});
+  const auto scalar4 =
+      run({CoverageBackend::Scalar, 4}).per_fault(SchemeKind::TomtModel, march, faults, {0});
   EXPECT_EQ(scalar1, scalar4);
 }
 
@@ -138,8 +138,8 @@ TEST_F(CoverageBackendFixture, BackendsAgreeOnMarchU) {
   const std::vector<std::uint64_t> seeds{0, 2};
   for (SchemeKind k : {SchemeKind::NontransparentReference, SchemeKind::ProposedExact,
                        SchemeKind::ProposedMisr, SchemeKind::Scheme1Exact}) {
-    const auto scalar = eval.per_fault(k, u, faults, seeds);
-    const auto packed = eval.per_fault(k, u, faults, seeds, {CoverageBackend::Packed, 2});
+    const auto scalar = run().per_fault(k, u, faults, seeds);
+    const auto packed = run({CoverageBackend::Packed, 2}).per_fault(k, u, faults, seeds);
     EXPECT_EQ(scalar, packed) << to_string(k);
   }
 }
@@ -152,9 +152,9 @@ TEST_F(CoverageBackendFixture, RetentionFaultsAgreeUnderMarchGAtEveryWidth) {
   const auto rets = all_rets(kWords, kWidth, 1);
   const std::vector<std::uint64_t> seeds{0, 4};
   for (SchemeKind k : {SchemeKind::NontransparentReference, SchemeKind::ProposedExact}) {
-    const auto scalar = eval.per_fault(k, g, rets, seeds);
+    const auto scalar = run().per_fault(k, g, rets, seeds);
     for (simd::Request w : supported_widths()) {
-      const auto packed = eval.per_fault(k, g, rets, seeds, {CoverageBackend::Packed, 1, w});
+      const auto packed = run({CoverageBackend::Packed, 1, w}).per_fault(k, g, rets, seeds);
       EXPECT_EQ(scalar, packed) << to_string(k) << " at --simd " << simd::to_string(w);
     }
   }
@@ -166,14 +166,14 @@ TEST_F(CoverageBackendFixture, ForcedUnsupportedWidthThrows) {
   for (simd::Width w : simd::kAllWidths) {
     if (simd::supported(w)) continue;
     const simd::Request req = w == simd::Width::W256 ? simd::Request::W256 : simd::Request::W512;
-    EXPECT_THROW(eval.per_fault(SchemeKind::ProposedExact, march, faults, {0},
-                                {CoverageBackend::Packed, 1, req}),
+    EXPECT_THROW(run({CoverageBackend::Packed, 1, req})
+                     .per_fault(SchemeKind::ProposedExact, march, faults, {0}),
                  std::runtime_error)
         << simd::to_string(w);
   }
   // Auto must always resolve (graceful downgrade), whatever the host is.
-  EXPECT_NO_THROW(eval.per_fault(SchemeKind::ProposedExact, march, {faults[0]}, {0},
-                                 {CoverageBackend::Packed, 1, simd::Request::Auto}));
+  EXPECT_NO_THROW(run({CoverageBackend::Packed, 1, simd::Request::Auto})
+                      .per_fault(SchemeKind::ProposedExact, march, {faults[0]}, {0}));
 }
 
 // A fault "rests visible" when merely injecting it distorts the stored
@@ -192,8 +192,8 @@ TEST_F(CoverageBackendFixture, TheoremPerFaultEqualityAtZeroContentViaPackedBack
   const CoverageOptions packed{CoverageBackend::Packed, 2};
   const std::vector<std::uint64_t> zero_seed{0};
   const auto ref =
-      eval.per_fault(SchemeKind::NontransparentReference, march, faults, zero_seed, packed);
-  const auto prop = eval.per_fault(SchemeKind::ProposedExact, march, faults, zero_seed, packed);
+      run(packed).per_fault(SchemeKind::NontransparentReference, march, faults, zero_seed);
+  const auto prop = run(packed).per_fault(SchemeKind::ProposedExact, march, faults, zero_seed);
   ASSERT_EQ(ref.size(), prop.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (faults[i].cls == FaultClass::RET) continue;  // March C- has no Del
@@ -206,7 +206,7 @@ TEST_F(CoverageBackendFixture, TheoremPerFaultEqualityAtZeroContentViaPackedBack
 
 TEST_F(CoverageBackendFixture, PackedRejectsEmptySeeds) {
   EXPECT_THROW(
-      eval.evaluate(SchemeKind::ProposedExact, march, faults, {}, {CoverageBackend::Packed, 2}),
+      run({CoverageBackend::Packed, 2}).evaluate(SchemeKind::ProposedExact, march, faults, {}),
       std::invalid_argument);
 }
 

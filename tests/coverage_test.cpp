@@ -7,7 +7,7 @@
 // coverage levels per fault class and the ablation that motivates ATMarch.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.h"
+#include "analysis/campaign.h"
 #include "analysis/fault_list.h"
 #include "march/library.h"
 #include "memsim/memory.h"
@@ -20,7 +20,7 @@ constexpr unsigned kWidth = 4;
 
 class CoverageFixture : public ::testing::Test {
  protected:
-  CoverageEvaluator eval{kWords, kWidth};
+  const CampaignRunner eval{kWords, kWidth};
   MarchTest march = march_by_name("March C-");
   std::vector<std::uint64_t> zero_seed{0};
   std::vector<std::uint64_t> random_seeds{1, 2, 3};

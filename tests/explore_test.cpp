@@ -110,9 +110,29 @@ TEST(ExploreSpecJson, RoundTripsExactly) {
   s.mutation_weights[2] = 5;
   s.splice_weight = 4;
   s.backend = CoverageBackend::Scalar;
-  s.schedule = ScheduleMode::Dense;
+  s.simd = simd::Request::Tiled4096;
   s.collapse = false;
   EXPECT_EQ(explore_from_json(to_json(s)), s);
+}
+
+// "schedule":"repack" (older files) is read and dropped; any other value,
+// like the removed "dense" scheduler or the removed 32768-lane tile, is a
+// SpecError at its path.
+TEST(ExploreSpecJson, ScheduleRepackIsAcceptedAndDropped) {
+  const std::string head =
+      R"({"memory":{"words":4,"width":4},"objective":{"classes":["saf"]},"seeds":[0],"run":)";
+  const ExploreSpec parsed = explore_from_json(head + R"({"schedule":"repack"}})");
+  EXPECT_EQ(to_json(parsed).find("schedule"), std::string::npos);
+  for (const auto& [run, path] :
+       {std::pair<std::string, std::string>{R"({"schedule":"dense"})", "run.schedule"},
+        {R"({"simd":"tiled:32768"})", "run.simd"}}) {
+    try {
+      explore_from_json(head + run + "}");
+      FAIL() << "expected SpecValidationError for " << run;
+    } catch (const api::SpecValidationError& e) {
+      EXPECT_TRUE(has_error_at(e.errors(), path)) << run;
+    }
+  }
 }
 
 TEST(ExploreSpecJson, DefaultsAreOptionalInTheFile) {
@@ -144,7 +164,7 @@ TEST(ExploreSpecJson, IdentityExcludesRoundsAndRun) {
   b.rounds = 99;
   b.threads = 16;
   b.backend = CoverageBackend::Scalar;
-  b.schedule = ScheduleMode::Dense;
+  b.simd = simd::Request::W64;
   b.collapse = false;
   EXPECT_EQ(explore_identity_json(a), explore_identity_json(b));
   b = small_spec();

@@ -3,7 +3,7 @@
 // the situations the paper's introduction motivates.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.h"
+#include "analysis/campaign.h"
 #include "analysis/fault_list.h"
 #include "bist/engine.h"
 #include "bist/tbist.h"
@@ -114,7 +114,7 @@ TEST(Integration, ComplexityGuidesSchemeChoice) {
 TEST(Integration, WiderGeometrySmoke) {
   const std::size_t kWords = 6;
   const unsigned kWidth = 16;
-  CoverageEvaluator eval(kWords, kWidth);
+  const CampaignRunner eval(kWords, kWidth);
   const MarchTest march = march_by_name("March U");
 
   const auto safs = all_safs(kWords, kWidth);

@@ -3,7 +3,7 @@
 // refutes, and must grant it where the simulator proves it.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.h"
+#include "analysis/campaign.h"
 #include "analysis/fault_list.h"
 #include "analysis/lint.h"
 #include "core/twm_ta.h"
@@ -74,7 +74,7 @@ TEST(Lint, CatalogCfFlagsMatch) {
 // campaigns (width-1 words make inter-word CFs the bit-oriented CFs).
 TEST(Lint, EmpiricalCrossValidation) {
   const std::size_t kWords = 4;
-  CoverageEvaluator eval(kWords, 1);
+  const CampaignRunner eval(kWords, 1);
   const std::vector<std::uint64_t> seed{0};
 
   for (const auto& info : march_catalog()) {

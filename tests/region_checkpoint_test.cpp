@@ -1,7 +1,7 @@
 // Region-sharded scheduling and checkpoint/resume (the huge-memory
 // campaign surface): the fault list split by victim address slice must
-// merge to verdicts byte-identical to the unsharded run for every backend
-// and scheduler, a checkpointed campaign interrupted mid-run must resume
+// merge to verdicts byte-identical to the scheduler-free oracle for every
+// backend, a checkpointed campaign interrupted mid-run must resume
 // by replaying completed regions instead of re-simulating them, and the
 // content-addressed cache identity must be unchanged by the shard count.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "api/spec.h"
 #include "march/library.h"
 #include "memsim/packed_memory.h"
+#include "oracle.h"
 
 namespace twm::api {
 namespace {
@@ -55,32 +56,25 @@ TEST(RegionShardingTest, MergedVerdictsAreByteIdenticalToUnsharded) {
   faults.push_back(Fault::cfst({0, 2}, true, {39, 3}, false));
   faults.push_back(Fault::af_alias(12, 31));
 
-  for (const CoverageBackend backend : {CoverageBackend::Scalar, CoverageBackend::Packed}) {
-    for (const ScheduleMode schedule : {ScheduleMode::Dense, ScheduleMode::Repack}) {
+  // TOMT exercises the parity-ledger path as well.
+  for (const SchemeKind scheme : {SchemeKind::ProposedExact, SchemeKind::TomtModel}) {
+    const VerdictMatrix want = oracle_matrix(scheme, march, words, width, faults, seeds);
+    for (const CoverageBackend backend : {CoverageBackend::Scalar, CoverageBackend::Packed}) {
       for (const bool collapse : {false, true}) {
-        CoverageOptions base;
-        base.backend = backend;
-        base.threads = 2;
-        base.schedule = schedule;
-        base.collapse = collapse;
-        const std::string ctx = to_string(backend) + "/" + to_string(schedule) +
-                                (collapse ? "/collapse" : "/no-collapse");
-
-        CoverageOptions sharded = base;
-        sharded.regions = 4;
-        const CampaignRunner one(words, width, base);
-        const CampaignRunner four(words, width, sharded);
-
-        const VerdictMatrix m1 = one.matrix(SchemeKind::ProposedExact, march, faults, seeds);
-        const VerdictMatrix m4 = four.matrix(SchemeKind::ProposedExact, march, faults, seeds);
-        ASSERT_EQ(m1.num_faults, m4.num_faults) << ctx;
-        ASSERT_EQ(m1.num_seeds, m4.num_seeds) << ctx;
-        EXPECT_EQ(m1.bits, m4.bits) << ctx << ": region merge must be byte-identical";
-
-        // Scheme 2 exercises the parity-ledger path as well.
-        const VerdictMatrix t1 = one.matrix(SchemeKind::TomtModel, march, faults, seeds);
-        const VerdictMatrix t4 = four.matrix(SchemeKind::TomtModel, march, faults, seeds);
-        EXPECT_EQ(t1.bits, t4.bits) << ctx << " (tomt)";
+        for (const unsigned regions : {1u, 4u}) {
+          CoverageOptions opt;
+          opt.backend = backend;
+          opt.threads = 2;
+          opt.collapse = collapse;
+          opt.regions = regions;
+          const VerdictMatrix got =
+              CampaignRunner(words, width, opt).matrix(scheme, march, faults, seeds);
+          ASSERT_EQ(got.num_faults, want.num_faults);
+          ASSERT_EQ(got.num_seeds, want.num_seeds);
+          EXPECT_EQ(got.bits, want.bits)
+              << scheme_id(scheme) << " " << to_string(backend)
+              << (collapse ? "/collapse" : "/no-collapse") << " regions=" << regions;
+        }
       }
     }
   }
@@ -97,7 +91,6 @@ TEST(RegionShardingTest, StatsSumAcrossRegionsWithoutCollapsing) {
 
   CoverageOptions base;
   base.backend = CoverageBackend::Packed;
-  base.schedule = ScheduleMode::Repack;
   base.collapse = false;
   CoverageOptions sharded = base;
   sharded.regions = 4;
@@ -110,7 +103,7 @@ TEST(RegionShardingTest, StatsSumAcrossRegionsWithoutCollapsing) {
   EXPECT_EQ(v1, v4);
   EXPECT_EQ(s1.faults_simulated.load(), s4.faults_simulated.load());
   EXPECT_EQ(s1.lane_slots.load(), s4.lane_slots.load());
-  // The repack scheduler reports the peak pages any worker materialized.
+  // The scheduler reports the peak pages any worker materialized.
   EXPECT_GT(s4.pages_peak.load(), 0u);
   EXPECT_LE(s4.pages_peak.load(), (words + kMemPageWords - 1) / kMemPageWords);
 }
@@ -130,7 +123,6 @@ TEST(RegionShardingTest, PackedPagesAreBoundedByTheFaultFootprint) {
 
   CoverageOptions opt;
   opt.backend = CoverageBackend::Packed;
-  opt.schedule = ScheduleMode::Repack;
   opt.regions = 4;
   CampaignStats stats;
   const auto v = CampaignRunner(words, width, opt)

@@ -4,7 +4,7 @@
 // coverage.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.h"
+#include "analysis/campaign.h"
 #include "analysis/fault_list.h"
 #include "bist/datapath.h"
 #include "bist/engine.h"
@@ -148,7 +148,7 @@ TEST(Retention, DatapathHandlesPauses) {
 }
 
 TEST(Retention, CoverageCampaignMarchGvsMarchCMinus) {
-  CoverageEvaluator eval(4, 4);
+  const CampaignRunner eval(4, 4);
   const auto faults = all_rets(4, 4, 1);
   const auto g = eval.evaluate(SchemeKind::ProposedExact, march_by_name("March G"), faults,
                                {1, 2});

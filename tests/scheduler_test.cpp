@@ -1,9 +1,9 @@
-// Tests for the survivor-repacked lane scheduler (analysis/campaign_exec.h
-// run_campaign_engine_repack + analysis/campaign.cpp collapsing dispatch):
+// Tests for the campaign scheduler (analysis/campaign_exec.h
+// run_campaign_engine + analysis/campaign.cpp collapsing dispatch):
 //
-//   * the hard invariant — byte-identical VerdictMatrix between the dense
-//     and repack schedulers, for every scheme, at 64 and (when the CPU
-//     supports it) 256 lanes, with collapsing on and off,
+//   * the hard invariant — every scheme x width cell, at regions 1 and 4
+//     and with collapsing on and off, gives a VerdictMatrix byte-identical
+//     to the scheduler-free oracle (tests/oracle.h),
 //   * structural fault collapsing (analysis/fault_list.h collapse_faults):
 //     bucket structure of each rule, expansion == uncollapsed run,
 //   * per-lane retire + reinject on a live PackedMemory batch,
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "analysis/campaign.h"
@@ -21,6 +22,7 @@
 #include "march/library.h"
 #include "march/word_expand.h"
 #include "memsim/packed_memory.h"
+#include "oracle.h"
 
 namespace twm {
 namespace {
@@ -28,10 +30,26 @@ namespace {
 constexpr std::size_t kWords = 4;
 constexpr unsigned kWidth = 4;
 
-std::vector<simd::Request> schedulable_widths() {
-  std::vector<simd::Request> widths{simd::Request::W64};
-  if (simd::supported(simd::Width::W256)) widths.push_back(simd::Request::W256);
-  return widths;
+// One execution cell: a backend at one lane width.
+struct Cell {
+  CoverageBackend backend;
+  simd::Request simd;
+};
+
+// Scalar, then every packed width this CPU can run (single blocks + tile).
+std::vector<Cell> every_cell() {
+  std::vector<Cell> cells{{CoverageBackend::Scalar, simd::Request::Auto},
+                          {CoverageBackend::Packed, simd::Request::W64}};
+  if (simd::supported(simd::Width::W256))
+    cells.push_back({CoverageBackend::Packed, simd::Request::W256});
+  if (simd::supported(simd::Width::W512))
+    cells.push_back({CoverageBackend::Packed, simd::Request::W512});
+  cells.push_back({CoverageBackend::Packed, simd::Request::Tiled4096});
+  return cells;
+}
+
+std::string describe(const Cell& c) {
+  return to_string(c.backend) + "/" + simd::to_string(c.simd);
 }
 
 // Every fault class, including RETs (undetected by a Del-free March C-, so
@@ -50,75 +68,119 @@ std::vector<Fault> mixed_faults() {
   return faults;
 }
 
-CoverageOptions options(CoverageBackend backend, simd::Request w, ScheduleMode schedule,
-                        bool collapse, unsigned threads = 2) {
-  return {backend, threads, w, schedule, collapse};
+// The rows of mixed_faults() the scalar backend runs: every fault except
+// five of each six CFsts.  All 960 CFsts through every scalar cell would
+// dominate the suite's run time under the sanitizers.
+std::vector<std::size_t> scalar_rows(const std::vector<Fault>& faults) {
+  std::vector<std::size_t> rows;
+  std::size_t cfst = 0;
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    if (faults[i].cls != FaultClass::CFst || cfst++ % 6 == 0) rows.push_back(i);
+  return rows;
 }
 
-// --- the hard invariant: dense == repack, byte for byte -----------------
+template <typename T>
+std::vector<T> pick(const std::vector<T>& v, const std::vector<std::size_t>& rows) {
+  std::vector<T> out;
+  for (std::size_t r : rows) out.push_back(v[r]);
+  return out;
+}
 
-TEST(SchedulerDifferential, MatrixIdenticalAcrossSchemesWidthsAndModes) {
+// The oracle's rows and seeds are independent runs, so one oracle over
+// mixed_faults() x {0, 1, 2} per scheme yields the reference for every
+// fault subset and seed prefix the tests use.
+const std::vector<std::uint64_t> kSeeds{0, 1, 2};
+
+const VerdictMatrix& full_oracle(SchemeKind k) {
+  static std::map<SchemeKind, VerdictMatrix> cache;
+  auto it = cache.find(k);
+  if (it == cache.end())
+    it = cache.emplace(k, oracle_matrix(k, march_by_name("March C-"), kWords, kWidth,
+                                        mixed_faults(), kSeeds))
+             .first;
+  return it->second;
+}
+
+VerdictMatrix oracle_for(SchemeKind k, const std::vector<std::size_t>& rows,
+                         std::size_t num_seeds) {
+  const VerdictMatrix& full = full_oracle(k);
+  VerdictMatrix m;
+  m.num_faults = rows.size();
+  m.num_seeds = num_seeds;
+  for (std::size_t r : rows)
+    for (std::size_t s = 0; s < num_seeds; ++s) m.bits.push_back(full.bits[r * kSeeds.size() + s]);
+  return m;
+}
+
+std::vector<std::size_t> all_rows(std::size_t n) {
+  std::vector<std::size_t> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = i;
+  return rows;
+}
+
+CoverageOptions options(const Cell& c, bool collapse, unsigned regions = 1,
+                        unsigned threads = 2) {
+  return {c.backend, threads, c.simd, collapse, regions};
+}
+
+CoverageOptions packed64(bool collapse, unsigned threads = 2) {
+  return options({CoverageBackend::Packed, simd::Request::W64}, collapse, 1, threads);
+}
+
+// --- the hard invariant: every cell == the oracle, byte for byte ---------
+
+TEST(SchedulerDifferential, EveryCellMatchesTheOracleAtRegionsOneAndFour) {
   const MarchTest march = march_by_name("March C-");
   const auto faults = mixed_faults();
+  const auto full = all_rows(faults.size());
+  const auto sampled = scalar_rows(faults);
   // Zero-only seeds activate every collapsing rule; the mixed set
   // activates dropping between rounds.
-  for (const std::vector<std::uint64_t>& seeds :
-       {std::vector<std::uint64_t>{0}, std::vector<std::uint64_t>{0, 1, 2}}) {
+  for (std::size_t num_seeds : {std::size_t{1}, kSeeds.size()}) {
+    const std::vector<std::uint64_t> seeds(kSeeds.begin(), kSeeds.begin() + num_seeds);
     for (SchemeKind k : kAllSchemes) {
-      for (simd::Request w : schedulable_widths()) {
-        const CampaignRunner dense(
-            kWords, kWidth, options(CoverageBackend::Packed, w, ScheduleMode::Dense, false));
-        const VerdictMatrix want = dense.matrix(k, march, faults, seeds);
-        for (bool collapse : {false, true}) {
-          const CampaignRunner repack(
-              kWords, kWidth,
-              options(CoverageBackend::Packed, w, ScheduleMode::Repack, collapse));
-          const VerdictMatrix got = repack.matrix(k, march, faults, seeds);
-          EXPECT_EQ(want.bits, got.bits)
-              << to_string(k) << " simd=" << static_cast<int>(w) << " collapse=" << collapse
-              << " seeds=" << seeds.size();
-        }
+      for (const Cell& cell : every_cell()) {
+        const auto& rows = cell.backend == CoverageBackend::Scalar ? sampled : full;
+        const VerdictMatrix want = oracle_for(k, rows, num_seeds);
+        const auto cell_faults = pick(faults, rows);
+        for (unsigned regions : {1u, 4u})
+          for (bool collapse : {false, true}) {
+            const CampaignRunner runner(kWords, kWidth, options(cell, collapse, regions));
+            EXPECT_EQ(want.bits, runner.matrix(k, march, cell_faults, seeds).bits)
+                << to_string(k) << " " << describe(cell) << " regions=" << regions
+                << " collapse=" << collapse << " seeds=" << num_seeds;
+          }
       }
     }
   }
 }
 
-TEST(SchedulerDifferential, ScalarRepackMatchesScalarDense) {
-  const MarchTest march = march_by_name("March C-");
-  const auto faults = mixed_faults();
-  const std::vector<std::uint64_t> seeds{0, 3};
-  for (SchemeKind k : kAllSchemes) {
-    const CampaignRunner dense(
-        kWords, kWidth,
-        options(CoverageBackend::Scalar, simd::Request::Auto, ScheduleMode::Dense, false));
-    const CampaignRunner repack(
-        kWords, kWidth,
-        options(CoverageBackend::Scalar, simd::Request::Auto, ScheduleMode::Repack, true));
-    EXPECT_EQ(dense.matrix(k, march, faults, seeds).bits,
-              repack.matrix(k, march, faults, seeds).bits)
-        << to_string(k);
-  }
-}
-
 // per_fault exercises the dropping path (no matrix -> undecided faults
 // leave the live set between rounds), evaluate the all+any bookkeeping.
-TEST(SchedulerDifferential, PerFaultAndAggregatesMatchAcrossModes) {
+TEST(SchedulerDifferential, PerFaultAndAggregatesMatchTheOracle) {
   const MarchTest march = march_by_name("March C-");
   const auto faults = mixed_faults();
-  const std::vector<std::uint64_t> seeds{0, 1, 2};
+  const auto full = all_rows(faults.size());
+  const auto sampled = scalar_rows(faults);
   for (SchemeKind k : kAllSchemes) {
-    for (simd::Request w : schedulable_widths()) {
-      const CampaignRunner dense(
-          kWords, kWidth, options(CoverageBackend::Packed, w, ScheduleMode::Dense, false));
-      const CampaignRunner repack(
-          kWords, kWidth, options(CoverageBackend::Packed, w, ScheduleMode::Repack, true));
-      EXPECT_EQ(dense.per_fault(k, march, faults, seeds), repack.per_fault(k, march, faults, seeds))
-          << to_string(k);
-      const CoverageOutcome a = dense.evaluate(k, march, faults, seeds);
-      const CoverageOutcome b = repack.evaluate(k, march, faults, seeds);
-      EXPECT_EQ(a.detected_all, b.detected_all) << to_string(k);
-      EXPECT_EQ(a.detected_any, b.detected_any) << to_string(k);
-      EXPECT_EQ(a.total, b.total) << to_string(k);
+    for (const Cell& cell : every_cell()) {
+      const auto& rows = cell.backend == CoverageBackend::Scalar ? sampled : full;
+      const VerdictMatrix want = oracle_for(k, rows, kSeeds.size());
+      std::vector<bool> want_all(rows.size());
+      std::size_t all = 0, any = 0;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        want_all[i] = want.detected_all(i);
+        all += want.detected_all(i);
+        any += want.detected_any(i);
+      }
+      const auto cell_faults = pick(faults, rows);
+      const CampaignRunner runner(kWords, kWidth, options(cell, true));
+      EXPECT_EQ(want_all, runner.per_fault(k, march, cell_faults, kSeeds))
+          << to_string(k) << " " << describe(cell);
+      const CoverageOutcome got = runner.evaluate(k, march, cell_faults, kSeeds);
+      EXPECT_EQ(got.detected_all, all) << to_string(k) << " " << describe(cell);
+      EXPECT_EQ(got.detected_any, any) << to_string(k) << " " << describe(cell);
+      EXPECT_EQ(got.total, rows.size()) << to_string(k);
     }
   }
 }
@@ -130,12 +192,8 @@ TEST(FaultCollapse, ExpandedVerdictsMatchUncollapsedRun) {
   const auto faults = mixed_faults();
   const std::vector<std::uint64_t> seeds{0};  // zero contents arm every rule
   for (SchemeKind k : kAllSchemes) {
-    const CampaignRunner off(
-        kWords, kWidth,
-        options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Repack, false));
-    const CampaignRunner on(
-        kWords, kWidth,
-        options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Repack, true));
+    const CampaignRunner off(kWords, kWidth, packed64(false));
+    const CampaignRunner on(kWords, kWidth, packed64(true));
     EXPECT_EQ(off.per_fault(k, march, faults, seeds), on.per_fault(k, march, faults, seeds))
         << to_string(k);
   }
@@ -269,31 +327,25 @@ TEST(SchedulerStats, SettleExitSkipsElementsAndCollapseShrinksTheList) {
   for (auto& f : all_tfs(kWords, kWidth)) faults.push_back(f);
   const std::vector<std::uint64_t> seeds{0};
 
-  CampaignStats repack_stats;
-  const CampaignRunner repack(
-      kWords, kWidth,
-      options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Repack, true, 1));
+  CampaignStats stats;
+  const CampaignRunner collapsed(kWords, kWidth, packed64(true, 1));
   std::vector<char> all, any;
-  repack.run(SchemeKind::ProposedExact, march, faults, seeds, false, all, any, nullptr,
-             nullptr, &repack_stats);
-  EXPECT_LT(repack_stats.faults_simulated.load(), faults.size()) << "collapse must bite";
-  EXPECT_LT(repack_stats.elements_executed.load(), repack_stats.elements_total.load())
+  collapsed.run(SchemeKind::ProposedExact, march, faults, seeds, false, all, any, nullptr,
+                nullptr, &stats);
+  EXPECT_LT(stats.faults_simulated.load(), faults.size()) << "collapse must bite";
+  EXPECT_LT(stats.elements_executed.load(), stats.elements_total.load())
       << "settle-exit must cut march elements";
-  EXPECT_GT(repack_stats.units.load(), 0u);
-  EXPECT_GT(repack_stats.mean_live_lanes(), 0.0);
+  EXPECT_GT(stats.units.load(), 0u);
+  EXPECT_GT(stats.mean_live_lanes(), 0.0);
 
-  CampaignStats dense_stats;
-  const CampaignRunner dense(
-      kWords, kWidth,
-      options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Dense, false, 1));
-  std::vector<char> dall, dany;
-  dense.run(SchemeKind::ProposedExact, march, faults, seeds, false, dall, dany, nullptr,
-            nullptr, &dense_stats);
-  EXPECT_EQ(dense_stats.elements_executed.load(), dense_stats.elements_total.load())
-      << "dense runs full-length sessions";
-  EXPECT_EQ(dense_stats.faults_simulated.load(), faults.size());
-  EXPECT_EQ(all, dall);
-  EXPECT_EQ(any, dany);
+  CampaignStats flat_stats;
+  const CampaignRunner flat(kWords, kWidth, packed64(false, 1));
+  std::vector<char> fall, fany;
+  flat.run(SchemeKind::ProposedExact, march, faults, seeds, false, fall, fany, nullptr,
+           nullptr, &flat_stats);
+  EXPECT_EQ(flat_stats.faults_simulated.load(), faults.size()) << "collapse off";
+  EXPECT_EQ(all, fall);
+  EXPECT_EQ(any, fany);
 }
 
 // Streamed unit records of a collapsed campaign: one record per ORIGINAL
@@ -317,12 +369,10 @@ TEST(SchedulerObserver, CollapsedCampaignStreamsOneRecordPerOriginalFault) {
   std::vector<Fault> faults = all_safs(kWords, kWidth);
   for (auto& f : all_tfs(kWords, kWidth)) faults.push_back(f);
   const std::vector<std::uint64_t> seeds{0};
-  const CampaignRunner repack(
-      kWords, kWidth,
-      options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Repack, true, 1));
+  const CampaignRunner collapsed(kWords, kWidth, packed64(true, 1));
   RecordingObserver obs;
   std::vector<char> all, any;
-  repack.run(SchemeKind::ProposedExact, march, faults, seeds, true, all, any, nullptr, &obs);
+  collapsed.run(SchemeKind::ProposedExact, march, faults, seeds, true, all, any, nullptr, &obs);
   ASSERT_EQ(obs.records.size(), faults.size());
   std::vector<char> seen(faults.size(), 0);
   for (std::size_t i = 0; i < obs.records.size(); ++i) {

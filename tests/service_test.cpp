@@ -19,7 +19,10 @@
 #include <vector>
 
 #include "api/json.h"
+#include "api/runner.h"
 #include "api/spec.h"
+#include "march/library.h"
+#include "oracle.h"
 #include "service/cache.h"
 #include "service/client.h"
 #include "service/protocol.h"
@@ -228,7 +231,7 @@ TEST_F(ServiceTest, DeltaSpecSimulatesOnlyTheNewCells) {
 }
 
 TEST_F(ServiceTest, CacheIsSharedAcrossExecutionModes) {
-  // dense/repack, scalar/packed and every thread count are
+  // scalar/packed, collapse on/off and every thread count are
   // verdict-identical by construction, so the cell identity excludes the
   // run request and a resubmit under a different mode still replays.
   const auto port = start_server();
@@ -238,11 +241,23 @@ TEST_F(ServiceTest, CacheIsSharedAcrossExecutionModes) {
   api::CampaignSpec other = small_spec();
   other.backend = CoverageBackend::Scalar;
   other.threads = 1;
-  other.schedule = ScheduleMode::Dense;
   other.collapse = false;
   const SubmitResult r = submit_and_drain(c, other);
   EXPECT_EQ(u64_field(r.last, "simulated"), 0u);
   EXPECT_EQ(u64_field(r.last, "cached"), 2u);
+
+  // The replayed records carry the scheduler-free oracle's verdicts.
+  std::size_t want_detected = 0;
+  for (const api::ClassSel& cls : other.classes) {
+    const std::vector<Fault> faults = api::build_fault_list(cls, other.words, other.width);
+    for (const bool all : oracle_per_fault(SchemeKind::ProposedExact, march_by_name(other.march),
+                                           other.words, other.width, faults, other.seeds))
+      want_detected += all;
+  }
+  std::size_t detected = 0;
+  for (const std::string& u : r.unit_lines())
+    detected += u.find("\"detected_all\":true") != std::string::npos;
+  EXPECT_EQ(detected, want_detected);
 }
 
 TEST_F(ServiceTest, DiskEntriesSurviveADaemonRestart) {

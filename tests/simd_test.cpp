@@ -42,14 +42,14 @@ TEST(Simd, ParseRequestRoundTrips) {
   EXPECT_EQ(simd::parse_request("64"), simd::Request::W64);
   EXPECT_EQ(simd::parse_request("256"), simd::Request::W256);
   EXPECT_EQ(simd::parse_request("512"), simd::Request::W512);
-  EXPECT_EQ(simd::parse_request("tiled"), simd::Request::Tiled);
+  EXPECT_EQ(simd::parse_request("tiled"), simd::Request::Tiled4096);
   EXPECT_EQ(simd::parse_request("tiled:4096"), simd::Request::Tiled4096);
-  EXPECT_EQ(simd::parse_request("tiled:32768"), simd::Request::Tiled32768);
   EXPECT_FALSE(simd::parse_request("avx2").has_value());
   EXPECT_FALSE(simd::parse_request("").has_value());
   EXPECT_FALSE(simd::parse_request("65").has_value());
   EXPECT_FALSE(simd::parse_request("tiled:64").has_value());
   EXPECT_FALSE(simd::parse_request("tiled:").has_value());
+  EXPECT_FALSE(simd::parse_request("tiled:32768").has_value());
 }
 
 TEST(Simd, TiledWidthsAlwaysSupportedAndNeverAuto) {
@@ -61,10 +61,7 @@ TEST(Simd, TiledWidthsAlwaysSupportedAndNeverAuto) {
   // Auto never picks a tiled width (tiles are an explicit opt-in).
   EXPECT_FALSE(simd::is_tiled(simd::best_width()));
   EXPECT_FALSE(simd::is_tiled(simd::resolve(simd::Request::Auto)));
-  // The bare "tiled" request defers the size choice to resolve().
-  EXPECT_EQ(simd::resolve(simd::Request::Tiled), simd::Width::Tiled4096);
   EXPECT_EQ(simd::resolve(simd::Request::Tiled4096), simd::Width::Tiled4096);
-  EXPECT_EQ(simd::resolve(simd::Request::Tiled32768), simd::Width::Tiled32768);
 }
 
 TEST(Simd, ResolveAutoPicksBestAndForcedRespectsSupport) {
@@ -82,10 +79,8 @@ TEST(Simd, ResolveAutoPicksBestAndForcedRespectsSupport) {
 TEST(Simd, ToStringSpellsLaneCounts) {
   EXPECT_EQ(simd::to_string(simd::Width::W512), "512");
   EXPECT_EQ(simd::to_string(simd::Width::Tiled4096), "tiled:4096");
-  EXPECT_EQ(simd::to_string(simd::Width::Tiled32768), "tiled:32768");
   EXPECT_EQ(simd::to_string(simd::Request::Auto), "auto");
   EXPECT_EQ(simd::to_string(simd::Request::W256), "256");
-  EXPECT_EQ(simd::to_string(simd::Request::Tiled), "tiled");
   EXPECT_EQ(simd::to_string(simd::Request::Tiled4096), "tiled:4096");
 }
 

@@ -1,25 +1,26 @@
 // Tiled (array-of-lane-blocks) backend equivalence and the allocation-free
-// repack contract.
+// round-rebuild contract.
 //
 // The TiledEngine is PackedEngineT over LaneTile<Inner, T>
-// (memsim/lane_tile.h): 4096 or 32768 fault universes per machine pass,
-// with the inner block width cpuid-selected at dispatch.  Everything the
+// (memsim/lane_tile.h): 4096 fault universes per machine pass, with the
+// inner block width cpuid-selected at dispatch.  Everything the
 // single-block widths promise must survive the tiling unchanged:
 //
-//   * VerdictMatrix byte-equality with the scalar backend, for all eight
-//     schemes (the differential proof obligation of every new backend —
-//     docs/ARCHITECTURE.md, "Authoring a backend"),
+//   * VerdictMatrix byte-equality with the scheduler-free oracle, for all
+//     eight schemes (the differential proof obligation of every new
+//     backend — docs/ARCHITECTURE.md, "Authoring a backend"),
 //   * partial-tile last batches (a fault list far smaller than one tile
 //     must keep lane 0 golden and report no phantom universes),
-//   * settle-exit + per-lane retirement inside a tile (repack == dense),
+//   * settle-exit + per-lane retirement inside a tile across many seeds,
 //   * the allocation-free round rebuild: adding seed rounds must not add
 //     page allocations (CampaignStats::page_allocs stays flat).
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.h"
+#include "analysis/campaign.h"
 #include "analysis/fault_list.h"
 #include "core/simd.h"
 #include "march/library.h"
+#include "oracle.h"
 
 namespace twm {
 namespace {
@@ -38,13 +39,11 @@ std::vector<Fault> every_fault() {
   return faults;
 }
 
-CoverageOptions opts(CoverageBackend backend, simd::Request simd,
-                     ScheduleMode schedule = ScheduleMode::Repack) {
+CoverageOptions opts(CoverageBackend backend, simd::Request simd) {
   CoverageOptions o;
   o.backend = backend;
   o.threads = 1;
   o.simd = simd;
-  o.schedule = schedule;
   return o;
 }
 
@@ -60,9 +59,9 @@ class TiledEngineFixture : public ::testing::Test {
   std::vector<std::uint64_t> seeds{0, 7};
 };
 
-// The headline contract of the PR: scalar, 64-lane, widest-supported
-// single-block and tiled backends produce byte-identical verdict matrices
-// for all eight schemes.  The whole fault list fits inside one partial
+// The headline contract: scalar, 64-lane, widest-supported single-block and
+// tiled backends produce verdict matrices byte-identical to the oracle for
+// all eight schemes.  The whole fault list fits inside one partial
 // 4096-lane tile, so the tile's used-mask path is exercised throughout.
 TEST_F(TiledEngineFixture, MatrixByteIdenticalAcrossBackendsForEveryScheme) {
   std::vector<simd::Request> packed{simd::Request::W64};
@@ -70,26 +69,16 @@ TEST_F(TiledEngineFixture, MatrixByteIdenticalAcrossBackendsForEveryScheme) {
     packed.push_back(simd::Request::Auto);  // widest single-block width
   packed.push_back(simd::Request::Tiled4096);
   for (SchemeKind k : kAllSchemes) {
-    const VerdictMatrix scalar =
-        run_matrix(k, march, faults, seeds, opts(CoverageBackend::Scalar, simd::Request::Auto));
+    const VerdictMatrix want = oracle_matrix(k, march, kWords, kWidth, faults, seeds);
+    EXPECT_EQ(want.bits,
+              run_matrix(k, march, faults, seeds,
+                         opts(CoverageBackend::Scalar, simd::Request::Auto)).bits)
+        << to_string(k) << " on the scalar backend";
     for (simd::Request r : packed) {
       const VerdictMatrix m =
           run_matrix(k, march, faults, seeds, opts(CoverageBackend::Packed, r));
-      EXPECT_EQ(scalar.bits, m.bits) << to_string(k) << " at --simd " << simd::to_string(r);
+      EXPECT_EQ(want.bits, m.bits) << to_string(k) << " at --simd " << simd::to_string(r);
     }
-  }
-}
-
-// The large tile, spot-checked on the transparent schemes (32768-lane
-// units are ~8x the per-pass work of the small tile; one scheme pair keeps
-// the suite fast while still proving the second tile geometry).
-TEST_F(TiledEngineFixture, LargeTileMatchesScalar) {
-  for (SchemeKind k : {SchemeKind::ProposedExact, SchemeKind::ProposedMisr}) {
-    const VerdictMatrix scalar =
-        run_matrix(k, march, faults, seeds, opts(CoverageBackend::Scalar, simd::Request::Auto));
-    const VerdictMatrix tiled = run_matrix(k, march, faults, seeds,
-                                           opts(CoverageBackend::Packed, simd::Request::Tiled32768));
-    EXPECT_EQ(scalar.bits, tiled.bits) << to_string(k);
   }
 }
 
@@ -97,40 +86,33 @@ TEST_F(TiledEngineFixture, LargeTileMatchesScalar) {
 // verdicts match, and the aggregate counts report no phantom universes.
 TEST_F(TiledEngineFixture, PartialTileFarSmallerThanOneUnit) {
   const std::vector<Fault> few{faults[0], faults[40], faults[100]};
-  const CoverageEvaluator eval{kWords, kWidth};
-  const auto scalar = eval.per_fault(SchemeKind::ProposedExact, march, few, seeds);
-  const auto tiled = eval.per_fault(SchemeKind::ProposedExact, march, few, seeds,
-                                    opts(CoverageBackend::Packed, simd::Request::Tiled4096));
-  EXPECT_EQ(scalar, tiled);
-  const auto counts = eval.evaluate(SchemeKind::ProposedExact, march, few, seeds,
-                                    opts(CoverageBackend::Packed, simd::Request::Tiled4096));
+  const CampaignRunner tiled(kWords, kWidth,
+                             opts(CoverageBackend::Packed, simd::Request::Tiled4096));
+  EXPECT_EQ(oracle_per_fault(SchemeKind::ProposedExact, march, kWords, kWidth, few, seeds),
+            tiled.per_fault(SchemeKind::ProposedExact, march, few, seeds));
+  const auto counts = tiled.evaluate(SchemeKind::ProposedExact, march, few, seeds);
   EXPECT_EQ(counts.total, few.size());
   EXPECT_LE(counts.detected_any, few.size()) << "phantom universes in the partial tile";
 }
 
-// Settle-exit and per-lane fault retirement act inside a tile on the
-// repack schedule; dense disables both.  Equality proves retirement never
-// changes a verdict at tile widths (SessionBrake monotonicity).
-TEST_F(TiledEngineFixture, RepackSettleExitMatchesDenseInsideTile) {
+// Settle-exit and per-lane fault retirement act inside a tile; the oracle
+// runs every session full length.  Equality proves retirement never
+// changes a verdict at tile width (SessionBrake monotonicity).
+TEST_F(TiledEngineFixture, SettleExitInsideTileMatchesTheOracle) {
   const std::vector<std::uint64_t> many_seeds{0, 3, 7, 11};
-  for (simd::Request r : {simd::Request::Tiled4096, simd::Request::Tiled32768}) {
-    const VerdictMatrix dense = run_matrix(
-        SchemeKind::ProposedExact, march, faults, many_seeds,
-        opts(CoverageBackend::Packed, r, ScheduleMode::Dense));
-    const VerdictMatrix repack = run_matrix(
-        SchemeKind::ProposedExact, march, faults, many_seeds,
-        opts(CoverageBackend::Packed, r, ScheduleMode::Repack));
-    EXPECT_EQ(dense.bits, repack.bits) << simd::to_string(r);
-  }
+  EXPECT_EQ(oracle_matrix(SchemeKind::ProposedExact, march, kWords, kWidth, faults, many_seeds)
+                .bits,
+            run_matrix(SchemeKind::ProposedExact, march, faults, many_seeds,
+                       opts(CoverageBackend::Packed, simd::Request::Tiled4096))
+                .bits);
 }
 
 // The allocation-free round rebuild: worker memories persist across seed
 // rounds, so a campaign with three times the rounds performs exactly the
 // same number of fresh page allocations (the free-list absorbs every
-// refill).  This pins the CampaignStats::page_allocs contract the repack
+// refill).  This pins the CampaignStats::page_allocs contract the
 // scheduler documents.
-TEST_F(TiledEngineFixture, RepackRoundRebuildAllocatesNoNewPages) {
-  const CoverageEvaluator eval{kWords, kWidth};
+TEST_F(TiledEngineFixture, RoundRebuildAllocatesNoNewPages) {
   for (simd::Request r : {simd::Request::W64, simd::Request::Tiled4096}) {
     CampaignStats short_run, long_run;
     const std::vector<std::uint64_t> two{0, 7};

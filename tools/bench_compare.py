@@ -43,18 +43,13 @@ GATE_KEY = "packed_faults_per_sec"
 RATIO_KEY = "widen_speedup"
 WORKLOAD_KEYS = ("bench", "march", "words", "width", "faults", "seeds")
 # Carried through and printed, never gated (yet): the scheduler fields are
-# attribution data — repack_speedup is additionally enforced >= 1 by the
-# bench's own verdict-equality exit code being measured on the same
-# workload, and will grow a gate once a few runners' numbers are in.
+# attribution data and will grow a gate once a few runners' numbers are in.
 INFO_KEYS = ("simd_lanes", "threads", "scalar_faults_per_sec",
-             "packed64_faults_per_sec", "speedup",
-             "repack_faults_per_sec", "repack_speedup", "faults_simulated",
+             "packed64_faults_per_sec", "speedup", "faults_simulated",
              "mean_live_lanes", "lane_occupancy",
              "session_elements_total", "session_elements_executed",
              "settling_faults", "settling_seeds",
-             "settling_dense_faults_per_sec", "settling_repack_faults_per_sec",
-             "settling_repack_speedup", "settling_lane_occupancy",
-             "settling_dense_lane_occupancy",
+             "settling_faults_per_sec", "settling_lane_occupancy",
              "tiled_lanes", "tiled_faults_per_sec", "tiled_speedup",
              "tiled_lane_occupancy",
              "huge_words", "huge_faults", "huge_regions",
