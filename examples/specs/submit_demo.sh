@@ -68,24 +68,31 @@ wait "$SERVE_PID"
 SERVE_PID=""
 echo "daemon shut down cleanly"
 
-# Checkpoint/resume smoke: a region-sharded run persists per-region
-# progress after every region settles.  Dropping half the regions from the
-# file simulates an interrupted run; the resumed run must replay the kept
-# regions, simulate only the dropped ones, and produce the same record set.
+# Region-grain resume smoke: with --cache-dir, a region-sharded run stores
+# every settled region and every completed cell as cache entries.  Deleting
+# the whole-cell entries and regions >= 2 simulates an interrupted run; the
+# resumed run must replay the kept regions, simulate only the deleted ones,
+# and produce the same record set.
+entries() {  # "<region entries> <whole-cell entries>" in cache dir $1
+  jq -r '.identity.region // "cell"' "$1"/*.json \
+    | awk '{ n[$1 == "cell"]++ } END { print n[0] + 0, n[1] + 0 }'
+}
 "$CLI" run "$SPEC_DIR/quickstart.json" --regions 4 --sink csv \
-  --out "$WORK/full.csv" --checkpoint "$WORK/ck.json"
-DONE=$(jq '.cells | length' "$WORK/ck.json")
-echo "checkpoint holds $DONE settled (cell, region) entries"
-[ "$DONE" -eq 16 ] || { echo "FAIL: expected 16 entries (4 cells x 4 regions)" >&2; exit 1; }
+  --out "$WORK/full.csv" --cache-dir "$WORK/resume"
+echo "cache holds $(entries "$WORK/resume") (region, whole-cell) entries"
+[ "$(entries "$WORK/resume")" = "16 4" ] \
+  || { echo "FAIL: expected 16 region entries (4 cells x 4 regions) + 4 cells" >&2; exit 1; }
 
-jq '.cells |= map(select(.region < 2))' "$WORK/ck.json" > "$WORK/ck_partial.json"
+for f in "$WORK"/resume/*.json; do
+  [ "$(jq '.identity.region // 99' "$f")" -lt 2 ] || rm "$f"
+done
 "$CLI" run "$SPEC_DIR/quickstart.json" --regions 4 --sink csv \
-  --out "$WORK/resumed.csv" --checkpoint "$WORK/ck_partial.json"
+  --out "$WORK/resumed.csv" --cache-dir "$WORK/resume"
 
 # Same unit records (order differs: replayed regions stream first).
 diff <(sort "$WORK/full.csv") <(sort "$WORK/resumed.csv") \
   || { echo "FAIL: resumed run's records differ from the uninterrupted run" >&2; exit 1; }
-# The resumed run re-settles the dropped regions: the file is whole again.
-[ "$(jq '.cells | length' "$WORK/ck_partial.json")" -eq 16 ] \
+# The resumed run re-settles the dropped regions: the cache is whole again.
+[ "$(entries "$WORK/resume")" = "16 4" ] \
   || { echo "FAIL: resume did not re-complete the dropped regions" >&2; exit 1; }
-echo "OK: checkpoint resume replayed 2 regions, re-simulated 2, records identical"
+echo "OK: region resume replayed 2 regions, re-simulated 2, records identical"

@@ -83,7 +83,7 @@ struct CoverageOptions {
   // unsharded run.  Each sub-campaign's working set (pages + prediction
   // streams) is bounded by its slice's fault footprint, which is what
   // keeps huge-geometry campaigns inside a fixed memory budget and gives
-  // checkpoint/resume its unit of progress.  1 = off (the byte-identical
+  // cached resume its unit of progress.  1 = off (the byte-identical
   // legacy path).
   unsigned regions = 1;
 };
@@ -184,7 +184,7 @@ struct CampaignJob;  // analysis/campaign_exec.h
 // victim; decoder faults their decoded address).
 unsigned fault_region(const Fault& f, std::size_t words, unsigned regions);
 
-// Progress hooks for a region-sharded run (the checkpoint/resume surface).
+// Progress hooks for a region-sharded run (the region-resume surface).
 // done[r] marks regions whose verdicts the caller already holds from a
 // previous run — they are skipped wholesale and the caller is responsible
 // for patching their all/any/matrix entries and replaying their records.

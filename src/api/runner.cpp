@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <mutex>
 
-#include "api/checkpoint.h"
 #include "api/error.h"
 #include "march/library.h"
 
@@ -40,9 +38,11 @@ class DeadlineGate {
 
 // Bridges the engine's raw UnitObserver events (fault ranges + flag
 // pointers, fired from worker threads) to the public ResultSink records
-// (one per fault, serialized by a mutex, stamped with scheme/class).
-// `sink` may be null (cache-recording runs without a consumer); `record`,
-// when non-null, captures every unit in emission order for the cache.
+// (one per fault, serialized by a mutex, stamped with scheme/class), and
+// counts the cell's aggregate as units go by.  Replayed cache records take
+// the same path through emit().  `sink` may be null (cache-recording runs
+// without a consumer); `record`, when non-null, captures every unit in
+// emission order for the cache.
 class SinkAdapter : public UnitObserver {
  public:
   SinkAdapter(ResultSink* sink, std::mutex& mu, SchemeKind scheme, const ClassSel& cls,
@@ -60,27 +60,32 @@ class SinkAdapter : public UnitObserver {
         record_(record) {}
 
   std::size_t units_seen() const { return units_seen_; }
+  const CoverageOutcome& outcome() const { return outcome_; }
+
+  // One settled unit, live or replayed.  Callers hold mu_ or run before
+  // the engine starts its workers.
+  void emit(const CachedUnit& u) {
+    if (record_) record_->push_back(u);
+    if (sink_) {
+      UnitRecord r;
+      r.scheme = scheme_;
+      r.cls = cls_;
+      r.fault_index = u.fault_index;
+      r.fault = &faults_[u.fault_index];
+      r.detected_all = u.detected_all;
+      r.detected_any = u.detected_any;
+      sink_->on_unit(r);
+      ++units_emitted_;
+    }
+    outcome_.detected_all += u.detected_all;
+    outcome_.detected_any += u.detected_any;
+    ++units_seen_;
+  }
 
   void on_unit_settled(std::size_t first, unsigned count, const char* all,
                        const char* any) override {
     const std::lock_guard<std::mutex> lock(mu_);
-    for (unsigned i = 0; i < count; ++i) {
-      const bool detected_all = all[i] != 0;
-      const bool detected_any = any[i] != 0;
-      if (record_) record_->push_back({first + i, detected_all, detected_any});
-      if (sink_) {
-        UnitRecord r;
-        r.scheme = scheme_;
-        r.cls = cls_;
-        r.fault_index = first + i;
-        r.fault = &faults_[first + i];
-        r.detected_all = detected_all;
-        r.detected_any = detected_any;
-        sink_->on_unit(r);
-        ++units_emitted_;
-      }
-      ++units_seen_;
-    }
+    for (unsigned i = 0; i < count; ++i) emit({first + i, all[i] != 0, any[i] != 0});
   }
 
   void on_seed_verdict(std::size_t fault, std::size_t seed_index, bool detected) override {
@@ -109,30 +114,31 @@ class SinkAdapter : public UnitObserver {
   const std::vector<std::uint64_t>& seeds_;
   std::size_t& units_emitted_;
   std::vector<CachedUnit>* record_;
+  CoverageOutcome outcome_;
   std::size_t units_seen_ = 0;
 };
 
-// A stored cell is replayable only if it is a complete permutation of the
-// cell's fault list — one record per fault, every index in range.  A
-// corrupted or foreign disk entry that slipped past the identity check
-// must degrade to a miss, not to an out-of-bounds read.
-bool replayable(const CellRecords& records, std::size_t num_faults) {
-  if (records.units.size() != num_faults) return false;
+// A stored entry is replayable only if it is an exact permutation of the
+// faults it claims — the whole cell's list, or (with `region_of`) the
+// faults `region` owns: one record per fault, every index in range.  A
+// corrupted or foreign entry that slipped past the identity check must
+// degrade to a miss, not to an out-of-bounds read.
+bool replayable(const std::vector<CachedUnit>& units, std::size_t num_faults,
+                std::size_t owned, const std::vector<unsigned>* region_of = nullptr,
+                unsigned region = 0) {
+  if (units.size() != owned) return false;
   std::vector<char> seen(num_faults, 0);
-  for (const CachedUnit& u : records.units) {
-    if (u.fault_index >= num_faults || seen[u.fault_index]) return false;
+  for (const CachedUnit& u : units) {
+    if (u.fault_index >= num_faults || seen[u.fault_index] ||
+        (region_of && (*region_of)[u.fault_index] != region))
+      return false;
     seen[u.fault_index] = 1;
   }
   return true;
 }
 
-}  // namespace
-
-namespace {
-
 CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
-                                  CellCache* cache, CacheStats* cache_stats,
-                                  const std::string& checkpoint_path) {
+                                  CellCache* cache, CacheStats* cache_stats) {
   require_valid(spec);
   const MarchTest march = resolve_march(spec);
 
@@ -142,18 +148,7 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
   if (spec.deadline_ms != 0) gate_storage.emplace(spec.deadline_ms);
   const DeadlineGate* gate = gate_storage ? &*gate_storage : nullptr;
 
-  // Checkpoint/resume state: the loaded file (when it matches this engine
-  // revision and region count) seeds the "already done" region set; the
-  // file is rewritten after every region this run completes.
   const unsigned regions = std::max(1u, spec.regions);
-  const bool ck_active = !checkpoint_path.empty();
-  bool ck_save_warned = false;
-  CheckpointFile ck;
-  ck.regions = regions;
-  if (ck_active) {
-    if (auto loaded = load_checkpoint(checkpoint_path); loaded && loaded->regions == regions)
-      ck = std::move(*loaded);
-  }
   // Resolve the lane-block width up front (validate() already vetted a
   // forced width, so this cannot throw for a spec that passed it).
   const simd::Width resolved = spec.backend == CoverageBackend::Packed
@@ -182,8 +177,8 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
     *cache_stats = {};
     cache_stats->cells_total = spec.schemes.size() * spec.classes.size();
   }
-  // Seed-record consumers bypass the replay path: cached cells carry no
-  // per-seed stream.  Completed live cells are still offered to the store.
+  // Seed-record consumers bypass the replay path: stored entries carry no
+  // per-seed stream.  Settled regions and live cells are still stored.
   const bool replay_ok = !(sink && sink->want_seed_records());
 
   const CampaignRunner runner(spec.words, spec.width, spec.options());
@@ -191,169 +186,91 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
   const auto t0 = std::chrono::steady_clock::now();
   for (SchemeKind scheme : spec.schemes) {
     for (std::size_t c = 0; c < spec.classes.size() && !summary.cancelled; ++c) {
-      std::string identity, key;
-      if (cache || ck_active) identity = cell_identity_json(spec, scheme, spec.classes[c]);
-      if (cache) key = content_key(identity);
-
-      if (cache && replay_ok) {
-        const auto hit = cache->lookup(key, identity);
-        if (hit && replayable(*hit, fault_lists[c].size())) {
-          CellResult cell;
-          cell.scheme = scheme;
-          cell.cls = spec.classes[c];
-          cell.outcome.total = fault_lists[c].size();
-          for (const CachedUnit& u : hit->units) {
-            cell.outcome.detected_all += u.detected_all;
-            cell.outcome.detected_any += u.detected_any;
-            if (sink) {
-              UnitRecord r;
-              r.scheme = scheme;
-              r.cls = spec.classes[c];
-              r.fault_index = u.fault_index;
-              r.fault = &fault_lists[c][u.fault_index];
-              r.detected_all = u.detected_all;
-              r.detected_any = u.detected_any;
-              sink->on_unit(r);
-              ++summary.units_emitted;
-            }
-          }
-          summary.cells.push_back(cell);
-          if (cache_stats) {
-            ++cache_stats->cells_cached;
-            cache_stats->faults_replayed += hit->units.size();
-          }
-          if ((sink && sink->cancelled()) || (gate && gate->expired()))
-            summary.cancelled = true;
-          continue;
-        }
-      }
-
       const std::vector<Fault>& faults = fault_lists[c];
-
-      // Region ownership of this cell's faults (identical to the split
-      // CampaignRunner::run performs).
-      std::vector<unsigned> region_of(faults.size());
-      std::vector<std::size_t> owned_count(regions, 0);
-      for (std::size_t i = 0; i < faults.size(); ++i) {
-        region_of[i] = fault_region(faults[i], spec.words, regions);
-        ++owned_count[region_of[i]];
+      std::string identity, key;
+      if (cache) {
+        identity = cell_identity_json(spec, scheme, spec.classes[c]);
+        key = content_key(identity);
       }
 
-      // Regions this cell already completed in a previous run.  An entry is
-      // trusted only on an exact identity match with a verified fault-index
-      // permutation of its region; seed-record consumers skip resume the
-      // same way they skip cache replay (checkpoints carry no seed stream).
+      // Stored records of this cell: the whole-cell entry, or else the
+      // entries of whichever regions an earlier run settled.  done[r] tells
+      // the runner which regions to skip.
+      std::vector<CachedUnit> stored;
       RegionProgress progress;
       progress.done.assign(regions, 0);
-      // Copied, not pointed-to: on_region_done rewrites ck.cells mid-run.
-      std::vector<std::vector<CachedUnit>> done_units(regions);
-      if (ck_active && replay_ok) {
-        for (const CheckpointEntry& e : ck.cells) {
-          if (e.identity != identity || progress.done[e.region]) continue;
-          if (e.units.size() != owned_count[e.region]) continue;
-          std::vector<char> seen(faults.size(), 0);
-          bool ok = true;
-          for (const CachedUnit& u : e.units) {
-            if (u.fault_index >= faults.size() || region_of[u.fault_index] != e.region ||
-                seen[u.fault_index]) {
-              ok = false;
-              break;
+      bool whole_hit = false;
+      if (cache && replay_ok) {
+        if (auto hit = cache->lookup(key, identity);
+            hit && replayable(hit->units, faults.size(), faults.size())) {
+          stored = std::move(hit->units);
+          whole_hit = true;
+        } else if (regions > 1) {
+          // Region ownership of this cell's faults (identical to the split
+          // CampaignRunner::run performs).
+          std::vector<unsigned> region_of(faults.size());
+          std::vector<std::size_t> owned(regions, 0);
+          for (std::size_t i = 0; i < faults.size(); ++i)
+            ++owned[region_of[i] = fault_region(faults[i], spec.words, regions)];
+          for (unsigned r = 0; r < regions; ++r) {
+            if (owned[r] == 0) {  // nothing to redo, nothing stored
+              progress.done[r] = 1;
+              continue;
             }
-            seen[u.fault_index] = 1;
+            const std::string rid = region_identity_json(identity, r, regions);
+            const auto part = cache->lookup(content_key(rid), rid);
+            if (!part || !replayable(part->units, faults.size(), owned[r], &region_of, r))
+              continue;
+            progress.done[r] = 1;
+            stored.insert(stored.end(), part->units.begin(), part->units.end());
           }
-          if (!ok) continue;
-          progress.done[e.region] = 1;
-          done_units[e.region] = e.units;
         }
       }
+      const bool simulate =
+          !whole_hit && std::find(progress.done.begin(), progress.done.end(), 0) !=
+                            progress.done.end();
 
-      std::vector<char> all, any;
-      bool cell_complete = true;
+      // A cell not served whole is stored whole once it completes.
+      const bool store_whole = cache && !whole_hit;
       std::vector<CachedUnit> recorded;
-      std::size_t replayed = 0;
-      if (cache_stats) ++cache_stats->cells_simulated;
-      if (sink || cache || ck_active || gate) {
-        // Replay the resumed regions' records first (they settled first in
-        // the interrupted run), then simulate the rest.
-        for (unsigned r = 0; r < regions; ++r) {
-          if (!progress.done[r]) continue;
-          for (const CachedUnit& u : done_units[r]) {
-            recorded.push_back(u);
-            ++replayed;
-            if (sink) {
-              UnitRecord rec;
-              rec.scheme = scheme;
-              rec.cls = spec.classes[c];
-              rec.fault_index = u.fault_index;
-              rec.fault = &faults[u.fault_index];
-              rec.detected_all = u.detected_all;
-              rec.detected_any = u.detected_any;
-              sink->on_unit(rec);
-              ++summary.units_emitted;
-            }
-          }
-        }
-        if (ck_active) {
-          progress.on_region_done = [&](unsigned r, const std::vector<std::uint32_t>&) {
-            CheckpointEntry e;
-            e.identity = identity;
-            e.region = r;
-            for (const CachedUnit& u : recorded)
-              if (region_of[u.fault_index] == r) e.units.push_back(u);
-            // Replace any stale entry for this (cell, region) — e.g. when a
-            // seed-record sink forced a re-simulation.
-            ck.cells.erase(std::remove_if(ck.cells.begin(), ck.cells.end(),
-                                          [&](const CheckpointEntry& old) {
-                                            return old.region == r && old.identity == identity;
-                                          }),
-                           ck.cells.end());
-            ck.cells.push_back(std::move(e));
-            // Best-effort persistence: a failed save costs resumability of
-            // this region, never the campaign.  Warn once, keep trying —
-            // the failure may be transient (disk pressure, injected).
-            if (!save_checkpoint(checkpoint_path, ck) && !ck_save_warned) {
-              ck_save_warned = true;
-              std::fprintf(stderr,
-                           "twm: warning: checkpoint save to '%s' failed; campaign "
-                           "continues, an interrupted run may redo unsaved regions\n",
-                           checkpoint_path.c_str());
-            }
+      SinkAdapter adapter(sink, sink_mu, scheme, spec.classes[c], faults, spec.seeds,
+                          summary.units_emitted, store_whole ? &recorded : nullptr, gate);
+      // Stored records stream first (they settled first in the run that
+      // stored them), then the missing regions simulate.
+      for (const CachedUnit& u : stored) adapter.emit(u);
+      if (cache_stats) {
+        ++(simulate ? cache_stats->cells_simulated : cache_stats->cells_cached);
+        cache_stats->faults_replayed += stored.size();
+      }
+      if (simulate) {
+        // Every region that settles becomes its own entry: the region's
+        // records are the tail the adapter just recorded.
+        const bool store_regions = cache && regions > 1;
+        if (store_regions) {
+          progress.on_region_done = [&](unsigned r, const std::vector<std::uint32_t>& idx) {
+            if (idx.empty() || recorded.size() < idx.size()) return;
+            const std::string rid = region_identity_json(identity, r, regions);
+            cache->store(content_key(rid), rid,
+                         {{recorded.end() - static_cast<std::ptrdiff_t>(idx.size()),
+                           recorded.end()}});
           };
         }
-        SinkAdapter adapter(sink, sink_mu, scheme, spec.classes[c], faults, spec.seeds,
-                            summary.units_emitted,
-                            cache || ck_active ? &recorded : nullptr, gate);
+        std::vector<char> all, any;
         runner.run(scheme, march, faults, spec.seeds, /*need_any=*/true, all, any,
                    /*out_matrix=*/nullptr, &adapter, /*stats=*/nullptr,
-                   ck_active ? &progress : nullptr);
-        // The runner's all/any flags cover only the simulated regions;
-        // patch the resumed regions' verdicts back in from the checkpoint.
-        for (unsigned r = 0; r < regions; ++r) {
-          if (!progress.done[r]) continue;
-          for (const CachedUnit& u : done_units[r]) {
-            all[u.fault_index] = static_cast<char>(u.detected_all);
-            any[u.fault_index] = static_cast<char>(u.detected_any);
-          }
-        }
-        if ((sink && sink->cancelled()) || (gate && gate->expired()))
-          summary.cancelled = true;
-        // The flag may flip only after the cell's last unit settled (or
-        // every in-flight unit may still have completed): the aggregate of
-        // a fully-streamed cell is valid and must not be dropped.
-        cell_complete = adapter.units_seen() + replayed == faults.size();
-      } else {
-        runner.run(scheme, march, faults, spec.seeds, /*need_any=*/true, all, any);
+                   store_regions ? &progress : nullptr);
       }
-      if (!cell_complete) break;
-      if (cache) cache->store(key, identity, {std::move(recorded)});
+      if ((sink && sink->cancelled()) || (gate && gate->expired())) summary.cancelled = true;
+      // The flag may flip only after the cell's last unit settled (or
+      // every in-flight unit may still have completed): the aggregate of
+      // a fully-streamed cell is valid and must not be dropped.
+      if (adapter.units_seen() != faults.size()) break;
+      if (store_whole) cache->store(key, identity, {std::move(recorded)});
       CellResult cell;
       cell.scheme = scheme;
       cell.cls = spec.classes[c];
-      cell.outcome.total = fault_lists[c].size();
-      for (std::size_t i = 0; i < fault_lists[c].size(); ++i) {
-        cell.outcome.detected_all += all[i];
-        cell.outcome.detected_any += any[i];
-      }
+      cell.outcome = adapter.outcome();
+      cell.outcome.total = faults.size();
       summary.cells.push_back(cell);
     }
     if (summary.cancelled) break;
@@ -374,9 +291,9 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
 }  // namespace
 
 CampaignSummary run_campaign(const CampaignSpec& spec, ResultSink* sink, CellCache* cache,
-                             CacheStats* cache_stats, const std::string& checkpoint_path) {
+                             CacheStats* cache_stats) {
   try {
-    return run_campaign_impl(spec, sink, cache, cache_stats, checkpoint_path);
+    return run_campaign_impl(spec, sink, cache, cache_stats);
   } catch (const SpecValidationError&) {
     throw;  // structured spec errors keep their own type (and field paths)
   } catch (const std::exception& e) {

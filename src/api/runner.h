@@ -27,11 +27,15 @@ namespace twm::api {
 // ---- content-addressed result cache --------------------------------------
 //
 // run_campaign consults a CellCache (when given one) before simulating each
-// scheme x fault-class cell.  A hit replays the stored unit records through
-// the sink byte-identically to the original live run — same fault order,
-// same verdicts, same describe() strings (the fault list is rebuilt
-// deterministically from the spec).  A miss runs the cell live and offers
-// the completed record stream back to the cache.
+// scheme x fault-class cell.  An entry is a whole cell or one region of a
+// cell.  A whole-cell hit replays the stored unit records through the sink
+// byte-identically to the original live run — same fault order, same
+// verdicts, same describe() strings (the fault list is rebuilt
+// deterministically from the spec).  On a miss with run.regions > 1 the
+// cell's region entries are looked up instead: found regions replay, the
+// rest simulate, and every region that settles is stored as its own entry —
+// so a cancelled or timed-out campaign resumes at region grain.  A completed
+// cell is stored whole, as at regions = 1.
 
 // One streamed unit record of a completed cell, in the emission order of
 // the run that produced it.
@@ -48,8 +52,9 @@ struct CellRecords {
 };
 
 // Storage interface (implemented by service::ResultCache — memory LRU +
-// disk).  Keys come from api::cell_key; `identity` is the canonical cell
-// JSON the key was hashed from, and implementations MUST verify it on
+// disk).  Keys are api::content_key of `identity`, the canonical cell JSON
+// (api::cell_identity_json, or api::region_identity_json for a region
+// entry); implementations MUST verify the identity on
 // lookup so a hash collision or corrupted entry degrades to a miss, never
 // to wrong results.  Calls arrive from whatever thread runs the campaign —
 // implementations serialize internally.
@@ -67,21 +72,20 @@ class CellCache {
 // resubmitted spec re-simulated nothing (cells_simulated == 0).
 struct CacheStats {
   std::size_t cells_total = 0;      // scheme x class cells the spec denotes
-  std::size_t cells_cached = 0;     // served by replaying stored records
-  std::size_t cells_simulated = 0;  // ran live (includes cancelled partials)
+  std::size_t cells_cached = 0;     // served wholly by replaying stored records
+  std::size_t cells_simulated = 0;  // ran live, at least in part (includes
+                                    // resumed and cancelled cells)
   std::size_t faults_replayed = 0;  // unit records replayed from the cache
 };
 
 // Runs the whole campaign a spec denotes.  `sink` may be null (aggregates
 // only).  With a `cache`, each cell is served by replay when its content
-// key hits (sinks that want seed records bypass the lookup — cached cells
-// carry no per-seed stream — but completed live cells are still stored).
-// With a non-empty `checkpoint_path`, per-region progress is persisted
-// there after every region settles (crash-atomic replace; see
-// api/checkpoint.h) and a matching file from an interrupted run of the
-// same spec resumes it: completed regions replay through the sink instead
-// of re-simulating.  A failed checkpoint save warns on stderr and the
-// campaign continues — persistence is best-effort, results are not.
+// key hits, or resumed from its stored regions (sinks that want seed
+// records bypass the lookups — stored entries carry no per-seed stream —
+// but settled regions and completed live cells are still stored).  Pass a
+// disk-backed service::ResultCache to make a run resumable across
+// processes; its disk failures warn and degrade to memory-only, never
+// costing the campaign.
 //
 // A spec with run.deadline_ms != 0 stops itself at the first between-units
 // cancellation point past the budget; the summary then has cancelled AND
@@ -95,8 +99,7 @@ struct CacheStats {
 // keep catching std::exception, ones that route on retryability catch
 // CampaignError.
 CampaignSummary run_campaign(const CampaignSpec& spec, ResultSink* sink = nullptr,
-                             CellCache* cache = nullptr, CacheStats* cache_stats = nullptr,
-                             const std::string& checkpoint_path = {});
+                             CellCache* cache = nullptr, CacheStats* cache_stats = nullptr);
 
 // Diagnosis front-end of the same surface: localizes every fault of the
 // spec's class selection with the transparent TWMarch session, using the

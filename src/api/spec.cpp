@@ -415,6 +415,16 @@ std::string cell_identity_json(const CampaignSpec& spec, SchemeKind scheme,
   return json_write(v, /*pretty=*/false);
 }
 
+std::string region_identity_json(std::string_view cell_identity, unsigned region,
+                                 unsigned regions) {
+  // Appended to the canonical compact object, so the result is canonical
+  // too (JsonValue keeps member order).
+  std::string out(cell_identity.substr(0, cell_identity.size() - 1));
+  out += ",\"region\":" + std::to_string(region) + ",\"regions\":" + std::to_string(regions) +
+         "}";
+  return out;
+}
+
 namespace {
 
 std::uint64_t fnv1a64(std::string_view s, std::uint64_t basis) {

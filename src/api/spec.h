@@ -119,9 +119,9 @@ struct CampaignSpec {
   // dropped; nothing else is.)
   bool collapse = true;
   // Address-region sharding (power of two, <= words; 1 = off).  Execution-
-  // transparent like collapse: verdicts, records and cache
-  // identities are unchanged — only the working-set bound and the
-  // checkpoint grain move.  Serialized only when != 1.
+  // transparent like collapse: verdicts, records and whole-cell cache
+  // identities are unchanged — only the working-set bound and the grain
+  // of region cache entries (resume) move.  Serialized only when != 1.
   unsigned regions = 1;
   // Wall-clock budget in milliseconds (0 = none).  Enforced cooperatively
   // at the between-units cancellation points: a campaign past its deadline
@@ -230,6 +230,13 @@ std::string_view engine_revision();
 // cells, and a body can never collide with a catalog name.
 std::string cell_identity_json(const CampaignSpec& spec, SchemeKind scheme,
                                const ClassSel& cls);
+
+// Identity of one region of a cell under a `regions`-way split: the cell
+// identity with "region" and "regions" appended.  run_campaign stores each
+// settled region of a sharded cell under it, so an interrupted campaign
+// resumes at region grain (api/runner.h).
+std::string region_identity_json(std::string_view cell_identity, unsigned region,
+                                 unsigned regions);
 
 // Content address of an identity string: 32 lowercase hex chars (two
 // chained 64-bit FNV-1a passes).  Collision-safe use requires storing the

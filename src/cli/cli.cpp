@@ -28,6 +28,7 @@
 #include "march/library.h"
 #include "march/printer.h"
 #include "memsim/memory.h"
+#include "service/cache.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -73,6 +74,42 @@ std::optional<Options> parse_args(const std::vector<std::string>& args, std::ost
       o.flags[a.substr(2)] = value;
   }
   return o;
+}
+
+// The flags each command reads (space-separated).  Anything else is a
+// typo or a stale flag and is rejected, not silently ignored; the global
+// --failpoints is accepted everywhere.
+const std::map<std::string, std::string>& command_flags() {
+  static const std::string coverage =
+      "width words threads backend simd schedule collapse regions scheme seeds classes";
+  static const std::map<std::string, std::string> flags = {
+      {"list", ""},
+      {"show", ""},
+      {"transform", "width scheme"},
+      {"complexity", "width"},
+      {"simulate", "width words seed fault"},
+      {"coverage", coverage},
+      {"spec", coverage + " name"},
+      {"run", "sink out regions deadline-ms cache-dir"},
+      {"explore", "out resume threads rounds stop-after"},
+      {"simd", "json"},
+      {"serve", "host port cache-dir cache-entries max-clients idle-timeout-ms"},
+      {"submit", "host port retries backoff-ms stats shutdown"}};
+  return flags;
+}
+
+bool flags_known(const Options& o, const std::string& cmd, std::ostream& err) {
+  const std::string allowed = " " + command_flags().at(cmd) + " failpoints ";
+  std::vector<std::string> given;
+  for (const auto& [flag, value] : o.flags) given.push_back(flag);
+  if (!o.faults.empty()) given.push_back("fault");
+  for (const std::string& flag : given) {
+    if (allowed.find(" " + flag + " ") == std::string::npos) {
+      err << "error: unknown flag --" << flag << " for " << cmd << "\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 std::optional<unsigned> flag_unsigned(const Options& o, const std::string& key,
@@ -432,7 +469,7 @@ int cmd_spec(const Options& o, std::ostream& out, std::ostream& err) {
 int cmd_run(const Options& o, std::ostream& out, std::ostream& err) {
   if (o.positional.size() < 2) {
     err << "usage: run <spec.json> [--sink jsonl|csv|table] [--out F]\n"
-           "           [--regions N] [--deadline-ms T] [--checkpoint F]\n";
+           "           [--regions N] [--deadline-ms T] [--cache-dir D]\n";
     return 1;
   }
   const std::string& path = o.positional[1];
@@ -461,18 +498,7 @@ int cmd_run(const Options& o, std::ostream& out, std::ostream& err) {
   }
 
   // --regions overrides the spec's run.regions (handy for sweeping the
-  // shard count over a stored spec without editing it); --checkpoint
-  // persists per-region progress and resumes an interrupted run.  A
-  // checkpoint file tracks ONE campaign, so it rejects batches.
-  std::string checkpoint_path;
-  if (auto it = o.flags.find("checkpoint"); it != o.flags.end()) {
-    if (specs.size() > 1) {
-      err << "error: --checkpoint tracks a single campaign, got a batch of "
-          << specs.size() << " specs\n";
-      return 1;
-    }
-    checkpoint_path = it->second;
-  }
+  // shard count over a stored spec without editing it).
   if (o.flags.count("regions")) {
     const auto regions = flag_unsigned(o, "regions", std::nullopt, err);
     if (!regions) return 1;
@@ -502,6 +528,12 @@ int cmd_run(const Options& o, std::ostream& out, std::ostream& err) {
     err << "error: unknown sink '" << sink_name << "' (want jsonl|csv|table)\n";
     return 1;
   }
+  // --cache-dir: the daemon's disk-backed result cache.  Completed cells
+  // replay and every settled region is stored, so an interrupted run of
+  // the same spec resumes where it stopped.
+  std::optional<service::ResultCache> cache;
+  if (auto it = o.flags.find("cache-dir"); it != o.flags.end())
+    cache.emplace(service::ResultCache::Config{it->second});
   // Only open (and truncate) --out once the command line is fully vetted —
   // a rejected invocation must not clobber a previous run's output.
   std::ofstream file_out;
@@ -524,8 +556,7 @@ int cmd_run(const Options& o, std::ostream& out, std::ostream& err) {
     sink = std::make_unique<api::TableSink>(*dest);
 
   for (const api::CampaignSpec& spec : specs)
-    api::run_campaign(spec, sink.get(), /*cache=*/nullptr, /*cache_stats=*/nullptr,
-                      checkpoint_path);
+    api::run_campaign(spec, sink.get(), cache ? &*cache : nullptr);
   return 0;
 }
 
@@ -879,6 +910,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
   }
   if (opts->positional.empty()) return usage();
   const std::string& cmd = opts->positional[0];
+  if (!command_flags().count(cmd)) return usage();
+  if (!flags_known(*opts, cmd, err)) return 1;
   try {
     if (cmd == "list") return cmd_list(out);
     if (cmd == "show") return cmd_show(*opts, out, err);

@@ -51,7 +51,7 @@
 //                                          the migration bridge from flags
 //                                          to declarative spec files
 //   run <spec.json> [--sink jsonl|csv|table] [--out F] [--regions N]
-//       [--deadline-ms T] [--checkpoint F]
+//       [--deadline-ms T] [--cache-dir D]
 //                                          execute the campaign(s) in a spec
 //                                          file (single object or batch
 //                                          array), streaming per-unit
@@ -62,11 +62,12 @@
 //                                          wall-clock budget — see
 //                                          api/spec.h; the campaign_end
 //                                          record reports timed_out);
-//                                          --checkpoint (single spec only)
-//                                          persists per-region progress after
-//                                          every region settles and resumes
-//                                          an interrupted run of the same
-//                                          spec from the file
+//                                          --cache-dir uses the same
+//                                          disk-backed result cache as serve:
+//                                          completed cells replay, every
+//                                          settled region is stored, and an
+//                                          interrupted run of the same spec
+//                                          resumes at region grain
 //   explore <dse.json> [--out F] [--resume F] [--threads T] [--rounds R]
 //           [--stop-after K]
 //                                          coverage-guided evolutionary
@@ -126,7 +127,8 @@
 //
 // Every command also accepts --failpoints "name=action[@N|:P];..." — the
 // chaos-injection spec from util/failpoint.h, equivalent to setting
-// TWM_FAILPOINTS for the in-process registry.
+// TWM_FAILPOINTS for the in-process registry.  Any other flag a command
+// does not read is an error ("unknown flag --X for <cmd>", exit 1).
 //
 // coverage, spec and run all speak twm::api (src/api): the flag surface is
 // parsed into a CampaignSpec, validated field by field, and executed by

@@ -94,8 +94,8 @@ class ExploreObserver {
 // Runs the search a spec denotes.  With a non-empty `state_path` the full
 // search state (round counter, RNG state, population, front, baselines) is
 // persisted there after seeding and after every round (atomic tmp +
-// rename, api/checkpoint.h style), and an existing file resumes: the
-// interrupted trajectory continues bit-identically, so kill + resume ends
+// rename, util/fs.h), and an existing file resumes: the interrupted
+// trajectory continues bit-identically, so kill + resume ends
 // on the same front as an uninterrupted run.  A state file written by a
 // different spec, engine revision or tool is rejected with
 // std::runtime_error — search state is too easy to cross-wire silently.

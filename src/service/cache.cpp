@@ -15,7 +15,7 @@ namespace twm::service {
 namespace {
 
 // {"identity":<identity object>,"units":[[fault,all,any],...]} — compact,
-// one file per cell.  `identity` is embedded verbatim (it is already
+// one file per entry.  `identity` is embedded verbatim (it is already
 // canonical compact JSON), so verification is a string compare after a
 // deterministic re-serialization.
 std::string entry_json(const std::string& identity, const api::CellRecords& records) {

@@ -1,13 +1,16 @@
 // Content-addressed result cache: the api::CellCache the campaign daemon
 // plugs into api::run_campaign.
 //
-// One entry is one completed (scheme, fault-class, seed-set) cell — the
-// unit records of its original run, in emission order — addressed by
-// api::cell_key (hash of the canonical cell identity JSON, which folds in
-// the engine revision).  Two tiers:
+// An entry is a cell or one region of a cell: the unit records of one
+// completed (scheme, fault-class, seed-set) cell, or of one settled region
+// of it under run.regions > 1, in emission order — addressed by
+// api::content_key of its canonical identity JSON (api::cell_identity_json,
+// or api::region_identity_json for a region; both fold in the engine
+// revision).  Region entries are what makes an interrupted campaign resume
+// at region grain (api/runner.h).  Two tiers:
 //
-//   memory   an LRU of the most recently touched cells (always on),
-//   disk     one JSON file per cell under `dir` (optional: empty dir =
+//   memory   an LRU of the most recently touched entries (always on),
+//   disk     one JSON file per entry under `dir` (optional: empty dir =
 //            memory-only).  Files are written crash-atomically
 //            (unique tmp + fsync + rename + directory fsync,
 //            util/fs.h) and survive daemon restarts; a memory miss falls

@@ -17,8 +17,9 @@
 // Cancellation: a client that disconnects (or half-closes) mid-campaign is
 // detected between units — the sink polls the socket for POLLRDHUP/HUP and
 // write failures — and its campaign stops claiming work cooperatively.
-// Completed cells stay cached, so the resubmitted campaign resumes from
-// where the disconnect left it.
+// Completed cells — and, at run.regions > 1, every settled region of the
+// interrupted cell — stay cached, so the resubmitted campaign resumes from
+// where the disconnect (or run.deadline_ms) left it.
 //
 // The daemon binds loopback by default and is engineered for hostile
 // input (frame caps, parser nesting caps, structural spec validation), but

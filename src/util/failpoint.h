@@ -34,10 +34,10 @@
 // distinct.  Both copies self-configure from TWM_FAILPOINTS at load time,
 // which happens before main() — so the environment variable reaches every
 // site, while failpoints_configure() (and the CLI's --failpoints flag,
-// which calls it) reaches only the static-lib copy: every service, cache,
-// checkpoint and worker site, plus memsim sites on the scalar and
-// --simd 64 paths.  Chaos runs that must hit wide-backend page allocation
-// set the environment variable instead.
+// which calls it) reaches only the static-lib copy: every service, cache
+// (region resume included — it is the cache) and worker site, plus memsim
+// sites on the scalar and --simd 64 paths.  Chaos runs that must hit
+// wide-backend page allocation set the environment variable instead.
 #ifndef TWM_UTIL_FAILPOINT_H
 #define TWM_UTIL_FAILPOINT_H
 

@@ -4,9 +4,9 @@
 // The rename makes the update atomic against concurrent READERS; the two
 // fsyncs make it atomic against CRASHES — without them a power cut can
 // leave the final name pointing at a zero-length or partial file (the
-// rename metadata can reach disk before the data).  Checkpoints and cache
-// entries both promise "valid or absent", so they pay for the full
-// sequence.
+// rename metadata can reach disk before the data).  Cache entries (region
+// entries included) and explore state files promise "valid or absent", so
+// they pay for the full sequence.
 #ifndef TWM_UTIL_FS_H
 #define TWM_UTIL_FS_H
 

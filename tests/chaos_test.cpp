@@ -1,6 +1,6 @@
 // Chaos harness tests: the failpoint registry itself, and the failure
-// semantics it exists to prove — cache disk faults degrade to memory-only,
-// checkpoint save failures warn-and-continue, allocation and worker faults
+// semantics it exists to prove — cache disk faults degrade to memory-only
+// and never cost a resumed campaign its verdicts, allocation and worker faults
 // surface as typed retryable errors, campaigns stop at run.deadline_ms
 // with an exact prefix of the fault-free record stream, and the service
 // survives socket faults with typed error frames instead of crashes.
@@ -15,14 +15,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
-#include "api/checkpoint.h"
 #include "api/error.h"
 #include "api/json.h"
 #include "api/runner.h"
@@ -294,67 +296,107 @@ TEST(CacheChaos, DiskReadFailureIsAMissNotAnAbort) {
   std::filesystem::remove_all(dir);
 }
 
-// ---- checkpoint under save/load faults -----------------------------------
+// ---- region resume under cache disk faults -------------------------------
 
-TEST(CheckpointChaos, FailedSaveLeavesThePreviousFileIntact) {
+// regions=4 over two cells: 4 region entries + 1 cell entry per cell.
+api::CampaignSpec regioned_spec() {
+  api::CampaignSpec s = scalar_spec();
+  s.words = 16;  // 64 faults per class, 16 per region
+  s.regions = 4;
+  s.classes = {{api::ClassKind::Saf, CfScope::Both}, {api::ClassKind::Tf, CfScope::Both}};
+  return s;
+}
+
+std::set<std::tuple<std::string, std::size_t, bool, bool>> verdicts(
+    const api::CollectingSink& sink) {
+  std::set<std::tuple<std::string, std::size_t, bool, bool>> out;
+  for (const auto& u : sink.units)
+    out.emplace(api::to_string(u.cls), u.fault_index, u.detected_all, u.detected_any);
+  return out;
+}
+
+// Every file in `dir` with its bytes.
+std::map<std::string, std::string> snapshot(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    out[file.path().filename().string()] = bytes.str();
+  }
+  return out;
+}
+
+TEST(ResumeChaos, FailingDiskWritesDegradeAndLeaveStoredRegionsIntact) {
   FailpointGuard guard;
-  const auto dir = temp_dir("ck_save");
-  const std::string path = (dir / "ck.json").string();
+  const auto dir = temp_dir("resume_write");
+  const api::CampaignSpec spec = regioned_spec();
+  api::CollectingSink clean;
+  api::run_campaign(spec, &clean);
 
-  api::CheckpointFile file;
-  file.regions = 2;
-  file.cells.push_back({"cell-identity", 0, {{0, true, true}}});
-  ASSERT_TRUE(api::save_checkpoint(path, file));
+  {  // An interrupted run leaves region 0 of the first cell on disk.
+    service::ResultCache cache({dir.string()});
+    api::CollectingSink cut(/*cancel_after_units=*/20);
+    api::run_campaign(spec, &cut, &cache);
+  }
+  const auto before = snapshot(dir);
+  ASSERT_EQ(before.size(), 1u);
 
-  api::CheckpointFile newer = file;
-  newer.cells.push_back({"cell-identity", 1, {{1, true, false}}});
-  ASSERT_TRUE(util::failpoints_configure("checkpoint.save=err"));
-  EXPECT_FALSE(api::save_checkpoint(path, newer));
-
+  ASSERT_TRUE(util::failpoints_configure("cache.disk_write=err"));
+  service::ResultCache cache({dir.string()});
+  api::CollectingSink sink;
+  testing::internal::CaptureStderr();
+  const api::CampaignSummary got = api::run_campaign(spec, &sink, &cache);
+  const std::string warnings = testing::internal::GetCapturedStderr();
   util::failpoints_clear();
-  const auto loaded = api::load_checkpoint(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->cells.size(), 1u);  // the failed save changed nothing
 
-  ASSERT_TRUE(util::failpoints_configure("checkpoint.load=err"));
-  EXPECT_FALSE(api::load_checkpoint(path).has_value());  // degraded to "no resume"
+  // Persistence failed; the campaign itself must be untouched, and the
+  // atomic write path must leave the stored region byte-identical.
+  EXPECT_FALSE(got.cancelled);
+  EXPECT_EQ(verdicts(sink), verdicts(clean));
+  EXPECT_EQ(cache.counters().disk_errors, 3u);
+  EXPECT_TRUE(cache.counters().disk_degraded);
+  EXPECT_NE(warnings.find("warning: result cache disk tier disabled"), std::string::npos);
+  EXPECT_EQ(snapshot(dir), before);
+
+  // With the failpoint gone the same directory resumes from region 0.
+  service::ResultCache healthy({dir.string()});
+  api::CollectingSink again;
+  api::CacheStats stats;
+  api::run_campaign(spec, &again, &healthy, &stats);
+  EXPECT_EQ(stats.faults_replayed, 16u);
+  EXPECT_EQ(verdicts(again), verdicts(clean));
+  EXPECT_EQ(snapshot(dir).size(), 10u);  // 2 cells x (4 regions + 1 whole)
   std::filesystem::remove_all(dir);
 }
 
-TEST(CheckpointChaos, CampaignWarnsAndContinuesWhenEverySaveFails) {
+TEST(ResumeChaos, FailedWholeCellReadFallsBackToRegionEntries) {
   FailpointGuard guard;
-  const auto dir = temp_dir("ck_campaign");
-  const std::string path = (dir / "ck.json").string();
-
-  api::CampaignSpec spec = scalar_spec();
-  spec.words = 16;
-  spec.regions = 4;
-
+  const auto dir = temp_dir("resume_read");
+  const api::CampaignSpec spec = regioned_spec();
   api::CollectingSink clean;
-  const api::CampaignSummary want = api::run_campaign(spec, &clean);
+  {
+    service::ResultCache cache({dir.string()});
+    api::run_campaign(spec, &clean, &cache);
+  }
+  const auto before = snapshot(dir);
+  ASSERT_EQ(before.size(), 10u);
 
-  ASSERT_TRUE(util::failpoints_configure("checkpoint.save=err"));
+  // The first read is the first cell's whole entry: it fails, the cell is
+  // rebuilt from its four region entries, and nothing simulates.
+  ASSERT_TRUE(util::failpoints_configure("cache.disk_read=err@1"));
+  service::ResultCache cache({dir.string()});
   api::CollectingSink sink;
-  const api::CampaignSummary got =
-      api::run_campaign(spec, &sink, nullptr, nullptr, path);
+  api::CacheStats stats;
+  EXPECT_FALSE(api::run_campaign(spec, &sink, &cache, &stats).cancelled);
   util::failpoints_clear();
 
-  // Persistence failed; the campaign itself must be untouched.
-  EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_FALSE(got.cancelled);
-  EXPECT_EQ(got.units_emitted, want.units_emitted);
-  ASSERT_EQ(got.cells.size(), want.cells.size());
-  for (std::size_t i = 0; i < got.cells.size(); ++i) {
-    EXPECT_EQ(got.cells[i].outcome.total, want.cells[i].outcome.total);
-    EXPECT_EQ(got.cells[i].outcome.detected_all, want.cells[i].outcome.detected_all);
-    EXPECT_EQ(got.cells[i].outcome.detected_any, want.cells[i].outcome.detected_any);
-  }
-
-  // With the failpoint gone the same call persists a resumable file.
-  api::CollectingSink again;
-  api::run_campaign(spec, &again, nullptr, nullptr, path);
-  EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_TRUE(api::load_checkpoint(path).has_value());
+  EXPECT_EQ(verdicts(sink), verdicts(clean));
+  EXPECT_EQ(stats.cells_simulated, 0u);
+  EXPECT_EQ(stats.faults_replayed, 128u);
+  EXPECT_EQ(cache.counters().disk_errors, 1u);
+  EXPECT_FALSE(cache.counters().disk_degraded);
+  EXPECT_EQ(snapshot(dir), before);
   std::filesystem::remove_all(dir);
 }
 

@@ -4,6 +4,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -525,6 +526,56 @@ TEST(Cli, RunExecutesBatchSpecs) {
     pos += 1;
   }
   EXPECT_EQ(begins, 2u);
+}
+
+TEST(Cli, CommandsRejectFlagsTheyDoNotRead) {
+  const std::string spec = write_temp(
+      "flag_spec.json",
+      R"({"memory":{"words":2,"width":2},"march":"March C-","schemes":["twm"],
+          "classes":["saf"],"seeds":[0]})");
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"run", spec, "--checkpoint", "x"}, "--checkpoint for run"},
+      {{"run", spec, "--regoins", "4"}, "--regoins for run"},
+      {{"serve", "--cache-dri", "d"}, "--cache-dri for serve"},
+      {{"coverage", "March C-", "--width", "2", "--words", "2", "--fault", "saf:0.0=1"},
+       "--fault for coverage"},
+      {{"simd", "--out", "f"}, "--out for simd"}};
+  for (const auto& [args, flag] : cases) {
+    const auto r = cli(args);
+    EXPECT_EQ(r.rc, 1) << flag;
+    EXPECT_NE(r.err.find("error: unknown flag " + flag), std::string::npos) << r.err;
+  }
+  // --failpoints is global.
+  EXPECT_EQ(cli({"list", "--failpoints", ""}).rc, 0);
+}
+
+TEST(Cli, RunCacheDirReplaysABatch) {
+  const std::string path = write_temp(
+      "cached_batch.json",
+      R"([{"name":"a","memory":{"words":8,"width":2},"march":"March C-",
+           "schemes":["twm"],"classes":["saf"],"seeds":[0],"run":{"regions":2}},
+          {"name":"b","memory":{"words":8,"width":2},"march":"March C-",
+           "schemes":["tomt"],"classes":["tf"],"seeds":[0]}])");
+  const std::string dir = ::testing::TempDir() + "twm_cli_cache_dir";
+  std::filesystem::remove_all(dir);
+  const auto units = [](const std::string& out) {
+    std::istringstream in(out);
+    std::string line, kept;
+    while (std::getline(in, line))
+      if (line.find("\"type\":\"unit\"") != std::string::npos) kept += line + "\n";
+    return kept;
+  };
+  const auto first = cli({"run", path, "--sink", "jsonl", "--cache-dir", dir});
+  ASSERT_EQ(first.rc, 0) << first.err;
+  // 2 region entries + 1 cell entry for "a", 1 cell entry for "b".
+  std::size_t entries = 0;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) entries += !f.is_directory();
+  EXPECT_EQ(entries, 4u);
+  const auto second = cli({"run", path, "--sink", "jsonl", "--cache-dir", dir});
+  ASSERT_EQ(second.rc, 0) << second.err;
+  EXPECT_EQ(units(second.out), units(first.out));
+  EXPECT_NE(units(first.out), "");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, CoverageAcceptsScopedCouplingClasses) {

@@ -1,27 +1,30 @@
-// Region-sharded scheduling and checkpoint/resume (the huge-memory
+// Region-sharded scheduling and region-grain resume (the huge-memory
 // campaign surface): the fault list split by victim address slice must
 // merge to verdicts byte-identical to the scheduler-free oracle for every
-// backend, a checkpointed campaign interrupted mid-run must resume
-// by replaying completed regions instead of re-simulating them, and the
-// content-addressed cache identity must be unchanged by the shard count.
+// backend, a cached campaign interrupted mid-run must resume by replaying
+// its stored regions instead of re-simulating them, and the whole-cell
+// cache identity must be unchanged by the shard count.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/campaign.h"
 #include "analysis/fault_list.h"
-#include "api/checkpoint.h"
+#include "api/json.h"
 #include "api/runner.h"
 #include "api/sink.h"
 #include "api/spec.h"
 #include "march/library.h"
 #include "memsim/packed_memory.h"
 #include "oracle.h"
+#include "service/cache.h"
 
 namespace twm::api {
 namespace {
@@ -135,71 +138,13 @@ TEST(RegionShardingTest, PackedPagesAreBoundedByTheFaultFootprint) {
   EXPECT_LE(stats.packed_pages_peak.load(), 8u);
 }
 
-// ---- checkpoint file format ---------------------------------------------
-
-TEST(CheckpointFileTest, RoundTripsAndRejectsForeignFiles) {
-  const std::string path = "checkpoint_roundtrip_test.json";
-  std::remove(path.c_str());
-
-  EXPECT_FALSE(load_checkpoint(path).has_value()) << "missing file is not an error";
-
-  CheckpointFile file;
-  file.regions = 4;
-  file.cells.push_back({"{\"cell\":\"a\"}", 0, {{0, true, true}, {1, false, true}}});
-  file.cells.push_back({"{\"cell\":\"a\"}", 2, {{9, true, true}}});
-  save_checkpoint(path, file);
-
-  const auto loaded = load_checkpoint(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->regions, 4u);
-  ASSERT_EQ(loaded->cells.size(), 2u);
-  EXPECT_EQ(loaded->cells[0].identity, "{\"cell\":\"a\"}");
-  EXPECT_EQ(loaded->cells[0].region, 0u);
-  EXPECT_EQ(loaded->cells[0].units,
-            (std::vector<CachedUnit>{{0, true, true}, {1, false, true}}));
-  EXPECT_EQ(loaded->cells[1].region, 2u);
-
-  // A truncated/garbage file degrades to "no checkpoint", never to wrong
-  // results or a crash.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"checkpoint\":1,\"engine\":\"";
-  }
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-
-  // A foreign engine revision is not resumable (its verdicts may differ).
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << R"({"checkpoint":1,"engine":"other-engine","regions":4,"cells":[]})";
-  }
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-
-  // An unknown format version is not resumable either.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"checkpoint\":2,\"engine\":\"" << engine_revision()
-        << "\",\"regions\":4,\"cells\":[]}";
-  }
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-
-  // A region index out of range poisons the whole file.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"checkpoint\":1,\"engine\":\"" << engine_revision()
-        << "\",\"regions\":2,\"cells\":[{\"identity\":\"x\",\"region\":2,\"units\":[]}]}";
-  }
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-
-  std::remove(path.c_str());
-}
-
-// ---- checkpoint/resume through run_campaign ------------------------------
+// ---- region-grain resume through the cell cache ---------------------------
 
 // The symmetric scheme misses many TFs, so the verdict stream is
 // non-trivial (a broken merge/replay cannot hide behind all-detected).
 CampaignSpec regioned_spec() {
   CampaignSpec s;
-  s.name = "checkpoint-test";
+  s.name = "resume-test";
   s.words = 32;
   s.width = 4;
   s.march = "March C-";
@@ -219,12 +164,34 @@ std::map<std::uint64_t, std::pair<bool, bool>> verdicts_by_fault(
   return out;
 }
 
-TEST(CheckpointResumeTest, InterruptedCampaignResumesWithoutChangingVerdicts) {
-  const std::string path = "checkpoint_resume_test.json";
-  std::remove(path.c_str());
+std::filesystem::path fresh_dir(const std::string& tag) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("twm_resume_" + std::to_string(::getpid()) + "_" + tag);
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// Unit count of every entry file in a cache directory, keyed by the
+// entry's region (-1 = a whole-cell entry).
+std::multimap<int, std::size_t> disk_entries(const std::filesystem::path& dir) {
+  std::multimap<int, std::size_t> out;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(file.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    const JsonValue doc = json_parse(text.str());
+    const JsonValue* region = doc.find("identity")->find("region");
+    out.emplace(region ? static_cast<int>(*region->as_u64()) : -1,
+                doc.find("units")->items().size());
+  }
+  return out;
+}
+
+TEST(CacheResumeTest, InterruptedCampaignResumesAtRegionGrain) {
+  const auto dir = fresh_dir("interrupted");
   const CampaignSpec spec = regioned_spec();
 
-  // Reference: the uncheckpointed, uncancelled run.  Not all-detected —
+  // Reference: the uncached, uncancelled run.  Not all-detected —
   // otherwise the verdict-equality assertions below prove nothing.
   CollectingSink reference;
   const CampaignSummary want = run_campaign(spec, &reference);
@@ -233,86 +200,76 @@ TEST(CheckpointResumeTest, InterruptedCampaignResumesWithoutChangingVerdicts) {
   ASSERT_LT(want.cells[0].outcome.detected_all, want.cells[0].outcome.total);
   ASSERT_GT(want.cells[0].outcome.detected_all, 0u);
 
-  // Interrupt during region 1: region 0's 64 units settled, so the
-  // checkpoint must hold exactly region 0 (a cancelled region is never
-  // reported done).
-  CollectingSink interrupted(/*cancel_after_units=*/100);
-  const CampaignSummary cancelled =
-      run_campaign(spec, &interrupted, nullptr, nullptr, path);
-  EXPECT_TRUE(cancelled.cancelled);
   {
-    const auto ck = load_checkpoint(path);
-    ASSERT_TRUE(ck.has_value());
-    EXPECT_EQ(ck->regions, 4u);
-    ASSERT_EQ(ck->cells.size(), 1u) << "only region 0 completed before the cancel";
-    EXPECT_EQ(ck->cells[0].region, 0u);
-    EXPECT_EQ(ck->cells[0].units.size(), 64u);
+    service::ResultCache cache({dir.string()});
+    // Interrupt during region 1: region 0's 64 units settled, so the cache
+    // must hold exactly the region-0 entry (a cancelled region is never
+    // stored, nor is the incomplete cell).
+    CollectingSink interrupted(/*cancel_after_units=*/100);
+    EXPECT_TRUE(run_campaign(spec, &interrupted, &cache).cancelled);
+    EXPECT_EQ(disk_entries(dir), (std::multimap<int, std::size_t>{{0, 64}}));
+
+    // Resume: region 0 replays, the rest simulate; the merged stream and
+    // aggregates equal the reference.
+    CollectingSink resumed;
+    CacheStats stats;
+    const CampaignSummary done = run_campaign(spec, &resumed, &cache, &stats);
+    EXPECT_FALSE(done.cancelled);
+    EXPECT_EQ(stats.cells_simulated, 1u);
+    EXPECT_EQ(stats.faults_replayed, 64u);
+    ASSERT_EQ(resumed.units.size(), 256u);
+    EXPECT_EQ(verdicts_by_fault(resumed.units), verdicts_by_fault(reference.units));
+    ASSERT_EQ(done.cells.size(), 1u);
+    EXPECT_EQ(done.cells[0].outcome.detected_all, want.cells[0].outcome.detected_all);
+    EXPECT_EQ(done.cells[0].outcome.detected_any, want.cells[0].outcome.detected_any);
+    // Every region is stored, and the completed cell whole.
+    EXPECT_EQ(disk_entries(dir), (std::multimap<int, std::size_t>{
+                                     {-1, 256}, {0, 64}, {1, 64}, {2, 64}, {3, 64}}));
   }
 
-  // Resume: completed regions replay, the rest simulate; the merged stream
-  // and aggregates equal the reference.
-  CollectingSink resumed;
-  const CampaignSummary done = run_campaign(spec, &resumed, nullptr, nullptr, path);
-  EXPECT_FALSE(done.cancelled);
-  ASSERT_EQ(resumed.units.size(), 256u);
-  EXPECT_EQ(verdicts_by_fault(resumed.units), verdicts_by_fault(reference.units));
-  ASSERT_EQ(done.cells.size(), 1u);
-  EXPECT_EQ(done.cells[0].outcome.detected_all, want.cells[0].outcome.detected_all);
-  EXPECT_EQ(done.cells[0].outcome.detected_any, want.cells[0].outcome.detected_any);
-
-  // The finished file holds every region.
-  {
-    const auto ck = load_checkpoint(path);
-    ASSERT_TRUE(ck.has_value());
-    EXPECT_EQ(ck->cells.size(), 4u);
-  }
-
-  // A fully-checkpointed campaign replays without simulating anything: a
-  // sink that cancels after ONE unit still receives the complete stream,
-  // which is only possible if no unit ran live.
+  // A daemon restart (a fresh cache on the same directory) replays without
+  // simulating anything: a sink that cancels after ONE unit still receives
+  // the complete stream, which is only possible if no unit ran live.
+  service::ResultCache restarted({dir.string()});
   CollectingSink replay_only(/*cancel_after_units=*/1);
-  const CampaignSummary replayed = run_campaign(spec, &replay_only, nullptr, nullptr, path);
+  CacheStats stats;
+  const CampaignSummary replayed = run_campaign(spec, &replay_only, &restarted, &stats);
+  EXPECT_EQ(stats.cells_simulated, 0u);
   EXPECT_EQ(replay_only.units.size(), 256u);
+  EXPECT_EQ(verdicts_by_fault(replay_only.units), verdicts_by_fault(reference.units));
   ASSERT_EQ(replayed.cells.size(), 1u);
   EXPECT_EQ(replayed.cells[0].outcome.detected_all, want.cells[0].outcome.detected_all);
-
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
-TEST(CheckpointResumeTest, ForeignOrMismatchedCheckpointIsIgnored) {
-  const std::string path = "checkpoint_mismatch_test.json";
-  std::remove(path.c_str());
-  const CampaignSpec spec = regioned_spec();
+TEST(CacheResumeTest, RegionEntriesOfAnotherSpecOrRegionCountAreIgnored) {
+  const auto dir = fresh_dir("mismatch");
+  service::ResultCache cache({dir.string()});
+  // Leave the region-0 entry of regioned_spec() and nothing else.
+  CollectingSink interrupted(/*cancel_after_units=*/100);
+  run_campaign(regioned_spec(), &interrupted, &cache);
+  ASSERT_EQ(disk_entries(dir).size(), 1u);
 
-  // Complete a checkpoint, then run a DIFFERENT spec against it: no entry
-  // matches the new identities, so everything simulates and the verdicts
-  // are untouched.
-  run_campaign(spec, nullptr, nullptr, nullptr, path);
+  // Other seeds, or the same spec cut into another region count: no entry
+  // matches, so everything simulates and the verdicts are untouched.
   CampaignSpec other = regioned_spec();
   other.seeds = {5, 6};
-  CollectingSink fresh;
-  const CampaignSummary summary = run_campaign(other, &fresh, nullptr, nullptr, path);
-  EXPECT_EQ(fresh.units.size(), 256u);
-  EXPECT_FALSE(summary.cancelled);
-
-  CollectingSink direct;
-  run_campaign(other, &direct);
-  EXPECT_EQ(verdicts_by_fault(fresh.units), verdicts_by_fault(direct.units));
-
-  // A checkpoint denominated in a different region count is ignored too:
-  // the run simulates from scratch and matches its own unsharded verdicts.
   CampaignSpec recut = regioned_spec();
   recut.regions = 2;
-  CollectingSink recut_sink;
-  run_campaign(recut, &recut_sink, nullptr, nullptr, path);
-  CollectingSink recut_direct;
-  run_campaign(recut, &recut_direct);
-  EXPECT_EQ(verdicts_by_fault(recut_sink.units), verdicts_by_fault(recut_direct.units));
-
-  std::remove(path.c_str());
+  for (const CampaignSpec& spec : {other, recut}) {
+    CollectingSink sink, direct;
+    CacheStats stats;
+    const CampaignSummary summary = run_campaign(spec, &sink, &cache, &stats);
+    EXPECT_FALSE(summary.cancelled);
+    EXPECT_EQ(stats.faults_replayed, 0u) << "regions=" << spec.regions;
+    EXPECT_EQ(stats.cells_simulated, 1u);
+    run_campaign(spec, &direct);
+    EXPECT_EQ(verdicts_by_fault(sink.units), verdicts_by_fault(direct.units));
+  }
+  std::filesystem::remove_all(dir);
 }
 
-// ---- cache identity across region counts ----------------------------------
+// ---- cache identity and region-entry validation ----------------------------
 
 class MapCache : public CellCache {
  public:
@@ -330,6 +287,54 @@ class MapCache : public CellCache {
  private:
   std::map<std::string, std::pair<std::string, CellRecords>> store_;
 };
+
+TEST(CacheResumeTest, InvalidRegionEntriesSimulateInsteadOfReplaying) {
+  const CampaignSpec spec = regioned_spec();
+  CollectingSink reference;
+  const CampaignSummary want = run_campaign(spec, &reference);
+
+  // Region 1's true records, stored under the right identity.
+  const std::vector<Fault> faults =
+      build_fault_list(spec.classes[0], spec.words, spec.width);
+  std::vector<CachedUnit> good;
+  std::uint64_t foreign = 0;  // a fault region 0 owns
+  for (const auto& u : reference.units) {
+    const unsigned r = fault_region(faults[u.fault_index], spec.words, spec.regions);
+    if (r == 1) good.push_back({u.fault_index, u.detected_all, u.detected_any});
+    if (r == 0) foreign = u.fault_index;
+  }
+  ASSERT_EQ(good.size(), 64u);
+  const std::string rid = region_identity_json(
+      cell_identity_json(spec, spec.schemes[0], spec.classes[0]), 1, spec.regions);
+
+  std::vector<CachedUnit> short_count(good.begin(), good.end() - 1);
+  std::vector<CachedUnit> out_of_range = good, other_region = good, duplicate = good;
+  out_of_range[5].fault_index = faults.size();
+  other_region[5].fault_index = foreign;
+  duplicate[5].fault_index = duplicate[6].fault_index;
+  const std::vector<std::pair<const char*, std::vector<CachedUnit>>> cases = {
+      {"intact", good},
+      {"wrong count", short_count},
+      {"index out of range", out_of_range},
+      {"fault of another region", other_region},
+      {"duplicate index", duplicate}};
+  for (const auto& [label, units] : cases) {
+    MapCache cache;
+    cache.store(content_key(rid), rid, {units});
+    CollectingSink sink;
+    CacheStats stats;
+    const CampaignSummary got = run_campaign(spec, &sink, &cache, &stats);
+    // Only the intact entry replays; every broken one re-simulates its
+    // region, with the verdicts of the reference either way.
+    EXPECT_EQ(stats.faults_replayed, std::string(label) == "intact" ? 64u : 0u) << label;
+    EXPECT_EQ(stats.cells_simulated, 1u) << label;
+    ASSERT_EQ(sink.units.size(), 256u) << label;
+    EXPECT_EQ(verdicts_by_fault(sink.units), verdicts_by_fault(reference.units)) << label;
+    ASSERT_EQ(got.cells.size(), 1u);
+    EXPECT_EQ(got.cells[0].outcome.detected_all, want.cells[0].outcome.detected_all) << label;
+    EXPECT_EQ(got.cells[0].outcome.detected_any, want.cells[0].outcome.detected_any) << label;
+  }
+}
 
 TEST(RegionShardingTest, CacheCellsAreSharedAcrossRegionCounts) {
   // Region sharding is execution-transparent, so a cell simulated at

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos gate: drives the shipped twm_cli through a failpoint matrix
 # (util/failpoint.h) and asserts every outcome is either a verdict-identical
-# completion or a clean typed error — never a crash, hang, torn checkpoint,
+# completion or a clean typed error — never a crash, hang, torn cache entry,
 # or wrong verdict.  CI runs this under ASan/UBSan as the chaos-gate job.
 #
 # Every invocation runs under timeout(1): a chaos bug that deadlocks must
@@ -65,31 +65,34 @@ sorted_units "$WORK/base.jsonl" > "$WORK/base.sorted"
 [ -s "$WORK/base.sorted" ] || fail "baseline produced no unit records"
 echo "   $(wc -l < "$WORK/base.sorted") distinct unit records"
 
-echo "== checkpoint saves all failing: warn-and-continue, verdicts identical =="
-TWM_FAILPOINTS='checkpoint.save=err' run "$CLI" run "$SPEC" --sink jsonl \
-  --out "$WORK/ck_err.jsonl" --checkpoint "$WORK/ck_never.json" 2> "$WORK/ck_err.log" \
-  || fail "campaign with failing checkpoint saves did not complete"
-grep -q 'warning: checkpoint save' "$WORK/ck_err.log" || fail "no checkpoint-save warning"
-[ ! -e "$WORK/ck_never.json" ] || fail "failed checkpoint save left a file behind"
-diff "$WORK/base.sorted" <(sorted_units "$WORK/ck_err.jsonl") \
-  || fail "checkpoint chaos changed the verdicts"
+echo "== cache disk writes all failing: warn, degrade, verdicts identical =="
+TWM_FAILPOINTS='cache.disk_write=err' run "$CLI" run "$SPEC" --sink jsonl \
+  --out "$WORK/dw_err.jsonl" --cache-dir "$WORK/never" 2> "$WORK/dw_err.log" \
+  || fail "campaign with failing cache writes did not complete"
+grep -q 'warning: result cache disk tier disabled' "$WORK/dw_err.log" \
+  || fail "no disk-tier warning"
+[ -z "$(ls -A "$WORK/never")" ] || fail "failed cache writes left a file behind"
+diff "$WORK/base.sorted" <(sorted_units "$WORK/dw_err.jsonl") \
+  || fail "cache-write chaos changed the verdicts"
 
-echo "== torn-checkpoint: failing saves never corrupt the existing file =="
-run "$CLI" run "$SPEC" --sink jsonl --out /dev/null --checkpoint "$WORK/ck.json"
-[ "$(jq '.cells | length' "$WORK/ck.json")" -eq 12 ] \
-  || fail "expected 12 checkpoint entries (3 cells x 4 regions)"
-jq '.cells |= map(select(.region < 1))' "$WORK/ck.json" > "$WORK/ck_partial.json"
-cp "$WORK/ck_partial.json" "$WORK/ck_before.json"
-# Resume the "interrupted" run with every save failing: the campaign must
+echo "== torn entries: failing writes never corrupt stored regions =="
+run "$CLI" run "$SPEC" --sink jsonl --out /dev/null --cache-dir "$WORK/ck"
+[ "$(ls "$WORK/ck" | wc -l)" -eq 15 ] \
+  || fail "expected 15 cache entries (3 cells x (4 regions + 1 whole cell))"
+# Keep only region 0 of every cell: the state an interrupted run leaves.
+for f in "$WORK"/ck/*.json; do
+  [ "$(jq '.identity.region // -1' "$f")" -eq 0 ] || rm "$f"
+done
+cp -r "$WORK/ck" "$WORK/ck_before"
+# Resume the "interrupted" run with every write failing: the campaign must
 # still finish with the right verdicts, and the atomic tmp-fsync-rename
-# write path must leave the pre-existing file byte-identical, not torn.
-TWM_FAILPOINTS='checkpoint.save=err' run "$CLI" run "$SPEC" --sink jsonl \
-  --out "$WORK/resumed.jsonl" --checkpoint "$WORK/ck_partial.json" 2> /dev/null \
-  || fail "resumed campaign with failing saves did not complete"
+# write path must leave the stored entries byte-identical, not torn.
+TWM_FAILPOINTS='cache.disk_write=err' run "$CLI" run "$SPEC" --sink jsonl \
+  --out "$WORK/resumed.jsonl" --cache-dir "$WORK/ck" 2> /dev/null \
+  || fail "resumed campaign with failing writes did not complete"
 diff "$WORK/base.sorted" <(sorted_units "$WORK/resumed.jsonl") \
-  || fail "resume under checkpoint chaos changed the verdicts"
-cmp "$WORK/ck_before.json" "$WORK/ck_partial.json" \
-  || fail "failed checkpoint saves tore the existing file"
+  || fail "resume under cache-write chaos changed the verdicts"
+diff -r "$WORK/ck_before" "$WORK/ck" || fail "failed cache writes tore the stored entries"
 
 echo "== injected allocation failure: clean typed error, not a crash =="
 set +e
