@@ -105,10 +105,18 @@ struct CampaignStats {
   std::atomic<std::uint64_t> faults_simulated{0};  // faults after collapsing
   std::atomic<std::uint64_t> elements_total{0};     // full-length march elements
   std::atomic<std::uint64_t> elements_executed{0};  // march elements entered
-  // Peak memory pages any worker materialized.  A transparent march writes
-  // every word, so this tracks the pages the march walk touched; most of
-  // them hold lane-uniform data in the cheap scalar form (width limbs per
-  // page).
+  // Addresses the units' sessions walked, summed over units: a unit walks
+  // its fault footprint when the seed's golden certificate holds
+  // (analysis/campaign_exec.h), else every word.
+  std::atomic<std::uint64_t> addresses_walked{0};
+  // Units that walked every word (the certificate failed, or the scalar
+  // reference backend, which always does).
+  std::atomic<std::uint64_t> full_walk_units{0};
+  // Peak memory pages any worker materialized.  A packed unit walking its
+  // fault footprint only touches the footprint's pages, so this stays near
+  // packed_pages_peak; a full walk writes every word and touches every
+  // page, most of them in the cheap lane-uniform scalar form (width limbs
+  // per page).
   std::atomic<std::uint64_t> pages_peak{0};
   // Peak pages in the expensive lane-block form.  The huge-memory claim in
   // one number: bounded by the batch's fault footprint (one region's slice

@@ -35,6 +35,7 @@
 #include "analysis/campaign.h"
 #include "core/scheme_session.h"
 #include "memsim/lane_tile.h"
+#include "memsim/memory.h"
 
 namespace twm {
 
@@ -72,6 +73,72 @@ void check_golden_lane(const LaneTile<Inner, T>& verdicts) {
   require_golden_lane_clear(block_word0(verdicts));
 }
 
+// The golden certificate of (plan, seed): licenses a packed unit to walk
+// only its fault footprint instead of every word.
+//
+// Words of a fault-free memory evolve independently — a march applies the
+// same op sequence to each, and its writes derive from that word's own
+// reads — so a word outside the footprint behaves in every lane exactly as
+// a one-word memory holding the same initial value.  Every checker is
+// lane-local (exact, direct, TOMT) or linear (XOR compaction, the MISR
+// over the difference stream), so such a word changes no verdict exactly
+// when its one-word session is clean: no stream difference, no mismatch,
+// no ledger or read-back failure, and an XOR signature equal to
+// expected_signature(1).  The certificate runs that session once for each
+// distinct initial value of the seed's baseline, one value per lane
+// (TOMT's ledger holds one parity per word, so each parity gets its own
+// passes), and also requires the test and prediction passes to be
+// walk-aligned, which a one-word memory cannot reveal.  It is false for
+// the scalar engine: the reference always walks every word.
+//
+// Holding, it also extends check_golden_lane to the unlisted words: lane 0
+// of the listed walk covers the listed words, the certificate the rest.
+// Failing, every unit of the seed walks every word, as the reference does.
+inline bool transparent_compare(SchemeKind k) {
+  return k == SchemeKind::ProposedExact || k == SchemeKind::ProposedMisr ||
+         k == SchemeKind::TsmarchOnly || k == SchemeKind::Scheme1Exact;
+}
+
+template <class Engine>
+bool golden_certificate(const SchemePlan& plan, std::size_t words, std::uint64_t seed) {
+  if constexpr (!Engine::kSparseWalk) {
+    return false;
+  } else {
+    using Block = typename Engine::Verdict;
+    constexpr unsigned kLanes = block_lanes_v<Block>;
+    if (transparent_compare(plan.scheme) &&
+        !transparent_passes_aligned(plan.trans, plan.prediction))
+      return false;
+    const std::vector<BitVec> values = seeded_word_values(words, plan.width, seed);
+    for (const bool parity : {false, true}) {
+      std::vector<const BitVec*> group;
+      for (const BitVec& v : values)
+        if (v.parity() == parity) group.push_back(&v);
+      for (std::size_t lo = 0; lo < group.size(); lo += kLanes) {
+        const std::size_t n = std::min<std::size_t>(kLanes, group.size() - lo);
+        std::vector<Block> init(plan.width);
+        for (unsigned lane = 0; lane < kLanes; ++lane) {
+          const BitVec& v = *group[lo + (lane < n ? lane : 0)];
+          for (unsigned j = 0; j < plan.width; ++j)
+            if (v.get(j)) block_set_bit(init[j], lane);
+        }
+        typename Engine::Memory mem(1, plan.width);
+        mem.write(0, init.data());
+        Block d{};
+        if (transparent_compare(plan.scheme)) {
+          typename Engine::Runner runner = Engine::make_runner(mem, AddressList::all(1));
+          const auto v = Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr);
+          d = v.exact | v.misr;
+        } else {
+          d = run_scheme_session<Engine>(mem, plan, std::vector<bool>{parity});
+        }
+        if (block_any(d)) return false;
+      }
+    }
+    return true;
+  }
+}
+
 // The campaign scheduler (survivor repacking): seed-major rounds over the
 // shrinking set of still-undecided faults.
 //
@@ -81,6 +148,11 @@ void check_golden_lane(const LaneTile<Inner, T>& verdicts) {
 //             + per-lane fault dropping for monotone schemes), then — on
 //             the caller's thread — report every fault whose verdicts can
 //             no longer change and rebuild the live list from the rest.
+//
+// Before each round the golden certificate decides, once for the seed,
+// whether the round's units walk their fault footprint (the sorted victim,
+// aggressor and alias words of the batch) or every word.  The list stays
+// fixed for the whole unit, including after lanes retire.
 //
 // A fault is decided once its "all" verdict dropped to 0 and (when the
 // caller asked for it) its "any" verdict rose to 1; remaining seeds cannot
@@ -115,6 +187,7 @@ void run_campaign_engine(const CampaignJob& job) {
   struct WorkerState {
     typename Engine::Memory mem;
     std::vector<Fault> batch;
+    std::vector<std::size_t> footprint;
     WorkerState(std::size_t words, unsigned width) : mem(words, width) {
       batch.reserve(kPerUnit);
     }
@@ -129,6 +202,7 @@ void run_campaign_engine(const CampaignJob& job) {
   bool cancelled = false;
   for (std::size_t s = 0; s < job.num_seeds && !live.empty() && !cancelled; ++s) {
     const std::size_t units = (live.size() + kPerUnit - 1) / kPerUnit;
+    const bool sparse = golden_certificate<Engine>(*job.plan, job.words, job.seeds[s]);
     std::atomic<std::size_t> next{0};
     std::atomic<bool> stop{false};
     state_slot.store(0, std::memory_order_relaxed);
@@ -150,17 +224,24 @@ void run_campaign_engine(const CampaignJob& job) {
             static_cast<unsigned>(std::min<std::size_t>(kPerUnit, live.size() - lo));
         batch.clear();
         for (unsigned i = 0; i < count; ++i) batch.push_back(job.faults[live[lo + i]]);
+        AddressList list = AddressList::all(job.words);
+        if (sparse) {
+          st->footprint = fault_footprint(batch.data(), count);
+          list = AddressList::of(st->footprint);
+        }
         // Armed for every scheme: run_scheme_session downgrades per scheme
         // (the MISR case turns the exit off and only keeps the skip of the
         // unconsumed stream compare; the symmetric session never sees the
         // brake).
         typename Engine::Brake brake = Engine::make_brake(mem, Engine::used_mask(count));
         const Verdict d = run_campaign_unit_in<Engine>(mem, *job.plan, batch.data(), count,
-                                                       job.seeds[s], &brake);
+                                                       job.seeds[s], &brake, list);
         check_golden_lane(d);
         if (job.stats) {
           job.stats->units.fetch_add(1, std::memory_order_relaxed);
           job.stats->lane_slots.fetch_add(count, std::memory_order_relaxed);
+          job.stats->addresses_walked.fetch_add(list.size, std::memory_order_relaxed);
+          if (!sparse) job.stats->full_walk_units.fetch_add(1, std::memory_order_relaxed);
           job.stats->elements_total.fetch_add(plan_elems, std::memory_order_relaxed);
           job.stats->elements_executed.fetch_add(
               brake.elements_entered ? brake.elements_entered : plan_elems,

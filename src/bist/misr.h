@@ -6,9 +6,17 @@
 // the prediction pass and of the test pass; the two signatures are equal in
 // a fault-free memory and differ (up to the usual 2^-W aliasing probability)
 // when a fault distorts the test-pass stream.
+//
+// The register is linear and starts at zero, so the signature difference
+// of two equally long streams is the signature of their positional XOR,
+// and a run of k zero inputs multiplies the state by A^k, where A is the
+// companion matrix of one step.  MisrJumps holds A^(2^i) so a compactor
+// can skip such a run in O(log k) matrix applications (PackedMisrT::skip).
 #ifndef TWM_BIST_MISR_H
 #define TWM_BIST_MISR_H
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/bitvec.h"
@@ -43,6 +51,22 @@ class Misr {
 
   BitVec state_;
   BitVec poly_;  // feedback pattern XORed in when the MSB shifts out
+};
+
+// Powers A^(2^i), i = 0..63, of the companion matrix A of one MISR step
+// (a zero-input feed).  Bit c of row r of a power is set when bit c of the
+// state feeds bit r after the jump.
+struct MisrJumps {
+  unsigned width = 0;
+  std::size_t limbs = 0;            // 64-bit limbs per row
+  std::vector<std::uint64_t> pow2;  // [i][row][limb]
+
+  const std::uint64_t* row(unsigned i, unsigned r) const {
+    return &pow2[(static_cast<std::size_t>(i) * width + r) * limbs];
+  }
+
+  static MisrJumps build(unsigned width, const std::vector<unsigned>& taps);
+  static MisrJumps build(unsigned width) { return build(width, Misr::default_taps(width)); }
 };
 
 }  // namespace twm

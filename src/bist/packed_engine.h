@@ -14,11 +14,26 @@
 //  * run_prediction() — read-only signature-prediction pass feeding
 //                       read-value XOR operation-mask per lane.
 //
+// Every pass walks the runner's AddressList (bist/address_gen.h) in
+// element order instead of [0, words): the whole memory, or — when the
+// campaign's golden certificate holds (analysis/campaign_exec.h) — only
+// the unit's fault footprint.  A word outside every injected fault's
+// footprint holds golden data in every lane for the whole session, so its
+// reads contribute in lane k exactly what they contribute in golden lane
+// 0, which the certificate proved to be nothing (exact and direct compare)
+// or a known constant (XOR and MISR compaction, both linear).
+//
 // run_transparent_session() bundles both passes and reports, per lane, the
-// exact stream comparison and the MISR signature comparison.  PackedMisrT
-// runs one Galois MISR per lane at once by keeping each signature bit as a
-// lane block; it reproduces Misr (bist/misr.h) exactly, including the input
-// folding rule, so lane verdicts match the scalar engine's.
+// exact stream comparison and the MISR comparison.  The exact compare
+// aligns reads by (element, listed address, read), which is valid because
+// the prediction is the test with its writes dropped: make_scheme_plan
+// asserts the two run every element in the same address order with the
+// same read count.  The MISR comparison compacts the positional
+// difference stream pred ^ test into one zero-initialised register; by
+// linearity that equals the difference of the two signatures the scalar
+// engine computes.  Zero differences — every unlisted read, and most
+// listed ones — are never fed: the register jumps over each run of them
+// with the companion-matrix powers of MisrJumps (bist/misr.h).
 //
 // Like the packed memory, the implementation is header-only so each SIMD
 // width compiles in its own arch-flagged translation unit; the 64-lane
@@ -28,6 +43,7 @@
 #define TWM_BIST_PACKED_ENGINE_H
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -70,16 +86,35 @@ class PackedMisrT {
     for (unsigned i = 0; i < input_width; ++i) state_[i % w] ^= input[i];
   }
 
-  const std::vector<Block>& state() const { return state_; }
-
-  // Lanes whose signature differs from `other`'s.
-  Block diff(const PackedMisrT& other) const {
-    if (width() != other.width())
-      throw std::invalid_argument("PackedMisr::diff: width mismatch");
-    Block m{};
-    for (unsigned i = 0; i < width(); ++i) m |= state_[i] ^ other.state_[i];
-    return m;
+  // Advances every lane's signature by `zeros` zero-input feeds: one
+  // matrix application per set bit of `zeros`, none while the state is
+  // still zero (A^k * 0 = 0).
+  void skip(const MisrJumps& jumps, std::uint64_t zeros) {
+    if (zeros == 0 || !nonzero()) return;
+    if (jumps.width != width()) throw std::invalid_argument("PackedMisr::skip: width mismatch");
+    const unsigned w = width();
+    scratch_.resize(w);
+    for (unsigned i = 0; zeros; ++i, zeros >>= 1) {
+      if (!(zeros & 1u)) continue;
+      for (unsigned r = 0; r < w; ++r) {
+        const std::uint64_t* row = jumps.row(i, r);
+        Block b{};
+        for (std::size_t l = 0; l < jumps.limbs; ++l)
+          for (std::uint64_t bits = row[l]; bits; bits &= bits - 1)
+            b ^= state_[l * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        scratch_[r] = b;
+      }
+      state_.swap(scratch_);
+    }
   }
+
+  bool nonzero() const {
+    for (const Block& b : state_)
+      if (block_any(b)) return true;
+    return false;
+  }
+
+  const std::vector<Block>& state() const { return state_; }
 
  private:
   void step() {
@@ -92,6 +127,7 @@ class PackedMisrT {
 
   std::vector<Block> state_;    // [bit] -> lane block
   std::vector<unsigned> taps_;  // set bits of the feedback pattern
+  std::vector<Block> scratch_;  // skip() double buffer
 };
 
 template <class Block>
@@ -146,7 +182,9 @@ struct SessionBrakeT {
 template <class Block>
 class PackedMarchRunnerT {
  public:
-  explicit PackedMarchRunnerT(PackedMemoryT<Block>& mem) : mem_(mem) {}
+  // Walks the words in `list` (ascending, within the memory; the list must
+  // outlive the runner).
+  PackedMarchRunnerT(PackedMemoryT<Block>& mem, AddressList list) : mem_(mem), list_(list) {}
 
   // `brake`, when non-null, is polled after each address's ops: the sweep
   // aborts once every brake-target lane's mismatch bit is set (the verdict
@@ -158,7 +196,7 @@ class PackedMarchRunnerT {
     Block mismatch{};
     sweep_braked(
         test,
-        [&](std::size_t addr, const Op& op, const Block* mask) {
+        [&](std::size_t addr, std::size_t, const Op& op, const Block* mask) {
           if (op.data.relative)
             throw std::invalid_argument(
                 "run_direct: test contains transparent (relative) operations");
@@ -198,7 +236,7 @@ class PackedMarchRunnerT {
       std::size_t cur_addr = static_cast<std::size_t>(-1);
       sweep_braked(
           test,
-          [&](std::size_t addr, const Op& op, const Block* mask) {
+          [&](std::size_t addr, std::size_t, const Op& op, const Block* mask) {
             if (op.is_read()) {
               const Block* v = mem_.read(addr);
               sink.on_read(addr, v);
@@ -221,25 +259,25 @@ class PackedMarchRunnerT {
     }
 
     // General fallback for tests whose relative writes consume a read from
-    // an earlier element: the full per-lane base estimate of each word's
-    // initial content (the transparent BIST's word register, one copy per
-    // universe).
-    std::vector<Block> base(mem_.num_words() * w);
-    std::vector<bool> valid(mem_.num_words(), false);
+    // an earlier element: the full per-lane base estimate of each listed
+    // word's initial content (the transparent BIST's word register, one
+    // copy per universe), indexed by list slot.
+    std::vector<Block> base(list_.size * w);
+    std::vector<bool> valid(list_.size, false);
 
     sweep_braked(
         test,
-        [&](std::size_t addr, const Op& op, const Block* mask) {
-          Block* b = &base[addr * w];
+        [&](std::size_t addr, std::size_t slot, const Op& op, const Block* mask) {
+          Block* b = &base[slot * w];
           if (op.is_read()) {
             const Block* v = mem_.read(addr);
             sink.on_read(addr, v);
             for (unsigned j = 0; j < w; ++j) b[j] = v[j] ^ mask[j];
-            valid[addr] = true;
+            valid[slot] = true;
             return;
           }
           if (op.data.relative) {
-            if (!valid[addr])
+            if (!valid[slot])
               throw std::logic_error("run_test: transparent write before any read of word");
             for (unsigned j = 0; j < w; ++j) data[j] = b[j] ^ mask[j];
             mem_.write(addr, data.data());
@@ -254,7 +292,7 @@ class PackedMarchRunnerT {
   void run_prediction(const MarchTest& prediction, PackedReadSinkT<Block>& sink) {
     const unsigned w = mem_.word_width();
     std::vector<Block> predicted(w);
-    sweep(prediction, [&](std::size_t addr, const Op& op, const Block* mask) {
+    sweep(prediction, [&](std::size_t addr, std::size_t, const Op& op, const Block* mask) {
       if (op.is_write())
         throw std::invalid_argument("run_prediction: prediction test must be read-only");
       const Block* raw = mem_.read(addr);
@@ -264,14 +302,12 @@ class PackedMarchRunnerT {
   }
 
   // `want_exact` / `want_misr` select which verdicts the caller will
-  // consume; the unused checker's work (stream recording + comparison, or
-  // the per-read MISR folds) is skipped and its outcome member is
-  // meaningless.  A brake may only arm exit_enabled when want_misr is
-  // false (the exact stream comparison is monotone; MISR signatures are
-  // not final until the session ends).
+  // consume; an unwanted outcome member is meaningless.  A brake may only
+  // arm exit_enabled when want_misr is false (the exact stream comparison
+  // is monotone; MISR signatures are not final until the session ends).
   PackedTransparentOutcomeT<Block> run_transparent_session(const MarchTest& test,
                                                            const MarchTest& prediction,
-                                                           unsigned misr_width,
+                                                           const MisrJumps& misr,
                                                            SessionBrakeT<Block>* brake = nullptr,
                                                            bool want_exact = true,
                                                            bool want_misr = true);
@@ -313,8 +349,9 @@ class PackedMarchRunnerT {
     return masks;
   }
 
-  // Visits every (element, op, address) in march order, precomputing the
-  // broadcast data mask of each op once per element.
+  // Visits every (element, listed address, op) in march order, precomputing
+  // the broadcast data mask of each op once per element.  per_op receives
+  // the address and its slot in the list.
   template <typename PerOp>
   void sweep(const MarchTest& test, PerOp&& per_op) {
     sweep_braked(test, std::forward<PerOp>(per_op), nullptr, [] { return Block{}; });
@@ -329,33 +366,31 @@ class PackedMarchRunnerT {
                     VerdictFn&& verdict) {
     const unsigned w = mem_.word_width();
     const auto masks = op_masks(test, w);
+    const std::size_t n = list_.size;
     for (std::size_t e = 0; e < test.elements.size(); ++e) {
       const MarchElement& elem = test.elements[e];
       if (brake) ++brake->elements_entered;
       if (elem.pause_before) mem_.elapse(1);
-      if (elem.ops.empty()) continue;
-      // Software-pipelined address loop: the generator runs one address
-      // ahead of the ops, and the NEXT address's cell span is prefetched
-      // while the CURRENT address's ops execute — with tile-sized lane
-      // blocks (memsim/lane_tile.h) each span is KiBs, so starting the
-      // stream an op early hides most of its memory latency.
-      AddressGen gen(elem.order, mem_.num_words());
-      std::size_t addr = gen.current();
-      for (;;) {
-        gen.advance();
-        const bool last = gen.done();
-        if (!last) mem_.prefetch(gen.current());
+      if (elem.ops.empty() || n == 0) continue;
+      // Software-pipelined address loop: the NEXT listed address's cell
+      // span is prefetched while the CURRENT address's ops execute — with
+      // tile-sized lane blocks (memsim/lane_tile.h) each span is KiBs, so
+      // starting the stream an op early hides most of its memory latency.
+      const bool down = elem.order == AddrOrder::Down;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t slot = down ? n - 1 - k : k;
+        if (k + 1 < n) mem_.prefetch(list_[down ? slot - 1 : slot + 1]);
+        const std::size_t addr = list_[slot];
         for (std::size_t i = 0; i < elem.ops.size(); ++i)
-          per_op(addr, elem.ops[i], masks[e][i].data());
+          per_op(addr, slot, elem.ops[i], masks[e][i].data());
         if (brake && brake->should_stop(verdict())) return;
-        if (last) break;
-        addr = gen.current();
       }
       if (brake) brake->on_element_end(verdict());
     }
   }
 
   PackedMemoryT<Block>& mem_;
+  AddressList list_;
 };
 
 namespace packed_detail {
@@ -364,9 +399,7 @@ namespace packed_detail {
 // lane-uniform (every lane holds the golden value), so the common case
 // stores one bit per bit-plane; only reads whose lanes diverge — a bounded
 // set, proportional to the fault footprint, not the geometry — keep their
-// full lane blocks in a position-sorted side table.  This turns the
-// prediction stream of a W-word march from O(W x width x sizeof(Block))
-// into O(W x width / 8) bytes plus the divergent tail.
+// full lane blocks in a position-sorted side table.
 template <class Block>
 class StreamRecorder final : public PackedReadSinkT<Block> {
  public:
@@ -420,84 +453,150 @@ class StreamRecorder final : public PackedReadSinkT<Block> {
   mutable std::vector<Block> scratch_;
 };
 
-// Feeds reads into a packed MISR and/or diffs them against a recorded
-// prediction stream position-by-position; either checker may be absent
-// (nullptr) when its verdict is not wanted.
+// Position, in the read stream a walk over EVERY word would produce, of
+// each read a walk over `list` performs: element e's reads start at
+// sum(reads(e') * words, e' < e), and a listed address contributes its
+// reads at its rank in the element's order.  The gaps between consecutive
+// positions are the unlisted reads the listed walk skipped.
+class FullStreamCursor {
+ public:
+  FullStreamCursor(const MarchTest& test, AddressList list, std::size_t words)
+      : test_(test), list_(list), words_(words) {
+    reads_.reserve(test.elements.size());
+    for (const MarchElement& e : test.elements) reads_.push_back(e.read_count());
+  }
+
+  std::uint64_t next() {
+    while (r_ == 0 && (reads_[e_] == 0 || k_ == list_.size)) {
+      base_ += static_cast<std::uint64_t>(reads_[e_]) * words_;
+      ++e_;
+      k_ = 0;
+    }
+    const AddrOrder order = test_.elements[e_].order;
+    const std::size_t addr = list_.visit(order, k_);
+    const std::size_t rank = order == AddrOrder::Down ? words_ - 1 - addr : addr;
+    const std::uint64_t pos = base_ + static_cast<std::uint64_t>(rank) * reads_[e_] + r_;
+    if (++r_ == reads_[e_]) {
+      r_ = 0;
+      ++k_;
+    }
+    return pos;
+  }
+
+ private:
+  const MarchTest& test_;
+  AddressList list_;
+  std::size_t words_;
+  std::vector<std::size_t> reads_;  // [element] -> reads per address
+  std::size_t e_ = 0, k_ = 0, r_ = 0;
+  std::uint64_t base_ = 0;
+};
+
+// The test-pass sink of a transparent session: diffs every read against
+// the recorded prediction stream.  The exact comparison ORs the positional
+// difference into one verdict; the MISR comparison feeds the difference
+// stream, placed at its full-walk position, into a zero-initialised MISR
+// that jumps over every run of zero differences.
+//
+// `lag` = test reads - prediction reads.  It is zero for every built plan;
+// a nonzero lag (only possible on a full walk of a hand-built plan) pairs
+// the two streams at their ends for the MISR, which is where the two
+// signatures' linear combination pairs them.
 template <class Block>
 class SessionTestSink final : public PackedReadSinkT<Block> {
  public:
-  SessionTestSink(unsigned width, const StreamRecorder<Block>* prediction,
-                  PackedMisrT<Block>* misr)
-      : width_(width), prediction_(prediction), misr_(misr) {}
+  SessionTestSink(unsigned width, const StreamRecorder<Block>& prediction,
+                  PackedMisrT<Block>* misr, const MisrJumps* jumps, FullStreamCursor* cursor,
+                  std::int64_t lag)
+      : width_(width),
+        prediction_(prediction),
+        misr_(misr),
+        jumps_(jumps),
+        cursor_(cursor),
+        lag_(lag),
+        diff_(width) {
+    // Prediction-only reads lead the end-aligned difference stream.
+    for (std::int64_t i = 0; misr_ && i < -lag_; ++i)
+      feed_at(static_cast<std::uint64_t>(i), prediction_.at(static_cast<std::size_t>(i)));
+  }
 
   void on_read(std::size_t, const Block* value) override {
-    if (misr_) misr_->feed(value, width_);
-    if (prediction_ && pos_ < prediction_->reads()) {
-      const Block* p = prediction_->at(pos_);
+    const std::size_t n = prediction_.reads();
+    const Block* p = pos_ < n ? prediction_.at(pos_) : nullptr;
+    if (p)
       for (unsigned j = 0; j < width_; ++j) stream_diff_ |= value[j] ^ p[j];
+    if (misr_) {
+      const std::uint64_t at =
+          cursor_->next() + static_cast<std::uint64_t>(std::max<std::int64_t>(0, -lag_));
+      const std::int64_t paired = static_cast<std::int64_t>(pos_) - lag_;
+      if (lag_ != 0)
+        p = paired >= 0 && static_cast<std::size_t>(paired) < n
+                ? prediction_.at(static_cast<std::size_t>(paired))
+                : nullptr;
+      for (unsigned j = 0; j < width_; ++j) diff_[j] = p ? value[j] ^ p[j] : value[j];
+      feed_at(at, diff_.data());
     }
     ++pos_;
+  }
+
+  // Advances the MISR over the trailing zero differences of a
+  // `total`-read stream.
+  void finish(std::uint64_t total) {
+    if (misr_) misr_->skip(*jumps_, total - next_);
   }
 
   std::size_t reads() const { return pos_; }
   Block stream_diff() const { return stream_diff_; }
 
  private:
-  unsigned width_;
-  const StreamRecorder<Block>* prediction_;
-  PackedMisrT<Block>* misr_;
-  std::size_t pos_ = 0;
-  Block stream_diff_{};
-};
-
-// Feeds reads into a packed MISR and optionally records them (the
-// recorder is skipped when the exact comparison is not wanted).
-template <class Block>
-class MisrFeedSink final : public PackedReadSinkT<Block> {
- public:
-  MisrFeedSink(unsigned width, PackedMisrT<Block>& misr, StreamRecorder<Block>* rec)
-      : width_(width), misr_(misr), rec_(rec) {}
-  void on_read(std::size_t addr, const Block* value) override {
-    misr_.feed(value, width_);
-    if (rec_) rec_->on_read(addr, value);
+  void feed_at(std::uint64_t at, const Block* diff) {
+    bool any = false;
+    for (unsigned j = 0; j < width_ && !any; ++j) any = block_any(diff[j]);
+    if (!any) return;  // a zero input: covered by the next skip
+    misr_->skip(*jumps_, at - next_);
+    misr_->feed(diff, width_);
+    next_ = at + 1;
   }
 
- private:
   unsigned width_;
-  PackedMisrT<Block>& misr_;
-  StreamRecorder<Block>* rec_;
+  const StreamRecorder<Block>& prediction_;
+  PackedMisrT<Block>* misr_;
+  const MisrJumps* jumps_;
+  FullStreamCursor* cursor_;
+  std::int64_t lag_;
+  std::vector<Block> diff_;
+  std::size_t pos_ = 0;
+  std::uint64_t next_ = 0;  // stream position the MISR has consumed up to
+  Block stream_diff_{};
 };
 
 }  // namespace packed_detail
 
 template <class Block>
 PackedTransparentOutcomeT<Block> PackedMarchRunnerT<Block>::run_transparent_session(
-    const MarchTest& test, const MarchTest& prediction, unsigned misr_width,
+    const MarchTest& test, const MarchTest& prediction, const MisrJumps& misr,
     SessionBrakeT<Block>* brake, bool want_exact, bool want_misr) {
   const unsigned w = mem_.word_width();
   PackedTransparentOutcomeT<Block> out;
 
-  packed_detail::StreamRecorder<Block> pred_stream(w);
   // The prediction is read-only, so its exact read count is known up front;
-  // reserving avoids reallocating the (lanes x width)-sized stream as it
-  // grows.
-  if (want_exact) pred_stream.reserve_reads(prediction.op_count() * mem_.num_words());
-  PackedMisrT<Block> pred_misr(want_misr ? misr_width : 1);
-  if (want_misr) {
-    packed_detail::MisrFeedSink<Block> pred_sink(w, pred_misr,
-                                                 want_exact ? &pred_stream : nullptr);
-    // The prediction pass has no comparison yet, so the brake only counts
-    // its elements; the settle predicate cannot fire before the test pass.
-    sweep_count_only(prediction, brake);
-    run_prediction(prediction, pred_sink);
-  } else {
-    sweep_count_only(prediction, brake);
-    run_prediction(prediction, pred_stream);
-  }
+  // reserving avoids reallocating the stream as it grows.
+  packed_detail::StreamRecorder<Block> pred_stream(w);
+  pred_stream.reserve_reads(prediction.op_count() * list_.size);
+  // The prediction pass has no comparison yet, so the brake only counts
+  // its elements; the settle predicate cannot fire before the test pass.
+  sweep_count_only(prediction, brake);
+  run_prediction(prediction, pred_stream);
 
-  PackedMisrT<Block> test_misr(want_misr ? misr_width : 1);
-  packed_detail::SessionTestSink<Block> test_sink(w, want_exact ? &pred_stream : nullptr,
-                                                  want_misr ? &test_misr : nullptr);
+  const std::int64_t lag = static_cast<std::int64_t>(test.read_count() * list_.size) -
+                           static_cast<std::int64_t>(pred_stream.reads());
+  if (want_misr && lag != 0 && !list_.full())
+    throw std::logic_error("run_transparent_session: unaligned plan on a listed walk");
+  PackedMisrT<Block> diff_misr(want_misr ? misr.width : 1);
+  packed_detail::FullStreamCursor cursor(test, list_, mem_.num_words());
+  packed_detail::SessionTestSink<Block> test_sink(w, pred_stream,
+                                                  want_misr ? &diff_misr : nullptr, &misr,
+                                                  &cursor, lag);
   run_test_braked(test, test_sink, brake, [&] { return test_sink.stream_diff(); });
 
   out.detected_exact = test_sink.stream_diff();
@@ -508,7 +607,12 @@ PackedTransparentOutcomeT<Block> PackedMarchRunnerT<Block>::run_transparent_sess
   const bool aborted = brake && brake->should_stop(test_sink.stream_diff());
   if (want_exact && !aborted && test_sink.reads() != pred_stream.reads())
     out.detected_exact = block_ones<Block>();
-  if (want_misr) out.detected_misr = pred_misr.diff(test_misr);
+  if (want_misr) {
+    const std::uint64_t words = mem_.num_words();
+    test_sink.finish(std::max(test.read_count(), prediction.read_count()) * words);
+    out.detected_misr = Block{};
+    for (const Block& b : diff_misr.state()) out.detected_misr |= b;
+  }
   return out;
 }
 

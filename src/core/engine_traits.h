@@ -54,8 +54,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "bist/address_gen.h"
 #include "bist/engine.h"
 #include "bist/misr.h"
 #include "bist/packed_engine.h"
@@ -122,6 +124,8 @@ struct ScalarEngine {
 
   // One fault universe per session.
   static constexpr unsigned kFaultsPerUnit = 1;
+  // The reference walks every word, always: its runner has no address list.
+  static constexpr bool kSparseWalk = false;
 
   static Brake make_brake(Memory& /*mem*/, Verdict used) {
     Brake b;
@@ -140,6 +144,11 @@ struct ScalarEngine {
   static void inject(Memory& mem, const Fault& f, unsigned /*slot*/) { mem.inject(f); }
 
   // --- engine entry points ----------------------------------------------
+  static Runner make_runner(Memory& mem, AddressList list) {
+    if (!list.full()) throw std::logic_error("ScalarEngine: the reference walks every word");
+    return Runner(mem);
+  }
+
   // The scalar engine ignores the brake's exit (one universe, reference
   // semantics) but reports its elements for the progress counters.
   static Verdict run_direct(Runner& runner, const MarchTest& test, Brake* brake = nullptr) {
@@ -151,15 +160,19 @@ struct ScalarEngine {
     Verdict misr;
   };
   static TransparentVerdicts run_transparent(Runner& runner, const MarchTest& test,
-                                             const MarchTest& prediction, unsigned misr_width,
+                                             const MarchTest& prediction, const MisrJumps& misr,
                                              Brake* brake = nullptr, bool /*want_exact*/ = true,
                                              bool /*want_misr*/ = true) {
     if (brake) brake->elements_entered += test.elements.size() + prediction.elements.size();
-    const TransparentOutcome out = runner.run_transparent_session(test, prediction, misr_width);
+    const TransparentOutcome out = runner.run_transparent_session(test, prediction, misr.width);
     return {out.detected_exact, out.detected_misr};
   }
 
   // --- word vocabulary (the TOMT session's working registers) -----------
+  // Parity of a word's current (fault-free) contents, for the TOMT ledger.
+  static bool golden_parity(const Memory& mem, std::size_t addr) {
+    return mem.peek(addr).parity();
+  }
   static Word make_word(unsigned width) { return BitVec::zeros(width); }
   static Mask make_mask(const BitVec& mask) { return mask; }
   static void read_word(Memory& mem, std::size_t addr, Word& out) { out = mem.read(addr); }
@@ -191,6 +204,9 @@ struct PackedEngineT {
 
   // Lane 0 stays fault-free (golden); faults occupy the remaining lanes.
   static constexpr unsigned kFaultsPerUnit = block_lanes_v<Block> - 1;
+  // Sessions may walk a unit's fault footprint instead of every word
+  // (bist/packed_engine.h; the campaign's golden certificate decides).
+  static constexpr bool kSparseWalk = true;
 
   // An armed brake also drops settled lanes' faults from the memory's
   // per-address index buckets (fault dropping inside a live batch).
@@ -212,6 +228,7 @@ struct PackedEngineT {
     mem.inject(f, block_lane<Block>(slot + 1));
   }
 
+  static Runner make_runner(Memory& mem, AddressList list) { return Runner(mem, list); }
   static Verdict run_direct(Runner& runner, const MarchTest& test, Brake* brake = nullptr) {
     return runner.run_direct(test, brake);
   }
@@ -220,15 +237,18 @@ struct PackedEngineT {
     Verdict misr;
   };
   static TransparentVerdicts run_transparent(Runner& runner, const MarchTest& test,
-                                             const MarchTest& prediction, unsigned misr_width,
+                                             const MarchTest& prediction, const MisrJumps& misr,
                                              Brake* brake = nullptr, bool want_exact = true,
                                              bool want_misr = true) {
     const PackedTransparentOutcomeT<Block> out =
-        runner.run_transparent_session(test, prediction, misr_width, brake, want_exact,
-                                       want_misr);
+        runner.run_transparent_session(test, prediction, misr, brake, want_exact, want_misr);
     return {out.detected_exact, out.detected_misr};
   }
 
+  // Lane 0 still holds every word's fault-free contents before injection.
+  static bool golden_parity(const Memory& mem, std::size_t addr) {
+    return mem.lane_word(0, addr).parity();
+  }
   static Word make_word(unsigned width) { return Word(width); }
   static Mask make_mask(const BitVec& mask) { return broadcast_block<Block>(mask); }
   static void read_word(Memory& mem, std::size_t addr, Word& out) {

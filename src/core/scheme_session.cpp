@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
+#include <utility>
 
 #include "core/nicolaidis.h"
 #include "core/scheme1.h"
@@ -70,7 +72,7 @@ SchemePlan make_scheme_plan(SchemeKind scheme, const MarchTest& bit_march, unsig
       // A practical transparent BIST sizes its MISR for a negligible
       // aliasing probability; 16 bits keeps aliasing (2^-16 per fault)
       // below a campaign's resolution even for narrow words.
-      p.misr_width = std::max(16u, width);
+      p.misr = MisrJumps::build(std::max(16u, width));
       break;
     }
     case SchemeKind::ProposedSymmetricXor: {
@@ -82,20 +84,34 @@ SchemePlan make_scheme_plan(SchemeKind scheme, const MarchTest& bit_march, unsig
       const TwmResult t = twm_transform(bit_march, width);
       p.trans = t.tsmarch;
       p.prediction = prediction_test(t.tsmarch);
-      p.misr_width = width;
+      p.misr = MisrJumps::build(width);
       break;
     }
     case SchemeKind::Scheme1Exact: {
       const Scheme1Result s = scheme1_transform(bit_march, width);
       p.trans = s.transparent;
       p.prediction = s.prediction;
-      p.misr_width = width;
+      p.misr = MisrJumps::build(width);
       break;
     }
     case SchemeKind::TomtModel:
       break;
   }
+  if (!transparent_passes_aligned(p.trans, p.prediction))
+    throw std::logic_error("make_scheme_plan: " + to_string(scheme) +
+                           " test and prediction passes are not walk-aligned");
   return p;
+}
+
+bool transparent_passes_aligned(const MarchTest& test, const MarchTest& prediction) {
+  // (descending?, reads per address) of every element that reads.
+  const auto shape = [](const MarchTest& t) {
+    std::vector<std::pair<bool, std::size_t>> out;
+    for (const MarchElement& e : t.elements)
+      if (e.read_count()) out.emplace_back(e.order == AddrOrder::Down, e.read_count());
+    return out;
+  };
+  return shape(test) == shape(prediction);
 }
 
 }  // namespace twm

@@ -19,7 +19,10 @@
 //   Verdict v = run_campaign_unit<PackedEngine>(plan, words, faults, 63, seed);
 //
 // The sharding / thread-pool / golden-lane machinery that drives many units
-// lives one layer up, in analysis/campaign.h.
+// lives one layer up, in analysis/campaign.h.  That layer also decides the
+// address set a packed unit's session walks (every word, or the unit's
+// fault footprint — see the golden certificate in analysis/campaign_exec.h);
+// the sessions here take it as an AddressList.
 #ifndef TWM_CORE_SCHEME_SESSION_H
 #define TWM_CORE_SCHEME_SESSION_H
 
@@ -65,11 +68,20 @@ struct SchemePlan {
   unsigned width = 0;
   MarchTest direct_a, direct_b;  // nontransparent passes (b may be empty)
   MarchTest trans, prediction;   // transparent session passes
-  unsigned misr_width = 0;
+  MisrJumps misr;                // compactor width + zero-run jump table
   SymmetricTest sym;
 };
 
+// Throws std::logic_error unless every transparent session pass pair of the
+// plan is walk-aligned (transparent_passes_aligned).
 SchemePlan make_scheme_plan(SchemeKind scheme, const MarchTest& bit_march, unsigned width);
+
+// True when `test` and `prediction` walk their read-bearing elements in the
+// same address order (Any counts as Up) with the same read count per
+// element, so their read streams pair up by (element, address, read) on
+// any address list.  Every built plan satisfies it; a hand-built plan that
+// does not can only run on the full walk.
+bool transparent_passes_aligned(const MarchTest& test, const MarchTest& prediction);
 
 // Number of make_scheme_plan() calls since process start.  Campaign code is
 // expected to compile one plan per campaign, not one per fault x seed;
@@ -82,15 +94,16 @@ std::uint64_t scheme_plan_build_count();
 std::size_t plan_session_elements(const SchemePlan& plan);
 
 // Runs one scheme session on an already-prepared memory (contents loaded,
-// faults injected) and returns the engine's detection verdict.  This is THE
-// implementation of the Sec. 5 sessions — both backends dispatch through
-// here.  `tomt_ledger` is consulted only by SchemeKind::TomtModel and must
-// have been captured before fault injection.
+// faults injected) over the words in `list` and returns the engine's
+// detection verdict.  This is THE implementation of the Sec. 5 sessions —
+// both backends dispatch through here.  `tomt_ledger` ([i] -> parity of
+// word list[i]) is consulted only by SchemeKind::TomtModel and must have
+// been captured before fault injection.
 template <class Engine>
 typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const SchemePlan& plan,
                                             const std::vector<bool>& tomt_ledger,
-                                            typename Engine::Brake* brake = nullptr) {
-  typename Engine::Runner runner(mem);
+                                            typename Engine::Brake* brake, AddressList list) {
+  typename Engine::Runner runner = Engine::make_runner(mem, list);
   switch (plan.scheme) {
     case SchemeKind::NontransparentReference: {
       // AMarch reads the solid base SMarch leaves behind: the two passes
@@ -111,8 +124,8 @@ typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const 
       // pass once every lane mismatched and skips the (unconsumed) MISR
       // compaction entirely.
       const bool exact_only = brake && brake->exit_enabled;
-      return Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr_width,
-                                     brake, /*want_exact=*/true, /*want_misr=*/!exact_only)
+      return Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr, brake,
+                                     /*want_exact=*/true, /*want_misr=*/!exact_only)
           .exact;
     }
     case SchemeKind::ProposedMisr: {
@@ -123,7 +136,7 @@ typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const 
       const bool misr_only = brake && brake->exit_enabled;
       if (brake) brake->exit_enabled = false;
       const typename Engine::Verdict v =
-          Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr_width, brake,
+          Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr, brake,
                                   /*want_exact=*/!misr_only, /*want_misr=*/true)
               .misr;
       if (brake) brake->exit_enabled = misr_only;
@@ -131,11 +144,20 @@ typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const 
     }
     case SchemeKind::ProposedSymmetricXor:
       // XOR-accumulator mismatches can cancel (aliasing): no settle-exit.
-      return run_symmetric_session_t<Engine>(mem, plan.sym).detected;
+      return run_symmetric_session_t<Engine>(mem, plan.sym, list).detected;
     case SchemeKind::TomtModel:
-      return run_tomt_session<Engine>(mem, tomt_ledger, brake).detected;
+      return run_tomt_session<Engine>(mem, tomt_ledger, brake, list).detected;
   }
   throw std::logic_error("run_scheme_session: unknown scheme");
+}
+
+// The whole-memory session.
+template <class Engine>
+typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const SchemePlan& plan,
+                                            const std::vector<bool>& tomt_ledger,
+                                            typename Engine::Brake* brake = nullptr) {
+  return run_scheme_session<Engine>(mem, plan, tomt_ledger, brake,
+                                    AddressList::all(mem.num_words()));
 }
 
 // One campaign unit under one seed: builds a fresh memory (seed 0 = all-zero
@@ -160,28 +182,31 @@ typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t w
   return run_scheme_session<Engine>(mem, plan, ledger);
 }
 
-// run_campaign_unit against a caller-owned memory, reset in place: the
-// repack scheduler keeps one memory per worker thread and re-seeds it per
-// unit (retire + reinject into a live batch), so the per-address fault
-// index buckets keep their allocations across the thousands of units a
-// campaign shards instead of being reallocated per (batch, seed).
+// run_campaign_unit against a caller-owned memory, reset in place, with the
+// session walking `list`: the repack scheduler keeps one memory per worker
+// thread and re-seeds it per unit (retire + reinject into a live batch), so
+// the per-address fault index buckets keep their allocations across the
+// thousands of units a campaign shards instead of being reallocated per
+// (batch, seed).  `list` is every word, or — when the campaign's golden
+// certificate holds — the batch's fault_footprint().
 template <class Engine>
 typename Engine::Verdict run_campaign_unit_in(typename Engine::Memory& mem,
                                               const SchemePlan& plan, const Fault* faults,
                                               unsigned count, std::uint64_t seed,
-                                              typename Engine::Brake* brake = nullptr) {
+                                              typename Engine::Brake* brake, AddressList list) {
   mem.clear_faults();
   // Seed 0 = all-zero background; otherwise the cached per-seed baseline
   // (contents of fill_random(Rng(seed))).  Either way the refill is O(live
   // pages), not O(words), and repack rounds reuse freed pages.
   mem.fill_seeded(seed);
 
+  // The listed words' ledger bits, read from the pre-injection background.
   std::vector<bool> ledger;
-  if (plan.scheme == SchemeKind::TomtModel) ledger = make_parity_ledger(mem);
+  if (plan.scheme == SchemeKind::TomtModel) ledger = make_parity_ledger<Engine>(mem, list);
 
   for (unsigned i = 0; i < count; ++i) Engine::inject(mem, faults[i], i);
 
-  return run_scheme_session<Engine>(mem, plan, ledger, brake);
+  return run_scheme_session<Engine>(mem, plan, ledger, brake, list);
 }
 
 }  // namespace twm

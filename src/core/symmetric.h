@@ -24,6 +24,13 @@
 // (core/engine_traits.h): run_symmetric_session_t<ScalarEngine> runs one
 // universe, run_symmetric_session_t<PackedEngine> 64 at once — the same
 // code path, so the backends cannot drift.
+//
+// A packed campaign unit may walk only its fault footprint, F of the N
+// words.  Each unlisted word is golden in every lane and contributes
+// mask_xor to every lane's accumulator (the campaign's golden certificate
+// checked exactly that on a one-word memory), so together they fold to
+// expected_signature(N) ^ expected_signature(F), and the full-walk verdict
+// acc_N != expected_signature(N) is acc_F != expected_signature(F).
 #ifndef TWM_CORE_SYMMETRIC_H
 #define TWM_CORE_SYMMETRIC_H
 
@@ -63,19 +70,27 @@ struct SymmetricSessionResult {
   typename Engine::Signature signature;  // observed accumulator value(s)
 };
 
-// Single-pass symmetric session: runs the test (transparent semantics),
-// XOR-accumulates every read, compares against the precomputed constant.
+// Single-pass symmetric session over the listed words: runs the test
+// (transparent semantics), XOR-accumulates every read, compares against
+// the constant for that many words.
 template <class Engine>
 SymmetricSessionResult<Engine> run_symmetric_session_t(typename Engine::Memory& mem,
-                                                       const SymmetricTest& st) {
+                                                       const SymmetricTest& st,
+                                                       AddressList list) {
   typename Engine::Accumulator acc(mem.word_width());
-  typename Engine::Runner runner(mem);
+  typename Engine::Runner runner = Engine::make_runner(mem, list);
   runner.run_test(st.test, acc);
 
   SymmetricSessionResult<Engine> out;
   out.signature = Engine::signature(acc);
-  out.detected = Engine::signature_mismatch(acc, st.expected_signature(mem.num_words()));
+  out.detected = Engine::signature_mismatch(acc, st.expected_signature(list.size));
   return out;
+}
+
+template <class Engine>
+SymmetricSessionResult<Engine> run_symmetric_session_t(typename Engine::Memory& mem,
+                                                       const SymmetricTest& st) {
+  return run_symmetric_session_t<Engine>(mem, st, AddressList::all(mem.num_words()));
 }
 
 // Classic scalar result shape.

@@ -20,6 +20,13 @@
 // universe with early exit at the first detection, and
 // run_tomt_session<PackedEngine> latches per-lane verdicts across 64
 // universes — the same code path, so the backends cannot drift.
+//
+// The sweep runs over an AddressList (bist/address_gen.h) and the ledger
+// holds one expected parity per listed word.  Both checkers are local to
+// a word, so a packed campaign unit walks only its fault footprint and
+// takes the footprint's ledger bits from the pre-injection background:
+// a word outside the footprint is golden in every lane, and the campaign's
+// golden certificate proved a golden word raises no detection.
 #ifndef TWM_CORE_TOMT_H
 #define TWM_CORE_TOMT_H
 
@@ -39,12 +46,13 @@ MarchTest tomt_test(unsigned width);
 // Parity ledger for the current (assumed fault-free) contents.
 std::vector<bool> make_parity_ledger(const Memory& mem);
 
-// Ledger from a packed memory (any lane-block width) whose lanes still hold
-// identical (pre-fault) contents; reads lane 0.
-template <class Block>
-std::vector<bool> make_parity_ledger(const PackedMemoryT<Block>& mem) {
-  std::vector<bool> ledger(mem.num_words());
-  for (std::size_t i = 0; i < mem.num_words(); ++i) ledger[i] = mem.lane_word(0, i).parity();
+// Ledger of the listed words only, [i] -> parity of word list[i]; the
+// memory must still hold its fault-free contents (captured before
+// injection).
+template <class Engine>
+std::vector<bool> make_parity_ledger(const typename Engine::Memory& mem, AddressList list) {
+  std::vector<bool> ledger(list.size);
+  for (std::size_t i = 0; i < list.size; ++i) ledger[i] = Engine::golden_parity(mem, list[i]);
   return ledger;
 }
 
@@ -65,12 +73,13 @@ struct TomtSessionResult {
 //    against the value implied by that word's first read and the operation
 //    masks (TOMT's read-back verification).
 // The sweep aborts once the verdict is saturated (scalar: first detection,
-// reproducing TOMT's stop-on-failure behaviour).
+// reproducing TOMT's stop-on-failure behaviour).  `parity_ledger[i]` is the
+// expected parity of word list[i].
 template <class Engine>
 TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem,
                                            const std::vector<bool>& parity_ledger,
-                                           typename Engine::Brake* brake = nullptr) {
-  if (parity_ledger.size() != mem.num_words())
+                                           typename Engine::Brake* brake, AddressList list) {
+  if (parity_ledger.size() != list.size)
     throw std::invalid_argument("run_tomt: ledger size mismatch");
   if (brake) ++brake->elements_entered;  // the single per-word sweep element
 
@@ -90,7 +99,8 @@ TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem,
   typename Engine::Word scratch = Engine::make_word(w);
 
   bool done = false;
-  for (std::size_t addr = 0; addr < mem.num_words() && !done; ++addr) {
+  for (std::size_t slot = 0; slot < list.size && !done; ++slot) {
+    const std::size_t addr = list[slot];
     bool have_base = false;
     for (std::size_t i = 0; i < elem.ops.size(); ++i) {
       const Op& op = elem.ops[i];
@@ -105,7 +115,7 @@ TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem,
         Engine::xor_word(base, value, masks[i]);
         have_base = true;
         // Concurrent parity check on the word's first observation.
-        res.detected |= Engine::parity_mismatch(base, parity_ledger[addr]);
+        res.detected |= Engine::parity_mismatch(base, parity_ledger[slot]);
       } else {
         Engine::xor_word(scratch, base, masks[i]);
         res.detected |= Engine::differs(value, scratch);  // read-back comparator
@@ -124,6 +134,14 @@ TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem,
 
   res.operations = mem.op_count() - before;
   return res;
+}
+
+// The whole-memory sweep.
+template <class Engine>
+TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem,
+                                           const std::vector<bool>& parity_ledger,
+                                           typename Engine::Brake* brake = nullptr) {
+  return run_tomt_session<Engine>(mem, parity_ledger, brake, AddressList::all(mem.num_words()));
 }
 
 // Classic scalar result shape, kept for the diagnosis-style consumers.

@@ -1,5 +1,6 @@
 #include "memsim/fault.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace twm {
@@ -129,6 +130,19 @@ Fault Fault::af_alias(std::size_t word, std::size_t also) {
   f.victim = {word, 0};
   f.aggressor = {also, 0};
   return f;
+}
+
+std::vector<std::size_t> fault_footprint(const Fault* faults, std::size_t count) {
+  std::vector<std::size_t> words;
+  words.reserve(2 * count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Fault& f = faults[i];
+    words.push_back(f.victim.word);
+    if (f.is_coupling() || f.cls == FaultClass::AFaw) words.push_back(f.aggressor.word);
+  }
+  std::sort(words.begin(), words.end());
+  words.erase(std::unique(words.begin(), words.end()), words.end());
+  return words;
 }
 
 }  // namespace twm

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <new>
+#include <set>
 #include <stdexcept>
 
 #include "memsim/packed_memory.h"  // kMemPageShift / kMemPageWords / kMemPageMask
@@ -295,6 +296,19 @@ bool Memory::equals(const std::vector<BitVec>& snap) const {
   for (std::size_t a = 0; a < words_; ++a)
     if (word_at(a) != snap[a]) return false;
   return true;
+}
+
+std::vector<BitVec> seeded_word_values(std::size_t words, unsigned width, std::uint64_t seed) {
+  if (seed == 0) return {BitVec::zeros(width)};
+  Rng rng(seed);
+  const std::uint64_t space = width < 64 ? std::uint64_t{1} << width : ~std::uint64_t{0};
+  std::set<BitVec> seen;
+  std::vector<BitVec> out;
+  for (std::size_t a = 0; a < words && out.size() < space; ++a) {
+    BitVec v = rng.next_word(width);
+    if (seen.insert(v).second) out.push_back(std::move(v));
+  }
+  return out;
 }
 
 }  // namespace twm

@@ -163,6 +163,12 @@ class Memory : public MemoryIf {
   std::uint64_t ops_ = 0;
 };
 
+// The distinct word values of the contents fill_seeded(seed) loads into a
+// `words` x `width` memory ({0} for seed 0), in order of first appearance.
+// Consumes the generator exactly like fill_random; stops early once every
+// value a width can hold has appeared.
+std::vector<BitVec> seeded_word_values(std::size_t words, unsigned width, std::uint64_t seed);
+
 }  // namespace twm
 
 #endif  // TWM_MEMSIM_MEMORY_H

@@ -1,0 +1,295 @@
+// Footprint-sparse march walk: a packed campaign unit walks only the words
+// its faults touch when the seed's golden certificate holds
+// (analysis/campaign_exec.h), and every word otherwise.
+//
+//   * Differential proof at geometries where the footprint is much smaller
+//     than `words`: every scheme x every packed width this CPU runs x
+//     regions {1, 4} x collapse {off, on} reproduces the scheduler-free
+//     scalar oracle byte for byte, over a fault sample that covers every
+//     class (far AFaw aliases, inter-word couplings across pages, RET under
+//     a march with pauses) and seeds {0} and {0, 3, 11}.
+//   * The golden-lane self-check still fires on a broken plan, and a plan
+//     whose passes are not walk-aligned falls back to the full walk with
+//     oracle-equal verdicts.
+//   * CampaignStats::addresses_walked / full_walk_units show which path ran.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "analysis/campaign.h"
+#include "analysis/campaign_exec.h"
+#include "bist/misr.h"
+#include "bist/packed_engine.h"
+#include "core/simd.h"
+#include "march/library.h"
+#include "oracle.h"
+#include "util/rng.h"
+
+namespace twm {
+namespace {
+
+struct Geometry {
+  std::size_t words;
+  unsigned width;
+  const char* march;  // March G carries the pauses RET faults need
+};
+
+constexpr Geometry kGeometries[] = {{2048, 4, "March C-"}, {1000, 8, "March G"}};
+
+// A fixed sample (the same list in every build type): rounds of one fault
+// per class, couplings and aliases half the memory away from their victim
+// so they land on another page, and an intra-word coupling per round,
+// truncated to `count`.
+std::vector<Fault> sampled_faults(std::size_t words, unsigned width, std::size_t count) {
+  Rng rng(0x5a11ce);
+  const auto cell = [&](std::size_t word) {
+    return CellAddr{word, static_cast<unsigned>(rng.next_below(width))};
+  };
+  const auto word = [&] { return static_cast<std::size_t>(rng.next_below(words)); };
+  const auto far = [&](std::size_t w) { return (w + words / 2 + rng.next_below(64)) % words; };
+  const auto trans = [&] { return rng.next_bool() ? Transition::Up : Transition::Down; };
+  std::vector<Fault> faults;
+  while (faults.size() < count) {
+    faults.push_back(Fault::saf(cell(word()), rng.next_bool()));
+    faults.push_back(Fault::tf(cell(word()), trans()));
+    const std::size_t a = word();
+    faults.push_back(Fault::cfst(cell(a), rng.next_bool(), cell(far(a)), rng.next_bool()));
+    const std::size_t b = word();
+    faults.push_back(Fault::cfid(cell(b), trans(), cell(far(b)), rng.next_bool()));
+    const std::size_t c = word();
+    faults.push_back(Fault::cfin(cell(c), trans(), cell(far(c))));
+    faults.push_back(Fault::ret(cell(word()), rng.next_bool(), 1));
+    faults.push_back(Fault::af_no_access(word()));
+    const std::size_t d = word();
+    faults.push_back(Fault::af_alias(d, far(d)));
+    const std::size_t e = word();
+    faults.push_back(Fault::cfid({e, 0}, trans(), {e, width - 1}, rng.next_bool()));
+  }
+  faults.resize(count);
+  return faults;
+}
+
+std::vector<simd::Request> cpu_widths() {
+  std::vector<simd::Request> out{simd::Request::W64};
+  if (simd::supported(simd::Width::W256)) out.push_back(simd::Request::W256);
+  if (simd::supported(simd::Width::W512)) out.push_back(simd::Request::W512);
+  out.push_back(simd::Request::Tiled4096);
+  return out;
+}
+
+// Column `seed` of a verdict matrix, as its own one-seed matrix: every
+// oracle cell is an independent (fault, seed) run, so this IS the oracle
+// matrix of that seed alone.
+VerdictMatrix seed_column(const VerdictMatrix& m, std::size_t seed) {
+  VerdictMatrix out;
+  out.num_faults = m.num_faults;
+  out.num_seeds = 1;
+  for (std::size_t f = 0; f < m.num_faults; ++f) out.bits.push_back(m.bits[f * m.num_seeds + seed]);
+  return out;
+}
+
+TEST(SparseWalk, EveryPackedCellEqualsTheOracle) {
+  const std::vector<std::uint64_t> seed_sets[] = {{0}, {0, 3, 11}};
+  constexpr std::size_t kSchemes = std::size(kAllSchemes);
+  // The scalar oracle dominates the cost; its (geometry, scheme) matrices
+  // are independent, so compute them on a few threads up front.
+  std::vector<VerdictMatrix> oracle(std::size(kGeometries) * kSchemes);
+  std::atomic<std::size_t> next{0};
+  run_pool(std::clamp(std::thread::hardware_concurrency(), 1u, 4u), [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < oracle.size();) {
+      const Geometry& g = kGeometries[i / kSchemes];
+      oracle[i] = oracle_matrix(kAllSchemes[i % kSchemes], march_by_name(g.march), g.words,
+                                g.width, sampled_faults(g.words, g.width, 18), seed_sets[1]);
+    }
+  });
+
+  for (std::size_t gi = 0; gi < std::size(kGeometries); ++gi) {
+    const Geometry& g = kGeometries[gi];
+    const MarchTest march = march_by_name(g.march);
+    const std::vector<Fault> faults = sampled_faults(g.words, g.width, 18);
+    for (std::size_t ki = 0; ki < kSchemes; ++ki) {
+      const SchemeKind k = kAllSchemes[ki];
+      for (const std::vector<std::uint64_t>& seeds : seed_sets) {
+        const VerdictMatrix& all_seeds = oracle[gi * kSchemes + ki];
+        const VerdictMatrix want = seeds.size() == 1 ? seed_column(all_seeds, 0) : all_seeds;
+        for (const simd::Request width : cpu_widths())
+          for (const unsigned regions : {1u, 4u})
+            for (const bool collapse : {false, true}) {
+              CoverageOptions o;
+              o.backend = CoverageBackend::Packed;
+              o.simd = width;
+              o.regions = regions;
+              o.collapse = collapse;
+              CampaignStats stats;
+              std::vector<char> all, any;
+              VerdictMatrix got;
+              CampaignRunner(g.words, g.width, o)
+                  .run(k, march, faults, seeds, true, all, any, &got, nullptr, &stats);
+              const std::string cell = std::to_string(g.words) + "x" +
+                                       std::to_string(g.width) + " " + to_string(k) + " " +
+                                       simd::to_string(width) + " regions " +
+                                       std::to_string(regions) + " collapse " +
+                                       std::to_string(collapse) + " seeds " +
+                                       std::to_string(seeds.size());
+              EXPECT_EQ(got.bits, want.bits) << cell;
+              EXPECT_EQ(stats.full_walk_units.load(), 0u) << cell;
+            }
+      }
+    }
+  }
+}
+
+// --- hand-built plans through the engine --------------------------------
+
+constexpr std::size_t kWords = 1024;
+constexpr unsigned kWidth = 4;
+
+// Runs `plan` through the packed 64-lane campaign engine, full matrix.
+VerdictMatrix engine_matrix(const SchemePlan& plan, std::size_t words,
+                            const std::vector<Fault>& faults,
+                            const std::vector<std::uint64_t>& seeds, CampaignStats* stats) {
+  VerdictMatrix m;
+  m.num_faults = faults.size();
+  m.num_seeds = seeds.size();
+  m.bits.assign(faults.size() * seeds.size(), 0);
+  std::vector<char> all(faults.size(), 1), any(faults.size(), 0);
+  CampaignJob job;
+  job.plan = &plan;
+  job.words = words;
+  job.faults = faults.data();
+  job.num_faults = faults.size();
+  job.seeds = seeds.data();
+  job.num_seeds = seeds.size();
+  job.need_any = true;
+  job.all = all.data();
+  job.any = any.data();
+  job.matrix = &m;
+  job.stats = stats;
+  run_campaign_engine<PackedEngine>(job);
+  return m;
+}
+
+// oracle_matrix for a plan make_scheme_plan would not build.
+VerdictMatrix plan_oracle(const SchemePlan& plan, std::size_t words,
+                          const std::vector<Fault>& faults,
+                          const std::vector<std::uint64_t>& seeds) {
+  VerdictMatrix m;
+  m.num_faults = faults.size();
+  m.num_seeds = seeds.size();
+  for (const Fault& f : faults)
+    for (const std::uint64_t seed : seeds)
+      m.bits.push_back(
+          static_cast<char>(run_campaign_unit<ScalarEngine>(plan, words, &f, 1, seed)));
+  return m;
+}
+
+std::vector<Fault> word0_faults() {
+  std::vector<Fault> faults;
+  for (unsigned b = 0; b < kWidth; ++b) {
+    faults.push_back(Fault::saf({0, b}, true));
+    faults.push_back(Fault::tf({0, b}, Transition::Up));
+  }
+  return faults;
+}
+
+// A prediction whose first read expects the complement: the golden lane
+// mismatches at EVERY word, including the thousand words outside the
+// faults' footprint — the certificate must see that and the campaign must
+// still abort.
+TEST(SparseWalk, GoldenLaneCheckStillFiresOnABrokenPlan) {
+  SchemePlan plan = make_scheme_plan(SchemeKind::ProposedExact, march_by_name("March C-"), kWidth);
+  bool flipped = false;
+  for (MarchElement& e : plan.prediction.elements)
+    for (Op& op : e.ops)
+      if (op.is_read() && !flipped) {
+        op.data.complement = !op.data.complement;
+        flipped = true;
+      }
+  ASSERT_TRUE(flipped);
+  EXPECT_FALSE(golden_certificate<PackedEngine>(plan, kWords, 0));
+  try {
+    engine_matrix(plan, kWords, word0_faults(), {0}, nullptr);
+    FAIL() << "the broken plan must trip the golden-lane check";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("golden lane reported a detection"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A prediction walking one element Down where the test walks it Up: still
+// a valid session at seed 0 on the full walk (every golden word holds the
+// same value), but its streams do not pair up on a listed walk, so the
+// certificate must refuse and every unit must walk every word.
+SchemePlan misordered_plan(SchemeKind k) {
+  SchemePlan plan = make_scheme_plan(k, march_by_name("March C-"), kWidth);
+  for (MarchElement& e : plan.prediction.elements)
+    if (e.order != AddrOrder::Down && !e.ops.empty()) {
+      e.order = AddrOrder::Down;
+      break;
+    }
+  return plan;
+}
+
+TEST(SparseWalk, UnalignedPlanFallsBackToTheFullWalk) {
+  const std::vector<Fault> faults = sampled_faults(kWords, kWidth, 36);
+  for (const SchemeKind k : {SchemeKind::ProposedExact, SchemeKind::ProposedMisr}) {
+    const SchemePlan plan = misordered_plan(k);
+    ASSERT_FALSE(transparent_passes_aligned(plan.trans, plan.prediction)) << to_string(k);
+    EXPECT_FALSE(golden_certificate<PackedEngine>(plan, kWords, 0)) << to_string(k);
+    CampaignStats stats;
+    EXPECT_EQ(engine_matrix(plan, kWords, faults, {0}, &stats).bits,
+              plan_oracle(plan, kWords, faults, {0}).bits)
+        << to_string(k);
+    EXPECT_GT(stats.units.load(), 0u);
+    EXPECT_EQ(stats.full_walk_units.load(), stats.units.load()) << to_string(k);
+    EXPECT_EQ(stats.addresses_walked.load(), stats.units.load() * kWords) << to_string(k);
+  }
+}
+
+TEST(SparseWalk, CountersShowTheFootprintWalk) {
+  constexpr std::size_t kBigWords = 65536;
+  const std::vector<Fault> faults = sampled_faults(kBigWords, kWidth, 511);
+  const MarchTest march = march_by_name("March C-");
+  for (const SchemeKind k : {SchemeKind::ProposedExact, SchemeKind::TomtModel,
+                             SchemeKind::ProposedSymmetricXor, SchemeKind::ProposedMisr}) {
+    CoverageOptions o;
+    o.backend = CoverageBackend::Packed;
+    o.collapse = false;
+    CampaignStats stats;
+    CampaignRunner(kBigWords, kWidth, o).per_fault(k, march, faults, {0}, &stats);
+    EXPECT_GT(stats.units.load(), 0u) << to_string(k);
+    EXPECT_EQ(stats.full_walk_units.load(), 0u) << to_string(k);
+    EXPECT_GT(stats.addresses_walked.load(), 0u) << to_string(k);
+    EXPECT_LE(stats.addresses_walked.load(), 2 * stats.lane_slots.load()) << to_string(k);
+  }
+}
+
+// The jump table reproduces zero-input feeds of every lane of the packed
+// MISR exactly.
+TEST(SparseWalk, MisrJumpsEqualZeroFeeds) {
+  for (const unsigned width : {1u, 4u, 16u, 19u}) {
+    const MisrJumps jumps = MisrJumps::build(width);
+    PackedMisr fed(width), skipped(width);
+    Rng rng(width);
+    std::vector<std::uint64_t> input(width);
+    for (std::uint64_t& lanes : input) lanes = rng.next_u64();
+    fed.feed(input.data(), width);
+    skipped.feed(input.data(), width);
+    const std::vector<std::uint64_t> zeros(width, 0);
+    for (const std::uint64_t step : {1ull, 3ull, 64ull, 777ull}) {
+      for (std::uint64_t i = 0; i < step; ++i) fed.feed(zeros.data(), width);
+      skipped.skip(jumps, step);
+      EXPECT_EQ(skipped.state(), fed.state()) << width << " skip " << step;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace twm

@@ -48,6 +48,7 @@ INFO_KEYS = ("simd_lanes", "threads", "scalar_faults_per_sec",
              "packed64_faults_per_sec", "speedup", "faults_simulated",
              "mean_live_lanes", "lane_occupancy",
              "session_elements_total", "session_elements_executed",
+             "addresses_walked", "full_walk_units",
              "settling_faults", "settling_seeds",
              "settling_faults_per_sec", "settling_lane_occupancy",
              "tiled_lanes", "tiled_faults_per_sec", "tiled_speedup",
@@ -55,7 +56,8 @@ INFO_KEYS = ("simd_lanes", "threads", "scalar_faults_per_sec",
              "huge_words", "huge_faults", "huge_regions",
              "huge_faults_per_sec", "huge_tiled_faults_per_sec",
              "huge_pages_peak",
-             "huge_packed_pages_peak", "huge_pages_total")
+             "huge_packed_pages_peak", "huge_pages_total",
+             "huge_addresses_walked", "huge_full_walk_units")
 
 
 def load(path):
