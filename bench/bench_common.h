@@ -6,9 +6,6 @@
 //
 //   --backend=scalar|packed   simulation backend (default: packed)
 //   --threads=N               worker threads for the campaign (default: 1)
-//   --simd=auto|64|256|512|tiled[:4096]  packed lane-block or tile width (default:
-//                             auto — widest the CPU supports; forced widths
-//                             error cleanly when the CPU lacks them)
 //   --collapse=on|off         structural fault collapsing (default: on)
 //   --json=PATH               where to write the bench's JSON result line
 //
@@ -16,7 +13,7 @@
 // geometry / march / scheme / class members are filled by each bench (they
 // reproduce fixed tables from the paper); the flags above set its `run`
 // request, and spellings are parsed by the one canonical parser set in
-// api/spec.h (api::parse_backend, simd::parse_request).
+// api/spec.h (api::parse_backend, api::parse_on_off).
 #ifndef TWM_BENCH_BENCH_COMMON_H
 #define TWM_BENCH_BENCH_COMMON_H
 
@@ -31,7 +28,7 @@
 namespace twm::bench {
 
 struct BenchArgs {
-  api::CampaignSpec spec;  // run.{backend,threads,simd} from flags
+  api::CampaignSpec spec;  // run.{backend,threads,collapse} from flags
   std::string json;        // empty = no JSON artifact
 };
 
@@ -41,8 +38,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& defa
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     // Accept both `--flag=value` and `--flag value`.
-    if ((arg == "--backend" || arg == "--threads" || arg == "--simd" || arg == "--json" ||
-         arg == "--collapse") &&
+    if ((arg == "--backend" || arg == "--threads" || arg == "--json" || arg == "--collapse") &&
         i + 1 < argc)
       arg += std::string("=") + argv[++i];
     const auto starts = [&](const char* p) { return arg.rfind(p, 0) == 0; };
@@ -57,14 +53,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& defa
     } else if (starts("--threads=")) {
       a.spec.threads = static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 10));
       if (a.spec.threads == 0) a.spec.threads = 1;
-    } else if (starts("--simd=")) {
-      const auto req = simd::parse_request(arg.substr(7));
-      if (!req) {
-        std::fprintf(stderr, "unknown simd width '%s' (want auto|64|256|512|tiled[:4096])\n",
-                     arg.c_str() + 7);
-        std::exit(1);
-      }
-      a.spec.simd = *req;
     } else if (starts("--collapse=")) {
       const auto on = api::parse_on_off(arg.substr(11));
       if (!on) {
@@ -77,18 +65,10 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& defa
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (want --backend=scalar|packed --threads=N "
-                   "--simd=auto|64|256|512|tiled[:4096] --collapse=on|off --json=PATH)\n",
+                   "--collapse=on|off --json=PATH)\n",
                    arg.c_str());
       std::exit(1);
     }
-  }
-  // Fail a forced-but-unsupported width here, once, with a clean message —
-  // not as an uncaught exception out of the first campaign.
-  try {
-    simd::resolve(a.spec.simd);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(1);
   }
   return a;
 }

@@ -11,17 +11,16 @@
 // fault class, coupling faults split :inter / :intra as the paper tabulates
 // them) executed by api::run_campaign with the human table sink — exactly
 // what `twm_cli run` would do for the same spec file.  Flags select the
-// backend (--backend=scalar|packed), worker count (--threads=N), packed
-// lane-block or tile width (--simd=auto|64|256|512|tiled[:4096]) and
+// backend (--backend=scalar|packed), worker count (--threads=N) and
 // structural collapsing (--collapse=on|off).  The bench then times the
-// scalar reference, the 64-lane packed baseline, and the selected wide
-// width on a production-shaped high-detection fault list; a second
-// "settling" workload (RET + SAF over several contents, most verdicts final
-// after the first seed round) exercises survivor repacking.  Lane
+// scalar reference and the 64-lane packed backend on a production-shaped
+// high-detection fault list; a second "settling" workload (RET + SAF over
+// several contents, most verdicts final after the first seed round)
+// exercises survivor repacking.  Lane
 // occupancy, session-element, collapsing and address-walk counters are
 // emitted so the scheduler gains stay attributable.  Writes everything to
 // BENCH_coverage.json (--json=PATH overrides) and exits non-zero if ANY
-// pair — backend, width, or region count — disagrees verdict-for-verdict.
+// pair — backend or region count — disagrees verdict-for-verdict.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -32,7 +31,6 @@
 #include "api/runner.h"
 #include "api/sink.h"
 #include "bench_common.h"
-#include "core/simd.h"
 #include "march/library.h"
 #include "memsim/memory.h"
 #include "memsim/packed_memory.h"
@@ -40,9 +38,6 @@
 int main(int argc, char** argv) {
   using namespace twm;
   bench::BenchArgs args = bench::parse_bench_args(argc, argv, "BENCH_coverage.json");
-  // The throughput section always runs the packed widths, whatever backend
-  // the coverage tables use, so the width request resolves unconditionally.
-  const simd::Width simd_width = simd::resolve(args.spec.simd);
 
   // The Sec. 5 campaign, as a value.
   api::CampaignSpec spec = args.spec;
@@ -106,14 +101,13 @@ int main(int argc, char** argv) {
   // Backend throughput: a production-shaped campaign (a 256 x 4 memory,
   // every SAF/TF plus neighbour AFs and sampled coupling faults — large
   // enough that per-unit overheads amortize over real session work) on the
-  // scalar reference, the 64-lane packed baseline, and the selected SIMD
-  // width, all with the requested thread count.  Timed on the zero-content
-  // slice so every unit runs exactly one session and batch granularity
-  // cannot skew the comparison via the per-seed early exit.  The scalar
-  // backend is timed on a fixed slice of the list (its per-fault cost is
-  // uniform, and the full list would take seconds); the packed widths run
-  // the full list and must agree verdict-for-verdict with each other
-  // everywhere and with the scalar reference on the slice.
+  // scalar reference and the packed backend, both with the requested
+  // thread count.  Timed on the zero-content slice so every unit runs
+  // exactly one session and batch granularity cannot skew the comparison
+  // via the per-seed early exit.  The scalar backend is timed on a fixed
+  // slice of the list (its per-fault cost is uniform, and the full list
+  // would take seconds); the packed backend runs the full list and must
+  // agree verdict-for-verdict with the scalar reference on the slice.
   const std::size_t kBenchWords = 256;
   const unsigned kBenchWidth = 4;
   const std::size_t kScalarSlice = 256;
@@ -134,88 +128,58 @@ int main(int argc, char** argv) {
   const unsigned threads = args.spec.threads;
   const bool collapse = args.spec.collapse;
   const CampaignRunner scalar_runner(
-      kBenchWords, kBenchWidth, {CoverageBackend::Scalar, threads, simd::Request::Auto, collapse});
-  const CampaignRunner packed64_runner(
-      kBenchWords, kBenchWidth, {CoverageBackend::Packed, threads, simd::Request::W64, collapse});
+      kBenchWords, kBenchWidth,
+      {.backend = CoverageBackend::Scalar, .threads = threads, .collapse = collapse});
   const CampaignRunner packed_runner(
-      kBenchWords, kBenchWidth, {CoverageBackend::Packed, threads, args.spec.simd, collapse});
+      kBenchWords, kBenchWidth,
+      {.backend = CoverageBackend::Packed, .threads = threads, .collapse = collapse});
   const auto per_fault_stats = [&](const CampaignRunner& r, const std::vector<Fault>& faults,
                                    const std::vector<std::uint64_t>& seeds,
                                    CampaignStats* stats) {
     return r.per_fault(SchemeKind::ProposedExact, march, faults, seeds, stats);
   };
-  std::vector<bool> v_scalar, v_packed64, v_packed;
+  std::vector<bool> v_scalar, v_packed;
   CampaignStats packed_stats;
-  const double t_scalar = bench::time_seconds([&] {
-    v_scalar = per_fault_stats(scalar_runner, scalar_slice, bench_seeds, nullptr);
-  });
-  // The two packed rows feed the CI gates (packed faults/s and their
-  // ratio, widen_speedup) and take a few ms each, so one slow scheduling
-  // slice could decide either: each is the fastest of kPackedReps runs,
-  // alternated so a slow stretch of the host hits both rows alike.
-  const unsigned kPackedReps = 15;
-  double t_packed64 = 0, t_packed = 0;
-  for (unsigned rep = 0; rep < kPackedReps; ++rep) {
-    const double t64 = bench::time_seconds([&] {
-      v_packed64 = per_fault_stats(packed64_runner, workload, bench_seeds, nullptr);
-    });
-    const double tw = bench::time_seconds([&] {
+  // Both rows feed the CI gates (packed faults/s, and speedup = packed over
+  // scalar), and one slow scheduling slice on a shared host could decide
+  // either, so each is the fastest of several runs, interleaved so a slow
+  // stretch hits both alike: packed every round (a few ms each), scalar
+  // every third (~0.1 s each).
+  const unsigned kRounds = 15, kScalarEvery = 3;
+  double t_scalar = 0, t_packed = 0;
+  for (unsigned rep = 0; rep < kRounds; ++rep) {
+    if (rep % kScalarEvery == 0) {
+      const double t = bench::time_seconds([&] {
+        v_scalar = per_fault_stats(scalar_runner, scalar_slice, bench_seeds, nullptr);
+      });
+      t_scalar = rep == 0 ? t : std::min(t_scalar, t);
+    }
+    const double t = bench::time_seconds([&] {
       v_packed = per_fault_stats(packed_runner, workload, bench_seeds,
                                  rep == 0 ? &packed_stats : nullptr);
     });
-    t_packed64 = rep == 0 ? t64 : std::min(t_packed64, t64);
-    t_packed = rep == 0 ? tw : std::min(t_packed, tw);
+    t_packed = rep == 0 ? t : std::min(t_packed, t);
   }
   const double fps_scalar = scalar_slice.size() / t_scalar;
-  const double fps_packed64 = workload.size() / t_packed64;
   const double fps_packed = workload.size() / t_packed;
   const double speedup = fps_packed / fps_scalar;
-  const double widen_speedup = fps_packed / fps_packed64;
-  const unsigned lanes = simd::lanes(simd_width);
-  const double occupancy = packed_stats.mean_live_lanes() / (lanes - 1);
+  const double occupancy = packed_stats.mean_live_lanes() / (kPackedLanes - 1);
   const double elements_frac =
       packed_stats.elements_total.load()
           ? static_cast<double>(packed_stats.elements_executed.load()) /
                 static_cast<double>(packed_stats.elements_total.load())
           : 1.0;
-  const bool scalar_slice_equal =
-      std::equal(v_scalar.begin(), v_scalar.end(), v_packed.begin()) &&
-      std::equal(v_scalar.begin(), v_scalar.end(), v_packed64.begin());
+  const bool scalar_slice_equal = std::equal(v_scalar.begin(), v_scalar.end(), v_packed.begin());
   std::printf("\nbackend throughput (TWMarch exact, N=%zu, B=%u, %zu faults x %zu contents, "
               "%u threads; scalar timed on a %zu-fault slice):\n",
               kBenchWords, kBenchWidth, workload.size(), bench_seeds.size(), threads,
               scalar_slice.size());
-  std::printf("  scalar:        %8.0f faults/s  (%.3fs)\n", fps_scalar, t_scalar);
-  std::printf("  packed/64:     %8.0f faults/s  (%.3fs)  -> %.1fx over scalar\n", fps_packed64,
-              t_packed64, fps_packed64 / fps_scalar);
-  std::printf("  packed/%-5s  %8.0f faults/s  (%.3fs)  -> %.1fx over scalar, %.2fx over "
-              "64-lane (%zu of %zu faults simulated, %.0f%% of march elements run)\n",
-              (simd::to_string(simd_width) + ":").c_str(), fps_packed, t_packed, speedup,
-              widen_speedup, static_cast<std::size_t>(packed_stats.faults_simulated.load()),
-              workload.size(), 100.0 * elements_frac);
-
-  // The tiled backend on the same workload: 4096 fault universes per pass
-  // (array-of-lane-blocks, memsim/lane_tile.h) — the whole 7680-fault list
-  // runs in two tile units per round.  Must agree verdict-for-verdict with
-  // every row above.
-  const simd::Width tiled_width = simd::Width::Tiled4096;
-  const CampaignRunner tiled_runner(
-      kBenchWords, kBenchWidth,
-      {CoverageBackend::Packed, threads, simd::Request::Tiled4096, collapse});
-  CampaignStats tiled_stats;
-  std::vector<bool> v_tiled;
-  const double t_tiled = bench::time_seconds([&] {
-    v_tiled = per_fault_stats(tiled_runner, workload, bench_seeds, &tiled_stats);
-  });
-  const double fps_tiled = workload.size() / t_tiled;
-  const double tiled_speedup = fps_tiled / fps_packed;
-  const double tiled_occupancy =
-      tiled_stats.mean_live_lanes() / (simd::lanes(tiled_width) - 1);
-  const bool tiled_equal = v_tiled == v_packed;
-  std::printf("  tiled/4096:    %8.0f faults/s  (%.3fs, %.0f%% live lanes)  -> %.2fx over "
-              "packed/%s\n",
-              fps_tiled, t_tiled, 100.0 * tiled_occupancy, tiled_speedup,
-              simd::to_string(simd_width).c_str());
+  std::printf("  scalar:     %8.0f faults/s  (%.3fs)\n", fps_scalar, t_scalar);
+  std::printf("  packed:     %8.0f faults/s  (%.3fs)  -> %.1fx over scalar (%zu of %zu faults "
+              "simulated, %.0f%% of march elements run)\n",
+              fps_packed, t_packed, speedup,
+              static_cast<std::size_t>(packed_stats.faults_simulated.load()), workload.size(),
+              100.0 * elements_frac);
 
   // The settling workload: most faults' verdicts settle in the first seed
   // round (RET faults are invisible to a Del-free March C-, so their "all"
@@ -228,13 +192,12 @@ int main(int argc, char** argv) {
   const double ts_packed = bench::time_seconds(
       [&] { per_fault_stats(packed_runner, settling, settling_seeds, &settling_stats); });
   const double fps_settling = settling.size() / ts_packed;
-  const double settling_occupancy = settling_stats.mean_live_lanes() / (lanes - 1);
+  const double settling_occupancy = settling_stats.mean_live_lanes() / (kPackedLanes - 1);
   std::printf("\nsettling workload (RET+SAF, %zu faults x %zu contents; RETs settle in seed "
               "round 0):\n",
               settling.size(), settling_seeds.size());
-  std::printf("  packed/%-5s  %8.0f faults/s  (%.3fs, %.0f%% live lanes)\n",
-              (simd::to_string(simd_width) + ":").c_str(), fps_settling, ts_packed,
-              100.0 * settling_occupancy);
+  std::printf("  packed:     %8.0f faults/s  (%.3fs, %.0f%% live lanes)\n", fps_settling,
+              ts_packed, 100.0 * settling_occupancy);
 
   // Huge-memory workload: a 1M-word geometry with a footprint-bounded
   // sampled fault list ("@N" selectors — the only runnable shape at this
@@ -253,11 +216,14 @@ int main(int argc, char** argv) {
     for (const Fault& f : api::build_fault_list(cls, kHugeWords, kHugeWidth))
       huge.push_back(f);
   const std::vector<std::uint64_t> huge_seeds{0};
-  const CampaignRunner huge_runner(
-      kHugeWords, kHugeWidth,
-      {CoverageBackend::Packed, threads, args.spec.simd, collapse, kHugeRegions});
+  const CampaignRunner huge_runner(kHugeWords, kHugeWidth,
+                                   {.backend = CoverageBackend::Packed,
+                                    .threads = threads,
+                                    .collapse = collapse,
+                                    .regions = kHugeRegions});
   const CampaignRunner huge_runner_r1(
-      kHugeWords, kHugeWidth, {CoverageBackend::Packed, threads, args.spec.simd, collapse, 1});
+      kHugeWords, kHugeWidth,
+      {.backend = CoverageBackend::Packed, .threads = threads, .collapse = collapse});
   CampaignStats huge_stats;
   std::vector<bool> vh_regions, vh_flat;
   const double t_huge = bench::time_seconds([&] {
@@ -282,42 +248,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(huge_stats.addresses_walked.load()),
               static_cast<unsigned long long>(huge_stats.full_walk_units.load()));
 
-  // The tiled backend at the 1M-word geometry, region-sharded like the row
-  // above.  One 4096-lane tile swallows the whole sampled list per region
-  // pass; pages stay bounded by the fault footprint exactly as at
-  // single-block widths.
-  const CampaignRunner huge_tiled_runner(
-      kHugeWords, kHugeWidth,
-      {CoverageBackend::Packed, threads, simd::Request::Tiled4096, collapse, kHugeRegions});
-  CampaignStats huge_tiled_stats;
-  std::vector<bool> vh_tiled;
-  const double t_huge_tiled = bench::time_seconds([&] {
-    vh_tiled = per_fault_stats(huge_tiled_runner, huge, huge_seeds, &huge_tiled_stats);
-  });
-  const double fps_huge_tiled = huge.size() / t_huge_tiled;
-  const bool huge_tiled_equal = vh_tiled == vh_flat;
-  std::printf("  tiled/4096:    %8.0f faults/s  (%.3fs; peak %llu pages, %llu packed)\n",
-              fps_huge_tiled, t_huge_tiled,
-              static_cast<unsigned long long>(huge_tiled_stats.pages_peak.load()),
-              static_cast<unsigned long long>(huge_tiled_stats.packed_pages_peak.load()));
-
-  const bool verdicts_equal =
-      scalar_slice_equal && v_packed64 == v_packed && tiled_equal && huge_equal && huge_tiled_equal;
-  std::printf("\n  verdict equality (scalar == packed/64 == packed/%s == tiled/4096, "
-              "regions %u == 1 == tiled on huge): %s\n",
-              simd::to_string(simd_width).c_str(), kHugeRegions,
-              verdicts_equal ? "EXACT" : "MISMATCH");
+  const bool verdicts_equal = scalar_slice_equal && huge_equal;
+  std::printf("\n  verdict equality (scalar == packed, regions %u == 1 on huge): %s\n",
+              kHugeRegions, verdicts_equal ? "EXACT" : "MISMATCH");
 
   if (!args.json.empty()) {
     std::ofstream js(args.json);
     js << "{\"bench\":\"coverage\",\"march\":\"March C-\",\"words\":" << kBenchWords
        << ",\"width\":" << kBenchWidth << ",\"faults\":" << workload.size()
        << ",\"seeds\":" << bench_seeds.size() << ",\"threads\":" << threads
-       << ",\"simd_lanes\":" << simd::lanes(simd_width)
        << ",\"scalar_faults_per_sec\":" << fps_scalar
-       << ",\"packed64_faults_per_sec\":" << fps_packed64
        << ",\"packed_faults_per_sec\":" << fps_packed << ",\"speedup\":" << speedup
-       << ",\"widen_speedup\":" << widen_speedup
        << ",\"faults_simulated\":" << packed_stats.faults_simulated.load()
        << ",\"mean_live_lanes\":" << packed_stats.mean_live_lanes()
        << ",\"lane_occupancy\":" << occupancy
@@ -329,14 +270,9 @@ int main(int argc, char** argv) {
        << ",\"settling_seeds\":" << settling_seeds.size()
        << ",\"settling_faults_per_sec\":" << fps_settling
        << ",\"settling_lane_occupancy\":" << settling_occupancy
-       << ",\"tiled_lanes\":" << simd::lanes(tiled_width)
-       << ",\"tiled_faults_per_sec\":" << fps_tiled
-       << ",\"tiled_speedup\":" << tiled_speedup
-       << ",\"tiled_lane_occupancy\":" << tiled_occupancy
        << ",\"huge_words\":" << kHugeWords << ",\"huge_faults\":" << huge.size()
        << ",\"huge_regions\":" << kHugeRegions
        << ",\"huge_faults_per_sec\":" << fps_huge
-       << ",\"huge_tiled_faults_per_sec\":" << fps_huge_tiled
        << ",\"huge_pages_peak\":" << huge_pages_peak
        << ",\"huge_packed_pages_peak\":" << huge_packed_peak
        << ",\"huge_pages_total\":" << huge_pages_total

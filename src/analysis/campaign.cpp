@@ -127,27 +127,11 @@ class RemappingObserver final : public UnitObserver {
 
 }  // namespace
 
-void CampaignRunner::dispatch(const CampaignJob& job, simd::Width simd_width) const {
-  if (options_.backend == CoverageBackend::Scalar) {
+void CampaignRunner::dispatch(const CampaignJob& job) const {
+  if (options_.backend == CoverageBackend::Scalar)
     run_campaign_engine<ScalarEngine>(job);
-    return;
-  }
-  // simd::resolve() in run() guaranteed the CPU executes the chosen width.
-  switch (simd_width) {
-    case simd::Width::W64: run_campaign_engine<PackedEngine>(job); break;
-    case simd::Width::W256: run_campaign_w256(job); break;
-    case simd::Width::W512: run_campaign_w512(job); break;
-    case simd::Width::Tiled4096:
-      // The tiled width names a lane COUNT, not an instruction set: pick
-      // the widest inner block this CPU executes (memsim/lane_tile.h).
-      if (simd::supported(simd::Width::W512))
-        run_campaign_tiled_w512(job);
-      else if (simd::supported(simd::Width::W256))
-        run_campaign_tiled_w256(job);
-      else
-        run_campaign_tiled_base(job);
-      break;
-  }
+  else
+    run_campaign_engine<PackedEngine>(job);
 }
 
 void CampaignRunner::run(SchemeKind scheme, const MarchTest& bit_march,
@@ -157,11 +141,6 @@ void CampaignRunner::run(SchemeKind scheme, const MarchTest& bit_march,
                          VerdictMatrix* out_matrix, UnitObserver* observer,
                          CampaignStats* stats, const RegionProgress* progress) const {
   if (seeds.empty()) throw std::invalid_argument("CampaignRunner: no seeds");
-  // Resolve the lane-block width up front so a forced-but-unsupported
-  // --simd request fails before any work is sharded.  The scalar backend
-  // has no lanes and ignores the request.
-  const simd::Width simd_width =
-      options_.backend == CoverageBackend::Packed ? simd::resolve(options_.simd) : simd::Width::W64;
   const std::size_t n = faults.size();
   all.assign(n, 1);
   any.assign(n, 0);
@@ -176,7 +155,7 @@ void CampaignRunner::run(SchemeKind scheme, const MarchTest& bit_march,
   const unsigned regions = std::max(1u, options_.regions);
 
   if (regions == 1 && !progress) {
-    run_list(plan, simd_width, faults, seeds, need_any, all.data(), any.data(), out_matrix,
+    run_list(plan, faults, seeds, need_any, all.data(), any.data(), out_matrix,
              observer, stats);
     return;
   }
@@ -207,7 +186,7 @@ void CampaignRunner::run(SchemeKind scheme, const MarchTest& bit_march,
         sub_matrix.bits.assign(idx.size() * num_seeds, 0);
       }
       RemappingObserver remap(observer, idx);
-      run_list(plan, simd_width, sub, seeds, need_any, sub_all.data(), sub_any.data(),
+      run_list(plan, sub, seeds, need_any, sub_all.data(), sub_any.data(),
                out_matrix ? &sub_matrix : nullptr, observer ? &remap : nullptr, stats);
       for (std::size_t k = 0; k < idx.size(); ++k) {
         all[idx[k]] = sub_all[k];
@@ -225,8 +204,7 @@ void CampaignRunner::run(SchemeKind scheme, const MarchTest& bit_march,
   }
 }
 
-void CampaignRunner::run_list(const SchemePlan& plan, simd::Width simd_width,
-                              const std::vector<Fault>& faults,
+void CampaignRunner::run_list(const SchemePlan& plan, const std::vector<Fault>& faults,
                               const std::vector<std::uint64_t>& seeds, bool need_any,
                               char* all, char* any, VerdictMatrix* out_matrix,
                               UnitObserver* observer, CampaignStats* stats) const {
@@ -264,7 +242,7 @@ void CampaignRunner::run_list(const SchemePlan& plan, simd::Width simd_width,
       job.any = rep_any.data();
       job.matrix = out_matrix ? &rep_matrix : nullptr;
       job.observer = observer ? &expander : nullptr;
-      dispatch(job, simd_width);
+      dispatch(job);
       for (std::size_t i = 0; i < n; ++i) {
         all[i] = rep_all[fc.bucket_of[i]];
         any[i] = rep_any[fc.bucket_of[i]];
@@ -284,7 +262,7 @@ void CampaignRunner::run_list(const SchemePlan& plan, simd::Width simd_width,
   job.num_faults = n;
   job.all = all;
   job.any = any;
-  dispatch(job, simd_width);
+  dispatch(job);
 }
 
 CoverageOutcome CampaignRunner::evaluate(SchemeKind scheme, const MarchTest& bit_march,

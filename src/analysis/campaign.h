@@ -45,13 +45,9 @@ namespace twm {
 //
 //   Scalar  one fault x one seed at a time through memsim::Memory — the
 //           reference implementation.
-//   Packed  bit-parallel batches of (lanes - 1) faults + 1 golden lane per
-//           packed-memory pass, where `lanes` is the resolved SIMD width
-//           (a single lane block of 64 / 256 / 512 lanes, or a lane TILE
-//           of 4096 lanes — core/simd.h, memsim/lane_tile.h).
-//           Verdicts are lane-for-lane identical to the scalar backend at
-//           every width (tests/coverage_backend_test.cpp,
-//           tests/tiled_engine_test.cpp).
+//   Packed  bit-parallel batches of 63 faults + 1 golden lane per 64-lane
+//           packed-memory pass.  Verdicts are lane-for-lane identical to
+//           the scalar backend (tests/coverage_backend_test.cpp).
 enum class CoverageBackend { Scalar, Packed };
 
 std::string to_string(CoverageBackend b);
@@ -66,9 +62,8 @@ struct CoverageOptions {
   // Worker threads the campaign's units are sharded across; <= 1 runs
   // everything on the calling thread.  Applies to both backends.
   unsigned threads = 1;
-  // Lane-block width of the packed backend (ignored by the scalar one).
-  // Auto picks the widest the CPU supports; a forced width throws
-  // std::runtime_error at run() time when the CPU cannot execute it.
+  // Lane-width request kept for spec compatibility; every value runs the
+  // 64-lane packed engine (core/simd.h).
   simd::Request simd = simd::Request::Auto;
   // Structural fault collapsing: pre-bucket equivalent faults
   // (analysis/fault_list.h collapse_faults) and simulate one
@@ -126,7 +121,7 @@ struct CampaignStats {
   // allocation-free round-rebuild contract in one number: worker memories
   // live for the whole campaign and recycle pages through their
   // free-lists, so this stays flat as seed rounds are added instead of
-  // growing per round (tests/tiled_engine_test.cpp pins it).
+  // growing per round (tests/campaign_test.cpp pins it).
   std::atomic<std::uint64_t> page_allocs{0};
 
   double mean_live_lanes() const {
@@ -268,11 +263,10 @@ class CampaignRunner {
  private:
   // One fault list through collapse + dispatch; all/any point at (and a
   // non-null matrix is pre-sized for) exactly this list.
-  void run_list(const SchemePlan& plan, simd::Width simd_width,
-                const std::vector<Fault>& faults, const std::vector<std::uint64_t>& seeds,
-                bool need_any, char* all, char* any, VerdictMatrix* out_matrix,
-                UnitObserver* observer, CampaignStats* stats) const;
-  void dispatch(const CampaignJob& job, simd::Width simd_width) const;
+  void run_list(const SchemePlan& plan, const std::vector<Fault>& faults,
+                const std::vector<std::uint64_t>& seeds, bool need_any, char* all, char* any,
+                VerdictMatrix* out_matrix, UnitObserver* observer, CampaignStats* stats) const;
+  void dispatch(const CampaignJob& job) const;
 
   std::size_t words_;
   unsigned width_;

@@ -1,29 +1,9 @@
-// Engine-generic campaign execution: the sharding loop every backend and
-// SIMD width runs.
+// Engine-generic campaign execution: the scheduler both backends run.
 //
-// CampaignRunner::run (analysis/campaign.cpp) resolves backend + lane-block
-// width and forwards a CampaignJob to run_campaign_engine<Engine>, which
-// shards the fault list into units of Engine::kFaultsPerUnit across the
-// thread pool.  The template lives in this header so each SIMD width can
-// compile it in its own arch-flagged translation unit:
-//
-//   campaign.cpp        ScalarEngine + PackedEngineT<std::uint64_t>  (base)
-//   campaign_w256.cpp   PackedEngineT<LaneBlock<4>>   built with -mavx2
-//   campaign_w512.cpp   PackedEngineT<LaneBlock<8>>   built with -mavx512f
-//
-// and the TILED backend (4096 fault universes per pass) compiles the same
-// template over LaneTile<Inner, T> blocks, one translation unit per inner
-// width:
-//
-//   campaign_tiled.cpp       LaneTile<std::uint64_t, 64>   (portable)
-//   campaign_tiled_w256.cpp  LaneTile<LaneBlock<4>, 16>    -mavx2
-//   campaign_tiled_w512.cpp  LaneTile<LaneBlock<8>, 8>     -mavx512f
-//
-// The wide entry points (run_campaign_w256/w512, run_campaign_tiled_*)
-// must only be called after core/simd.h confirmed the CPU supports the
-// width — they contain vector instructions the dispatcher is the only
-// guard for.  (The tiled BASE entry is portable; the campaign dispatcher
-// picks the widest-inner-block tiled entry the CPU executes.)
+// CampaignRunner::run (analysis/campaign.cpp) picks the backend and
+// forwards a CampaignJob to run_campaign_engine<Engine> — ScalarEngine or
+// the 64-lane PackedEngine — which shards the fault list into units of
+// Engine::kFaultsPerUnit across the thread pool.
 #ifndef TWM_ANALYSIS_CAMPAIGN_EXEC_H
 #define TWM_ANALYSIS_CAMPAIGN_EXEC_H
 
@@ -34,13 +14,11 @@
 
 #include "analysis/campaign.h"
 #include "core/scheme_session.h"
-#include "memsim/lane_tile.h"
 #include "memsim/memory.h"
 
 namespace twm {
 
-// One campaign, flattened to raw pointers so the per-width translation
-// units share a single ABI-stable entry signature.
+// One campaign's inputs and result slots.
 struct CampaignJob {
   const SchemePlan* plan = nullptr;
   std::size_t words = 0;
@@ -60,18 +38,10 @@ struct CampaignJob {
   CampaignStats* stats = nullptr;   // optional forward-progress counters
 };
 
-// The packed verdict carries the golden lane in lane 0 (bit 0 of the first
-// block word); the scalar verdict (bool) has no golden lane.
+// The packed verdict carries the golden lane in lane 0; the scalar verdict
+// (bool) has no golden lane.
 inline void check_golden_lane(bool /*verdict*/) {}
 inline void check_golden_lane(std::uint64_t verdicts) { require_golden_lane_clear(verdicts); }
-template <unsigned K>
-void check_golden_lane(const LaneBlock<K>& verdicts) {
-  require_golden_lane_clear(verdicts.w[0]);
-}
-template <class Inner, unsigned T>
-void check_golden_lane(const LaneTile<Inner, T>& verdicts) {
-  require_golden_lane_clear(block_word0(verdicts));
-}
 
 // The golden certificate of (plan, seed): licenses a packed unit to walk
 // only its fault footprint instead of every word.
@@ -299,26 +269,6 @@ void run_campaign_engine(const CampaignJob& job) {
     }
   }
 }
-
-// Wide-width entry points, each defined in its arch-flagged translation
-// unit inside the twm_wide shared library (built with -fvisibility=hidden;
-// these are its only exports — see the CMakeLists note on why the wide
-// objects must not share a static archive with portable code).  Call only
-// after simd::supported() said the CPU can execute them.
-#if defined(__GNUC__) || defined(__clang__)
-#define TWM_WIDE_ENTRY __attribute__((visibility("default")))
-#else
-#define TWM_WIDE_ENTRY
-#endif
-TWM_WIDE_ENTRY void run_campaign_w256(const CampaignJob& job);
-TWM_WIDE_ENTRY void run_campaign_w512(const CampaignJob& job);
-
-// Tiled entry points: one 4096-lane tile per compiled inner-block width.
-// The base entry is portable code — safe on any CPU; the _w256/_w512 ones
-// carry the same cpuid contract as the single-block entries above.
-TWM_WIDE_ENTRY void run_campaign_tiled_base(const CampaignJob& job);
-TWM_WIDE_ENTRY void run_campaign_tiled_w256(const CampaignJob& job);
-TWM_WIDE_ENTRY void run_campaign_tiled_w512(const CampaignJob& job);
 
 }  // namespace twm
 

@@ -149,11 +149,6 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
   const DeadlineGate* gate = gate_storage ? &*gate_storage : nullptr;
 
   const unsigned regions = std::max(1u, spec.regions);
-  // Resolve the lane-block width up front (validate() already vetted a
-  // forced width, so this cannot throw for a spec that passed it).
-  const simd::Width resolved = spec.backend == CoverageBackend::Packed
-                                   ? simd::resolve(spec.simd)
-                                   : simd::Width::W64;
 
   // One fault list per distinct class selector, shared across schemes.
   std::vector<std::vector<Fault>> fault_lists;
@@ -168,7 +163,6 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
   if (sink) {
     CampaignMeta meta;
     meta.spec = &spec;
-    meta.resolved_simd = resolved;
     meta.total_faults = summary.total_faults;
     sink->on_campaign_begin(meta);
   }

@@ -5,7 +5,7 @@
 //   api::CampaignSummary summary = api::run_campaign(spec, &sink);
 //
 // run_campaign validates the spec (throwing SpecValidationError with the
-// offending field paths), resolves the march and the SIMD width, builds
+// offending field paths), resolves the march, builds
 // each fault class's list once, then runs one CampaignRunner call per
 // scheme x class cell, streaming per-unit records into the sink as worker
 // threads settle them.  The sink can cancel cooperatively at any point;

@@ -5,7 +5,7 @@
 // after everything finished.  That turns a campaign from a batch job into
 // a stream a scheduler can tail, persist, or abort:
 //
-//   on_campaign_begin   once, with the spec and the resolved SIMD width
+//   on_campaign_begin   once, with the spec and the campaign's fault total
 //   on_seed_settled     one (fault, seed) verdict — opt-in via
 //                       want_seed_records(), off by default (per-lane bit
 //                       extraction costs real work on the packed backends)
@@ -49,8 +49,6 @@ namespace twm::api {
 // Resolved facts reported once at campaign start.
 struct CampaignMeta {
   const CampaignSpec* spec = nullptr;
-  // Lane-block width the packed backend resolved to (W64 for scalar).
-  simd::Width resolved_simd = simd::Width::W64;
   // Faults the campaign will evaluate, across every scheme x class cell.
   std::size_t total_faults = 0;
 };

@@ -89,14 +89,6 @@ std::vector<SpecError> validate(const CampaignSpec& spec) {
   } else if (spec.words != 0 && spec.regions > spec.words) {
     errors.push_back({"run.regions", "must not exceed memory.words"});
   }
-  if (spec.backend == CoverageBackend::Packed && spec.simd != simd::Request::Auto) {
-    // A forced width must be executable here; Auto always resolves.
-    try {
-      simd::resolve(spec.simd);
-    } catch (const std::runtime_error& e) {
-      errors.push_back({"run.simd", e.what()});
-    }
-  }
   return errors;
 }
 

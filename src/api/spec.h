@@ -3,7 +3,7 @@
 // A coverage campaign is a *value*: CampaignSpec captures everything that
 // defines one — memory geometry, the bit-oriented march, the scheme set,
 // the fault-class selection, the content seeds, and the execution request
-// (backend / threads / SIMD width).  Specs are
+// (backend / threads / regions).  Specs are
 //
 //   * validated field by field (validate() returns structured SpecErrors
 //     naming the offending path instead of one scattered runtime_error),
@@ -89,7 +89,7 @@ struct ClassSel {
 };
 
 // Everything that defines a campaign.  Defaults mirror the CLI's: packed
-// backend, one thread, auto SIMD width.
+// backend, one thread.
 struct CampaignSpec {
   std::string name;  // optional label, carried through sinks
 
@@ -112,6 +112,8 @@ struct CampaignSpec {
   // Execution request (JSON: "run": {...}).
   CoverageBackend backend = CoverageBackend::Packed;
   unsigned threads = 1;
+  // Lane-width request from older specs: every value core/simd.h parses
+  // is accepted, echoed by campaign_begin and run at 64 lanes.
   simd::Request simd = simd::Request::Auto;
   // Structural fault collapsing; off isolates the repacking/settle-exit
   // win for differential attribution.  (A "schedule":"repack" key, from
@@ -139,8 +141,7 @@ struct CampaignSpec {
   friend bool operator==(const CampaignSpec&, const CampaignSpec&) = default;
 };
 
-// Field-by-field validation; empty result means the spec is runnable on
-// this host (forced SIMD widths are checked against the CPU).
+// Field-by-field validation; empty result means the spec is runnable.
 std::vector<SpecError> validate(const CampaignSpec& spec);
 
 // Throws SpecValidationError when validate() is non-empty.
@@ -216,7 +217,7 @@ std::vector<Fault> build_fault_list(const ClassSel& c, std::size_t words, unsign
 // Folded into every cell identity; bump whenever a change can alter ANY
 // verdict (fault semantics, scheme sessions, march library, fault-list
 // generators).  Pure perf/scheduling work keeps the revision — scalar and
-// packed, every SIMD width and collapse on or off are verdict-identical by
+// packed, any region count and collapse on or off are verdict-identical by
 // construction, so cached cells are shared across all of them.
 std::string_view engine_revision();
 

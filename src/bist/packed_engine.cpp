@@ -1,6 +1,5 @@
-// Pins the 64-lane instantiations of the packed march engine into the base
-// library (no extra arch flags); the wide instantiations are compiled in
-// src/analysis/campaign_w256.cpp / campaign_w512.cpp with -mavx2/-mavx512f.
+// Pins the 64-lane instantiations of the packed march engine into the
+// library.
 #include "bist/packed_engine.h"
 
 namespace twm {

@@ -1,7 +1,6 @@
 // Lane-parallel march test execution over PackedMemoryT: the batched
 // counterpart of bist/engine.h, evaluating one fault universe per lane of
-// the Block it is templated over (64, 256 or 512 per pass; see
-// memsim/lane_block.h).
+// the Block it is templated over (64 per pass; see memsim/lane_block.h).
 //
 // Execution styles mirror MarchRunner operation-for-operation:
 //
@@ -35,10 +34,9 @@
 // listed ones — are never fed: the register jumps over each run of them
 // with the companion-matrix powers of MisrJumps (bist/misr.h).
 //
-// Like the packed memory, the implementation is header-only so each SIMD
-// width compiles in its own arch-flagged translation unit; the 64-lane
-// aliases (PackedReadSink, PackedMisr, PackedMarchRunner) keep the PR 1
-// spelling and are pinned in packed_engine.cpp.
+// Like the packed memory, the implementation is header-only; the 64-lane
+// aliases (PackedReadSink, PackedMisr, PackedMarchRunner) are pinned in
+// packed_engine.cpp.
 #ifndef TWM_BIST_PACKED_ENGINE_H
 #define TWM_BIST_PACKED_ENGINE_H
 
@@ -372,14 +370,9 @@ class PackedMarchRunnerT {
       if (brake) ++brake->elements_entered;
       if (elem.pause_before) mem_.elapse(1);
       if (elem.ops.empty() || n == 0) continue;
-      // Software-pipelined address loop: the NEXT listed address's cell
-      // span is prefetched while the CURRENT address's ops execute — with
-      // tile-sized lane blocks (memsim/lane_tile.h) each span is KiBs, so
-      // starting the stream an op early hides most of its memory latency.
       const bool down = elem.order == AddrOrder::Down;
       for (std::size_t k = 0; k < n; ++k) {
         const std::size_t slot = down ? n - 1 - k : k;
-        if (k + 1 < n) mem_.prefetch(list_[down ? slot - 1 : slot + 1]);
         const std::size_t addr = list_[slot];
         for (std::size_t i = 0; i < elem.ops.size(); ++i)
           per_op(addr, slot, elem.ops[i], masks[e][i].data());

@@ -289,50 +289,22 @@ int cmd_simulate(const Options& o, std::ostream& out, std::ostream& err) {
   return res.detected_misr ? 2 : 0;
 }
 
-// CPU / build support table for the packed backend's lane-block widths.
-// --json emits the probe machine-readable so schedulers can decide
-// placement without scraping the table.
+// The packed backend's lane width.  Kept for scripts that probed it before
+// placing a campaign: there is one width, 64 lanes, on every host.
 int cmd_simd(const Options& o, std::ostream& out) {
+  const unsigned lanes = simd::lanes(simd::Width::W64);
   if (o.flags.count("json")) {
-    // `width` is the value a scheduler passes back as --simd / run.simd.
-    out << "{\"widths\":[";
-    bool first = true;
-    for (simd::Width w : simd::kAllWidths) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"width\":" << simd::lanes(w)
-          << ",\"supported\":" << (simd::supported(w) ? "true" : "false") << "}";
-    }
-    // Tiled widths separately: their run.simd spelling is a string
-    // ("tiled:4096"), not the numeric width, and they are dispatchable on
-    // every CPU (the inner block is cpuid-selected at dispatch).
-    out << "],\"tiled\":[";
-    first = true;
-    for (simd::Width w : simd::kTiledWidths) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"width\":\"" << simd::to_string(w) << "\",\"lanes\":" << simd::lanes(w)
-          << ",\"supported\":" << (simd::supported(w) ? "true" : "false") << "}";
-    }
-    out << "],\"best\":" << simd::lanes(simd::best_width()) << "}\n";
+    out << "{\"widths\":[{\"width\":" << lanes << ",\"supported\":true}],\"best\":" << lanes
+        << "}\n";
     return 0;
   }
-  Table t({"width", "lanes", "supported"});
-  for (simd::Width w : simd::kAllWidths)
-    t.add_row({simd::to_string(w), std::to_string(simd::lanes(w)),
-               simd::supported(w) ? "yes" : "no"});
-  for (simd::Width w : simd::kTiledWidths)
-    t.add_row({simd::to_string(w), std::to_string(simd::lanes(w)),
-               simd::supported(w) ? "yes" : "no"});
-  t.print(out);
-  out << "best: " << simd::to_string(simd::best_width()) << "\n";
+  out << "lanes: " << lanes << "\n";
   return 0;
 }
 
 // Assembles the CampaignSpec a coverage-style command line denotes.  Flag
 // spelling errors are reported here with their flag names; semantic
-// problems (unknown march, zero geometry, unsupported forced width) are
-// left for api::validate().
+// problems (unknown march, zero geometry) are left for api::validate().
 std::optional<api::CampaignSpec> spec_from_flags(const Options& o, std::ostream& err) {
   api::CampaignSpec spec;
   if (o.positional.size() >= 2) spec.march = o.positional[1];
@@ -359,6 +331,8 @@ std::optional<api::CampaignSpec> spec_from_flags(const Options& o, std::ostream&
     spec.backend = *backend;
   }
 
+  // Accepted for older command lines and echoed by campaign_begin; every
+  // value runs at 64 lanes.
   if (auto it = o.flags.find("simd"); it != o.flags.end()) {
     const auto req = simd::parse_request(it->second);
     if (!req) {

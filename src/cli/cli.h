@@ -22,12 +22,10 @@
 //                                          per-fault-class coverage campaign
 //                                          on the selected simulation backend
 //                                          (packed = one fault universe per
-//                                          SIMD lane, 64/256/512 or a
-//                                          4096-lane tile per bit-parallel
-//                                          pass; --simd auto
-//                                          picks the widest the CPU supports,
-//                                          a forced width errors cleanly when
-//                                          unsupported); --scheme all sweeps
+//                                          lane, 64 lanes per bit-parallel
+//                                          pass; --simd is accepted for old
+//                                          command lines and ignored);
+//                                          --scheme all sweeps
 //                                          every scheme and prints a scheme x
 //                                          fault-class table; the scheduler
 //                                          drops settled fault universes
@@ -40,11 +38,9 @@
 //                                          so a huge-memory campaign touches
 //                                          one region's page working set at a
 //                                          time (verdict-identical for any N)
-//   simd [--json]                          lane-block width support table for
-//                                          this CPU (cpuid probe) and the
-//                                          width `auto` resolves to; --json
-//                                          emits the probe machine-readable
-//                                          so schedulers can place campaigns
+//   simd [--json]                          the packed lane width (64 on every
+//                                          host); --json prints it as
+//                                          {"widths":[...],"best":64}
 //   spec <march> --width B --words N [coverage flags...]
 //                                          print the CampaignSpec JSON the
 //                                          coverage command line denotes —

@@ -10,13 +10,7 @@
 //   PackedEngineT<Block>  Verdict = Block    lane k of every value/verdict
 //                                            belongs to universe k; Block is
 //                                            std::uint64_t (64 lanes — the
-//                                            PackedEngine alias), a wide
-//                                            LaneBlock<K> (256/512 lanes,
-//                                            compiled per width), or a
-//                                            LaneTile<Inner, T> (4096
-//                                            lanes, memsim/lane_tile.h) —
-//                                            selected at runtime via
-//                                            core/simd.h
+//                                            PackedEngine alias)
 //
 // Each trait struct maps the shared vocabulary — verdict algebra, fault
 // injection, the engine entry points, and the word/mask/signature
@@ -27,8 +21,7 @@
 // tests/coverage_backend_test.cpp keeps its power — only the orchestration
 // above the memory port is unified here.
 //
-// The contract a new backend (a new Block type, or a whole new Engine
-// struct) must honour — docs/ARCHITECTURE.md walks through each rule with
+// The contract a new backend (a new Engine struct) must honour — docs/ARCHITECTURE.md walks through each rule with
 // rationale; the short form:
 //
 //   * Verdict semantics: bit k of a Verdict is a latch for "universe k has
@@ -45,9 +38,8 @@
 //     short without changing any verdict bit that the full run would set.
 //   * Differential proof: a backend is correct when its VerdictMatrix is
 //     byte-identical to ScalarEngine's across every scheme — that check
-//     lives in tests/coverage_backend_test.cpp and
-//     tests/tiled_engine_test.cpp and is the required template for
-//     qualifying any new backend.
+//     lives in tests/coverage_backend_test.cpp and is the required
+//     template for qualifying any new backend.
 #ifndef TWM_CORE_ENGINE_TRAITS_H
 #define TWM_CORE_ENGINE_TRAITS_H
 

@@ -52,13 +52,6 @@ std::vector<SpecError> validate(const ExploreSpec& spec) {
       errors.push_back({"search.mutations", "at least one operator weight must be non-zero"});
   }
   if (spec.threads == 0) errors.push_back({"run.threads", "must be at least 1"});
-  if (spec.backend == CoverageBackend::Packed && spec.simd != simd::Request::Auto) {
-    try {
-      simd::resolve(spec.simd);
-    } catch (const std::runtime_error& e) {
-      errors.push_back({"run.simd", e.what()});
-    }
-  }
   return errors;
 }
 

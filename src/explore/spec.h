@@ -90,7 +90,7 @@ struct ExploreSpec {
 };
 
 // Field-by-field validation (api::SpecError paths in the JSON grammar's
-// coordinates); empty result means the search is runnable on this host.
+// coordinates); empty result means the search is runnable.
 std::vector<api::SpecError> validate(const ExploreSpec& spec);
 
 // Throws api::SpecValidationError when validate() is non-empty.

@@ -1,89 +1,29 @@
 // Lane blocks: the machine word the packed backend is templated over.
 //
-// PR 1 fixed the packed backend at 64 fault universes per pass — one
-// std::uint64_t lane vector per cell.  This header generalizes that word to
-// a *lane block* of K x 64 lanes (std::array<std::uint64_t, K>), so the
-// same lane-masked bitwise write semantics evaluate 64, 256 or 512
-// universes per pass.  The per-block loops are written as plain word-wise
-// operations so that a translation unit compiled with -mavx2 (K = 4) or
-// -mavx512f (K = 8) auto-vectorizes them into single vector instructions;
-// runtime selection between the compiled widths lives in core/simd.h.
+// The packed backend evaluates 64 fault universes per pass — one
+// std::uint64_t lane vector per cell.  The simulator, march engine and
+// scheme sessions are written against the lane-indexed vocabulary below
+// rather than raw shifts, so they read the same whatever the block is.
 //
-// The Block concept, satisfied by std::uint64_t (K = 1, the PR 1 layout —
-// every existing call site keeps compiling) and by LaneBlock<K>:
+// The Block concept, satisfied by std::uint64_t:
 //
 //   * value-initialization yields the all-zero block,
 //   * operators & | ^ ~ &= |= ^= == != operate lane-wise,
 //   * the free functions below (block_lanes_v, block_ones, block_bit, ...)
 //     provide the lane-indexed vocabulary.
 //
-// Lane numbering is global: lane L lives in array word L / 64, bit L % 64.
-// Lane 0 is the golden (fault-free) universe by the same convention as the
-// 64-lane backend.
+// Lane 0 is the golden (fault-free) universe.
 #ifndef TWM_MEMSIM_LANE_BLOCK_H
 #define TWM_MEMSIM_LANE_BLOCK_H
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 
 namespace twm {
 
-template <unsigned K>
-struct LaneBlock {
-  static_assert(K >= 1, "LaneBlock needs at least one word");
-  std::array<std::uint64_t, K> w{};
-
-  friend LaneBlock operator&(const LaneBlock& a, const LaneBlock& b) {
-    LaneBlock r;
-    for (unsigned i = 0; i < K; ++i) r.w[i] = a.w[i] & b.w[i];
-    return r;
-  }
-  friend LaneBlock operator|(const LaneBlock& a, const LaneBlock& b) {
-    LaneBlock r;
-    for (unsigned i = 0; i < K; ++i) r.w[i] = a.w[i] | b.w[i];
-    return r;
-  }
-  friend LaneBlock operator^(const LaneBlock& a, const LaneBlock& b) {
-    LaneBlock r;
-    for (unsigned i = 0; i < K; ++i) r.w[i] = a.w[i] ^ b.w[i];
-    return r;
-  }
-  friend LaneBlock operator~(const LaneBlock& a) {
-    LaneBlock r;
-    for (unsigned i = 0; i < K; ++i) r.w[i] = ~a.w[i];
-    return r;
-  }
-  LaneBlock& operator&=(const LaneBlock& o) {
-    for (unsigned i = 0; i < K; ++i) w[i] &= o.w[i];
-    return *this;
-  }
-  LaneBlock& operator|=(const LaneBlock& o) {
-    for (unsigned i = 0; i < K; ++i) w[i] |= o.w[i];
-    return *this;
-  }
-  LaneBlock& operator^=(const LaneBlock& o) {
-    for (unsigned i = 0; i < K; ++i) w[i] ^= o.w[i];
-    return *this;
-  }
-  friend bool operator==(const LaneBlock& a, const LaneBlock& b) { return a.w == b.w; }
-  friend bool operator!=(const LaneBlock& a, const LaneBlock& b) { return a.w != b.w; }
-};
-
-// --- lane-indexed vocabulary over the Block concept ----------------------
-
 template <class Block>
 inline constexpr unsigned block_lanes_v = 64;
-template <unsigned K>
-inline constexpr unsigned block_lanes_v<LaneBlock<K>> = 64 * K;
 
 inline std::uint64_t block_ones(std::uint64_t*) { return ~0ull; }
-template <unsigned K>
-LaneBlock<K> block_ones(LaneBlock<K>*) {
-  LaneBlock<K> r;
-  for (unsigned i = 0; i < K; ++i) r.w[i] = ~0ull;
-  return r;
-}
 // All-lanes-set block, e.g. the "every universe failed" verdict.
 template <class Block>
 Block block_ones() {
@@ -91,24 +31,10 @@ Block block_ones() {
 }
 
 inline bool block_any(std::uint64_t b) { return b != 0; }
-template <unsigned K>
-bool block_any(const LaneBlock<K>& b) {
-  std::uint64_t acc = 0;
-  for (unsigned i = 0; i < K; ++i) acc |= b.w[i];
-  return acc != 0;
-}
 
 inline bool block_bit(std::uint64_t b, unsigned lane) { return (b >> lane) & 1u; }
-template <unsigned K>
-bool block_bit(const LaneBlock<K>& b, unsigned lane) {
-  return (b.w[lane / 64] >> (lane % 64)) & 1u;
-}
 
 inline void block_set_bit(std::uint64_t& b, unsigned lane) { b |= 1ull << lane; }
-template <unsigned K>
-void block_set_bit(LaneBlock<K>& b, unsigned lane) {
-  b.w[lane / 64] |= 1ull << (lane % 64);
-}
 
 // Single-lane mask (the injection mask of fault slot -> lane slot+1).
 template <class Block>

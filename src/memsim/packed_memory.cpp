@@ -1,7 +1,4 @@
-// Pins the 64-lane instantiation of the packed simulator into the base
-// library (compiled without extra arch flags — it must run on any x86-64).
-// The 256/512-lane instantiations live in src/analysis/campaign_w256.cpp /
-// campaign_w512.cpp, compiled with -mavx2 / -mavx512f.
+// Pins the 64-lane instantiation of the packed simulator into the library.
 #include "memsim/packed_memory.h"
 
 namespace twm {

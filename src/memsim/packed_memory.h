@@ -1,16 +1,14 @@
 // Bit-parallel batched fault simulator: one fault universe per lane of a
-// lane block (64, 256 or 512 universes per machine pass).
+// 64-lane block (64 universes per machine pass).
 //
 // PackedMemoryT<Block> models the same N x B functional RAM as Memory
 // (memory.h), but stores each cell (word, bit) as a lane block: lane k of
-// the stored Block is the cell's value in universe k.  Block is any type
-// satisfying the concept in memsim/lane_block.h — std::uint64_t (the
-// original 64-lane layout; PackedMemory aliases it) or LaneBlock<K> for
-// K x 64 lanes.  Faults are injected with a Block-typed lane mask
-// restricting them to a subset of lanes, so one memory simulates up to
-// block_lanes_v<Block> different fault configurations — by convention lane
-// 0 is kept fault-free (the golden universe batched coverage evaluation
-// uses as a self-check).
+// the stored Block is the cell's value in universe k.  Block is the
+// std::uint64_t of memsim/lane_block.h (PackedMemory aliases it).  Faults
+// are injected with a Block-typed lane mask restricting them to a subset
+// of lanes, so one memory simulates up to block_lanes_v<Block> different
+// fault configurations — by convention lane 0 is kept fault-free (the
+// golden universe batched coverage evaluation uses as a self-check).
 //
 // The write semantics are the documented five steps of Memory::write
 // (transition suppression, commit, CFid/CFin aggressor-fire, CFst
@@ -22,9 +20,8 @@
 // this differentially).
 //
 // Storage is PAGED, not dense.  A dense [addr * width + bit] lane-block
-// array costs words x width x sizeof(Block) — ~8 GiB for 16M words at
-// width 8 on the 512-lane backend — which caps workloads at toy
-// geometries.  Instead the address space is split into fixed 64-word
+// array costs words x width x sizeof(Block) — 1 GiB for 16M words at
+// width 8 — which caps workloads at toy geometries.  Instead the address space is split into fixed 64-word
 // pages, each in one of three states:
 //
 //   * background — no page object at all; every cell reads as the fill
@@ -48,8 +45,8 @@
 // to a free-list and are reused, so the repack scheduler's
 // clear_faults()/fill() round rebuild allocates nothing in steady state.
 //
-// Wide batches carry proportionally more faults per memory, so the port
-// operations must not scan the whole fault list: faults are indexed by
+// A batch carries up to 63 faults per memory, so the port operations must
+// not scan the whole fault list: faults are indexed by
 // class and address at injection time (in per-page buckets), and
 // static-fault enforcement after a write walks only the CFst/SAF faults
 // whose aggressor or victim lives in a word the write disturbed.  Entries
@@ -68,10 +65,8 @@
 // Data identical in every lane ("broadcast") represents fault-free inputs,
 // e.g. absolute march write data.
 //
-// The whole implementation lives in this header: each SIMD width is
-// compiled in its own translation unit with the matching arch flags (see
-// src/analysis/campaign_w256.cpp / campaign_w512.cpp) so the per-block
-// loops auto-vectorize; packed_memory.cpp pins the 64-lane instantiation.
+// The whole implementation lives in this header; packed_memory.cpp pins
+// the 64-lane instantiation.
 #ifndef TWM_MEMSIM_PACKED_MEMORY_H
 #define TWM_MEMSIM_PACKED_MEMORY_H
 
@@ -96,14 +91,12 @@ namespace twm {
 
 inline constexpr unsigned kPackedLanes = 64;
 
-// Bit k set = the fault / event applies to (happened in) lane k.  The
-// 64-lane backend's mask type; wide backends use their Block as the mask.
+// Bit k set = the fault / event applies to (happened in) lane k.
 using LaneMask = std::uint64_t;
 
 // Page geometry shared by the packed and scalar paged simulators: 64 words
 // per page keeps a packed page (64 x width lane blocks + fault buckets)
-// tens of KiB even at 512 lanes, while the page table stays words/64
-// pointers.
+// a few KiB, while the page table stays words/64 pointers.
 inline constexpr unsigned kMemPageShift = 6;
 inline constexpr std::size_t kMemPageWords = std::size_t{1} << kMemPageShift;
 inline constexpr std::size_t kMemPageMask = kMemPageWords - 1;
@@ -287,29 +280,6 @@ class PackedMemoryT {
 
     // Steps 4 and 5, over the candidates the touched words can reach.
     enforce_statics_touched();
-  }
-
-  // Prefetch hint for the cell span of `addr`.  The march sweep issues
-  // this one address ahead of the operation it is about to execute
-  // (bist/packed_engine.h), so a tile-sized lane-block span starts
-  // streaming toward L1 while the current address's ops still run.  Only
-  // the head of the span is touched — the hardware streamer follows the
-  // sequential access; the hint's job is to start the stream early.
-  // Non-packed pages need no hint (a scalar word is a few resident limbs).
-  void prefetch(std::size_t addr) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (addr >= words_) return;
-    const Page* p = table_[addr >> kMemPageShift].get();
-    if (!p || !p->packed) return;
-    const Block* word = &p->cells[(addr & kMemPageMask) * width_];
-    const char* c = reinterpret_cast<const char*>(word);
-    const char* end = reinterpret_cast<const char*>(word + width_);
-    constexpr std::ptrdiff_t kLine = 64, kMaxLines = 8;
-    if (end - c > kLine * kMaxLines) end = c + kLine * kMaxLines;
-    for (; c < end; c += kLine) __builtin_prefetch(c, 1, 3);
-#else
-    (void)addr;
-#endif
   }
 
   void elapse(unsigned units) {
@@ -611,10 +581,7 @@ class PackedMemoryT {
       free_.pop_back();
     } else {
       // Chaos hook for allocation exhaustion, same bad_alloc a genuine OOM
-      // raises here.  (Note the wide backends run inside twm_wide.so with
-      // its own failpoint registry — it self-configures from TWM_FAILPOINTS,
-      // so env-activated runs cover every width; in-process configure_
-      // calls only reach backends living in this image, e.g. --simd 64.)
+      // raises here.
       if (TWM_FAILPOINT("page.alloc")) throw std::bad_alloc();
       slot = std::make_unique<Page>();
       ++page_allocs_;

@@ -184,9 +184,7 @@ std::vector<std::string> failpoint_names() {
 
 namespace {
 
-// Every copy of this translation unit (the static lib and the one absorbed
-// into the twm_wide shared lib) self-configures from the environment at
-// load time, so failpoints reach code on both sides of the .so boundary.
+// Self-configures from the environment at load time, before main().
 struct EnvInit {
   EnvInit() {
     if (const char* seed = std::getenv("TWM_FAILPOINTS_SEED")) {

@@ -28,16 +28,9 @@
 // (default 1) xor the FNV-1a hash of the name — the same spec + seed + hit
 // sequence always fires the same hits, so a chaos failure reproduces.
 //
-// The registry is process-wide and thread-safe.  Note for this repo: the
-// arch-flagged wide backends live in a separate shared library (twm_wide)
-// that absorbs its own copy of the static lib, so its registry instance is
-// distinct.  Both copies self-configure from TWM_FAILPOINTS at load time,
-// which happens before main() — so the environment variable reaches every
-// site, while failpoints_configure() (and the CLI's --failpoints flag,
-// which calls it) reaches only the static-lib copy: every service, cache
-// (region resume included — it is the cache) and worker site, plus memsim
-// sites on the scalar and --simd 64 paths.  Chaos runs that must hit
-// wide-backend page allocation set the environment variable instead.
+// The registry is process-wide and thread-safe.  It self-configures from
+// TWM_FAILPOINTS at load time, before main(); failpoints_configure() (and
+// the CLI's --failpoints flag, which calls it) reaches the same sites.
 #ifndef TWM_UTIL_FAILPOINT_H
 #define TWM_UTIL_FAILPOINT_H
 

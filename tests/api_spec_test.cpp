@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "api/json.h"
+#include "api/runner.h"
+#include "api/sink.h"
 #include "api/spec.h"
 #include "march/generator.h"
 
@@ -90,27 +93,28 @@ TEST(SpecValidate, ZeroThreadsNamesRunThreads) {
   EXPECT_TRUE(has_error_at(validate(s), "run.threads"));
 }
 
-TEST(SpecValidate, ForcedUnsupportedSimdNamesRunSimd) {
-  // Host-dependent: find a width this CPU cannot execute.  On a machine
-  // supporting every width the error path cannot fire — skip there.
-  auto s = valid_spec();
-  if (!simd::supported(simd::Width::W512)) {
-    s.simd = simd::Request::W512;
-  } else if (!simd::supported(simd::Width::W256)) {
-    s.simd = simd::Request::W256;
-  } else {
-    GTEST_SKIP() << "every SIMD width supported on this host";
+// Every lane width older specs could name still validates, on every host
+// and either backend, and runs at 64 lanes: campaign_begin echoes the
+// request and reports "resolved_simd":64.
+TEST(SpecValidate, EveryOldSimdValueValidatesAndRunsAt64Lanes) {
+  for (const char* name : {"auto", "64", "256", "512", "tiled", "tiled:4096"}) {
+    const auto req = simd::parse_request(name);
+    ASSERT_TRUE(req.has_value()) << name;
+    EXPECT_EQ(simd::resolve(*req), simd::Width::W64) << name;
+    for (CoverageBackend backend : {CoverageBackend::Packed, CoverageBackend::Scalar}) {
+      auto s = valid_spec();
+      s.backend = backend;
+      s.simd = *req;
+      EXPECT_TRUE(validate(s).empty()) << name;
+      std::ostringstream out;
+      JsonLinesSink sink(out);
+      run_campaign(s, &sink);
+      const std::string begin = out.str().substr(0, out.str().find('\n'));
+      EXPECT_NE(begin.find("\"simd\":\"" + simd::to_string(*req) + "\""), std::string::npos)
+          << begin;
+      EXPECT_NE(begin.find("\"resolved_simd\":64,"), std::string::npos) << begin;
+    }
   }
-  const auto errors = validate(s);
-  ASSERT_TRUE(has_error_at(errors, "run.simd"));
-  EXPECT_NE(errors[0].message.find("not supported"), std::string::npos);
-}
-
-TEST(SpecValidate, ForcedSimdOnScalarBackendIsIgnored) {
-  auto s = valid_spec();
-  s.backend = CoverageBackend::Scalar;
-  s.simd = simd::Request::W512;  // scalar has no lanes; must not error
-  EXPECT_TRUE(validate(s).empty());
 }
 
 TEST(SpecValidate, MultipleProblemsAllReported) {
@@ -158,9 +162,9 @@ TEST(SpecEnums, SimdRequestRoundTrips) {
     ASSERT_TRUE(parsed.has_value()) << simd::to_string(r);
     EXPECT_EQ(*parsed, r);
   }
-  EXPECT_FALSE(simd::parse_request("128").has_value());
-  EXPECT_FALSE(simd::parse_request("AUTO").has_value());
-  EXPECT_FALSE(simd::parse_request("tiled:32768").has_value());
+  EXPECT_EQ(simd::parse_request("tiled"), simd::Request::Tiled4096);
+  for (const char* bad : {"128", "AUTO", "tiled:32768", "avx2", "", "65", "tiled:64", "tiled:"})
+    EXPECT_FALSE(simd::parse_request(bad).has_value()) << bad;
 }
 
 TEST(SpecEnums, SchemeIdRoundTrips) {
@@ -306,7 +310,8 @@ TEST(SpecJson, ScheduleRepackIsAcceptedAndNotReemitted) {
   EXPECT_EQ(to_json(with).find("schedule"), std::string::npos);
 }
 
-// The removed modes are SpecErrors at their paths, not silently mapped.
+// The removed modes, and lane widths no release accepted, are SpecErrors at
+// their paths, not silently mapped.
 TEST(SpecJson, RemovedDenseSchedulerAndLargeTileAreRejected) {
   const std::string head =
       R"({"name":"x","memory":{"words":2,"width":2},"march":"March C-",
@@ -314,7 +319,9 @@ TEST(SpecJson, RemovedDenseSchedulerAndLargeTileAreRejected) {
   for (const auto& [run, path] :
        {std::pair<std::string, std::string>{R"({"schedule":"dense"})", "run.schedule"},
         {R"({"schedule":7})", "run.schedule"},
-        {R"({"simd":"tiled:32768"})", "run.simd"}}) {
+        {R"({"simd":"tiled:32768"})", "run.simd"},
+        {R"({"simd":"128"})", "run.simd"},
+        {R"({"simd":"AUTO"})", "run.simd"}}) {
     try {
       spec_from_json(head + run + "}");
       FAIL() << "expected SpecValidationError for " << run;

@@ -128,31 +128,16 @@ TEST(GoldenLane, CorruptedLaneZeroSessionVerdictTriggersAbort) {
   EXPECT_THROW(require_golden_lane_clear(verdict), std::logic_error);
 }
 
-// Same self-check through a wide lane block: lane 0 of word 0 is the golden
-// lane at every width.
-TEST(GoldenLane, WideLaneZeroCorruptionTriggersAbort) {
+// A fault in the last lane must be reported in that slot and leave the
+// golden lane clear (no phantom universes, no lane mixing).
+TEST(GoldenLane, LastLaneVerdictLandsInItsSlot) {
   const MarchTest march = march_by_name("March C-");
   const SchemePlan plan = make_scheme_plan(SchemeKind::ProposedExact, march, kWidth);
 
-  PackedMemoryT<LaneBlock<4>> mem(kWords, kWidth);
-  mem.inject(Fault::saf({1, 2}, true), block_lane<LaneBlock<4>>(0));
-  const LaneBlock<4> verdict = run_scheme_session<PackedEngineT<LaneBlock<4>>>(mem, plan, {});
-
-  EXPECT_TRUE(block_bit(verdict, 0)) << "lane-0 fault must be detected in lane 0";
-  EXPECT_THROW(require_golden_lane_clear(verdict.w[0]), std::logic_error);
-}
-
-// A fault in the last lane of a wide block must be reported in that slot
-// and leave the golden lane clear (no phantom universes, no lane mixing).
-TEST(GoldenLane, LastWideLaneVerdictLandsInItsSlot) {
-  const MarchTest march = march_by_name("March C-");
-  const SchemePlan plan = make_scheme_plan(SchemeKind::ProposedExact, march, kWidth);
-
-  using Block = LaneBlock<8>;
-  constexpr unsigned kLast = block_lanes_v<Block> - 1;
-  PackedMemoryT<Block> mem(kWords, kWidth);
-  mem.inject(Fault::saf({0, 1}, true), block_lane<Block>(kLast));
-  const Block verdict = run_scheme_session<PackedEngineT<Block>>(mem, plan, {});
+  constexpr unsigned kLast = kPackedLanes - 1;
+  PackedMemory mem(kWords, kWidth);
+  mem.inject(Fault::saf({0, 1}, true), block_lane<LaneMask>(kLast));
+  const LaneMask verdict = run_scheme_session<PackedEngine>(mem, plan, {});
 
   EXPECT_TRUE(block_bit(verdict, kLast));
   EXPECT_FALSE(block_bit(verdict, 0));
@@ -222,6 +207,24 @@ TEST(CampaignRunner, RejectsEmptySeeds) {
   const CampaignRunner runner(kWords, kWidth);
   EXPECT_THROW(runner.evaluate(SchemeKind::ProposedExact, march, some_faults(), {}),
                std::invalid_argument);
+}
+
+// The allocation-free round rebuild: worker memories persist across seed
+// rounds, so a campaign with three times the rounds performs exactly the
+// same number of fresh page allocations (the free-list absorbs every
+// refill).  This pins the CampaignStats::page_allocs contract the
+// scheduler documents.
+TEST(CampaignRunner, RoundRebuildAllocatesNoNewPages) {
+  const MarchTest march = march_by_name("March C-");
+  const auto faults = some_faults();
+  const CampaignRunner runner(kWords, kWidth, {CoverageBackend::Packed, 1});
+  CampaignStats short_run, long_run;
+  runner.per_fault(SchemeKind::ProposedExact, march, faults, {0, 7}, &short_run);
+  runner.per_fault(SchemeKind::ProposedExact, march, faults, {0, 7, 11, 13, 17, 19}, &long_run);
+  EXPECT_GT(short_run.units.load(), 2u) << "every round must run more than one unit";
+  EXPECT_GT(short_run.page_allocs.load(), 0u);
+  EXPECT_EQ(short_run.page_allocs.load(), long_run.page_allocs.load())
+      << "extra rounds allocated pages";
 }
 
 TEST(CampaignRunner, EmptyFaultListYieldsEmptyResults) {

@@ -684,6 +684,25 @@ TEST(ChaosCli, RunDeadlineOverrideReportsTimedOut) {
   std::remove(path.c_str());
 }
 
+// --failpoints reaches the packed engine's page allocator whatever lane
+// width the spec names: an "auto" run dies on the injected allocation
+// failure with the typed resource error, like a "64" one.
+TEST(ChaosCli, PackedAutoRunPageAllocOomIsAResourceError) {
+  FailpointGuard guard;
+  api::CampaignSpec spec = big_scalar_spec();
+  spec.backend = CoverageBackend::Packed;
+  spec.simd = simd::Request::Auto;
+  const std::string path = ::testing::TempDir() + "twm_chaos_packed_auto_spec.json";
+  {
+    std::ofstream f(path);
+    f << api::to_json(spec);
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"run", path, "--failpoints", "page.alloc=oom@1"}, out, err), 1);
+  EXPECT_NE(err.str().find("error: resource:"), std::string::npos) << err.str();
+  std::remove(path.c_str());
+}
+
 TEST(ChaosCli, SubmitRetriesWithBackoffBeforeGivingUp) {
   std::ostringstream out, err;
   // Nothing listens on port 1: every attempt is a fast connect refusal.

@@ -1,13 +1,11 @@
 // Backend equivalence for the campaign runner: the bit-parallel packed
 // backend must reproduce the scalar per-fault verdict vector exactly — for
-// every scheme, at every compiled SIMD lane-block width the CPU supports,
-// under zero and random contents, single- and multi-threaded.  This is
+// every scheme, under zero and random contents, single- and multi-threaded.  This is
 // what keeps the batched fast path differentially checkable.
 #include <gtest/gtest.h>
 
 #include "analysis/campaign.h"
 #include "analysis/fault_list.h"
-#include "core/simd.h"
 #include "march/library.h"
 #include "memsim/memory.h"
 
@@ -19,14 +17,6 @@ constexpr unsigned kWidth = 4;
 
 // kAllSchemes comes from core/scheme_session.h: the sweep covers all eight
 // Sec. 5 schemes.
-
-// The compiled widths this CPU can execute (always includes 64).
-std::vector<simd::Request> supported_widths() {
-  std::vector<simd::Request> widths{simd::Request::W64};
-  if (simd::supported(simd::Width::W256)) widths.push_back(simd::Request::W256);
-  if (simd::supported(simd::Width::W512)) widths.push_back(simd::Request::W512);
-  return widths;
-}
 
 std::vector<Fault> every_fault() {
   std::vector<Fault> faults;
@@ -49,56 +39,45 @@ class CoverageBackendFixture : public ::testing::Test {
 };
 
 // The headline contract: verdict-for-verdict equality between backends for
-// all eight schemes, at every supported lane-block width.  The fault list
-// spans every Fault kind (including decoder faults) and more than one
-// 63-fault batch, so partial batches are exercised too.
-TEST_F(CoverageBackendFixture, PerFaultVerdictsMatchScalarForEverySchemeAtEveryWidth) {
+// all eight schemes.  The fault list spans every Fault kind (including
+// decoder faults) and more than one 63-fault batch, so partial batches are
+// exercised too.
+TEST_F(CoverageBackendFixture, PerFaultVerdictsMatchScalarForEveryScheme) {
   ASSERT_GT(faults.size(), 63u) << "fault list must span multiple packed batches";
   const std::vector<std::uint64_t> seeds{0, 7};
   for (SchemeKind k : kAllSchemes) {
     const auto scalar = run().per_fault(k, march, faults, seeds);
-    for (simd::Request w : supported_widths()) {
-      const auto packed =
-          run({CoverageBackend::Packed, 1, w}).per_fault(k, march, faults, seeds);
-      EXPECT_EQ(scalar, packed) << to_string(k) << " at --simd " << simd::to_string(w);
-    }
+    const auto packed = run({CoverageBackend::Packed, 1}).per_fault(k, march, faults, seeds);
+    EXPECT_EQ(scalar, packed) << to_string(k);
   }
 }
 
-// A fault list smaller than one batch at every width: lane 0 must stay
-// golden and no phantom universes may be reported (the partial-batch
-// used_mask contract at K > 1).
+// A fault list smaller than one batch: lane 0 must stay golden and no
+// phantom universes may be reported (the partial-batch used_mask
+// contract).
 TEST_F(CoverageBackendFixture, PartialBatchSmallerThanOneUnitMatchesScalar) {
   const std::vector<Fault> few{faults[0], faults[40], faults[100]};
   const std::vector<std::uint64_t> seeds{0, 3};
   const auto scalar = run().per_fault(SchemeKind::ProposedExact, march, few, seeds);
   ASSERT_EQ(scalar.size(), few.size());
-  for (simd::Request w : supported_widths()) {
-    const auto packed = run({CoverageBackend::Packed, 1, w})
-                            .per_fault(SchemeKind::ProposedExact, march, few, seeds);
-    EXPECT_EQ(scalar, packed) << "--simd " << simd::to_string(w);
-    const auto counts = run({CoverageBackend::Packed, 1, w})
-                            .evaluate(SchemeKind::ProposedExact, march, few, seeds);
-    EXPECT_EQ(counts.total, few.size()) << "--simd " << simd::to_string(w);
-    EXPECT_LE(counts.detected_any, few.size()) << "phantom universes at --simd "
-                                               << simd::to_string(w);
-  }
+  const CampaignRunner packed = run({CoverageBackend::Packed, 1});
+  EXPECT_EQ(scalar, packed.per_fault(SchemeKind::ProposedExact, march, few, seeds));
+  const auto counts = packed.evaluate(SchemeKind::ProposedExact, march, few, seeds);
+  EXPECT_EQ(counts.total, few.size());
+  EXPECT_LE(counts.detected_any, few.size()) << "phantom universes";
 }
 
 // Decoder faults (AFna/AFaw) flow through the batched port distortion; the
-// differential covers both nontransparent and transparent schemes at every
-// width.
-TEST_F(CoverageBackendFixture, DecoderFaultsAgreeAtEveryWidth) {
+// differential covers both nontransparent and transparent schemes.
+TEST_F(CoverageBackendFixture, DecoderFaultsAgree) {
   const auto afs = all_afs(kWords);
   const std::vector<std::uint64_t> seeds{0, 5};
   for (SchemeKind k : {SchemeKind::NontransparentReference, SchemeKind::WordOrientedMarch,
                        SchemeKind::ProposedExact, SchemeKind::ProposedMisr,
                        SchemeKind::TomtModel}) {
     const auto scalar = run().per_fault(k, march, afs, seeds);
-    for (simd::Request w : supported_widths()) {
-      const auto packed = run({CoverageBackend::Packed, 2, w}).per_fault(k, march, afs, seeds);
-      EXPECT_EQ(scalar, packed) << to_string(k) << " at --simd " << simd::to_string(w);
-    }
+    const auto packed = run({CoverageBackend::Packed, 2}).per_fault(k, march, afs, seeds);
+    EXPECT_EQ(scalar, packed) << to_string(k);
   }
 }
 
@@ -145,35 +124,16 @@ TEST_F(CoverageBackendFixture, BackendsAgreeOnMarchU) {
 }
 
 // Data-retention faults need march "Del" pauses to activate; March G has
-// them.  The packed RET aging path must agree with the scalar one at every
-// lane-block width.
-TEST_F(CoverageBackendFixture, RetentionFaultsAgreeUnderMarchGAtEveryWidth) {
+// them.  The packed RET aging path must agree with the scalar one.
+TEST_F(CoverageBackendFixture, RetentionFaultsAgreeUnderMarchG) {
   const MarchTest g = march_by_name("March G");
   const auto rets = all_rets(kWords, kWidth, 1);
   const std::vector<std::uint64_t> seeds{0, 4};
   for (SchemeKind k : {SchemeKind::NontransparentReference, SchemeKind::ProposedExact}) {
     const auto scalar = run().per_fault(k, g, rets, seeds);
-    for (simd::Request w : supported_widths()) {
-      const auto packed = run({CoverageBackend::Packed, 1, w}).per_fault(k, g, rets, seeds);
-      EXPECT_EQ(scalar, packed) << to_string(k) << " at --simd " << simd::to_string(w);
-    }
+    const auto packed = run({CoverageBackend::Packed, 1}).per_fault(k, g, rets, seeds);
+    EXPECT_EQ(scalar, packed) << to_string(k);
   }
-}
-
-// A forced width the CPU cannot execute must error cleanly out of the
-// campaign layer (std::runtime_error from simd::resolve), never SIGILL.
-TEST_F(CoverageBackendFixture, ForcedUnsupportedWidthThrows) {
-  for (simd::Width w : simd::kAllWidths) {
-    if (simd::supported(w)) continue;
-    const simd::Request req = w == simd::Width::W256 ? simd::Request::W256 : simd::Request::W512;
-    EXPECT_THROW(run({CoverageBackend::Packed, 1, req})
-                     .per_fault(SchemeKind::ProposedExact, march, faults, {0}),
-                 std::runtime_error)
-        << simd::to_string(w);
-  }
-  // Auto must always resolve (graceful downgrade), whatever the host is.
-  EXPECT_NO_THROW(run({CoverageBackend::Packed, 1, simd::Request::Auto})
-                      .per_fault(SchemeKind::ProposedExact, march, {faults[0]}, {0}));
 }
 
 // A fault "rests visible" when merely injecting it distorts the stored

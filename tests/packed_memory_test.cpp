@@ -47,6 +47,23 @@ void expect_lane_equals(const PackedMemory& packed, unsigned lane, const Memory&
         << context << ": lane " << lane << ", word " << a;
 }
 
+// The lane vocabulary the packed stack is written in: single-lane masks
+// and the used mask of a partial batch, which never includes golden lane 0.
+TEST(LaneBlockVocab, LaneMasksAndUsedMask) {
+  EXPECT_FALSE(block_any(LaneMask{}));
+  EXPECT_EQ(block_ones<LaneMask>(), ~0ull);
+  for (unsigned lane : {0u, 1u, 63u}) {
+    const LaneMask one = block_lane<LaneMask>(lane);
+    for (unsigned j = 0; j < kPackedLanes; ++j) EXPECT_EQ(block_bit(one, j), j == lane) << lane;
+  }
+  for (unsigned count : {0u, 1u, 3u, 63u}) {
+    const LaneMask m = block_used_mask<LaneMask>(count);
+    for (unsigned lane = 0; lane < kPackedLanes; ++lane)
+      EXPECT_EQ(block_bit(m, lane), lane >= 1 && lane <= count)
+          << "count " << count << ", lane " << lane;
+  }
+}
+
 TEST(PackedMemoryTest, DifferentialRandomTraces) {
   Rng rng(20260728);
   for (int trial = 0; trial < 30; ++trial) {

@@ -1,7 +1,7 @@
 // Tests for the campaign scheduler (analysis/campaign_exec.h
 // run_campaign_engine + analysis/campaign.cpp collapsing dispatch):
 //
-//   * the hard invariant — every scheme x width cell, at regions 1 and 4
+//   * the hard invariant — every scheme x backend cell, at regions 1 and 4
 //     and with collapsing on and off, gives a VerdictMatrix byte-identical
 //     to the scheduler-free oracle (tests/oracle.h),
 //   * structural fault collapsing (analysis/fault_list.h collapse_faults):
@@ -18,7 +18,6 @@
 #include "analysis/campaign.h"
 #include "analysis/fault_list.h"
 #include "core/scheme_session.h"
-#include "core/simd.h"
 #include "march/library.h"
 #include "march/word_expand.h"
 #include "memsim/packed_memory.h"
@@ -30,27 +29,7 @@ namespace {
 constexpr std::size_t kWords = 4;
 constexpr unsigned kWidth = 4;
 
-// One execution cell: a backend at one lane width.
-struct Cell {
-  CoverageBackend backend;
-  simd::Request simd;
-};
-
-// Scalar, then every packed width this CPU can run (single blocks + tile).
-std::vector<Cell> every_cell() {
-  std::vector<Cell> cells{{CoverageBackend::Scalar, simd::Request::Auto},
-                          {CoverageBackend::Packed, simd::Request::W64}};
-  if (simd::supported(simd::Width::W256))
-    cells.push_back({CoverageBackend::Packed, simd::Request::W256});
-  if (simd::supported(simd::Width::W512))
-    cells.push_back({CoverageBackend::Packed, simd::Request::W512});
-  cells.push_back({CoverageBackend::Packed, simd::Request::Tiled4096});
-  return cells;
-}
-
-std::string describe(const Cell& c) {
-  return to_string(c.backend) + "/" + simd::to_string(c.simd);
-}
+constexpr CoverageBackend kBackends[] = {CoverageBackend::Scalar, CoverageBackend::Packed};
 
 // Every fault class, including RETs (undetected by a Del-free March C-, so
 // they exercise the dropping path) and decoder faults.
@@ -118,13 +97,13 @@ std::vector<std::size_t> all_rows(std::size_t n) {
   return rows;
 }
 
-CoverageOptions options(const Cell& c, bool collapse, unsigned regions = 1,
+CoverageOptions options(CoverageBackend backend, bool collapse, unsigned regions = 1,
                         unsigned threads = 2) {
-  return {c.backend, threads, c.simd, collapse, regions};
+  return {.backend = backend, .threads = threads, .collapse = collapse, .regions = regions};
 }
 
 CoverageOptions packed64(bool collapse, unsigned threads = 2) {
-  return options({CoverageBackend::Packed, simd::Request::W64}, collapse, 1, threads);
+  return options(CoverageBackend::Packed, collapse, 1, threads);
 }
 
 // --- the hard invariant: every cell == the oracle, byte for byte ---------
@@ -139,15 +118,15 @@ TEST(SchedulerDifferential, EveryCellMatchesTheOracleAtRegionsOneAndFour) {
   for (std::size_t num_seeds : {std::size_t{1}, kSeeds.size()}) {
     const std::vector<std::uint64_t> seeds(kSeeds.begin(), kSeeds.begin() + num_seeds);
     for (SchemeKind k : kAllSchemes) {
-      for (const Cell& cell : every_cell()) {
-        const auto& rows = cell.backend == CoverageBackend::Scalar ? sampled : full;
+      for (const CoverageBackend backend : kBackends) {
+        const auto& rows = backend == CoverageBackend::Scalar ? sampled : full;
         const VerdictMatrix want = oracle_for(k, rows, num_seeds);
         const auto cell_faults = pick(faults, rows);
         for (unsigned regions : {1u, 4u})
           for (bool collapse : {false, true}) {
-            const CampaignRunner runner(kWords, kWidth, options(cell, collapse, regions));
+            const CampaignRunner runner(kWords, kWidth, options(backend, collapse, regions));
             EXPECT_EQ(want.bits, runner.matrix(k, march, cell_faults, seeds).bits)
-                << to_string(k) << " " << describe(cell) << " regions=" << regions
+                << to_string(k) << " " << to_string(backend) << " regions=" << regions
                 << " collapse=" << collapse << " seeds=" << num_seeds;
           }
       }
@@ -163,8 +142,8 @@ TEST(SchedulerDifferential, PerFaultAndAggregatesMatchTheOracle) {
   const auto full = all_rows(faults.size());
   const auto sampled = scalar_rows(faults);
   for (SchemeKind k : kAllSchemes) {
-    for (const Cell& cell : every_cell()) {
-      const auto& rows = cell.backend == CoverageBackend::Scalar ? sampled : full;
+    for (const CoverageBackend backend : kBackends) {
+      const auto& rows = backend == CoverageBackend::Scalar ? sampled : full;
       const VerdictMatrix want = oracle_for(k, rows, kSeeds.size());
       std::vector<bool> want_all(rows.size());
       std::size_t all = 0, any = 0;
@@ -174,12 +153,12 @@ TEST(SchedulerDifferential, PerFaultAndAggregatesMatchTheOracle) {
         any += want.detected_any(i);
       }
       const auto cell_faults = pick(faults, rows);
-      const CampaignRunner runner(kWords, kWidth, options(cell, true));
+      const CampaignRunner runner(kWords, kWidth, options(backend, true));
       EXPECT_EQ(want_all, runner.per_fault(k, march, cell_faults, kSeeds))
-          << to_string(k) << " " << describe(cell);
+          << to_string(k) << " " << to_string(backend);
       const CoverageOutcome got = runner.evaluate(k, march, cell_faults, kSeeds);
-      EXPECT_EQ(got.detected_all, all) << to_string(k) << " " << describe(cell);
-      EXPECT_EQ(got.detected_any, any) << to_string(k) << " " << describe(cell);
+      EXPECT_EQ(got.detected_all, all) << to_string(k) << " " << to_string(backend);
+      EXPECT_EQ(got.detected_any, any) << to_string(k) << " " << to_string(backend);
       EXPECT_EQ(got.total, rows.size()) << to_string(k);
     }
   }

@@ -3,8 +3,8 @@
 // (analysis/campaign_exec.h), and every word otherwise.
 //
 //   * Differential proof at geometries where the footprint is much smaller
-//     than `words`: every scheme x every packed width this CPU runs x
-//     regions {1, 4} x collapse {off, on} reproduces the scheduler-free
+//     than `words`: every scheme x regions {1, 4} x collapse {off, on} on
+//     the packed backend reproduces the scheduler-free
 //     scalar oracle byte for byte, over a fault sample that covers every
 //     class (far AFaw aliases, inter-word couplings across pages, RET under
 //     a march with pauses) and seeds {0} and {0, 3, 11}.
@@ -27,7 +27,6 @@
 #include "analysis/campaign_exec.h"
 #include "bist/misr.h"
 #include "bist/packed_engine.h"
-#include "core/simd.h"
 #include "march/library.h"
 #include "oracle.h"
 #include "util/rng.h"
@@ -76,14 +75,6 @@ std::vector<Fault> sampled_faults(std::size_t words, unsigned width, std::size_t
   return faults;
 }
 
-std::vector<simd::Request> cpu_widths() {
-  std::vector<simd::Request> out{simd::Request::W64};
-  if (simd::supported(simd::Width::W256)) out.push_back(simd::Request::W256);
-  if (simd::supported(simd::Width::W512)) out.push_back(simd::Request::W512);
-  out.push_back(simd::Request::Tiled4096);
-  return out;
-}
-
 // Column `seed` of a verdict matrix, as its own one-seed matrix: every
 // oracle cell is an independent (fault, seed) run, so this IS the oracle
 // matrix of that seed alone.
@@ -119,28 +110,25 @@ TEST(SparseWalk, EveryPackedCellEqualsTheOracle) {
       for (const std::vector<std::uint64_t>& seeds : seed_sets) {
         const VerdictMatrix& all_seeds = oracle[gi * kSchemes + ki];
         const VerdictMatrix want = seeds.size() == 1 ? seed_column(all_seeds, 0) : all_seeds;
-        for (const simd::Request width : cpu_widths())
-          for (const unsigned regions : {1u, 4u})
-            for (const bool collapse : {false, true}) {
-              CoverageOptions o;
-              o.backend = CoverageBackend::Packed;
-              o.simd = width;
-              o.regions = regions;
-              o.collapse = collapse;
-              CampaignStats stats;
-              std::vector<char> all, any;
-              VerdictMatrix got;
-              CampaignRunner(g.words, g.width, o)
-                  .run(k, march, faults, seeds, true, all, any, &got, nullptr, &stats);
-              const std::string cell = std::to_string(g.words) + "x" +
-                                       std::to_string(g.width) + " " + to_string(k) + " " +
-                                       simd::to_string(width) + " regions " +
-                                       std::to_string(regions) + " collapse " +
-                                       std::to_string(collapse) + " seeds " +
-                                       std::to_string(seeds.size());
-              EXPECT_EQ(got.bits, want.bits) << cell;
-              EXPECT_EQ(stats.full_walk_units.load(), 0u) << cell;
-            }
+        for (const unsigned regions : {1u, 4u})
+          for (const bool collapse : {false, true}) {
+            CoverageOptions o;
+            o.backend = CoverageBackend::Packed;
+            o.regions = regions;
+            o.collapse = collapse;
+            CampaignStats stats;
+            std::vector<char> all, any;
+            VerdictMatrix got;
+            CampaignRunner(g.words, g.width, o)
+                .run(k, march, faults, seeds, true, all, any, &got, nullptr, &stats);
+            const std::string cell = std::to_string(g.words) + "x" + std::to_string(g.width) +
+                                     " " + to_string(k) + " regions " +
+                                     std::to_string(regions) + " collapse " +
+                                     std::to_string(collapse) + " seeds " +
+                                     std::to_string(seeds.size());
+            EXPECT_EQ(got.bits, want.bits) << cell;
+            EXPECT_EQ(stats.full_walk_units.load(), 0u) << cell;
+          }
       }
     }
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bench regression gate: compare a BENCH_coverage.json against the baseline.
 
-CI runs  bench_coverage --backend=packed --simd 256 --json=BENCH_coverage.json
+CI runs  bench_coverage --backend=packed --json=BENCH_coverage.json
 and then
 
     tools/bench_compare.py bench/baseline/BENCH_coverage.json \
@@ -13,19 +13,19 @@ The gate fails (exit 1) when
     than --max-drop (default 25%) below the committed baseline — the
     absolute floor; it catches catastrophic regressions but is deliberately
     slack because the baseline machine and the runner differ,
-  * the wide-over-64-lane ratio (`widen_speedup`) dropped more than
-    --max-drop below the baseline's ratio — this one is measured within a
-    single run on the same machine, so it is runner-speed-independent and
-    catches a refactor that quietly gives back the SIMD widening win even
-    on a runner much faster or slower than the baseline host,
+  * the packed-over-scalar ratio (`speedup`) dropped more than --max-drop
+    below the baseline's ratio — this one is measured within a single run
+    on the same machine, so it is runner-speed-independent and catches a
+    refactor that quietly gives back the bit-parallel win even on a runner
+    much faster or slower than the baseline host,
   * the bench reported a verdict mismatch (`verdicts_equal` false) — a
     correctness regression dressed up as a speed number is still a failure,
   * either JSON is missing a compared key.
 
 Fields that describe the workload (faults, words, width, seeds) are checked
 for identity: a throughput number only means something against the same
-workload.  Informational fields (speedup, scalar/packed64 throughput) are
-printed but never gate — they depend on the runner's core count.
+workload.  Informational fields (scalar throughput, scheduler counters,
+the settling and huge-memory rows) are printed but never gate.
 
 Exit codes: 0 pass, 1 regression/mismatch, 2 usage or unreadable input.
 """
@@ -40,22 +40,18 @@ if hasattr(signal, "SIGPIPE"):
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 GATE_KEY = "packed_faults_per_sec"
-RATIO_KEY = "widen_speedup"
+RATIO_KEY = "speedup"
 WORKLOAD_KEYS = ("bench", "march", "words", "width", "faults", "seeds")
 # Carried through and printed, never gated (yet): the scheduler fields are
 # attribution data and will grow a gate once a few runners' numbers are in.
-INFO_KEYS = ("simd_lanes", "threads", "scalar_faults_per_sec",
-             "packed64_faults_per_sec", "speedup", "faults_simulated",
+INFO_KEYS = ("threads", "scalar_faults_per_sec", "faults_simulated",
              "mean_live_lanes", "lane_occupancy",
              "session_elements_total", "session_elements_executed",
              "addresses_walked", "full_walk_units",
              "settling_faults", "settling_seeds",
              "settling_faults_per_sec", "settling_lane_occupancy",
-             "tiled_lanes", "tiled_faults_per_sec", "tiled_speedup",
-             "tiled_lane_occupancy",
              "huge_words", "huge_faults", "huge_regions",
-             "huge_faults_per_sec", "huge_tiled_faults_per_sec",
-             "huge_pages_peak",
+             "huge_faults_per_sec", "huge_pages_peak",
              "huge_packed_pages_peak", "huge_pages_total",
              "huge_addresses_walked", "huge_full_walk_units")
 
@@ -90,7 +86,7 @@ def main():
 
     if cur.get("verdicts_equal") is not True:
         print(f"FAIL verdicts_equal: {cur.get('verdicts_equal')!r} "
-              "(packed/scalar or cross-width verdict mismatch)")
+              "(packed/scalar or cross-region verdict mismatch)")
         failed = True
 
     try:
@@ -109,26 +105,20 @@ def main():
           f"({ratio:.2f}x, floor {floor:.0f} at max drop "
           f"{args.max_drop:.0%})")
 
-    # Runner-speed-independent gate: the widening ratio is measured within
-    # one run, so it must hold wherever the bench executes.  Only compared
-    # when both runs used the same lane width (a narrower forced width
-    # legitimately has a different ratio).
-    if base.get("simd_lanes") == cur.get("simd_lanes"):
-        try:
-            rb = float(base[RATIO_KEY])
-            rc = float(cur[RATIO_KEY])
-        except (KeyError, TypeError, ValueError) as e:
-            print(f"FAIL {RATIO_KEY} missing or non-numeric: {e}")
-            sys.exit(1)
-        rfloor = rb * (1.0 - args.max_drop)
-        rverdict = "PASS" if rc >= rfloor else "FAIL"
-        if rc < rfloor:
-            failed = True
-        print(f"{rverdict} {RATIO_KEY}: baseline {rb:.2f}x -> current {rc:.2f}x "
-              f"(floor {rfloor:.2f}x at max drop {args.max_drop:.0%})")
-    else:
-        print(f"info {RATIO_KEY} not compared: simd_lanes differ "
-              f"(baseline={base.get('simd_lanes')} current={cur.get('simd_lanes')})")
+    # Runner-speed-independent gate: the packed-over-scalar ratio is
+    # measured within one run, so it must hold wherever the bench executes.
+    try:
+        rb = float(base[RATIO_KEY])
+        rc = float(cur[RATIO_KEY])
+    except (KeyError, TypeError, ValueError) as e:
+        print(f"FAIL {RATIO_KEY} missing or non-numeric: {e}")
+        sys.exit(1)
+    rfloor = rb * (1.0 - args.max_drop)
+    rverdict = "PASS" if rc >= rfloor else "FAIL"
+    if rc < rfloor:
+        failed = True
+    print(f"{rverdict} {RATIO_KEY}: baseline {rb:.2f}x -> current {rc:.2f}x "
+          f"(floor {rfloor:.2f}x at max drop {args.max_drop:.0%})")
 
     for key in INFO_KEYS:
         if key in base or key in cur:

@@ -55,6 +55,10 @@ cat > "$BIG" << 'EOF'
   "run": {"backend": "scalar", "threads": 1}
 }
 EOF
+# The same campaign on the packed backend, with the lane-width request older
+# specs carry: --failpoints must reach its page allocator too.
+PACKED=$WORK/spec_packed.json
+jq '.run.backend = "packed" | .run.simd = "auto"' "$SPEC" > "$PACKED"
 
 units() { grep '"type":"unit"' "$1"; }
 sorted_units() { units "$1" | sort -u; }
@@ -101,6 +105,14 @@ RC=$?
 set -e
 [ "$RC" -eq 1 ] || fail "oom injection exited $RC (want a clean 1)"
 echo "$OUT" | grep -q 'error: resource:' || fail "oom did not surface as a resource error"
+
+echo "== injected allocation failure, packed \"simd\":\"auto\": same typed error =="
+set +e
+OUT=$(run "$CLI" run "$PACKED" --sink jsonl --failpoints 'page.alloc=oom@1' 2>&1)
+RC=$?
+set -e
+[ "$RC" -eq 1 ] || fail "packed oom injection exited $RC (want a clean 1)"
+echo "$OUT" | grep -q 'error: resource:' || fail "packed oom did not surface as a resource error"
 
 echo "== injected worker death: clean typed error =="
 set +e
