@@ -93,6 +93,7 @@ class ExpandingObserver final : public UnitObserver {
   }
 
   bool want_seed_verdicts() const override { return inner_->want_seed_verdicts(); }
+  void flush() override { inner_->flush(); }
   bool cancelled() const override { return inner_->cancelled(); }
 
  private:
@@ -118,6 +119,7 @@ class RemappingObserver final : public UnitObserver {
   }
 
   bool want_seed_verdicts() const override { return inner_->want_seed_verdicts(); }
+  void flush() override { inner_->flush(); }
   bool cancelled() const override { return inner_->cancelled(); }
 
  private:

@@ -152,6 +152,8 @@ void require_golden_lane_clear(LaneMask verdicts);
 // Low-level streaming observer for one CampaignRunner call.  The engine
 // invokes it from WORKER threads as units settle — implementations must be
 // thread-safe (the api layer's sink adapter serializes with a mutex).
+// on_unit_settled and flush() arrive on the calling thread, from the
+// report loop that runs after each repack round.
 //
 // cancelled() is polled before each unit is claimed: returning true makes
 // every worker stop claiming new units (in-flight units still complete and
@@ -176,6 +178,10 @@ class UnitObserver {
     (void)detected;
   }
   virtual bool want_seed_verdicts() const { return false; }
+
+  // A report batch settled: fired once at the end of each round's report
+  // loop, after its last on_unit_settled (a buffering consumer writes now).
+  virtual void flush() {}
 
   virtual bool cancelled() const { return false; }
 };

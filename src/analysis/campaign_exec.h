@@ -233,7 +233,9 @@ void run_campaign_engine(const CampaignJob& job) {
 
     // Report + repack, on the calling thread: every decided fault streams
     // its final verdicts now and leaves the live set; the rest roll into
-    // the next round's densely packed batches.
+    // the next round's densely packed batches.  The walk follows `live`,
+    // whose order is the thread-count-independent fault order, and ends
+    // in one observer flush: the round's records form one batch.
     const bool final_round = s + 1 == job.num_seeds;
     survivors.clear();
     if (!final_round) survivors.reserve(live.size());
@@ -249,6 +251,7 @@ void run_campaign_engine(const CampaignJob& job) {
       }
       if (!decided && !final_round) survivors.push_back(g);
     }
+    if (job.observer) job.observer->flush();
     live.swap(survivors);
   }
 

@@ -40,7 +40,8 @@ class DeadlineGate {
 // pointers, fired from worker threads) to the public ResultSink records
 // (one per fault, serialized by a mutex, stamped with scheme/class), and
 // counts the cell's aggregate as units go by.  Replayed cache records take
-// the same path through emit().  `sink` may be null (cache-recording runs
+// the same path through emit(); the engine's end-of-batch flush() reaches
+// the sink as ResultSink::flush().  `sink` may be null (cache-recording runs
 // without a consumer); `record`, when non-null, captures every unit in
 // emission order for the cache.
 class SinkAdapter : public UnitObserver {
@@ -97,6 +98,12 @@ class SinkAdapter : public UnitObserver {
     r.seed = seeds_[seed_index];
     r.detected = detected;
     sink_->on_seed_settled(r);
+  }
+
+  void flush() override {
+    if (!sink_) return;
+    const std::lock_guard<std::mutex> lock(mu_);
+    sink_->flush();
   }
 
   bool want_seed_verdicts() const override { return sink_ && sink_->want_seed_records(); }
@@ -232,6 +239,7 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
       // Stored records stream first (they settled first in the run that
       // stored them), then the missing regions simulate.
       for (const CachedUnit& u : stored) adapter.emit(u);
+      if (!stored.empty()) adapter.flush();
       if (cache_stats) {
         ++(simulate ? cache_stats->cells_simulated : cache_stats->cells_cached);
         cache_stats->faults_replayed += stored.size();
@@ -295,7 +303,12 @@ CampaignSummary run_campaign(const CampaignSpec& spec, ResultSink* sink, CellCac
     // sink (its stream would otherwise just stop), rethrow carrying the
     // taxonomy so the service can answer with a retryable-flagged frame.
     Error err = classify_exception(e);
-    if (sink) sink->on_error(err);
+    if (sink) {
+      // Records delivered before the failure precede the error record,
+      // also for sinks (the daemon's) whose on_error writes nothing.
+      sink->flush();
+      sink->on_error(err);
+    }
     throw CampaignError(std::move(err));
   }
 }

@@ -1,5 +1,6 @@
 #include "api/sink.h"
 
+#include <charconv>
 #include <ostream>
 
 #include "api/json.h"
@@ -15,6 +16,11 @@ namespace {
 std::string seconds_str(double seconds) { return fixed_str(seconds, 6); }
 
 const char* bool_str(bool b) { return b ? "true" : "false"; }
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 }  // namespace
 
@@ -53,25 +59,58 @@ void JsonLinesSink::on_campaign_begin(const CampaignMeta& meta) {
   out_.flush();
 }
 
+void JsonLinesSink::select_cell(SchemeKind scheme, const ClassSel& cls) {
+  if (cell_cached_ && scheme == cell_scheme_ && cls == cell_cls_) return;
+  cell_cached_ = true;
+  cell_scheme_ = scheme;
+  cell_cls_ = cls;
+  cell_fields_ = "\"scheme\":" + json_quote(scheme_id(scheme)) +
+                 ",\"class\":" + json_quote(to_string(cls)) + ",\"fault\":";
+}
+
 void JsonLinesSink::on_unit(const UnitRecord& r) {
-  out_ << "{\"type\":\"unit\",\"scheme\":" << json_quote(scheme_id(r.scheme))
-       << ",\"class\":" << json_quote(to_string(r.cls)) << ",\"fault\":" << r.fault_index
-       << ",\"describe\":" << json_quote(r.fault ? r.fault->describe() : "")
-       << ",\"detected_all\":" << bool_str(r.detected_all)
-       << ",\"detected_any\":" << bool_str(r.detected_any) << "}\n";
-  // The whole point of this sink is that a consumer can tail the stream
-  // mid-campaign; records must not sit in the stream buffer until the end.
-  out_.flush();
+  select_cell(r.scheme, r.cls);
+  pending_ += "{\"type\":\"unit\",";
+  pending_ += cell_fields_;
+  append_uint(pending_, r.fault_index);
+  // describe() text needs no JSON escaping (memsim/fault.h).
+  pending_ += ",\"describe\":\"";
+  if (r.fault) r.fault->append_describe(pending_);
+  pending_ += "\",\"detected_all\":";
+  pending_ += bool_str(r.detected_all);
+  pending_ += ",\"detected_any\":";
+  pending_ += bool_str(r.detected_any);
+  pending_ += "}\n";
+  if (pending_.size() >= kMaxPendingBytes) JsonLinesSink::flush();
 }
 
 void JsonLinesSink::on_seed_settled(const SeedRecord& r) {
-  out_ << "{\"type\":\"seed\",\"scheme\":" << json_quote(scheme_id(r.scheme))
-       << ",\"class\":" << json_quote(to_string(r.cls)) << ",\"fault\":" << r.fault_index
-       << ",\"seed\":" << r.seed << ",\"detected\":" << bool_str(r.detected) << "}\n";
-  out_.flush();  // same mid-campaign tailing contract as unit records
+  select_cell(r.scheme, r.cls);
+  pending_ += "{\"type\":\"seed\",";
+  pending_ += cell_fields_;
+  append_uint(pending_, r.fault_index);
+  pending_ += ",\"seed\":";
+  append_uint(pending_, r.seed);
+  pending_ += ",\"detected\":";
+  pending_ += bool_str(r.detected);
+  pending_ += "}\n";
+  if (pending_.size() >= kMaxPendingBytes) JsonLinesSink::flush();
+}
+
+void JsonLinesSink::write_pending() {
+  if (pending_.empty()) return;
+  out_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
+  pending_.clear();
+}
+
+void JsonLinesSink::flush() {
+  if (pending_.empty()) return;
+  write_pending();
+  out_.flush();
 }
 
 void JsonLinesSink::on_campaign_end(const CampaignSummary& s) {
+  write_pending();
   out_ << "{\"type\":\"campaign_end\",\"cancelled\":" << bool_str(s.cancelled)
        << ",\"timed_out\":" << bool_str(s.timed_out)
        << ",\"units\":" << s.units_emitted << ",\"total_faults\":" << s.total_faults
@@ -91,6 +130,7 @@ void JsonLinesSink::on_campaign_end(const CampaignSummary& s) {
 }
 
 void JsonLinesSink::on_error(const Error& e) {
+  write_pending();
   out_ << "{\"type\":\"error\",\"scope\":" << json_quote(std::string(to_string(e.category)))
        << ",\"retryable\":" << bool_str(e.retryable)
        << ",\"message\":" << json_quote(e.detail) << "}\n";
@@ -115,16 +155,29 @@ std::string csv_quote(const std::string& s) {
 }  // namespace
 
 void CsvSink::on_campaign_begin(const CampaignMeta& meta) {
-  campaign_ = meta.spec->name;
+  campaign_ = csv_quote(meta.spec->name);
   if (header_written_) return;
   out_ << "campaign,scheme,class,fault,describe,detected_all,detected_any\n";
   header_written_ = true;
 }
 
 void CsvSink::on_unit(const UnitRecord& r) {
-  out_ << csv_quote(campaign_) << "," << scheme_id(r.scheme) << "," << to_string(r.cls) << ","
-       << r.fault_index << "," << csv_quote(r.fault ? r.fault->describe() : "") << ","
-       << (r.detected_all ? 1 : 0) << "," << (r.detected_any ? 1 : 0) << "\n";
+  row_ = campaign_;
+  row_ += ',';
+  row_ += scheme_id(r.scheme);
+  row_ += ',';
+  row_ += to_string(r.cls);
+  row_ += ',';
+  append_uint(row_, r.fault_index);
+  // describe() text holds no '"' (memsim/fault.h): quoting it is enough.
+  row_ += ",\"";
+  if (r.fault) r.fault->append_describe(row_);
+  row_ += "\",";
+  row_ += r.detected_all ? '1' : '0';
+  row_ += ',';
+  row_ += r.detected_any ? '1' : '0';
+  row_ += '\n';
+  out_.write(row_.data(), static_cast<std::streamsize>(row_.size()));
 }
 
 // ---- TableSink ----------------------------------------------------------

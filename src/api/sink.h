@@ -10,6 +10,8 @@
 //                       want_seed_records(), off by default (per-lane bit
 //                       extraction costs real work on the packed backends)
 //   on_unit             one fault's final all/any verdict
+//   flush               a report batch settled: every record delivered so
+//                       far must now reach the consumer
 //   on_campaign_end     aggregate per scheme x class cells + wall time
 //   on_error            once, when the campaign dies on an engine error —
 //                       the typed api::Error, delivered right before
@@ -19,6 +21,16 @@
 //   cancelled()         polled between units; returning true stops the
 //                       campaign cooperatively (in-flight units finish,
 //                       the record stream ends in a truncated prefix)
+//
+// The flush contract (what a tailing consumer can rely on): the runner
+// calls flush() once per settled report batch — after each repack round's
+// report loop, and after a cell's replayed cache records — and once more
+// right before on_error.  So a round's records are visible before the next
+// round's first record, and every record delivered before a failure, a
+// deadline cut or a sink cancel precedes the error or campaign_end record.
+// JsonLinesSink writes one batch per flush, writes early whenever its
+// buffer passes kMaxPendingBytes (64 KiB), and writes campaign_begin on its
+// own at once (launch -> first line times setup).
 //
 // A spec with run.deadline_ms set cancels ITSELF: the runner polls the
 // deadline at the same between-units granularity, and the summary of a
@@ -38,6 +50,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "api/error.h"
@@ -96,6 +109,8 @@ class ResultSink {
   virtual void on_campaign_begin(const CampaignMeta& meta) { (void)meta; }
   virtual void on_unit(const UnitRecord& record) { (void)record; }
   virtual void on_seed_settled(const SeedRecord& record) { (void)record; }
+  // A report batch settled; a buffering sink hands its records on now.
+  virtual void flush() {}
   virtual void on_campaign_end(const CampaignSummary& summary) { (void)summary; }
   // Delivered once when the campaign aborts on an engine failure (after
   // which run_campaign throws CampaignError); never after on_campaign_end.
@@ -106,25 +121,45 @@ class ResultSink {
   virtual bool cancelled() const { return false; }
 };
 
-// JSON-lines: one self-describing record per line, streamed as it happens.
-// Line shapes: {"type":"campaign_begin",...}, {"type":"seed",...},
-// {"type":"unit",...}, {"type":"campaign_end","cells":[...]}, and on
-// abort {"type":"error","scope":...,"retryable":...,"message":...}.
+// JSON-lines: one self-describing record per line, streamed one report
+// batch at a time (the flush contract above).  Line shapes:
+// {"type":"campaign_begin",...}, {"type":"seed",...}, {"type":"unit",...},
+// {"type":"campaign_end","cells":[...]}, and on abort
+// {"type":"error","scope":...,"retryable":...,"message":...}.
 class JsonLinesSink : public ResultSink {
  public:
+  // Formatted records past this many bytes are written out mid-batch, so
+  // the buffer (and peak RSS) stays bounded whatever a batch's size.
+  static constexpr std::size_t kMaxPendingBytes = 64 * 1024;
+
   explicit JsonLinesSink(std::ostream& out, bool include_seed_records = false)
-      : out_(out), include_seed_records_(include_seed_records) {}
+      : out_(out), include_seed_records_(include_seed_records) {
+    pending_.reserve(kMaxPendingBytes + 1024);  // the cap plus a record: no regrowth
+  }
 
   void on_campaign_begin(const CampaignMeta& meta) override;
   void on_unit(const UnitRecord& record) override;
   void on_seed_settled(const SeedRecord& record) override;
+  void flush() override;
   void on_campaign_end(const CampaignSummary& summary) override;
   void on_error(const Error& error) override;
   bool want_seed_records() const override { return include_seed_records_; }
 
  private:
+  // Points cell_fields_ at the (scheme, class) cell.
+  void select_cell(SchemeKind scheme, const ClassSel& cls);
+  // Writes the pending records to the stream (without flushing it).
+  void write_pending();
+
   std::ostream& out_;
   bool include_seed_records_;
+  std::string pending_;  // formatted records not yet written; reused
+  // "scheme":…,"class":…,"fault": of the cell the last record belonged to
+  // (records arrive cell by cell, so it is formatted once per cell).
+  bool cell_cached_ = false;
+  SchemeKind cell_scheme_ = SchemeKind::ProposedExact;
+  ClassSel cell_cls_;
+  std::string cell_fields_;
 };
 
 // CSV: one header row (emitted at the first campaign's begin, never
@@ -139,7 +174,8 @@ class CsvSink : public ResultSink {
 
  private:
   std::ostream& out_;
-  std::string campaign_;  // current spec's name
+  std::string campaign_;  // current spec's name, CSV-quoted
+  std::string row_;       // reused row buffer
   bool header_written_ = false;
 };
 

@@ -1,11 +1,13 @@
 #include "memsim/fault.h"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 
 namespace twm {
 
-std::string to_string(FaultClass c) {
+namespace {
+
+const char* class_name(FaultClass c) {
   switch (c) {
     case FaultClass::SAF: return "SAF";
     case FaultClass::TF: return "TF";
@@ -19,48 +21,80 @@ std::string to_string(FaultClass c) {
   return "?";
 }
 
-namespace {
-std::string cell_str(const CellAddr& c) {
-  std::ostringstream os;
-  os << "w" << c.word << ".b" << c.bit;
-  return os.str();
+void append_uint(std::string& out, std::size_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
-std::string trans_str(Transition t) { return t == Transition::Up ? "^" : "v"; }
+
+void append_cell(std::string& out, const CellAddr& c) {
+  out += 'w';
+  append_uint(out, c.word);
+  out += ".b";
+  append_uint(out, c.bit);
+}
+
+char trans_char(Transition t) { return t == Transition::Up ? '^' : 'v'; }
+char bit_char(bool b) { return b ? '1' : '0'; }
+
 }  // namespace
 
+std::string to_string(FaultClass c) { return class_name(c); }
+
 std::string Fault::describe() const {
-  std::ostringstream os;
-  os << to_string(cls);
+  std::string out;
+  append_describe(out);
+  return out;
+}
+
+void Fault::append_describe(std::string& out) const {
+  out += class_name(cls);
   switch (cls) {
     case FaultClass::SAF:
-      os << "(" << (value ? 1 : 0) << ") @" << cell_str(victim);
+      out += '(';
+      out += bit_char(value);
+      out += ") @";
+      append_cell(out, victim);
       break;
     case FaultClass::TF:
-      os << "(" << trans_str(trans) << ") @" << cell_str(victim);
+      out += '(';
+      out += trans_char(trans);
+      out += ") @";
+      append_cell(out, victim);
       break;
     case FaultClass::CFst:
-      os << "<" << (state ? 1 : 0) << ";" << (value ? 1 : 0) << "> " << cell_str(aggressor)
-         << "->" << cell_str(victim);
-      break;
     case FaultClass::CFid:
-      os << "<" << trans_str(trans) << ";" << (value ? 1 : 0) << "> " << cell_str(aggressor)
-         << "->" << cell_str(victim);
-      break;
     case FaultClass::CFin:
-      os << "<" << trans_str(trans) << "> " << cell_str(aggressor) << "->" << cell_str(victim);
+      out += '<';
+      out += cls == FaultClass::CFst ? bit_char(state) : trans_char(trans);
+      if (cls != FaultClass::CFin) {
+        out += ';';
+        out += bit_char(value);
+      }
+      out += "> ";
+      append_cell(out, aggressor);
+      out += "->";
+      append_cell(out, victim);
+      out += intra_word() ? " [intra]" : " [inter]";
       break;
     case FaultClass::RET:
-      os << "(" << (value ? 1 : 0) << "," << retention << "u) @" << cell_str(victim);
+      out += '(';
+      out += bit_char(value);
+      out += ',';
+      append_uint(out, retention);
+      out += "u) @";
+      append_cell(out, victim);
       break;
     case FaultClass::AFna:
-      os << " @w" << victim.word;
+      out += " @w";
+      append_uint(out, victim.word);
       break;
     case FaultClass::AFaw:
-      os << " w" << victim.word << "~w" << aggressor.word;
+      out += " w";
+      append_uint(out, victim.word);
+      out += "~w";
+      append_uint(out, aggressor.word);
       break;
   }
-  if (is_coupling()) os << (intra_word() ? " [intra]" : " [inter]");
-  return os.str();
 }
 
 Fault Fault::saf(CellAddr cell, bool stuck_value) {

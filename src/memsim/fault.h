@@ -61,7 +61,12 @@ struct Fault {
   // Address-decoder fault (word-level port distortion, no cell defect).
   bool is_decoder() const { return cls == FaultClass::AFna || cls == FaultClass::AFaw; }
 
+  // "SAF(1) @w3.b0", "CFid<^;0> w0.b1->w2.b1 [inter]", ... — printable
+  // ASCII without quotes or backslashes, so JSON and CSV writers embed it
+  // unescaped.  append_describe appends the same text to `out` without
+  // streams or temporaries (the record sinks' hot path).
   std::string describe() const;
+  void append_describe(std::string& out) const;
 
   // Convenience constructors.
   static Fault saf(CellAddr cell, bool stuck_value);

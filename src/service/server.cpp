@@ -35,8 +35,11 @@ bool send_line(int fd, const std::string& frame) {
 }
 
 // std::streambuf over a socket so the existing JsonLinesSink can stream
-// straight onto the wire.  Buffered per record (the sink flushes each
-// line); a failed send latches `failed` instead of throwing mid-campaign.
+// straight onto the wire.  The sink writes one report batch (at most its
+// 64 KiB cap plus a record) and then flushes: a write that does not fit
+// the buffer goes out as one send of its own, so a batch costs one send,
+// not one per buffer-full.  A failed send latches `failed` instead of
+// throwing mid-campaign.
 class FdStreambuf : public std::streambuf {
  public:
   FdStreambuf(int fd, std::atomic<bool>& failed) : fd_(fd), failed_(failed) {
@@ -45,6 +48,18 @@ class FdStreambuf : public std::streambuf {
   ~FdStreambuf() override { sync(); }
 
  protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    if (n <= epptr() - pptr()) {
+      std::memcpy(pptr(), s, static_cast<std::size_t>(n));
+      pbump(static_cast<int>(n));
+      return n;
+    }
+    flush_buffer();
+    if (!net_send_all(fd_, s, static_cast<std::size_t>(n)))
+      failed_.store(true, std::memory_order_relaxed);
+    return n;
+  }
+
   int overflow(int ch) override {
     if (flush_buffer() != 0) return traits_type::eof();
     if (ch != traits_type::eof()) {

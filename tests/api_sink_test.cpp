@@ -4,8 +4,10 @@
 // campaigns are verdict-identical to the scheduler-free oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <clocale>
 #include <sstream>
+#include <streambuf>
 
 #include "analysis/report.h"
 #include "api/json.h"
@@ -165,6 +167,174 @@ TEST(ResultSinkTest, JsonLinesStreamIsWellFormed) {
   ASSERT_NE(cells, nullptr);
   ASSERT_EQ(cells->items().size(), 1u);
   EXPECT_EQ(*cells->items()[0].find("total")->as_u64(), 8u);
+}
+
+// ---- the flush contract at batch grain --------------------------------------
+
+// Records what reaches the stream: every byte put since the last sync, and
+// the content of each sync.  No put area, so every write is observed.
+class CountingStreambuf : public std::streambuf {
+ public:
+  std::string pending;             // put since the last sync
+  std::vector<std::string> syncs;  // content of each sync, in order
+  std::string synced;              // all synced bytes
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) pending += traits_type::to_char_type(ch);
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    pending.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int sync() override {
+    syncs.push_back(pending);
+    synced += pending;
+    pending.clear();
+    return 0;
+  }
+};
+
+std::size_t count_lines(const std::string& s) {
+  return static_cast<std::size_t>(std::count(s.begin(), s.end(), '\n'));
+}
+
+// Forwards to a JsonLinesSink over a CountingStreambuf and checks, as the
+// campaign runs, what a tailing consumer of that stream could have seen.
+class TailingProbe : public ResultSink {
+ public:
+  explicit TailingProbe(CountingStreambuf& buf) : buf_(buf), out_(&buf), inner_(out_) {}
+
+  void on_campaign_begin(const CampaignMeta& meta) override {
+    inner_.on_campaign_begin(meta);
+    // campaign_begin is synced alone, at once.
+    EXPECT_EQ(buf_.syncs.size(), 1u);
+    EXPECT_TRUE(buf_.pending.empty());
+    EXPECT_EQ(buf_.synced.rfind("{\"type\":\"campaign_begin\"", 0), 0u);
+    EXPECT_EQ(count_lines(buf_.synced), 1u);
+  }
+
+  void on_unit(const UnitRecord& r) override {
+    if (batch_closed_) {
+      // The first record of a batch: the previous batch is fully visible.
+      batch_closed_ = false;
+      ++batches_checked;
+      EXPECT_EQ(count_lines(buf_.synced), 1 + units) << "after " << units << " records";
+    }
+    inner_.on_unit(r);
+    ++units;
+  }
+
+  void flush() override {
+    if (units > units_at_flush_) {
+      ++nonempty_batches;
+      units_at_flush_ = units;
+      batch_closed_ = true;
+    }
+    inner_.flush();
+  }
+
+  void on_campaign_end(const CampaignSummary& s) override { inner_.on_campaign_end(s); }
+  void on_error(const Error& e) override { inner_.on_error(e); }
+
+  std::size_t units = 0;
+  std::size_t nonempty_batches = 0;
+  std::size_t batches_checked = 0;
+
+ private:
+  CountingStreambuf& buf_;
+  std::ostream out_;
+  JsonLinesSink inner_;
+  std::size_t units_at_flush_ = 0;
+  bool batch_closed_ = false;
+};
+
+// Independent reference for the unit records: the record format written
+// one ostringstream line per record, with describe() and json_quote.  The
+// batched stream must equal it byte for byte.
+std::string reference_unit_lines(const CampaignSpec& spec, const CollectingSink& records) {
+  std::ostringstream out;
+  for (const CollectingSink::StoredUnit& u : records.units) {
+    const Fault f = build_fault_list(u.cls, spec.words, spec.width)[u.fault_index];
+    out << "{\"type\":\"unit\",\"scheme\":" << json_quote(scheme_id(u.scheme))
+        << ",\"class\":" << json_quote(to_string(u.cls)) << ",\"fault\":" << u.fault_index
+        << ",\"describe\":" << json_quote(f.describe())
+        << ",\"detected_all\":" << (u.detected_all ? "true" : "false")
+        << ",\"detected_any\":" << (u.detected_any ? "true" : "false") << "}\n";
+  }
+  return out.str();
+}
+
+// Packed, several content seeds: the symmetric scheme's TF verdicts depend
+// on the content, so faults settle over several repack rounds (several
+// report batches in one cell), and the 1024-fault SAF cell's final batch
+// is larger than the sink's pending-bytes cap.
+CampaignSpec multi_round_spec() {
+  CampaignSpec s;
+  s.name = "tailing";
+  s.words = 64;
+  s.width = 8;
+  s.march = "March C-";
+  s.schemes = {SchemeKind::ProposedSymmetricXor};
+  s.classes = {{ClassKind::Tf, CfScope::Both}, {ClassKind::Saf, CfScope::Both}};
+  s.seeds = {0, 1, 2, 3};
+  s.backend = CoverageBackend::Packed;
+  s.threads = 2;
+  return s;
+}
+
+TEST(ResultSinkTest, JsonLinesHoldsRecordsUntilTheBatchIsFlushed) {
+  std::ostringstream out;
+  JsonLinesSink sink(out);
+  const Fault f = Fault::saf({1, 0}, true);
+  UnitRecord r;
+  r.fault = &f;
+  sink.on_unit(r);
+  sink.on_unit(r);
+  EXPECT_TRUE(out.str().empty());
+  sink.flush();
+  EXPECT_EQ(count_lines(out.str()), 2u);
+  sink.flush();  // nothing pending: nothing written
+  EXPECT_EQ(count_lines(out.str()), 2u);
+}
+
+TEST(ResultSinkTest, JsonLinesTailingContractHoldsAtBatchGrain) {
+  const CampaignSpec spec = multi_round_spec();
+  CountingStreambuf buf;
+  TailingProbe probe(buf);
+  const CampaignSummary summary = run_campaign(spec, &probe);
+  ASSERT_EQ(summary.cells.size(), 2u);
+  EXPECT_TRUE(buf.pending.empty()) << "campaign_end left bytes unsynced";
+
+  // More than one report batch inside the TF cell (three in total at
+  // least), and every batch boundary was checked for visibility.
+  ASSERT_GE(probe.nonempty_batches, 3u);
+  EXPECT_EQ(probe.batches_checked, probe.nonempty_batches - 1);
+
+  // Every sync ends a line; none holds more than the cap plus one record.
+  std::size_t longest_line = 0;
+  for (std::size_t at = 0, nl; (nl = buf.synced.find('\n', at)) != std::string::npos; at = nl + 1)
+    longest_line = std::max(longest_line, nl + 1 - at);
+  bool cap_fired = false;
+  for (const std::string& chunk : buf.syncs) {
+    ASSERT_FALSE(chunk.empty());
+    EXPECT_EQ(chunk.back(), '\n');
+    EXPECT_LE(chunk.size(), JsonLinesSink::kMaxPendingBytes + longest_line);
+    cap_fired |= chunk.size() >= JsonLinesSink::kMaxPendingBytes;
+  }
+  EXPECT_TRUE(cap_fired) << "no batch reached the pending-bytes cap";
+
+  // The stream is begin + the per-record reference + end.
+  CollectingSink records;
+  run_campaign(spec, &records);
+  ASSERT_EQ(records.units.size(), probe.units);
+  const std::string& stream = buf.synced;
+  const std::size_t units_at = stream.find('\n') + 1;
+  const std::size_t end_at = stream.rfind("{\"type\":\"campaign_end\"");
+  ASSERT_NE(end_at, std::string::npos);
+  EXPECT_EQ(stream.substr(units_at, end_at - units_at), reference_unit_lines(spec, records));
+  EXPECT_EQ(count_lines(stream.substr(end_at)), 1u);
 }
 
 TEST(ResultSinkTest, CsvSinkEmitsOneHeaderAndOneRowPerUnit) {

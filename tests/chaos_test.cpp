@@ -82,6 +82,30 @@ api::CampaignSpec big_scalar_spec() {
   return s;
 }
 
+// Packed, one thread, several content seeds: the symmetric scheme's TF
+// verdicts settle over several repack rounds.  A fault needs two contents
+// to settle early (missed under one, caught under another), so round 2
+// reports the first batch of records, before round 3 runs (each round is
+// one run_pool call: one hit of the campaign.worker failpoint).
+api::CampaignSpec multi_round_spec() {
+  api::CampaignSpec s = scalar_spec();
+  s.name = "chaos-test-rounds";
+  s.words = 64;
+  s.width = 8;
+  s.schemes = {SchemeKind::ProposedSymmetricXor};
+  s.classes = {{api::ClassKind::Tf, CfScope::Both}};
+  s.seeds = {0, 1, 2, 3};
+  s.backend = CoverageBackend::Packed;
+  return s;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 // ---- failpoint registry --------------------------------------------------
 
 TEST(Failpoint, SpecParsesActionsAndTriggerForms) {
@@ -443,6 +467,33 @@ TEST(EngineChaos, WorkerDeathBecomesATypedEngineError) {
   EXPECT_EQ(sink.errors[0].category, api::ErrorCategory::Engine);
 }
 
+// A failure in the third repack round, after round 2's report batch: the
+// stream is that batch — a prefix of the fault-free stream — followed by
+// the error record.
+TEST(EngineChaos, MidCampaignFailureStreamsAUnitPrefixThenTheError) {
+  FailpointGuard guard;
+  const api::CampaignSpec spec = multi_round_spec();
+  std::ostringstream full_out;
+  api::JsonLinesSink full_sink(full_out);
+  api::run_campaign(spec, &full_sink);
+  const std::vector<std::string> full = split_lines(full_out.str());
+
+  ASSERT_TRUE(util::failpoints_configure("campaign.worker=err@3"));
+  std::ostringstream out;
+  api::JsonLinesSink sink(out);
+  EXPECT_THROW(api::run_campaign(spec, &sink), api::CampaignError);
+  const std::vector<std::string> lines = split_lines(out.str());
+  ASSERT_GE(lines.size(), 3u) << "no unit record preceded the failure";
+  ASSERT_LT(lines.size(), full.size());
+  EXPECT_EQ(lines.front(), full.front());  // campaign_begin
+  for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].rfind("{\"type\":\"unit\"", 0), 0u) << lines[i];
+    EXPECT_EQ(lines[i], full[i]);
+  }
+  EXPECT_EQ(lines.back().rfind("{\"type\":\"error\",\"scope\":\"engine\"", 0), 0u)
+      << lines.back();
+}
+
 TEST(EngineChaos, SpecValidationStillThrowsItsOwnType) {
   // The typed-error wrapper must not swallow the pre-run validation
   // contract: callers branch on SpecValidationError's field paths.
@@ -629,6 +680,46 @@ TEST_F(ServiceChaosTest, EngineFaultReachesTheClientAsARetryableErrorFrame) {
     ASSERT_FALSE(service::parse_error_frame(*line).has_value()) << *line;
   }
   EXPECT_TRUE(completed);
+}
+
+// The same mid-campaign failure over the socket, where the sink writes no
+// in-stream error record: the records delivered before the failure still
+// reach the client — a prefix of the fault-free stream — ahead of the
+// protocol-level error frame.
+TEST_F(ServiceChaosTest, MidCampaignFailureStreamsAUnitPrefixThenTheErrorFrame) {
+  const auto port = start_server();
+  service::LineClient c = connect(port);
+  const api::CampaignSpec spec = multi_round_spec();
+
+  const auto drain = [&c](std::vector<std::string>& lines) {
+    while (true) {
+      const auto line = c.recv_line();
+      if (!line) return false;
+      lines.push_back(*line);
+      if (service::parse_error_frame(*line) ||
+          line->find("\"type\":\"campaign_stats\"") != std::string::npos)
+        return true;
+    }
+  };
+
+  ASSERT_TRUE(util::failpoints_configure("campaign.worker=err@3"));
+  ASSERT_TRUE(c.send_line(service::submit_frame(spec)));
+  std::vector<std::string> cut;
+  ASSERT_TRUE(drain(cut)) << "connection died instead of delivering the typed error";
+  const auto info = service::parse_error_frame(cut.back());
+  ASSERT_TRUE(info.has_value()) << cut.back();
+  EXPECT_EQ(info->scope, "engine");
+
+  util::failpoints_clear();
+  ASSERT_TRUE(c.send_line(service::submit_frame(spec)));
+  std::vector<std::string> full;
+  ASSERT_TRUE(drain(full));
+  ASSERT_NE(full.back().find("\"type\":\"campaign_stats\""), std::string::npos);
+
+  ASSERT_GE(cut.size(), 3u) << "no unit record preceded the error frame";
+  ASSERT_LT(cut.size(), full.size());
+  for (std::size_t i = 0; i + 1 < cut.size(); ++i) EXPECT_EQ(cut[i], full[i]);
+  EXPECT_EQ(cut[1].rfind("{\"type\":\"unit\"", 0), 0u) << cut[1];
 }
 
 TEST_F(ServiceChaosTest, IdleClientIsDroppedWithATypedTimeoutFrame) {

@@ -210,6 +210,37 @@ TEST(Memory, FaultDescribeStrings) {
   EXPECT_EQ(inter.describe(), "CFst<1;1> w0.b0->w1.b0 [inter]");
 }
 
+// Golden describe() text for every fault class: the JSON-lines, CSV and
+// diagnostic outputs all carry it verbatim, so any formatter rewrite must
+// reproduce it byte for byte (multi-digit words and bits included).
+TEST(FaultDescribe, GoldenStringForEveryClass) {
+  const std::pair<Fault, const char*> golden[] = {
+      {Fault::saf({3, 1}, false), "SAF(0) @w3.b1"},
+      {Fault::saf({65535, 12}, true), "SAF(1) @w65535.b12"},
+      {Fault::tf({0, 5}, Transition::Up), "TF(^) @w0.b5"},
+      {Fault::tf({1048575, 0}, Transition::Down), "TF(v) @w1048575.b0"},
+      {Fault::cfst({2, 0}, false, {2, 7}, true), "CFst<0;1> w2.b0->w2.b7 [intra]"},
+      {Fault::cfst({10, 3}, true, {4096, 3}, false), "CFst<1;0> w10.b3->w4096.b3 [inter]"},
+      {Fault::cfid({7, 1}, Transition::Down, {7, 0}, true), "CFid<v;1> w7.b1->w7.b0 [intra]"},
+      {Fault::cfid({0, 2}, Transition::Up, {99, 31}, false),
+       "CFid<^;0> w0.b2->w99.b31 [inter]"},
+      {Fault::cfin({5, 4}, Transition::Up, {5, 6}), "CFin<^> w5.b4->w5.b6 [intra]"},
+      {Fault::cfin({123456, 0}, Transition::Down, {1, 1}),
+       "CFin<v> w123456.b0->w1.b1 [inter]"},
+      {Fault::ret({2, 3}, false, 12), "RET(0,12u) @w2.b3"},
+      {Fault::af_no_access(42), "AFna @w42"},
+      {Fault::af_alias(4, 262143), "AFaw w4~w262143"},
+  };
+  for (const auto& [fault, text] : golden) EXPECT_EQ(fault.describe(), text);
+}
+
+TEST(FaultDescribe, AppendDescribeAppendsToTheBuffer) {
+  std::string out = "x:";
+  Fault::af_alias(1, 2).append_describe(out);
+  Fault::cfin({3, 0}, Transition::Up, {3, 1}).append_describe(out);
+  EXPECT_EQ(out, "x:AFaw w1~w2CFin<^> w3.b0->w3.b1 [intra]");
+}
+
 TEST(Memory, ClearFaultsStopsInjection) {
   Memory m(1, 2);
   m.inject(Fault::saf({0, 0}, true));

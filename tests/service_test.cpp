@@ -425,6 +425,41 @@ TEST_F(ServiceTest, ClientDisconnectCancelsItsCampaign) {
   EXPECT_EQ(c.campaigns, 0u);
 }
 
+// A submit cut by its run.deadline_ms: the stream over the socket is a
+// prefix of the full stream, and every record the cut campaign delivered
+// reached the client ahead of its campaign_end (whose unit count matches).
+TEST_F(ServiceTest, DeadlineCutSubmitStreamsAPrefixOfTheFullStream) {
+  api::CampaignSpec spec = small_spec();
+  spec.name = "service-test-deadline";
+  spec.words = 256;
+  spec.width = 8;
+  spec.schemes = {SchemeKind::ProposedSymmetricXor};
+  spec.classes = {{api::ClassKind::Tf, CfScope::Both},
+                  {api::ClassKind::Saf, CfScope::Both},
+                  {api::ClassKind::CFid, CfScope::InterWord, 40000}};
+  spec.seeds = {0, 1, 2, 3};
+  spec.threads = 1;  // one live-list order, whatever the deadline cuts
+  const auto port = start_server();
+  LineClient c = connect(port);
+
+  spec.deadline_ms = 20;
+  const SubmitResult cut = submit_and_drain(c, spec);
+  spec.deadline_ms = 0;
+  const SubmitResult full = submit_and_drain(c, spec);
+
+  ASSERT_EQ(frame_type(cut.last), "campaign_stats");
+  ASSERT_GE(cut.lines.size(), 3u);
+  const std::string& end = cut.lines[cut.lines.size() - 2];
+  ASSERT_EQ(frame_type(end), "campaign_end");
+  EXPECT_NE(end.find("\"timed_out\":true"), std::string::npos) << end;
+  const std::vector<std::string> cut_units = cut.unit_lines();
+  const std::vector<std::string> full_units = full.unit_lines();
+  EXPECT_EQ(u64_field(end, "units"), cut_units.size());
+  ASSERT_LT(cut_units.size(), full_units.size());
+  for (std::size_t i = 0; i < cut_units.size(); ++i) EXPECT_EQ(cut_units[i], full_units[i]);
+  EXPECT_EQ(frame_type(full.last), "campaign_stats");
+}
+
 TEST_F(ServiceTest, MaxClientsRefusesTheExcessConnectionWithAnErrorFrame) {
   ServerConfig config;
   config.max_clients = 1;
