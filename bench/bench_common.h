@@ -6,14 +6,13 @@
 //
 //   --backend=scalar|packed   simulation backend (default: packed)
 //   --threads=N               worker threads for the campaign (default: 1)
-//   --collapse=on|off         structural fault collapsing (default: on)
 //   --json=PATH               where to write the bench's JSON result line
 //
 // Both `--flag=value` and `--flag value` are accepted.  The spec's
 // geometry / march / scheme / class members are filled by each bench (they
 // reproduce fixed tables from the paper); the flags above set its `run`
 // request, and spellings are parsed by the one canonical parser set in
-// api/spec.h (api::parse_backend, api::parse_on_off).
+// api/spec.h (api::parse_backend).
 #ifndef TWM_BENCH_BENCH_COMMON_H
 #define TWM_BENCH_BENCH_COMMON_H
 
@@ -28,7 +27,7 @@
 namespace twm::bench {
 
 struct BenchArgs {
-  api::CampaignSpec spec;  // run.{backend,threads,collapse} from flags
+  api::CampaignSpec spec;  // run.{backend,threads} from flags
   std::string json;        // empty = no JSON artifact
 };
 
@@ -38,8 +37,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& defa
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     // Accept both `--flag=value` and `--flag value`.
-    if ((arg == "--backend" || arg == "--threads" || arg == "--json" || arg == "--collapse") &&
-        i + 1 < argc)
+    if ((arg == "--backend" || arg == "--threads" || arg == "--json") && i + 1 < argc)
       arg += std::string("=") + argv[++i];
     const auto starts = [&](const char* p) { return arg.rfind(p, 0) == 0; };
     if (starts("--backend=")) {
@@ -53,19 +51,12 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& defa
     } else if (starts("--threads=")) {
       a.spec.threads = static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 10));
       if (a.spec.threads == 0) a.spec.threads = 1;
-    } else if (starts("--collapse=")) {
-      const auto on = api::parse_on_off(arg.substr(11));
-      if (!on) {
-        std::fprintf(stderr, "--collapse expects on|off, got '%s'\n", arg.c_str() + 11);
-        std::exit(1);
-      }
-      a.spec.collapse = *on;
     } else if (starts("--json=")) {
       a.json = arg.substr(7);
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (want --backend=scalar|packed --threads=N "
-                   "--collapse=on|off --json=PATH)\n",
+                   "--json=PATH)\n",
                    arg.c_str());
       std::exit(1);
     }

@@ -11,14 +11,13 @@
 // fault class, coupling faults split :inter / :intra as the paper tabulates
 // them) executed by api::run_campaign with the human table sink — exactly
 // what `twm_cli run` would do for the same spec file.  Flags select the
-// backend (--backend=scalar|packed), worker count (--threads=N) and
-// structural collapsing (--collapse=on|off).  The bench then times the
-// scalar reference and the 64-lane packed backend on a production-shaped
-// high-detection fault list; a second "settling" workload (RET + SAF over
-// several contents, most verdicts final after the first seed round)
-// exercises survivor repacking.  Lane
-// occupancy, session-element, collapsing and address-walk counters are
-// emitted so the scheduler gains stay attributable.  Writes everything to
+// backend (--backend=scalar|packed) and worker count (--threads=N).  The
+// bench then times the scalar reference and the 64-lane packed backend on a
+// production-shaped high-detection fault list; a second "settling" workload
+// (RET + SAF over several contents, most verdicts final after the first
+// seed round) exercises survivor repacking.  Lane occupancy, session-element
+// and address-walk counters are emitted so the scheduler gains stay
+// attributable.  Writes everything to
 // BENCH_coverage.json (--json=PATH overrides) and exits non-zero if ANY
 // pair — backend or region count — disagrees verdict-for-verdict.
 #include <algorithm>
@@ -126,13 +125,10 @@ int main(int argc, char** argv) {
   const std::vector<Fault> scalar_slice(workload.begin(), workload.begin() + kScalarSlice);
 
   const unsigned threads = args.spec.threads;
-  const bool collapse = args.spec.collapse;
-  const CampaignRunner scalar_runner(
-      kBenchWords, kBenchWidth,
-      {.backend = CoverageBackend::Scalar, .threads = threads, .collapse = collapse});
-  const CampaignRunner packed_runner(
-      kBenchWords, kBenchWidth,
-      {.backend = CoverageBackend::Packed, .threads = threads, .collapse = collapse});
+  const CampaignRunner scalar_runner(kBenchWords, kBenchWidth,
+                                     {.backend = CoverageBackend::Scalar, .threads = threads});
+  const CampaignRunner packed_runner(kBenchWords, kBenchWidth,
+                                     {.backend = CoverageBackend::Packed, .threads = threads});
   const auto per_fault_stats = [&](const CampaignRunner& r, const std::vector<Fault>& faults,
                                    const std::vector<std::uint64_t>& seeds,
                                    CampaignStats* stats) {
@@ -175,11 +171,9 @@ int main(int argc, char** argv) {
               kBenchWords, kBenchWidth, workload.size(), bench_seeds.size(), threads,
               scalar_slice.size());
   std::printf("  scalar:     %8.0f faults/s  (%.3fs)\n", fps_scalar, t_scalar);
-  std::printf("  packed:     %8.0f faults/s  (%.3fs)  -> %.1fx over scalar (%zu of %zu faults "
-              "simulated, %.0f%% of march elements run)\n",
-              fps_packed, t_packed, speedup,
-              static_cast<std::size_t>(packed_stats.faults_simulated.load()), workload.size(),
-              100.0 * elements_frac);
+  std::printf("  packed:     %8.0f faults/s  (%.3fs)  -> %.1fx over scalar (%.0f%% of march "
+              "elements run)\n",
+              fps_packed, t_packed, speedup, 100.0 * elements_frac);
 
   // The settling workload: most faults' verdicts settle in the first seed
   // round (RET faults are invisible to a Del-free March C-, so their "all"
@@ -219,11 +213,9 @@ int main(int argc, char** argv) {
   const CampaignRunner huge_runner(kHugeWords, kHugeWidth,
                                    {.backend = CoverageBackend::Packed,
                                     .threads = threads,
-                                    .collapse = collapse,
                                     .regions = kHugeRegions});
-  const CampaignRunner huge_runner_r1(
-      kHugeWords, kHugeWidth,
-      {.backend = CoverageBackend::Packed, .threads = threads, .collapse = collapse});
+  const CampaignRunner huge_runner_r1(kHugeWords, kHugeWidth,
+                                      {.backend = CoverageBackend::Packed, .threads = threads});
   CampaignStats huge_stats;
   std::vector<bool> vh_regions, vh_flat;
   const double t_huge = bench::time_seconds([&] {

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "analysis/campaign_exec.h"
-#include "analysis/fault_list.h"
 #include "util/failpoint.h"
 
 namespace twm {
@@ -71,35 +70,6 @@ bool VerdictMatrix::detected_any(std::size_t fault) const {
 }
 
 namespace {
-
-// Translates the engine's per-REPRESENTATIVE events back to the original
-// fault indices of a collapsed campaign, one record per bucket member.
-// Invoked from worker threads; the inner observer is thread-safe by the
-// UnitObserver contract and this wrapper only reads const state.
-class ExpandingObserver final : public UnitObserver {
- public:
-  ExpandingObserver(UnitObserver* inner, const FaultCollapse& fc) : inner_(inner), fc_(fc) {}
-
-  void on_unit_settled(std::size_t first, unsigned count, const char* all,
-                       const char* any) override {
-    for (unsigned k = 0; k < count; ++k)
-      for (const std::uint32_t orig : fc_.members[first + k])
-        inner_->on_unit_settled(orig, 1, all + k, any + k);
-  }
-
-  void on_seed_verdict(std::size_t fault, std::size_t seed_index, bool detected) override {
-    for (const std::uint32_t orig : fc_.members[fault])
-      inner_->on_seed_verdict(orig, seed_index, detected);
-  }
-
-  bool want_seed_verdicts() const override { return inner_->want_seed_verdicts(); }
-  void flush() override { inner_->flush(); }
-  bool cancelled() const override { return inner_->cancelled(); }
-
- private:
-  UnitObserver* inner_;
-  const FaultCollapse& fc_;
-};
 
 // Translates a region sub-campaign's fault indices back to the positions
 // the faults hold in the original (unpartitioned) list.
@@ -219,51 +189,14 @@ void CampaignRunner::run_list(const SchemePlan& plan, const std::vector<Fault>& 
   job.seeds = seeds.data();
   job.num_seeds = seeds.size();
   job.need_any = need_any;
-  job.matrix = out_matrix;
-  job.observer = observer;
-  job.stats = stats;
-
-  // Structural collapsing: simulate one representative per equivalence
-  // bucket, expand every verdict back to the full list.
-  if (options_.collapse && n > 1) {
-    const FaultCollapse fc = collapse_faults(faults, plan, seeds);
-    if (fc.collapsed()) {
-      const std::size_t reps = fc.representatives.size();
-      std::vector<char> rep_all(reps, 1), rep_any(reps, 0);
-      VerdictMatrix rep_matrix;
-      if (out_matrix) {
-        rep_matrix.num_faults = reps;
-        rep_matrix.num_seeds = seeds.size();
-        rep_matrix.bits.assign(reps * seeds.size(), 0);
-      }
-      ExpandingObserver expander(observer, fc);
-      if (stats) stats->faults_simulated.fetch_add(reps, std::memory_order_relaxed);
-      job.faults = fc.representatives.data();
-      job.num_faults = reps;
-      job.all = rep_all.data();
-      job.any = rep_any.data();
-      job.matrix = out_matrix ? &rep_matrix : nullptr;
-      job.observer = observer ? &expander : nullptr;
-      dispatch(job);
-      for (std::size_t i = 0; i < n; ++i) {
-        all[i] = rep_all[fc.bucket_of[i]];
-        any[i] = rep_any[fc.bucket_of[i]];
-      }
-      if (out_matrix) {
-        const std::size_t row = seeds.size();
-        for (std::size_t i = 0; i < n; ++i)
-          std::memcpy(&out_matrix->bits[i * row], &rep_matrix.bits[fc.bucket_of[i] * row],
-                      row);
-      }
-      return;
-    }
-  }
-
-  if (stats) stats->faults_simulated.fetch_add(n, std::memory_order_relaxed);
   job.faults = faults.data();
   job.num_faults = n;
   job.all = all;
   job.any = any;
+  job.matrix = out_matrix;
+  job.observer = observer;
+  job.stats = stats;
+  if (stats) stats->faults_simulated.fetch_add(n, std::memory_order_relaxed);
   dispatch(job);
 }
 

@@ -65,11 +65,6 @@ struct CoverageOptions {
   // Lane-width request kept for spec compatibility; every value runs the
   // 64-lane packed engine (core/simd.h).
   simd::Request simd = simd::Request::Auto;
-  // Structural fault collapsing: pre-bucket equivalent faults
-  // (analysis/fault_list.h collapse_faults) and simulate one
-  // representative per bucket.  Off = every fault simulated individually,
-  // for differential attribution of the collapsing win.
-  bool collapse = true;
   // Address-region sharding, orthogonal to the fault sharding above: the
   // fault list is partitioned into `regions` slices of the address space
   // (a fault belongs to the region owning its victim word; inter-region
@@ -92,12 +87,11 @@ struct CoverageOptions {
 //                    still-undecided faults,
 //   settle-exit      elements_executed / elements_total — the fraction of
 //                    march elements a full-length run would execute that
-//                    actually ran,
-//   collapsing       faults_simulated vs the original list size.
+//                    actually ran.
 struct CampaignStats {
   std::atomic<std::uint64_t> units{0};        // unit-sessions executed
   std::atomic<std::uint64_t> lane_slots{0};   // fault lanes across those units
-  std::atomic<std::uint64_t> faults_simulated{0};  // faults after collapsing
+  std::atomic<std::uint64_t> faults_simulated{0};  // faults dispatched to the engine
   std::atomic<std::uint64_t> elements_total{0};     // full-length march elements
   std::atomic<std::uint64_t> elements_executed{0};  // march elements entered
   // Addresses the units' sessions walked, summed over units: a unit walks
@@ -256,7 +250,7 @@ class CampaignRunner {
   // When `observer` is non-null it is streamed unit-by-unit as verdicts
   // settle and may cancel the remainder of the run cooperatively.  When
   // `stats` is non-null the scheduler's forward-progress counters are
-  // accumulated into it (occupancy / settle-exit / collapsing attribution).
+  // accumulated into it (occupancy / settle-exit attribution).
   // When options().regions > 1 (or `progress` is non-null) the fault list
   // is partitioned by fault_region() and the regions run sequentially as
   // independent sub-campaigns; merged verdicts are identical to regions=1.
@@ -267,8 +261,8 @@ class CampaignRunner {
            const RegionProgress* progress = nullptr) const;
 
  private:
-  // One fault list through collapse + dispatch; all/any point at (and a
-  // non-null matrix is pre-sized for) exactly this list.
+  // One fault list through dispatch; all/any point at (and a non-null
+  // matrix is pre-sized for) exactly this list.
   void run_list(const SchemePlan& plan, const std::vector<Fault>& faults,
                 const std::vector<std::uint64_t>& seeds, bool need_any, char* all, char* any,
                 VerdictMatrix* out_matrix, UnitObserver* observer, CampaignStats* stats) const;

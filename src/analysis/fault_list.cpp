@@ -179,12 +179,8 @@ FaultCollapse collapse_faults(const std::vector<Fault>& faults, const SchemePlan
     const BucketKey key = bucket_key(faults[i], zero_contents, bit_symmetric);
     const auto [it, inserted] =
         buckets.emplace(key, static_cast<std::uint32_t>(fc.representatives.size()));
-    if (inserted) {
-      fc.representatives.push_back(faults[i]);
-      fc.members.emplace_back();
-    }
+    if (inserted) fc.representatives.push_back(faults[i]);
     fc.bucket_of[i] = it->second;
-    fc.members[it->second].push_back(static_cast<std::uint32_t>(i));
   }
   return fc;
 }

@@ -37,19 +37,23 @@ std::vector<Fault> all_cfs(std::size_t words, unsigned width, FaultClass cls, Cf
 std::vector<Fault> sampled_cfs(std::size_t words, unsigned width, FaultClass cls, CfScope scope,
                                std::size_t count, Rng& rng);
 
-// ---- structural fault collapsing ----------------------------------------
+// ---- structural fault collapsing (analysis only) ------------------------
+//
+// Not on the run path: every campaign dispatches its whole fault list.
+// Since the packed engine walks only a unit's fault footprint, a simulated
+// fault costs about two words of walk, and bucketing the list cost more
+// than the faults it saved (on the twmbench workloads it saved none).
+// collapse_faults stays as a pure analysis of a list's structural
+// redundancy; twmbench's traced driver reports its ratio.
 
 struct SchemePlan;  // core/scheme_session.h
 
 // A collapsed fault list: one representative per bucket of faults that are
 // provably verdict-equivalent for THIS campaign (scheme plan + content
-// seeds), plus the expansion maps back to the original list.
+// seeds), plus the map back to the original list.
 struct FaultCollapse {
-  std::vector<Fault> representatives;              // one per bucket, stable order
-  std::vector<std::uint32_t> bucket_of;            // [original index] -> rep index
-  std::vector<std::vector<std::uint32_t>> members; // [rep index] -> original indices
-
-  bool collapsed() const { return representatives.size() < bucket_of.size(); }
+  std::vector<Fault> representatives;  // one per bucket, stable order
+  std::vector<std::uint32_t> bucket_of;  // [original index] -> rep index
 };
 
 // True when every fault universe of this plan is invariant under bit
@@ -79,10 +83,9 @@ bool plan_bit_symmetric(const SchemePlan& plan);
 //    representative covers every bit placement.
 //
 // Decoder faults (AFna/AFaw) address whole words and only deduplicate.
-// With no rule applicable the result is the identity mapping.  The repack
-// scheduler simulates representatives only and expands every verdict
-// (all / any / matrix rows / streamed unit records) back through
-// bucket_of; tests/scheduler_test.cpp proves expansion == uncollapsed run.
+// With no rule applicable the result is the identity mapping.
+// tests/scheduler_test.cpp checks each rule's buckets against the
+// scheduler-free oracle: members of one bucket share a verdict row.
 FaultCollapse collapse_faults(const std::vector<Fault>& faults, const SchemePlan& plan,
                               const std::vector<std::uint64_t>& seeds);
 

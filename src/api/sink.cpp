@@ -54,7 +54,6 @@ void JsonLinesSink::on_campaign_begin(const CampaignMeta& meta) {
   out_ << "],\"backend\":" << json_quote(to_string(s.backend)) << ",\"threads\":" << s.threads
        << ",\"simd\":" << json_quote(simd::to_string(s.simd))
        << ",\"resolved_simd\":" << simd::lanes(simd::resolve(s.simd))
-       << ",\"collapse\":" << bool_str(s.collapse)
        << ",\"total_faults\":" << meta.total_faults << "}\n";
   out_.flush();
 }
@@ -199,7 +198,6 @@ void TableSink::on_campaign_begin(const CampaignMeta& meta) {
     }
   }
   out_ << ", backend=" << twm::to_string(spec_.backend);
-  if (!spec_.collapse) out_ << ", no collapse";
   out_ << ", threads=" << spec_.threads << ", " << spec_.seeds.size() << " contents\n";
 }
 

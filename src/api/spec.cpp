@@ -105,12 +105,6 @@ std::optional<CoverageBackend> parse_backend(std::string_view s) {
   return std::nullopt;
 }
 
-std::optional<bool> parse_on_off(std::string_view s) {
-  if (s == "on") return true;
-  if (s == "off") return false;
-  return std::nullopt;
-}
-
 std::string scheme_id(SchemeKind k) {
   switch (k) {
     case SchemeKind::NontransparentReference: return "ref";
@@ -386,9 +380,9 @@ std::string march_display(const CampaignSpec& spec) {
 }
 
 std::string_view engine_revision() {
-  // r6: the PR 5 scheduler generation (repack + settle-exit + collapsing,
-  // all verdict-identical to a plain fault x seed loop).  Bump on any
-  // verdict-affecting change.
+  // r6: the repack + settle-exit scheduler generation, verdict-identical
+  // to a plain fault x seed loop (dropping its structural collapsing
+  // changed no verdict either).  Bump on any verdict-affecting change.
   return "twm-engine-r6";
 }
 
@@ -469,7 +463,6 @@ JsonValue spec_to_value(const CampaignSpec& s) {
   run.set("backend", JsonValue::string(to_string(s.backend)));
   run.set("threads", JsonValue::number(s.threads));
   run.set("simd", JsonValue::string(simd::to_string(s.simd)));
-  run.set("collapse", JsonValue::boolean(s.collapse));
   // regions = 1 is the implicit default; omitting it keeps every pre-region
   // serialization (and the golden-serialization test) byte-identical.
   if (s.regions != 1) run.set("regions", JsonValue::number(s.regions));
@@ -607,17 +600,14 @@ class SpecReader {
             fail("run.simd",
                  "must be \"auto\", \"64\", \"256\", \"512\", \"tiled\" or \"tiled:4096\"");
         }
-        // The one scheduler's name, still carried by older specs: read and
-        // dropped, never stored or re-serialized.
+        // Keys still carried by older specs: read and dropped, never
+        // stored or re-serialized.  "schedule" names the one scheduler;
+        // "collapse" toggled a pre-dispatch pass that no longer exists.
         if (const JsonValue* schedule = run->find("schedule"))
           if (!schedule->is_string() || schedule->as_string() != "repack")
             fail("run.schedule", "must be \"repack\" (the only scheduler)");
-        if (const JsonValue* collapse = run->find("collapse")) {
-          if (collapse->is_bool())
-            s.collapse = collapse->as_bool();
-          else
-            fail("run.collapse", "must be a boolean");
-        }
+        if (const JsonValue* collapse = run->find("collapse"))
+          if (!collapse->is_bool()) fail("run.collapse", "must be a boolean");
         if (const JsonValue* regions = run->find("regions")) {
           const auto r = regions->as_u64();
           if (r && *r <= UINT32_MAX)

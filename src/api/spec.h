@@ -115,13 +115,12 @@ struct CampaignSpec {
   // Lane-width request from older specs: every value core/simd.h parses
   // is accepted, echoed by campaign_begin and run at 64 lanes.
   simd::Request simd = simd::Request::Auto;
-  // Structural fault collapsing; off isolates the repacking/settle-exit
-  // win for differential attribution.  (A "schedule":"repack" key, from
-  // specs written when a second scheduler existed, is accepted and
-  // dropped; nothing else is.)
-  bool collapse = true;
+  // (Two keys from older specs are accepted and dropped, never stored or
+  // re-serialized: "schedule":"repack", from when a second scheduler
+  // existed, and "collapse":true|false, from when structural fault
+  // collapsing ran before dispatch.)
   // Address-region sharding (power of two, <= words; 1 = off).  Execution-
-  // transparent like collapse: verdicts, records and whole-cell cache
+  // transparent like the backend: verdicts, records and whole-cell cache
   // identities are unchanged — only the working-set bound and the grain
   // of region cache entries (resume) move.  Serialized only when != 1.
   unsigned regions = 1;
@@ -135,7 +134,7 @@ struct CampaignSpec {
   std::uint64_t deadline_ms = 0;
 
   CoverageOptions options() const {
-    return {backend, threads, simd, collapse, regions};
+    return {backend, threads, simd, regions};
   }
 
   friend bool operator==(const CampaignSpec&, const CampaignSpec&) = default;
@@ -155,10 +154,6 @@ void require_valid(const CampaignSpec& spec);
 // unknown spelling — no partial matches, no case folding.
 
 std::optional<CoverageBackend> parse_backend(std::string_view s);
-
-// "on" | "off" — the canonical spelling of boolean flags (--collapse) on
-// every flag surface; nullopt on anything else.
-std::optional<bool> parse_on_off(std::string_view s);
 
 // Short scheme identifiers, the CLI's spellings: "ref", "womarch", "twm",
 // "twm-misr", "sym", "tsmarch", "s1", "tomt".  (to_string(SchemeKind) is
@@ -217,8 +212,8 @@ std::vector<Fault> build_fault_list(const ClassSel& c, std::size_t words, unsign
 // Folded into every cell identity; bump whenever a change can alter ANY
 // verdict (fault semantics, scheme sessions, march library, fault-list
 // generators).  Pure perf/scheduling work keeps the revision — scalar and
-// packed, any region count and collapse on or off are verdict-identical by
-// construction, so cached cells are shared across all of them.
+// packed and any region count are verdict-identical by construction, so
+// cached cells are shared across all of them.
 std::string_view engine_revision();
 
 // Canonical identity of one scheme x class cell: compact JSON of exactly

@@ -81,7 +81,7 @@ std::optional<Options> parse_args(const std::vector<std::string>& args, std::ost
 // --failpoints is accepted everywhere.
 const std::map<std::string, std::string>& command_flags() {
   static const std::string coverage =
-      "width words threads backend simd schedule collapse regions scheme seeds classes";
+      "width words threads backend simd schedule regions scheme seeds classes";
   static const std::map<std::string, std::string> flags = {
       {"list", ""},
       {"show", ""},
@@ -349,15 +349,6 @@ std::optional<api::CampaignSpec> spec_from_flags(const Options& o, std::ostream&
     return std::nullopt;
   }
 
-  if (auto it = o.flags.find("collapse"); it != o.flags.end()) {
-    const auto on = api::parse_on_off(it->second);
-    if (!on) {
-      err << "error: --collapse expects on|off, got '" << it->second << "'\n";
-      return std::nullopt;
-    }
-    spec.collapse = *on;
-  }
-
   if (o.flags.count("regions")) {
     const auto regions = flag_unsigned(o, "regions", std::nullopt, err);
     if (!regions) return std::nullopt;
@@ -413,8 +404,7 @@ int cmd_coverage(const Options& o, std::ostream& out, std::ostream& err) {
   if (o.positional.size() < 2) {
     err << "usage: coverage <march> --width B --words N [--scheme S|all] [--classes C,..]\n"
            "                [--seeds 0,1,2] [--backend scalar|packed] [--threads T]\n"
-           "                [--simd auto|64|256|512|tiled[:4096]] [--collapse on|off]\n"
-           "                [--regions N]\n";
+           "                [--simd auto|64|256|512|tiled[:4096]] [--regions N]\n";
     return 1;
   }
   const auto spec = spec_from_flags(o, err);

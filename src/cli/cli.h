@@ -17,8 +17,7 @@
 //   coverage <march> --width B --words N [--scheme twm|twm-misr|sym|tsmarch|
 //            s1|tomt|ref|womarch|all] [--classes saf,tf,cfst,cfid,cfin,ret,af]
 //            [--seeds 0,1,2] [--backend scalar|packed] [--threads T]
-//            [--simd auto|64|256|512|tiled[:4096]] [--collapse on|off]
-//            [--regions N]
+//            [--simd auto|64|256|512|tiled[:4096]] [--regions N]
 //                                          per-fault-class coverage campaign
 //                                          on the selected simulation backend
 //                                          (packed = one fault universe per
@@ -29,10 +28,8 @@
 //                                          every scheme and prints a scheme x
 //                                          fault-class table; the scheduler
 //                                          drops settled fault universes
-//                                          between seed rounds, aborts
-//                                          settled sessions early and
-//                                          collapses equivalent faults
-//                                          (--collapse off isolates that);
+//                                          between seed rounds and aborts
+//                                          settled sessions early;
 //                                          --regions N shards the
 //                                          fault list by victim address slice
 //                                          so a huge-memory campaign touches

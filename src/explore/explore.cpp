@@ -81,7 +81,6 @@ api::CampaignSpec scoring_spec(const ExploreSpec& spec, const std::vector<std::s
   cs.backend = spec.backend;
   cs.threads = spec.threads;
   cs.simd = spec.simd;
-  cs.collapse = spec.collapse;
   return cs;
 }
 

@@ -118,7 +118,6 @@ JsonValue spec_to_value(const ExploreSpec& s) {
   run.set("backend", JsonValue::string(to_string(s.backend)));
   run.set("threads", JsonValue::number(s.threads));
   run.set("simd", JsonValue::string(simd::to_string(s.simd)));
-  run.set("collapse", JsonValue::boolean(s.collapse));
 
   JsonValue v = JsonValue::object();
   v.set("name", JsonValue::string(s.name));
@@ -322,16 +321,12 @@ class ExploreReader {
         fail("run.simd",
              "must be \"auto\", \"64\", \"256\", \"512\", \"tiled\" or \"tiled:4096\"");
     }
-    // Accepted and dropped, as in CampaignSpec.
+    // "schedule" and "collapse" are accepted and dropped, as in CampaignSpec.
     if (const JsonValue* schedule = v.find("schedule"))
       if (!schedule->is_string() || schedule->as_string() != "repack")
         fail("run.schedule", "must be \"repack\" (the only scheduler)");
-    if (const JsonValue* collapse = v.find("collapse")) {
-      if (collapse->is_bool())
-        s.collapse = collapse->as_bool();
-      else
-        fail("run.collapse", "must be a boolean");
-    }
+    if (const JsonValue* collapse = v.find("collapse"))
+      if (!collapse->is_bool()) fail("run.collapse", "must be a boolean");
   }
 
   void require_known(const JsonValue& v, const std::string& prefix,

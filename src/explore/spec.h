@@ -84,7 +84,6 @@ struct ExploreSpec {
   CoverageBackend backend = CoverageBackend::Packed;
   unsigned threads = 1;
   simd::Request simd = simd::Request::Auto;
-  bool collapse = true;
 
   friend bool operator==(const ExploreSpec&, const ExploreSpec&) = default;
 };

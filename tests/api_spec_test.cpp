@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <regex>
 #include <sstream>
 
 #include "api/json.h"
@@ -248,7 +249,6 @@ TEST(SpecJson, RoundTripEverySchemeClassBackendAndBigSeeds) {
   s.backend = CoverageBackend::Scalar;
   s.threads = 16;
   s.simd = simd::Request::W256;
-  s.collapse = false;
   EXPECT_EQ(spec_from_json(to_json(s)), s);
 }
 
@@ -272,26 +272,42 @@ TEST(SpecJson, GoldenSerialization) {
       "\"schemes\":[\"twm\"],"
       "\"classes\":[\"saf\"],"
       "\"seeds\":[0,1],"
-      "\"run\":{\"backend\":\"packed\",\"threads\":2,\"simd\":\"auto\","
-      "\"collapse\":true}}";
+      "\"run\":{\"backend\":\"packed\",\"threads\":2,\"simd\":\"auto\"}}";
   EXPECT_EQ(to_json(s, /*pretty=*/false), expected);
 }
 
-TEST(SpecJson, CollapseRoundTripsAndRejects) {
-  auto s = valid_spec();
-  s.collapse = false;
-  EXPECT_EQ(spec_from_json(to_json(s)), s);
-  // Omitting the field keeps the default (older spec files stay valid).
-  const CampaignSpec parsed = spec_from_json(
-      R"({"name":"x","memory":{"words":2,"width":2},"march":"March C-",
-          "schemes":["twm"],"classes":["saf"],"seeds":[0]})");
-  EXPECT_TRUE(parsed.collapse);
-  // Bad spellings name their paths.
+// "run":{"collapse":...} from older specs is read and dropped: true, false
+// and absent denote the same spec, the same cell identities and the same
+// JSON-lines stream (timing aside), on a zero-content SAF+TF list where
+// structural collapsing used to bite.
+TEST(SpecJson, CollapseIsAcceptedAndDropped) {
+  const std::string head =
+      R"({"name":"x","memory":{"words":4,"width":4},"march":"March C-",
+          "schemes":["twm","tsmarch"],"classes":["saf","tf"],"seeds":[0])";
+  const CampaignSpec absent = spec_from_json(head + "}");
+  const std::regex seconds("\"seconds\":[0-9.]+");
+  const auto stream = [&](const CampaignSpec& spec) {
+    std::ostringstream out;
+    JsonLinesSink sink(out);
+    run_campaign(spec, &sink);
+    return std::regex_replace(out.str(), seconds, "\"seconds\":_");
+  };
+  const std::string want = stream(absent);
+  for (const char* value : {"true", "false"}) {
+    const CampaignSpec s =
+        spec_from_json(head + R"(,"run":{"collapse":)" + value + "}}");
+    EXPECT_EQ(s, absent) << value;
+    EXPECT_EQ(to_json(s), to_json(absent)) << value;
+    for (SchemeKind k : s.schemes)
+      for (const ClassSel& c : s.classes)
+        EXPECT_EQ(cell_identity_json(s, k, c), cell_identity_json(absent, k, c)) << value;
+    EXPECT_EQ(stream(s), want) << value;
+  }
+  EXPECT_EQ(want.find("collapse"), std::string::npos) << want;
+  EXPECT_EQ(to_json(absent).find("collapse"), std::string::npos);
+  // A non-boolean value still names its path.
   try {
-    spec_from_json(
-        R"({"name":"x","memory":{"words":2,"width":2},"march":"March C-",
-            "schemes":["twm"],"classes":["saf"],"seeds":[0],
-            "run":{"collapse":"yes"}})");
+    spec_from_json(head + R"(,"run":{"collapse":"yes"}})");
     FAIL() << "expected SpecValidationError";
   } catch (const SpecValidationError& e) {
     EXPECT_TRUE(has_error_at(e.errors(), "run.collapse"));
@@ -510,7 +526,6 @@ TEST(SpecContent, IdentityCoversEveryVerdictRelevantFieldAndNothingElse) {
   changed.backend = CoverageBackend::Scalar;
   changed.threads = 7;
   changed.simd = simd::Request::W64;
-  changed.collapse = false;
   EXPECT_EQ(cell_key(changed, base.schemes[0], base.classes[0]), key);
 }
 

@@ -280,7 +280,7 @@ TEST(Cli, CoverageRejectsUnknownSimdWidth) {
   EXPECT_NE(r.err.find("auto|64|256|512"), std::string::npos);
 }
 
-TEST(Cli, CoverageRejectsUnknownScheduleAndCollapse) {
+TEST(Cli, CoverageRejectsUnknownSchedule) {
   for (const char* mode : {"dense", "sparse"}) {
     const auto bad_schedule =
         cli({"coverage", "March C-", "--width", "4", "--words", "2", "--schedule", mode});
@@ -291,43 +291,27 @@ TEST(Cli, CoverageRejectsUnknownScheduleAndCollapse) {
   EXPECT_EQ(cli({"coverage", "March C-", "--width", "4", "--words", "2", "--schedule", "repack"})
                 .rc,
             0);
-  const auto bad_collapse =
-      cli({"coverage", "March C-", "--width", "4", "--words", "2", "--collapse", "maybe"});
-  EXPECT_EQ(bad_collapse.rc, 1);
-  EXPECT_NE(bad_collapse.err.find("--collapse expects on|off"), std::string::npos);
 }
 
-TEST(Cli, CoverageCollapseOnAndOffReportIdenticalTables) {
-  const std::vector<std::string> base{"coverage", "March C-", "--width", "4",
-                                     "--words",   "4",        "--scheme", "all"};
-  auto with_collapse = [&](const char* collapse) {
-    auto args = base;
-    args.insert(args.end(), {"--collapse", collapse});
-    return cli(args);
-  };
-  const auto off = with_collapse("off");
-  const auto on = with_collapse("on");
-  EXPECT_EQ(off.rc, 0);
-  EXPECT_EQ(on.rc, 0);
-  EXPECT_NE(off.out.find("no collapse"), std::string::npos);
-  EXPECT_EQ(on.out.find("no collapse"), std::string::npos);
-  // The coverage cells (detected/total) must be identical; only the header
-  // and the faults/s footer may differ.
-  auto cells = [](const std::string& out) {
-    std::vector<std::string> v;
-    std::size_t pos = 0;
-    while ((pos = out.find('/', pos)) != std::string::npos) {
-      std::size_t a = pos;
-      while (a > 0 && std::isdigit(static_cast<unsigned char>(out[a - 1]))) --a;
-      std::size_t b = pos + 1;
-      while (b < out.size() && std::isdigit(static_cast<unsigned char>(out[b]))) ++b;
-      if (a < pos && b > pos + 1) v.push_back(out.substr(a, b - a));
-      pos = b;
-    }
-    return v;
-  };
-  EXPECT_FALSE(cells(off.out).empty());
-  EXPECT_EQ(cells(off.out), cells(on.out));
+// Structural collapsing no longer runs before dispatch, so its flag is
+// gone: every command that once read it rejects it like any typo.
+TEST(Cli, CollapseIsAnUnknownFlag) {
+  const std::string spec = write_temp(
+      "collapse_spec.json",
+      R"({"memory":{"words":2,"width":2},"march":"March C-","schemes":["twm"],
+          "classes":["saf"],"seeds":[0]})");
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"coverage", "March C-", "--width", "4", "--words", "4", "--collapse", "off"},
+       "--collapse for coverage"},
+      {{"spec", "March C-", "--width", "4", "--words", "4", "--collapse", "on"},
+       "--collapse for spec"},
+      {{"run", spec, "--collapse", "off"}, "--collapse for run"}};
+  for (const auto& [args, flag] : cases) {
+    const auto r = cli(args);
+    EXPECT_EQ(r.rc, 1) << flag;
+    EXPECT_NE(r.err.find("error: unknown flag " + flag), std::string::npos) << r.err;
+    EXPECT_TRUE(r.out.empty()) << flag;
+  }
 }
 
 TEST(Cli, SimdJsonEmitsMachineReadableProbe) {

@@ -111,21 +111,25 @@ TEST(ExploreSpecJson, RoundTripsExactly) {
   s.splice_weight = 4;
   s.backend = CoverageBackend::Scalar;
   s.simd = simd::Request::Tiled4096;
-  s.collapse = false;
   EXPECT_EQ(explore_from_json(to_json(s)), s);
 }
 
-// "schedule":"repack" (older files) is read and dropped; any other value,
-// like the removed "dense" scheduler or the removed 32768-lane tile, is a
-// SpecError at its path.
-TEST(ExploreSpecJson, ScheduleRepackIsAcceptedAndDropped) {
+// "schedule":"repack" and "collapse":true|false (older files) are read and
+// dropped; any other value, like the removed "dense" scheduler or the
+// removed 32768-lane tile, is a SpecError at its path.
+TEST(ExploreSpecJson, ScheduleAndCollapseAreAcceptedAndDropped) {
   const std::string head =
       R"({"memory":{"words":4,"width":4},"objective":{"classes":["saf"]},"seeds":[0],"run":)";
   const ExploreSpec parsed = explore_from_json(head + R"({"schedule":"repack"}})");
   EXPECT_EQ(to_json(parsed).find("schedule"), std::string::npos);
+  for (const char* run : {R"({"collapse":true})", R"({"collapse":false})"}) {
+    EXPECT_EQ(explore_from_json(head + run + "}"), parsed) << run;
+    EXPECT_EQ(to_json(explore_from_json(head + run + "}")).find("collapse"), std::string::npos);
+  }
   for (const auto& [run, path] :
        {std::pair<std::string, std::string>{R"({"schedule":"dense"})", "run.schedule"},
-        {R"({"simd":"tiled:32768"})", "run.simd"}}) {
+        {R"({"simd":"tiled:32768"})", "run.simd"},
+        {R"({"collapse":"yes"})", "run.collapse"}}) {
     try {
       explore_from_json(head + run + "}");
       FAIL() << "expected SpecValidationError for " << run;
@@ -165,7 +169,6 @@ TEST(ExploreSpecJson, IdentityExcludesRoundsAndRun) {
   b.threads = 16;
   b.backend = CoverageBackend::Scalar;
   b.simd = simd::Request::W64;
-  b.collapse = false;
   EXPECT_EQ(explore_identity_json(a), explore_identity_json(b));
   b = small_spec();
   b.search_seed = 8;

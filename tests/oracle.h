@@ -1,9 +1,9 @@
 // Scheduler-free reference verdicts for differential tests.
 //
 // Every (fault, seed) pair runs alone through run_campaign_unit<ScalarEngine>
-// on a fresh scalar memory: no scheduler, no collapsing, no threads, no
-// reused worker state.  Every campaign mode — backend, lane width, region
-// count, collapse on or off — must reproduce this matrix byte for byte.
+// on a fresh scalar memory: no scheduler, no threads, no reused worker
+// state.  Every campaign mode — backend, lane width, region count — must
+// reproduce this matrix byte for byte.
 #ifndef TWM_TESTS_ORACLE_H
 #define TWM_TESTS_ORACLE_H
 

@@ -63,29 +63,25 @@ TEST(RegionShardingTest, MergedVerdictsAreByteIdenticalToUnsharded) {
   for (const SchemeKind scheme : {SchemeKind::ProposedExact, SchemeKind::TomtModel}) {
     const VerdictMatrix want = oracle_matrix(scheme, march, words, width, faults, seeds);
     for (const CoverageBackend backend : {CoverageBackend::Scalar, CoverageBackend::Packed}) {
-      for (const bool collapse : {false, true}) {
-        for (const unsigned regions : {1u, 4u}) {
-          CoverageOptions opt;
-          opt.backend = backend;
-          opt.threads = 2;
-          opt.collapse = collapse;
-          opt.regions = regions;
-          const VerdictMatrix got =
-              CampaignRunner(words, width, opt).matrix(scheme, march, faults, seeds);
-          ASSERT_EQ(got.num_faults, want.num_faults);
-          ASSERT_EQ(got.num_seeds, want.num_seeds);
-          EXPECT_EQ(got.bits, want.bits)
-              << scheme_id(scheme) << " " << to_string(backend)
-              << (collapse ? "/collapse" : "/no-collapse") << " regions=" << regions;
-        }
+      for (const unsigned regions : {1u, 4u}) {
+        CoverageOptions opt;
+        opt.backend = backend;
+        opt.threads = 2;
+        opt.regions = regions;
+        const VerdictMatrix got =
+            CampaignRunner(words, width, opt).matrix(scheme, march, faults, seeds);
+        ASSERT_EQ(got.num_faults, want.num_faults);
+        ASSERT_EQ(got.num_seeds, want.num_seeds);
+        EXPECT_EQ(got.bits, want.bits)
+            << scheme_id(scheme) << " " << to_string(backend) << " regions=" << regions;
       }
     }
   }
 }
 
-TEST(RegionShardingTest, StatsSumAcrossRegionsWithoutCollapsing) {
-  // With collapsing off, the sharded run simulates exactly the same fault
-  // set — the forward-progress counters must sum to the unsharded run's.
+TEST(RegionShardingTest, StatsSumAcrossRegions) {
+  // The sharded run simulates exactly the same fault set — the
+  // forward-progress counters must sum to the unsharded run's.
   const std::size_t words = 32;
   const unsigned width = 2;
   const MarchTest march = march_by_name("March C-");
@@ -94,7 +90,6 @@ TEST(RegionShardingTest, StatsSumAcrossRegionsWithoutCollapsing) {
 
   CoverageOptions base;
   base.backend = CoverageBackend::Packed;
-  base.collapse = false;
   CoverageOptions sharded = base;
   sharded.regions = 4;
 

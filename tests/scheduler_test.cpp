@@ -1,16 +1,18 @@
 // Tests for the campaign scheduler (analysis/campaign_exec.h
-// run_campaign_engine + analysis/campaign.cpp collapsing dispatch):
+// run_campaign_engine + analysis/campaign.cpp dispatch):
 //
-//   * the hard invariant — every scheme x backend cell, at regions 1 and 4
-//     and with collapsing on and off, gives a VerdictMatrix byte-identical
-//     to the scheduler-free oracle (tests/oracle.h),
-//   * structural fault collapsing (analysis/fault_list.h collapse_faults):
-//     bucket structure of each rule, expansion == uncollapsed run,
+//   * the hard invariant — every scheme x backend cell, at regions 1 and 4,
+//     gives a VerdictMatrix byte-identical to the scheduler-free oracle
+//     (tests/oracle.h),
+//   * structural fault collapsing (analysis/fault_list.h collapse_faults,
+//     an analysis off the run path): bucket structure of each rule, and
+//     members of one bucket share the oracle's verdict row,
 //   * per-lane retire + reinject on a live PackedMemory batch,
 //   * the scheduler's forward-progress counters (settle-exit actually
-//     skips march elements; collapsing actually simulates fewer faults).
+//     skips march elements; every fault of the list is simulated).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -97,13 +99,8 @@ std::vector<std::size_t> all_rows(std::size_t n) {
   return rows;
 }
 
-CoverageOptions options(CoverageBackend backend, bool collapse, unsigned regions = 1,
-                        unsigned threads = 2) {
-  return {.backend = backend, .threads = threads, .collapse = collapse, .regions = regions};
-}
-
-CoverageOptions packed64(bool collapse, unsigned threads = 2) {
-  return options(CoverageBackend::Packed, collapse, 1, threads);
+CoverageOptions options(CoverageBackend backend, unsigned regions = 1, unsigned threads = 2) {
+  return {.backend = backend, .threads = threads, .regions = regions};
 }
 
 // --- the hard invariant: every cell == the oracle, byte for byte ---------
@@ -113,8 +110,8 @@ TEST(SchedulerDifferential, EveryCellMatchesTheOracleAtRegionsOneAndFour) {
   const auto faults = mixed_faults();
   const auto full = all_rows(faults.size());
   const auto sampled = scalar_rows(faults);
-  // Zero-only seeds activate every collapsing rule; the mixed set
-  // activates dropping between rounds.
+  // Seed 0 alone is all-zero contents; the mixed set activates dropping
+  // between rounds.
   for (std::size_t num_seeds : {std::size_t{1}, kSeeds.size()}) {
     const std::vector<std::uint64_t> seeds(kSeeds.begin(), kSeeds.begin() + num_seeds);
     for (SchemeKind k : kAllSchemes) {
@@ -122,13 +119,12 @@ TEST(SchedulerDifferential, EveryCellMatchesTheOracleAtRegionsOneAndFour) {
         const auto& rows = backend == CoverageBackend::Scalar ? sampled : full;
         const VerdictMatrix want = oracle_for(k, rows, num_seeds);
         const auto cell_faults = pick(faults, rows);
-        for (unsigned regions : {1u, 4u})
-          for (bool collapse : {false, true}) {
-            const CampaignRunner runner(kWords, kWidth, options(backend, collapse, regions));
-            EXPECT_EQ(want.bits, runner.matrix(k, march, cell_faults, seeds).bits)
-                << to_string(k) << " " << to_string(backend) << " regions=" << regions
-                << " collapse=" << collapse << " seeds=" << num_seeds;
-          }
+        for (unsigned regions : {1u, 4u}) {
+          const CampaignRunner runner(kWords, kWidth, options(backend, regions));
+          EXPECT_EQ(want.bits, runner.matrix(k, march, cell_faults, seeds).bits)
+              << to_string(k) << " " << to_string(backend) << " regions=" << regions
+              << " seeds=" << num_seeds;
+        }
       }
     }
   }
@@ -153,7 +149,7 @@ TEST(SchedulerDifferential, PerFaultAndAggregatesMatchTheOracle) {
         any += want.detected_any(i);
       }
       const auto cell_faults = pick(faults, rows);
-      const CampaignRunner runner(kWords, kWidth, options(backend, true));
+      const CampaignRunner runner(kWords, kWidth, options(backend));
       EXPECT_EQ(want_all, runner.per_fault(k, march, cell_faults, kSeeds))
           << to_string(k) << " " << to_string(backend);
       const CoverageOutcome got = runner.evaluate(k, march, cell_faults, kSeeds);
@@ -166,16 +162,9 @@ TEST(SchedulerDifferential, PerFaultAndAggregatesMatchTheOracle) {
 
 // --- structural fault collapsing ----------------------------------------
 
-TEST(FaultCollapse, ExpandedVerdictsMatchUncollapsedRun) {
-  const MarchTest march = march_by_name("March C-");
-  const auto faults = mixed_faults();
-  const std::vector<std::uint64_t> seeds{0};  // zero contents arm every rule
-  for (SchemeKind k : kAllSchemes) {
-    const CampaignRunner off(kWords, kWidth, packed64(false));
-    const CampaignRunner on(kWords, kWidth, packed64(true));
-    EXPECT_EQ(off.per_fault(k, march, faults, seeds), on.per_fault(k, march, faults, seeds))
-        << to_string(k);
-  }
+// Members of a bucket, counted from the expansion map.
+std::size_t bucket_size(const FaultCollapse& fc, std::uint32_t bucket) {
+  return static_cast<std::size_t>(std::count(fc.bucket_of.begin(), fc.bucket_of.end(), bucket));
 }
 
 TEST(FaultCollapse, DuplicatesAlwaysCollapse) {
@@ -188,7 +177,7 @@ TEST(FaultCollapse, DuplicatesAlwaysCollapse) {
   ASSERT_EQ(fc.representatives.size(), 2u);
   EXPECT_EQ(fc.bucket_of[0], fc.bucket_of[1]);
   EXPECT_NE(fc.bucket_of[0], fc.bucket_of[2]);
-  EXPECT_EQ(fc.members[fc.bucket_of[0]].size(), 2u);
+  EXPECT_EQ(bucket_size(fc, fc.bucket_of[0]), 2u);
 }
 
 TEST(FaultCollapse, SafTfEquivalenceRequiresZeroContents) {
@@ -230,19 +219,47 @@ TEST(FaultCollapse, BitSymmetricPlanCollapsesBitAddresses) {
   const FaultCollapse fc = collapse_faults(faults, plan, {0});
   // One SAF1 bucket, one TF-down bucket, one CFin bucket, two AFs.
   EXPECT_EQ(fc.representatives.size(), 5u);
-  EXPECT_EQ(fc.members[fc.bucket_of[0]].size(), kWidth);
-  EXPECT_EQ(fc.members[fc.bucket_of[2 * kWidth]].size(),
-            static_cast<std::size_t>(kWidth) * kWidth);
+  EXPECT_EQ(bucket_size(fc, fc.bucket_of[0]), kWidth);
+  EXPECT_EQ(bucket_size(fc, fc.bucket_of[2 * kWidth]), static_cast<std::size_t>(kWidth) * kWidth);
 
-  // And the collapsed campaign still reproduces the uncollapsed verdicts
-  // for a scheme whose generated plan IS bit-symmetric is covered above;
-  // here prove the predicate rejects the background-bearing plans.
+  // The predicate rejects the background-bearing plans.
   const SchemePlan twm_plan =
       make_scheme_plan(SchemeKind::ProposedExact, march_by_name("March C-"), kWidth);
   EXPECT_FALSE(plan_bit_symmetric(twm_plan));
   const SchemePlan misr_plan =
       make_scheme_plan(SchemeKind::ProposedMisr, march_by_name("March C-"), kWidth);
   EXPECT_FALSE(plan_bit_symmetric(misr_plan));
+}
+
+// TSMarch-only writes solid data, so its generated plan is bit-symmetric:
+// a mixed SAF+TF list under all-zero contents is where every collapsing
+// rule bites.  The runner simulates the whole list and must equal the
+// oracle, and every bucket member must share its representative's row.
+TEST(FaultCollapse, SolidPlanRunnerMatchesTheOracleAndBucketsShareRows) {
+  const MarchTest march = march_by_name("March C-");
+  const SchemePlan plan = make_scheme_plan(SchemeKind::TsmarchOnly, march, kWidth);
+  ASSERT_TRUE(plan_bit_symmetric(plan));
+  std::vector<Fault> faults = all_safs(kWords, kWidth);
+  for (auto& f : all_tfs(kWords, kWidth)) faults.push_back(f);
+  const std::vector<std::uint64_t> seeds{0};
+
+  const VerdictMatrix want =
+      oracle_matrix(SchemeKind::TsmarchOnly, march, kWords, kWidth, faults, seeds);
+  for (const CoverageBackend backend : kBackends) {
+    const CampaignRunner runner(kWords, kWidth, options(backend));
+    EXPECT_EQ(want.bits, runner.matrix(SchemeKind::TsmarchOnly, march, faults, seeds).bits)
+        << to_string(backend);
+  }
+
+  const FaultCollapse fc = collapse_faults(faults, plan, seeds);
+  ASSERT_LT(fc.representatives.size(), faults.size()) << "collapse must bite on this list";
+  std::vector<std::size_t> first_of(fc.representatives.size(), faults.size());
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    std::size_t& rep = first_of[fc.bucket_of[i]];
+    if (rep == faults.size()) rep = i;
+    EXPECT_EQ(want.detected(i, 0), want.detected(rep, 0))
+        << faults[i].describe() << " vs " << faults[rep].describe();
+  }
 }
 
 // --- per-lane retire + reinject into a live batch -----------------------
@@ -298,69 +315,24 @@ TEST(RetireLanes, RetireCoversEveryClassAndElapse) {
 
 // --- forward-progress counters ------------------------------------------
 
-TEST(SchedulerStats, SettleExitSkipsElementsAndCollapseShrinksTheList) {
+TEST(SchedulerStats, SettleExitSkipsElementsAndEveryFaultIsSimulated) {
   const MarchTest march = march_by_name("March C-");
   // All-SAF workload: every fault is detected early in the session, so the
-  // settle-exit must cut march elements, and SAF0 collapses with TF up.
+  // settle-exit must cut march elements.
   std::vector<Fault> faults = all_safs(kWords, kWidth);
   for (auto& f : all_tfs(kWords, kWidth)) faults.push_back(f);
   const std::vector<std::uint64_t> seeds{0};
 
   CampaignStats stats;
-  const CampaignRunner collapsed(kWords, kWidth, packed64(true, 1));
+  const CampaignRunner runner(kWords, kWidth, options(CoverageBackend::Packed, 1, 1));
   std::vector<char> all, any;
-  collapsed.run(SchemeKind::ProposedExact, march, faults, seeds, false, all, any, nullptr,
-                nullptr, &stats);
-  EXPECT_LT(stats.faults_simulated.load(), faults.size()) << "collapse must bite";
+  runner.run(SchemeKind::ProposedExact, march, faults, seeds, false, all, any, nullptr, nullptr,
+             &stats);
+  EXPECT_EQ(stats.faults_simulated.load(), faults.size());
   EXPECT_LT(stats.elements_executed.load(), stats.elements_total.load())
       << "settle-exit must cut march elements";
   EXPECT_GT(stats.units.load(), 0u);
   EXPECT_GT(stats.mean_live_lanes(), 0.0);
-
-  CampaignStats flat_stats;
-  const CampaignRunner flat(kWords, kWidth, packed64(false, 1));
-  std::vector<char> fall, fany;
-  flat.run(SchemeKind::ProposedExact, march, faults, seeds, false, fall, fany, nullptr,
-           nullptr, &flat_stats);
-  EXPECT_EQ(flat_stats.faults_simulated.load(), faults.size()) << "collapse off";
-  EXPECT_EQ(all, fall);
-  EXPECT_EQ(any, fany);
-}
-
-// Streamed unit records of a collapsed campaign: one record per ORIGINAL
-// fault, each carrying its bucket's expanded verdict.
-class RecordingObserver : public UnitObserver {
- public:
-  void on_unit_settled(std::size_t first, unsigned count, const char* all,
-                       const char* any) override {
-    for (unsigned i = 0; i < count; ++i) {
-      records.push_back(first + i);
-      alls.push_back(all[i]);
-      anys.push_back(any[i]);
-    }
-  }
-  std::vector<std::size_t> records;
-  std::vector<char> alls, anys;
-};
-
-TEST(SchedulerObserver, CollapsedCampaignStreamsOneRecordPerOriginalFault) {
-  const MarchTest march = march_by_name("March C-");
-  std::vector<Fault> faults = all_safs(kWords, kWidth);
-  for (auto& f : all_tfs(kWords, kWidth)) faults.push_back(f);
-  const std::vector<std::uint64_t> seeds{0};
-  const CampaignRunner collapsed(kWords, kWidth, packed64(true, 1));
-  RecordingObserver obs;
-  std::vector<char> all, any;
-  collapsed.run(SchemeKind::ProposedExact, march, faults, seeds, true, all, any, nullptr, &obs);
-  ASSERT_EQ(obs.records.size(), faults.size());
-  std::vector<char> seen(faults.size(), 0);
-  for (std::size_t i = 0; i < obs.records.size(); ++i) {
-    ASSERT_LT(obs.records[i], faults.size());
-    EXPECT_FALSE(seen[obs.records[i]]) << "duplicate record for fault " << obs.records[i];
-    seen[obs.records[i]] = 1;
-    EXPECT_EQ(obs.alls[i], all[obs.records[i]]);
-    EXPECT_EQ(obs.anys[i], any[obs.records[i]]);
-  }
 }
 
 }  // namespace

@@ -231,7 +231,7 @@ TEST_F(ServiceTest, DeltaSpecSimulatesOnlyTheNewCells) {
 }
 
 TEST_F(ServiceTest, CacheIsSharedAcrossExecutionModes) {
-  // scalar/packed, collapse on/off and every thread count are
+  // scalar/packed and every thread count are
   // verdict-identical by construction, so the cell identity excludes the
   // run request and a resubmit under a different mode still replays.
   const auto port = start_server();
@@ -241,7 +241,6 @@ TEST_F(ServiceTest, CacheIsSharedAcrossExecutionModes) {
   api::CampaignSpec other = small_spec();
   other.backend = CoverageBackend::Scalar;
   other.threads = 1;
-  other.collapse = false;
   const SubmitResult r = submit_and_drain(c, other);
   EXPECT_EQ(u64_field(r.last, "simulated"), 0u);
   EXPECT_EQ(u64_field(r.last, "cached"), 2u);

@@ -3,9 +3,8 @@
 // (analysis/campaign_exec.h), and every word otherwise.
 //
 //   * Differential proof at geometries where the footprint is much smaller
-//     than `words`: every scheme x regions {1, 4} x collapse {off, on} on
-//     the packed backend reproduces the scheduler-free
-//     scalar oracle byte for byte, over a fault sample that covers every
+//     than `words`: every scheme x regions {1, 4} on the packed backend
+//     reproduces the scheduler-free scalar oracle byte for byte, over a fault sample that covers every
 //     class (far AFaw aliases, inter-word couplings across pages, RET under
 //     a march with pauses) and seeds {0} and {0, 3, 11}.
 //   * The golden-lane self-check still fires on a broken plan, and a plan
@@ -110,25 +109,22 @@ TEST(SparseWalk, EveryPackedCellEqualsTheOracle) {
       for (const std::vector<std::uint64_t>& seeds : seed_sets) {
         const VerdictMatrix& all_seeds = oracle[gi * kSchemes + ki];
         const VerdictMatrix want = seeds.size() == 1 ? seed_column(all_seeds, 0) : all_seeds;
-        for (const unsigned regions : {1u, 4u})
-          for (const bool collapse : {false, true}) {
-            CoverageOptions o;
-            o.backend = CoverageBackend::Packed;
-            o.regions = regions;
-            o.collapse = collapse;
-            CampaignStats stats;
-            std::vector<char> all, any;
-            VerdictMatrix got;
-            CampaignRunner(g.words, g.width, o)
-                .run(k, march, faults, seeds, true, all, any, &got, nullptr, &stats);
-            const std::string cell = std::to_string(g.words) + "x" + std::to_string(g.width) +
-                                     " " + to_string(k) + " regions " +
-                                     std::to_string(regions) + " collapse " +
-                                     std::to_string(collapse) + " seeds " +
-                                     std::to_string(seeds.size());
-            EXPECT_EQ(got.bits, want.bits) << cell;
-            EXPECT_EQ(stats.full_walk_units.load(), 0u) << cell;
-          }
+        for (const unsigned regions : {1u, 4u}) {
+          CoverageOptions o;
+          o.backend = CoverageBackend::Packed;
+          o.regions = regions;
+          CampaignStats stats;
+          std::vector<char> all, any;
+          VerdictMatrix got;
+          CampaignRunner(g.words, g.width, o)
+              .run(k, march, faults, seeds, true, all, any, &got, nullptr, &stats);
+          const std::string cell = std::to_string(g.words) + "x" + std::to_string(g.width) +
+                                   " " + to_string(k) + " regions " +
+                                   std::to_string(regions) + " seeds " +
+                                   std::to_string(seeds.size());
+          EXPECT_EQ(got.bits, want.bits) << cell;
+          EXPECT_EQ(stats.full_walk_units.load(), 0u) << cell;
+        }
       }
     }
   }
@@ -249,7 +245,6 @@ TEST(SparseWalk, CountersShowTheFootprintWalk) {
                              SchemeKind::ProposedSymmetricXor, SchemeKind::ProposedMisr}) {
     CoverageOptions o;
     o.backend = CoverageBackend::Packed;
-    o.collapse = false;
     CampaignStats stats;
     CampaignRunner(kBigWords, kWidth, o).per_fault(k, march, faults, {0}, &stats);
     EXPECT_GT(stats.units.load(), 0u) << to_string(k);
