@@ -58,8 +58,9 @@ inline void check_golden_lane(std::uint64_t verdicts) { require_golden_lane_clea
 // distinct initial value of the seed's baseline, one value per lane
 // (TOMT's ledger holds one parity per word, so each parity gets its own
 // passes), and also requires the test and prediction passes to be
-// walk-aligned, which a one-word memory cannot reveal.  It is false for
-// the scalar engine: the reference always walks every word.
+// walk-aligned, which a one-word memory cannot reveal.  Only the packed
+// engine walks lists (Engine::kSparseWalk); the reference always walks
+// every word.
 //
 // Holding, it also extends check_golden_lane to the unlisted words: lane 0
 // of the listed walk covers the listed words, the certificate the rest.
@@ -69,44 +70,37 @@ inline bool transparent_compare(SchemeKind k) {
          k == SchemeKind::TsmarchOnly || k == SchemeKind::Scheme1Exact;
 }
 
-template <class Engine>
-bool golden_certificate(const SchemePlan& plan, std::size_t words, std::uint64_t seed) {
-  if constexpr (!Engine::kSparseWalk) {
+inline bool golden_certificate(const SchemePlan& plan, std::size_t words, std::uint64_t seed) {
+  if (transparent_compare(plan.scheme) && !transparent_passes_aligned(plan.trans, plan.prediction))
     return false;
-  } else {
-    using Block = typename Engine::Verdict;
-    constexpr unsigned kLanes = block_lanes_v<Block>;
-    if (transparent_compare(plan.scheme) &&
-        !transparent_passes_aligned(plan.trans, plan.prediction))
-      return false;
-    const std::vector<BitVec> values = seeded_word_values(words, plan.width, seed);
-    for (const bool parity : {false, true}) {
-      std::vector<const BitVec*> group;
-      for (const BitVec& v : values)
-        if (v.parity() == parity) group.push_back(&v);
-      for (std::size_t lo = 0; lo < group.size(); lo += kLanes) {
-        const std::size_t n = std::min<std::size_t>(kLanes, group.size() - lo);
-        std::vector<Block> init(plan.width);
-        for (unsigned lane = 0; lane < kLanes; ++lane) {
-          const BitVec& v = *group[lo + (lane < n ? lane : 0)];
-          for (unsigned j = 0; j < plan.width; ++j)
-            if (v.get(j)) block_set_bit(init[j], lane);
-        }
-        typename Engine::Memory mem(1, plan.width);
-        mem.write(0, init.data());
-        Block d{};
-        if (transparent_compare(plan.scheme)) {
-          typename Engine::Runner runner = Engine::make_runner(mem, AddressList::all(1));
-          const auto v = Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr);
-          d = v.exact | v.misr;
-        } else {
-          d = run_scheme_session<Engine>(mem, plan, std::vector<bool>{parity});
-        }
-        if (block_any(d)) return false;
+  const std::vector<BitVec> values = seeded_word_values(words, plan.width, seed);
+  for (const bool parity : {false, true}) {
+    std::vector<const BitVec*> group;
+    for (const BitVec& v : values)
+      if (v.parity() == parity) group.push_back(&v);
+    for (std::size_t lo = 0; lo < group.size(); lo += kPackedLanes) {
+      const std::size_t n = std::min<std::size_t>(kPackedLanes, group.size() - lo);
+      std::vector<LaneMask> init(plan.width);
+      for (unsigned lane = 0; lane < kPackedLanes; ++lane) {
+        const BitVec& v = *group[lo + (lane < n ? lane : 0)];
+        for (unsigned j = 0; j < plan.width; ++j)
+          if (v.get(j)) init[j] |= LaneMask{1} << lane;
       }
+      PackedMemory mem(1, plan.width);
+      mem.write(0, init.data());
+      LaneMask d{};
+      if (transparent_compare(plan.scheme)) {
+        PackedMarchRunner runner(mem, AddressList::all(1));
+        const auto v =
+            PackedEngine::run_transparent(runner, plan.trans, plan.prediction, plan.misr);
+        d = v.exact | v.misr;
+      } else {
+        d = run_scheme_session<PackedEngine>(mem, plan, std::vector<bool>{parity});
+      }
+      if (d != 0) return false;
     }
-    return true;
   }
+  return true;
 }
 
 // The campaign scheduler (survivor repacking): seed-major rounds over the
@@ -172,7 +166,8 @@ void run_campaign_engine(const CampaignJob& job) {
   bool cancelled = false;
   for (std::size_t s = 0; s < job.num_seeds && !live.empty() && !cancelled; ++s) {
     const std::size_t units = (live.size() + kPerUnit - 1) / kPerUnit;
-    const bool sparse = golden_certificate<Engine>(*job.plan, job.words, job.seeds[s]);
+    const bool sparse =
+        Engine::kSparseWalk && golden_certificate(*job.plan, job.words, job.seeds[s]);
     std::atomic<std::size_t> next{0};
     std::atomic<bool> stop{false};
     state_slot.store(0, std::memory_order_relaxed);

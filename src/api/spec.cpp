@@ -488,6 +488,47 @@ JsonValue spec_to_value(const CampaignSpec& s) {
   return v;
 }
 
+}  // namespace
+
+void read_shared_run_keys(const JsonValue& run, const std::string& prefix,
+                          CoverageBackend& backend, unsigned& threads, simd::Request& simd,
+                          std::vector<SpecError>& errors) {
+  auto fail = [&](const char* key, const char* message) {
+    errors.push_back({prefix + "run." + key, message});
+  };
+  if (const JsonValue* v = run.find("backend")) {
+    const auto b = v->is_string() ? parse_backend(v->as_string()) : std::nullopt;
+    if (b)
+      backend = *b;
+    else
+      fail("backend", "must be \"scalar\" or \"packed\"");
+  }
+  if (const JsonValue* v = run.find("threads")) {
+    const auto t = v->as_u64();
+    if (t && *t <= UINT32_MAX)
+      threads = static_cast<unsigned>(*t);
+    else
+      fail("threads", "must be an unsigned integer");
+  }
+  if (const JsonValue* v = run.find("simd")) {
+    const auto r = v->is_string() ? simd::parse_request(v->as_string()) : std::nullopt;
+    if (r)
+      simd = *r;
+    else
+      fail("simd", "must be \"auto\", \"64\", \"256\", \"512\", \"tiled\" or \"tiled:4096\"");
+  }
+  // Keys still carried by older specs: read and dropped, never stored or
+  // re-serialized.  "schedule" names the one scheduler; "collapse" toggled
+  // a pre-dispatch pass that no longer exists.
+  if (const JsonValue* v = run.find("schedule"))
+    if (!v->is_string() || v->as_string() != "repack")
+      fail("schedule", "must be \"repack\" (the only scheduler)");
+  if (const JsonValue* v = run.find("collapse"))
+    if (!v->is_bool()) fail("collapse", "must be a boolean");
+}
+
+namespace {
+
 // Collects structural errors instead of stopping at the first: a queued
 // spec that is wrong in three places should say so in one round.
 class SpecReader {
@@ -576,38 +617,7 @@ class SpecReader {
               key != "collapse" && key != "regions" && key != "deadline_ms")
             fail("run." + key, "unknown field");
         }
-        if (const JsonValue* backend = run->find("backend")) {
-          const auto b = backend->is_string() ? parse_backend(backend->as_string())
-                                              : std::nullopt;
-          if (b)
-            s.backend = *b;
-          else
-            fail("run.backend", "must be \"scalar\" or \"packed\"");
-        }
-        if (const JsonValue* threads = run->find("threads")) {
-          const auto t = threads->as_u64();
-          if (t && *t <= UINT32_MAX)
-            s.threads = static_cast<unsigned>(*t);
-          else
-            fail("run.threads", "must be an unsigned integer");
-        }
-        if (const JsonValue* simd = run->find("simd")) {
-          const auto r = simd->is_string() ? simd::parse_request(simd->as_string())
-                                           : std::nullopt;
-          if (r)
-            s.simd = *r;
-          else
-            fail("run.simd",
-                 "must be \"auto\", \"64\", \"256\", \"512\", \"tiled\" or \"tiled:4096\"");
-        }
-        // Keys still carried by older specs: read and dropped, never
-        // stored or re-serialized.  "schedule" names the one scheduler;
-        // "collapse" toggled a pre-dispatch pass that no longer exists.
-        if (const JsonValue* schedule = run->find("schedule"))
-          if (!schedule->is_string() || schedule->as_string() != "repack")
-            fail("run.schedule", "must be \"repack\" (the only scheduler)");
-        if (const JsonValue* collapse = run->find("collapse"))
-          if (!collapse->is_bool()) fail("run.collapse", "must be a boolean");
+        read_shared_run_keys(*run, prefix_, s.backend, s.threads, s.simd, errors_);
         if (const JsonValue* regions = run->find("regions")) {
           const auto r = regions->as_u64();
           if (r && *r <= UINT32_MAX)

@@ -261,6 +261,14 @@ CampaignSpec spec_from_json(const std::string& text);
 class JsonValue;
 CampaignSpec spec_from_json_value(const JsonValue& v);
 
+// Reads the `run` keys CampaignSpec and ExploreSpec share — backend,
+// threads, simd, and the accepted-and-dropped schedule and collapse — from
+// the `run` object; each malformed key appends one SpecError at
+// `prefix + "run.<key>"`.
+void read_shared_run_keys(const JsonValue& run, const std::string& prefix,
+                          CoverageBackend& backend, unsigned& threads, simd::Request& simd,
+                          std::vector<SpecError>& errors);
+
 // Accepts either a single spec object or a batch array [spec, spec, ...].
 std::vector<CampaignSpec> specs_from_json(const std::string& text);
 

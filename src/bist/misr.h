@@ -11,7 +11,7 @@
 // of two equally long streams is the signature of their positional XOR,
 // and a run of k zero inputs multiplies the state by A^k, where A is the
 // companion matrix of one step.  MisrJumps holds A^(2^i) so a compactor
-// can skip such a run in O(log k) matrix applications (PackedMisrT::skip).
+// can skip such a run in O(log k) matrix applications (PackedMisr::skip).
 #ifndef TWM_BIST_MISR_H
 #define TWM_BIST_MISR_H
 

@@ -1,6 +1,6 @@
-// Lane-parallel march test execution over PackedMemoryT: the batched
+// Lane-parallel march test execution over PackedMemory: the batched
 // counterpart of bist/engine.h, evaluating one fault universe per lane of
-// the Block it is templated over (64 per pass; see memsim/lane_block.h).
+// a LaneMask (64 per pass).
 //
 // Execution styles mirror MarchRunner operation-for-operation:
 //
@@ -8,8 +8,13 @@
 //                       lanes in which at least one Read mismatched its
 //                       absolute expected value.
 //  * run_test()       — transparent test pass; Write data is derived
-//                       per lane from the most recent Read of the same word
-//                       (base-estimate XOR operation mask).
+//                       per lane from the Read that precedes it in its
+//                       element (base-estimate XOR operation mask).  Every
+//                       relative write must follow a read of the same
+//                       element — the transparent-march normal form every
+//                       built plan satisfies; anything else is a
+//                       std::logic_error.  The scalar MarchRunner keeps the
+//                       general per-word history.
 //  * run_prediction() — read-only signature-prediction pass feeding
 //                       read-value XOR operation-mask per lane.
 //
@@ -34,9 +39,9 @@
 // listed ones — are never fed: the register jumps over each run of them
 // with the companion-matrix powers of MisrJumps (bist/misr.h).
 //
-// Like the packed memory, the implementation is header-only; the 64-lane
-// aliases (PackedReadSink, PackedMisr, PackedMarchRunner) are pinned in
-// packed_engine.cpp.
+// Like the packed memory, the implementation is header-only: sweep_braked
+// and the port operations it calls form the innermost loop, and the build
+// has no LTO.
 #ifndef TWM_BIST_PACKED_ENGINE_H
 #define TWM_BIST_PACKED_ENGINE_H
 
@@ -54,30 +59,28 @@
 
 namespace twm {
 
-// Receives the lane blocks of every Read operation.  `value` spans the
+// Receives the lane masks of every Read operation.  `value` spans the
 // word width and is only valid for the duration of the call.
-template <class Block>
-class PackedReadSinkT {
+class PackedReadSink {
  public:
-  virtual ~PackedReadSinkT() = default;
-  virtual void on_read(std::size_t addr, const Block* value) = 0;
+  virtual ~PackedReadSink() = default;
+  virtual void on_read(std::size_t addr, const LaneMask* value) = 0;
 };
 
 // One Galois MISR per lane with the same feedback polynomial; signature bit
 // i across all lanes is state()[i].
-template <class Block>
-class PackedMisrT {
+class PackedMisr {
  public:
-  explicit PackedMisrT(unsigned width) : state_(width), taps_(Misr::default_taps(width)) {
+  explicit PackedMisr(unsigned width) : state_(width), taps_(Misr::default_taps(width)) {
     if (width == 0) throw std::invalid_argument("PackedMisr: zero width");
   }
 
   unsigned width() const { return static_cast<unsigned>(state_.size()); }
 
-  // Folds one packed input word (input_width lane blocks) into all lane
+  // Folds one packed input word (input_width lane masks) into all lane
   // signatures; replicates Misr::feed (shift, conditional feedback, XOR of
   // the width-folded input).
-  void feed(const Block* input, unsigned input_width) {
+  void feed(const LaneMask* input, unsigned input_width) {
     const unsigned w = width();
     step();
     // Fold the input into width-sized chunks (Misr::feed's rule, per lane).
@@ -96,7 +99,7 @@ class PackedMisrT {
       if (!(zeros & 1u)) continue;
       for (unsigned r = 0; r < w; ++r) {
         const std::uint64_t* row = jumps.row(i, r);
-        Block b{};
+        LaneMask b{};
         for (std::size_t l = 0; l < jumps.limbs; ++l)
           for (std::uint64_t bits = row[l]; bits; bits &= bits - 1)
             b ^= state_[l * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
@@ -107,31 +110,30 @@ class PackedMisrT {
   }
 
   bool nonzero() const {
-    for (const Block& b : state_)
-      if (block_any(b)) return true;
+    for (const LaneMask& b : state_)
+      if (b != 0) return true;
     return false;
   }
 
-  const std::vector<Block>& state() const { return state_; }
+  const std::vector<LaneMask>& state() const { return state_; }
 
  private:
   void step() {
     const unsigned w = width();
-    const Block carry = state_[w - 1];  // lanes whose MSB shifts out
+    const LaneMask carry = state_[w - 1];  // lanes whose MSB shifts out
     for (unsigned i = w; i-- > 1;) state_[i] = state_[i - 1];
-    state_[0] = Block{};
+    state_[0] = LaneMask{};
     for (unsigned t : taps_) state_[t] ^= carry;
   }
 
-  std::vector<Block> state_;    // [bit] -> lane block
-  std::vector<unsigned> taps_;  // set bits of the feedback pattern
-  std::vector<Block> scratch_;  // skip() double buffer
+  std::vector<LaneMask> state_;    // [bit] -> lane mask
+  std::vector<unsigned> taps_;     // set bits of the feedback pattern
+  std::vector<LaneMask> scratch_;  // skip() double buffer
 };
 
-template <class Block>
-struct PackedTransparentOutcomeT {
-  Block detected_exact{};  // prediction/test read streams differ
-  Block detected_misr{};   // MISR signatures differ
+struct PackedTransparentOutcome {
+  LaneMask detected_exact{};  // prediction/test read streams differ
+  LaneMask detected_misr{};   // MISR signatures differ
 };
 
 // Cooperative mid-session brake for sessions whose per-lane verdict is
@@ -151,50 +153,48 @@ struct PackedTransparentOutcomeT {
 // are not final until the session ends (aliasing can cancel a mismatch).
 // With exit_enabled false the brake still counts march elements entered,
 // which is what the scheduler's occupancy/forward-progress counters read.
-template <class Block>
-struct SessionBrakeT {
-  Block target{};    // lanes whose verdicts the caller needs (fault lanes)
-  Block already{};   // verdict contribution of earlier passes (e.g. SMarch)
+struct SessionBrake {
+  LaneMask target{};   // lanes whose verdicts the caller needs (fault lanes)
+  LaneMask already{};  // verdict contribution of earlier passes (e.g. SMarch)
   bool exit_enabled = false;
-  PackedMemoryT<Block>* retire_from = nullptr;  // optional fault dropping
-  Block retired{};                              // lanes already dropped
-  std::uint64_t elements_entered = 0;           // march elements started
+  PackedMemory* retire_from = nullptr;  // optional fault dropping
+  LaneMask retired{};                   // lanes already dropped
+  std::uint64_t elements_entered = 0;   // march elements started
 
   // Every target lane's verdict is final -> abort the rest of the session.
-  bool should_stop(const Block& verdict) const {
-    if (!exit_enabled || !block_any(target)) return false;
+  bool should_stop(LaneMask verdict) const {
+    if (!exit_enabled || target == 0) return false;
     return ((verdict | already) & target) == target;
   }
 
   // Element boundary: drop the faults of lanes that settled since the last
   // boundary (only meaningful for monotone sessions, hence the exit gate).
-  void on_element_end(const Block& verdict) {
+  void on_element_end(LaneMask verdict) {
     if (!exit_enabled || !retire_from) return;
-    const Block settled = (verdict | already) & target & ~retired;
-    if (!block_any(settled)) return;
+    const LaneMask settled = (verdict | already) & target & ~retired;
+    if (settled == 0) return;
     retired |= settled;
     retire_from->retire_lanes(retired);
   }
 };
 
-template <class Block>
-class PackedMarchRunnerT {
+class PackedMarchRunner {
  public:
   // Walks the words in `list` (ascending, within the memory; the list must
   // outlive the runner).
-  PackedMarchRunnerT(PackedMemoryT<Block>& mem, AddressList list) : mem_(mem), list_(list) {}
+  PackedMarchRunner(PackedMemory& mem, AddressList list) : mem_(mem), list_(list) {}
 
   // `brake`, when non-null, is polled after each address's ops: the sweep
   // aborts once every brake-target lane's mismatch bit is set (the verdict
   // is monotone — an abort returns exactly the final verdict of the target
   // lanes), and lanes that settle mid-march have their faults dropped from
   // the memory at element boundaries.
-  Block run_direct(const MarchTest& test, SessionBrakeT<Block>* brake = nullptr) {
+  LaneMask run_direct(const MarchTest& test, SessionBrake* brake = nullptr) {
     const unsigned w = mem_.word_width();
-    Block mismatch{};
+    LaneMask mismatch{};
     sweep_braked(
         test,
-        [&](std::size_t addr, std::size_t, const Op& op, const Block* mask) {
+        [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
           if (op.data.relative)
             throw std::invalid_argument(
                 "run_direct: test contains transparent (relative) operations");
@@ -204,80 +204,46 @@ class PackedMarchRunnerT {
             mem_.write(addr, mask);
             return;
           }
-          const Block* actual = mem_.read(addr);
+          const LaneMask* actual = mem_.read(addr);
           for (unsigned j = 0; j < w; ++j) mismatch |= actual[j] ^ mask[j];
         },
         brake, [&] { return mismatch; });
     return mismatch;
   }
 
-  void run_test(const MarchTest& test, PackedReadSinkT<Block>& sink) {
-    run_test_braked(test, sink, nullptr, [] { return Block{}; });
+  void run_test(const MarchTest& test, PackedReadSink& sink) {
+    run_test_braked(test, sink, nullptr, [] { return LaneMask{}; });
   }
 
   // run_test with an armed brake: `verdict` reports the caller's current
   // (monotone) detection state — here that is the exact stream comparison
   // accumulated by the sink, which the runner itself cannot see.
   template <typename VerdictFn>
-  void run_test_braked(const MarchTest& test, PackedReadSinkT<Block>& sink,
-                       SessionBrakeT<Block>* brake, VerdictFn&& verdict) {
+  void run_test_braked(const MarchTest& test, PackedReadSink& sink, SessionBrake* brake,
+                       VerdictFn&& verdict) {
+    // Every relative write follows a read of the same word earlier in its
+    // element's op list, so by the time the write fires the "most recent
+    // read of this word" is the one just performed at the current address:
+    // the base estimate register is O(width), not an O(words x width)
+    // shadow copy of the memory.
     const unsigned w = mem_.word_width();
-    std::vector<Block> data(w);
-
-    if (history_free_relative(test)) {
-      // Every relative write is preceded by a read of the same word earlier
-      // in its element's op list, so by the time the write fires the "most
-      // recent read of this word" is the one just performed at the current
-      // address: the base estimate register shrinks to O(width) instead of
-      // an O(words x width) shadow copy of the memory.
-      std::vector<Block> cur(w);
-      std::size_t cur_addr = static_cast<std::size_t>(-1);
-      sweep_braked(
-          test,
-          [&](std::size_t addr, std::size_t, const Op& op, const Block* mask) {
-            if (op.is_read()) {
-              const Block* v = mem_.read(addr);
-              sink.on_read(addr, v);
-              for (unsigned j = 0; j < w; ++j) cur[j] = v[j] ^ mask[j];
-              cur_addr = addr;
-              return;
-            }
-            if (op.data.relative) {
-              if (cur_addr != addr)
-                throw std::logic_error("run_test: transparent write before any read of word");
-              for (unsigned j = 0; j < w; ++j) data[j] = cur[j] ^ mask[j];
-              mem_.write(addr, data.data());
-            } else {
-              // Absolute write: mask(w) == value(w, ·), lane-uniform.
-              mem_.write(addr, mask);
-            }
-          },
-          brake, std::forward<VerdictFn>(verdict));
-      return;
-    }
-
-    // General fallback for tests whose relative writes consume a read from
-    // an earlier element: the full per-lane base estimate of each listed
-    // word's initial content (the transparent BIST's word register, one
-    // copy per universe), indexed by list slot.
-    std::vector<Block> base(list_.size * w);
-    std::vector<bool> valid(list_.size, false);
-
+    std::vector<LaneMask> data(w);
+    std::vector<LaneMask> cur(w);
+    std::size_t cur_addr = static_cast<std::size_t>(-1);
     sweep_braked(
         test,
-        [&](std::size_t addr, std::size_t slot, const Op& op, const Block* mask) {
-          Block* b = &base[slot * w];
+        [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
           if (op.is_read()) {
-            const Block* v = mem_.read(addr);
+            const LaneMask* v = mem_.read(addr);
             sink.on_read(addr, v);
-            for (unsigned j = 0; j < w; ++j) b[j] = v[j] ^ mask[j];
-            valid[slot] = true;
+            for (unsigned j = 0; j < w; ++j) cur[j] = v[j] ^ mask[j];
+            cur_addr = addr;
             return;
           }
           if (op.data.relative) {
-            if (!valid[slot])
+            if (cur_addr != addr)
               throw std::logic_error("run_test: transparent write before any read of word");
-            for (unsigned j = 0; j < w; ++j) data[j] = b[j] ^ mask[j];
+            for (unsigned j = 0; j < w; ++j) data[j] = cur[j] ^ mask[j];
             mem_.write(addr, data.data());
           } else {
             // Absolute write: mask(w) == value(w, ·), lane-uniform.
@@ -287,13 +253,13 @@ class PackedMarchRunnerT {
         brake, std::forward<VerdictFn>(verdict));
   }
 
-  void run_prediction(const MarchTest& prediction, PackedReadSinkT<Block>& sink) {
+  void run_prediction(const MarchTest& prediction, PackedReadSink& sink) {
     const unsigned w = mem_.word_width();
-    std::vector<Block> predicted(w);
-    sweep(prediction, [&](std::size_t addr, std::size_t, const Op& op, const Block* mask) {
+    std::vector<LaneMask> predicted(w);
+    sweep(prediction, [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
       if (op.is_write())
         throw std::invalid_argument("run_prediction: prediction test must be read-only");
-      const Block* raw = mem_.read(addr);
+      const LaneMask* raw = mem_.read(addr);
       for (unsigned j = 0; j < w; ++j) predicted[j] = raw[j] ^ mask[j];
       sink.on_read(addr, predicted.data());
     });
@@ -303,46 +269,28 @@ class PackedMarchRunnerT {
   // consume; an unwanted outcome member is meaningless.  A brake may only
   // arm exit_enabled when want_misr is false (the exact stream comparison
   // is monotone; MISR signatures are not final until the session ends).
-  PackedTransparentOutcomeT<Block> run_transparent_session(const MarchTest& test,
-                                                           const MarchTest& prediction,
-                                                           const MisrJumps& misr,
-                                                           SessionBrakeT<Block>* brake = nullptr,
-                                                           bool want_exact = true,
-                                                           bool want_misr = true);
+  PackedTransparentOutcome run_transparent_session(const MarchTest& test,
+                                                   const MarchTest& prediction,
+                                                   const MisrJumps& misr,
+                                                   SessionBrake* brake = nullptr,
+                                                   bool want_exact = true,
+                                                   bool want_misr = true);
 
  private:
-  // True when every relative write is preceded by a read somewhere earlier
-  // in the SAME element's op list — the transparent-march normal form.  The
-  // ops of one element run back-to-back at each address, so the read that
-  // precedes the write in the op list is also the most recent read of that
-  // word, and the per-word base history is unnecessary.
-  static bool history_free_relative(const MarchTest& test) {
-    for (const MarchElement& e : test.elements) {
-      bool read_seen = false;
-      for (const Op& op : e.ops) {
-        if (op.is_read())
-          read_seen = true;
-        else if (op.data.relative && !read_seen)
-          return false;
-      }
-    }
-    return true;
-  }
-
   // A pass that runs to completion regardless of the brake (the prediction
   // pass) still reports its march elements to the progress counters.
-  static void sweep_count_only(const MarchTest& test, SessionBrakeT<Block>* brake) {
+  static void sweep_count_only(const MarchTest& test, SessionBrake* brake) {
     if (brake) brake->elements_entered += test.elements.size();
   }
 
   // Per-op broadcast masks of a test, flattened as [element][op].
-  static std::vector<std::vector<std::vector<Block>>> op_masks(const MarchTest& test,
-                                                               unsigned w) {
-    std::vector<std::vector<std::vector<Block>>> masks(test.elements.size());
+  static std::vector<std::vector<std::vector<LaneMask>>> op_masks(const MarchTest& test,
+                                                                  unsigned w) {
+    std::vector<std::vector<std::vector<LaneMask>>> masks(test.elements.size());
     for (std::size_t e = 0; e < test.elements.size(); ++e) {
       masks[e].reserve(test.elements[e].ops.size());
       for (const Op& op : test.elements[e].ops)
-        masks[e].push_back(broadcast_block<Block>(op.data.mask(w)));
+        masks[e].push_back(broadcast_word(op.data.mask(w)));
     }
     return masks;
   }
@@ -352,7 +300,7 @@ class PackedMarchRunnerT {
   // the address and its slot in the list.
   template <typename PerOp>
   void sweep(const MarchTest& test, PerOp&& per_op) {
-    sweep_braked(test, std::forward<PerOp>(per_op), nullptr, [] { return Block{}; });
+    sweep_braked(test, std::forward<PerOp>(per_op), nullptr, [] { return LaneMask{}; });
   }
 
   // sweep with an optional SessionBrake: counts elements entered, polls the
@@ -360,7 +308,7 @@ class PackedMarchRunnerT {
   // element boundaries.  `verdict` yields the caller's current monotone
   // detection state.
   template <typename PerOp, typename VerdictFn>
-  void sweep_braked(const MarchTest& test, PerOp&& per_op, SessionBrakeT<Block>* brake,
+  void sweep_braked(const MarchTest& test, PerOp&& per_op, SessionBrake* brake,
                     VerdictFn&& verdict) {
     const unsigned w = mem_.word_width();
     const auto masks = op_masks(test, w);
@@ -382,7 +330,7 @@ class PackedMarchRunnerT {
     }
   }
 
-  PackedMemoryT<Block>& mem_;
+  PackedMemory& mem_;
   AddressList list_;
 };
 
@@ -392,17 +340,16 @@ namespace packed_detail {
 // lane-uniform (every lane holds the golden value), so the common case
 // stores one bit per bit-plane; only reads whose lanes diverge — a bounded
 // set, proportional to the fault footprint, not the geometry — keep their
-// full lane blocks in a position-sorted side table.
-template <class Block>
-class StreamRecorder final : public PackedReadSinkT<Block> {
+// full lane masks in a position-sorted side table.
+class StreamRecorder final : public PackedReadSink {
  public:
   explicit StreamRecorder(unsigned width) : width_(width), scratch_(width) {}
   void reserve_reads(std::size_t reads) { bits_.reserve((reads * width_ + 63) / 64); }
 
-  void on_read(std::size_t, const Block* value) override {
+  void on_read(std::size_t, const LaneMask* value) override {
     bool divergent = false;
     for (unsigned j = 0; j < width_ && !divergent; ++j)
-      divergent = block_any(value[j]) && block_any(~value[j]);
+      divergent = value[j] != 0 && value[j] != ~LaneMask{0};
     const std::size_t base = count_ * width_;
     bits_.resize((base + width_ + 63) / 64, 0);
     if (divergent) {
@@ -410,7 +357,7 @@ class StreamRecorder final : public PackedReadSinkT<Block> {
       blocks_.insert(blocks_.end(), value, value + width_);
     } else {
       for (unsigned j = 0; j < width_; ++j)
-        if (block_any(value[j]))
+        if (value[j] != 0)
           bits_[(base + j) >> 6] |= std::uint64_t{1} << ((base + j) & 63);
     }
     ++count_;
@@ -419,31 +366,30 @@ class StreamRecorder final : public PackedReadSinkT<Block> {
   std::size_t reads() const { return count_; }
 
   // The returned pointer is valid until the next at() call.
-  const Block* at(std::size_t i) const {
+  const LaneMask* at(std::size_t i) const {
     const auto it = std::lower_bound(
         divergent_.begin(), divergent_.end(), i,
         [](const Entry& e, std::size_t pos) { return e.pos < pos; });
     if (it != divergent_.end() && it->pos == i) return &blocks_[it->offset];
     const std::size_t base = i * width_;
     for (unsigned j = 0; j < width_; ++j)
-      scratch_[j] = ((bits_[(base + j) >> 6] >> ((base + j) & 63)) & 1u)
-                        ? block_ones<Block>()
-                        : Block{};
+      scratch_[j] = ((bits_[(base + j) >> 6] >> ((base + j) & 63)) & 1u) ? ~LaneMask{0}
+                                                                          : LaneMask{};
     return scratch_.data();
   }
 
  private:
   struct Entry {
     std::size_t pos;     // read index in the stream
-    std::size_t offset;  // into blocks_ (width_ lane blocks per entry)
+    std::size_t offset;  // into blocks_ (width_ lane masks per entry)
   };
 
   unsigned width_;
   std::size_t count_ = 0;
   std::vector<std::uint64_t> bits_;  // [pos * width + j] -> uniform lane bit
   std::vector<Entry> divergent_;     // appended in stream order => sorted
-  std::vector<Block> blocks_;
-  mutable std::vector<Block> scratch_;
+  std::vector<LaneMask> blocks_;
+  mutable std::vector<LaneMask> scratch_;
 };
 
 // Position, in the read stream a walk over EVERY word would produce, of
@@ -495,12 +441,10 @@ class FullStreamCursor {
 // a nonzero lag (only possible on a full walk of a hand-built plan) pairs
 // the two streams at their ends for the MISR, which is where the two
 // signatures' linear combination pairs them.
-template <class Block>
-class SessionTestSink final : public PackedReadSinkT<Block> {
+class SessionTestSink final : public PackedReadSink {
  public:
-  SessionTestSink(unsigned width, const StreamRecorder<Block>& prediction,
-                  PackedMisrT<Block>* misr, const MisrJumps* jumps, FullStreamCursor* cursor,
-                  std::int64_t lag)
+  SessionTestSink(unsigned width, const StreamRecorder& prediction, PackedMisr* misr,
+                  const MisrJumps* jumps, FullStreamCursor* cursor, std::int64_t lag)
       : width_(width),
         prediction_(prediction),
         misr_(misr),
@@ -513,9 +457,9 @@ class SessionTestSink final : public PackedReadSinkT<Block> {
       feed_at(static_cast<std::uint64_t>(i), prediction_.at(static_cast<std::size_t>(i)));
   }
 
-  void on_read(std::size_t, const Block* value) override {
+  void on_read(std::size_t, const LaneMask* value) override {
     const std::size_t n = prediction_.reads();
-    const Block* p = pos_ < n ? prediction_.at(pos_) : nullptr;
+    const LaneMask* p = pos_ < n ? prediction_.at(pos_) : nullptr;
     if (p)
       for (unsigned j = 0; j < width_; ++j) stream_diff_ |= value[j] ^ p[j];
     if (misr_) {
@@ -539,12 +483,12 @@ class SessionTestSink final : public PackedReadSinkT<Block> {
   }
 
   std::size_t reads() const { return pos_; }
-  Block stream_diff() const { return stream_diff_; }
+  LaneMask stream_diff() const { return stream_diff_; }
 
  private:
-  void feed_at(std::uint64_t at, const Block* diff) {
+  void feed_at(std::uint64_t at, const LaneMask* diff) {
     bool any = false;
-    for (unsigned j = 0; j < width_ && !any; ++j) any = block_any(diff[j]);
+    for (unsigned j = 0; j < width_ && !any; ++j) any = diff[j] != 0;
     if (!any) return;  // a zero input: covered by the next skip
     misr_->skip(*jumps_, at - next_);
     misr_->feed(diff, width_);
@@ -552,29 +496,28 @@ class SessionTestSink final : public PackedReadSinkT<Block> {
   }
 
   unsigned width_;
-  const StreamRecorder<Block>& prediction_;
-  PackedMisrT<Block>* misr_;
+  const StreamRecorder& prediction_;
+  PackedMisr* misr_;
   const MisrJumps* jumps_;
   FullStreamCursor* cursor_;
   std::int64_t lag_;
-  std::vector<Block> diff_;
+  std::vector<LaneMask> diff_;
   std::size_t pos_ = 0;
   std::uint64_t next_ = 0;  // stream position the MISR has consumed up to
-  Block stream_diff_{};
+  LaneMask stream_diff_{};
 };
 
 }  // namespace packed_detail
 
-template <class Block>
-PackedTransparentOutcomeT<Block> PackedMarchRunnerT<Block>::run_transparent_session(
+inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
     const MarchTest& test, const MarchTest& prediction, const MisrJumps& misr,
-    SessionBrakeT<Block>* brake, bool want_exact, bool want_misr) {
+    SessionBrake* brake, bool want_exact, bool want_misr) {
   const unsigned w = mem_.word_width();
-  PackedTransparentOutcomeT<Block> out;
+  PackedTransparentOutcome out;
 
   // The prediction is read-only, so its exact read count is known up front;
   // reserving avoids reallocating the stream as it grows.
-  packed_detail::StreamRecorder<Block> pred_stream(w);
+  packed_detail::StreamRecorder pred_stream(w);
   pred_stream.reserve_reads(prediction.op_count() * list_.size);
   // The prediction pass has no comparison yet, so the brake only counts
   // its elements; the settle predicate cannot fire before the test pass.
@@ -585,11 +528,10 @@ PackedTransparentOutcomeT<Block> PackedMarchRunnerT<Block>::run_transparent_sess
                            static_cast<std::int64_t>(pred_stream.reads());
   if (want_misr && lag != 0 && !list_.full())
     throw std::logic_error("run_transparent_session: unaligned plan on a listed walk");
-  PackedMisrT<Block> diff_misr(want_misr ? misr.width : 1);
+  PackedMisr diff_misr(want_misr ? misr.width : 1);
   packed_detail::FullStreamCursor cursor(test, list_, mem_.num_words());
-  packed_detail::SessionTestSink<Block> test_sink(w, pred_stream,
-                                                  want_misr ? &diff_misr : nullptr, &misr,
-                                                  &cursor, lag);
+  packed_detail::SessionTestSink test_sink(w, pred_stream, want_misr ? &diff_misr : nullptr,
+                                           &misr, &cursor, lag);
   run_test_braked(test, test_sink, brake, [&] { return test_sink.stream_diff(); });
 
   out.detected_exact = test_sink.stream_diff();
@@ -599,24 +541,15 @@ PackedTransparentOutcomeT<Block> PackedMarchRunnerT<Block>::run_transparent_sess
   // expected.
   const bool aborted = brake && brake->should_stop(test_sink.stream_diff());
   if (want_exact && !aborted && test_sink.reads() != pred_stream.reads())
-    out.detected_exact = block_ones<Block>();
+    out.detected_exact = ~LaneMask{0};
   if (want_misr) {
     const std::uint64_t words = mem_.num_words();
     test_sink.finish(std::max(test.read_count(), prediction.read_count()) * words);
-    out.detected_misr = Block{};
-    for (const Block& b : diff_misr.state()) out.detected_misr |= b;
+    out.detected_misr = LaneMask{};
+    for (const LaneMask& b : diff_misr.state()) out.detected_misr |= b;
   }
   return out;
 }
-
-// The PR 1 64-lane spellings.
-using PackedReadSink = PackedReadSinkT<std::uint64_t>;
-using PackedMisr = PackedMisrT<std::uint64_t>;
-using PackedTransparentOutcome = PackedTransparentOutcomeT<std::uint64_t>;
-using PackedMarchRunner = PackedMarchRunnerT<std::uint64_t>;
-
-extern template class PackedMisrT<std::uint64_t>;
-extern template class PackedMarchRunnerT<std::uint64_t>;
 
 }  // namespace twm
 

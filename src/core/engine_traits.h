@@ -6,11 +6,9 @@
 // 64 bit-parallel universes per pass (PackedMemory + PackedMarchRunner +
 // PackedMisr).  The two backends differ only in their *data plane*:
 //
-//   ScalarEngine          Verdict = bool     one universe per session
-//   PackedEngineT<Block>  Verdict = Block    lane k of every value/verdict
-//                                            belongs to universe k; Block is
-//                                            std::uint64_t (64 lanes — the
-//                                            PackedEngine alias)
+//   ScalarEngine   Verdict = bool      one universe per session
+//   PackedEngine   Verdict = LaneMask  lane k of every value/verdict belongs
+//                                      to universe k (64 lanes)
 //
 // Each trait struct maps the shared vocabulary — verdict algebra, fault
 // injection, the engine entry points, and the word/mask/signature
@@ -21,8 +19,9 @@
 // tests/coverage_backend_test.cpp keeps its power — only the orchestration
 // above the memory port is unified here.
 //
-// The contract a new backend (a new Engine struct) must honour — docs/ARCHITECTURE.md walks through each rule with
-// rationale; the short form:
+// The contract a new backend (a new Engine struct) must honour —
+// docs/ARCHITECTURE.md walks through each rule with rationale; the short
+// form:
 //
 //   * Verdict semantics: bit k of a Verdict is a latch for "universe k has
 //     detected its fault".  Session code only ORs verdicts together;
@@ -73,22 +72,19 @@ class XorAccumulator final : public ReadSink {
 };
 
 // One XOR accumulator per lane: signature bit j across all lanes is acc()[j].
-template <class Block>
-class PackedXorAccumulatorT final : public PackedReadSinkT<Block> {
+class PackedXorAccumulator final : public PackedReadSink {
  public:
-  explicit PackedXorAccumulatorT(unsigned width) : acc_(width) {}
-  void on_read(std::size_t, const Block* value) override {
+  explicit PackedXorAccumulator(unsigned width) : acc_(width) {}
+  void on_read(std::size_t, const LaneMask* value) override {
     for (std::size_t j = 0; j < acc_.size(); ++j) acc_[j] ^= value[j];
   }
-  const std::vector<Block>& value() const { return acc_; }
+  const std::vector<LaneMask>& value() const { return acc_; }
 
  private:
-  std::vector<Block> acc_;
+  std::vector<LaneMask> acc_;
 };
 
-using PackedXorAccumulator = PackedXorAccumulatorT<std::uint64_t>;
-
-// Scalar counterpart of SessionBrakeT (bist/packed_engine.h): one lane, so
+// Scalar counterpart of SessionBrake (bist/packed_engine.h): one lane, so
 // "every target lane settled" degenerates to "the fault was detected".
 // The scalar reference engine does not abort sessions mid-march (it IS the
 // reference); the brake still carries the settle predicate the TOMT
@@ -182,20 +178,19 @@ struct ScalarEngine {
   }
 };
 
-template <class Block>
-struct PackedEngineT {
-  using Verdict = Block;  // lane k: universe k detected
-  using Memory = PackedMemoryT<Block>;
-  using Runner = PackedMarchRunnerT<Block>;
-  using Misr = PackedMisrT<Block>;
-  using Word = std::vector<Block>;  // [bit] -> lane block
-  using Mask = std::vector<Block>;  // broadcast op mask
-  using Signature = std::vector<Block>;
-  using Accumulator = PackedXorAccumulatorT<Block>;
-  using Brake = SessionBrakeT<Block>;
+struct PackedEngine {
+  using Verdict = LaneMask;  // lane k: universe k detected
+  using Memory = PackedMemory;
+  using Runner = PackedMarchRunner;
+  using Misr = PackedMisr;
+  using Word = std::vector<LaneMask>;  // [bit] -> lane mask
+  using Mask = std::vector<LaneMask>;  // broadcast op mask
+  using Signature = std::vector<LaneMask>;
+  using Accumulator = PackedXorAccumulator;
+  using Brake = SessionBrake;
 
   // Lane 0 stays fault-free (golden); faults occupy the remaining lanes.
-  static constexpr unsigned kFaultsPerUnit = block_lanes_v<Block> - 1;
+  static constexpr unsigned kFaultsPerUnit = kPackedLanes - 1;
   // Sessions may walk a unit's fault footprint instead of every word
   // (bist/packed_engine.h; the campaign's golden certificate decides).
   static constexpr bool kSparseWalk = true;
@@ -211,13 +206,13 @@ struct PackedEngineT {
   }
 
   // Lanes 1..count — a partial final batch must neither report phantom
-  // universes nor mask the golden lane (lane_block.h documents the rule).
-  static Verdict used_mask(unsigned count) { return block_used_mask<Block>(count); }
-  static bool bit(Verdict v, unsigned slot) { return block_bit(v, slot + 1); }
-  static bool saturated(Verdict v) { return v == block_ones<Block>(); }
+  // universes nor mask the golden lane (used_lane_mask documents the rule).
+  static Verdict used_mask(unsigned count) { return used_lane_mask(count); }
+  static bool bit(Verdict v, unsigned slot) { return (v >> (slot + 1)) & 1u; }
+  static bool saturated(Verdict v) { return v == ~LaneMask{0}; }
 
   static void inject(Memory& mem, const Fault& f, unsigned slot) {
-    mem.inject(f, block_lane<Block>(slot + 1));
+    mem.inject(f, LaneMask{1} << (slot + 1));
   }
 
   static Runner make_runner(Memory& mem, AddressList list) { return Runner(mem, list); }
@@ -232,7 +227,7 @@ struct PackedEngineT {
                                              const MarchTest& prediction, const MisrJumps& misr,
                                              Brake* brake = nullptr, bool want_exact = true,
                                              bool want_misr = true) {
-    const PackedTransparentOutcomeT<Block> out =
+    const PackedTransparentOutcome out =
         runner.run_transparent_session(test, prediction, misr, brake, want_exact, want_misr);
     return {out.detected_exact, out.detected_misr};
   }
@@ -242,10 +237,10 @@ struct PackedEngineT {
     return mem.lane_word(0, addr).parity();
   }
   static Word make_word(unsigned width) { return Word(width); }
-  static Mask make_mask(const BitVec& mask) { return broadcast_block<Block>(mask); }
+  static Mask make_mask(const BitVec& mask) { return broadcast_word(mask); }
   static void read_word(Memory& mem, std::size_t addr, Word& out) {
     // The port's pointer is invalidated by the next port op; take a copy.
-    const Block* v = mem.read(addr);
+    const LaneMask* v = mem.read(addr);
     std::copy(v, v + out.size(), out.begin());
   }
   static void write_word(Memory& mem, std::size_t addr, const Word& data) {
@@ -255,9 +250,9 @@ struct PackedEngineT {
     for (std::size_t j = 0; j < dst.size(); ++j) dst[j] = src[j] ^ mask[j];
   }
   static Verdict parity_mismatch(const Word& w, bool expected) {
-    Block parity{};
-    for (const Block& lanes : w) parity ^= lanes;
-    return expected ? parity ^ block_ones<Block>() : parity;
+    LaneMask parity{};
+    for (const LaneMask lanes : w) parity ^= lanes;
+    return expected ? ~parity : parity;
   }
   static Verdict differs(const Word& a, const Word& b) {
     Verdict d{};
@@ -267,15 +262,12 @@ struct PackedEngineT {
 
   static Signature signature(const Accumulator& acc) { return acc.value(); }
   static Verdict signature_mismatch(const Accumulator& acc, const BitVec& expected) {
-    const Signature want = broadcast_block<Block>(expected);
+    const Signature want = broadcast_word(expected);
     Verdict d{};
     for (std::size_t j = 0; j < want.size(); ++j) d |= acc.value()[j] ^ want[j];
     return d;
   }
 };
-
-// The PR 1 64-lane engine.
-using PackedEngine = PackedEngineT<std::uint64_t>;
 
 }  // namespace twm
 

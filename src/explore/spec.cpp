@@ -303,30 +303,7 @@ class ExploreReader {
 
   void read_run(const JsonValue& v, ExploreSpec& s) {
     require_known(v, "run.", {"backend", "threads", "simd", "schedule", "collapse"});
-    if (const JsonValue* backend = v.find("backend")) {
-      const auto b =
-          backend->is_string() ? api::parse_backend(backend->as_string()) : std::nullopt;
-      if (b)
-        s.backend = *b;
-      else
-        fail("run.backend", "must be \"scalar\" or \"packed\"");
-    }
-    read_unsigned(v, "run", "threads", s.threads);
-    if (const JsonValue* simd = v.find("simd")) {
-      const auto r =
-          simd->is_string() ? simd::parse_request(simd->as_string()) : std::nullopt;
-      if (r)
-        s.simd = *r;
-      else
-        fail("run.simd",
-             "must be \"auto\", \"64\", \"256\", \"512\", \"tiled\" or \"tiled:4096\"");
-    }
-    // "schedule" and "collapse" are accepted and dropped, as in CampaignSpec.
-    if (const JsonValue* schedule = v.find("schedule"))
-      if (!schedule->is_string() || schedule->as_string() != "repack")
-        fail("run.schedule", "must be \"repack\" (the only scheduler)");
-    if (const JsonValue* collapse = v.find("collapse"))
-      if (!collapse->is_bool()) fail("run.collapse", "must be a boolean");
+    api::read_shared_run_keys(v, "", s.backend, s.threads, s.simd, errors_);
   }
 
   void require_known(const JsonValue& v, const std::string& prefix,

@@ -23,7 +23,7 @@
 // A read returns the stored word, distorted by any AF decoder fault on the
 // address (AFna: floating bus zeros; AFaw: wired-AND of the decoded words).
 //
-// Storage is paged like PackedMemoryT's (64-word pages over a lazy
+// Storage is paged like PackedMemory's (64-word pages over a lazy
 // background — a broadcast pattern or a seeded/loaded per-word baseline),
 // so a huge-geometry memory only allocates the pages a test actually
 // touches instead of an O(words) vector<BitVec>; fill()/fill_seeded()
@@ -98,8 +98,8 @@ class Memory : public MemoryIf {
   // --- page accounting (bench/stats surface) ----------------------------
   std::size_t pages_live() const { return materialized_.size(); }
   std::size_t pages_peak() const { return pages_peak_; }
-  // The scalar simulator has no lane-block representation; its pages are
-  // all the cheap limb form.  Mirrors PackedMemoryT's accounting surface so
+  // The scalar simulator has no lane-mask representation; its pages are
+  // all the cheap limb form.  Mirrors PackedMemory's accounting surface so
   // the campaign executor can report either backend.
   std::size_t packed_pages_live() const { return 0; }
   std::size_t packed_pages_peak() const { return 0; }

@@ -1,14 +1,13 @@
 // Bit-parallel batched fault simulator: one fault universe per lane of a
-// 64-lane block (64 universes per machine pass).
+// 64-bit LaneMask (64 universes per machine pass).
 //
-// PackedMemoryT<Block> models the same N x B functional RAM as Memory
-// (memory.h), but stores each cell (word, bit) as a lane block: lane k of
-// the stored Block is the cell's value in universe k.  Block is the
-// std::uint64_t of memsim/lane_block.h (PackedMemory aliases it).  Faults
-// are injected with a Block-typed lane mask restricting them to a subset
-// of lanes, so one memory simulates up to block_lanes_v<Block> different
-// fault configurations — by convention lane 0 is kept fault-free (the
-// golden universe batched coverage evaluation uses as a self-check).
+// PackedMemory models the same N x B functional RAM as Memory (memory.h),
+// but stores each cell (word, bit) as a LaneMask: bit k of it is the
+// cell's value in universe k.  Faults are injected with a lane mask
+// restricting them to a subset of lanes, so one memory simulates up to
+// kPackedLanes different fault configurations — by convention lane 0 is
+// kept fault-free (the golden universe batched coverage evaluation uses as
+// a self-check).
 //
 // The write semantics are the documented five steps of Memory::write
 // (transition suppression, commit, CFid/CFin aggressor-fire, CFst
@@ -19,10 +18,10 @@
 // would produce for its fault subset (tests/packed_memory_test.cpp proves
 // this differentially).
 //
-// Storage is PAGED, not dense.  A dense [addr * width + bit] lane-block
-// array costs words x width x sizeof(Block) — 1 GiB for 16M words at
-// width 8 — which caps workloads at toy geometries.  Instead the address space is split into fixed 64-word
-// pages, each in one of three states:
+// Storage is PAGED, not dense.  A dense [addr * width + bit] lane-mask
+// array costs words x width x sizeof(LaneMask) — 1 GiB for 16M words at
+// width 8 — which caps workloads at toy geometries.  Instead the address
+// space is split into fixed 64-word pages, each in one of three states:
 //
 //   * background — no page object at all; every cell reads as the fill
 //     background (a broadcast pattern, or one word of a seeded/loaded
@@ -30,9 +29,9 @@
 //     behind: an O(live pages) reset instead of an O(words) rewrite.
 //   * scalar — the page has been written, but only with lane-uniform
 //     (broadcast) data and holds no fault; it stores one bit per cell
-//     (64 x width bits), a ~sizeof(Block)*8 compression.  March sweeps
+//     (64 x width bits), a ~sizeof(LaneMask)*8 compression.  March sweeps
 //     over fault-free regions stay in this representation.
-//   * packed — full lane blocks plus the per-word fault index buckets.
+//   * packed — full lane masks plus the per-word fault index buckets.
 //     Every word in any injected fault's footprint (victim, aggressor,
 //     alias target) is materialized packed at inject() time and stays
 //     packed until the faults are cleared; a lane-divergent write to a
@@ -60,13 +59,13 @@
 // overlap at inject time and falls back to the global two-pass
 // enforcement the scalar Memory performs.
 //
-// A packed word is passed around as `const Block*` / `Block*` spanning
+// A packed word is passed around as `const LaneMask*` / `LaneMask*` spanning
 // word_width() entries; entry j is bit j of the word across all lanes.
 // Data identical in every lane ("broadcast") represents fault-free inputs,
 // e.g. absolute march write data.
 //
-// The whole implementation lives in this header; packed_memory.cpp pins
-// the 64-lane instantiation.
+// The whole implementation lives in this header: the port operations sit
+// in the march engine's innermost loop, and the build has no LTO.
 #ifndef TWM_MEMSIM_PACKED_MEMORY_H
 #define TWM_MEMSIM_PACKED_MEMORY_H
 
@@ -82,7 +81,6 @@
 #include <vector>
 
 #include "memsim/fault.h"
-#include "memsim/lane_block.h"
 #include "util/bitvec.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -94,31 +92,33 @@ inline constexpr unsigned kPackedLanes = 64;
 // Bit k set = the fault / event applies to (happened in) lane k.
 using LaneMask = std::uint64_t;
 
+// Lanes 1..count — the occupied fault lanes of a (possibly partial) batch.
+// Lane 0 (golden) and the lanes past `count` stay clear, so a partial
+// final batch can neither report phantom universes nor hide a golden-lane
+// detection.
+inline LaneMask used_lane_mask(unsigned count) {
+  if (count >= kPackedLanes - 1) return ~LaneMask{1};
+  return ((LaneMask{1} << count) - 1) << 1;
+}
+
 // Page geometry shared by the packed and scalar paged simulators: 64 words
-// per page keeps a packed page (64 x width lane blocks + fault buckets)
+// per page keeps a packed page (64 x width lane masks + fault buckets)
 // a few KiB, while the page table stays words/64 pointers.
 inline constexpr unsigned kMemPageShift = 6;
 inline constexpr std::size_t kMemPageWords = std::size_t{1} << kMemPageShift;
 inline constexpr std::size_t kMemPageMask = kMemPageWords - 1;
 
 // Broadcasts a lane-uniform (fault-free) word into packed form: entry j is
-// the all-ones or all-zero lane block of the word's bit j.
-template <class Block>
-std::vector<Block> broadcast_block(const BitVec& word) {
-  std::vector<Block> out(word.width());
-  for (unsigned j = 0; j < word.width(); ++j)
-    out[j] = word.get(j) ? block_ones<Block>() : Block{};
+// the all-ones or all-zero lane mask of the word's bit j.
+inline std::vector<LaneMask> broadcast_word(const BitVec& word) {
+  std::vector<LaneMask> out(word.width());
+  for (unsigned j = 0; j < word.width(); ++j) out[j] = word.get(j) ? ~LaneMask{0} : LaneMask{};
   return out;
 }
 
-inline std::vector<std::uint64_t> broadcast_word(const BitVec& word) {
-  return broadcast_block<std::uint64_t>(word);
-}
-
-template <class Block>
-class PackedMemoryT {
+class PackedMemory {
  public:
-  PackedMemoryT(std::size_t num_words, unsigned word_width)
+  PackedMemory(std::size_t num_words, unsigned word_width)
       : words_(num_words),
         width_(word_width),
         old_(word_width),
@@ -135,18 +135,18 @@ class PackedMemoryT {
   // The background baseline pointers reference this object's own storage;
   // copying would leave the copy aliasing the original.  Nothing copies a
   // packed memory (workers construct their own), so forbid it outright.
-  PackedMemoryT(const PackedMemoryT&) = delete;
-  PackedMemoryT& operator=(const PackedMemoryT&) = delete;
-  PackedMemoryT(PackedMemoryT&&) = default;
-  PackedMemoryT& operator=(PackedMemoryT&&) = default;
+  PackedMemory(const PackedMemory&) = delete;
+  PackedMemory& operator=(const PackedMemory&) = delete;
+  PackedMemory(PackedMemory&&) = default;
+  PackedMemory& operator=(PackedMemory&&) = default;
 
   unsigned word_width() const { return width_; }
   std::size_t num_words() const { return words_; }
 
   // --- the memory port -------------------------------------------------
-  // Returned pointer spans word_width() lane blocks and stays valid until
+  // Returned pointer spans word_width() lane masks and stays valid until
   // the next port operation (read/write/elapse) or load to the memory.
-  const Block* read(std::size_t addr) {
+  const LaneMask* read(std::size_t addr) {
     ++ops_;
     if (addr >= words_) throw std::out_of_range("PackedMemory::read");
     const Page* p = table_[addr >> kMemPageShift].get();
@@ -157,14 +157,14 @@ class PackedMemoryT {
       return read_buf_.data();
     }
     const std::size_t rd_local = addr & kMemPageMask;
-    const Block* word = &p->cells[rd_local * width_];
+    const LaneMask* word = &p->cells[rd_local * width_];
     if (!bucket_nonempty(*p, kAf, rd_local)) return word;
     // AF port distortion, per fault in injection order: AFna lanes see the
     // floating bus (zeros), AFaw lanes the wired-AND of every decoded cell.
     std::copy(word, word + width_, read_buf_.begin());
     for (const std::uint32_t i : p->buckets[kAf * kMemPageWords + rd_local]) {
       const LaneFault& lf = faults_[i];
-      const Block keep = ~lf.lanes;
+      const LaneMask keep = ~lf.lanes;
       if (lf.fault.cls == FaultClass::AFna) {
         for (unsigned j = 0; j < width_; ++j) read_buf_[j] &= keep;
       } else {
@@ -175,8 +175,8 @@ class PackedMemoryT {
     return read_buf_.data();
   }
 
-  // `data` spans word_width() lane blocks (per-lane write data).
-  void write(std::size_t addr, const Block* data) {
+  // `data` spans word_width() lane masks (per-lane write data).
+  void write(std::size_t addr, const LaneMask* data) {
     ++ops_;
     if (addr >= words_) throw std::out_of_range("PackedMemory::write");
     const std::size_t pi = addr >> kMemPageShift;
@@ -185,11 +185,11 @@ class PackedMemoryT {
       // No fault lives anywhere on this page (footprints are packed), so
       // the write cannot trigger, suppress or disturb anything: store the
       // scalar value — unless the data itself is lane-divergent, which
-      // forces the full lane-block representation.
+      // forces the full lane-mask representation.
       bool uniform = true;
       for (unsigned j = 0; j < width_; ++j) {
-        const Block& b = data[j];
-        if (block_any(b) && block_any(~b)) {
+        const LaneMask& b = data[j];
+        if (b != 0 && b != ~LaneMask{0}) {
           uniform = false;
           break;
         }
@@ -198,13 +198,13 @@ class PackedMemoryT {
         Page& sp = p ? *p : materialize_scalar(pi);
         const std::size_t base = (addr & kMemPageMask) * width_;
         for (unsigned j = 0; j < width_; ++j)
-          set_limb_bit(sp.bits.data(), base + j, block_any(data[j]));
+          set_limb_bit(sp.bits.data(), base + j, data[j] != 0);
         return;
       }
       p = &materialize_packed(pi);
     }
     const std::size_t local = addr & kMemPageMask;
-    Block* word = &p->cells[local * width_];
+    LaneMask* word = &p->cells[local * width_];
     std::copy(word, word + width_, old_.begin());
     std::copy(data, data + width_, next_.begin());
     touched_.clear();
@@ -227,10 +227,10 @@ class PackedMemoryT {
       for (const std::uint32_t i : p->buckets[kTf * kMemPageWords + local]) {
         const LaneFault& lf = faults_[i];
         const Fault& f = lf.fault;
-        const Block o = old_[f.victim.bit];
-        const Block n = next_[f.victim.bit];
-        const Block transitioning = f.trans == Transition::Up ? (~o & n) : (o & ~n);
-        const Block suppressed = transitioning & lf.lanes;
+        const LaneMask o = old_[f.victim.bit];
+        const LaneMask n = next_[f.victim.bit];
+        const LaneMask transitioning = f.trans == Transition::Up ? (~o & n) : (o & ~n);
+        const LaneMask suppressed = transitioning & lf.lanes;
         next_[f.victim.bit] = (n & ~suppressed) | (o & suppressed);
       }
 
@@ -245,10 +245,10 @@ class PackedMemoryT {
       for (const std::uint32_t i : p->buckets[kDyn * kMemPageWords + local]) {
         const LaneFault& lf = faults_[i];
         const Fault& f = lf.fault;
-        const Block o = old_[f.aggressor.bit];
-        const Block n = cell(f.aggressor);
-        const Block transitioning = f.trans == Transition::Up ? (~o & n) : (o & ~n);
-        const Block fired = transitioning & lf.lanes;
+        const LaneMask o = old_[f.aggressor.bit];
+        const LaneMask n = cell(f.aggressor);
+        const LaneMask transitioning = f.trans == Transition::Up ? (~o & n) : (o & ~n);
+        const LaneMask fired = transitioning & lf.lanes;
         if (f.cls == FaultClass::CFid)
           force(cell(f.victim), f.value, fired);
         else
@@ -263,9 +263,9 @@ class PackedMemoryT {
       for (const std::uint32_t i : p->buckets[kAf * kMemPageWords + local]) {
         const LaneFault& lf = faults_[i];
         if (lf.fault.cls != FaultClass::AFaw) continue;
-        const Block keep = ~lf.lanes;
+        const LaneMask keep = ~lf.lanes;
         for (unsigned j = 0; j < width_; ++j) {
-          Block& target = cell({lf.fault.aggressor.word, j});
+          LaneMask& target = cell({lf.fault.aggressor.word, j});
           target = (target & keep) | (cell({addr, j}) & lf.lanes);
         }
         touch(lf.fault.aggressor.word);
@@ -297,7 +297,7 @@ class PackedMemoryT {
   }
 
   // --- fault management ------------------------------------------------
-  void inject(const Fault& f, Block lanes) {
+  void inject(const Fault& f, LaneMask lanes) {
     auto check = [this](const CellAddr& c) {
       if (c.word >= words_ || c.bit >= width_)
         throw std::out_of_range("PackedMemory::inject: cell outside memory");
@@ -317,7 +317,7 @@ class PackedMemoryT {
     }
     const std::uint32_t idx = static_cast<std::uint32_t>(faults_.size());
     // Lane overlap disables the disjoint-lanes fast path for statics.
-    if (block_any(lanes & lanes_union_)) lanes_overlap_ = true;
+    if ((lanes & lanes_union_) != 0) lanes_overlap_ = true;
     lanes_union_ |= lanes;
     // Re-injecting into a previously retired lane revives it: the new
     // fault's lanes leave the retired set, or a later retire_lanes call
@@ -368,9 +368,9 @@ class PackedMemoryT {
       for (auto& b : p.buckets) b.clear();
       p.nonempty.fill(0);
     }
-    lanes_union_ = Block{};
+    lanes_union_ = LaneMask{};
     lanes_overlap_ = false;
-    retired_union_ = Block{};
+    retired_union_ = LaneMask{};
   }
 
   // Retires (drops) every fault whose lane mask lies entirely inside the
@@ -386,13 +386,13 @@ class PackedMemoryT {
   // can be reused for a new fault (lane reuse is detected as an overlap
   // with lanes_union_, which conservatively re-enables the global
   // static-enforcement walk — correct, just slower).
-  void retire_lanes(Block lanes) {
+  void retire_lanes(LaneMask lanes) {
     retired_union_ |= lanes;
     if (retired_.size() < faults_.size()) retired_.resize(faults_.size(), 0);
     for (std::uint32_t i = 0; i < faults_.size(); ++i) {
       if (retired_[i]) continue;
       const LaneFault& lf = faults_[i];
-      if (block_any(lf.lanes & ~retired_union_)) continue;  // still-live lanes
+      if ((lf.lanes & ~retired_union_) != 0) continue;  // still-live lanes
       retired_[i] = 1;
       const Fault& f = lf.fault;
       switch (f.cls) {
@@ -472,11 +472,11 @@ class PackedMemoryT {
 
   // Lane extraction for differential checking against the scalar Memory.
   bool lane_bit(unsigned lane, std::size_t addr, unsigned bit) const {
-    if (lane >= block_lanes_v<Block>) throw std::out_of_range("PackedMemory::lane_bit");
+    if (lane >= kPackedLanes) throw std::out_of_range("PackedMemory::lane_bit");
     if (addr >= words_ || bit >= width_) throw std::out_of_range("PackedMemory::lane_bit");
     const Page* p = table_[addr >> kMemPageShift].get();
     if (p && p->packed)
-      return block_bit(p->cells[(addr & kMemPageMask) * width_ + bit], lane);
+      return (p->cells[(addr & kMemPageMask) * width_ + bit] >> lane) & 1u;
     return scalar_bit(addr, p, bit);
   }
   BitVec lane_word(unsigned lane, std::size_t addr) const {
@@ -488,7 +488,7 @@ class PackedMemoryT {
   // Direct cell access (no port-op accounting, no AF port distortion).
   // Non-packed words are expanded into an internal buffer, valid until the
   // next peek or port operation.
-  const Block* peek(std::size_t addr) const {
+  const LaneMask* peek(std::size_t addr) const {
     if (addr >= words_) throw std::out_of_range("PackedMemory::peek");
     const Page* p = table_[addr >> kMemPageShift].get();
     if (p && p->packed) return &p->cells[(addr & kMemPageMask) * width_];
@@ -502,8 +502,8 @@ class PackedMemoryT {
   // --- page accounting (bench/stats surface) ----------------------------
   std::size_t pages_live() const { return materialized_.size(); }
   std::size_t pages_peak() const { return pages_peak_; }
-  // Pages holding full lane blocks — the expensive representation (64 x
-  // width lane blocks vs a scalar page's width limbs).  Bounded by the
+  // Pages holding full lane masks — the expensive representation (64 x
+  // width lane masks vs a scalar page's width limbs).  Bounded by the
   // batch's fault footprint plus lane-divergent write spill, not by
   // `words`: this is the memory-budget claim for huge geometries in one
   // number.
@@ -516,7 +516,7 @@ class PackedMemoryT {
  private:
   struct LaneFault {
     Fault fault;
-    Block lanes{};
+    LaneMask lanes{};
   };
   struct RetEntry {
     std::uint32_t idx;  // into faults_
@@ -531,8 +531,8 @@ class PackedMemoryT {
     bool packed = false;
     // scalar representation: bit (local * width + j); width limbs total.
     std::vector<std::uint64_t> bits;
-    // packed representation: [local * width + bit] lane blocks.
-    std::vector<Block> cells;
+    // packed representation: [local * width + bit] lane masks.
+    std::vector<LaneMask> cells;
     // [kind * kMemPageWords + local] -> fault indexes, injection order.
     // Sized only for packed pages.
     std::vector<std::vector<std::uint32_t>> buckets;
@@ -567,10 +567,10 @@ class PackedMemoryT {
     return bg_pattern_.get(j);
   }
 
-  // Broadcasts a non-packed word into `dst` (width_ blocks).
-  void expand_word(std::size_t addr, const Page* p, Block* dst) const {
+  // Broadcasts a non-packed word into `dst` (width_ lane masks).
+  void expand_word(std::size_t addr, const Page* p, LaneMask* dst) const {
     for (unsigned j = 0; j < width_; ++j)
-      dst[j] = scalar_bit(addr, p, j) ? block_ones<Block>() : Block{};
+      dst[j] = scalar_bit(addr, p, j) ? ~LaneMask{0} : LaneMask{};
   }
 
   // --- page lifecycle ----------------------------------------------------
@@ -603,7 +603,7 @@ class PackedMemoryT {
     return p;
   }
 
-  // Materializes (or promotes) a page to the full lane-block form.
+  // Materializes (or promotes) a page to the full lane-mask form.
   Page& materialize_packed(std::size_t pi) {
     Page* p = table_[pi].get();
     if (p && p->packed) return *p;
@@ -619,7 +619,7 @@ class PackedMemoryT {
         bit = get_limb_bit(bg_bits_, base_bit + pos);
       else
         bit = get_limb_bit(pattern_limbs_.data(), pos);
-      p->cells[pos] = bit ? block_ones<Block>() : Block{};
+      p->cells[pos] = bit ? ~LaneMask{0} : LaneMask{};
     }
     p->bits.clear();
     if (p->buckets.size() != kBucketKinds * kMemPageWords)
@@ -733,12 +733,12 @@ class PackedMemoryT {
 
   // Cell of a word known to live on a packed page (fault footprints are
   // materialized packed at inject time and stay packed).
-  Block& cell(const CellAddr& c) {
+  LaneMask& cell(const CellAddr& c) {
     return table_[c.word >> kMemPageShift]->cells[(c.word & kMemPageMask) * width_ + c.bit];
   }
   // Forces `value` into the cell for the lanes in `mask`, leaving the other
   // lanes untouched.
-  static void force(Block& cell, bool value, const Block& mask) {
+  static void force(LaneMask& cell, bool value, const LaneMask& mask) {
     cell = value ? (cell | mask) : (cell & ~mask);
   }
 
@@ -762,8 +762,8 @@ class PackedMemoryT {
   void apply_cfst(std::uint32_t i) {
     const LaneFault& lf = faults_[i];
     const Fault& f = lf.fault;
-    const Block agg = cell(f.aggressor);
-    const Block active = (f.state ? agg : ~agg) & lf.lanes;
+    const LaneMask agg = cell(f.aggressor);
+    const LaneMask active = (f.state ? agg : ~agg) & lf.lanes;
     force(cell(f.victim), f.value, active);
   }
 
@@ -829,7 +829,7 @@ class PackedMemoryT {
   std::vector<std::unique_ptr<Page>> free_;  // recycled pages (capacity kept)
   std::vector<std::size_t> materialized_;    // page indexes with a live page
   std::size_t pages_peak_ = 0;
-  std::size_t packed_pages_ = 0;  // subset of materialized_ in lane-block form
+  std::size_t packed_pages_ = 0;  // subset of materialized_ in lane-mask form
   std::size_t packed_pages_peak_ = 0;
   std::uint64_t page_allocs_ = 0;
 
@@ -846,24 +846,19 @@ class PackedMemoryT {
   std::vector<LaneFault> faults_;
   std::vector<std::uint32_t> cfst_all_, saf_all_;  // statics, injection order
   std::vector<RetEntry> ret_entries_;
-  Block lanes_union_{};          // OR of every injected lane mask
+  LaneMask lanes_union_{};       // OR of every injected lane mask
   bool lanes_overlap_ = false;   // two faults share a lane -> global statics
-  Block retired_union_{};        // lanes handed to retire_lanes so far
+  LaneMask retired_union_{};     // lanes handed to retire_lanes so far
   std::vector<char> retired_;    // [fault idx] dropped via retire_lanes
 
-  std::vector<Block> old_, next_;  // write-path scratch (one word each)
-  std::vector<Block> read_buf_;    // AF-merged / broadcast read scratch
-  mutable std::vector<Block> peek_buf_;             // peek() expansion scratch
+  std::vector<LaneMask> old_, next_;  // write-path scratch (one word each)
+  std::vector<LaneMask> read_buf_;    // AF-merged / broadcast read scratch
+  mutable std::vector<LaneMask> peek_buf_;          // peek() expansion scratch
   std::vector<std::size_t> touched_;                // words disturbed by the current op
   std::vector<std::uint32_t> merge_cfst_, merge_saf_;  // candidate-merge scratch
   std::vector<char> seen_;                          // [fault idx] merge dedup flag
   std::uint64_t ops_ = 0;
 };
-
-// The PR 1 backend: 64 universes per std::uint64_t lane vector.
-using PackedMemory = PackedMemoryT<std::uint64_t>;
-
-extern template class PackedMemoryT<std::uint64_t>;
 
 }  // namespace twm
 

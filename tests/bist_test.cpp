@@ -8,7 +8,10 @@
 #include "bist/engine.h"
 #include "bist/lfsr.h"
 #include "bist/misr.h"
+#include "bist/packed_engine.h"
 #include "core/nicolaidis.h"
+#include "core/scheme_session.h"
+#include "march/generator.h"
 #include "march/library.h"
 #include "march/parser.h"
 #include "march/word_expand.h"
@@ -187,6 +190,53 @@ TEST(Engine, TestPassRequiresReadBeforeTransparentWrite) {
     for (auto& op : e.ops) op.data.relative = true;
   StreamRecorder sink;
   EXPECT_THROW(runner.run_test(bad, sink), std::logic_error);
+}
+
+// The packed runner derives a relative write from the read just before it
+// in the same element; a relative write with no such read is rejected, not
+// served from an older read of the word.
+TEST(Engine, PackedTestPassRequiresReadBeforeTransparentWrite) {
+  class NullSink final : public PackedReadSink {
+   public:
+    void on_read(std::size_t, const LaneMask*) override {}
+  };
+  PackedMemory mem(4, 4);
+  PackedMarchRunner runner(mem, AddressList::all(4));
+  MarchTest bad = parse_march("{ up(w0); up(r0); down(w1); any(r1) }");
+  bad.elements[2].ops[0].data.relative = true;  // no read earlier in its element
+  NullSink sink;
+  EXPECT_THROW(runner.run_test(bad, sink), std::logic_error);
+}
+
+// Every relative write a built plan hands the packed runner has a read
+// earlier in its element — the precondition its one-register base estimate
+// relies on.
+bool reads_before_relative_writes(const MarchTest& t) {
+  for (const MarchElement& e : t.elements) {
+    bool read_seen = false;
+    for (const Op& op : e.ops) {
+      if (op.is_read()) read_seen = true;
+      if (op.data.relative && op.is_write() && !read_seen) return false;
+    }
+  }
+  return true;
+}
+
+TEST(Engine, EveryPlanReadsBeforeEachRelativeWrite) {
+  std::vector<MarchTest> marches;
+  for (const std::string& name : march_names()) marches.push_back(march_by_name(name));
+  Rng rng(19);
+  for (int i = 0; i < 32; ++i) {
+    MarchTest t = random_march(rng);
+    repair_bit_march(t);
+    marches.push_back(t);
+  }
+  for (const SchemeKind k : kAllSchemes)
+    for (const MarchTest& m : marches) {
+      const SchemePlan plan = make_scheme_plan(k, m, 4);
+      EXPECT_TRUE(reads_before_relative_writes(plan.trans)) << to_string(k) << ": " << m.name;
+      EXPECT_TRUE(reads_before_relative_writes(plan.sym.test)) << to_string(k) << ": " << m.name;
+    }
 }
 
 TEST(Engine, FaultFreeSessionSignaturesAgree) {

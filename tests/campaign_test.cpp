@@ -136,13 +136,13 @@ TEST(GoldenLane, LastLaneVerdictLandsInItsSlot) {
 
   constexpr unsigned kLast = kPackedLanes - 1;
   PackedMemory mem(kWords, kWidth);
-  mem.inject(Fault::saf({0, 1}, true), block_lane<LaneMask>(kLast));
+  mem.inject(Fault::saf({0, 1}, true), LaneMask{1} << kLast);
   const LaneMask verdict = run_scheme_session<PackedEngine>(mem, plan, {});
 
-  EXPECT_TRUE(block_bit(verdict, kLast));
-  EXPECT_FALSE(block_bit(verdict, 0));
+  EXPECT_TRUE((verdict >> kLast) & 1u);
+  EXPECT_FALSE(verdict & 1u);
   for (unsigned lane = 1; lane < kLast; ++lane)
-    EXPECT_FALSE(block_bit(verdict, lane)) << lane;
+    EXPECT_FALSE((verdict >> lane) & 1u) << lane;
 }
 
 // --- verdict matrix ----------------------------------------------------

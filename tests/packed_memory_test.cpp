@@ -47,24 +47,18 @@ void expect_lane_equals(const PackedMemory& packed, unsigned lane, const Memory&
         << context << ": lane " << lane << ", word " << a;
 }
 
-// The lane vocabulary the packed stack is written in: single-lane masks
-// and the used mask of a partial batch, which never includes golden lane 0.
-TEST(LaneBlockVocab, LaneMasksAndUsedMask) {
-  EXPECT_FALSE(block_any(LaneMask{}));
-  EXPECT_EQ(block_ones<LaneMask>(), ~0ull);
-  for (unsigned lane : {0u, 1u, 63u}) {
-    const LaneMask one = block_lane<LaneMask>(lane);
-    for (unsigned j = 0; j < kPackedLanes; ++j) EXPECT_EQ(block_bit(one, j), j == lane) << lane;
-  }
-  for (unsigned count : {0u, 1u, 3u, 63u}) {
-    const LaneMask m = block_used_mask<LaneMask>(count);
+// The used mask of a partial batch covers fault lanes 1..count and never
+// golden lane 0; counts past the last lane saturate at lanes 1..63.
+TEST(UsedLaneMask, CoversLanesOneToCountNeverGolden) {
+  for (unsigned count : {0u, 1u, 3u, 62u, 63u, 64u}) {
+    const LaneMask m = used_lane_mask(count);
     for (unsigned lane = 0; lane < kPackedLanes; ++lane)
-      EXPECT_EQ(block_bit(m, lane), lane >= 1 && lane <= count)
+      EXPECT_EQ((m >> lane) & 1u, lane >= 1 && lane <= count)
           << "count " << count << ", lane " << lane;
   }
 }
 
-TEST(PackedMemoryTest, DifferentialRandomTraces) {
+TEST(PackedMemorySim, DifferentialRandomTraces) {
   Rng rng(20260728);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t words = 2 + rng.next_below(4);
@@ -130,7 +124,7 @@ TEST(PackedMemoryTest, DifferentialRandomTraces) {
 
 // Per-lane write data (the transparent-BIST case: write data derived from
 // per-lane reads) must also track the scalar simulators.
-TEST(PackedMemoryTest, DifferentialPerLaneWriteData) {
+TEST(PackedMemorySim, DifferentialPerLaneWriteData) {
   const std::size_t words = 3;
   const unsigned width = 4;
   Rng rng(42);
@@ -166,7 +160,7 @@ TEST(PackedMemoryTest, DifferentialPerLaneWriteData) {
 
 // Static fault conditions are enforced at injection time, like the scalar
 // simulator does.
-TEST(PackedMemoryTest, InjectEnforcesStaticFaults) {
+TEST(PackedMemorySim, InjectEnforcesStaticFaults) {
   PackedMemory packed(2, 2);
   packed.inject(Fault::saf({0, 0}, true), 1ull << 5);
   EXPECT_TRUE(packed.lane_bit(5, 0, 0));
@@ -180,7 +174,7 @@ TEST(PackedMemoryTest, InjectEnforcesStaticFaults) {
   EXPECT_FALSE(packed.lane_bit(0, 1, 1));
 }
 
-TEST(PackedMemoryTest, RetentionDecayIsLaneMasked) {
+TEST(PackedMemorySim, RetentionDecayIsLaneMasked) {
   PackedMemory packed(2, 1);
   Memory ref(2, 1);
   const Fault leak = Fault::ret({0, 0}, true, 2);
@@ -218,7 +212,7 @@ TEST(PackedMemoryTest, RetentionDecayIsLaneMasked) {
 // dense scalar reference while materializing only the pages the trace (and
 // the fault footprints) actually touch.  The fault list straddles page
 // boundaries and couples across pages.
-TEST(PackedMemoryTest, SparsePagingDifferentialAcrossPageBoundaries) {
+TEST(PackedMemorySim, SparsePagingDifferentialAcrossPageBoundaries) {
   const std::size_t words = 4096;  // many 64-word pages
   const unsigned width = 4;
   Rng rng(20260807);
@@ -292,7 +286,7 @@ TEST(PackedMemoryTest, SparsePagingDifferentialAcrossPageBoundaries) {
 // Refill rounds (the repack scheduler's per-seed reset) must recycle freed
 // pages through the free-list instead of allocating: after the warm-up
 // round, page_allocations() stays flat.
-TEST(PackedMemoryTest, RefillRoundsReusePagesWithoutAllocating) {
+TEST(PackedMemorySim, RefillRoundsReusePagesWithoutAllocating) {
   PackedMemory m(4096, 8);
   std::vector<std::uint64_t> data(8, ~0ull);
   const std::vector<std::size_t> addrs = {0, 100, 1000, 4000};
@@ -354,7 +348,7 @@ TEST(MemoryPagingTest, ReadsOfBackgroundPagesDontMaterialize) {
     ASSERT_EQ(p.lane_word(0, a), m.peek(a)) << "word " << a;
 }
 
-TEST(PackedMemoryTest, RejectsBadGeometryAndCells) {
+TEST(PackedMemorySim, RejectsBadGeometryAndCells) {
   EXPECT_THROW(PackedMemory(0, 4), std::invalid_argument);
   EXPECT_THROW(PackedMemory(4, 0), std::invalid_argument);
   PackedMemory m(2, 2);

@@ -266,12 +266,12 @@ TEST(FaultCollapse, SolidPlanRunnerMatchesTheOracleAndBucketsShareRows) {
 
 TEST(RetireLanes, RetiredLaneBehavesFaultFreeOthersKeepTheirFault) {
   PackedMemory mem(kWords, kWidth);
-  mem.inject(Fault::saf({1, 2}, true), block_lane<std::uint64_t>(1));
-  mem.inject(Fault::saf({1, 2}, true), block_lane<std::uint64_t>(2));
+  mem.inject(Fault::saf({1, 2}, true), LaneMask{1} << 1);
+  mem.inject(Fault::saf({1, 2}, true), LaneMask{1} << 2);
   EXPECT_TRUE(mem.lane_bit(1, 1, 2));  // stuck value enforced at inject
   EXPECT_TRUE(mem.lane_bit(2, 1, 2));
 
-  mem.retire_lanes(block_lane<std::uint64_t>(1));
+  mem.retire_lanes(LaneMask{1} << 1);
   // A write of zeros now sticks in the retired lane, stays forced in the
   // live one, and leaves the golden lane untouched.
   const auto zeros = broadcast_word(BitVec::zeros(kWidth));
@@ -283,11 +283,11 @@ TEST(RetireLanes, RetiredLaneBehavesFaultFreeOthersKeepTheirFault) {
 
 TEST(RetireLanes, RetireCoversEveryClassAndElapse) {
   PackedMemory mem(kWords, kWidth);
-  mem.inject(Fault::tf({0, 1}, Transition::Up), block_lane<std::uint64_t>(1));
-  mem.inject(Fault::cfst({0, 0}, true, {2, 3}, true), block_lane<std::uint64_t>(2));
-  mem.inject(Fault::cfin({1, 0}, Transition::Up, {2, 0}), block_lane<std::uint64_t>(3));
-  mem.inject(Fault::ret({3, 0}, true, 1), block_lane<std::uint64_t>(4));
-  mem.inject(Fault::af_no_access(2), block_lane<std::uint64_t>(5));
+  mem.inject(Fault::tf({0, 1}, Transition::Up), LaneMask{1} << 1);
+  mem.inject(Fault::cfst({0, 0}, true, {2, 3}, true), LaneMask{1} << 2);
+  mem.inject(Fault::cfin({1, 0}, Transition::Up, {2, 0}), LaneMask{1} << 3);
+  mem.inject(Fault::ret({3, 0}, true, 1), LaneMask{1} << 4);
+  mem.inject(Fault::af_no_access(2), LaneMask{1} << 5);
   mem.retire_lanes(~0ull & ~1ull);  // retire every fault lane
 
   // After retiring, every port op behaves fault-free in every lane.
@@ -299,7 +299,7 @@ TEST(RetireLanes, RetireCoversEveryClassAndElapse) {
       EXPECT_EQ(mem.lane_word(lane, a), BitVec::ones(kWidth)) << "lane " << lane;
 
   // Reinjecting into a freed lane keeps working (the batch is still live).
-  mem.inject(Fault::saf({0, 0}, false), block_lane<std::uint64_t>(1));
+  mem.inject(Fault::saf({0, 0}, false), LaneMask{1} << 1);
   EXPECT_FALSE(mem.lane_bit(1, 0, 0));
   const auto ones2 = broadcast_word(BitVec::ones(kWidth));
   mem.write(0, ones2.data());
@@ -308,7 +308,7 @@ TEST(RetireLanes, RetireCoversEveryClassAndElapse) {
 
   // Re-injection revives the lane: a LATER retire of a different lane must
   // not sweep the reinjected fault into the previously retired set.
-  mem.retire_lanes(block_lane<std::uint64_t>(6));
+  mem.retire_lanes(LaneMask{1} << 6);
   mem.write(0, ones2.data());
   EXPECT_FALSE(mem.lane_bit(1, 0, 0)) << "reinjected fault must survive later retires";
 }

@@ -197,7 +197,7 @@ TEST(SparseWalk, GoldenLaneCheckStillFiresOnABrokenPlan) {
         flipped = true;
       }
   ASSERT_TRUE(flipped);
-  EXPECT_FALSE(golden_certificate<PackedEngine>(plan, kWords, 0));
+  EXPECT_FALSE(golden_certificate(plan, kWords, 0));
   try {
     engine_matrix(plan, kWords, word0_faults(), {0}, nullptr);
     FAIL() << "the broken plan must trip the golden-lane check";
@@ -226,7 +226,7 @@ TEST(SparseWalk, UnalignedPlanFallsBackToTheFullWalk) {
   for (const SchemeKind k : {SchemeKind::ProposedExact, SchemeKind::ProposedMisr}) {
     const SchemePlan plan = misordered_plan(k);
     ASSERT_FALSE(transparent_passes_aligned(plan.trans, plan.prediction)) << to_string(k);
-    EXPECT_FALSE(golden_certificate<PackedEngine>(plan, kWords, 0)) << to_string(k);
+    EXPECT_FALSE(golden_certificate(plan, kWords, 0)) << to_string(k);
     CampaignStats stats;
     EXPECT_EQ(engine_matrix(plan, kWords, faults, {0}, &stats).bits,
               plan_oracle(plan, kWords, faults, {0}).bits)
