@@ -229,16 +229,13 @@ int main(int argc, char** argv) {
   const bool huge_equal = vh_regions == vh_flat;
   std::printf("\nhuge-memory workload (N=%zu words, %zu sampled faults, %u regions):\n",
               kHugeWords, huge.size(), kHugeRegions);
-  std::printf("  regions/%u:     %8.0f faults/s  (%.3fs; peak %llu of %zu pages touched, "
-              "%llu in lane-block form = %.2f%% of the address space; %llu addresses "
-              "walked, %llu full-walk units)\n",
+  std::printf("  regions/%u:     %8.0f faults/s  (%.3fs; peak %llu of %zu pages touched "
+              "= %.2f%% of the address space; %llu addresses walked)\n",
               kHugeRegions, fps_huge, t_huge,
               static_cast<unsigned long long>(huge_pages_peak), huge_pages_total,
-              static_cast<unsigned long long>(huge_packed_peak),
-              100.0 * static_cast<double>(huge_packed_peak) /
+              100.0 * static_cast<double>(huge_pages_peak) /
                   static_cast<double>(huge_pages_total),
-              static_cast<unsigned long long>(huge_stats.addresses_walked.load()),
-              static_cast<unsigned long long>(huge_stats.full_walk_units.load()));
+              static_cast<unsigned long long>(huge_stats.addresses_walked.load()));
 
   const bool verdicts_equal = scalar_slice_equal && huge_equal;
   std::printf("\n  verdict equality (scalar == packed, regions %u == 1 on huge): %s\n",
@@ -257,7 +254,6 @@ int main(int argc, char** argv) {
        << ",\"session_elements_total\":" << packed_stats.elements_total.load()
        << ",\"session_elements_executed\":" << packed_stats.elements_executed.load()
        << ",\"addresses_walked\":" << packed_stats.addresses_walked.load()
-       << ",\"full_walk_units\":" << packed_stats.full_walk_units.load()
        << ",\"settling_faults\":" << settling.size()
        << ",\"settling_seeds\":" << settling_seeds.size()
        << ",\"settling_faults_per_sec\":" << fps_settling
@@ -269,7 +265,6 @@ int main(int argc, char** argv) {
        << ",\"huge_packed_pages_peak\":" << huge_packed_peak
        << ",\"huge_pages_total\":" << huge_pages_total
        << ",\"huge_addresses_walked\":" << huge_stats.addresses_walked.load()
-       << ",\"huge_full_walk_units\":" << huge_stats.full_walk_units.load()
        << ",\"verdicts_equal\":" << (verdicts_equal ? "true" : "false")
        << ",\"theorem_agree\":" << agree << ",\"theorem_total\":" << everything.size()
        << ",\"theorem_activated_agree\":" << activated_agree

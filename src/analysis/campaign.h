@@ -94,22 +94,19 @@ struct CampaignStats {
   std::atomic<std::uint64_t> faults_simulated{0};  // faults dispatched to the engine
   std::atomic<std::uint64_t> elements_total{0};     // full-length march elements
   std::atomic<std::uint64_t> elements_executed{0};  // march elements entered
-  // Addresses the units' sessions walked, summed over units: a unit walks
-  // its fault footprint when the seed's golden certificate holds
-  // (analysis/campaign_exec.h), else every word.
+  // Addresses the units' sessions walked, summed over units: a packed unit
+  // walks its fault footprint (at most two words per fault), a scalar unit
+  // every word.
   std::atomic<std::uint64_t> addresses_walked{0};
-  // Units that walked every word (the certificate failed, or the scalar
-  // reference backend, which always does).
-  std::atomic<std::uint64_t> full_walk_units{0};
-  // Peak memory pages any worker materialized.  A packed unit walking its
-  // fault footprint only touches the footprint's pages, so this stays near
-  // packed_pages_peak; a full walk writes every word and touches every
-  // page, most of them in the cheap lane-uniform scalar form (width limbs
-  // per page).
+  // Peak memory pages any worker materialized.  A packed unit touches only
+  // its footprint's pages, so this is bounded by the batch's fault footprint
+  // (one region's slice under address-region sharding), not by `words`: the
+  // huge-memory claim in one number.  A scalar unit touches every page it
+  // writes.
   std::atomic<std::uint64_t> pages_peak{0};
-  // Peak pages in the expensive lane-block form.  The huge-memory claim in
-  // one number: bounded by the batch's fault footprint (one region's slice
-  // under address-region sharding), not by `words`.
+  // Peak pages in lane-mask form.  Every page a packed memory materializes
+  // has that form, so this equals pages_peak on the packed backend and is 0
+  // on the scalar one.
   std::atomic<std::uint64_t> packed_pages_peak{0};
   // Fresh page heap allocations across every worker memory.  The
   // allocation-free round-rebuild contract in one number: worker memories

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "analysis/campaign.h"
 #include "core/scheme_session.h"
@@ -43,8 +44,8 @@ struct CampaignJob {
 inline void check_golden_lane(bool /*verdict*/) {}
 inline void check_golden_lane(std::uint64_t verdicts) { require_golden_lane_clear(verdicts); }
 
-// The golden certificate of (plan, seed): licenses a packed unit to walk
-// only its fault footprint instead of every word.
+// The golden certificate of (plan, seed): the precondition that lets a
+// packed unit walk only its fault footprint instead of every word.
 //
 // Words of a fault-free memory evolve independently — a march applies the
 // same op sequence to each, and its writes derive from that word's own
@@ -62,9 +63,10 @@ inline void check_golden_lane(std::uint64_t verdicts) { require_golden_lane_clea
 // engine walks lists (Engine::kSparseWalk); the reference always walks
 // every word.
 //
-// Holding, it also extends check_golden_lane to the unlisted words: lane 0
-// of the listed walk covers the listed words, the certificate the rest.
-// Failing, every unit of the seed walks every word, as the reference does.
+// It is the golden-lane check for the unlisted words: lane 0 of the listed
+// walk covers the listed words, the certificate the rest.  Every plan
+// make_scheme_plan builds holds it; a failing one (a broken or hand-built
+// plan) aborts the campaign before the round with the golden-lane error.
 inline bool transparent_compare(SchemeKind k) {
   return k == SchemeKind::ProposedExact || k == SchemeKind::ProposedMisr ||
          k == SchemeKind::TsmarchOnly || k == SchemeKind::Scheme1Exact;
@@ -113,10 +115,11 @@ inline bool golden_certificate(const SchemePlan& plan, std::size_t words, std::u
 //             the caller's thread — report every fault whose verdicts can
 //             no longer change and rebuild the live list from the rest.
 //
-// Before each round the golden certificate decides, once for the seed,
-// whether the round's units walk their fault footprint (the sorted victim,
-// aggressor and alias words of the batch) or every word.  The list stays
-// fixed for the whole unit, including after lanes retire.
+// A packed unit walks its fault footprint (the sorted victim, aggressor and
+// alias words of the batch); the scalar reference walks every word.  Before
+// each packed round the golden certificate must hold for the seed, or the
+// campaign throws the golden-lane error.  The list stays fixed for the
+// whole unit, including after lanes retire.
 //
 // A fault is decided once its "all" verdict dropped to 0 and (when the
 // caller asked for it) its "any" verdict rose to 1; remaining seeds cannot
@@ -166,8 +169,9 @@ void run_campaign_engine(const CampaignJob& job) {
   bool cancelled = false;
   for (std::size_t s = 0; s < job.num_seeds && !live.empty() && !cancelled; ++s) {
     const std::size_t units = (live.size() + kPerUnit - 1) / kPerUnit;
-    const bool sparse =
-        Engine::kSparseWalk && golden_certificate(*job.plan, job.words, job.seeds[s]);
+    // A failed certificate is a golden-lane detection at an unlisted word.
+    if (Engine::kSparseWalk && !golden_certificate(*job.plan, job.words, job.seeds[s]))
+      require_golden_lane_clear(LaneMask{1});
     std::atomic<std::size_t> next{0};
     std::atomic<bool> stop{false};
     state_slot.store(0, std::memory_order_relaxed);
@@ -190,7 +194,7 @@ void run_campaign_engine(const CampaignJob& job) {
         batch.clear();
         for (unsigned i = 0; i < count; ++i) batch.push_back(job.faults[live[lo + i]]);
         AddressList list = AddressList::all(job.words);
-        if (sparse) {
+        if (Engine::kSparseWalk) {
           st->footprint = fault_footprint(batch.data(), count);
           list = AddressList::of(st->footprint);
         }
@@ -206,7 +210,6 @@ void run_campaign_engine(const CampaignJob& job) {
           job.stats->units.fetch_add(1, std::memory_order_relaxed);
           job.stats->lane_slots.fetch_add(count, std::memory_order_relaxed);
           job.stats->addresses_walked.fetch_add(list.size, std::memory_order_relaxed);
-          if (!sparse) job.stats->full_walk_units.fetch_add(1, std::memory_order_relaxed);
           job.stats->elements_total.fetch_add(plan_elems, std::memory_order_relaxed);
           job.stats->elements_executed.fetch_add(
               brake.elements_entered ? brake.elements_entered : plan_elems,
@@ -259,10 +262,12 @@ void run_campaign_engine(const CampaignJob& job) {
       while (mine > cur && !slot.compare_exchange_weak(cur, mine, std::memory_order_relaxed)) {
       }
     };
+    // Every page a packed memory materializes holds lane masks.
+    constexpr bool lane_pages = std::is_same_v<typename Engine::Memory, PackedMemory>;
     for (const std::unique_ptr<WorkerState>& st : states) {
       if (!st) continue;
       fetch_max(job.stats->pages_peak, st->mem.pages_peak());
-      fetch_max(job.stats->packed_pages_peak, st->mem.packed_pages_peak());
+      if (lane_pages) fetch_max(job.stats->packed_pages_peak, st->mem.pages_peak());
       job.stats->page_allocs.fetch_add(st->mem.page_allocations(), std::memory_order_relaxed);
     }
   }

@@ -380,10 +380,10 @@ std::string march_display(const CampaignSpec& spec) {
 }
 
 std::string_view engine_revision() {
-  // r6: the repack + settle-exit scheduler generation, verdict-identical
-  // to a plain fault x seed loop (dropping its structural collapsing
-  // changed no verdict either).  Bump on any verdict-affecting change.
-  return "twm-engine-r6";
+  // r7: Scheme 1 takes every datum relative to the value its dropped init
+  // element wrote (r6 mis-detected on marches whose init writes 1).  Bump
+  // on any verdict-affecting change.
+  return "twm-engine-r7";
 }
 
 std::string cell_identity_json(const CampaignSpec& spec, SchemeKind scheme,

@@ -19,13 +19,14 @@
 //                       read-value XOR operation-mask per lane.
 //
 // Every pass walks the runner's AddressList (bist/address_gen.h) in
-// element order instead of [0, words): the whole memory, or — when the
-// campaign's golden certificate holds (analysis/campaign_exec.h) — only
-// the unit's fault footprint.  A word outside every injected fault's
-// footprint holds golden data in every lane for the whole session, so its
-// reads contribute in lane k exactly what they contribute in golden lane
-// 0, which the certificate proved to be nothing (exact and direct compare)
-// or a known constant (XOR and MISR compaction, both linear).
+// element order instead of [0, words): the whole memory, or — in a
+// campaign unit, whose golden certificate (analysis/campaign_exec.h) is
+// the precondition — only the unit's fault footprint.  A word outside
+// every injected fault's footprint holds golden data in every lane for the
+// whole session, so its reads contribute in lane k exactly what they
+// contribute in golden lane 0, which the certificate proved to be nothing
+// (exact and direct compare) or a known constant (XOR and MISR compaction,
+// both linear).
 //
 // run_transparent_session() bundles both passes and reports, per lane, the
 // exact stream comparison and the MISR comparison.  The exact compare
@@ -265,15 +266,15 @@ class PackedMarchRunner {
     });
   }
 
-  // `want_exact` / `want_misr` select which verdicts the caller will
-  // consume; an unwanted outcome member is meaningless.  A brake may only
-  // arm exit_enabled when want_misr is false (the exact stream comparison
-  // is monotone; MISR signatures are not final until the session ends).
+  // `want_misr` = false skips the MISR compaction (detected_misr is then
+  // meaningless).  A brake may only arm exit_enabled when want_misr is
+  // false (the exact stream comparison is monotone; MISR signatures are not
+  // final until the session ends).  Throws std::logic_error when the two
+  // passes' read counts differ.
   PackedTransparentOutcome run_transparent_session(const MarchTest& test,
                                                    const MarchTest& prediction,
                                                    const MisrJumps& misr,
                                                    SessionBrake* brake = nullptr,
-                                                   bool want_exact = true,
                                                    bool want_misr = true);
 
  private:
@@ -363,8 +364,6 @@ class StreamRecorder final : public PackedReadSink {
     ++count_;
   }
 
-  std::size_t reads() const { return count_; }
-
   // The returned pointer is valid until the next at() call.
   const LaneMask* at(std::size_t i) const {
     const auto it = std::lower_bound(
@@ -432,47 +431,29 @@ class FullStreamCursor {
 };
 
 // The test-pass sink of a transparent session: diffs every read against
-// the recorded prediction stream.  The exact comparison ORs the positional
-// difference into one verdict; the MISR comparison feeds the difference
-// stream, placed at its full-walk position, into a zero-initialised MISR
-// that jumps over every run of zero differences.
-//
-// `lag` = test reads - prediction reads.  It is zero for every built plan;
-// a nonzero lag (only possible on a full walk of a hand-built plan) pairs
-// the two streams at their ends for the MISR, which is where the two
-// signatures' linear combination pairs them.
+// the recorded prediction read at the same stream position.  The exact
+// comparison ORs the difference into one verdict; the MISR comparison
+// feeds the difference stream, placed at its full-walk position, into a
+// zero-initialised MISR that jumps over every run of zero differences.
+// The two streams have equal length (run_transparent_session checks it).
 class SessionTestSink final : public PackedReadSink {
  public:
   SessionTestSink(unsigned width, const StreamRecorder& prediction, PackedMisr* misr,
-                  const MisrJumps* jumps, FullStreamCursor* cursor, std::int64_t lag)
+                  const MisrJumps* jumps, FullStreamCursor* cursor)
       : width_(width),
         prediction_(prediction),
         misr_(misr),
         jumps_(jumps),
         cursor_(cursor),
-        lag_(lag),
-        diff_(width) {
-    // Prediction-only reads lead the end-aligned difference stream.
-    for (std::int64_t i = 0; misr_ && i < -lag_; ++i)
-      feed_at(static_cast<std::uint64_t>(i), prediction_.at(static_cast<std::size_t>(i)));
-  }
+        diff_(width) {}
 
   void on_read(std::size_t, const LaneMask* value) override {
-    const std::size_t n = prediction_.reads();
-    const LaneMask* p = pos_ < n ? prediction_.at(pos_) : nullptr;
-    if (p)
-      for (unsigned j = 0; j < width_; ++j) stream_diff_ |= value[j] ^ p[j];
-    if (misr_) {
-      const std::uint64_t at =
-          cursor_->next() + static_cast<std::uint64_t>(std::max<std::int64_t>(0, -lag_));
-      const std::int64_t paired = static_cast<std::int64_t>(pos_) - lag_;
-      if (lag_ != 0)
-        p = paired >= 0 && static_cast<std::size_t>(paired) < n
-                ? prediction_.at(static_cast<std::size_t>(paired))
-                : nullptr;
-      for (unsigned j = 0; j < width_; ++j) diff_[j] = p ? value[j] ^ p[j] : value[j];
-      feed_at(at, diff_.data());
+    const LaneMask* p = prediction_.at(pos_);
+    for (unsigned j = 0; j < width_; ++j) {
+      diff_[j] = value[j] ^ p[j];
+      stream_diff_ |= diff_[j];
     }
+    if (misr_) feed_at(cursor_->next(), diff_.data());
     ++pos_;
   }
 
@@ -482,7 +463,6 @@ class SessionTestSink final : public PackedReadSink {
     if (misr_) misr_->skip(*jumps_, total - next_);
   }
 
-  std::size_t reads() const { return pos_; }
   LaneMask stream_diff() const { return stream_diff_; }
 
  private:
@@ -500,7 +480,6 @@ class SessionTestSink final : public PackedReadSink {
   PackedMisr* misr_;
   const MisrJumps* jumps_;
   FullStreamCursor* cursor_;
-  std::int64_t lag_;
   std::vector<LaneMask> diff_;
   std::size_t pos_ = 0;
   std::uint64_t next_ = 0;  // stream position the MISR has consumed up to
@@ -511,7 +490,9 @@ class SessionTestSink final : public PackedReadSink {
 
 inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
     const MarchTest& test, const MarchTest& prediction, const MisrJumps& misr,
-    SessionBrake* brake, bool want_exact, bool want_misr) {
+    SessionBrake* brake, bool want_misr) {
+  if (test.read_count() != prediction.read_count())
+    throw std::logic_error("run_transparent_session: prediction/test read counts differ");
   const unsigned w = mem_.word_width();
   PackedTransparentOutcome out;
 
@@ -524,27 +505,15 @@ inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
   sweep_count_only(prediction, brake);
   run_prediction(prediction, pred_stream);
 
-  const std::int64_t lag = static_cast<std::int64_t>(test.read_count() * list_.size) -
-                           static_cast<std::int64_t>(pred_stream.reads());
-  if (want_misr && lag != 0 && !list_.full())
-    throw std::logic_error("run_transparent_session: unaligned plan on a listed walk");
   PackedMisr diff_misr(want_misr ? misr.width : 1);
   packed_detail::FullStreamCursor cursor(test, list_, mem_.num_words());
   packed_detail::SessionTestSink test_sink(w, pred_stream, want_misr ? &diff_misr : nullptr,
-                                           &misr, &cursor, lag);
+                                           &misr, &cursor);
   run_test_braked(test, test_sink, brake, [&] { return test_sink.stream_diff(); });
 
   out.detected_exact = test_sink.stream_diff();
-  // A read-count mismatch makes the scalar stream comparison fail outright,
-  // in every lane — unless the brake aborted the test pass, in which case
-  // every target lane's bit is already (finally) set and the short count is
-  // expected.
-  const bool aborted = brake && brake->should_stop(test_sink.stream_diff());
-  if (want_exact && !aborted && test_sink.reads() != pred_stream.reads())
-    out.detected_exact = ~LaneMask{0};
   if (want_misr) {
-    const std::uint64_t words = mem_.num_words();
-    test_sink.finish(std::max(test.read_count(), prediction.read_count()) * words);
+    test_sink.finish(test.read_count() * mem_.num_words());
     out.detected_misr = LaneMask{};
     for (const LaneMask& b : diff_misr.state()) out.detected_misr |= b;
   }

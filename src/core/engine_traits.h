@@ -149,8 +149,7 @@ struct ScalarEngine {
   };
   static TransparentVerdicts run_transparent(Runner& runner, const MarchTest& test,
                                              const MarchTest& prediction, const MisrJumps& misr,
-                                             Brake* brake = nullptr, bool /*want_exact*/ = true,
-                                             bool /*want_misr*/ = true) {
+                                             Brake* brake = nullptr, bool /*want_misr*/ = true) {
     if (brake) brake->elements_entered += test.elements.size() + prediction.elements.size();
     const TransparentOutcome out = runner.run_transparent_session(test, prediction, misr.width);
     return {out.detected_exact, out.detected_misr};
@@ -191,8 +190,8 @@ struct PackedEngine {
 
   // Lane 0 stays fault-free (golden); faults occupy the remaining lanes.
   static constexpr unsigned kFaultsPerUnit = kPackedLanes - 1;
-  // Sessions may walk a unit's fault footprint instead of every word
-  // (bist/packed_engine.h; the campaign's golden certificate decides).
+  // A campaign unit walks its fault footprint instead of every word
+  // (bist/packed_engine.h); the golden certificate is the precondition.
   static constexpr bool kSparseWalk = true;
 
   // An armed brake also drops settled lanes' faults from the memory's
@@ -225,10 +224,9 @@ struct PackedEngine {
   };
   static TransparentVerdicts run_transparent(Runner& runner, const MarchTest& test,
                                              const MarchTest& prediction, const MisrJumps& misr,
-                                             Brake* brake = nullptr, bool want_exact = true,
-                                             bool want_misr = true) {
+                                             Brake* brake = nullptr, bool want_misr = true) {
     const PackedTransparentOutcome out =
-        runner.run_transparent_session(test, prediction, misr, brake, want_exact, want_misr);
+        runner.run_transparent_session(test, prediction, misr, brake, want_misr);
     return {out.detected_exact, out.detected_misr};
   }
 

@@ -21,6 +21,14 @@ Scheme1Result scheme1_transform(const MarchTest& bit_march, unsigned width) {
   DataSpec content;
   content.relative = true;
 
+  // The dropped first-pass init element defines `a`: the initial content is
+  // identified with the value it last wrote, so with any(w1) as init every
+  // datum is taken relative to 1 (w1 -> w(a), w0 -> w(~a)), exactly as
+  // nicolaidis_transparent does.
+  bool init_complement = false;
+  if (bit_march.elements.front().all_writes())
+    for (const auto& op : bit_march.elements.front().ops) init_complement = op.data.complement;
+
   for (std::size_t k = 0; k < backgrounds.size(); ++k) {
     const BitVec& d = backgrounds[k];
     const std::string label = "D" + std::to_string(k);
@@ -30,7 +38,7 @@ Scheme1Result scheme1_transform(const MarchTest& bit_march, unsigned width) {
     auto map_spec = [&](const DataSpec& in) {
       DataSpec out;
       out.relative = true;
-      out.complement = in.complement;
+      out.complement = in.complement != init_complement;
       if (!d.all_zero()) {
         out.pattern = d;
         out.label = label;

@@ -20,9 +20,9 @@
 //
 // The sharding / thread-pool / golden-lane machinery that drives many units
 // lives one layer up, in analysis/campaign.h.  That layer also decides the
-// address set a packed unit's session walks (every word, or the unit's
-// fault footprint — see the golden certificate in analysis/campaign_exec.h);
-// the sessions here take it as an AddressList.
+// address set a unit's session walks (a packed unit its fault footprint,
+// licensed by the golden certificate in analysis/campaign_exec.h; a scalar
+// unit every word); the sessions here take it as an AddressList.
 #ifndef TWM_CORE_SCHEME_SESSION_H
 #define TWM_CORE_SCHEME_SESSION_H
 
@@ -79,8 +79,9 @@ SchemePlan make_scheme_plan(SchemeKind scheme, const MarchTest& bit_march, unsig
 // True when `test` and `prediction` walk their read-bearing elements in the
 // same address order (Any counts as Up) with the same read count per
 // element, so their read streams pair up by (element, address, read) on
-// any address list.  Every built plan satisfies it; a hand-built plan that
-// does not can only run on the full walk.
+// any address list.  Every built plan satisfies it; the packed campaign
+// engine refuses a hand-built plan that does not (its golden certificate
+// fails).
 bool transparent_passes_aligned(const MarchTest& test, const MarchTest& prediction);
 
 // Number of make_scheme_plan() calls since process start.  Campaign code is
@@ -125,21 +126,18 @@ typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const 
       // compaction entirely.
       const bool exact_only = brake && brake->exit_enabled;
       return Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr, brake,
-                                     /*want_exact=*/true, /*want_misr=*/!exact_only)
+                                     /*want_misr=*/!exact_only)
           .exact;
     }
     case SchemeKind::ProposedMisr: {
-      // MISR verdicts are not final until session end — never arm the exit;
-      // an armed scheduler brake degrades to skipping the (unconsumed)
-      // exact stream comparison.  The caller's arming is restored so a
-      // reused brake keeps its configuration.
-      const bool misr_only = brake && brake->exit_enabled;
+      // MISR verdicts are not final until session end — never arm the
+      // exit.  The caller's arming is restored so a reused brake keeps its
+      // configuration.
+      const bool armed = brake && brake->exit_enabled;
       if (brake) brake->exit_enabled = false;
       const typename Engine::Verdict v =
-          Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr, brake,
-                                  /*want_exact=*/!misr_only, /*want_misr=*/true)
-              .misr;
-      if (brake) brake->exit_enabled = misr_only;
+          Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr, brake).misr;
+      if (brake) brake->exit_enabled = armed;
       return v;
     }
     case SchemeKind::ProposedSymmetricXor:
@@ -175,7 +173,8 @@ typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t w
 
   // TOMT's parity protection was established while the memory was healthy.
   std::vector<bool> ledger;
-  if (plan.scheme == SchemeKind::TomtModel) ledger = make_parity_ledger(mem);
+  if (plan.scheme == SchemeKind::TomtModel)
+    ledger = make_parity_ledger<Engine>(mem, AddressList::all(words));
 
   for (unsigned i = 0; i < count; ++i) Engine::inject(mem, faults[i], i);
 
@@ -187,8 +186,8 @@ typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t w
 // thread and re-seeds it per unit (retire + reinject into a live batch), so
 // the per-address fault index buckets keep their allocations across the
 // thousands of units a campaign shards instead of being reallocated per
-// (batch, seed).  `list` is every word, or — when the campaign's golden
-// certificate holds — the batch's fault_footprint().
+// (batch, seed).  `list` is every word (scalar) or the batch's
+// fault_footprint() (packed).
 template <class Engine>
 typename Engine::Verdict run_campaign_unit_in(typename Engine::Memory& mem,
                                               const SchemePlan& plan, const Fault* faults,

@@ -98,11 +98,6 @@ class Memory : public MemoryIf {
   // --- page accounting (bench/stats surface) ----------------------------
   std::size_t pages_live() const { return materialized_.size(); }
   std::size_t pages_peak() const { return pages_peak_; }
-  // The scalar simulator has no lane-mask representation; its pages are
-  // all the cheap limb form.  Mirrors PackedMemory's accounting surface so
-  // the campaign executor can report either backend.
-  std::size_t packed_pages_live() const { return 0; }
-  std::size_t packed_pages_peak() const { return 0; }
   std::uint64_t page_allocations() const { return page_allocs_; }
 
  private:

@@ -21,28 +21,27 @@
 // Storage is PAGED, not dense.  A dense [addr * width + bit] lane-mask
 // array costs words x width x sizeof(LaneMask) — 1 GiB for 16M words at
 // width 8 — which caps workloads at toy geometries.  Instead the address
-// space is split into fixed 64-word pages, each in one of three states:
+// space is split into fixed 64-word pages, each in one of two states:
 //
 //   * background — no page object at all; every cell reads as the fill
 //     background (a broadcast pattern, or one word of a seeded/loaded
 //     per-word bit baseline).  This is what fill()/fill_seeded() leave
 //     behind: an O(live pages) reset instead of an O(words) rewrite.
-//   * scalar — the page has been written, but only with lane-uniform
-//     (broadcast) data and holds no fault; it stores one bit per cell
-//     (64 x width bits), a ~sizeof(LaneMask)*8 compression.  March sweeps
-//     over fault-free regions stay in this representation.
-//   * packed — full lane masks plus the per-word fault index buckets.
-//     Every word in any injected fault's footprint (victim, aggressor,
-//     alias target) is materialized packed at inject() time and stays
-//     packed until the faults are cleared; a lane-divergent write to a
-//     fault-free page also promotes it.
+//     Reads of a background word broadcast its value.
+//   * materialized — full lane masks plus the per-word fault index
+//     buckets.  Every word in any injected fault's footprint (victim,
+//     aggressor, alias target) is materialized at inject() time and stays
+//     so until the next refill; a write to a background page materializes
+//     it too.
 //
-// The invariant that fault footprints are always packed is what keeps the
-// port fast paths sound: an operation on a non-packed page can touch no
-// fault (its buckets are empty by construction) and lane-uniform state,
-// so it skips the fault machinery entirely.  Pages freed by a refill go
-// to a free-list and are reused, so the repack scheduler's
-// clear_faults()/fill() round rebuild allocates nothing in steady state.
+// The invariant that fault footprints are always materialized keeps the
+// read fast path sound: a background word carries no fault and the same
+// value in every lane, so its read skips the fault machinery entirely.
+// A campaign unit walks only its fault footprint, so its memory holds
+// exactly the footprint's pages: the working set is bounded by the batch,
+// not by `words`.  Pages freed by a refill go to a free-list and are
+// reused, so the repack scheduler's clear_faults()/fill() round rebuild
+// allocates nothing in steady state.
 //
 // A batch carries up to 63 faults per memory, so the port operations must
 // not scan the whole fault list: faults are indexed by
@@ -150,10 +149,10 @@ class PackedMemory {
     ++ops_;
     if (addr >= words_) throw std::out_of_range("PackedMemory::read");
     const Page* p = table_[addr >> kMemPageShift].get();
-    if (!p || !p->packed) {
-      // Fault footprints are always packed, so no decoder fault can
-      // distort this port read — broadcast the scalar value.
-      expand_word(addr, p, read_buf_.data());
+    if (!p) {
+      // Fault footprints are always materialized, so no decoder fault can
+      // distort this port read — broadcast the background value.
+      expand_background(addr, read_buf_.data());
       return read_buf_.data();
     }
     const std::size_t rd_local = addr & kMemPageMask;
@@ -181,28 +180,7 @@ class PackedMemory {
     if (addr >= words_) throw std::out_of_range("PackedMemory::write");
     const std::size_t pi = addr >> kMemPageShift;
     Page* p = table_[pi].get();
-    if (!p || !p->packed) {
-      // No fault lives anywhere on this page (footprints are packed), so
-      // the write cannot trigger, suppress or disturb anything: store the
-      // scalar value — unless the data itself is lane-divergent, which
-      // forces the full lane-mask representation.
-      bool uniform = true;
-      for (unsigned j = 0; j < width_; ++j) {
-        const LaneMask& b = data[j];
-        if (b != 0 && b != ~LaneMask{0}) {
-          uniform = false;
-          break;
-        }
-      }
-      if (uniform) {
-        Page& sp = p ? *p : materialize_scalar(pi);
-        const std::size_t base = (addr & kMemPageMask) * width_;
-        for (unsigned j = 0; j < width_; ++j)
-          set_limb_bit(sp.bits.data(), base + j, data[j] != 0);
-        return;
-      }
-      p = &materialize_packed(pi);
-    }
+    if (!p) p = &materialize(pi);
     const std::size_t local = addr & kMemPageMask;
     LaneMask* word = &p->cells[local * width_];
     std::copy(word, word + width_, old_.begin());
@@ -326,8 +304,8 @@ class PackedMemory {
     faults_.push_back({f, lanes});
     seen_.push_back(0);
     retired_.push_back(0);
-    // The fault's whole footprint must live in packed pages before any of
-    // its effects (or any port op near it) can be applied.
+    // The fault's whole footprint must live in materialized pages before
+    // any of its effects (or any port op near it) can be applied.
     materialize_footprint(f);
     switch (f.cls) {
       case FaultClass::SAF: saf_all_.push_back(idx); break;
@@ -364,7 +342,6 @@ class PackedMemory {
     ret_entries_.clear();
     for (const std::size_t pi : materialized_) {
       Page& p = *table_[pi];
-      if (!p.packed) continue;
       for (auto& b : p.buckets) b.clear();
       p.nonempty.fill(0);
     }
@@ -475,9 +452,8 @@ class PackedMemory {
     if (lane >= kPackedLanes) throw std::out_of_range("PackedMemory::lane_bit");
     if (addr >= words_ || bit >= width_) throw std::out_of_range("PackedMemory::lane_bit");
     const Page* p = table_[addr >> kMemPageShift].get();
-    if (p && p->packed)
-      return (p->cells[(addr & kMemPageMask) * width_ + bit] >> lane) & 1u;
-    return scalar_bit(addr, p, bit);
+    if (p) return (p->cells[(addr & kMemPageMask) * width_ + bit] >> lane) & 1u;
+    return background_bit(addr, bit);
   }
   BitVec lane_word(unsigned lane, std::size_t addr) const {
     BitVec v(width_);
@@ -486,13 +462,13 @@ class PackedMemory {
   }
 
   // Direct cell access (no port-op accounting, no AF port distortion).
-  // Non-packed words are expanded into an internal buffer, valid until the
+  // Background words are expanded into an internal buffer, valid until the
   // next peek or port operation.
   const LaneMask* peek(std::size_t addr) const {
     if (addr >= words_) throw std::out_of_range("PackedMemory::peek");
     const Page* p = table_[addr >> kMemPageShift].get();
-    if (p && p->packed) return &p->cells[(addr & kMemPageMask) * width_];
-    expand_word(addr, p, peek_buf_.data());
+    if (p) return &p->cells[(addr & kMemPageMask) * width_];
+    expand_background(addr, peek_buf_.data());
     return peek_buf_.data();
   }
 
@@ -500,15 +476,11 @@ class PackedMemory {
   void reset_op_count() { ops_ = 0; }
 
   // --- page accounting (bench/stats surface) ----------------------------
+  // Materialized pages.  A footprint walk keeps them bounded by the batch's
+  // fault footprint, not by `words`: the memory-budget claim for huge
+  // geometries in one number.
   std::size_t pages_live() const { return materialized_.size(); }
   std::size_t pages_peak() const { return pages_peak_; }
-  // Pages holding full lane masks — the expensive representation (64 x
-  // width lane masks vs a scalar page's width limbs).  Bounded by the
-  // batch's fault footprint plus lane-divergent write spill, not by
-  // `words`: this is the memory-budget claim for huge geometries in one
-  // number.
-  std::size_t packed_pages_live() const { return packed_pages_; }
-  std::size_t packed_pages_peak() const { return packed_pages_peak_; }
   // Fresh heap allocations; stays flat across refill rounds once the
   // free-list is warm (the allocation-free repack contract).
   std::uint64_t page_allocations() const { return page_allocs_; }
@@ -528,17 +500,13 @@ class PackedMemory {
   static constexpr unsigned kBucketKinds = 6;
 
   struct Page {
-    bool packed = false;
-    // scalar representation: bit (local * width + j); width limbs total.
-    std::vector<std::uint64_t> bits;
-    // packed representation: [local * width + bit] lane masks.
+    // [local * width + bit] lane masks.
     std::vector<LaneMask> cells;
     // [kind * kMemPageWords + local] -> fault indexes, injection order.
-    // Sized only for packed pages.
     std::vector<std::vector<std::uint32_t>> buckets;
     // nonempty[kind] bit `local` set <=> the bucket above is non-empty.
     // The port hot paths test one resident bit per kind instead of chasing
-    // the bucket vector's heap header — on a packed page whose words carry
+    // the bucket vector's heap header — on a page whose words carry
     // few faults (the common repack case) that indirection was the single
     // hottest cache miss of the write path.  kMemPageWords == 64, so one
     // word per kind covers the page exactly.
@@ -560,22 +528,23 @@ class PackedMemory {
       limbs[pos >> 6] &= ~m;
   }
 
-  // Scalar value of bit j of a word on a non-packed page.
-  bool scalar_bit(std::size_t addr, const Page* p, unsigned j) const {
-    if (p) return get_limb_bit(p->bits.data(), (addr & kMemPageMask) * width_ + j);
+  // Bit j of a background word.
+  bool background_bit(std::size_t addr, unsigned j) const {
     if (bg_bits_) return get_limb_bit(bg_bits_, addr * width_ + j);
     return bg_pattern_.get(j);
   }
 
-  // Broadcasts a non-packed word into `dst` (width_ lane masks).
-  void expand_word(std::size_t addr, const Page* p, LaneMask* dst) const {
+  // Broadcasts a background word into `dst` (width_ lane masks).
+  void expand_background(std::size_t addr, LaneMask* dst) const {
     for (unsigned j = 0; j < width_; ++j)
-      dst[j] = scalar_bit(addr, p, j) ? ~LaneMask{0} : LaneMask{};
+      dst[j] = background_bit(addr, j) ? ~LaneMask{0} : LaneMask{};
   }
 
   // --- page lifecycle ----------------------------------------------------
-  Page& acquire_page(std::size_t pi) {
+  // The page at `pi`, materialized from the background if it has none yet.
+  Page& materialize(std::size_t pi) {
     std::unique_ptr<Page>& slot = table_[pi];
+    if (slot) return *slot;
     if (!free_.empty()) {
       slot = std::move(free_.back());
       free_.pop_back();
@@ -588,46 +557,17 @@ class PackedMemory {
     }
     materialized_.push_back(pi);
     pages_peak_ = std::max(pages_peak_, materialized_.size());
-    return *slot;
-  }
-
-  // Materializes a background page in scalar form.
-  Page& materialize_scalar(std::size_t pi) {
-    Page& p = acquire_page(pi);
-    p.packed = false;
-    p.bits.assign(width_, 0);
-    if (bg_bits_)
-      std::copy(bg_bits_ + pi * width_, bg_bits_ + (pi + 1) * width_, p.bits.begin());
-    else
-      std::copy(pattern_limbs_.begin(), pattern_limbs_.end(), p.bits.begin());
-    return p;
-  }
-
-  // Materializes (or promotes) a page to the full lane-mask form.
-  Page& materialize_packed(std::size_t pi) {
-    Page* p = table_[pi].get();
-    if (p && p->packed) return *p;
-    const bool from_scalar = p != nullptr;
-    if (!p) p = &acquire_page(pi);
-    p->cells.resize(kMemPageWords * width_);
+    Page& p = *slot;
+    p.cells.resize(kMemPageWords * width_);
     const std::size_t base_bit = pi * kMemPageWords * width_;
     for (std::size_t pos = 0; pos < kMemPageWords * width_; ++pos) {
-      bool bit;
-      if (from_scalar)
-        bit = get_limb_bit(p->bits.data(), pos);
-      else if (bg_bits_)
-        bit = get_limb_bit(bg_bits_, base_bit + pos);
-      else
-        bit = get_limb_bit(pattern_limbs_.data(), pos);
-      p->cells[pos] = bit ? ~LaneMask{0} : LaneMask{};
+      const bool bit = bg_bits_ ? get_limb_bit(bg_bits_, base_bit + pos)
+                                : get_limb_bit(pattern_limbs_.data(), pos);
+      p.cells[pos] = bit ? ~LaneMask{0} : LaneMask{};
     }
-    p->bits.clear();
-    if (p->buckets.size() != kBucketKinds * kMemPageWords)
-      p->buckets.resize(kBucketKinds * kMemPageWords);
-    p->packed = true;
-    ++packed_pages_;
-    packed_pages_peak_ = std::max(packed_pages_peak_, packed_pages_);
-    return *p;
+    if (p.buckets.size() != kBucketKinds * kMemPageWords)
+      p.buckets.resize(kBucketKinds * kMemPageWords);
+    return p;
   }
 
   // Releases every materialized page to the free-list; the whole memory
@@ -636,23 +576,17 @@ class PackedMemory {
   void drop_pages() {
     for (const std::size_t pi : materialized_) {
       std::unique_ptr<Page>& slot = table_[pi];
-      Page& p = *slot;
-      if (p.packed) {
-        for (auto& b : p.buckets) b.clear();
-        p.nonempty.fill(0);
-        p.cells.clear();
-        p.packed = false;
-      }
-      p.bits.clear();
+      for (auto& b : slot->buckets) b.clear();
+      slot->nonempty.fill(0);
       free_.push_back(std::move(slot));
     }
     materialized_.clear();
-    packed_pages_ = 0;
   }
 
-  // After a background switch: every live fault footprint is re-packed and
-  // re-indexed (injection order preserved), then statics re-enforced — the
-  // same result as the dense simulator's O(words) broadcast fill.
+  // After a background switch: every live fault footprint is
+  // re-materialized and re-indexed (injection order preserved), then
+  // statics re-enforced — the same result as the dense simulator's O(words)
+  // broadcast fill.
   void reset_to_background() {
     drop_pages();
     for (std::uint32_t i = 0; i < faults_.size(); ++i) {
@@ -684,9 +618,8 @@ class PackedMemory {
   }
 
   void materialize_footprint(const Fault& f) {
-    materialize_packed(f.victim.word >> kMemPageShift);
-    if (f.is_coupling() || f.cls == FaultClass::AFaw)
-      materialize_packed(f.aggressor.word >> kMemPageShift);
+    materialize(f.victim.word >> kMemPageShift);
+    if (f.is_coupling() || f.cls == FaultClass::AFaw) materialize(f.aggressor.word >> kMemPageShift);
   }
 
   // Registers a non-RET fault in its page buckets (RET buckets hold
@@ -708,8 +641,8 @@ class PackedMemory {
     }
   }
 
-  // Appends to the bucket of a word known to live on a packed page (fault
-  // footprints), keeping the page's nonempty bitmap in sync.
+  // Appends to the bucket of a word known to live on a materialized page
+  // (fault footprints), keeping the page's nonempty bitmap in sync.
   void bucket_push(std::size_t word, unsigned kind, std::uint32_t value) {
     Page& p = *table_[word >> kMemPageShift];
     const std::size_t local = word & kMemPageMask;
@@ -727,12 +660,12 @@ class PackedMemory {
   const std::vector<std::uint32_t>& bucket_or_empty(std::size_t word, unsigned kind) const {
     static const std::vector<std::uint32_t> kEmpty;
     const Page* p = table_[word >> kMemPageShift].get();
-    if (!p || !p->packed || !bucket_nonempty(*p, kind, word & kMemPageMask)) return kEmpty;
+    if (!p || !bucket_nonempty(*p, kind, word & kMemPageMask)) return kEmpty;
     return p->buckets[kind * kMemPageWords + (word & kMemPageMask)];
   }
 
-  // Cell of a word known to live on a packed page (fault footprints are
-  // materialized packed at inject time and stay packed).
+  // Cell of a word known to live on a materialized page (fault footprints
+  // are materialized at inject time and stay so until the next refill).
   LaneMask& cell(const CellAddr& c) {
     return table_[c.word >> kMemPageShift]->cells[(c.word & kMemPageMask) * width_ + c.bit];
   }
@@ -829,8 +762,6 @@ class PackedMemory {
   std::vector<std::unique_ptr<Page>> free_;  // recycled pages (capacity kept)
   std::vector<std::size_t> materialized_;    // page indexes with a live page
   std::size_t pages_peak_ = 0;
-  std::size_t packed_pages_ = 0;  // subset of materialized_ in lane-mask form
-  std::size_t packed_pages_peak_ = 0;
   std::uint64_t page_allocs_ = 0;
 
   // Background: what an unmaterialized page reads as.  Either a broadcast

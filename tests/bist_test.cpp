@@ -208,6 +208,23 @@ TEST(Engine, PackedTestPassRequiresReadBeforeTransparentWrite) {
   EXPECT_THROW(runner.run_test(bad, sink), std::logic_error);
 }
 
+// The packed session pairs the test and prediction read streams by
+// position, so passes with different read counts are rejected up front, on
+// the full walk as on a listed one.
+TEST(Engine, PackedSessionRejectsMismatchedReadCounts) {
+  const MarchTest t = nicolaidis_transparent(solid_march(march_by_name("March C-")));
+  MarchTest p = prediction_test(t);
+  p.elements.back().ops.push_back(p.elements.back().ops.back());  // one extra read
+  const MisrJumps jumps = MisrJumps::build(4);
+  for (const bool want_misr : {false, true}) {
+    PackedMemory mem(4, 4);
+    PackedMarchRunner runner(mem, AddressList::all(4));
+    EXPECT_THROW(runner.run_transparent_session(t, p, jumps, nullptr, want_misr),
+                 std::logic_error)
+        << want_misr;
+  }
+}
+
 // Every relative write a built plan hands the packed runner has a read
 // earlier in its element — the precondition its one-register base estimate
 // relies on.

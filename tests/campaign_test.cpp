@@ -5,6 +5,7 @@
 // diagnosis campaign.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
@@ -12,6 +13,8 @@
 #include "analysis/diagnosis.h"
 #include "analysis/fault_list.h"
 #include "march/library.h"
+#include "march/parser.h"
+#include "oracle.h"
 
 namespace twm {
 namespace {
@@ -185,6 +188,27 @@ TEST(VerdictMatrix, BackendsProduceIdenticalMatrices) {
   }
 }
 
+// Scheme 1 on a march whose init element writes 1: both backends
+// reproduce the oracle, and the oracle is not the all-detected matrix a
+// session flagging every fault-free word would give.
+TEST(VerdictMatrix, Scheme1InitWritingOneMatchesTheOracle) {
+  constexpr std::size_t kS1Words = 16;
+  const MarchTest march = parse_march("{ any(w1); up(r1,w0); down(r0,w1); up(r1) }");
+  std::vector<Fault> faults = all_safs(kS1Words, kWidth);
+  for (const Fault& f : all_rets(kS1Words, kWidth, 1)) faults.push_back(f);  // no pause: missed
+  const std::vector<std::uint64_t> seeds{0, 3, 11};
+  const VerdictMatrix want =
+      oracle_matrix(SchemeKind::Scheme1Exact, march, kS1Words, kWidth, faults, seeds);
+  EXPECT_NE(std::count(want.bits.begin(), want.bits.end(), 0), 0);
+  for (const CoverageBackend backend : {CoverageBackend::Scalar, CoverageBackend::Packed}) {
+    std::vector<char> all, any;
+    VerdictMatrix got;
+    CampaignRunner(kS1Words, kWidth, {backend, 2})
+        .run(SchemeKind::Scheme1Exact, march, faults, seeds, true, all, any, &got);
+    EXPECT_EQ(got.bits, want.bits) << to_string(backend);
+  }
+}
+
 TEST(VerdictMatrix, SeedDependentFaultShowsMixedRow) {
   // A SAF stuck at the value the content already holds is silent under
   // zero contents for the symmetric XOR scheme only if aliased; instead
@@ -200,6 +224,26 @@ TEST(VerdictMatrix, SeedDependentFaultShowsMixedRow) {
   for (std::size_t f = 0; f < m.num_faults; ++f)
     for (std::size_t s = 0; s < m.num_seeds; ++s)
       EXPECT_TRUE(m.detected(f, s)) << "SAF " << f << " seed index " << s;
+}
+
+// The scheduler-free packed unit: one 63-fault batch on a fresh memory
+// reports, lane by lane, what the scalar oracle reports per fault.
+TEST(CampaignUnit, PackedUnitMatchesTheScalarOracleLaneByLane) {
+  const MarchTest march = march_by_name("March C-");
+  std::vector<Fault> faults = some_faults();
+  faults.resize(PackedEngine::kFaultsPerUnit);
+  const unsigned count = static_cast<unsigned>(faults.size());
+  for (const SchemeKind k : kAllSchemes) {
+    const SchemePlan plan = make_scheme_plan(k, march, kWidth);
+    for (const std::uint64_t seed : {0ull, 5ull}) {
+      const LaneMask v = run_campaign_unit<PackedEngine>(plan, kWords, faults.data(), count, seed);
+      EXPECT_EQ(v & 1u, 0u) << to_string(k) << " seed " << seed << ": golden lane";
+      for (unsigned i = 0; i < count; ++i)
+        EXPECT_EQ(PackedEngine::bit(v, i),
+                  run_campaign_unit<ScalarEngine>(plan, kWords, &faults[i], 1, seed))
+            << to_string(k) << " seed " << seed << " " << faults[i].describe();
+    }
+  }
 }
 
 TEST(CampaignRunner, RejectsEmptySeeds) {

@@ -5,7 +5,9 @@
 
 #include "bist/engine.h"
 #include "core/scheme1.h"
+#include "march/generator.h"
 #include "march/library.h"
+#include "march/parser.h"
 #include "memsim/memory.h"
 #include "util/rng.h"
 
@@ -103,6 +105,26 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Scheme1Property, ::testing::ValuesIn(s1_cases())
                              if (!isalnum(static_cast<unsigned char>(c))) c = '_';
                            return n;
                          });
+
+// A march whose init element writes 1 identifies the initial content with
+// 1, so every datum is relative to 1: the fault-free session stays clean
+// and transparent.
+TEST(Scheme1, InitWritingOneKeepsTheFaultFreeSessionClean) {
+  const MarchTest march = parse_march("{ any(w1); up(r1,w0); down(r0,w1); up(r1) }");
+  ASSERT_TRUE(is_consistent_bit_march(march));
+  for (const unsigned width : {1u, 4u, 8u}) {
+    Rng rng(47);
+    Memory mem(8, width);
+    mem.fill_random(rng);
+    const auto snapshot = mem.snapshot();
+    const Scheme1Result r = scheme1_transform(march, width);
+    MarchRunner runner(mem);
+    const auto out = runner.run_transparent_session(r.transparent, r.prediction, width);
+    EXPECT_FALSE(out.detected_exact) << width;
+    EXPECT_FALSE(out.detected_misr) << width;
+    EXPECT_TRUE(mem.equals(snapshot)) << width;
+  }
+}
 
 TEST(Scheme1, DetectsSaf) {
   Rng rng(43);

@@ -47,13 +47,13 @@ WORKLOAD_KEYS = ("bench", "march", "words", "width", "faults", "seeds")
 INFO_KEYS = ("threads", "scalar_faults_per_sec", "faults_simulated",
              "mean_live_lanes", "lane_occupancy",
              "session_elements_total", "session_elements_executed",
-             "addresses_walked", "full_walk_units",
+             "addresses_walked",
              "settling_faults", "settling_seeds",
              "settling_faults_per_sec", "settling_lane_occupancy",
              "huge_words", "huge_faults", "huge_regions",
              "huge_faults_per_sec", "huge_pages_peak",
              "huge_packed_pages_peak", "huge_pages_total",
-             "huge_addresses_walked", "huge_full_walk_units")
+             "huge_addresses_walked")
 
 
 def load(path):
