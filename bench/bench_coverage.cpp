@@ -225,7 +225,8 @@ int main(int argc, char** argv) {
   const double fps_huge = huge.size() / t_huge;
   const std::uint64_t huge_pages_peak = huge_stats.pages_peak.load();
   const std::uint64_t huge_packed_peak = huge_stats.packed_pages_peak.load();
-  const std::size_t huge_pages_total = (kHugeWords + kMemPageWords - 1) / kMemPageWords;
+  const std::size_t huge_pages_total =
+      (kHugeWords + PackedMemory::kMemPageWords - 1) / PackedMemory::kMemPageWords;
   const bool huge_equal = vh_regions == vh_flat;
   std::printf("\nhuge-memory workload (N=%zu words, %zu sampled faults, %u regions):\n",
               kHugeWords, huge.size(), kHugeRegions);

@@ -98,21 +98,20 @@ struct CampaignStats {
   // walks its fault footprint (at most two words per fault), a scalar unit
   // every word.
   std::atomic<std::uint64_t> addresses_walked{0};
-  // Peak memory pages any worker materialized.  A packed unit touches only
-  // its footprint's pages, so this is bounded by the batch's fault footprint
-  // (one region's slice under address-region sharding), not by `words`: the
-  // huge-memory claim in one number.  A scalar unit touches every page it
-  // writes.
+  // Peak PackedMemory pages any worker materialized.  A packed unit touches
+  // only its footprint's pages, so this is bounded by the batch's fault
+  // footprint (one region's slice under address-region sharding), not by
+  // `words`: the huge-memory claim in one number.  The scalar backend
+  // reports 0: its Memory is one dense array, no pages.
   std::atomic<std::uint64_t> pages_peak{0};
-  // Peak pages in lane-mask form.  Every page a packed memory materializes
-  // has that form, so this equals pages_peak on the packed backend and is 0
-  // on the scalar one.
+  // Peak pages in lane-mask form.  Every PackedMemory page has that form,
+  // so this equals pages_peak (0 on the scalar backend).
   std::atomic<std::uint64_t> packed_pages_peak{0};
-  // Fresh page heap allocations across every worker memory.  The
-  // allocation-free round-rebuild contract in one number: worker memories
-  // live for the whole campaign and recycle pages through their
-  // free-lists, so this stays flat as seed rounds are added instead of
-  // growing per round (tests/campaign_test.cpp pins it).
+  // Fresh PackedMemory page heap allocations across every worker memory (0
+  // on the scalar backend).  The allocation-free round-rebuild contract in
+  // one number: worker memories live for the whole campaign and recycle
+  // pages through their free-lists, so this stays flat as seed rounds are
+  // added instead of growing per round (tests/campaign_test.cpp pins it).
   std::atomic<std::uint64_t> page_allocs{0};
 
   double mean_live_lanes() const {

@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 
 #include "analysis/campaign.h"
 #include "core/scheme_session.h"
@@ -144,13 +143,14 @@ void run_campaign_engine(const CampaignJob& job) {
   const bool seed_events = job.observer && job.observer->want_seed_verdicts();
   const bool no_drop = job.matrix != nullptr || seed_events;
 
-  // Worker state lives for the WHOLE campaign, not one round: the memory's
-  // page free-list, fault index buckets, baseline cache and the batch
-  // scratch all keep their allocations across every seed round (run_pool
-  // spawns fresh threads per round, so each round's workers re-claim the
-  // states by slot — any state fits any worker, memories are fully reset
-  // per unit).  This is what makes the round rebuild allocation-free;
-  // stats->page_allocs stays flat as rounds are added.
+  // Worker state lives for the WHOLE campaign, not one round: the memory
+  // (a packed one's page free-list and fault index buckets, either's
+  // baseline cache) and the batch scratch keep their allocations across
+  // every seed round (run_pool spawns fresh threads per round, so each
+  // round's workers re-claim the states by slot — any state fits any
+  // worker, memories are fully reset per unit).  This is what makes the
+  // round rebuild allocation-free; on the packed backend stats->page_allocs
+  // stays flat as rounds are added.
   struct WorkerState {
     typename Engine::Memory mem;
     std::vector<Fault> batch;
@@ -253,22 +253,23 @@ void run_campaign_engine(const CampaignJob& job) {
     live.swap(survivors);
   }
 
-  if (job.stats) {
-    // High-water marks + allocation totals over every worker memory, once
-    // the rounds are done (single-threaded here; fetch-max because several
-    // region sub-campaigns may accumulate into the same stats).
-    const auto fetch_max = [](std::atomic<std::uint64_t>& slot, std::uint64_t mine) {
-      std::uint64_t cur = slot.load(std::memory_order_relaxed);
-      while (mine > cur && !slot.compare_exchange_weak(cur, mine, std::memory_order_relaxed)) {
+  // Page high-water marks + allocation totals over every worker memory, once
+  // the rounds are done (single-threaded here; fetch-max because several
+  // region sub-campaigns may accumulate into the same stats).  Only a
+  // PackedMemory pages; the scalar Memory is one dense array and reports 0.
+  if constexpr (Engine::kSparseWalk) {
+    if (job.stats) {
+      const auto fetch_max = [](std::atomic<std::uint64_t>& slot, std::uint64_t mine) {
+        std::uint64_t cur = slot.load(std::memory_order_relaxed);
+        while (mine > cur && !slot.compare_exchange_weak(cur, mine, std::memory_order_relaxed)) {
+        }
+      };
+      for (const std::unique_ptr<WorkerState>& st : states) {
+        if (!st) continue;
+        fetch_max(job.stats->pages_peak, st->mem.pages_peak());
+        fetch_max(job.stats->packed_pages_peak, st->mem.pages_peak());
+        job.stats->page_allocs.fetch_add(st->mem.page_allocations(), std::memory_order_relaxed);
       }
-    };
-    // Every page a packed memory materializes holds lane masks.
-    constexpr bool lane_pages = std::is_same_v<typename Engine::Memory, PackedMemory>;
-    for (const std::unique_ptr<WorkerState>& st : states) {
-      if (!st) continue;
-      fetch_max(job.stats->pages_peak, st->mem.pages_peak());
-      if (lane_pages) fetch_max(job.stats->packed_pages_peak, st->mem.pages_peak());
-      job.stats->page_allocs.fetch_add(st->mem.page_allocations(), std::memory_order_relaxed);
     }
   }
 }

@@ -195,8 +195,9 @@ typename Engine::Verdict run_campaign_unit_in(typename Engine::Memory& mem,
                                               typename Engine::Brake* brake, AddressList list) {
   mem.clear_faults();
   // Seed 0 = all-zero background; otherwise the cached per-seed baseline
-  // (contents of fill_random(Rng(seed))).  Either way the refill is O(live
-  // pages), not O(words), and repack rounds reuse freed pages.
+  // (contents of fill_random(Rng(seed))).  A packed refill is O(live pages),
+  // not O(words), and repack rounds reuse freed pages; the scalar reference
+  // copies its dense array, as it walks every word anyway.
   mem.fill_seeded(seed);
 
   // The listed words' ledger bits, read from the pre-injection background.

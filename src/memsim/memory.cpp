@@ -5,7 +5,7 @@
 #include <set>
 #include <stdexcept>
 
-#include "memsim/packed_memory.h"  // kMemPageShift / kMemPageWords / kMemPageMask
+#include "memsim/limb_bits.h"
 #include "util/failpoint.h"
 
 namespace twm {
@@ -14,93 +14,32 @@ Memory::Memory(std::size_t num_words, unsigned word_width)
     : words_(num_words), width_(word_width) {
   if (num_words == 0 || word_width == 0)
     throw std::invalid_argument("Memory: empty geometry");
-  table_.resize((num_words + kMemPageWords - 1) / kMemPageWords);
-  bg_pattern_ = BitVec::zeros(width_);
-  pattern_limbs_.assign(width_, 0);
+  // Chaos hook for allocation exhaustion of the state array; a genuine OOM
+  // raises the same bad_alloc from assign() below.
+  if (TWM_FAILPOINT("page.alloc")) throw std::bad_alloc();
+  bits_.assign(padded_limbs(words_, width_), 0);
 }
 
-// --- paged state accessors -------------------------------------------------
+// --- state accessors ---------------------------------------------------------
 
-bool Memory::cell_bit(std::size_t addr, unsigned j) const {
-  const Page* p = table_[addr >> kMemPageShift].get();
-  if (p) return get_limb_bit(p->bits.data(), (addr & kMemPageMask) * width_ + j);
-  if (bg_bits_) return get_limb_bit(bg_bits_->data(), addr * width_ + j);
-  return bg_pattern_.get(j);
-}
-
-Memory::Page& Memory::page_for_write(std::size_t addr) {
-  const std::size_t pi = addr >> kMemPageShift;
-  std::unique_ptr<Page>& slot = table_[pi];
-  if (slot) return *slot;
-  if (!free_.empty()) {
-    slot = std::move(free_.back());
-    free_.pop_back();
-  } else {
-    // Chaos hook for allocation exhaustion on the scalar path; the real
-    // make_unique below throws the same bad_alloc when memory truly runs
-    // out, so injected and genuine OOM take one code path upward.
-    if (TWM_FAILPOINT("page.alloc")) throw std::bad_alloc();
-    slot = std::make_unique<Page>();
-    ++page_allocs_;
-  }
-  materialized_.push_back(pi);
-  pages_peak_ = std::max(pages_peak_, materialized_.size());
-  slot->bits.assign(width_, 0);
-  if (bg_bits_)
-    std::copy(bg_bits_->data() + pi * width_, bg_bits_->data() + (pi + 1) * width_,
-              slot->bits.begin());
-  else
-    std::copy(pattern_limbs_.begin(), pattern_limbs_.end(), slot->bits.begin());
-  return *slot;
+bool Memory::get_bit(const CellAddr& c) const {
+  return get_limb_bit(bits_.data(), c.word * width_ + c.bit);
 }
 
 void Memory::set_bit(const CellAddr& c, bool v) {
-  Page& p = page_for_write(c.word);
-  set_limb_bit(p.bits.data(), (c.word & kMemPageMask) * width_ + c.bit, v);
+  set_limb_bit(bits_.data(), c.word * width_ + c.bit, v);
 }
 
 BitVec Memory::word_at(std::size_t addr) const {
   BitVec v(width_);
-  const Page* p = table_[addr >> kMemPageShift].get();
-  if (p) {
-    const std::size_t base = (addr & kMemPageMask) * width_;
-    for (unsigned j = 0; j < width_; ++j) v.set(j, get_limb_bit(p->bits.data(), base + j));
-  } else if (bg_bits_) {
-    for (unsigned j = 0; j < width_; ++j)
-      v.set(j, get_limb_bit(bg_bits_->data(), addr * width_ + j));
-  } else {
-    v = bg_pattern_;
-  }
+  const std::size_t base = addr * width_;
+  for (unsigned j = 0; j < width_; ++j) v.set(j, get_limb_bit(bits_.data(), base + j));
   return v;
 }
 
 void Memory::set_word(std::size_t addr, const BitVec& v) {
-  Page& p = page_for_write(addr);
-  const std::size_t base = (addr & kMemPageMask) * width_;
-  for (unsigned j = 0; j < width_; ++j) set_limb_bit(p.bits.data(), base + j, v.get(j));
-}
-
-void Memory::drop_pages() {
-  for (const std::size_t pi : materialized_) {
-    std::unique_ptr<Page>& slot = table_[pi];
-    slot->bits.clear();
-    free_.push_back(std::move(slot));
-  }
-  materialized_.clear();
-}
-
-void Memory::set_background_bits(Baseline bits) {
-  bg_bits_ = std::move(bits);
-  drop_pages();
-  enforce_static_faults();
-}
-
-Memory::Baseline Memory::generate_bits(Rng& rng) const {
-  auto bits = std::make_shared<std::vector<std::uint64_t>>(table_.size() * width_, 0);
-  for (std::size_t a = 0; a < words_; ++a)
-    for (unsigned j = 0; j < width_; ++j)
-      set_limb_bit(bits->data(), a * width_ + j, rng.next_bool());
-  return bits;
+  const std::size_t base = addr * width_;
+  for (unsigned j = 0; j < width_; ++j) set_limb_bit(bits_.data(), base + j, v.get(j));
 }
 
 // --- the memory port ---------------------------------------------------------
@@ -247,36 +186,36 @@ void Memory::load(const std::vector<BitVec>& contents) {
     throw std::invalid_argument("Memory::load: word count mismatch");
   for (const auto& w : contents)
     if (w.width() != width_) throw std::invalid_argument("Memory::load: width mismatch");
-  auto bits = std::make_shared<std::vector<std::uint64_t>>(table_.size() * width_, 0);
-  for (std::size_t a = 0; a < words_; ++a)
-    for (unsigned j = 0; j < width_; ++j)
-      set_limb_bit(bits->data(), a * width_ + j, contents[a].get(j));
-  set_background_bits(std::move(bits));
+  for (std::size_t a = 0; a < words_; ++a) set_word(a, contents[a]);
+  enforce_static_faults();
 }
 
 void Memory::fill(const BitVec& pattern) {
   if (pattern.width() != width_) throw std::invalid_argument("Memory::fill: width mismatch");
-  bg_pattern_ = pattern;
-  pattern_limbs_.assign(width_, 0);
-  for (std::size_t w = 0; w < kMemPageWords; ++w)
-    for (unsigned j = 0; j < width_; ++j)
-      set_limb_bit(pattern_limbs_.data(), w * width_ + j, pattern.get(j));
-  set_background_bits(nullptr);
+  if (pattern.all_zero())
+    std::fill(bits_.begin(), bits_.end(), std::uint64_t{0});
+  else
+    for (std::size_t a = 0; a < words_; ++a) set_word(a, pattern);
+  enforce_static_faults();
 }
 
-void Memory::fill_random(Rng& rng) { set_background_bits(generate_bits(rng)); }
+void Memory::fill_random(Rng& rng) {
+  random_limbs(words_, width_, rng, bits_);
+  enforce_static_faults();
+}
 
 void Memory::fill_seeded(std::uint64_t seed) {
   if (seed == 0) {
     fill(BitVec::zeros(width_));
     return;
   }
-  Baseline& bits = baselines_[seed];
-  if (!bits) {
+  std::vector<std::uint64_t>& baseline = baselines_[seed];
+  if (baseline.empty()) {
     Rng rng(seed);
-    bits = generate_bits(rng);
+    random_limbs(words_, width_, rng, baseline);
   }
-  set_background_bits(bits);
+  std::copy(baseline.begin(), baseline.end(), bits_.begin());
+  enforce_static_faults();
 }
 
 BitVec Memory::peek(std::size_t addr) const {

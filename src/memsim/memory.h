@@ -23,18 +23,16 @@
 // A read returns the stored word, distorted by any AF decoder fault on the
 // address (AFna: floating bus zeros; AFaw: wired-AND of the decoded words).
 //
-// Storage is paged like PackedMemory's (64-word pages over a lazy
-// background — a broadcast pattern or a seeded/loaded per-word baseline),
-// so a huge-geometry memory only allocates the pages a test actually
-// touches instead of an O(words) vector<BitVec>; fill()/fill_seeded()
-// reset in O(live pages) and recycle freed pages through a free-list.
+// Storage is one dense bit array, cell (addr, bit) at position
+// addr * width + bit (memsim/limb_bits.h).  The reference walks every word,
+// so every word is live and paging would only add indirection; the paged
+// store belongs to PackedMemory, which walks fault footprints.
 #ifndef TWM_MEMSIM_MEMORY_H
 #define TWM_MEMSIM_MEMORY_H
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "memsim/fault.h"
@@ -83,8 +81,8 @@ class Memory : public MemoryIf {
   void fill(const BitVec& pattern);
   void fill_random(Rng& rng);
   // Contents of fill_random(Rng(seed)) for seed != 0, fill(zeros) for seed
-  // 0 — the campaign unit contract — with the generated baseline cached
-  // per seed so repeated refills don't regenerate it.
+  // 0 — the campaign unit contract — with the generated contents cached
+  // per seed, so a refill is one copy instead of a regeneration.
   void fill_seeded(std::uint64_t seed);
 
   BitVec peek(std::size_t addr) const;
@@ -95,39 +93,11 @@ class Memory : public MemoryIf {
   std::uint64_t op_count() const { return ops_; }
   void reset_op_count() { ops_ = 0; }
 
-  // --- page accounting (bench/stats surface) ----------------------------
-  std::size_t pages_live() const { return materialized_.size(); }
-  std::size_t pages_peak() const { return pages_peak_; }
-  std::uint64_t page_allocations() const { return page_allocs_; }
-
  private:
-  // One page: 64 words x width bits, i.e. width_ limbs.
-  struct Page {
-    std::vector<std::uint64_t> bits;
-  };
-  using Baseline = std::shared_ptr<const std::vector<std::uint64_t>>;
-
-  static bool get_limb_bit(const std::uint64_t* limbs, std::size_t pos) {
-    return (limbs[pos >> 6] >> (pos & 63)) & 1u;
-  }
-  static void set_limb_bit(std::uint64_t* limbs, std::size_t pos, bool v) {
-    const std::uint64_t m = std::uint64_t{1} << (pos & 63);
-    if (v)
-      limbs[pos >> 6] |= m;
-    else
-      limbs[pos >> 6] &= ~m;
-  }
-
-  bool cell_bit(std::size_t addr, unsigned j) const;
-  bool get_bit(const CellAddr& c) const { return cell_bit(c.word, c.bit); }
+  bool get_bit(const CellAddr& c) const;
   void set_bit(const CellAddr& c, bool v);
   BitVec word_at(std::size_t addr) const;
   void set_word(std::size_t addr, const BitVec& v);
-
-  Page& page_for_write(std::size_t addr);
-  void drop_pages();
-  void set_background_bits(Baseline bits);
-  Baseline generate_bits(Rng& rng) const;
 
   // Steps 4 and 5 of the write semantics; also run after load().
   void enforce_static_faults();
@@ -135,20 +105,10 @@ class Memory : public MemoryIf {
   std::size_t words_;
   unsigned width_;
 
-  // [addr >> kMemPageShift (packed_memory.h)] -> page, or null while the
-  // page reads as the background.
-  std::vector<std::unique_ptr<Page>> table_;
-  std::vector<std::unique_ptr<Page>> free_;
-  std::vector<std::size_t> materialized_;
-  std::size_t pages_peak_ = 0;
-  std::uint64_t page_allocs_ = 0;
-
-  // Background of unmaterialized pages: a broadcast pattern (one page of it
-  // pre-expanded into pattern_limbs_) or a shared per-word bit baseline.
-  std::vector<std::uint64_t> pattern_limbs_;
-  BitVec bg_pattern_;
-  Baseline bg_bits_;  // null -> pattern background
-  std::map<std::uint64_t, Baseline> baselines_;
+  // [addr * width_ + bit], padded to whole 64-word blocks (random_limbs).
+  std::vector<std::uint64_t> bits_;
+  // fill_seeded's per-seed contents, generated on first use.
+  std::map<std::uint64_t, std::vector<std::uint64_t>> baselines_;
 
   std::vector<Fault> faults_;
   // Pause units since the last write of each retention fault's cell;

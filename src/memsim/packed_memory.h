@@ -21,7 +21,8 @@
 // Storage is PAGED, not dense.  A dense [addr * width + bit] lane-mask
 // array costs words x width x sizeof(LaneMask) — 1 GiB for 16M words at
 // width 8 — which caps workloads at toy geometries.  Instead the address
-// space is split into fixed 64-word pages, each in one of two states:
+// space is split into fixed pages of kMemPageWords (64) words, each in one
+// of two states:
 //
 //   * background — no page object at all; every cell reads as the fill
 //     background (a broadcast pattern, or one word of a seeded/loaded
@@ -41,7 +42,9 @@
 // exactly the footprint's pages: the working set is bounded by the batch,
 // not by `words`.  Pages freed by a refill go to a free-list and are
 // reused, so the repack scheduler's clear_faults()/fill() round rebuild
-// allocates nothing in steady state.
+// allocates nothing in steady state.  (The scalar Memory walks every word,
+// so it keeps a dense bit array instead; the page geometry is this class's
+// alone.)
 //
 // A batch carries up to 63 faults per memory, so the port operations must
 // not scan the whole fault list: faults are indexed by
@@ -80,6 +83,7 @@
 #include <vector>
 
 #include "memsim/fault.h"
+#include "memsim/limb_bits.h"
 #include "util/bitvec.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -100,13 +104,6 @@ inline LaneMask used_lane_mask(unsigned count) {
   return ((LaneMask{1} << count) - 1) << 1;
 }
 
-// Page geometry shared by the packed and scalar paged simulators: 64 words
-// per page keeps a packed page (64 x width lane masks + fault buckets)
-// a few KiB, while the page table stays words/64 pointers.
-inline constexpr unsigned kMemPageShift = 6;
-inline constexpr std::size_t kMemPageWords = std::size_t{1} << kMemPageShift;
-inline constexpr std::size_t kMemPageMask = kMemPageWords - 1;
-
 // Broadcasts a lane-uniform (fault-free) word into packed form: entry j is
 // the all-ones or all-zero lane mask of the word's bit j.
 inline std::vector<LaneMask> broadcast_word(const BitVec& word) {
@@ -117,6 +114,15 @@ inline std::vector<LaneMask> broadcast_word(const BitVec& word) {
 
 class PackedMemory {
  public:
+  // Page geometry: 64 words per page keeps a page (64 x width lane masks +
+  // fault buckets) a few KiB, while the page table stays words/64 pointers.
+  static constexpr unsigned kMemPageShift = 6;
+  static constexpr std::size_t kMemPageWords = std::size_t{1} << kMemPageShift;
+  static constexpr std::size_t kMemPageMask = kMemPageWords - 1;
+  // A page is expanded from background limbs padded to whole 64-word blocks
+  // (random_limbs), and its per-kind nonempty bitmaps are one word each.
+  static_assert(64 % kMemPageWords == 0, "pages must tile the 64-word limb blocks");
+
   PackedMemory(std::size_t num_words, unsigned word_width)
       : words_(num_words),
         width_(word_width),
@@ -424,9 +430,9 @@ class PackedMemory {
   }
 
   void fill_random(Rng& rng) {
-    // Consumes the generator exactly like Memory::fill_random, so the same
-    // seed broadcasts the same contents the scalar evaluation path sees.
-    generate_bits(rng, loaded_bits_);
+    // The scalar Memory's generator, so the same seed broadcasts the same
+    // contents the scalar evaluation path sees.
+    random_limbs(words_, width_, rng, loaded_bits_);
     set_background_bits(loaded_bits_.data());
   }
 
@@ -442,7 +448,7 @@ class PackedMemory {
     auto& bits = baselines_[seed];
     if (bits.empty()) {
       Rng rng(seed);
-      generate_bits(rng, bits);
+      random_limbs(words_, width_, rng, bits);
     }
     set_background_bits(bits.data());
   }
@@ -515,17 +521,6 @@ class PackedMemory {
 
   static bool bucket_nonempty(const Page& p, unsigned kind, std::size_t local) {
     return (p.nonempty[kind] >> local) & 1u;
-  }
-
-  static bool get_limb_bit(const std::uint64_t* limbs, std::size_t pos) {
-    return (limbs[pos >> 6] >> (pos & 63)) & 1u;
-  }
-  static void set_limb_bit(std::uint64_t* limbs, std::size_t pos, bool v) {
-    const std::uint64_t m = std::uint64_t{1} << (pos & 63);
-    if (v)
-      limbs[pos >> 6] |= m;
-    else
-      limbs[pos >> 6] &= ~m;
   }
 
   // Bit j of a background word.
@@ -606,15 +601,6 @@ class PackedMemory {
   void set_background_bits(const std::uint64_t* bits) {
     bg_bits_ = bits;
     reset_to_background();
-  }
-
-  // Per-word baseline bits, padded to whole pages; consumes the generator
-  // exactly like the scalar Memory::fill_random (next_word per word).
-  void generate_bits(Rng& rng, std::vector<std::uint64_t>& bits) {
-    bits.assign(table_.size() * width_, 0);
-    for (std::size_t a = 0; a < words_; ++a)
-      for (unsigned j = 0; j < width_; ++j)
-        set_limb_bit(bits.data(), a * width_ + j, rng.next_bool());
   }
 
   void materialize_footprint(const Fault& f) {

@@ -2,6 +2,10 @@
 // activation/observation behaviour, plus fault-free integrity properties.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "memsim/memory.h"
 #include "util/rng.h"
 
@@ -297,6 +301,53 @@ TEST(Memory, SnapshotRoundTrip) {
   m.load(contents);
   EXPECT_TRUE(m.equals(contents));
   EXPECT_EQ(m.snapshot(), contents);
+}
+
+// The campaign's per-unit reset: after writes and injected faults,
+// clear_faults() + fill_seeded(s) reads back exactly what a fresh memory
+// does after fill_seeded(s), and that is the word sequence Rng(s) draws
+// (zeros for seed 0).  Words straddle limb boundaries: words * width is
+// not a multiple of 64 in the first two geometries.
+TEST(Memory, RefillRestoresTheSeededBaseline) {
+  const std::vector<std::pair<std::size_t, unsigned>> geometries = {{67, 3}, {1000, 5}, {64, 8}};
+  for (const auto& [words, width] : geometries) {
+    const std::string geo = std::to_string(words) + "x" + std::to_string(width);
+    Memory m(words, width);
+    Rng traffic(17);
+    const auto dirty = [&] {
+      m.inject(Fault::saf({words - 1, width - 1}, true));
+      m.inject(Fault::cfid({0, 0}, Transition::Up, {words / 2, 1 % width}, true));
+      m.inject(Fault::cfst({words / 3, 0}, false, {words - 2, width / 2}, true));
+      m.inject(Fault::af_alias(1, words - 3));
+      for (int i = 0; i < 200; ++i) m.write(traffic.next_below(words), traffic.next_word(width));
+      m.clear_faults();
+    };
+    const auto expected = [&](std::uint64_t seed) {
+      std::vector<BitVec> out(words, BitVec::zeros(width));
+      if (seed == 0) return out;
+      Rng rng(seed);
+      for (BitVec& w : out) w = rng.next_word(width);
+      return out;
+    };
+    for (const std::uint64_t seed : {5u, 9u, 5u, 0u, 9u, 0u}) {
+      dirty();
+      m.fill_seeded(seed);
+      Memory fresh(words, width);
+      fresh.fill_seeded(seed);
+      const std::string ctx = geo + " seed " + std::to_string(seed);
+      EXPECT_EQ(m.snapshot(), fresh.snapshot()) << ctx;
+      EXPECT_EQ(m.snapshot(), expected(seed)) << ctx;
+    }
+    // A nonzero broadcast pattern lands in every word, and a seeded refill
+    // after it still restores the baseline.
+    dirty();
+    BitVec pattern = BitVec::zeros(width);
+    for (unsigned j = 0; j < width; j += 2) pattern.set(j, true);
+    m.fill(pattern);
+    EXPECT_EQ(m.snapshot(), std::vector<BitVec>(words, pattern)) << geo;
+    m.fill_seeded(9);
+    EXPECT_EQ(m.snapshot(), expected(9)) << geo;
+  }
 }
 
 }  // namespace

@@ -273,9 +273,6 @@ TEST(PackedMemorySim, SparsePagingDifferentialAcrossPageBoundaries) {
   // near the 64 pages a dense store would hold.
   EXPECT_LE(packed.pages_live(), touched.size() + 2 * list.size());
   EXPECT_GT(packed.pages_live(), 0u);
-  for (auto& [lane, ref] : refs) {
-    EXPECT_LE(ref.pages_live(), touched.size() + 2);
-  }
 
   // Untouched pages still read as the seeded background, in every lane.
   for (const std::size_t a : {std::size_t{300}, std::size_t{1000}, std::size_t{3000}})
@@ -306,35 +303,11 @@ TEST(PackedMemorySim, RefillRoundsReusePagesWithoutAllocating) {
       << "every allocation was a distinct concurrent page";
 }
 
-// The scalar Memory shares the paging design; same contract.
-TEST(MemoryPagingTest, ScalarRefillRoundsReusePagesWithoutAllocating) {
-  Memory m(4096, 8);
-  const std::vector<std::size_t> addrs = {5, 70, 200, 4095};
-  const auto round = [&](std::uint64_t seed) {
-    m.clear_faults();
-    m.fill_seeded(seed);
-    m.inject(Fault::saf({70, 3}, true));
-    for (const std::size_t a : addrs) m.write(a, BitVec::ones(8));
-  };
-  round(1);
-  round(2);
-  const std::uint64_t warm = m.page_allocations();
-  EXPECT_GT(warm, 0u);
-  for (int r = 0; r < 6; ++r) round(1 + static_cast<std::uint64_t>(r % 2));
-  EXPECT_EQ(m.page_allocations(), warm);
-  EXPECT_LE(m.pages_live(), addrs.size() + 1);
-}
-
-// Reads and peeks of unmaterialized pages must not materialize them — a
-// read-heavy march over a huge background costs no memory.
+// Reads and peeks of unmaterialized packed pages must not materialize them
+// — a read-heavy march over a huge background costs no memory.
 TEST(MemoryPagingTest, ReadsOfBackgroundPagesDontMaterialize) {
   Memory m(4096, 4);
   m.fill_seeded(3);
-  for (std::size_t a = 0; a < 4096; a += 61) {
-    (void)m.read(a);
-    (void)m.peek(a);
-  }
-  EXPECT_EQ(m.pages_live(), 0u);
 
   PackedMemory p(4096, 4);
   p.fill_seeded(3);

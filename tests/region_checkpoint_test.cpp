@@ -103,7 +103,8 @@ TEST(RegionShardingTest, StatsSumAcrossRegions) {
   EXPECT_EQ(s1.lane_slots.load(), s4.lane_slots.load());
   // The scheduler reports the peak pages any worker materialized.
   EXPECT_GT(s4.pages_peak.load(), 0u);
-  EXPECT_LE(s4.pages_peak.load(), (words + kMemPageWords - 1) / kMemPageWords);
+  EXPECT_LE(s4.pages_peak.load(),
+            (words + PackedMemory::kMemPageWords - 1) / PackedMemory::kMemPageWords);
 }
 
 TEST(RegionShardingTest, PackedPagesAreBoundedByTheFaultFootprint) {
