@@ -195,9 +195,9 @@ int main(int argc, char** argv) {
 
   // Huge-memory workload: a 1M-word geometry with a footprint-bounded
   // sampled fault list ("@N" selectors — the only runnable shape at this
-  // scale).  Exercises the paged sparse memories end to end: the working
-  // set is the pages the fault footprint touches, not `words`, and
-  // pages_peak is the claim in one number.  Runs region-sharded (the
+  // scale).  Exercises the footprint-grain slot store end to end: the
+  // working set is the words the fault footprint touches, not `words`, and
+  // the peak live slot count is the claim in one number.  Runs region-sharded (the
   // huge-memory scheduling mode) and unsharded; the merged verdicts must
   // be identical.
   const std::size_t kHugeWords = std::size_t{1} << 20;
@@ -223,19 +223,15 @@ int main(int argc, char** argv) {
   });
   vh_flat = per_fault_stats(huge_runner_r1, huge, huge_seeds, nullptr);
   const double fps_huge = huge.size() / t_huge;
-  const std::uint64_t huge_pages_peak = huge_stats.pages_peak.load();
-  const std::uint64_t huge_packed_peak = huge_stats.packed_pages_peak.load();
-  const std::size_t huge_pages_total =
-      (kHugeWords + PackedMemory::kMemPageWords - 1) / PackedMemory::kMemPageWords;
+  const std::uint64_t huge_slots_peak = huge_stats.pages_peak.load();
   const bool huge_equal = vh_regions == vh_flat;
   std::printf("\nhuge-memory workload (N=%zu words, %zu sampled faults, %u regions):\n",
               kHugeWords, huge.size(), kHugeRegions);
-  std::printf("  regions/%u:     %8.0f faults/s  (%.3fs; peak %llu of %zu pages touched "
-              "= %.2f%% of the address space; %llu addresses walked)\n",
+  std::printf("  regions/%u:     %8.0f faults/s  (%.3fs; peak %llu of %zu words live "
+              "= %.4f%% of the address space; %llu addresses walked)\n",
               kHugeRegions, fps_huge, t_huge,
-              static_cast<unsigned long long>(huge_pages_peak), huge_pages_total,
-              100.0 * static_cast<double>(huge_pages_peak) /
-                  static_cast<double>(huge_pages_total),
+              static_cast<unsigned long long>(huge_slots_peak), kHugeWords,
+              100.0 * static_cast<double>(huge_slots_peak) / static_cast<double>(kHugeWords),
               static_cast<unsigned long long>(huge_stats.addresses_walked.load()));
 
   const bool verdicts_equal = scalar_slice_equal && huge_equal;
@@ -262,9 +258,7 @@ int main(int argc, char** argv) {
        << ",\"huge_words\":" << kHugeWords << ",\"huge_faults\":" << huge.size()
        << ",\"huge_regions\":" << kHugeRegions
        << ",\"huge_faults_per_sec\":" << fps_huge
-       << ",\"huge_pages_peak\":" << huge_pages_peak
-       << ",\"huge_packed_pages_peak\":" << huge_packed_peak
-       << ",\"huge_pages_total\":" << huge_pages_total
+       << ",\"huge_slots_peak\":" << huge_slots_peak
        << ",\"huge_addresses_walked\":" << huge_stats.addresses_walked.load()
        << ",\"verdicts_equal\":" << (verdicts_equal ? "true" : "false")
        << ",\"theorem_agree\":" << agree << ",\"theorem_total\":" << everything.size()

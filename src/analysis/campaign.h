@@ -70,7 +70,7 @@ struct CoverageOptions {
   // (a fault belongs to the region owning its victim word; inter-region
   // couplings follow their victim) and the slices run as independent
   // sequential sub-campaigns whose merged verdicts are identical to the
-  // unsharded run.  Each sub-campaign's working set (pages + prediction
+  // unsharded run.  Each sub-campaign's working set (slots + prediction
   // streams) is bounded by its slice's fault footprint, which is what
   // keeps huge-geometry campaigns inside a fixed memory budget and gives
   // cached resume its unit of progress.  1 = off (the byte-identical
@@ -98,20 +98,23 @@ struct CampaignStats {
   // walks its fault footprint (at most two words per fault), a scalar unit
   // every word.
   std::atomic<std::uint64_t> addresses_walked{0};
-  // Peak PackedMemory pages any worker materialized.  A packed unit touches
-  // only its footprint's pages, so this is bounded by the batch's fault
-  // footprint (one region's slice under address-region sharding), not by
-  // `words`: the huge-memory claim in one number.  The scalar backend
-  // reports 0: its Memory is one dense array, no pages.
+  // Peak live PackedMemory slots (words) any worker held.  A packed unit
+  // gives slots only to its footprint's words, so this is bounded by the
+  // batch's fault footprint (at most two words per fault; one region's
+  // slice under address-region sharding), not by `words`: the huge-memory
+  // claim in one number.  The name predates the slot store, which replaced
+  // 64-word pages.  The scalar backend reports 0: its Memory is one dense
+  // array.
   std::atomic<std::uint64_t> pages_peak{0};
-  // Peak pages in lane-mask form.  Every PackedMemory page has that form,
+  // Peak slots in lane-mask form.  Every PackedMemory slot has that form,
   // so this equals pages_peak (0 on the scalar backend).
   std::atomic<std::uint64_t> packed_pages_peak{0};
-  // Fresh PackedMemory page heap allocations across every worker memory (0
-  // on the scalar backend).  The allocation-free round-rebuild contract in
-  // one number: worker memories live for the whole campaign and recycle
-  // pages through their free-lists, so this stays flat as seed rounds are
-  // added instead of growing per round (tests/campaign_test.cpp pins it).
+  // PackedMemory slot-store growth allocations across every worker memory
+  // (0 on the scalar backend).  The allocation-free round-rebuild contract
+  // in one number: worker memories live for the whole campaign and keep
+  // their store capacity across refills, so this stays flat as seed rounds
+  // are added instead of growing per round (tests/campaign_test.cpp pins
+  // it).
   std::atomic<std::uint64_t> page_allocs{0};
 
   double mean_live_lanes() const {

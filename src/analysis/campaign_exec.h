@@ -142,10 +142,12 @@ void run_campaign_engine(const CampaignJob& job) {
   const std::size_t plan_elems = plan_session_elements(*job.plan);
   const bool seed_events = job.observer && job.observer->want_seed_verdicts();
   const bool no_drop = job.matrix != nullptr || seed_events;
+  // Shared read-only by every worker, like the plan itself.
+  const PlanOpMasks masks(*job.plan);
 
   // Worker state lives for the WHOLE campaign, not one round: the memory
-  // (a packed one's page free-list and fault index buckets, either's
-  // baseline cache) and the batch scratch keep their allocations across
+  // (a packed one's slot store and fault index buckets, either's baseline
+  // cache) and the batch scratch keep their allocations across
   // every seed round (run_pool spawns fresh threads per round, so each
   // round's workers re-claim the states by slot — any state fits any
   // worker, memories are fully reset per unit).  This is what makes the
@@ -203,8 +205,8 @@ void run_campaign_engine(const CampaignJob& job) {
         // unconsumed stream compare; the symmetric session never sees the
         // brake).
         typename Engine::Brake brake = Engine::make_brake(mem, Engine::used_mask(count));
-        const Verdict d = run_campaign_unit_in<Engine>(mem, *job.plan, batch.data(), count,
-                                                       job.seeds[s], &brake, list);
+        const Verdict d = run_campaign_unit_in<Engine>(mem, *job.plan, masks, batch.data(),
+                                                       count, job.seeds[s], &brake, list);
         check_golden_lane(d);
         if (job.stats) {
           job.stats->units.fetch_add(1, std::memory_order_relaxed);
@@ -253,10 +255,11 @@ void run_campaign_engine(const CampaignJob& job) {
     live.swap(survivors);
   }
 
-  // Page high-water marks + allocation totals over every worker memory, once
-  // the rounds are done (single-threaded here; fetch-max because several
-  // region sub-campaigns may accumulate into the same stats).  Only a
-  // PackedMemory pages; the scalar Memory is one dense array and reports 0.
+  // Slot high-water marks + store growth totals over every worker memory,
+  // once the rounds are done (single-threaded here; fetch-max because
+  // several region sub-campaigns may accumulate into the same stats).  Only
+  // a PackedMemory has a slot store; the scalar Memory is one dense array
+  // and reports 0.
   if constexpr (Engine::kSparseWalk) {
     if (job.stats) {
       const auto fetch_max = [](std::atomic<std::uint64_t>& slot, std::uint64_t mine) {
@@ -266,9 +269,9 @@ void run_campaign_engine(const CampaignJob& job) {
       };
       for (const std::unique_ptr<WorkerState>& st : states) {
         if (!st) continue;
-        fetch_max(job.stats->pages_peak, st->mem.pages_peak());
-        fetch_max(job.stats->packed_pages_peak, st->mem.pages_peak());
-        job.stats->page_allocs.fetch_add(st->mem.page_allocations(), std::memory_order_relaxed);
+        fetch_max(job.stats->pages_peak, st->mem.slots_peak());
+        fetch_max(job.stats->packed_pages_peak, st->mem.slots_peak());
+        job.stats->page_allocs.fetch_add(st->mem.store_growths(), std::memory_order_relaxed);
       }
     }
   }

@@ -40,6 +40,11 @@
 // listed ones — are never fed: the register jumps over each run of them
 // with the companion-matrix powers of MisrJumps (bist/misr.h).
 //
+// A sweep reads each op's broadcast data mask from a PackedOpMasks.  Callers
+// that run the same test many times (the campaign scheduler, through
+// PlanOpMasks in core/scheme_session.h) compile it once and pass it in;
+// without one, each pass compiles its own.
+//
 // Like the packed memory, the implementation is header-only: sweep_braked
 // and the port operations it calls form the innermost loop, and the build
 // has no LTO.
@@ -179,6 +184,38 @@ struct SessionBrake {
   }
 };
 
+// The broadcast data masks of every op of a march test at one word width,
+// flattened in march order: op i of element e spans `width` lane masks at
+// at(e, i).  For absolute specs mask(w) == value(w, ·), the write data or
+// expected read value; for relative ones it is the operation mask.
+class PackedOpMasks {
+ public:
+  PackedOpMasks() = default;
+  PackedOpMasks(const MarchTest& test, unsigned width) : width_(width) {
+    first_.reserve(test.elements.size());
+    std::size_t ops = 0;
+    for (const MarchElement& e : test.elements) {
+      first_.push_back(ops);
+      ops += e.ops.size();
+    }
+    masks_.reserve(ops * width);
+    for (const MarchElement& e : test.elements)
+      for (const Op& op : e.ops) {
+        const std::vector<LaneMask> m = broadcast_word(op.data.mask(width));
+        masks_.insert(masks_.end(), m.begin(), m.end());
+      }
+  }
+
+  const LaneMask* at(std::size_t element, std::size_t op) const {
+    return &masks_[(first_[element] + op) * width_];
+  }
+
+ private:
+  unsigned width_ = 0;
+  std::vector<std::size_t> first_;  // [element] -> index of its first op
+  std::vector<LaneMask> masks_;     // [op * width + bit]
+};
+
 class PackedMarchRunner {
  public:
   // Walks the words in `list` (ascending, within the memory; the list must
@@ -189,12 +226,15 @@ class PackedMarchRunner {
   // aborts once every brake-target lane's mismatch bit is set (the verdict
   // is monotone — an abort returns exactly the final verdict of the target
   // lanes), and lanes that settle mid-march have their faults dropped from
-  // the memory at element boundaries.
-  LaneMask run_direct(const MarchTest& test, SessionBrake* brake = nullptr) {
+  // the memory at element boundaries.  `masks`, when non-null, holds the
+  // test's compiled op masks (otherwise the pass compiles its own); so for
+  // every run_* below.
+  LaneMask run_direct(const MarchTest& test, SessionBrake* brake = nullptr,
+                      const PackedOpMasks* masks = nullptr) {
     const unsigned w = mem_.word_width();
     LaneMask mismatch{};
     sweep_braked(
-        test,
+        test, masks,
         [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
           if (op.data.relative)
             throw std::invalid_argument(
@@ -212,16 +252,17 @@ class PackedMarchRunner {
     return mismatch;
   }
 
-  void run_test(const MarchTest& test, PackedReadSink& sink) {
-    run_test_braked(test, sink, nullptr, [] { return LaneMask{}; });
+  void run_test(const MarchTest& test, PackedReadSink& sink,
+                const PackedOpMasks* masks = nullptr) {
+    run_test_braked(test, masks, sink, nullptr, [] { return LaneMask{}; });
   }
 
   // run_test with an armed brake: `verdict` reports the caller's current
   // (monotone) detection state — here that is the exact stream comparison
   // accumulated by the sink, which the runner itself cannot see.
   template <typename VerdictFn>
-  void run_test_braked(const MarchTest& test, PackedReadSink& sink, SessionBrake* brake,
-                       VerdictFn&& verdict) {
+  void run_test_braked(const MarchTest& test, const PackedOpMasks* masks, PackedReadSink& sink,
+                       SessionBrake* brake, VerdictFn&& verdict) {
     // Every relative write follows a read of the same word earlier in its
     // element's op list, so by the time the write fires the "most recent
     // read of this word" is the one just performed at the current address:
@@ -232,7 +273,7 @@ class PackedMarchRunner {
     std::vector<LaneMask> cur(w);
     std::size_t cur_addr = static_cast<std::size_t>(-1);
     sweep_braked(
-        test,
+        test, masks,
         [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
           if (op.is_read()) {
             const LaneMask* v = mem_.read(addr);
@@ -254,16 +295,18 @@ class PackedMarchRunner {
         brake, std::forward<VerdictFn>(verdict));
   }
 
-  void run_prediction(const MarchTest& prediction, PackedReadSink& sink) {
+  void run_prediction(const MarchTest& prediction, PackedReadSink& sink,
+                      const PackedOpMasks* masks = nullptr) {
     const unsigned w = mem_.word_width();
     std::vector<LaneMask> predicted(w);
-    sweep(prediction, [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
-      if (op.is_write())
-        throw std::invalid_argument("run_prediction: prediction test must be read-only");
-      const LaneMask* raw = mem_.read(addr);
-      for (unsigned j = 0; j < w; ++j) predicted[j] = raw[j] ^ mask[j];
-      sink.on_read(addr, predicted.data());
-    });
+    sweep(prediction, masks,
+          [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
+            if (op.is_write())
+              throw std::invalid_argument("run_prediction: prediction test must be read-only");
+            const LaneMask* raw = mem_.read(addr);
+            for (unsigned j = 0; j < w; ++j) predicted[j] = raw[j] ^ mask[j];
+            sink.on_read(addr, predicted.data());
+          });
   }
 
   // `want_misr` = false skips the MISR compaction (detected_misr is then
@@ -275,7 +318,9 @@ class PackedMarchRunner {
                                                    const MarchTest& prediction,
                                                    const MisrJumps& misr,
                                                    SessionBrake* brake = nullptr,
-                                                   bool want_misr = true);
+                                                   bool want_misr = true,
+                                                   const PackedOpMasks* test_masks = nullptr,
+                                                   const PackedOpMasks* prediction_masks = nullptr);
 
  private:
   // A pass that runs to completion regardless of the brake (the prediction
@@ -284,24 +329,12 @@ class PackedMarchRunner {
     if (brake) brake->elements_entered += test.elements.size();
   }
 
-  // Per-op broadcast masks of a test, flattened as [element][op].
-  static std::vector<std::vector<std::vector<LaneMask>>> op_masks(const MarchTest& test,
-                                                                  unsigned w) {
-    std::vector<std::vector<std::vector<LaneMask>>> masks(test.elements.size());
-    for (std::size_t e = 0; e < test.elements.size(); ++e) {
-      masks[e].reserve(test.elements[e].ops.size());
-      for (const Op& op : test.elements[e].ops)
-        masks[e].push_back(broadcast_word(op.data.mask(w)));
-    }
-    return masks;
-  }
-
-  // Visits every (element, listed address, op) in march order, precomputing
-  // the broadcast data mask of each op once per element.  per_op receives
-  // the address and its slot in the list.
+  // Visits every (element, listed address, op) in march order, handing
+  // per_op the address, its slot in the list and the op's broadcast data
+  // mask.
   template <typename PerOp>
-  void sweep(const MarchTest& test, PerOp&& per_op) {
-    sweep_braked(test, std::forward<PerOp>(per_op), nullptr, [] { return LaneMask{}; });
+  void sweep(const MarchTest& test, const PackedOpMasks* masks, PerOp&& per_op) {
+    sweep_braked(test, masks, std::forward<PerOp>(per_op), nullptr, [] { return LaneMask{}; });
   }
 
   // sweep with an optional SessionBrake: counts elements entered, polls the
@@ -309,10 +342,13 @@ class PackedMarchRunner {
   // element boundaries.  `verdict` yields the caller's current monotone
   // detection state.
   template <typename PerOp, typename VerdictFn>
-  void sweep_braked(const MarchTest& test, PerOp&& per_op, SessionBrake* brake,
-                    VerdictFn&& verdict) {
-    const unsigned w = mem_.word_width();
-    const auto masks = op_masks(test, w);
+  void sweep_braked(const MarchTest& test, const PackedOpMasks* masks, PerOp&& per_op,
+                    SessionBrake* brake, VerdictFn&& verdict) {
+    PackedOpMasks own;
+    if (!masks) {
+      own = PackedOpMasks(test, mem_.word_width());
+      masks = &own;
+    }
     const std::size_t n = list_.size;
     for (std::size_t e = 0; e < test.elements.size(); ++e) {
       const MarchElement& elem = test.elements[e];
@@ -324,7 +360,7 @@ class PackedMarchRunner {
         const std::size_t slot = down ? n - 1 - k : k;
         const std::size_t addr = list_[slot];
         for (std::size_t i = 0; i < elem.ops.size(); ++i)
-          per_op(addr, slot, elem.ops[i], masks[e][i].data());
+          per_op(addr, slot, elem.ops[i], masks->at(e, i));
         if (brake && brake->should_stop(verdict())) return;
       }
       if (brake) brake->on_element_end(verdict());
@@ -490,7 +526,8 @@ class SessionTestSink final : public PackedReadSink {
 
 inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
     const MarchTest& test, const MarchTest& prediction, const MisrJumps& misr,
-    SessionBrake* brake, bool want_misr) {
+    SessionBrake* brake, bool want_misr, const PackedOpMasks* test_masks,
+    const PackedOpMasks* prediction_masks) {
   if (test.read_count() != prediction.read_count())
     throw std::logic_error("run_transparent_session: prediction/test read counts differ");
   const unsigned w = mem_.word_width();
@@ -503,13 +540,13 @@ inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
   // The prediction pass has no comparison yet, so the brake only counts
   // its elements; the settle predicate cannot fire before the test pass.
   sweep_count_only(prediction, brake);
-  run_prediction(prediction, pred_stream);
+  run_prediction(prediction, pred_stream, prediction_masks);
 
   PackedMisr diff_misr(want_misr ? misr.width : 1);
   packed_detail::FullStreamCursor cursor(test, list_, mem_.num_words());
   packed_detail::SessionTestSink test_sink(w, pred_stream, want_misr ? &diff_misr : nullptr,
                                            &misr, &cursor);
-  run_test_braked(test, test_sink, brake, [&] { return test_sink.stream_diff(); });
+  run_test_braked(test, test_masks, test_sink, brake, [&] { return test_sink.stream_diff(); });
 
   out.detected_exact = test_sink.stream_diff();
   if (want_misr) {

@@ -33,7 +33,7 @@
 //                                          --regions N shards the
 //                                          fault list by victim address slice
 //                                          so a huge-memory campaign touches
-//                                          one region's page working set at a
+//                                          one region's slot working set at a
 //                                          time (verdict-identical for any N)
 //   simd [--json]                          the packed lane width (64 on every
 //                                          host); --json prints it as

@@ -138,10 +138,17 @@ struct ScalarEngine {
   }
 
   // The scalar engine ignores the brake's exit (one universe, reference
-  // semantics) but reports its elements for the progress counters.
-  static Verdict run_direct(Runner& runner, const MarchTest& test, Brake* brake = nullptr) {
+  // semantics) but reports its elements for the progress counters.  It
+  // also ignores the packed op masks: its runner derives each op's data
+  // per word.
+  static Verdict run_direct(Runner& runner, const MarchTest& test, Brake* brake = nullptr,
+                            const PackedOpMasks* /*masks*/ = nullptr) {
     if (brake) brake->elements_entered += test.elements.size();
     return runner.run_direct(test).mismatch;
+  }
+  static void run_test(Runner& runner, const MarchTest& test, ReadSink& sink,
+                       const PackedOpMasks* /*masks*/ = nullptr) {
+    runner.run_test(test, sink);
   }
   struct TransparentVerdicts {
     Verdict exact;
@@ -149,7 +156,9 @@ struct ScalarEngine {
   };
   static TransparentVerdicts run_transparent(Runner& runner, const MarchTest& test,
                                              const MarchTest& prediction, const MisrJumps& misr,
-                                             Brake* brake = nullptr, bool /*want_misr*/ = true) {
+                                             Brake* brake = nullptr, bool /*want_misr*/ = true,
+                                             const PackedOpMasks* /*test_masks*/ = nullptr,
+                                             const PackedOpMasks* /*prediction_masks*/ = nullptr) {
     if (brake) brake->elements_entered += test.elements.size() + prediction.elements.size();
     const TransparentOutcome out = runner.run_transparent_session(test, prediction, misr.width);
     return {out.detected_exact, out.detected_misr};
@@ -215,8 +224,13 @@ struct PackedEngine {
   }
 
   static Runner make_runner(Memory& mem, AddressList list) { return Runner(mem, list); }
-  static Verdict run_direct(Runner& runner, const MarchTest& test, Brake* brake = nullptr) {
-    return runner.run_direct(test, brake);
+  static Verdict run_direct(Runner& runner, const MarchTest& test, Brake* brake = nullptr,
+                            const PackedOpMasks* masks = nullptr) {
+    return runner.run_direct(test, brake, masks);
+  }
+  static void run_test(Runner& runner, const MarchTest& test, PackedReadSink& sink,
+                       const PackedOpMasks* masks = nullptr) {
+    runner.run_test(test, sink, masks);
   }
   struct TransparentVerdicts {
     Verdict exact;
@@ -224,9 +238,11 @@ struct PackedEngine {
   };
   static TransparentVerdicts run_transparent(Runner& runner, const MarchTest& test,
                                              const MarchTest& prediction, const MisrJumps& misr,
-                                             Brake* brake = nullptr, bool want_misr = true) {
-    const PackedTransparentOutcome out =
-        runner.run_transparent_session(test, prediction, misr, brake, want_misr);
+                                             Brake* brake = nullptr, bool want_misr = true,
+                                             const PackedOpMasks* test_masks = nullptr,
+                                             const PackedOpMasks* prediction_masks = nullptr) {
+    const PackedTransparentOutcome out = runner.run_transparent_session(
+        test, prediction, misr, brake, want_misr, test_masks, prediction_masks);
     return {out.detected_exact, out.detected_misr};
   }
 

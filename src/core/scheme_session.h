@@ -72,6 +72,22 @@ struct SchemePlan {
   SymmetricTest sym;
 };
 
+// The broadcast op masks (bist/packed_engine.h) of every march a plan's
+// sessions sweep, compiled from the plan as it stands: a plan edited
+// afterwards needs new masks.  The campaign scheduler compiles them once
+// per campaign and hands them to every unit, so a packed pass allocates no
+// masks; the scalar engine ignores them.
+struct PlanOpMasks {
+  explicit PlanOpMasks(const SchemePlan& plan)
+      : direct_a(plan.direct_a, plan.width),
+        direct_b(plan.direct_b, plan.width),
+        trans(plan.trans, plan.width),
+        prediction(plan.prediction, plan.width),
+        sym(plan.sym.test, plan.width) {}
+
+  PackedOpMasks direct_a, direct_b, trans, prediction, sym;
+};
+
 // Throws std::logic_error unless every transparent session pass pair of the
 // plan is walk-aligned (transparent_passes_aligned).
 SchemePlan make_scheme_plan(SchemeKind scheme, const MarchTest& bit_march, unsigned width);
@@ -99,25 +115,29 @@ std::size_t plan_session_elements(const SchemePlan& plan);
 // detection verdict.  This is THE implementation of the Sec. 5 sessions —
 // both backends dispatch through here.  `tomt_ledger` ([i] -> parity of
 // word list[i]) is consulted only by SchemeKind::TomtModel and must have
-// been captured before fault injection.
+// been captured before fault injection.  `masks` must be compiled from
+// `plan`.
 template <class Engine>
 typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const SchemePlan& plan,
                                             const std::vector<bool>& tomt_ledger,
-                                            typename Engine::Brake* brake, AddressList list) {
+                                            typename Engine::Brake* brake, AddressList list,
+                                            const PlanOpMasks& masks) {
   typename Engine::Runner runner = Engine::make_runner(mem, list);
   switch (plan.scheme) {
     case SchemeKind::NontransparentReference: {
       // AMarch reads the solid base SMarch leaves behind: the two passes
       // must be sequenced, not folded into one (unsequenced) expression.
-      const typename Engine::Verdict d1 = Engine::run_direct(runner, plan.direct_a, brake);
+      const typename Engine::Verdict d1 =
+          Engine::run_direct(runner, plan.direct_a, brake, &masks.direct_a);
       // The second pass cannot change an already-settled batch verdict.
       if (brake && brake->should_stop(d1)) return d1;
       if (brake) brake->already = brake->already | d1;
-      const typename Engine::Verdict d2 = Engine::run_direct(runner, plan.direct_b, brake);
+      const typename Engine::Verdict d2 =
+          Engine::run_direct(runner, plan.direct_b, brake, &masks.direct_b);
       return d1 | d2;
     }
     case SchemeKind::WordOrientedMarch:
-      return Engine::run_direct(runner, plan.direct_a, brake);
+      return Engine::run_direct(runner, plan.direct_a, brake, &masks.direct_a);
     case SchemeKind::ProposedExact:
     case SchemeKind::TsmarchOnly:
     case SchemeKind::Scheme1Exact: {
@@ -126,7 +146,7 @@ typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const 
       // compaction entirely.
       const bool exact_only = brake && brake->exit_enabled;
       return Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr, brake,
-                                     /*want_misr=*/!exact_only)
+                                     /*want_misr=*/!exact_only, &masks.trans, &masks.prediction)
           .exact;
     }
     case SchemeKind::ProposedMisr: {
@@ -136,26 +156,28 @@ typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const 
       const bool armed = brake && brake->exit_enabled;
       if (brake) brake->exit_enabled = false;
       const typename Engine::Verdict v =
-          Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr, brake).misr;
+          Engine::run_transparent(runner, plan.trans, plan.prediction, plan.misr, brake,
+                                  /*want_misr=*/true, &masks.trans, &masks.prediction)
+              .misr;
       if (brake) brake->exit_enabled = armed;
       return v;
     }
     case SchemeKind::ProposedSymmetricXor:
       // XOR-accumulator mismatches can cancel (aliasing): no settle-exit.
-      return run_symmetric_session_t<Engine>(mem, plan.sym, list).detected;
+      return run_symmetric_session_t<Engine>(mem, plan.sym, list, &masks.sym).detected;
     case SchemeKind::TomtModel:
       return run_tomt_session<Engine>(mem, tomt_ledger, brake, list).detected;
   }
   throw std::logic_error("run_scheme_session: unknown scheme");
 }
 
-// The whole-memory session.
+// The whole-memory session, compiling its own op masks.
 template <class Engine>
 typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const SchemePlan& plan,
                                             const std::vector<bool>& tomt_ledger,
                                             typename Engine::Brake* brake = nullptr) {
   return run_scheme_session<Engine>(mem, plan, tomt_ledger, brake,
-                                    AddressList::all(mem.num_words()));
+                                    AddressList::all(mem.num_words()), PlanOpMasks(plan));
 }
 
 // One campaign unit under one seed: builds a fresh memory (seed 0 = all-zero
@@ -187,17 +209,19 @@ typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t w
 // the per-address fault index buckets keep their allocations across the
 // thousands of units a campaign shards instead of being reallocated per
 // (batch, seed).  `list` is every word (scalar) or the batch's
-// fault_footprint() (packed).
+// fault_footprint() (packed); `masks` are the plan's, compiled once per
+// campaign.
 template <class Engine>
 typename Engine::Verdict run_campaign_unit_in(typename Engine::Memory& mem,
-                                              const SchemePlan& plan, const Fault* faults,
-                                              unsigned count, std::uint64_t seed,
+                                              const SchemePlan& plan, const PlanOpMasks& masks,
+                                              const Fault* faults, unsigned count,
+                                              std::uint64_t seed,
                                               typename Engine::Brake* brake, AddressList list) {
   mem.clear_faults();
   // Seed 0 = all-zero background; otherwise the cached per-seed baseline
-  // (contents of fill_random(Rng(seed))).  A packed refill is O(live pages),
-  // not O(words), and repack rounds reuse freed pages; the scalar reference
-  // copies its dense array, as it walks every word anyway.
+  // (contents of fill_random(Rng(seed))).  A packed refill is O(live
+  // slots), not O(words), and repack rounds reuse the store's capacity; the
+  // scalar reference copies its dense array, as it walks every word anyway.
   mem.fill_seeded(seed);
 
   // The listed words' ledger bits, read from the pre-injection background.
@@ -206,7 +230,7 @@ typename Engine::Verdict run_campaign_unit_in(typename Engine::Memory& mem,
 
   for (unsigned i = 0; i < count; ++i) Engine::inject(mem, faults[i], i);
 
-  return run_scheme_session<Engine>(mem, plan, ledger, brake, list);
+  return run_scheme_session<Engine>(mem, plan, ledger, brake, list, masks);
 }
 
 }  // namespace twm

@@ -72,14 +72,16 @@ struct SymmetricSessionResult {
 
 // Single-pass symmetric session over the listed words: runs the test
 // (transparent semantics), XOR-accumulates every read, compares against
-// the constant for that many words.
+// the constant for that many words.  `masks`, when non-null, are the
+// test's compiled packed op masks (bist/packed_engine.h).
 template <class Engine>
 SymmetricSessionResult<Engine> run_symmetric_session_t(typename Engine::Memory& mem,
                                                        const SymmetricTest& st,
-                                                       AddressList list) {
+                                                       AddressList list,
+                                                       const PackedOpMasks* masks = nullptr) {
   typename Engine::Accumulator acc(mem.word_width());
   typename Engine::Runner runner = Engine::make_runner(mem, list);
-  runner.run_test(st.test, acc);
+  Engine::run_test(runner, st.test, acc, masks);
 
   SymmetricSessionResult<Engine> out;
   out.signature = Engine::signature(acc);

@@ -2,7 +2,7 @@
 //
 // Both memories keep per-word contents as a flat array of 64-bit limbs,
 // cell (addr, bit) at bit position addr * width + bit: the scalar Memory as
-// its whole state, PackedMemory as the background its pages materialize
+// its whole state, PackedMemory as the background its slots materialize
 // from.  One generator for the seeded contents keeps the contract "scalar
 // and packed see the same seeded memory" behind a single function.
 #ifndef TWM_MEMSIM_LIMB_BITS_H
@@ -28,19 +28,17 @@ inline void set_limb_bit(std::uint64_t* limbs, std::size_t pos, bool v) {
     limbs[pos >> 6] &= ~m;
 }
 
-// Limbs of a `words` x `width` bit array, padded to whole 64-word blocks
-// (`width` limbs each) so PackedMemory can expand any of its 64-word pages
-// from it without a bounds check.
-inline std::size_t padded_limbs(std::size_t words, unsigned width) {
-  return (words + 63) / 64 * width;
+// Limbs of a `words` x `width` bit array.
+inline std::size_t limb_count(std::size_t words, unsigned width) {
+  return (words * width + 63) / 64;
 }
 
 // The contents fill_random(rng) loads into a `words` x `width` memory, as
-// padded limbs: one rng.next_bool() per cell, word by word, bit 0 first —
+// limbs: one rng.next_bool() per cell, word by word, bit 0 first —
 // the same draws as rng.next_word(width) per word.
 inline void random_limbs(std::size_t words, unsigned width, Rng& rng,
                          std::vector<std::uint64_t>& out) {
-  out.assign(padded_limbs(words, width), 0);
+  out.assign(limb_count(words, width), 0);
   for (std::size_t a = 0; a < words; ++a)
     for (unsigned j = 0; j < width; ++j) set_limb_bit(out.data(), a * width + j, rng.next_bool());
 }

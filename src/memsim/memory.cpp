@@ -17,7 +17,7 @@ Memory::Memory(std::size_t num_words, unsigned word_width)
   // Chaos hook for allocation exhaustion of the state array; a genuine OOM
   // raises the same bad_alloc from assign() below.
   if (TWM_FAILPOINT("page.alloc")) throw std::bad_alloc();
-  bits_.assign(padded_limbs(words_, width_), 0);
+  bits_.assign(limb_count(words_, width_), 0);
 }
 
 // --- state accessors ---------------------------------------------------------

@@ -25,8 +25,9 @@
 //
 // Storage is one dense bit array, cell (addr, bit) at position
 // addr * width + bit (memsim/limb_bits.h).  The reference walks every word,
-// so every word is live and paging would only add indirection; the paged
-// store belongs to PackedMemory, which walks fault footprints.
+// so every word is live and a sparse store would only add indirection; the
+// footprint-grain slot store belongs to PackedMemory, which walks fault
+// footprints.
 #ifndef TWM_MEMSIM_MEMORY_H
 #define TWM_MEMSIM_MEMORY_H
 
@@ -105,7 +106,7 @@ class Memory : public MemoryIf {
   std::size_t words_;
   unsigned width_;
 
-  // [addr * width_ + bit], padded to whole 64-word blocks (random_limbs).
+  // [addr * width_ + bit] (memsim/limb_bits.h).
   std::vector<std::uint64_t> bits_;
   // fill_seeded's per-seed contents, generated on first use.
   std::map<std::uint64_t, std::vector<std::uint64_t>> baselines_;

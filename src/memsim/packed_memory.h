@@ -18,37 +18,38 @@
 // would produce for its fault subset (tests/packed_memory_test.cpp proves
 // this differentially).
 //
-// Storage is PAGED, not dense.  A dense [addr * width + bit] lane-mask
-// array costs words x width x sizeof(LaneMask) — 1 GiB for 16M words at
-// width 8 — which caps workloads at toy geometries.  Instead the address
-// space is split into fixed pages of kMemPageWords (64) words, each in one
-// of two states:
+// Storage is a SLOT STORE, grown to the fault footprint, not to `words`.
+// A dense [addr * width + bit] lane-mask array costs words x width x
+// sizeof(LaneMask) — 1 GiB for 16M words at width 8 — which caps workloads
+// at toy geometries.  Instead each word is in one of two states:
 //
-//   * background — no page object at all; every cell reads as the fill
-//     background (a broadcast pattern, or one word of a seeded/loaded
-//     per-word bit baseline).  This is what fill()/fill_seeded() leave
-//     behind: an O(live pages) reset instead of an O(words) rewrite.
-//     Reads of a background word broadcast its value.
-//   * materialized — full lane masks plus the per-word fault index
-//     buckets.  Every word in any injected fault's footprint (victim,
-//     aggressor, alias target) is materialized at inject() time and stays
-//     so until the next refill; a write to a background page materializes
-//     it too.
+//   * background — no slot at all; every cell reads as the fill background
+//     (a broadcast pattern, or one word of a seeded/loaded per-word bit
+//     baseline).  This is what fill()/fill_seeded() leave behind: an
+//     O(live slots) reset instead of an O(words) rewrite.  Reads and peeks
+//     of a background word broadcast its value without giving it a slot.
+//   * live — the word owns a slot: width lane masks in cells_ plus its
+//     fault index buckets.  Every word in any injected fault's footprint
+//     (victim, aggressor, alias target) gets a slot at inject() time and
+//     keeps it until the next refill; a write to a background word gives it
+//     one too.
 //
-// The invariant that fault footprints are always materialized keeps the
-// read fast path sound: a background word carries no fault and the same
-// value in every lane, so its read skips the fault machinery entirely.
-// A campaign unit walks only its fault footprint, so its memory holds
-// exactly the footprint's pages: the working set is bounded by the batch,
-// not by `words`.  Pages freed by a refill go to a free-list and are
-// reused, so the repack scheduler's clear_faults()/fill() round rebuild
-// allocates nothing in steady state.  (The scalar Memory walks every word,
-// so it keeps a dense bit array instead; the page geometry is this class's
-// alone.)
+// An open-addressing index maps each live word to its slot; it is sized to
+// the slot capacity and cleared entry by entry, so a refill costs O(live
+// slots).  Each injected fault caches its victim and aggressor/alias slots,
+// so the fault paths index cells_ directly: only a port op's own address
+// goes through the index.  The invariant that fault footprints always live
+// keeps the read fast path sound: a background word carries no fault and
+// the same value in every lane, so its read skips the fault machinery
+// entirely.  A campaign unit walks only its fault footprint, so its memory
+// holds exactly the footprint's words, and the store keeps its capacity
+// across refills: the repack scheduler's clear_faults()/fill() round
+// rebuild allocates nothing in steady state.  (The scalar Memory walks
+// every word, so it keeps a dense bit array instead.)
 //
 // A batch carries up to 63 faults per memory, so the port operations must
 // not scan the whole fault list: faults are indexed by
-// class and address at injection time (in per-page buckets), and
+// class and address at injection time (in per-slot buckets), and
 // static-fault enforcement after a write walks only the CFst/SAF faults
 // whose aggressor or victim lives in a word the write disturbed.  Entries
 // the walk skips are idempotent no-ops: statics were already enforced
@@ -72,11 +73,10 @@
 #define TWM_MEMSIM_PACKED_MEMORY_H
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <new>
 #include <stdexcept>
 #include <utility>
@@ -114,15 +114,6 @@ inline std::vector<LaneMask> broadcast_word(const BitVec& word) {
 
 class PackedMemory {
  public:
-  // Page geometry: 64 words per page keeps a page (64 x width lane masks +
-  // fault buckets) a few KiB, while the page table stays words/64 pointers.
-  static constexpr unsigned kMemPageShift = 6;
-  static constexpr std::size_t kMemPageWords = std::size_t{1} << kMemPageShift;
-  static constexpr std::size_t kMemPageMask = kMemPageWords - 1;
-  // A page is expanded from background limbs padded to whole 64-word blocks
-  // (random_limbs), and its per-kind nonempty bitmaps are one word each.
-  static_assert(64 % kMemPageWords == 0, "pages must tile the 64-word limb blocks");
-
   PackedMemory(std::size_t num_words, unsigned word_width)
       : words_(num_words),
         width_(word_width),
@@ -132,9 +123,7 @@ class PackedMemory {
         peek_buf_(word_width) {
     if (num_words == 0 || word_width == 0)
       throw std::invalid_argument("PackedMemory: empty geometry");
-    table_.resize((num_words + kMemPageWords - 1) / kMemPageWords);
     bg_pattern_ = BitVec::zeros(width_);
-    pattern_limbs_.assign(width_, 0);  // 64 copies of the all-zero pattern
   }
 
   // The background baseline pointers reference this object's own storage;
@@ -154,27 +143,26 @@ class PackedMemory {
   const LaneMask* read(std::size_t addr) {
     ++ops_;
     if (addr >= words_) throw std::out_of_range("PackedMemory::read");
-    const Page* p = table_[addr >> kMemPageShift].get();
-    if (!p) {
-      // Fault footprints are always materialized, so no decoder fault can
-      // distort this port read — broadcast the background value.
+    const std::uint32_t s = find_slot(addr);
+    if (s == kNoSlot) {
+      // Fault footprints always own slots, so no decoder fault can distort
+      // this port read — broadcast the background value.
       expand_background(addr, read_buf_.data());
       return read_buf_.data();
     }
-    const std::size_t rd_local = addr & kMemPageMask;
-    const LaneMask* word = &p->cells[rd_local * width_];
-    if (!bucket_nonempty(*p, kAf, rd_local)) return word;
+    const LaneMask* word = slot_cells(s);
+    if (!bucket_nonempty(s, kAf)) return word;
     // AF port distortion, per fault in injection order: AFna lanes see the
     // floating bus (zeros), AFaw lanes the wired-AND of every decoded cell.
     std::copy(word, word + width_, read_buf_.begin());
-    for (const std::uint32_t i : p->buckets[kAf * kMemPageWords + rd_local]) {
+    for (const std::uint32_t i : bucket(s, kAf)) {
       const LaneFault& lf = faults_[i];
       const LaneMask keep = ~lf.lanes;
       if (lf.fault.cls == FaultClass::AFna) {
         for (unsigned j = 0; j < width_; ++j) read_buf_[j] &= keep;
       } else {
-        for (unsigned j = 0; j < width_; ++j)
-          read_buf_[j] &= keep | cell({lf.fault.aggressor.word, j});
+        const LaneMask* alias = slot_cells(lf.other_slot);
+        for (unsigned j = 0; j < width_; ++j) read_buf_[j] &= keep | alias[j];
       }
     }
     return read_buf_.data();
@@ -184,22 +172,21 @@ class PackedMemory {
   void write(std::size_t addr, const LaneMask* data) {
     ++ops_;
     if (addr >= words_) throw std::out_of_range("PackedMemory::write");
-    const std::size_t pi = addr >> kMemPageShift;
-    Page* p = table_[pi].get();
-    if (!p) p = &materialize(pi);
-    const std::size_t local = addr & kMemPageMask;
-    LaneMask* word = &p->cells[local * width_];
+    // The only slot this write can create; the cells_ pointer below stays
+    // valid for the rest of the write (fault footprints already own slots).
+    const std::uint32_t s = materialize(addr);
+    LaneMask* word = slot_cells(s);
     std::copy(word, word + width_, old_.begin());
     std::copy(data, data + width_, next_.begin());
     touched_.clear();
-    touched_.push_back(addr);
+    touched_.push_back(s);
 
     // Step 0: an AFna address decodes to no cell — the write is lost in the
     // faulted lanes (the cells keep their old value, so the later steps see
     // no transitions there).
-    const bool has_af = bucket_nonempty(*p, kAf, local);
+    const bool has_af = bucket_nonempty(s, kAf);
     if (has_af)
-      for (const std::uint32_t i : p->buckets[kAf * kMemPageWords + local]) {
+      for (const std::uint32_t i : bucket(s, kAf)) {
         const LaneFault& lf = faults_[i];
         if (lf.fault.cls != FaultClass::AFna) continue;
         for (unsigned j = 0; j < width_; ++j)
@@ -207,8 +194,8 @@ class PackedMemory {
       }
 
     // Step 1: transition faults suppress the failing transition (per lane).
-    if (bucket_nonempty(*p, kTf, local))
-      for (const std::uint32_t i : p->buckets[kTf * kMemPageWords + local]) {
+    if (bucket_nonempty(s, kTf))
+      for (const std::uint32_t i : bucket(s, kTf)) {
         const LaneFault& lf = faults_[i];
         const Fault& f = lf.fault;
         const LaneMask o = old_[f.victim.bit];
@@ -225,42 +212,40 @@ class PackedMemory {
     // caused by this write.  The aggressor is sampled from the live state,
     // so earlier coupling effects on the same word are seen — matching the
     // scalar simulator's fault-by-fault ordering per lane.
-    if (bucket_nonempty(*p, kDyn, local))
-      for (const std::uint32_t i : p->buckets[kDyn * kMemPageWords + local]) {
+    if (bucket_nonempty(s, kDyn))
+      for (const std::uint32_t i : bucket(s, kDyn)) {
         const LaneFault& lf = faults_[i];
         const Fault& f = lf.fault;
         const LaneMask o = old_[f.aggressor.bit];
-        const LaneMask n = cell(f.aggressor);
+        const LaneMask n = aggressor_cell(lf);
         const LaneMask transitioning = f.trans == Transition::Up ? (~o & n) : (o & ~n);
         const LaneMask fired = transitioning & lf.lanes;
         if (f.cls == FaultClass::CFid)
-          force(cell(f.victim), f.value, fired);
+          force(victim_cell(lf), f.value, fired);
         else
-          cell(f.victim) ^= fired;
-        touch(f.victim.word);
+          victim_cell(lf) ^= fired;
+        touch(lf.victim_slot);
       }
 
     // Step 3.5: an AFaw address additionally decodes to the alias word —
     // the committed value is raw-copied there in the faulted lanes (no
     // TF/coupling interplay at the target; statics are re-enforced below).
     if (has_af)
-      for (const std::uint32_t i : p->buckets[kAf * kMemPageWords + local]) {
+      for (const std::uint32_t i : bucket(s, kAf)) {
         const LaneFault& lf = faults_[i];
         if (lf.fault.cls != FaultClass::AFaw) continue;
         const LaneMask keep = ~lf.lanes;
-        for (unsigned j = 0; j < width_; ++j) {
-          LaneMask& target = cell({lf.fault.aggressor.word, j});
-          target = (target & keep) | (cell({addr, j}) & lf.lanes);
-        }
-        touch(lf.fault.aggressor.word);
+        LaneMask* target = slot_cells(lf.other_slot);
+        for (unsigned j = 0; j < width_; ++j)
+          target[j] = (target[j] & keep) | (word[j] & lf.lanes);
+        touch(lf.other_slot);
       }
 
     // A write refreshes the retention clock of any leaky cell it targets
     // (the row strobe happens even when a decoder fault loses the data).
     // The refresh is lane-independent: every lane performs the same write.
-    if (bucket_nonempty(*p, kRet, local))
-      for (const std::uint32_t e : p->buckets[kRet * kMemPageWords + local])
-        ret_entries_[e].age = 0;
+    if (bucket_nonempty(s, kRet))
+      for (const std::uint32_t e : bucket(s, kRet)) ret_entries_[e].age = 0;
 
     // Steps 4 and 5, over the candidates the touched words can reach.
     enforce_statics_touched();
@@ -273,8 +258,8 @@ class PackedMemory {
       if (e.dead) continue;
       const LaneFault& lf = faults_[e.idx];
       e.age += units;
-      if (e.age >= lf.fault.retention) force(cell(lf.fault.victim), lf.fault.value, lf.lanes);
-      touch(lf.fault.victim.word);
+      if (e.age >= lf.fault.retention) force(victim_cell(lf), lf.fault.value, lf.lanes);
+      touch(lf.victim_slot);
     }
     // Decay may expose cells to static coupling conditions.
     enforce_statics_touched();
@@ -310,16 +295,16 @@ class PackedMemory {
     faults_.push_back({f, lanes});
     seen_.push_back(0);
     retired_.push_back(0);
-    // The fault's whole footprint must live in materialized pages before
-    // any of its effects (or any port op near it) can be applied.
-    materialize_footprint(f);
+    // The fault's whole footprint must own slots before any of its effects
+    // (or any port op near it) can be applied.
+    materialize_footprint(faults_.back());
     switch (f.cls) {
       case FaultClass::SAF: saf_all_.push_back(idx); break;
       case FaultClass::CFst: cfst_all_.push_back(idx); break;
       default: break;
     }
     if (f.cls == FaultClass::RET) {
-      bucket_push(f.victim.word, kRet, static_cast<std::uint32_t>(ret_entries_.size()));
+      bucket_push(faults_[idx].victim_slot, kRet, static_cast<std::uint32_t>(ret_entries_.size()));
       ret_entries_.push_back({idx, 0});
     } else {
       index_fault_buckets(idx);
@@ -333,7 +318,7 @@ class PackedMemory {
     if (lanes_overlap_) {
       enforce_static_faults();
     } else if (f.cls == FaultClass::SAF) {
-      force(cell(f.victim), f.value, lanes);
+      force(victim_cell(faults_[idx]), f.value, lanes);
     } else if (f.cls == FaultClass::CFst) {
       apply_cfst(idx);
     }
@@ -346,11 +331,7 @@ class PackedMemory {
     saf_all_.clear();
     cfst_all_.clear();
     ret_entries_.clear();
-    for (const std::size_t pi : materialized_) {
-      Page& p = *table_[pi];
-      for (auto& b : p.buckets) b.clear();
-      p.nonempty.fill(0);
-    }
+    for (std::uint32_t s = 0; s < live_; ++s) clear_buckets(s);
     lanes_union_ = LaneMask{};
     lanes_overlap_ = false;
     retired_union_ = LaneMask{};
@@ -377,29 +358,28 @@ class PackedMemory {
       const LaneFault& lf = faults_[i];
       if ((lf.lanes & ~retired_union_) != 0) continue;  // still-live lanes
       retired_[i] = 1;
-      const Fault& f = lf.fault;
-      switch (f.cls) {
+      switch (lf.fault.cls) {
         case FaultClass::SAF:
           unindex(saf_all_, i);
-          bucket_unindex(f.victim.word, kSaf, i);
+          bucket_unindex(lf.victim_slot, kSaf, i);
           break;
-        case FaultClass::TF: bucket_unindex(f.victim.word, kTf, i); break;
+        case FaultClass::TF: bucket_unindex(lf.victim_slot, kTf, i); break;
         case FaultClass::CFst:
           unindex(cfst_all_, i);
-          bucket_unindex(f.aggressor.word, kCfst, i);
-          if (f.victim.word != f.aggressor.word) bucket_unindex(f.victim.word, kCfst, i);
+          bucket_unindex(lf.other_slot, kCfst, i);
+          if (lf.victim_slot != lf.other_slot) bucket_unindex(lf.victim_slot, kCfst, i);
           break;
         case FaultClass::CFid:
-        case FaultClass::CFin: bucket_unindex(f.aggressor.word, kDyn, i); break;
+        case FaultClass::CFin: bucket_unindex(lf.other_slot, kDyn, i); break;
         case FaultClass::RET:
           for (std::size_t e = 0; e < ret_entries_.size(); ++e)
             if (ret_entries_[e].idx == i) {
               ret_entries_[e].dead = true;
-              bucket_unindex(f.victim.word, kRet, static_cast<std::uint32_t>(e));
+              bucket_unindex(lf.victim_slot, kRet, static_cast<std::uint32_t>(e));
             }
           break;
         case FaultClass::AFna:
-        case FaultClass::AFaw: bucket_unindex(f.victim.word, kAf, i); break;
+        case FaultClass::AFaw: bucket_unindex(lf.victim_slot, kAf, i); break;
       }
     }
   }
@@ -410,7 +390,7 @@ class PackedMemory {
       throw std::invalid_argument("PackedMemory::load: word count mismatch");
     for (const auto& w : contents)
       if (w.width() != width_) throw std::invalid_argument("PackedMemory::load: width mismatch");
-    loaded_bits_.assign(table_.size() * width_, 0);
+    loaded_bits_.assign(limb_count(words_, width_), 0);
     for (std::size_t a = 0; a < words_; ++a)
       for (unsigned j = 0; j < width_; ++j)
         set_limb_bit(loaded_bits_.data(), a * width_ + j, contents[a].get(j));
@@ -422,10 +402,6 @@ class PackedMemory {
       throw std::invalid_argument("PackedMemory::fill: width mismatch");
     bg_pattern_ = pattern;
     bg_bits_ = nullptr;
-    pattern_limbs_.assign(width_, 0);
-    for (std::size_t w = 0; w < kMemPageWords; ++w)
-      for (unsigned j = 0; j < width_; ++j)
-        set_limb_bit(pattern_limbs_.data(), w * width_ + j, pattern.get(j));
     reset_to_background();
   }
 
@@ -457,8 +433,8 @@ class PackedMemory {
   bool lane_bit(unsigned lane, std::size_t addr, unsigned bit) const {
     if (lane >= kPackedLanes) throw std::out_of_range("PackedMemory::lane_bit");
     if (addr >= words_ || bit >= width_) throw std::out_of_range("PackedMemory::lane_bit");
-    const Page* p = table_[addr >> kMemPageShift].get();
-    if (p) return (p->cells[(addr & kMemPageMask) * width_ + bit] >> lane) & 1u;
+    const std::uint32_t s = find_slot(addr);
+    if (s != kNoSlot) return (slot_cells(s)[bit] >> lane) & 1u;
     return background_bit(addr, bit);
   }
   BitVec lane_word(unsigned lane, std::size_t addr) const {
@@ -472,8 +448,8 @@ class PackedMemory {
   // next peek or port operation.
   const LaneMask* peek(std::size_t addr) const {
     if (addr >= words_) throw std::out_of_range("PackedMemory::peek");
-    const Page* p = table_[addr >> kMemPageShift].get();
-    if (p) return &p->cells[(addr & kMemPageMask) * width_];
+    const std::uint32_t s = find_slot(addr);
+    if (s != kNoSlot) return slot_cells(s);
     expand_background(addr, peek_buf_.data());
     return peek_buf_.data();
   }
@@ -481,46 +457,121 @@ class PackedMemory {
   std::uint64_t op_count() const { return ops_; }
   void reset_op_count() { ops_ = 0; }
 
-  // --- page accounting (bench/stats surface) ----------------------------
-  // Materialized pages.  A footprint walk keeps them bounded by the batch's
-  // fault footprint, not by `words`: the memory-budget claim for huge
-  // geometries in one number.
-  std::size_t pages_live() const { return materialized_.size(); }
-  std::size_t pages_peak() const { return pages_peak_; }
-  // Fresh heap allocations; stays flat across refill rounds once the
-  // free-list is warm (the allocation-free repack contract).
-  std::uint64_t page_allocations() const { return page_allocs_; }
+  // --- store accounting (bench/stats surface) ----------------------------
+  // Words holding a slot.  A footprint walk keeps them bounded by the
+  // batch's fault footprint, not by `words`: the memory-budget claim for
+  // huge geometries in one number.
+  std::size_t slots_live() const { return live_; }
+  std::size_t slots_peak() const { return slots_peak_; }
+  // Growth allocations of the store; stays flat across refill rounds once
+  // the capacity covers the peak (the allocation-free repack contract).
+  std::uint64_t store_growths() const { return store_growths_; }
 
  private:
   struct LaneFault {
     Fault fault;
     LaneMask lanes{};
+    // Cached slots of the footprint, set whenever it is materialized: the
+    // victim word, and the aggressor (couplings) or alias (AFaw) word —
+    // the victim's own slot for every other class.
+    std::uint32_t victim_slot = 0;
+    std::uint32_t other_slot = 0;
   };
   struct RetEntry {
     std::uint32_t idx;  // into faults_
     unsigned age;       // pause units since the cell's last write
     bool dead = false;  // retired via retire_lanes; skipped by elapse()
   };
-  // Per-page fault buckets, one per class kind per local word.
+  // Per-slot fault buckets, one per class kind.
   static constexpr unsigned kTf = 0, kDyn = 1, kAf = 2, kRet = 3, kCfst = 4, kSaf = 5;
   static constexpr unsigned kBucketKinds = 6;
 
-  struct Page {
-    // [local * width + bit] lane masks.
-    std::vector<LaneMask> cells;
-    // [kind * kMemPageWords + local] -> fault indexes, injection order.
-    std::vector<std::vector<std::uint32_t>> buckets;
-    // nonempty[kind] bit `local` set <=> the bucket above is non-empty.
-    // The port hot paths test one resident bit per kind instead of chasing
-    // the bucket vector's heap header — on a page whose words carry
-    // few faults (the common repack case) that indirection was the single
-    // hottest cache miss of the write path.  kMemPageWords == 64, so one
-    // word per kind covers the page exactly.
-    std::array<std::uint64_t, kBucketKinds> nonempty{};
+  // One entry of the word -> slot index; `word == kNoWord` marks it free.
+  struct IndexEntry {
+    std::size_t word;
+    std::uint32_t slot;
   };
+  static constexpr std::size_t kNoWord = ~std::size_t{0};
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  static constexpr std::size_t kMinSlots = 16;
 
-  static bool bucket_nonempty(const Page& p, unsigned kind, std::size_t local) {
-    return (p.nonempty[kind] >> local) & 1u;
+  // --- the slot store ----------------------------------------------------
+  LaneMask* slot_cells(std::uint32_t s) { return &cells_[std::size_t{s} * width_]; }
+  const LaneMask* slot_cells(std::uint32_t s) const { return &cells_[std::size_t{s} * width_]; }
+
+  // Home position of `word` in the index (Fibonacci hashing: the top bits
+  // of the product spread consecutive addresses apart).
+  std::size_t index_home(std::size_t word) const {
+    return static_cast<std::size_t>((static_cast<std::uint64_t>(word) * 0x9E3779B97F4A7C15ull) >>
+                                    index_shift_);
+  }
+
+  // The slot of `word`, or kNoSlot while it reads as the background.  The
+  // index is at most half full, so every probe run ends at a free entry.
+  std::uint32_t find_slot(std::size_t word) const {
+    if (index_.empty()) return kNoSlot;
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = index_home(word);; i = (i + 1) & mask) {
+      const IndexEntry& e = index_[i];
+      if (e.word == word) return e.slot;
+      if (e.word == kNoWord) return kNoSlot;
+    }
+  }
+
+  // Enters live slot `s` into the index (its word must not be there yet).
+  void place(std::uint32_t s) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = index_home(slot_word_[s]);
+    while (index_[i].word != kNoWord) i = (i + 1) & mask;
+    index_[i] = {slot_word_[s], s};
+    index_pos_[s] = i;
+  }
+
+  // Doubles the slot capacity: every per-slot array grows, and the index is
+  // rebuilt at twice the new capacity from the live slots (not from the old
+  // index).  Per-slot buckets move with their capacity.  A failed
+  // allocation leaves capacity_ and the index as they were.
+  void grow() {
+    // Chaos hook for allocation exhaustion, same bad_alloc a genuine OOM
+    // raises here.
+    if (TWM_FAILPOINT("page.alloc")) throw std::bad_alloc();
+    const std::size_t cap = std::max(kMinSlots, 2 * capacity_);
+    cells_.resize(cap * width_);
+    slot_word_.resize(cap);
+    index_pos_.resize(cap);
+    kinds_.resize(cap);
+    buckets_.resize(cap * kBucketKinds);
+    std::vector<IndexEntry> index(2 * cap, IndexEntry{kNoWord, 0});
+    index_.swap(index);
+    index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(index_.size()));
+    for (std::uint32_t s = 0; s < live_; ++s) place(s);
+    capacity_ = cap;
+    ++store_growths_;
+  }
+
+  // The slot of `word`, given one (cells from the background) if it has
+  // none yet.
+  std::uint32_t materialize(std::size_t word) {
+    std::uint32_t s = find_slot(word);
+    if (s != kNoSlot) return s;
+    if (live_ == capacity_) grow();
+    s = live_++;
+    slot_word_[s] = word;
+    place(s);
+    expand_background(word, slot_cells(s));
+    slots_peak_ = std::max<std::size_t>(slots_peak_, live_);
+    return s;
+  }
+
+  // Releases every slot; the whole memory reads as the background
+  // afterwards.  O(live slots): each slot clears its own index entry and
+  // buckets (capacity retained — no allocation on the next round).
+  void release_slots() {
+    for (std::uint32_t s = 0; s < live_; ++s) {
+      index_[index_pos_[s]].word = kNoWord;
+      clear_buckets(s);
+    }
+    live_ = 0;
   }
 
   // Bit j of a background word.
@@ -535,65 +586,20 @@ class PackedMemory {
       dst[j] = background_bit(addr, j) ? ~LaneMask{0} : LaneMask{};
   }
 
-  // --- page lifecycle ----------------------------------------------------
-  // The page at `pi`, materialized from the background if it has none yet.
-  Page& materialize(std::size_t pi) {
-    std::unique_ptr<Page>& slot = table_[pi];
-    if (slot) return *slot;
-    if (!free_.empty()) {
-      slot = std::move(free_.back());
-      free_.pop_back();
-    } else {
-      // Chaos hook for allocation exhaustion, same bad_alloc a genuine OOM
-      // raises here.
-      if (TWM_FAILPOINT("page.alloc")) throw std::bad_alloc();
-      slot = std::make_unique<Page>();
-      ++page_allocs_;
-    }
-    materialized_.push_back(pi);
-    pages_peak_ = std::max(pages_peak_, materialized_.size());
-    Page& p = *slot;
-    p.cells.resize(kMemPageWords * width_);
-    const std::size_t base_bit = pi * kMemPageWords * width_;
-    for (std::size_t pos = 0; pos < kMemPageWords * width_; ++pos) {
-      const bool bit = bg_bits_ ? get_limb_bit(bg_bits_, base_bit + pos)
-                                : get_limb_bit(pattern_limbs_.data(), pos);
-      p.cells[pos] = bit ? ~LaneMask{0} : LaneMask{};
-    }
-    if (p.buckets.size() != kBucketKinds * kMemPageWords)
-      p.buckets.resize(kBucketKinds * kMemPageWords);
-    return p;
-  }
-
-  // Releases every materialized page to the free-list; the whole memory
-  // reads as the background afterwards.  Bucket entries are cleared here so
-  // recycled pages come back empty (capacity retained — no allocation).
-  void drop_pages() {
-    for (const std::size_t pi : materialized_) {
-      std::unique_ptr<Page>& slot = table_[pi];
-      for (auto& b : slot->buckets) b.clear();
-      slot->nonempty.fill(0);
-      free_.push_back(std::move(slot));
-    }
-    materialized_.clear();
-  }
-
   // After a background switch: every live fault footprint is
   // re-materialized and re-indexed (injection order preserved), then
   // statics re-enforced — the same result as the dense simulator's O(words)
   // broadcast fill.
   void reset_to_background() {
-    drop_pages();
+    release_slots();
     for (std::uint32_t i = 0; i < faults_.size(); ++i) {
       if (retired_[i]) continue;
-      const Fault& f = faults_[i].fault;
-      materialize_footprint(f);
-      if (f.cls != FaultClass::RET) index_fault_buckets(i);
+      materialize_footprint(faults_[i]);
+      if (faults_[i].fault.cls != FaultClass::RET) index_fault_buckets(i);
     }
     for (std::size_t e = 0; e < ret_entries_.size(); ++e) {
       if (ret_entries_[e].dead) continue;
-      const Fault& f = faults_[ret_entries_[e].idx].fault;
-      bucket_push(f.victim.word, kRet, static_cast<std::uint32_t>(e));
+      bucket_push(faults_[ret_entries_[e].idx].victim_slot, kRet, static_cast<std::uint32_t>(e));
     }
     enforce_static_faults();
   }
@@ -603,57 +609,66 @@ class PackedMemory {
     reset_to_background();
   }
 
-  void materialize_footprint(const Fault& f) {
-    materialize(f.victim.word >> kMemPageShift);
-    if (f.is_coupling() || f.cls == FaultClass::AFaw) materialize(f.aggressor.word >> kMemPageShift);
+  void materialize_footprint(LaneFault& lf) {
+    const Fault& f = lf.fault;
+    lf.victim_slot = materialize(f.victim.word);
+    lf.other_slot = f.is_coupling() || f.cls == FaultClass::AFaw ? materialize(f.aggressor.word)
+                                                                 : lf.victim_slot;
   }
 
-  // Registers a non-RET fault in its page buckets (RET buckets hold
+  // Registers a non-RET fault in its slots' buckets (RET buckets hold
   // ret_entries_ positions and are handled by the callers).
   void index_fault_buckets(std::uint32_t idx) {
-    const Fault& f = faults_[idx].fault;
-    switch (f.cls) {
-      case FaultClass::SAF: bucket_push(f.victim.word, kSaf, idx); break;
-      case FaultClass::TF: bucket_push(f.victim.word, kTf, idx); break;
+    const LaneFault& lf = faults_[idx];
+    switch (lf.fault.cls) {
+      case FaultClass::SAF: bucket_push(lf.victim_slot, kSaf, idx); break;
+      case FaultClass::TF: bucket_push(lf.victim_slot, kTf, idx); break;
       case FaultClass::CFst:
-        bucket_push(f.aggressor.word, kCfst, idx);
-        if (f.victim.word != f.aggressor.word) bucket_push(f.victim.word, kCfst, idx);
+        bucket_push(lf.other_slot, kCfst, idx);
+        if (lf.victim_slot != lf.other_slot) bucket_push(lf.victim_slot, kCfst, idx);
         break;
       case FaultClass::CFid:
-      case FaultClass::CFin: bucket_push(f.aggressor.word, kDyn, idx); break;
+      case FaultClass::CFin: bucket_push(lf.other_slot, kDyn, idx); break;
       case FaultClass::RET: break;
       case FaultClass::AFna:
-      case FaultClass::AFaw: bucket_push(f.victim.word, kAf, idx); break;
+      case FaultClass::AFaw: bucket_push(lf.victim_slot, kAf, idx); break;
     }
   }
 
-  // Appends to the bucket of a word known to live on a materialized page
-  // (fault footprints), keeping the page's nonempty bitmap in sync.
-  void bucket_push(std::size_t word, unsigned kind, std::uint32_t value) {
-    Page& p = *table_[word >> kMemPageShift];
-    const std::size_t local = word & kMemPageMask;
-    p.buckets[kind * kMemPageWords + local].push_back(value);
-    p.nonempty[kind] |= std::uint64_t{1} << local;
+  // kinds_[s] bit `kind` set <=> the slot's bucket of that kind is
+  // non-empty.  The port hot paths test one resident byte instead of
+  // chasing each bucket vector's heap header.
+  bool bucket_nonempty(std::uint32_t s, unsigned kind) const { return (kinds_[s] >> kind) & 1u; }
+  std::vector<std::uint32_t>& bucket(std::uint32_t s, unsigned kind) {
+    return buckets_[std::size_t{s} * kBucketKinds + kind];
   }
-  // Removes one index from a word's bucket (bitmap kept in sync).
-  void bucket_unindex(std::size_t word, unsigned kind, std::uint32_t idx) {
-    Page& p = *table_[word >> kMemPageShift];
-    const std::size_t local = word & kMemPageMask;
-    std::vector<std::uint32_t>& b = p.buckets[kind * kMemPageWords + local];
+  void bucket_push(std::uint32_t s, unsigned kind, std::uint32_t value) {
+    bucket(s, kind).push_back(value);
+    kinds_[s] |= static_cast<std::uint8_t>(1u << kind);
+  }
+  // Removes one index from a slot's bucket (bitmap kept in sync).
+  void bucket_unindex(std::uint32_t s, unsigned kind, std::uint32_t idx) {
+    std::vector<std::uint32_t>& b = bucket(s, kind);
     unindex(b, idx);
-    if (b.empty()) p.nonempty[kind] &= ~(std::uint64_t{1} << local);
+    if (b.empty()) kinds_[s] &= static_cast<std::uint8_t>(~(1u << kind));
   }
-  const std::vector<std::uint32_t>& bucket_or_empty(std::size_t word, unsigned kind) const {
+  const std::vector<std::uint32_t>& bucket_or_empty(std::uint32_t s, unsigned kind) {
     static const std::vector<std::uint32_t> kEmpty;
-    const Page* p = table_[word >> kMemPageShift].get();
-    if (!p || !bucket_nonempty(*p, kind, word & kMemPageMask)) return kEmpty;
-    return p->buckets[kind * kMemPageWords + (word & kMemPageMask)];
+    return bucket_nonempty(s, kind) ? bucket(s, kind) : kEmpty;
+  }
+  void clear_buckets(std::uint32_t s) {
+    for (unsigned k = 0; k < kBucketKinds; ++k)
+      if (bucket_nonempty(s, k)) bucket(s, k).clear();
+    kinds_[s] = 0;
   }
 
-  // Cell of a word known to live on a materialized page (fault footprints
-  // are materialized at inject time and stay so until the next refill).
-  LaneMask& cell(const CellAddr& c) {
-    return table_[c.word >> kMemPageShift]->cells[(c.word & kMemPageMask) * width_ + c.bit];
+  // Cells of a fault's footprint (they own slots from inject() until the
+  // next refill re-materializes them).
+  LaneMask& victim_cell(const LaneFault& lf) {
+    return slot_cells(lf.victim_slot)[lf.fault.victim.bit];
+  }
+  LaneMask& aggressor_cell(const LaneFault& lf) {
+    return slot_cells(lf.other_slot)[lf.fault.aggressor.bit];
   }
   // Forces `value` into the cell for the lanes in `mask`, leaving the other
   // lanes untouched.
@@ -661,10 +676,10 @@ class PackedMemory {
     cell = value ? (cell | mask) : (cell & ~mask);
   }
 
-  void touch(std::size_t w) {
-    for (const std::size_t t : touched_)
-      if (t == w) return;
-    touched_.push_back(w);
+  void touch(std::uint32_t s) {
+    for (const std::uint32_t t : touched_)
+      if (t == s) return;
+    touched_.push_back(s);
   }
 
   // Removes one index from a bucket, preserving the injection order of the
@@ -681,9 +696,9 @@ class PackedMemory {
   void apply_cfst(std::uint32_t i) {
     const LaneFault& lf = faults_[i];
     const Fault& f = lf.fault;
-    const LaneMask agg = cell(f.aggressor);
+    const LaneMask agg = aggressor_cell(lf);
     const LaneMask active = (f.state ? agg : ~agg) & lf.lanes;
-    force(cell(f.victim), f.value, active);
+    force(victim_cell(lf), f.value, active);
   }
 
   // CFst chains are resolved in injection order; two passes give a fixpoint
@@ -694,7 +709,7 @@ class PackedMemory {
     for (int pass = 0; pass < 2; ++pass)
       for (const std::uint32_t i : cfst) apply_cfst(i);
     for (const std::uint32_t i : saf)
-      force(cell(faults_[i].fault.victim), faults_[i].fault.value, faults_[i].lanes);
+      force(victim_cell(faults_[i]), faults_[i].fault.value, faults_[i].lanes);
   }
 
   // Global enforcement — inject/load/fill disturb arbitrary state.
@@ -712,19 +727,19 @@ class PackedMemory {
       return;
     }
     if (touched_.size() == 1) {
-      const std::size_t w = touched_.front();
-      apply_statics(bucket_or_empty(w, kCfst), bucket_or_empty(w, kSaf));
+      const std::uint32_t s = touched_.front();
+      apply_statics(bucket_or_empty(s, kCfst), bucket_or_empty(s, kSaf));
       return;
     }
     merge_cfst_.clear();
     merge_saf_.clear();
-    for (const std::size_t w : touched_) {
-      for (const std::uint32_t i : bucket_or_empty(w, kCfst))
+    for (const std::uint32_t s : touched_) {
+      for (const std::uint32_t i : bucket_or_empty(s, kCfst))
         if (!seen_[i]) {
           seen_[i] = 1;
           merge_cfst_.push_back(i);
         }
-      for (const std::uint32_t i : bucket_or_empty(w, kSaf))
+      for (const std::uint32_t i : bucket_or_empty(s, kSaf))
         if (!seen_[i]) {
           seen_[i] = 1;
           merge_saf_.push_back(i);
@@ -741,21 +756,26 @@ class PackedMemory {
   std::size_t words_;
   unsigned width_;
 
-  // [addr >> kMemPageShift] -> page, or null while the page still reads as
-  // the background.  O(words / 64) pointers — the only per-word-scaling
-  // allocation left.
-  std::vector<std::unique_ptr<Page>> table_;
-  std::vector<std::unique_ptr<Page>> free_;  // recycled pages (capacity kept)
-  std::vector<std::size_t> materialized_;    // page indexes with a live page
-  std::size_t pages_peak_ = 0;
-  std::uint64_t page_allocs_ = 0;
+  // The slot store.  Slots 0..live_-1 are live; the per-slot arrays all
+  // hold at least capacity_ slots, which only grows.
+  std::vector<LaneMask> cells_;         // [slot * width + bit] lane masks
+  std::vector<std::size_t> slot_word_;  // [slot] -> its word
+  std::vector<std::size_t> index_pos_;  // [slot] -> its index position
+  std::vector<std::uint8_t> kinds_;     // [slot] -> nonempty-bucket bitmap
+  // [slot * kBucketKinds + kind] -> fault indexes, injection order.
+  std::vector<std::vector<std::uint32_t>> buckets_;
+  std::vector<IndexEntry> index_;  // word -> slot, linear probing, 2 x capacity
+  unsigned index_shift_ = 64;      // 64 - log2(index size)
+  std::size_t capacity_ = 0;
+  std::uint32_t live_ = 0;
+  std::size_t slots_peak_ = 0;
+  std::uint64_t store_growths_ = 0;
 
-  // Background: what an unmaterialized page reads as.  Either a broadcast
-  // pattern (pattern_limbs_ caches one page worth of it) or a per-word bit
-  // baseline (seeded/loaded; bg_bits_ points into baselines_ or
-  // loaded_bits_ — this object's own storage, hence no copying).
+  // Background: what a word without a slot reads as.  Either a broadcast
+  // pattern or a per-word bit baseline (seeded/loaded; bg_bits_ points into
+  // baselines_ or loaded_bits_ — this object's own storage, hence no
+  // copying).
   BitVec bg_pattern_;
-  std::vector<std::uint64_t> pattern_limbs_;
   const std::uint64_t* bg_bits_ = nullptr;
   std::vector<std::uint64_t> loaded_bits_;
   std::map<std::uint64_t, std::vector<std::uint64_t>> baselines_;
@@ -771,7 +791,7 @@ class PackedMemory {
   std::vector<LaneMask> old_, next_;  // write-path scratch (one word each)
   std::vector<LaneMask> read_buf_;    // AF-merged / broadcast read scratch
   mutable std::vector<LaneMask> peek_buf_;          // peek() expansion scratch
-  std::vector<std::size_t> touched_;                // words disturbed by the current op
+  std::vector<std::uint32_t> touched_;              // slots disturbed by the current op
   std::vector<std::uint32_t> merge_cfst_, merge_saf_;  // candidate-merge scratch
   std::vector<char> seen_;                          // [fault idx] merge dedup flag
   std::uint64_t ops_ = 0;

@@ -16,8 +16,8 @@
 //   cache.disk_write=err@3      exactly the 3rd hit fails (1-based, one-shot)
 //   socket.send=drop:0.1        each hit fails with probability 0.1
 //   page.alloc=oom@100          the 100th memory-state allocation (a packed
-//                               page, or a scalar memory's bit array)
-//                               throws bad_alloc
+//                               slot-store growth, or a scalar memory's
+//                               bit array) throws bad_alloc
 //
 // Actions are interpreted by the site: `err` = the operation reports
 // failure, `oom` = allocation failure (std::bad_alloc), `drop` = data is

@@ -255,10 +255,10 @@ TEST(CampaignRunner, RejectsEmptySeeds) {
 
 // The allocation-free round rebuild: worker memories persist across seed
 // rounds, so a campaign with three times the rounds performs exactly the
-// same number of fresh page allocations (the free-list absorbs every
-// refill).  This pins the CampaignStats::page_allocs contract the
+// same number of slot-store growth allocations (the kept capacity absorbs
+// every refill).  This pins the CampaignStats::page_allocs contract the
 // scheduler documents.
-TEST(CampaignRunner, RoundRebuildAllocatesNoNewPages) {
+TEST(CampaignRunner, RoundRebuildAllocatesNoNewSlots) {
   const MarchTest march = march_by_name("March C-");
   const auto faults = some_faults();
   const CampaignRunner runner(kWords, kWidth, {CoverageBackend::Packed, 1});
@@ -268,7 +268,7 @@ TEST(CampaignRunner, RoundRebuildAllocatesNoNewPages) {
   EXPECT_GT(short_run.units.load(), 2u) << "every round must run more than one unit";
   EXPECT_GT(short_run.page_allocs.load(), 0u);
   EXPECT_EQ(short_run.page_allocs.load(), long_run.page_allocs.load())
-      << "extra rounds allocated pages";
+      << "extra rounds grew the slot store";
 }
 
 TEST(CampaignRunner, EmptyFaultListYieldsEmptyResults) {

@@ -4,7 +4,9 @@
 // and for randomized operation traces (writes, reads, pauses).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "memsim/memory.h"
@@ -206,14 +208,14 @@ TEST(PackedMemorySim, RetentionDecayIsLaneMasked) {
   EXPECT_FALSE(packed.lane_bit(4, 0, 0)) << "unfaulted lane must not decay";
 }
 
-// ---- paged sparse storage (huge-memory campaigns) --------------------------
+// ---- the footprint-grain slot store (huge-memory campaigns) ---------------
 
-// On a multi-page geometry the paged store must evolve exactly like the
-// dense scalar reference while materializing only the pages the trace (and
-// the fault footprints) actually touch.  The fault list straddles page
-// boundaries and couples across pages.
-TEST(PackedMemorySim, SparsePagingDifferentialAcrossPageBoundaries) {
-  const std::size_t words = 4096;  // many 64-word pages
+// On a large geometry the slot store must evolve exactly like the dense
+// scalar reference while giving slots only to the words the trace (and the
+// fault footprints) actually touch.  The fault list couples neighbouring
+// and distant words.
+TEST(PackedMemorySim, SparseSlotStoreDifferential) {
+  const std::size_t words = 4096;
   const unsigned width = 4;
   Rng rng(20260807);
 
@@ -222,12 +224,12 @@ TEST(PackedMemorySim, SparsePagingDifferentialAcrossPageBoundaries) {
   refs.emplace(0u, Memory(words, width));
 
   const std::vector<Fault> list = {
-      Fault::saf({63, 1}, true),                             // last word of page 0
-      Fault::tf({64, 0}, Transition::Up),                    // first word of page 1
-      Fault::cfid({63, 2}, Transition::Up, {64, 3}, true),   // inter-page coupling
-      Fault::cfst({4095, 0}, true, {0, 0}, true),            // last page -> first page
+      Fault::saf({63, 1}, true),
+      Fault::tf({64, 0}, Transition::Up),
+      Fault::cfid({63, 2}, Transition::Up, {64, 3}, true),   // neighbouring words
+      Fault::cfst({4095, 0}, true, {0, 0}, true),            // last word -> first word
       Fault::ret({128, 3}, true, 2),
-      Fault::af_alias(130, 62),                              // inter-page alias copy
+      Fault::af_alias(130, 62),                              // distant alias copy
   };
   for (std::size_t i = 0; i < list.size(); ++i) {
     const unsigned lane = 1 + static_cast<unsigned>(i);
@@ -269,21 +271,145 @@ TEST(PackedMemorySim, SparsePagingDifferentialAcrossPageBoundaries) {
             << ctx << ": lane " << lane << ", word " << a;
   }
 
-  // Sparse bound: only the touched/fault-footprint pages exist — nowhere
-  // near the 64 pages a dense store would hold.
-  EXPECT_LE(packed.pages_live(), touched.size() + 2 * list.size());
-  EXPECT_GT(packed.pages_live(), 0u);
+  // Sparse bound: only the touched/fault-footprint words hold slots —
+  // nowhere near the 4096 a dense store would hold.
+  EXPECT_LE(packed.slots_live(), touched.size() + 2 * list.size());
+  EXPECT_GT(packed.slots_live(), 0u);
 
-  // Untouched pages still read as the seeded background, in every lane.
+  // Untouched words still read as the seeded background, in every lane.
   for (const std::size_t a : {std::size_t{300}, std::size_t{1000}, std::size_t{3000}})
     for (auto& [lane, ref] : refs)
       ASSERT_EQ(packed.lane_word(lane, a), ref.peek(a)) << "background word " << a;
 }
 
-// Refill rounds (the repack scheduler's per-seed reset) must recycle freed
-// pages through the free-list instead of allocating: after the warm-up
-// round, page_allocations() stays flat.
-TEST(PackedMemorySim, RefillRoundsReusePagesWithoutAllocating) {
+// Compares every lane of word `a` against its scalar replica.
+void expect_word_equals(const PackedMemory& packed, const std::map<unsigned, Memory>& refs,
+                        std::size_t a, const std::string& context) {
+  const std::uint64_t* cells = packed.peek(a);
+  for (const auto& [lane, ref] : refs) {
+    const BitVec expected = ref.peek(a);
+    for (unsigned j = 0; j < packed.word_width(); ++j)
+      ASSERT_EQ((cells[j] >> lane) & 1u, static_cast<std::uint64_t>(expected.get(j)))
+          << context << ": lane " << lane << ", word " << a << ", bit " << j;
+  }
+}
+
+// The slot store grows while faults are live and refills interleave with
+// the growth: each round writes more distinct words than the last (340 in
+// all, past several doublings of the store and rebuilds of its word ->
+// slot table), under decoder, coupling, stuck-at and retention faults,
+// with refills alternating seeds 0/7/0/9.  Every lane must track its
+// scalar replica after every op.  A table rebuild that leaves a stale
+// entry behind mis-addresses a word once the next refill clears the live
+// ones, which this catches.
+TEST(PackedMemorySim, SlotStoreGrowthMatchesTheScalarMemory) {
+  const std::size_t words = 2048;
+  const unsigned width = 4;
+  Rng rng(20261018);
+
+  // 340 distinct words in random order; round r walks the first 85 * (r + 1).
+  std::vector<std::size_t> pool;
+  std::vector<char> taken(words, 0);
+  while (pool.size() < 340) {
+    const std::size_t w = rng.next_below(words);
+    if (!taken[w]) {
+      taken[w] = 1;
+      pool.push_back(w);
+    }
+  }
+  const auto pick = [&](std::size_t limit) { return pool[rng.next_below(limit)]; };
+  const auto cell = [&](std::size_t limit) {
+    return CellAddr{pick(limit), static_cast<unsigned>(rng.next_below(width))};
+  };
+
+  // One fault per lane (pairwise-disjoint lanes, the campaign contract),
+  // footprints spread over the whole pool so later rounds reach them too.
+  std::vector<Fault> list;
+  while (list.size() < 32) {
+    const CellAddr v = cell(pool.size());
+    CellAddr a = cell(pool.size());
+    if (a.word == v.word) continue;
+    const Transition tr = rng.next_bool() ? Transition::Up : Transition::Down;
+    switch (list.size() % 8) {
+      case 0: list.push_back(Fault::af_no_access(v.word)); break;
+      case 1: list.push_back(Fault::af_alias(v.word, a.word)); break;
+      case 2: list.push_back(Fault::cfst(a, rng.next_bool(), v, rng.next_bool())); break;
+      case 3: list.push_back(Fault::cfid(a, tr, v, rng.next_bool())); break;
+      case 4: list.push_back(Fault::cfin(a, tr, v)); break;
+      case 5: list.push_back(Fault::saf(v, rng.next_bool())); break;
+      case 6: list.push_back(Fault::ret(v, rng.next_bool(), 1 + rng.next_below(3))); break;
+      default: list.push_back(Fault::tf(v, tr)); break;
+    }
+  }
+  const std::vector<std::size_t> footprint = fault_footprint(list.data(), list.size());
+
+  PackedMemory packed(words, width);
+  std::map<unsigned, Memory> refs;
+  refs.emplace(0u, Memory(words, width));  // golden lane
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const unsigned lane = 1 + static_cast<unsigned>(i);
+    refs.emplace(lane, Memory(words, width));
+    packed.inject(list[i], 1ull << lane);
+    refs.at(lane).inject(list[i]);
+  }
+
+  std::vector<std::uint64_t> packed_data(width);
+  // Per-lane write data: every universe receives its own word.
+  const auto write = [&](std::size_t addr) {
+    for (std::uint64_t& lanes : packed_data) lanes = rng.next_u64();
+    packed.write(addr, packed_data.data());
+    for (auto& [lane, ref] : refs) {
+      BitVec data(width);
+      for (unsigned j = 0; j < width; ++j) data.set(j, (packed_data[j] >> lane) & 1u);
+      ref.write(addr, data);
+    }
+  };
+  const auto check = [&](std::size_t addr, const std::string& ctx) {
+    expect_word_equals(packed, refs, addr, ctx);
+    for (const std::size_t a : footprint) expect_word_equals(packed, refs, a, ctx);
+  };
+  const std::uint64_t seeds[] = {0, 7, 0, 9};
+  for (std::size_t round = 0; round < std::size(seeds); ++round) {
+    packed.fill_seeded(seeds[round]);
+    for (auto& [lane, ref] : refs) ref.fill_seeded(seeds[round]);
+    const std::size_t limit = 85 * (round + 1);
+    const std::string at = "round " + std::to_string(round);
+    // A write to every word of the round first (the store grows), then a
+    // random trace over them.
+    for (std::size_t i = 0; i < limit; ++i) {
+      write(pool[i]);
+      check(pool[i], at + ", initial write " + std::to_string(i));
+    }
+    for (int op = 0; op < 400; ++op) {
+      const std::size_t addr = pick(limit);
+      const unsigned kind = static_cast<unsigned>(rng.next_below(8));
+      const std::string ctx = at + ", op " + std::to_string(op);
+      if (kind == 0) {
+        packed.elapse(1);
+        for (auto& [lane, ref] : refs) ref.elapse(1);
+      } else if (kind <= 3) {
+        const std::uint64_t* v = packed.read(addr);
+        for (auto& [lane, ref] : refs) {
+          const BitVec expected = ref.read(addr);
+          for (unsigned j = 0; j < width; ++j)
+            ASSERT_EQ((v[j] >> lane) & 1u, static_cast<std::uint64_t>(expected.get(j)))
+                << ctx << ": read of word " << addr << ", lane " << lane << ", bit " << j;
+        }
+      } else {
+        write(addr);
+      }
+      check(addr, ctx);
+    }
+    for (std::size_t a = 0; a < words; ++a) expect_word_equals(packed, refs, a, "end of " + at);
+  }
+  EXPECT_GE(packed.slots_peak(), 300u);
+  EXPECT_GE(packed.store_growths(), 4u) << "the store must have grown and rebuilt several times";
+}
+
+// Refill rounds (the repack scheduler's per-seed reset) must reuse the slot
+// store's capacity instead of allocating: after the warm-up round,
+// store_growths() stays flat.
+TEST(PackedMemorySim, RefillRoundsReuseSlotsWithoutAllocating) {
   PackedMemory m(4096, 8);
   std::vector<std::uint64_t> data(8, ~0ull);
   const std::vector<std::size_t> addrs = {0, 100, 1000, 4000};
@@ -294,18 +420,18 @@ TEST(PackedMemorySim, RefillRoundsReusePagesWithoutAllocating) {
     for (const std::size_t a : addrs) m.write(a, data.data());
   };
   round(1);
-  round(2);  // warm-up: both cached baselines generated, free-list filled
-  const std::uint64_t warm = m.page_allocations();
+  round(2);  // warm-up: both cached baselines generated, store grown
+  const std::uint64_t warm = m.store_growths();
   EXPECT_GT(warm, 0u);
   for (int r = 0; r < 6; ++r) round(1 + static_cast<std::uint64_t>(r % 2));
-  EXPECT_EQ(m.page_allocations(), warm) << "refill rounds must reuse freed pages";
-  EXPECT_EQ(m.pages_peak(), static_cast<std::size_t>(warm))
-      << "every allocation was a distinct concurrent page";
+  EXPECT_EQ(m.store_growths(), warm) << "refill rounds must reuse the store's capacity";
+  EXPECT_EQ(m.slots_peak(), addrs.size())
+      << "peak slots must be exactly the distinct words a round touches";
 }
 
-// Reads and peeks of unmaterialized packed pages must not materialize them
-// — a read-heavy march over a huge background costs no memory.
-TEST(MemoryPagingTest, ReadsOfBackgroundPagesDontMaterialize) {
+// Reads and peeks of background packed words must not give them slots — a
+// read-heavy march over a huge background costs no memory.
+TEST(PackedMemorySim, ReadsOfBackgroundWordsDontMaterialize) {
   Memory m(4096, 4);
   m.fill_seeded(3);
 
@@ -315,7 +441,7 @@ TEST(MemoryPagingTest, ReadsOfBackgroundPagesDontMaterialize) {
     (void)p.read(a);
     (void)p.peek(a);
   }
-  EXPECT_EQ(p.pages_live(), 0u);
+  EXPECT_EQ(p.slots_live(), 0u);
   // The seeded background broadcast matches the scalar baseline.
   for (std::size_t a = 0; a < 4096; a += 127)
     ASSERT_EQ(p.lane_word(0, a), m.peek(a)) << "word " << a;

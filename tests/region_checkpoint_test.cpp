@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -101,22 +102,22 @@ TEST(RegionShardingTest, StatsSumAcrossRegions) {
   EXPECT_EQ(v1, v4);
   EXPECT_EQ(s1.faults_simulated.load(), s4.faults_simulated.load());
   EXPECT_EQ(s1.lane_slots.load(), s4.lane_slots.load());
-  // The scheduler reports the peak pages any worker materialized.
+  // The scheduler reports the peak slots (words) any worker held: at most
+  // one unit's footprint, two words per fault lane.
   EXPECT_GT(s4.pages_peak.load(), 0u);
-  EXPECT_LE(s4.pages_peak.load(),
-            (words + PackedMemory::kMemPageWords - 1) / PackedMemory::kMemPageWords);
+  EXPECT_LE(s4.pages_peak.load(), std::min<std::size_t>(words, 2 * 63));
 }
 
-TEST(RegionShardingTest, PackedPagesAreBoundedByTheFaultFootprint) {
+TEST(RegionShardingTest, PackedSlotsAreBoundedByTheFaultFootprint) {
   // Large geometry, faults confined to a handful of spread-out words: each
-  // unit walks only its fault footprint, so only the footprint's pages are
-  // ever materialized, and they hold lane blocks — the huge-memory
-  // memory-budget claim, measurable.
-  const std::size_t words = 64 * 1024;  // 1024 pages
+  // unit walks only its fault footprint, so only the footprint's words ever
+  // hold slots, and they hold lane masks — the huge-memory memory-budget
+  // claim, measurable.
+  const std::size_t words = 64 * 1024;
   const unsigned width = 2;
   const MarchTest march = march_by_name("March C-");
   std::vector<Fault> faults;
-  for (std::size_t w = 0; w < words; w += words / 8)  // 8 words, 8 distinct pages
+  for (std::size_t w = 0; w < words; w += words / 8)  // 8 spread-out words
     for (unsigned b = 0; b < width; ++b)
       for (bool v : {false, true}) faults.push_back(Fault::saf(CellAddr{w, b}, v));
 
@@ -127,8 +128,8 @@ TEST(RegionShardingTest, PackedPagesAreBoundedByTheFaultFootprint) {
   const auto v = CampaignRunner(words, width, opt)
                      .per_fault(SchemeKind::ProposedExact, march, faults, {0}, &stats);
   EXPECT_EQ(v, std::vector<bool>(faults.size(), true));
-  // At most the 8 footprint pages (2 per region, really) are touched at
-  // all, and every page a packed memory materializes holds lane masks.
+  // At most the 8 footprint words (2 per region, really) hold slots at
+  // all, and every slot a packed memory holds is lane masks.
   EXPECT_LE(stats.pages_peak.load(), 8u);
   EXPECT_LE(stats.addresses_walked.load(), 2 * stats.lane_slots.load());
   EXPECT_GT(stats.packed_pages_peak.load(), 0u);

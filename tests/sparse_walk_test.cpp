@@ -6,8 +6,8 @@
 //     than `words`: every scheme x regions {1, 4} on the packed backend
 //     reproduces the scheduler-free scalar oracle byte for byte, over a
 //     fault sample that covers every class (far AFaw aliases, inter-word
-//     couplings across pages, RET under a march with pauses) and seeds {0}
-//     and {0, 3, 11}.
+//     couplings across the memory, RET under a march with pauses) and
+//     seeds {0} and {0, 3, 11}.
 //   * The certificate holds for every plan make_scheme_plan builds, over
 //     library and generated marches, widths, word counts and seeds.
 //   * The golden-lane self-check still fires on a broken plan, and a plan
@@ -48,8 +48,8 @@ struct Geometry {
 constexpr Geometry kGeometries[] = {{2048, 4, "March C-"}, {1000, 8, "March G"}};
 
 // A fixed sample (the same list in every build type): rounds of one fault
-// per class, couplings and aliases half the memory away from their victim
-// so they land on another page, and an intra-word coupling per round,
+// per class, couplings and aliases half the memory away from their victim,
+// and an intra-word coupling per round,
 // truncated to `count`.
 std::vector<Fault> sampled_faults(std::size_t words, unsigned width, std::size_t count) {
   Rng rng(0x5a11ce);
@@ -283,6 +283,29 @@ TEST(SparseWalk, CountersShowTheFootprintWalk) {
     EXPECT_GT(stats.units.load(), 0u) << to_string(k);
     EXPECT_GT(stats.addresses_walked.load(), 0u) << to_string(k);
     EXPECT_LE(stats.addresses_walked.load(), 2 * stats.lane_slots.load()) << to_string(k);
+  }
+}
+
+// A packed unit gives slots to exactly its fault footprint: every
+// footprint word owns one from injection on, and the walk writes no other
+// word.  Refills keep it exact (the store releases every slot), for every
+// scheme, seed 0 and a seeded background.
+TEST(SparseWalk, SlotStoreHoldsExactlyTheFootprint) {
+  constexpr std::size_t kBigWords = 65536;
+  const std::vector<Fault> faults = sampled_faults(kBigWords, kWidth, 63);
+  const std::vector<std::size_t> footprint = fault_footprint(faults.data(), faults.size());
+  for (const SchemeKind k : kAllSchemes) {
+    const SchemePlan plan = make_scheme_plan(k, march_by_name("March G"), kWidth);
+    const PlanOpMasks masks(plan);
+    PackedMemory mem(kBigWords, kWidth);
+    for (const std::uint64_t seed : {0ull, 3ull}) {
+      SessionBrake brake = PackedEngine::make_brake(mem, used_lane_mask(63));
+      const LaneMask d = run_campaign_unit_in<PackedEngine>(
+          mem, plan, masks, faults.data(), 63, seed, &brake, AddressList::of(footprint));
+      EXPECT_EQ(d & 1u, 0u) << to_string(k) << " seed " << seed << ": golden lane";
+      EXPECT_EQ(mem.slots_live(), footprint.size()) << to_string(k) << " seed " << seed;
+    }
+    EXPECT_EQ(mem.slots_peak(), footprint.size()) << to_string(k);
   }
 }
 

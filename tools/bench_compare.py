@@ -51,8 +51,7 @@ INFO_KEYS = ("threads", "scalar_faults_per_sec", "faults_simulated",
              "settling_faults", "settling_seeds",
              "settling_faults_per_sec", "settling_lane_occupancy",
              "huge_words", "huge_faults", "huge_regions",
-             "huge_faults_per_sec", "huge_pages_peak",
-             "huge_packed_pages_peak", "huge_pages_total",
+             "huge_faults_per_sec", "huge_slots_peak",
              "huge_addresses_walked")
 
 

@@ -1,0 +1,98 @@
+#!/usr/bin/env bash
+# Stream-identity check between two twm_cli builds.
+#
+#   tools/stream_diff.sh OLD_CLI NEW_CLI
+#
+# Runs both binaries on the same inputs and diffs what they print:
+#
+#   * `run SPEC --sink jsonl` for every run spec in examples/specs/*.json,
+#     plus huge_memory.json again at --regions 4 and --regions 1;
+#   * `explore SPEC --out F` for every explore spec there (stdout and F);
+#   * `run SPEC --sink jsonl` for the four twmbench workload specs,
+#     generated from twmbench/workloads.py at seed 1 (the file is only
+#     read).
+#
+# The wall-clock "seconds" field is masked; every other byte, and the exit
+# status, must match.  Prints one line per case and exits 1 on any
+# difference, 2 on bad usage.  A change that claims to leave the engine's
+# verdicts alone (a storage or scheduling rewrite) should pass this against
+# its parent's build.
+set -euo pipefail
+
+if [ $# -ne 2 ] || [ ! -x "$1" ] || [ ! -x "$2" ]; then
+  echo "usage: $0 OLD_CLI NEW_CLI (two executable twm_cli binaries)" >&2
+  exit 2
+fi
+old=$(realpath "$1")
+new=$(realpath "$2")
+root=$(cd "$(dirname "$0")/.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# The twmbench specs at seed 1, one JSON file per workload.
+python3 - "$root/twmbench" "$work" <<'EOF'
+import json
+import os
+import sys
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS  # noqa: E402
+
+for name, (make_spec, _) in WORKLOADS.items():
+    with open(os.path.join(sys.argv[2], f"twmbench-{name}.json"), "w") as f:
+        json.dump(make_spec(1), f)
+EOF
+
+# Runs one case under both binaries: `case NAME ARGS...`, where the
+# literal OUT in ARGS becomes a per-binary output file that is diffed too.
+failed=0
+case_() {
+  local name=$1
+  shift
+  local side bin
+  for side in old new; do
+    bin=$old
+    [ "$side" = new ] && bin=$new
+    local args=() a
+    for a in "$@"; do
+      if [ "$a" = OUT ]; then args+=("$work/$name.$side.out"); else args+=("$a"); fi
+    done
+    local status=0
+    "$bin" "${args[@]}" > "$work/$name.$side.stdout" 2> /dev/null || status=$?
+    {
+      echo "exit $status"
+      cat "$work/$name.$side.stdout"
+      if [ -f "$work/$name.$side.out" ]; then cat "$work/$name.$side.out"; fi
+    } | sed -E 's/"seconds":[-+0-9.eE]+/"seconds":0/g' > "$work/$name.$side.masked"
+  done
+  if cmp -s "$work/$name.old.masked" "$work/$name.new.masked"; then
+    echo "same     $name ($(wc -l < "$work/$name.new.masked") lines)"
+  else
+    echo "DIFFERS  $name"
+    diff "$work/$name.old.masked" "$work/$name.new.masked" | head -5
+    failed=1
+  fi
+}
+
+for spec in "$root"/examples/specs/*.json; do
+  base=$(basename "$spec" .json)
+  if grep -q '"objective"' "$spec"; then
+    case_ "$base" explore "$spec" --out OUT
+  else
+    case_ "$base" run "$spec" --sink jsonl
+  fi
+done
+for regions in 4 1; do
+  case_ "huge_memory-regions$regions" run "$root/examples/specs/huge_memory.json" \
+    --sink jsonl --regions "$regions"
+done
+for spec in "$work"/twmbench-*.json; do
+  case_ "$(basename "$spec" .json)" run "$spec" --sink jsonl
+done
+
+if [ "$failed" -ne 0 ]; then
+  echo "stream_diff: outputs differ" >&2
+  exit 1
+fi
+echo "stream_diff: OK, every stream identical"
