@@ -71,10 +71,13 @@ inline bool transparent_compare(SchemeKind k) {
          k == SchemeKind::TsmarchOnly || k == SchemeKind::Scheme1Exact;
 }
 
-inline bool golden_certificate(const SchemePlan& plan, std::size_t words, std::uint64_t seed) {
+inline bool golden_certificate(const SchemePlan& plan, const PlanOpMasks& masks,
+                               std::size_t words, std::uint64_t seed) {
   if (transparent_compare(plan.scheme) && !transparent_passes_aligned(plan.trans, plan.prediction))
     return false;
   const std::vector<BitVec> values = seeded_word_values(words, plan.width, seed);
+  const AddressList one = AddressList::all(1);
+  SessionScratch<PackedEngine> scratch;
   for (const bool parity : {false, true}) {
     std::vector<const BitVec*> group;
     for (const BitVec& v : values)
@@ -91,12 +94,15 @@ inline bool golden_certificate(const SchemePlan& plan, std::size_t words, std::u
       mem.write(0, init.data());
       LaneMask d{};
       if (transparent_compare(plan.scheme)) {
-        PackedMarchRunner runner(mem, AddressList::all(1));
-        const auto v =
-            PackedEngine::run_transparent(runner, plan.trans, plan.prediction, plan.misr);
+        PackedMarchRunner runner(mem, one, scratch.runner);
+        const auto v = PackedEngine::run_transparent(runner, plan.trans, plan.prediction,
+                                                     plan.misr, nullptr, /*want_misr=*/true,
+                                                     &masks.trans, &masks.prediction);
         d = v.exact | v.misr;
       } else {
-        d = run_scheme_session<PackedEngine>(mem, plan, std::vector<bool>{parity});
+        scratch.tomt_ledger.assign(1, parity);
+        d = run_scheme_session<PackedEngine>(mem, plan, scratch.tomt_ledger, nullptr, one, masks,
+                                             scratch);
       }
       if (d != 0) return false;
     }
@@ -147,16 +153,17 @@ void run_campaign_engine(const CampaignJob& job) {
 
   // Worker state lives for the WHOLE campaign, not one round: the memory
   // (a packed one's slot store and fault index buckets, either's baseline
-  // cache) and the batch scratch keep their allocations across
-  // every seed round (run_pool spawns fresh threads per round, so each
-  // round's workers re-claim the states by slot — any state fits any
-  // worker, memories are fully reset per unit).  This is what makes the
-  // round rebuild allocation-free; on the packed backend stats->page_allocs
-  // stays flat as rounds are added.
+  // cache), the batch and the session scratch (the unit's footprint, TOMT
+  // ledger, prediction stream, MISR and registers) keep their allocations
+  // across every unit and seed round (run_pool spawns fresh threads per
+  // round, so each round's workers re-claim the states by slot — any state
+  // fits any worker, memories and scratches are fully reset per unit).
+  // This is what makes a packed unit allocation-free in steady state; on
+  // the packed backend stats->page_allocs stays flat as rounds are added.
   struct WorkerState {
     typename Engine::Memory mem;
     std::vector<Fault> batch;
-    std::vector<std::size_t> footprint;
+    SessionScratch<Engine> scratch;
     WorkerState(std::size_t words, unsigned width) : mem(words, width) {
       batch.reserve(kPerUnit);
     }
@@ -172,7 +179,7 @@ void run_campaign_engine(const CampaignJob& job) {
   for (std::size_t s = 0; s < job.num_seeds && !live.empty() && !cancelled; ++s) {
     const std::size_t units = (live.size() + kPerUnit - 1) / kPerUnit;
     // A failed certificate is a golden-lane detection at an unlisted word.
-    if (Engine::kSparseWalk && !golden_certificate(*job.plan, job.words, job.seeds[s]))
+    if (Engine::kSparseWalk && !golden_certificate(*job.plan, masks, job.words, job.seeds[s]))
       require_golden_lane_clear(LaneMask{1});
     std::atomic<std::size_t> next{0};
     std::atomic<bool> stop{false};
@@ -197,16 +204,17 @@ void run_campaign_engine(const CampaignJob& job) {
         for (unsigned i = 0; i < count; ++i) batch.push_back(job.faults[live[lo + i]]);
         AddressList list = AddressList::all(job.words);
         if (Engine::kSparseWalk) {
-          st->footprint = fault_footprint(batch.data(), count);
-          list = AddressList::of(st->footprint);
+          fault_footprint(batch.data(), count, st->scratch.footprint);
+          list = AddressList::of(st->scratch.footprint);
         }
         // Armed for every scheme: run_scheme_session downgrades per scheme
         // (the MISR case turns the exit off and only keeps the skip of the
         // unconsumed stream compare; the symmetric session never sees the
         // brake).
         typename Engine::Brake brake = Engine::make_brake(mem, Engine::used_mask(count));
-        const Verdict d = run_campaign_unit_in<Engine>(mem, *job.plan, masks, batch.data(),
-                                                       count, job.seeds[s], &brake, list);
+        const Verdict d = run_campaign_unit_in<Engine>(mem, *job.plan, masks, st->scratch,
+                                                       batch.data(), count, job.seeds[s], &brake,
+                                                       list);
         check_golden_lane(d);
         if (job.stats) {
           job.stats->units.fetch_add(1, std::memory_order_relaxed);

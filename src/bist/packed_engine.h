@@ -40,10 +40,19 @@
 // listed ones — are never fed: the register jumps over each run of them
 // with the companion-matrix powers of MisrJumps (bist/misr.h).
 //
+// The prediction pass is recorded as a flat stream, `width` lane masks per
+// read: a campaign walk covers only the unit's fault footprint, so the
+// stream is bounded by the footprint's reads.
+//
 // A sweep reads each op's broadcast data mask from a PackedOpMasks.  Callers
 // that run the same test many times (the campaign scheduler, through
 // PlanOpMasks in core/scheme_session.h) compile it once and pass it in;
-// without one, each pass compiles its own.
+// without one, each pass compiles its own.  Likewise every buffer a
+// session needs — the prediction stream, the difference word, the MISR,
+// the pass registers — lives in a PackedSessionScratch that a campaign
+// worker keeps for all its units (core/scheme_session.h SessionScratch),
+// so a campaign unit's session allocates nothing once the buffers have
+// grown.
 //
 // Like the packed memory, the implementation is header-only: sweep_braked
 // and the port operations it calls form the innermost loop, and the build
@@ -51,11 +60,11 @@
 #ifndef TWM_BIST_PACKED_ENGINE_H
 #define TWM_BIST_PACKED_ENGINE_H
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bist/address_gen.h"
@@ -77,8 +86,16 @@ class PackedReadSink {
 // i across all lanes is state()[i].
 class PackedMisr {
  public:
-  explicit PackedMisr(unsigned width) : state_(width), taps_(Misr::default_taps(width)) {
+  PackedMisr() = default;  // no register until reset()
+  explicit PackedMisr(unsigned width) { reset(width); }
+
+  // Zeroes every lane's signature at `width` bits.  The feedback taps are
+  // recomputed only when the width changes, so a reused register (a
+  // session scratch's) allocates nothing.
+  void reset(unsigned width) {
     if (width == 0) throw std::invalid_argument("PackedMisr: zero width");
+    if (width != this->width()) taps_ = Misr::default_taps(width);
+    state_.assign(width, LaneMask{});
   }
 
   unsigned width() const { return static_cast<unsigned>(state_.size()); }
@@ -216,11 +233,158 @@ class PackedOpMasks {
   std::vector<LaneMask> masks_;     // [op * width + bit]
 };
 
+namespace packed_detail {
+
+// Records a session's prediction read stream as flat lane masks, `width`
+// per read.  A campaign unit walks only its fault footprint, so the stream
+// is bounded by the footprint's reads; a session scratch reuses one
+// recorder unit after unit, and start() keeps its capacity.
+class StreamRecorder final : public PackedReadSink {
+ public:
+  // Drops the previous stream; `reads` is the length the caller expects.
+  void start(unsigned width, std::size_t reads) {
+    width_ = width;
+    lanes_.clear();
+    lanes_.reserve(reads * width);
+  }
+
+  void on_read(std::size_t, const LaneMask* value) override {
+    lanes_.insert(lanes_.end(), value, value + width_);
+  }
+
+  // Read i of the stream: `width` lane masks.
+  const LaneMask* at(std::size_t i) const { return &lanes_[i * width_]; }
+
+ private:
+  unsigned width_ = 0;
+  std::vector<LaneMask> lanes_;  // [read * width + bit]
+};
+
+// Position, in the read stream a walk over EVERY word would produce, of
+// each read a walk over `list` performs: element e's reads start at
+// sum(reads(e') * words, e' < e), and a listed address contributes its
+// reads at its rank in the element's order.  The gaps between consecutive
+// positions are the unlisted reads the listed walk skipped.  `reads`
+// is caller-owned storage for the per-element read counts.
+class FullStreamCursor {
+ public:
+  FullStreamCursor(const MarchTest& test, AddressList list, std::size_t words,
+                   std::vector<std::size_t>& reads)
+      : test_(test), list_(list), words_(words), reads_(reads) {
+    reads_.clear();
+    for (const MarchElement& e : test.elements) reads_.push_back(e.read_count());
+  }
+
+  std::uint64_t next() {
+    while (r_ == 0 && (reads_[e_] == 0 || k_ == list_.size)) {
+      base_ += static_cast<std::uint64_t>(reads_[e_]) * words_;
+      ++e_;
+      k_ = 0;
+    }
+    const AddrOrder order = test_.elements[e_].order;
+    const std::size_t addr = list_.visit(order, k_);
+    const std::size_t rank = order == AddrOrder::Down ? words_ - 1 - addr : addr;
+    const std::uint64_t pos = base_ + static_cast<std::uint64_t>(rank) * reads_[e_] + r_;
+    if (++r_ == reads_[e_]) {
+      r_ = 0;
+      ++k_;
+    }
+    return pos;
+  }
+
+ private:
+  const MarchTest& test_;
+  AddressList list_;
+  std::size_t words_;
+  std::vector<std::size_t>& reads_;  // [element] -> reads per address
+  std::size_t e_ = 0, k_ = 0, r_ = 0;
+  std::uint64_t base_ = 0;
+};
+
+// The test-pass sink of a transparent session: diffs every read against
+// the recorded prediction read at the same stream position.  The exact
+// comparison ORs the difference into one verdict; the MISR comparison
+// feeds the difference stream, placed at its full-walk position, into a
+// zero-initialised MISR that jumps over every run of zero differences.
+// The two streams have equal length (run_transparent_session checks it).
+// `diff` is caller-owned storage for one difference word.
+class SessionTestSink final : public PackedReadSink {
+ public:
+  SessionTestSink(unsigned width, const StreamRecorder& prediction, PackedMisr* misr,
+                  const MisrJumps* jumps, FullStreamCursor* cursor, std::vector<LaneMask>& diff)
+      : width_(width),
+        prediction_(prediction),
+        misr_(misr),
+        jumps_(jumps),
+        cursor_(cursor),
+        diff_(diff) {
+    diff_.resize(width);
+  }
+
+  void on_read(std::size_t, const LaneMask* value) override {
+    const LaneMask* p = prediction_.at(pos_);
+    for (unsigned j = 0; j < width_; ++j) {
+      diff_[j] = value[j] ^ p[j];
+      stream_diff_ |= diff_[j];
+    }
+    if (misr_) feed_at(cursor_->next(), diff_.data());
+    ++pos_;
+  }
+
+  // Advances the MISR over the trailing zero differences of a
+  // `total`-read stream.
+  void finish(std::uint64_t total) {
+    if (misr_) misr_->skip(*jumps_, total - next_);
+  }
+
+  LaneMask stream_diff() const { return stream_diff_; }
+
+ private:
+  void feed_at(std::uint64_t at, const LaneMask* diff) {
+    bool any = false;
+    for (unsigned j = 0; j < width_ && !any; ++j) any = diff[j] != 0;
+    if (!any) return;  // a zero input: covered by the next skip
+    misr_->skip(*jumps_, at - next_);
+    misr_->feed(diff, width_);
+    next_ = at + 1;
+  }
+
+  unsigned width_;
+  const StreamRecorder& prediction_;
+  PackedMisr* misr_;
+  const MisrJumps* jumps_;
+  FullStreamCursor* cursor_;
+  std::vector<LaneMask>& diff_;
+  std::size_t pos_ = 0;
+  std::uint64_t next_ = 0;  // stream position the MISR has consumed up to
+  LaneMask stream_diff_{};
+};
+
+}  // namespace packed_detail
+
+// The buffers a packed session needs, kept across sessions so that a
+// campaign worker's units allocate nothing once the buffers have grown to
+// the largest unit: the passes' one-word registers, the prediction stream,
+// the test sink's difference word, the full-stream cursor's read counts
+// and the difference MISR.  Each pass resets what it uses before it
+// starts, so a scratch carries capacity from one session to the next,
+// never state.  A campaign worker owns one (inside SessionScratch,
+// core/scheme_session.h); other callers build a local one.
+struct PackedSessionScratch {
+  std::vector<LaneMask> data, cur, word;      // one-word pass registers
+  packed_detail::StreamRecorder prediction;   // the prediction read stream
+  std::vector<LaneMask> diff;                 // test read ^ predicted read
+  std::vector<std::size_t> element_reads;     // [element] -> reads per address
+  PackedMisr misr;                            // compacts the difference stream
+};
+
 class PackedMarchRunner {
  public:
-  // Walks the words in `list` (ascending, within the memory; the list must
-  // outlive the runner).
-  PackedMarchRunner(PackedMemory& mem, AddressList list) : mem_(mem), list_(list) {}
+  // Walks the words in `list` (ascending, within the memory) with the
+  // buffers of `scratch`; both must outlive the runner, and the scratch
+  // serves one runner at a time.
+  PackedMarchRunner(PackedMemory& mem, AddressList list, PackedSessionScratch& scratch)
+      : mem_(mem), list_(list), scratch_(scratch) {}
 
   // `brake`, when non-null, is polled after each address's ops: the sweep
   // aborts once every brake-target lane's mismatch bit is set (the verdict
@@ -252,16 +416,17 @@ class PackedMarchRunner {
     return mismatch;
   }
 
-  void run_test(const MarchTest& test, PackedReadSink& sink,
-                const PackedOpMasks* masks = nullptr) {
+  template <typename Sink>
+  void run_test(const MarchTest& test, Sink& sink, const PackedOpMasks* masks = nullptr) {
     run_test_braked(test, masks, sink, nullptr, [] { return LaneMask{}; });
   }
 
   // run_test with an armed brake: `verdict` reports the caller's current
   // (monotone) detection state — here that is the exact stream comparison
-  // accumulated by the sink, which the runner itself cannot see.
-  template <typename VerdictFn>
-  void run_test_braked(const MarchTest& test, const PackedOpMasks* masks, PackedReadSink& sink,
+  // accumulated by the sink, which the runner itself cannot see.  A final
+  // Sink type lets the compiler inline its on_read.
+  template <typename Sink, typename VerdictFn>
+  void run_test_braked(const MarchTest& test, const PackedOpMasks* masks, Sink& sink,
                        SessionBrake* brake, VerdictFn&& verdict) {
     // Every relative write follows a read of the same word earlier in its
     // element's op list, so by the time the write fires the "most recent
@@ -269,8 +434,10 @@ class PackedMarchRunner {
     // the base estimate register is O(width), not an O(words x width)
     // shadow copy of the memory.
     const unsigned w = mem_.word_width();
-    std::vector<LaneMask> data(w);
-    std::vector<LaneMask> cur(w);
+    std::vector<LaneMask>& data = scratch_.data;
+    std::vector<LaneMask>& cur = scratch_.cur;
+    data.resize(w);
+    cur.resize(w);
     std::size_t cur_addr = static_cast<std::size_t>(-1);
     sweep_braked(
         test, masks,
@@ -295,10 +462,12 @@ class PackedMarchRunner {
         brake, std::forward<VerdictFn>(verdict));
   }
 
-  void run_prediction(const MarchTest& prediction, PackedReadSink& sink,
+  template <typename Sink>
+  void run_prediction(const MarchTest& prediction, Sink& sink,
                       const PackedOpMasks* masks = nullptr) {
     const unsigned w = mem_.word_width();
-    std::vector<LaneMask> predicted(w);
+    std::vector<LaneMask>& predicted = scratch_.word;
+    predicted.resize(w);
     sweep(prediction, masks,
           [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
             if (op.is_write())
@@ -369,160 +538,8 @@ class PackedMarchRunner {
 
   PackedMemory& mem_;
   AddressList list_;
+  PackedSessionScratch& scratch_;
 };
-
-namespace packed_detail {
-
-// Records the packed read stream, compressed.  Reads of unfaulted words are
-// lane-uniform (every lane holds the golden value), so the common case
-// stores one bit per bit-plane; only reads whose lanes diverge — a bounded
-// set, proportional to the fault footprint, not the geometry — keep their
-// full lane masks in a position-sorted side table.
-class StreamRecorder final : public PackedReadSink {
- public:
-  explicit StreamRecorder(unsigned width) : width_(width), scratch_(width) {}
-  void reserve_reads(std::size_t reads) { bits_.reserve((reads * width_ + 63) / 64); }
-
-  void on_read(std::size_t, const LaneMask* value) override {
-    bool divergent = false;
-    for (unsigned j = 0; j < width_ && !divergent; ++j)
-      divergent = value[j] != 0 && value[j] != ~LaneMask{0};
-    const std::size_t base = count_ * width_;
-    bits_.resize((base + width_ + 63) / 64, 0);
-    if (divergent) {
-      divergent_.push_back({count_, blocks_.size()});
-      blocks_.insert(blocks_.end(), value, value + width_);
-    } else {
-      for (unsigned j = 0; j < width_; ++j)
-        if (value[j] != 0)
-          bits_[(base + j) >> 6] |= std::uint64_t{1} << ((base + j) & 63);
-    }
-    ++count_;
-  }
-
-  // The returned pointer is valid until the next at() call.
-  const LaneMask* at(std::size_t i) const {
-    const auto it = std::lower_bound(
-        divergent_.begin(), divergent_.end(), i,
-        [](const Entry& e, std::size_t pos) { return e.pos < pos; });
-    if (it != divergent_.end() && it->pos == i) return &blocks_[it->offset];
-    const std::size_t base = i * width_;
-    for (unsigned j = 0; j < width_; ++j)
-      scratch_[j] = ((bits_[(base + j) >> 6] >> ((base + j) & 63)) & 1u) ? ~LaneMask{0}
-                                                                          : LaneMask{};
-    return scratch_.data();
-  }
-
- private:
-  struct Entry {
-    std::size_t pos;     // read index in the stream
-    std::size_t offset;  // into blocks_ (width_ lane masks per entry)
-  };
-
-  unsigned width_;
-  std::size_t count_ = 0;
-  std::vector<std::uint64_t> bits_;  // [pos * width + j] -> uniform lane bit
-  std::vector<Entry> divergent_;     // appended in stream order => sorted
-  std::vector<LaneMask> blocks_;
-  mutable std::vector<LaneMask> scratch_;
-};
-
-// Position, in the read stream a walk over EVERY word would produce, of
-// each read a walk over `list` performs: element e's reads start at
-// sum(reads(e') * words, e' < e), and a listed address contributes its
-// reads at its rank in the element's order.  The gaps between consecutive
-// positions are the unlisted reads the listed walk skipped.
-class FullStreamCursor {
- public:
-  FullStreamCursor(const MarchTest& test, AddressList list, std::size_t words)
-      : test_(test), list_(list), words_(words) {
-    reads_.reserve(test.elements.size());
-    for (const MarchElement& e : test.elements) reads_.push_back(e.read_count());
-  }
-
-  std::uint64_t next() {
-    while (r_ == 0 && (reads_[e_] == 0 || k_ == list_.size)) {
-      base_ += static_cast<std::uint64_t>(reads_[e_]) * words_;
-      ++e_;
-      k_ = 0;
-    }
-    const AddrOrder order = test_.elements[e_].order;
-    const std::size_t addr = list_.visit(order, k_);
-    const std::size_t rank = order == AddrOrder::Down ? words_ - 1 - addr : addr;
-    const std::uint64_t pos = base_ + static_cast<std::uint64_t>(rank) * reads_[e_] + r_;
-    if (++r_ == reads_[e_]) {
-      r_ = 0;
-      ++k_;
-    }
-    return pos;
-  }
-
- private:
-  const MarchTest& test_;
-  AddressList list_;
-  std::size_t words_;
-  std::vector<std::size_t> reads_;  // [element] -> reads per address
-  std::size_t e_ = 0, k_ = 0, r_ = 0;
-  std::uint64_t base_ = 0;
-};
-
-// The test-pass sink of a transparent session: diffs every read against
-// the recorded prediction read at the same stream position.  The exact
-// comparison ORs the difference into one verdict; the MISR comparison
-// feeds the difference stream, placed at its full-walk position, into a
-// zero-initialised MISR that jumps over every run of zero differences.
-// The two streams have equal length (run_transparent_session checks it).
-class SessionTestSink final : public PackedReadSink {
- public:
-  SessionTestSink(unsigned width, const StreamRecorder& prediction, PackedMisr* misr,
-                  const MisrJumps* jumps, FullStreamCursor* cursor)
-      : width_(width),
-        prediction_(prediction),
-        misr_(misr),
-        jumps_(jumps),
-        cursor_(cursor),
-        diff_(width) {}
-
-  void on_read(std::size_t, const LaneMask* value) override {
-    const LaneMask* p = prediction_.at(pos_);
-    for (unsigned j = 0; j < width_; ++j) {
-      diff_[j] = value[j] ^ p[j];
-      stream_diff_ |= diff_[j];
-    }
-    if (misr_) feed_at(cursor_->next(), diff_.data());
-    ++pos_;
-  }
-
-  // Advances the MISR over the trailing zero differences of a
-  // `total`-read stream.
-  void finish(std::uint64_t total) {
-    if (misr_) misr_->skip(*jumps_, total - next_);
-  }
-
-  LaneMask stream_diff() const { return stream_diff_; }
-
- private:
-  void feed_at(std::uint64_t at, const LaneMask* diff) {
-    bool any = false;
-    for (unsigned j = 0; j < width_ && !any; ++j) any = diff[j] != 0;
-    if (!any) return;  // a zero input: covered by the next skip
-    misr_->skip(*jumps_, at - next_);
-    misr_->feed(diff, width_);
-    next_ = at + 1;
-  }
-
-  unsigned width_;
-  const StreamRecorder& prediction_;
-  PackedMisr* misr_;
-  const MisrJumps* jumps_;
-  FullStreamCursor* cursor_;
-  std::vector<LaneMask> diff_;
-  std::size_t pos_ = 0;
-  std::uint64_t next_ = 0;  // stream position the MISR has consumed up to
-  LaneMask stream_diff_{};
-};
-
-}  // namespace packed_detail
 
 inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
     const MarchTest& test, const MarchTest& prediction, const MisrJumps& misr,
@@ -531,28 +548,27 @@ inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
   if (test.read_count() != prediction.read_count())
     throw std::logic_error("run_transparent_session: prediction/test read counts differ");
   const unsigned w = mem_.word_width();
+  PackedSessionScratch& s = scratch_;
   PackedTransparentOutcome out;
 
-  // The prediction is read-only, so its exact read count is known up front;
-  // reserving avoids reallocating the stream as it grows.
-  packed_detail::StreamRecorder pred_stream(w);
-  pred_stream.reserve_reads(prediction.op_count() * list_.size);
+  // The prediction is read-only, so its exact read count is known up front.
+  s.prediction.start(w, prediction.op_count() * list_.size);
   // The prediction pass has no comparison yet, so the brake only counts
   // its elements; the settle predicate cannot fire before the test pass.
   sweep_count_only(prediction, brake);
-  run_prediction(prediction, pred_stream, prediction_masks);
+  run_prediction(prediction, s.prediction, prediction_masks);
 
-  PackedMisr diff_misr(want_misr ? misr.width : 1);
-  packed_detail::FullStreamCursor cursor(test, list_, mem_.num_words());
-  packed_detail::SessionTestSink test_sink(w, pred_stream, want_misr ? &diff_misr : nullptr,
-                                           &misr, &cursor);
+  if (want_misr) s.misr.reset(misr.width);
+  packed_detail::FullStreamCursor cursor(test, list_, mem_.num_words(), s.element_reads);
+  packed_detail::SessionTestSink test_sink(w, s.prediction, want_misr ? &s.misr : nullptr,
+                                           &misr, &cursor, s.diff);
   run_test_braked(test, test_masks, test_sink, brake, [&] { return test_sink.stream_diff(); });
 
   out.detected_exact = test_sink.stream_diff();
   if (want_misr) {
     test_sink.finish(test.read_count() * mem_.num_words());
     out.detected_misr = LaneMask{};
-    for (const LaneMask& b : diff_misr.state()) out.detected_misr |= b;
+    for (const LaneMask& b : s.misr.state()) out.detected_misr |= b;
   }
   return out;
 }

@@ -63,7 +63,9 @@ namespace twm {
 // register), one universe.
 class XorAccumulator final : public ReadSink {
  public:
-  explicit XorAccumulator(unsigned width) : acc_(BitVec::zeros(width)) {}
+  XorAccumulator() = default;  // no register until reset()
+  explicit XorAccumulator(unsigned width) { reset(width); }
+  void reset(unsigned width) { acc_ = BitVec::zeros(width); }
   void on_read(std::size_t, const BitVec& value) override { acc_ ^= value; }
   const BitVec& value() const { return acc_; }
 
@@ -74,7 +76,10 @@ class XorAccumulator final : public ReadSink {
 // One XOR accumulator per lane: signature bit j across all lanes is acc()[j].
 class PackedXorAccumulator final : public PackedReadSink {
  public:
-  explicit PackedXorAccumulator(unsigned width) : acc_(width) {}
+  PackedXorAccumulator() = default;  // no register until reset()
+  explicit PackedXorAccumulator(unsigned width) { reset(width); }
+  // Zeroes the register; a reused accumulator keeps its capacity.
+  void reset(unsigned width) { acc_.assign(width, LaneMask{}); }
   void on_read(std::size_t, const LaneMask* value) override {
     for (std::size_t j = 0; j < acc_.size(); ++j) acc_[j] ^= value[j];
   }
@@ -99,16 +104,22 @@ struct ScalarSessionBrake {
   void on_element_end(bool /*verdict*/) {}
 };
 
+// The scalar reference keeps no runner buffers across sessions.
+struct ScalarRunnerScratch {};
+
 struct ScalarEngine {
   using Verdict = bool;  // detected?
   using Memory = twm::Memory;
   using Runner = MarchRunner;
   using Misr = twm::Misr;
   using Word = BitVec;       // one word's value
-  using Mask = BitVec;       // a per-op data mask, precompiled
-  using Signature = BitVec;  // an XOR-accumulator state
+  using Mask = BitVec;       // a per-op data mask
   using Accumulator = XorAccumulator;
   using Brake = ScalarSessionBrake;
+  using Scratch = ScalarRunnerScratch;
+  // The TOMT block's per-op masks: the reference derives its own from the
+  // ops every session and ignores the packed compiled ones.
+  using OpMaskTable = std::vector<BitVec>;
 
   // One fault universe per session.
   static constexpr unsigned kFaultsPerUnit = 1;
@@ -132,7 +143,7 @@ struct ScalarEngine {
   static void inject(Memory& mem, const Fault& f, unsigned /*slot*/) { mem.inject(f); }
 
   // --- engine entry points ----------------------------------------------
-  static Runner make_runner(Memory& mem, AddressList list) {
+  static Runner make_runner(Memory& mem, AddressList list, Scratch& /*scratch*/) {
     if (!list.full()) throw std::logic_error("ScalarEngine: the reference walks every word");
     return Runner(mem);
   }
@@ -169,8 +180,15 @@ struct ScalarEngine {
   static bool golden_parity(const Memory& mem, std::size_t addr) {
     return mem.peek(addr).parity();
   }
-  static Word make_word(unsigned width) { return BitVec::zeros(width); }
-  static Mask make_mask(const BitVec& mask) { return mask; }
+  static void reset_word(Word& w, unsigned width) { w = BitVec::zeros(width); }
+  static OpMaskTable element_masks(const MarchElement& elem, unsigned width,
+                                   const PackedOpMasks* /*masks*/) {
+    OpMaskTable out;
+    out.reserve(elem.ops.size());
+    for (const Op& op : elem.ops) out.push_back(op.data.mask(width));
+    return out;
+  }
+  static const Mask& mask_at(const OpMaskTable& table, std::size_t op) { return table[op]; }
   static void read_word(Memory& mem, std::size_t addr, Word& out) { out = mem.read(addr); }
   static void write_word(Memory& mem, std::size_t addr, const Word& data) {
     mem.write(addr, data);
@@ -180,9 +198,12 @@ struct ScalarEngine {
   static Verdict differs(const Word& a, const Word& b) { return a != b; }
 
   // --- signature vocabulary (the symmetric session's compactor) ---------
-  static Signature signature(const Accumulator& acc) { return acc.value(); }
-  static Verdict signature_mismatch(const Accumulator& acc, const BitVec& expected) {
-    return acc.value() != expected;
+  // The accumulator differs from the fault-free signature, which is
+  // `mask_xor` after an odd number of words and zero after an even one
+  // (SymmetricTest::expected_signature).
+  static Verdict signature_mismatch(const Accumulator& acc, const BitVec& mask_xor,
+                                    bool odd_words) {
+    return odd_words ? acc.value() != mask_xor : !acc.value().all_zero();
   }
 };
 
@@ -192,10 +213,11 @@ struct PackedEngine {
   using Runner = PackedMarchRunner;
   using Misr = PackedMisr;
   using Word = std::vector<LaneMask>;  // [bit] -> lane mask
-  using Mask = std::vector<LaneMask>;  // broadcast op mask
-  using Signature = std::vector<LaneMask>;
+  using Mask = const LaneMask*;        // broadcast op mask (compiled)
   using Accumulator = PackedXorAccumulator;
   using Brake = SessionBrake;
+  using Scratch = PackedSessionScratch;
+  using OpMaskTable = const PackedOpMasks*;
 
   // Lane 0 stays fault-free (golden); faults occupy the remaining lanes.
   static constexpr unsigned kFaultsPerUnit = kPackedLanes - 1;
@@ -223,12 +245,15 @@ struct PackedEngine {
     mem.inject(f, LaneMask{1} << (slot + 1));
   }
 
-  static Runner make_runner(Memory& mem, AddressList list) { return Runner(mem, list); }
+  static Runner make_runner(Memory& mem, AddressList list, Scratch& scratch) {
+    return Runner(mem, list, scratch);
+  }
   static Verdict run_direct(Runner& runner, const MarchTest& test, Brake* brake = nullptr,
                             const PackedOpMasks* masks = nullptr) {
     return runner.run_direct(test, brake, masks);
   }
-  static void run_test(Runner& runner, const MarchTest& test, PackedReadSink& sink,
+  template <class Sink>  // a PackedReadSink; a final one inlines its on_read
+  static void run_test(Runner& runner, const MarchTest& test, Sink& sink,
                        const PackedOpMasks* masks = nullptr) {
     runner.run_test(test, sink, masks);
   }
@@ -248,10 +273,21 @@ struct PackedEngine {
 
   // Lane 0 still holds every word's fault-free contents before injection.
   static bool golden_parity(const Memory& mem, std::size_t addr) {
-    return mem.lane_word(0, addr).parity();
+    const LaneMask* word = mem.peek(addr);
+    LaneMask parity{};
+    for (unsigned j = 0; j < mem.word_width(); ++j) parity ^= word[j];
+    return parity & 1u;
   }
-  static Word make_word(unsigned width) { return Word(width); }
-  static Mask make_mask(const BitVec& mask) { return broadcast_word(mask); }
+  // Registers are reused across sessions: no allocation once grown.
+  static void reset_word(Word& w, unsigned width) { w.assign(width, LaneMask{}); }
+  // The packed engine reads the compiled masks (an element of a
+  // single-element test: the TOMT block).
+  static OpMaskTable element_masks(const MarchElement& /*elem*/, unsigned /*width*/,
+                                   const PackedOpMasks* masks) {
+    if (!masks) throw std::invalid_argument("PackedEngine: op masks required");
+    return masks;
+  }
+  static Mask mask_at(OpMaskTable table, std::size_t op) { return table->at(0, op); }
   static void read_word(Memory& mem, std::size_t addr, Word& out) {
     // The port's pointer is invalidated by the next port op; take a copy.
     const LaneMask* v = mem.read(addr);
@@ -260,7 +296,7 @@ struct PackedEngine {
   static void write_word(Memory& mem, std::size_t addr, const Word& data) {
     mem.write(addr, data.data());
   }
-  static void xor_word(Word& dst, const Word& src, const Mask& mask) {
+  static void xor_word(Word& dst, const Word& src, Mask mask) {
     for (std::size_t j = 0; j < dst.size(); ++j) dst[j] = src[j] ^ mask[j];
   }
   static Verdict parity_mismatch(const Word& w, bool expected) {
@@ -274,11 +310,11 @@ struct PackedEngine {
     return d;
   }
 
-  static Signature signature(const Accumulator& acc) { return acc.value(); }
-  static Verdict signature_mismatch(const Accumulator& acc, const BitVec& expected) {
-    const Signature want = broadcast_word(expected);
+  static Verdict signature_mismatch(const Accumulator& acc, const BitVec& mask_xor,
+                                    bool odd_words) {
     Verdict d{};
-    for (std::size_t j = 0; j < want.size(); ++j) d |= acc.value()[j] ^ want[j];
+    for (unsigned j = 0; j < mask_xor.width(); ++j)
+      d |= acc.value()[j] ^ (odd_words && mask_xor.get(j) ? ~LaneMask{0} : LaneMask{});
     return d;
   }
 };

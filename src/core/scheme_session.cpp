@@ -95,6 +95,7 @@ SchemePlan make_scheme_plan(SchemeKind scheme, const MarchTest& bit_march, unsig
       break;
     }
     case SchemeKind::TomtModel:
+      p.tomt = tomt_test(width);
       break;
   }
   if (!transparent_passes_aligned(p.trans, p.prediction))

@@ -9,11 +9,14 @@
 //
 // A session consumes a SchemePlan: every march transform the scheme needs
 // (solid/word-oriented expansions, the TWM_TA transform, Scheme 1's
-// T1'..T4', symmetrization, MISR widths) compiled ONCE per campaign by
-// make_scheme_plan().  Plans are immutable and shared read-only across
-// campaign worker threads; compiling them up front amortizes the transform
-// cost over every fault x seed the campaign evaluates (the scalar backend
-// previously rebuilt them per fault x seed).
+// T1'..T4', symmetrization, MISR widths, TOMT's per-word block) compiled
+// ONCE per campaign by make_scheme_plan().  Plans are immutable and shared
+// read-only across campaign worker threads; compiling them up front
+// amortizes the transform cost over every fault x seed the campaign
+// evaluates.  The plan's packed op masks (PlanOpMasks) are compiled once
+// per campaign the same way, and each campaign worker keeps one
+// SessionScratch for the buffers its sessions need, so a packed unit
+// allocates nothing in steady state.
 //
 //   SchemePlan plan = make_scheme_plan(scheme, bit_march, width);
 //   Verdict v = run_campaign_unit<PackedEngine>(plan, words, faults, 63, seed);
@@ -70,22 +73,42 @@ struct SchemePlan {
   MarchTest trans, prediction;   // transparent session passes
   MisrJumps misr;                // compactor width + zero-run jump table
   SymmetricTest sym;
+  MarchTest tomt;                // TOMT's per-word block, tomt_test(width)
 };
 
 // The broadcast op masks (bist/packed_engine.h) of every march a plan's
-// sessions sweep, compiled from the plan as it stands: a plan edited
-// afterwards needs new masks.  The campaign scheduler compiles them once
-// per campaign and hands them to every unit, so a packed pass allocates no
-// masks; the scalar engine ignores them.
+// sessions sweep, TOMT's block included, compiled from the plan as it
+// stands: a plan edited afterwards needs new masks.  The campaign
+// scheduler compiles them once per campaign and hands them to every unit,
+// so a packed pass allocates no masks; the scalar engine ignores them.
 struct PlanOpMasks {
   explicit PlanOpMasks(const SchemePlan& plan)
       : direct_a(plan.direct_a, plan.width),
         direct_b(plan.direct_b, plan.width),
         trans(plan.trans, plan.width),
         prediction(plan.prediction, plan.width),
-        sym(plan.sym.test, plan.width) {}
+        sym(plan.sym.test, plan.width),
+        tomt(plan.tomt, plan.width) {}
 
-  PackedOpMasks direct_a, direct_b, trans, prediction, sym;
+  PackedOpMasks direct_a, direct_b, trans, prediction, sym, tomt;
+};
+
+// One campaign worker's session buffers, reused unit after unit so that a
+// packed unit allocates nothing once they have grown to the largest unit:
+// the unit's fault footprint, the TOMT ledger and working words, the
+// symmetric session's XOR accumulator and the packed runner's prediction
+// stream, registers and MISR (PackedSessionScratch).  Every session resets
+// what it uses, so a scratch carries capacity from one unit to the next,
+// never state.  It lives in the scheduler's WorkerState
+// (analysis/campaign_exec.h); callers without one (run_campaign_unit, the
+// golden certificate, tests) build a local one.  One session at a time.
+template <class Engine>
+struct SessionScratch {
+  std::vector<std::size_t> footprint;  // the unit's walk (packed units)
+  std::vector<bool> tomt_ledger;       // [i] -> parity of listed word i
+  TomtRegisters<Engine> tomt;
+  typename Engine::Accumulator xor_acc;
+  typename Engine::Scratch runner;
 };
 
 // Throws std::logic_error unless every transparent session pass pair of the
@@ -116,13 +139,14 @@ std::size_t plan_session_elements(const SchemePlan& plan);
 // both backends dispatch through here.  `tomt_ledger` ([i] -> parity of
 // word list[i]) is consulted only by SchemeKind::TomtModel and must have
 // been captured before fault injection.  `masks` must be compiled from
-// `plan`.
+// `plan`; the session's buffers come from `scratch`.
 template <class Engine>
 typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const SchemePlan& plan,
                                             const std::vector<bool>& tomt_ledger,
                                             typename Engine::Brake* brake, AddressList list,
-                                            const PlanOpMasks& masks) {
-  typename Engine::Runner runner = Engine::make_runner(mem, list);
+                                            const PlanOpMasks& masks,
+                                            SessionScratch<Engine>& scratch) {
+  typename Engine::Runner runner = Engine::make_runner(mem, list, scratch.runner);
   switch (plan.scheme) {
     case SchemeKind::NontransparentReference: {
       // AMarch reads the solid base SMarch leaves behind: the two passes
@@ -164,20 +188,24 @@ typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const 
     }
     case SchemeKind::ProposedSymmetricXor:
       // XOR-accumulator mismatches can cancel (aliasing): no settle-exit.
-      return run_symmetric_session_t<Engine>(mem, plan.sym, list, &masks.sym).detected;
+      return run_symmetric_session_t<Engine>(runner, plan.sym, list, scratch.xor_acc, &masks.sym);
     case SchemeKind::TomtModel:
-      return run_tomt_session<Engine>(mem, tomt_ledger, brake, list).detected;
+      return run_tomt_session<Engine>(mem, plan.tomt, &masks.tomt, tomt_ledger, brake, list,
+                                      scratch.tomt)
+          .detected;
   }
   throw std::logic_error("run_scheme_session: unknown scheme");
 }
 
-// The whole-memory session, compiling its own op masks.
+// The whole-memory session, compiling its own op masks into a scratch of
+// its own.
 template <class Engine>
 typename Engine::Verdict run_scheme_session(typename Engine::Memory& mem, const SchemePlan& plan,
                                             const std::vector<bool>& tomt_ledger,
                                             typename Engine::Brake* brake = nullptr) {
+  SessionScratch<Engine> scratch;
   return run_scheme_session<Engine>(mem, plan, tomt_ledger, brake,
-                                    AddressList::all(mem.num_words()), PlanOpMasks(plan));
+                                    AddressList::all(mem.num_words()), PlanOpMasks(plan), scratch);
 }
 
 // One campaign unit under one seed: builds a fresh memory (seed 0 = all-zero
@@ -196,7 +224,7 @@ typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t w
   // TOMT's parity protection was established while the memory was healthy.
   std::vector<bool> ledger;
   if (plan.scheme == SchemeKind::TomtModel)
-    ledger = make_parity_ledger<Engine>(mem, AddressList::all(words));
+    fill_parity_ledger<Engine>(mem, AddressList::all(words), ledger);
 
   for (unsigned i = 0; i < count; ++i) Engine::inject(mem, faults[i], i);
 
@@ -204,16 +232,18 @@ typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t w
 }
 
 // run_campaign_unit against a caller-owned memory, reset in place, with the
-// session walking `list`: the repack scheduler keeps one memory per worker
-// thread and re-seeds it per unit (retire + reinject into a live batch), so
-// the per-address fault index buckets keep their allocations across the
-// thousands of units a campaign shards instead of being reallocated per
-// (batch, seed).  `list` is every word (scalar) or the batch's
-// fault_footprint() (packed); `masks` are the plan's, compiled once per
-// campaign.
+// session walking `list`: the repack scheduler keeps one memory and one
+// session scratch per worker and re-seeds the memory per unit (retire +
+// reinject into a live batch), so the slot store, the fault index buckets
+// and the session buffers keep their allocations across the thousands of
+// units a campaign shards: a packed unit allocates nothing in steady
+// state.  `list` is every word (scalar) or the batch's fault_footprint()
+// (packed, usually held in scratch.footprint); `masks` are the plan's,
+// compiled once per campaign.
 template <class Engine>
 typename Engine::Verdict run_campaign_unit_in(typename Engine::Memory& mem,
                                               const SchemePlan& plan, const PlanOpMasks& masks,
+                                              SessionScratch<Engine>& scratch,
                                               const Fault* faults, unsigned count,
                                               std::uint64_t seed,
                                               typename Engine::Brake* brake, AddressList list) {
@@ -225,12 +255,12 @@ typename Engine::Verdict run_campaign_unit_in(typename Engine::Memory& mem,
   mem.fill_seeded(seed);
 
   // The listed words' ledger bits, read from the pre-injection background.
-  std::vector<bool> ledger;
-  if (plan.scheme == SchemeKind::TomtModel) ledger = make_parity_ledger<Engine>(mem, list);
+  if (plan.scheme == SchemeKind::TomtModel)
+    fill_parity_ledger<Engine>(mem, list, scratch.tomt_ledger);
 
   for (unsigned i = 0; i < count; ++i) Engine::inject(mem, faults[i], i);
 
-  return run_scheme_session<Engine>(mem, plan, ledger, brake, list, masks);
+  return run_scheme_session<Engine>(mem, plan, scratch.tomt_ledger, brake, list, masks, scratch);
 }
 
 }  // namespace twm

@@ -40,8 +40,11 @@ SymmetricTest symmetrize(const MarchTest& transparent, unsigned width) {
 }
 
 SymmetricOutcome run_symmetric_session(Memory& mem, const SymmetricTest& st) {
-  const auto s = run_symmetric_session_t<ScalarEngine>(mem, st);
-  return {s.detected, s.signature};
+  MarchRunner runner(mem);
+  XorAccumulator acc;
+  const bool detected =
+      run_symmetric_session_t<ScalarEngine>(runner, st, AddressList::all(mem.num_words()), acc);
+  return {detected, acc.value()};
 }
 
 }  // namespace twm

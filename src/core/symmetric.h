@@ -64,35 +64,20 @@ struct SymmetricTest {
 // the test would still displace data; throws std::invalid_argument.
 SymmetricTest symmetrize(const MarchTest& transparent, unsigned width);
 
+// Single-pass symmetric session over the runner's listed words (`list`,
+// the list the runner walks): resets `acc`, runs the test (transparent
+// semantics) XOR-accumulating every read into it, and compares it against
+// the constant for that many words.  `acc` holds the observed signature
+// afterwards; a campaign worker reuses one.  `masks`, when non-null, are
+// the test's compiled packed op masks (bist/packed_engine.h).
 template <class Engine>
-struct SymmetricSessionResult {
-  typename Engine::Verdict detected{};
-  typename Engine::Signature signature;  // observed accumulator value(s)
-};
-
-// Single-pass symmetric session over the listed words: runs the test
-// (transparent semantics), XOR-accumulates every read, compares against
-// the constant for that many words.  `masks`, when non-null, are the
-// test's compiled packed op masks (bist/packed_engine.h).
-template <class Engine>
-SymmetricSessionResult<Engine> run_symmetric_session_t(typename Engine::Memory& mem,
-                                                       const SymmetricTest& st,
-                                                       AddressList list,
-                                                       const PackedOpMasks* masks = nullptr) {
-  typename Engine::Accumulator acc(mem.word_width());
-  typename Engine::Runner runner = Engine::make_runner(mem, list);
+typename Engine::Verdict run_symmetric_session_t(typename Engine::Runner& runner,
+                                                 const SymmetricTest& st, AddressList list,
+                                                 typename Engine::Accumulator& acc,
+                                                 const PackedOpMasks* masks = nullptr) {
+  acc.reset(st.mask_xor.width());
   Engine::run_test(runner, st.test, acc, masks);
-
-  SymmetricSessionResult<Engine> out;
-  out.signature = Engine::signature(acc);
-  out.detected = Engine::signature_mismatch(acc, st.expected_signature(list.size));
-  return out;
-}
-
-template <class Engine>
-SymmetricSessionResult<Engine> run_symmetric_session_t(typename Engine::Memory& mem,
-                                                       const SymmetricTest& st) {
-  return run_symmetric_session_t<Engine>(mem, st, AddressList::all(mem.num_words()));
+  return Engine::signature_mismatch(acc, st.mask_xor, list.size % 2 == 1);
 }
 
 // Classic scalar result shape.

@@ -21,6 +21,12 @@
 // run_tomt_session<PackedEngine> latches per-lane verdicts across 64
 // universes — the same code path, so the backends cannot drift.
 //
+// A campaign compiles the block once, into its SchemePlan (SchemePlan::tomt,
+// its packed op masks into PlanOpMasks::tomt), and its workers keep the
+// session's working words and ledger in their session scratch, so a packed
+// unit allocates none of them.  The scalar reference derives each op's mask
+// from the block itself, every session.
+//
 // The sweep runs over an AddressList (bist/address_gen.h) and the ledger
 // holds one expected parity per listed word.  Both checkers are local to
 // a word, so a packed campaign unit walks only its fault footprint and
@@ -46,15 +52,22 @@ MarchTest tomt_test(unsigned width);
 // Parity ledger for the current (assumed fault-free) contents.
 std::vector<bool> make_parity_ledger(const Memory& mem);
 
-// Ledger of the listed words only, [i] -> parity of word list[i]; the
-// memory must still hold its fault-free contents (captured before
-// injection).
+// Fills `ledger` with the listed words' parities, [i] -> parity of word
+// list[i]; the memory must still hold its fault-free contents (captured
+// before injection).  A reused ledger keeps its capacity.
 template <class Engine>
-std::vector<bool> make_parity_ledger(const typename Engine::Memory& mem, AddressList list) {
-  std::vector<bool> ledger(list.size);
+void fill_parity_ledger(const typename Engine::Memory& mem, AddressList list,
+                        std::vector<bool>& ledger) {
+  ledger.assign(list.size, false);
   for (std::size_t i = 0; i < list.size; ++i) ledger[i] = Engine::golden_parity(mem, list[i]);
-  return ledger;
 }
+
+// The session's working words — base estimate, read value, expected value
+// — kept by the caller, so a campaign worker reuses them unit after unit.
+template <class Engine>
+struct TomtRegisters {
+  typename Engine::Word base, value, expect;
+};
 
 template <class Engine>
 struct TomtSessionResult {
@@ -65,7 +78,8 @@ struct TomtSessionResult {
   std::uint64_t operations = 0;  // memory port operations consumed
 };
 
-// Runs the TOMT-style test with its concurrent checkers:
+// Runs the TOMT-style test `test` (tomt_test(width): a campaign compiles
+// it once, in its SchemePlan) with its concurrent checkers:
 //  * parity ledger: expected per-word parity captured while the system was
 //    fault-free (TOMT's parity protection), checked at each word's first
 //    read;
@@ -74,29 +88,33 @@ struct TomtSessionResult {
 //    masks (TOMT's read-back verification).
 // The sweep aborts once the verdict is saturated (scalar: first detection,
 // reproducing TOMT's stop-on-failure behaviour).  `parity_ledger[i]` is the
-// expected parity of word list[i].
+// expected parity of word list[i].  The packed engine reads the block's op
+// masks from `masks` (compiled from `test`); the scalar reference derives
+// its own from the ops.
 template <class Engine>
-TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem,
+TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem, const MarchTest& test,
+                                           const PackedOpMasks* masks,
                                            const std::vector<bool>& parity_ledger,
-                                           typename Engine::Brake* brake, AddressList list) {
+                                           typename Engine::Brake* brake, AddressList list,
+                                           TomtRegisters<Engine>& regs) {
   if (parity_ledger.size() != list.size)
     throw std::invalid_argument("run_tomt: ledger size mismatch");
+  if (test.elements.size() != 1)
+    throw std::invalid_argument("run_tomt: the TOMT block is a single element");
   if (brake) ++brake->elements_entered;  // the single per-word sweep element
 
   const unsigned w = mem.word_width();
-  const MarchTest test = tomt_test(w);
   const MarchElement& elem = test.elements.front();
-
-  // Per-op data masks of the per-word block, compiled once.
-  std::vector<typename Engine::Mask> masks;
-  masks.reserve(elem.ops.size());
-  for (const Op& op : elem.ops) masks.push_back(Engine::make_mask(op.data.mask(w)));
+  const typename Engine::OpMaskTable op_masks = Engine::element_masks(elem, w, masks);
 
   TomtSessionResult<Engine> res;
   const std::uint64_t before = mem.op_count();
-  typename Engine::Word base = Engine::make_word(w);
-  typename Engine::Word value = Engine::make_word(w);
-  typename Engine::Word scratch = Engine::make_word(w);
+  typename Engine::Word& base = regs.base;
+  typename Engine::Word& value = regs.value;
+  typename Engine::Word& expect = regs.expect;
+  Engine::reset_word(base, w);
+  Engine::reset_word(value, w);
+  Engine::reset_word(expect, w);
 
   bool done = false;
   for (std::size_t slot = 0; slot < list.size && !done; ++slot) {
@@ -105,20 +123,20 @@ TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem,
     for (std::size_t i = 0; i < elem.ops.size(); ++i) {
       const Op& op = elem.ops[i];
       if (op.is_write()) {
-        Engine::xor_word(scratch, base, masks[i]);
-        Engine::write_word(mem, addr, scratch);
+        Engine::xor_word(expect, base, Engine::mask_at(op_masks, i));
+        Engine::write_word(mem, addr, expect);
         continue;
       }
       Engine::read_word(mem, addr, value);
       if (!have_base) {
         // mask is zero for the leading r(a); keeps intent clear.
-        Engine::xor_word(base, value, masks[i]);
+        Engine::xor_word(base, value, Engine::mask_at(op_masks, i));
         have_base = true;
         // Concurrent parity check on the word's first observation.
         res.detected |= Engine::parity_mismatch(base, parity_ledger[slot]);
       } else {
-        Engine::xor_word(scratch, base, masks[i]);
-        res.detected |= Engine::differs(value, scratch);  // read-back comparator
+        Engine::xor_word(expect, base, Engine::mask_at(op_masks, i));
+        res.detected |= Engine::differs(value, expect);  // read-back comparator
       }
       // Both checkers latch (the verdict is monotone), so the sweep aborts
       // once no lane the caller cares about can change: every universe
@@ -136,12 +154,16 @@ TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem,
   return res;
 }
 
-// The whole-memory sweep.
+// The whole-memory sweep, building its own block, masks and registers.
 template <class Engine>
 TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem,
                                            const std::vector<bool>& parity_ledger,
                                            typename Engine::Brake* brake = nullptr) {
-  return run_tomt_session<Engine>(mem, parity_ledger, brake, AddressList::all(mem.num_words()));
+  const MarchTest test = tomt_test(mem.word_width());
+  const PackedOpMasks masks(test, mem.word_width());
+  TomtRegisters<Engine> regs;
+  return run_tomt_session<Engine>(mem, test, &masks, parity_ledger, brake,
+                                  AddressList::all(mem.num_words()), regs);
 }
 
 // Classic scalar result shape, kept for the diagnosis-style consumers.

@@ -166,9 +166,8 @@ Fault Fault::af_alias(std::size_t word, std::size_t also) {
   return f;
 }
 
-std::vector<std::size_t> fault_footprint(const Fault* faults, std::size_t count) {
-  std::vector<std::size_t> words;
-  words.reserve(2 * count);
+void fault_footprint(const Fault* faults, std::size_t count, std::vector<std::size_t>& words) {
+  words.clear();
   for (std::size_t i = 0; i < count; ++i) {
     const Fault& f = faults[i];
     words.push_back(f.victim.word);
@@ -176,7 +175,6 @@ std::vector<std::size_t> fault_footprint(const Fault* faults, std::size_t count)
   }
   std::sort(words.begin(), words.end());
   words.erase(std::unique(words.begin(), words.end()), words.end());
-  return words;
 }
 
 }  // namespace twm

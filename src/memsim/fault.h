@@ -88,8 +88,9 @@ std::string to_string(FaultClass c);
 // Sorted, unique words the faults touch: every victim word, plus the
 // aggressor word of a coupling fault and the alias word of an AFaw.  In a
 // memory carrying these faults (and no others), every other word holds
-// fault-free data in every universe for the whole session.
-std::vector<std::size_t> fault_footprint(const Fault* faults, std::size_t count);
+// fault-free data in every universe for the whole session.  Written into
+// `words` (cleared first), so a reused vector keeps its capacity.
+void fault_footprint(const Fault* faults, std::size_t count, std::vector<std::size_t>& words);
 
 }  // namespace twm
 

@@ -418,7 +418,10 @@ class PackedMemory {
   // O(words) generation once per (worker, seed) instead of once per unit.
   void fill_seeded(std::uint64_t seed) {
     if (seed == 0) {
-      fill(BitVec::zeros(width_));
+      // fill(zeros) without building a pattern per unit.
+      if (!bg_pattern_.all_zero()) bg_pattern_ = BitVec::zeros(width_);
+      bg_bits_ = nullptr;
+      reset_to_background();
       return;
     }
     auto& bits = baselines_[seed];

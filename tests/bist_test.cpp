@@ -201,7 +201,8 @@ TEST(Engine, PackedTestPassRequiresReadBeforeTransparentWrite) {
     void on_read(std::size_t, const LaneMask*) override {}
   };
   PackedMemory mem(4, 4);
-  PackedMarchRunner runner(mem, AddressList::all(4));
+  PackedSessionScratch scratch;
+  PackedMarchRunner runner(mem, AddressList::all(4), scratch);
   MarchTest bad = parse_march("{ up(w0); up(r0); down(w1); any(r1) }");
   bad.elements[2].ops[0].data.relative = true;  // no read earlier in its element
   NullSink sink;
@@ -218,7 +219,8 @@ TEST(Engine, PackedSessionRejectsMismatchedReadCounts) {
   const MisrJumps jumps = MisrJumps::build(4);
   for (const bool want_misr : {false, true}) {
     PackedMemory mem(4, 4);
-    PackedMarchRunner runner(mem, AddressList::all(4));
+    PackedSessionScratch scratch;
+    PackedMarchRunner runner(mem, AddressList::all(4), scratch);
     EXPECT_THROW(runner.run_transparent_session(t, p, jumps, nullptr, want_misr),
                  std::logic_error)
         << want_misr;

@@ -341,7 +341,8 @@ TEST(PackedMemorySim, SlotStoreGrowthMatchesTheScalarMemory) {
       default: list.push_back(Fault::tf(v, tr)); break;
     }
   }
-  const std::vector<std::size_t> footprint = fault_footprint(list.data(), list.size());
+  std::vector<std::size_t> footprint;
+  fault_footprint(list.data(), list.size(), footprint);
 
   PackedMemory packed(words, width);
   std::map<unsigned, Memory> refs;

@@ -10,7 +10,9 @@
 #   * `explore SPEC --out F` for every explore spec there (stdout and F);
 #   * `run SPEC --sink jsonl` for the four twmbench workload specs,
 #     generated from twmbench/workloads.py at seed 1 (the file is only
-#     read).
+#     read), for a copy of each with `run.threads` 1 (one worker runs
+#     every unit, the longest chain of reused session buffers), and for a
+#     width-32 copy of seed-mix.
 #
 # The wall-clock "seconds" field is masked; every other byte, and the exit
 # status, must match.  Prints one line per case and exits 1 on any
@@ -39,9 +41,19 @@ sys.dont_write_bytecode = True
 sys.path.insert(0, sys.argv[1])
 from workloads import WORKLOADS  # noqa: E402
 
-for name, (make_spec, _) in WORKLOADS.items():
+def write(name, spec):
     with open(os.path.join(sys.argv[2], f"twmbench-{name}.json"), "w") as f:
-        json.dump(make_spec(1), f)
+        json.dump(spec, f)
+
+
+for name, (make_spec, _) in WORKLOADS.items():
+    write(name, make_spec(1))
+    single = make_spec(1)
+    single["run"]["threads"] = 1
+    write(f"{name}-threads1", single)
+wide = WORKLOADS["seed-mix"][0](1)
+wide["memory"]["width"] = 32
+write("seed-mix-width32", wide)
 EOF
 
 # Runs one case under both binaries: `case NAME ARGS...`, where the
