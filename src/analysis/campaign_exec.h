@@ -154,7 +154,7 @@ void run_campaign_engine(const CampaignJob& job) {
   // Worker state lives for the WHOLE campaign, not one round: the memory
   // (a packed one's slot store and fault index buckets, either's baseline
   // cache), the batch and the session scratch (the unit's footprint, TOMT
-  // ledger, prediction stream, MISR and registers) keep their allocations
+  // ledger, prediction snapshots, MISR and registers) keep their allocations
   // across every unit and seed round (run_pool spawns fresh threads per
   // round, so each round's workers re-claim the states by slot — any state
   // fits any worker, memories and scratches are fully reset per unit).

@@ -122,15 +122,22 @@ class CompareSink final : public ReadSink {
 TransparentOutcome MarchRunner::run_transparent_session(const MarchTest& test,
                                                         const MarchTest& prediction,
                                                         unsigned misr_width) {
+  return run_transparent_session(test, prediction, misr_width, Misr::default_taps(misr_width));
+}
+
+TransparentOutcome MarchRunner::run_transparent_session(const MarchTest& test,
+                                                        const MarchTest& prediction,
+                                                        unsigned misr_width,
+                                                        const std::vector<unsigned>& taps) {
   TransparentOutcome out;
 
   StreamRecorder pred_stream;
-  MisrSink pred_misr(misr_width);
+  MisrSink pred_misr(misr_width, taps);
   TeeSink pred_tee({&pred_stream, &pred_misr});
   run_prediction(prediction, pred_tee);
 
   CompareSink test_stream(pred_stream.stream());
-  MisrSink test_misr(misr_width);
+  MisrSink test_misr(misr_width, taps);
   TeeSink test_tee({&test_stream, &test_misr});
   run_test(test, test_tee);
 

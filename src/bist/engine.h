@@ -57,6 +57,7 @@ class StreamRecorder final : public ReadSink {
 class MisrSink final : public ReadSink {
  public:
   explicit MisrSink(unsigned width) : misr_(width) {}
+  MisrSink(unsigned width, const std::vector<unsigned>& taps) : misr_(width, taps) {}
   void on_read(std::size_t, const BitVec& value) override { misr_.feed(value); }
   const BitVec& signature() const { return misr_.signature(); }
 
@@ -113,8 +114,13 @@ class MarchRunner {
   void run_test(const MarchTest& test, ReadSink& sink);
   void run_prediction(const MarchTest& prediction, ReadSink& sink);
 
+  // Both signatures use the MISR of Misr(misr_width), or of
+  // Misr(misr_width, taps).
   TransparentOutcome run_transparent_session(const MarchTest& test, const MarchTest& prediction,
                                              unsigned misr_width);
+  TransparentOutcome run_transparent_session(const MarchTest& test, const MarchTest& prediction,
+                                             unsigned misr_width,
+                                             const std::vector<unsigned>& taps);
 
  private:
   template <typename PerOp>

@@ -1,6 +1,6 @@
 #include "bist/misr.h"
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 
@@ -51,34 +51,78 @@ void Misr::feed(const BitVec& input) {
   state_ ^= folded;
 }
 
+void MisrJumps::times_x(std::uint64_t* a) const {
+  // Shift every coefficient up by one; the coefficient that reaches x^W
+  // leaves the polynomial and folds back in as the feedback taps.
+  const unsigned top = width - 1;
+  const bool out = (a[top / 64] >> (top % 64)) & 1u;
+  for (std::size_t l = limbs; l-- > 1;) a[l] = (a[l] << 1) | (a[l - 1] >> 63);
+  a[0] <<= 1;
+  if (width % 64) a[limbs - 1] &= (std::uint64_t{1} << (width % 64)) - 1;
+  if (out)
+    for (std::size_t l = 0; l < limbs; ++l) a[l] ^= feedback[l];
+}
+
+void MisrJumps::multiply(const std::uint64_t* a, const std::uint64_t* b,
+                         std::uint64_t* out) const {
+  // Horner over a's coefficients, highest first: out = out * x + a_i * b.
+  std::fill(out, out + limbs, std::uint64_t{0});
+  for (unsigned i = width; i-- > 0;) {
+    times_x(out);
+    if ((a[i / 64] >> (i % 64)) & 1u)
+      for (std::size_t l = 0; l < limbs; ++l) out[l] ^= b[l];
+  }
+}
+
+void MisrJumps::power(std::uint64_t k, std::uint64_t* out, std::uint64_t* tmp) const {
+  // x^k = product over the hex digits v_b of k of x^(v_b * 16^b).
+  bool first = true;
+  for (unsigned b = 0; k; ++b, k >>= 4) {
+    const unsigned v = k & 15u;
+    if (!v) continue;
+    const std::uint64_t* factor = &digits[(b * 16 + v) * limbs];
+    if (first) {
+      std::copy(factor, factor + limbs, out);
+      first = false;
+    } else {
+      multiply(out, factor, tmp);
+      std::copy(tmp, tmp + limbs, out);
+    }
+  }
+  if (first) {  // x^0 = 1
+    std::fill(out, out + limbs, std::uint64_t{0});
+    out[0] = 1;
+  }
+}
+
 MisrJumps MisrJumps::build(unsigned width, const std::vector<unsigned>& taps) {
   if (width == 0) throw std::invalid_argument("MisrJumps: zero width");
   MisrJumps j;
   j.width = width;
   j.limbs = (width + 63) / 64;
-  const std::size_t matrix = width * j.limbs;
-  j.pow2.assign(64 * matrix, 0);
-  const auto set = [&](std::uint64_t* m, unsigned r, unsigned c) {
-    m[r * j.limbs + c / 64] |= std::uint64_t{1} << (c % 64);
-  };
-  // A itself (Misr::step: shift up, feedback from the MSB into the taps).
-  std::uint64_t* a = j.pow2.data();
-  for (unsigned r = 1; r < width; ++r) set(a, r, r - 1);
+  j.feedback.assign(j.limbs, 0);
   for (unsigned t : taps) {
     if (t >= width) throw std::invalid_argument("MisrJumps: tap exponent >= width");
-    set(a, t, width - 1);
+    j.feedback[t / 64] |= std::uint64_t{1} << (t % 64);
   }
-  // A^(2^(i+1)) = (A^(2^i))^2: row r of the square is the XOR of the rows
-  // of A^(2^i) that row r selects.
-  for (unsigned i = 0; i + 1 < 64; ++i) {
-    const std::uint64_t* p = j.pow2.data() + i * matrix;
-    std::uint64_t* sq = j.pow2.data() + (i + 1) * matrix;
-    for (unsigned r = 0; r < width; ++r)
-      for (std::size_t l = 0; l < j.limbs; ++l)
-        for (std::uint64_t bits = p[r * j.limbs + l]; bits; bits &= bits - 1) {
-          const std::size_t c = l * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-          for (std::size_t k = 0; k < j.limbs; ++k) sq[r * j.limbs + k] ^= p[c * j.limbs + k];
-        }
+  // Each tap once, as Misr sets them: a repeated tap is one term of p.
+  for (unsigned t = 0; t < width; ++t)
+    if ((j.feedback[t / 64] >> (t % 64)) & 1u) j.taps.push_back(t);
+  // digits[b][v] = digits[b][v - 1] * digits[b][1], starting from
+  // digits[b][0] = 1; digits[0][1] = x and digits[b + 1][1] = digits[b][1]^16.
+  const std::size_t n = j.limbs;
+  j.digits.assign(16 * 16 * n, 0);
+  for (unsigned b = 0; b < 16; ++b) {
+    std::uint64_t* row = &j.digits[b * 16 * n];
+    row[0] = 1;
+    if (b == 0) {
+      row[n] = 1;
+      j.times_x(row + n);
+    } else {
+      const std::uint64_t* prev = &j.digits[(b - 1) * 16 * n];
+      j.multiply(prev + 15 * n, prev + n, row + n);  // x^(15 * 16^(b-1) + 16^(b-1))
+    }
+    for (unsigned v = 2; v < 16; ++v) j.multiply(row + (v - 1) * n, row + n, row + v * n);
   }
   return j;
 }

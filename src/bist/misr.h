@@ -8,10 +8,13 @@
 // when a fault distorts the test-pass stream.
 //
 // The register is linear and starts at zero, so the signature difference
-// of two equally long streams is the signature of their positional XOR,
-// and a run of k zero inputs multiplies the state by A^k, where A is the
-// companion matrix of one step.  MisrJumps holds A^(2^i) so a compactor
-// can skip such a run in O(log k) matrix applications (PackedMisr::skip).
+// of two equally long streams is the signature of their positional XOR.
+// Read as a polynomial S(x) = sum s_i x^i, one zero-input step is
+// S * x mod p, where p(x) = x^W + sum x^t over the feedback taps t, so a
+// run of k zero inputs multiplies the state by the scalar polynomial
+// x^k mod p.  MisrJumps holds p and tables of x^(v * 16^b) mod p, from
+// which a compactor assembles x^k mod p in at most 15 polynomial products
+// and skips such a run with one product of the state (PackedMisr::skip).
 #ifndef TWM_BIST_MISR_H
 #define TWM_BIST_MISR_H
 
@@ -53,20 +56,30 @@ class Misr {
   BitVec poly_;  // feedback pattern XORed in when the MSB shifts out
 };
 
-// Powers A^(2^i), i = 0..63, of the companion matrix A of one MISR step
-// (a zero-input feed).  Bit c of row r of a power is set when bit c of the
-// state feeds bit r after the jump.
+// The feedback polynomial p(x) = x^W + sum x^t (t over the taps) of a
+// width-W Galois MISR, and the tables that advance a register over a run
+// of zero inputs by multiplying its state by x^k mod p.  A polynomial of
+// degree < W is `limbs` 64-bit words, bit i of the whole being the
+// coefficient of x^i; one implementation serves every width.  A register
+// feeds and skips with the taps of the same object (PackedMisr::reset).
 struct MisrJumps {
   unsigned width = 0;
-  std::size_t limbs = 0;            // 64-bit limbs per row
-  std::vector<std::uint64_t> pow2;  // [i][row][limb]
+  std::vector<unsigned> taps;       // the exponents t < W of p, as Misr takes them
+  std::size_t limbs = 0;            // 64-bit limbs per polynomial
+  std::vector<std::uint64_t> feedback;  // x^W mod p: the taps as a polynomial
+  std::vector<std::uint64_t> digits;    // [b][v][limb]: x^(v * 16^b) mod p
 
-  const std::uint64_t* row(unsigned i, unsigned r) const {
-    return &pow2[(static_cast<std::size_t>(i) * width + r) * limbs];
-  }
+  // out = x^k mod p.  `out` and `tmp` span `limbs` words each and are
+  // distinct.
+  void power(std::uint64_t k, std::uint64_t* out, std::uint64_t* tmp) const;
+  // out = a * b mod p; `out` aliases neither factor.
+  void multiply(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
 
   static MisrJumps build(unsigned width, const std::vector<unsigned>& taps);
   static MisrJumps build(unsigned width) { return build(width, Misr::default_taps(width)); }
+
+ private:
+  void times_x(std::uint64_t* a) const;  // a = a * x mod p, in place
 };
 
 }  // namespace twm

@@ -15,9 +15,6 @@
 //                       built plan satisfies; anything else is a
 //                       std::logic_error.  The scalar MarchRunner keeps the
 //                       general per-word history.
-//  * run_prediction() — read-only signature-prediction pass feeding
-//                       read-value XOR operation-mask per lane.
-//
 // Every pass walks the runner's AddressList (bist/address_gen.h) in
 // element order instead of [0, words): the whole memory, or — in a
 // campaign unit, whose golden certificate (analysis/campaign_exec.h) is
@@ -28,27 +25,32 @@
 // (exact and direct compare) or a known constant (XOR and MISR compaction,
 // both linear).
 //
-// run_transparent_session() bundles both passes and reports, per lane, the
-// exact stream comparison and the MISR comparison.  The exact compare
-// aligns reads by (element, listed address, read), which is valid because
-// the prediction is the test with its writes dropped: make_scheme_plan
-// asserts the two run every element in the same address order with the
-// same read count.  The MISR comparison compacts the positional
-// difference stream pred ^ test into one zero-initialised register; by
-// linearity that equals the difference of the two signatures the scalar
-// engine computes.  Zero differences — every unlisted read, and most
-// listed ones — are never fed: the register jumps over each run of them
-// with the companion-matrix powers of MisrJumps (bist/misr.h).
-//
-// The prediction pass is recorded as a flat stream, `width` lane masks per
-// read: a campaign walk covers only the unit's fault footprint, so the
-// stream is bounded by the footprint's reads.
+// run_transparent_session() runs a transparent session — the read-only
+// signature-prediction pass, then the test pass — and reports, per lane,
+// the exact stream comparison and the MISR comparison.  The prediction
+// pass is derived, not swept: PackedMemory::read changes no cell (only
+// elapse, a pause, does), so between two pauses every prediction read of
+// a listed word returns what the word held when that pause-free segment
+// began.  The session applies the prediction's pauses to the memory in
+// order, snapshots the listed words once per segment, and the test pass's
+// sink computes each predicted read from the snapshot and the read's op
+// mask as the test pass reads (packed_detail::DerivedPrediction).  The
+// exact compare aligns reads by (element, listed address, read), which is
+// valid because the prediction is the test with its writes dropped:
+// make_scheme_plan asserts the two run every element in the same address
+// order with the same read count.  The MISR comparison compacts the
+// positional difference stream pred ^ test into one zero-initialised
+// register; by linearity that equals the difference of the two signatures
+// the scalar engine computes.  Zero differences — every unlisted read, and
+// most listed ones — are never fed: the register jumps over each run of k
+// of them by multiplying its state by x^k modulo its feedback polynomial
+// (MisrJumps, bist/misr.h).
 //
 // A sweep reads each op's broadcast data mask from a PackedOpMasks.  Callers
 // that run the same test many times (the campaign scheduler, through
 // PlanOpMasks in core/scheme_session.h) compile it once and pass it in;
 // without one, each pass compiles its own.  Likewise every buffer a
-// session needs — the prediction stream, the difference word, the MISR,
+// session needs — the prediction snapshots, the difference word, the MISR,
 // the pass registers — lives in a PackedSessionScratch that a campaign
 // worker keeps for all its units (core/scheme_session.h SessionScratch),
 // so a campaign unit's session allocates nothing once the buffers have
@@ -74,28 +76,23 @@
 
 namespace twm {
 
-// Receives the lane masks of every Read operation.  `value` spans the
-// word width and is only valid for the duration of the call.
-class PackedReadSink {
- public:
-  virtual ~PackedReadSink() = default;
-  virtual void on_read(std::size_t addr, const LaneMask* value) = 0;
-};
-
-// One Galois MISR per lane with the same feedback polynomial; signature bit
-// i across all lanes is state()[i].
+// One Galois MISR per lane, every lane with the feedback polynomial of one
+// MisrJumps; signature bit i across all lanes is state()[i].
 class PackedMisr {
  public:
   PackedMisr() = default;  // no register until reset()
-  explicit PackedMisr(unsigned width) { reset(width); }
+  explicit PackedMisr(const MisrJumps& poly) { reset(poly); }
 
-  // Zeroes every lane's signature at `width` bits.  The feedback taps are
-  // recomputed only when the width changes, so a reused register (a
-  // session scratch's) allocates nothing.
-  void reset(unsigned width) {
-    if (width == 0) throw std::invalid_argument("PackedMisr: zero width");
-    if (width != this->width()) taps_ = Misr::default_taps(width);
-    state_.assign(width, LaneMask{});
+  // Zeroes every lane's signature at poly.width bits.  feed() and skip()
+  // both take the feedback taps from `poly`, which must outlive the
+  // register's use.  A reused register (a session scratch's) allocates
+  // nothing once its buffers have grown.
+  void reset(const MisrJumps& poly) {
+    if (poly.width == 0) throw std::invalid_argument("PackedMisr: zero width");
+    poly_ = &poly;
+    state_.assign(poly.width, LaneMask{});
+    factor_.resize(poly.limbs);
+    tmp_.resize(poly.limbs);
   }
 
   unsigned width() const { return static_cast<unsigned>(state_.size()); }
@@ -105,31 +102,35 @@ class PackedMisr {
   // the width-folded input).
   void feed(const LaneMask* input, unsigned input_width) {
     const unsigned w = width();
-    step();
+    const LaneMask carry = state_[w - 1];  // lanes whose MSB shifts out
+    for (unsigned i = w; i-- > 1;) state_[i] = state_[i - 1];
+    state_[0] = LaneMask{};
+    for (unsigned t : poly_->taps) state_[t] ^= carry;
     // Fold the input into width-sized chunks (Misr::feed's rule, per lane).
     for (unsigned i = 0; i < input_width; ++i) state_[i % w] ^= input[i];
   }
 
-  // Advances every lane's signature by `zeros` zero-input feeds: one
-  // matrix application per set bit of `zeros`, none while the state is
-  // still zero (A^k * 0 = 0).
-  void skip(const MisrJumps& jumps, std::uint64_t zeros) {
+  // Advances every lane's signature by `zeros` zero-input feeds: multiplies
+  // each lane's state polynomial by the scalar x^zeros mod p — one lane
+  // XOR per (set coefficient of the factor, state bit), then one reduction
+  // modulo p.  Nothing to do while the state is still zero.
+  void skip(std::uint64_t zeros) {
     if (zeros == 0 || !nonzero()) return;
-    if (jumps.width != width()) throw std::invalid_argument("PackedMisr::skip: width mismatch");
+    const MisrJumps& p = *poly_;
     const unsigned w = width();
-    scratch_.resize(w);
-    for (unsigned i = 0; zeros; ++i, zeros >>= 1) {
-      if (!(zeros & 1u)) continue;
-      for (unsigned r = 0; r < w; ++r) {
-        const std::uint64_t* row = jumps.row(i, r);
-        LaneMask b{};
-        for (std::size_t l = 0; l < jumps.limbs; ++l)
-          for (std::uint64_t bits = row[l]; bits; bits &= bits - 1)
-            b ^= state_[l * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
-        scratch_[r] = b;
+    p.power(zeros, factor_.data(), tmp_.data());
+    product_.assign(2 * w - 1, LaneMask{});
+    for (std::size_t l = 0; l < p.limbs; ++l)
+      for (std::uint64_t bits = factor_[l]; bits; bits &= bits - 1) {
+        LaneMask* to = &product_[l * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        for (unsigned i = 0; i < w; ++i) to[i] ^= state_[i];
       }
-      state_.swap(scratch_);
-    }
+    // x^d = x^(d - W) * x^W, and x^W = sum x^t mod p: fold the high
+    // coefficients down, highest first.
+    for (std::size_t d = product_.size(); d-- > w;)
+      if (const LaneMask c = product_[d])
+        for (unsigned t : p.taps) product_[d - w + t] ^= c;
+    std::copy(product_.begin(), product_.begin() + w, state_.begin());
   }
 
   bool nonzero() const {
@@ -141,17 +142,11 @@ class PackedMisr {
   const std::vector<LaneMask>& state() const { return state_; }
 
  private:
-  void step() {
-    const unsigned w = width();
-    const LaneMask carry = state_[w - 1];  // lanes whose MSB shifts out
-    for (unsigned i = w; i-- > 1;) state_[i] = state_[i - 1];
-    state_[0] = LaneMask{};
-    for (unsigned t : taps_) state_[t] ^= carry;
-  }
-
-  std::vector<LaneMask> state_;    // [bit] -> lane mask
-  std::vector<unsigned> taps_;     // set bits of the feedback pattern
-  std::vector<LaneMask> scratch_;  // skip() double buffer
+  const MisrJumps* poly_ = nullptr;
+  std::vector<LaneMask> state_;         // [bit] -> lane mask
+  std::vector<LaneMask> product_;       // skip(): state * factor, 2W - 1 coefficients
+  std::vector<std::uint64_t> factor_;   // skip(): x^zeros mod p
+  std::vector<std::uint64_t> tmp_;      // skip(): MisrJumps::power's scratch
 };
 
 struct PackedTransparentOutcome {
@@ -235,127 +230,152 @@ class PackedOpMasks {
 
 namespace packed_detail {
 
-// Records a session's prediction read stream as flat lane masks, `width`
-// per read.  A campaign unit walks only its fault footprint, so the stream
-// is bounded by the footprint's reads; a session scratch reuses one
-// recorder unit after unit, and start() keeps its capacity.
-class StreamRecorder final : public PackedReadSink {
+// The prediction pass of a transparent session, derived instead of swept.
+// PackedMemory::read changes no cell — only elapse does — so between two
+// pauses every read of listed word k returns what k held when that
+// pause-free segment began, and read r of prediction element e at slot k
+// predicts snap[k] ^ mask(e, r).  start() applies the pass's pauses to the
+// memory in order, each an elapse(1) as the swept pass would apply it, and
+// snapshots the port view of every listed word (AF-distorted, as read
+// returns it) when each segment that reads begins: a plan without pauses
+// takes one snapshot.  The memory then holds exactly what the swept pass
+// would have left for the test pass.  next() yields the predicted reads in
+// stream order.  A session scratch reuses one instance unit after unit,
+// and start() keeps its capacity.
+class DerivedPrediction {
  public:
-  // Drops the previous stream; `reads` is the length the caller expects.
-  void start(unsigned width, std::size_t reads) {
-    width_ = width;
-    lanes_.clear();
-    lanes_.reserve(reads * width);
-  }
+  struct Read {
+    const LaneMask* word;  // the read word's snapshot, `width` lane masks
+    const LaneMask* mask;  // the read's op mask, `width` lane masks
+    std::uint64_t pos;     // its position in a walk over every word
+  };
 
-  void on_read(std::size_t, const LaneMask* value) override {
-    lanes_.insert(lanes_.end(), value, value + width_);
-  }
-
-  // Read i of the stream: `width` lane masks.
-  const LaneMask* at(std::size_t i) const { return &lanes_[i * width_]; }
-
- private:
-  unsigned width_ = 0;
-  std::vector<LaneMask> lanes_;  // [read * width + bit]
-};
-
-// Position, in the read stream a walk over EVERY word would produce, of
-// each read a walk over `list` performs: element e's reads start at
-// sum(reads(e') * words, e' < e), and a listed address contributes its
-// reads at its rank in the element's order.  The gaps between consecutive
-// positions are the unlisted reads the listed walk skipped.  `reads`
-// is caller-owned storage for the per-element read counts.
-class FullStreamCursor {
- public:
-  FullStreamCursor(const MarchTest& test, AddressList list, std::size_t words,
-                   std::vector<std::size_t>& reads)
-      : test_(test), list_(list), words_(words), reads_(reads) {
-    reads_.clear();
-    for (const MarchElement& e : test.elements) reads_.push_back(e.read_count());
-  }
-
-  std::uint64_t next() {
-    while (r_ == 0 && (reads_[e_] == 0 || k_ == list_.size)) {
-      base_ += static_cast<std::uint64_t>(reads_[e_]) * words_;
-      ++e_;
-      k_ = 0;
+  // `masks` are the prediction's and must outlive the reads.  Throws
+  // std::invalid_argument when the prediction writes.
+  void start(PackedMemory& mem, AddressList list, const MarchTest& prediction,
+             const PackedOpMasks& masks) {
+    width_ = mem.word_width();
+    words_ = mem.num_words();
+    list_ = list;
+    snap_.clear();
+    elements_.clear();
+    i_ = k_ = r_ = 0;
+    std::uint64_t base = 0;
+    std::size_t snap = 0;  // offset in snap_ of the current segment's snapshot
+    bool fresh = false;    // the current segment has its snapshot
+    for (std::size_t e = 0; e < prediction.elements.size(); ++e) {
+      const MarchElement& elem = prediction.elements[e];
+      if (elem.pause_before) {
+        mem.elapse(1);
+        fresh = false;
+      }
+      for (const Op& op : elem.ops)
+        if (op.is_write())
+          throw std::invalid_argument("DerivedPrediction: prediction test must be read-only");
+      if (elem.ops.empty()) continue;
+      if (!fresh) {
+        snap = snapshot(mem);
+        fresh = true;
+      }
+      elements_.push_back(
+          {masks.at(e, 0), elem.ops.size(), elem.order == AddrOrder::Down, snap, base});
+      base += static_cast<std::uint64_t>(elem.ops.size()) * words_;
     }
-    const AddrOrder order = test_.elements[e_].order;
-    const std::size_t addr = list_.visit(order, k_);
-    const std::size_t rank = order == AddrOrder::Down ? words_ - 1 - addr : addr;
-    const std::uint64_t pos = base_ + static_cast<std::uint64_t>(rank) * reads_[e_] + r_;
-    if (++r_ == reads_[e_]) {
+  }
+
+  // The next read of the prediction pass, in stream order.
+  Read next() {
+    const Element& el = elements_[i_];
+    const std::size_t slot = el.down ? list_.size - 1 - k_ : k_;
+    const std::size_t addr = list_[slot];
+    const std::size_t rank = el.down ? words_ - 1 - addr : addr;
+    const Read out{&snap_[el.snap + slot * width_], el.masks + r_ * width_,
+                   el.base + static_cast<std::uint64_t>(rank) * el.reads + r_};
+    if (++r_ == el.reads) {
       r_ = 0;
-      ++k_;
+      if (++k_ == list_.size) {
+        k_ = 0;
+        ++i_;
+      }
     }
-    return pos;
+    return out;
   }
 
  private:
-  const MarchTest& test_;
+  // A prediction element that reads: its op masks, reads per address,
+  // order, the offset of its segment's snapshot in snap_, and the position
+  // of its first read in a walk over every word.
+  struct Element {
+    const LaneMask* masks;
+    std::size_t reads;
+    bool down;
+    std::size_t snap;
+    std::uint64_t base;
+  };
+
+  // Appends the port view of every listed word; returns its offset.
+  std::size_t snapshot(PackedMemory& mem) {
+    const std::size_t at = snap_.size();
+    snap_.resize(at + list_.size * width_);
+    for (std::size_t k = 0; k < list_.size; ++k) {
+      const LaneMask* v = mem.read(list_[k]);
+      std::copy(v, v + width_, snap_.begin() + static_cast<std::ptrdiff_t>(at + k * width_));
+    }
+    return at;
+  }
+
+  unsigned width_ = 0;
+  std::size_t words_ = 0;
   AddressList list_;
-  std::size_t words_;
-  std::vector<std::size_t>& reads_;  // [element] -> reads per address
-  std::size_t e_ = 0, k_ = 0, r_ = 0;
-  std::uint64_t base_ = 0;
+  std::vector<LaneMask> snap_;     // [segment][slot * width + bit]
+  std::vector<Element> elements_;  // the read-bearing elements, in order
+  std::size_t i_ = 0, k_ = 0, r_ = 0;  // next read: element, visit, read
 };
 
 // The test-pass sink of a transparent session: diffs every read against
-// the recorded prediction read at the same stream position.  The exact
+// the derived prediction read at the same stream position.  The exact
 // comparison ORs the difference into one verdict; the MISR comparison
 // feeds the difference stream, placed at its full-walk position, into a
 // zero-initialised MISR that jumps over every run of zero differences.
 // The two streams have equal length (run_transparent_session checks it).
 // `diff` is caller-owned storage for one difference word.
-class SessionTestSink final : public PackedReadSink {
+class SessionTestSink {
  public:
-  SessionTestSink(unsigned width, const StreamRecorder& prediction, PackedMisr* misr,
-                  const MisrJumps* jumps, FullStreamCursor* cursor, std::vector<LaneMask>& diff)
-      : width_(width),
-        prediction_(prediction),
-        misr_(misr),
-        jumps_(jumps),
-        cursor_(cursor),
-        diff_(diff) {
+  SessionTestSink(unsigned width, DerivedPrediction& prediction, PackedMisr* misr,
+                  std::vector<LaneMask>& diff)
+      : width_(width), prediction_(prediction), misr_(misr), diff_(diff) {
     diff_.resize(width);
   }
 
-  void on_read(std::size_t, const LaneMask* value) override {
-    const LaneMask* p = prediction_.at(pos_);
+  void on_read(std::size_t, const LaneMask* value) {
+    const DerivedPrediction::Read p = prediction_.next();
+    LaneMask any{};
     for (unsigned j = 0; j < width_; ++j) {
-      diff_[j] = value[j] ^ p[j];
-      stream_diff_ |= diff_[j];
+      diff_[j] = value[j] ^ p.word[j] ^ p.mask[j];
+      any |= diff_[j];
     }
-    if (misr_) feed_at(cursor_->next(), diff_.data());
-    ++pos_;
+    stream_diff_ |= any;
+    // A zero difference is covered by the next skip.
+    if (misr_ && any) {
+      misr_->skip(p.pos - next_);
+      misr_->feed(diff_.data(), width_);
+      next_ = p.pos + 1;
+    }
   }
 
   // Advances the MISR over the trailing zero differences of a
   // `total`-read stream.
   void finish(std::uint64_t total) {
-    if (misr_) misr_->skip(*jumps_, total - next_);
+    if (misr_) misr_->skip(total - next_);
   }
 
   LaneMask stream_diff() const { return stream_diff_; }
 
  private:
-  void feed_at(std::uint64_t at, const LaneMask* diff) {
-    bool any = false;
-    for (unsigned j = 0; j < width_ && !any; ++j) any = diff[j] != 0;
-    if (!any) return;  // a zero input: covered by the next skip
-    misr_->skip(*jumps_, at - next_);
-    misr_->feed(diff, width_);
-    next_ = at + 1;
-  }
-
   unsigned width_;
-  const StreamRecorder& prediction_;
+  DerivedPrediction& prediction_;
   PackedMisr* misr_;
-  const MisrJumps* jumps_;
-  FullStreamCursor* cursor_;
   std::vector<LaneMask>& diff_;
-  std::size_t pos_ = 0;
   std::uint64_t next_ = 0;  // stream position the MISR has consumed up to
   LaneMask stream_diff_{};
 };
@@ -364,18 +384,17 @@ class SessionTestSink final : public PackedReadSink {
 
 // The buffers a packed session needs, kept across sessions so that a
 // campaign worker's units allocate nothing once the buffers have grown to
-// the largest unit: the passes' one-word registers, the prediction stream,
-// the test sink's difference word, the full-stream cursor's read counts
-// and the difference MISR.  Each pass resets what it uses before it
-// starts, so a scratch carries capacity from one session to the next,
-// never state.  A campaign worker owns one (inside SessionScratch,
+// the largest unit: the test pass's one-word registers, the derived
+// prediction's snapshots, the test sink's difference word and the
+// difference MISR.  Each session resets what it uses before it starts, so
+// a scratch carries capacity from one session to the next, never state.
+// A campaign worker owns one (inside SessionScratch,
 // core/scheme_session.h); other callers build a local one.
 struct PackedSessionScratch {
-  std::vector<LaneMask> data, cur, word;      // one-word pass registers
-  packed_detail::StreamRecorder prediction;   // the prediction read stream
-  std::vector<LaneMask> diff;                 // test read ^ predicted read
-  std::vector<std::size_t> element_reads;     // [element] -> reads per address
-  PackedMisr misr;                            // compacts the difference stream
+  std::vector<LaneMask> data, cur;               // test-pass registers
+  packed_detail::DerivedPrediction prediction;   // snapshots of the listed words
+  std::vector<LaneMask> diff;                    // test read ^ predicted read
+  PackedMisr misr;                               // compacts the difference stream
 };
 
 class PackedMarchRunner {
@@ -423,8 +442,8 @@ class PackedMarchRunner {
 
   // run_test with an armed brake: `verdict` reports the caller's current
   // (monotone) detection state — here that is the exact stream comparison
-  // accumulated by the sink, which the runner itself cannot see.  A final
-  // Sink type lets the compiler inline its on_read.
+  // accumulated by the sink, which the runner itself cannot see.  Sink is
+  // any type with on_read(addr, const LaneMask*); the call inlines.
   template <typename Sink, typename VerdictFn>
   void run_test_braked(const MarchTest& test, const PackedOpMasks* masks, Sink& sink,
                        SessionBrake* brake, VerdictFn&& verdict) {
@@ -462,22 +481,6 @@ class PackedMarchRunner {
         brake, std::forward<VerdictFn>(verdict));
   }
 
-  template <typename Sink>
-  void run_prediction(const MarchTest& prediction, Sink& sink,
-                      const PackedOpMasks* masks = nullptr) {
-    const unsigned w = mem_.word_width();
-    std::vector<LaneMask>& predicted = scratch_.word;
-    predicted.resize(w);
-    sweep(prediction, masks,
-          [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
-            if (op.is_write())
-              throw std::invalid_argument("run_prediction: prediction test must be read-only");
-            const LaneMask* raw = mem_.read(addr);
-            for (unsigned j = 0; j < w; ++j) predicted[j] = raw[j] ^ mask[j];
-            sink.on_read(addr, predicted.data());
-          });
-  }
-
   // `want_misr` = false skips the MISR compaction (detected_misr is then
   // meaningless).  A brake may only arm exit_enabled when want_misr is
   // false (the exact stream comparison is monotone; MISR signatures are not
@@ -492,23 +495,11 @@ class PackedMarchRunner {
                                                    const PackedOpMasks* prediction_masks = nullptr);
 
  private:
-  // A pass that runs to completion regardless of the brake (the prediction
-  // pass) still reports its march elements to the progress counters.
-  static void sweep_count_only(const MarchTest& test, SessionBrake* brake) {
-    if (brake) brake->elements_entered += test.elements.size();
-  }
-
   // Visits every (element, listed address, op) in march order, handing
   // per_op the address, its slot in the list and the op's broadcast data
-  // mask.
-  template <typename PerOp>
-  void sweep(const MarchTest& test, const PackedOpMasks* masks, PerOp&& per_op) {
-    sweep_braked(test, masks, std::forward<PerOp>(per_op), nullptr, [] { return LaneMask{}; });
-  }
-
-  // sweep with an optional SessionBrake: counts elements entered, polls the
-  // settle predicate after each address, drops settled lanes' faults at
-  // element boundaries.  `verdict` yields the caller's current monotone
+  // mask.  An optional SessionBrake counts elements entered, polls the
+  // settle predicate after each address and drops settled lanes' faults at
+  // element boundaries; `verdict` yields the caller's current monotone
   // detection state.
   template <typename PerOp, typename VerdictFn>
   void sweep_braked(const MarchTest& test, const PackedOpMasks* masks, PerOp&& per_op,
@@ -549,25 +540,26 @@ inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
     throw std::logic_error("run_transparent_session: prediction/test read counts differ");
   const unsigned w = mem_.word_width();
   PackedSessionScratch& s = scratch_;
-  PackedTransparentOutcome out;
+  PackedOpMasks own;
+  if (!prediction_masks) {
+    own = PackedOpMasks(prediction, w);
+    prediction_masks = &own;
+  }
 
-  // The prediction is read-only, so its exact read count is known up front.
-  s.prediction.start(w, prediction.op_count() * list_.size);
-  // The prediction pass has no comparison yet, so the brake only counts
-  // its elements; the settle predicate cannot fire before the test pass.
-  sweep_count_only(prediction, brake);
-  run_prediction(prediction, s.prediction, prediction_masks);
+  // The prediction pass has no comparison, so the brake only counts its
+  // elements; the settle predicate cannot fire before the test pass.
+  if (brake) brake->elements_entered += prediction.elements.size();
+  s.prediction.start(mem_, list_, prediction, *prediction_masks);
 
-  if (want_misr) s.misr.reset(misr.width);
-  packed_detail::FullStreamCursor cursor(test, list_, mem_.num_words(), s.element_reads);
+  if (want_misr) s.misr.reset(misr);
   packed_detail::SessionTestSink test_sink(w, s.prediction, want_misr ? &s.misr : nullptr,
-                                           &misr, &cursor, s.diff);
+                                           s.diff);
   run_test_braked(test, test_masks, test_sink, brake, [&] { return test_sink.stream_diff(); });
 
+  PackedTransparentOutcome out;
   out.detected_exact = test_sink.stream_diff();
   if (want_misr) {
     test_sink.finish(test.read_count() * mem_.num_words());
-    out.detected_misr = LaneMask{};
     for (const LaneMask& b : s.misr.state()) out.detected_misr |= b;
   }
   return out;

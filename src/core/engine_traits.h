@@ -74,13 +74,13 @@ class XorAccumulator final : public ReadSink {
 };
 
 // One XOR accumulator per lane: signature bit j across all lanes is acc()[j].
-class PackedXorAccumulator final : public PackedReadSink {
+class PackedXorAccumulator {
  public:
   PackedXorAccumulator() = default;  // no register until reset()
   explicit PackedXorAccumulator(unsigned width) { reset(width); }
   // Zeroes the register; a reused accumulator keeps its capacity.
   void reset(unsigned width) { acc_.assign(width, LaneMask{}); }
-  void on_read(std::size_t, const LaneMask* value) override {
+  void on_read(std::size_t, const LaneMask* value) {
     for (std::size_t j = 0; j < acc_.size(); ++j) acc_[j] ^= value[j];
   }
   const std::vector<LaneMask>& value() const { return acc_; }
@@ -171,7 +171,8 @@ struct ScalarEngine {
                                              const PackedOpMasks* /*test_masks*/ = nullptr,
                                              const PackedOpMasks* /*prediction_masks*/ = nullptr) {
     if (brake) brake->elements_entered += test.elements.size() + prediction.elements.size();
-    const TransparentOutcome out = runner.run_transparent_session(test, prediction, misr.width);
+    const TransparentOutcome out =
+        runner.run_transparent_session(test, prediction, misr.width, misr.taps);
     return {out.detected_exact, out.detected_misr};
   }
 
@@ -252,7 +253,7 @@ struct PackedEngine {
                             const PackedOpMasks* masks = nullptr) {
     return runner.run_direct(test, brake, masks);
   }
-  template <class Sink>  // a PackedReadSink; a final one inlines its on_read
+  template <class Sink>  // any type with on_read(addr, const LaneMask*)
   static void run_test(Runner& runner, const MarchTest& test, Sink& sink,
                        const PackedOpMasks* masks = nullptr) {
     runner.run_test(test, sink, masks);

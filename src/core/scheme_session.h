@@ -71,7 +71,8 @@ struct SchemePlan {
   unsigned width = 0;
   MarchTest direct_a, direct_b;  // nontransparent passes (b may be empty)
   MarchTest trans, prediction;   // transparent session passes
-  MisrJumps misr;                // compactor width + zero-run jump table
+  MisrJumps misr;                // compactor polynomial: its width and taps, and the
+                                 // x^k mod p tables it skips zero runs with
   SymmetricTest sym;
   MarchTest tomt;                // TOMT's per-word block, tomt_test(width)
 };
@@ -97,7 +98,7 @@ struct PlanOpMasks {
 // packed unit allocates nothing once they have grown to the largest unit:
 // the unit's fault footprint, the TOMT ledger and working words, the
 // symmetric session's XOR accumulator and the packed runner's prediction
-// stream, registers and MISR (PackedSessionScratch).  Every session resets
+// snapshots, registers and MISR (PackedSessionScratch).  Every session resets
 // what it uses, so a scratch carries capacity from one unit to the next,
 // never state.  It lives in the scheduler's WorkerState
 // (analysis/campaign_exec.h); callers without one (run_campaign_unit, the

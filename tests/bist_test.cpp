@@ -81,6 +81,50 @@ TEST(Misr, DefaultTapsCoverDocumentedWidths) {
   }
 }
 
+// A register feeds and skips with the taps of its polynomial object,
+// default or not: a width-8 register with taps {1, 0} (not
+// Misr::default_taps(8)) equals the scalar Misr(8, {1, 0}) of every lane
+// after mixed feeds, folded wider inputs and skips, and the scalar
+// transparent session compacts with the taps it is given.
+TEST(Misr, CustomTapsFeedAndSkipWithOnePolynomial) {
+  const std::vector<unsigned> taps = {1, 0};
+  ASSERT_NE(taps, Misr::default_taps(8));
+  const MisrJumps poly = MisrJumps::build(8, taps);
+  PackedMisr packed(poly);
+  std::vector<Misr> lanes(kPackedLanes, Misr(8, taps));
+  Rng rng(8);
+  for (int round = 0; round < 16; ++round) {
+    const unsigned input_width = round % 3 == 0 ? 12 : 8;
+    std::vector<LaneMask> input(input_width);
+    for (LaneMask& bits : input) bits = rng.next_u64();
+    packed.feed(input.data(), input_width);
+    const std::uint64_t zeros = rng.next_below(200);
+    packed.skip(zeros);
+    for (unsigned lane = 0; lane < kPackedLanes; ++lane) {
+      BitVec word = BitVec::zeros(input_width);
+      for (unsigned j = 0; j < input_width; ++j) word.set(j, (input[j] >> lane) & 1u);
+      lanes[lane].feed(word);
+      for (std::uint64_t z = 0; z < zeros; ++z) lanes[lane].feed(BitVec::zeros(8));
+      for (unsigned j = 0; j < 8; ++j)
+        ASSERT_EQ((packed.state()[j] >> lane) & 1u, lanes[lane].signature().get(j) ? 1u : 0u)
+            << "round " << round << " lane " << lane << " bit " << j;
+    }
+  }
+
+  Memory mem(8, 4);
+  mem.fill_seeded(3);
+  const MarchTest t = nicolaidis_transparent(solid_march(march_by_name("March C-")));
+  const MarchTest p = prediction_test(t);
+  StreamRecorder stream;
+  MarchRunner(mem).run_prediction(p, stream);
+  Misr want(8, taps);
+  for (const BitVec& v : stream.stream()) want.feed(v);
+  const TransparentOutcome out = MarchRunner(mem).run_transparent_session(t, p, 8, taps);
+  EXPECT_EQ(out.signature_predicted, want.signature());
+  EXPECT_NE(MarchRunner(mem).run_transparent_session(t, p, 8).signature_predicted,
+            want.signature());  // the default taps compact differently
+}
+
 // A width-W LFSR-based MISR driven by constant zero input cycles through
 // many distinct states (sanity of the feedback polynomial).
 TEST(Misr, FeedbackProducesLongZeroInputOrbit) {
@@ -196,9 +240,8 @@ TEST(Engine, TestPassRequiresReadBeforeTransparentWrite) {
 // in the same element; a relative write with no such read is rejected, not
 // served from an older read of the word.
 TEST(Engine, PackedTestPassRequiresReadBeforeTransparentWrite) {
-  class NullSink final : public PackedReadSink {
-   public:
-    void on_read(std::size_t, const LaneMask*) override {}
+  struct NullSink {
+    void on_read(std::size_t, const LaneMask*) {}
   };
   PackedMemory mem(4, 4);
   PackedSessionScratch scratch;

@@ -1,27 +1,33 @@
 // Per-worker session scratch: a campaign worker runs every unit through one
 // SessionScratch (core/scheme_session.h), which keeps the unit's footprint,
 // the TOMT ledger and registers, the XOR accumulator and the packed
-// runner's prediction stream, registers and MISR from unit to unit.
+// runner's prediction snapshots, registers and MISR from unit to unit.
 //
 //   * A scratch reused across every scheme, several widths and address
 //     lists that shrink and then grow gives exactly the verdicts of fresh
 //     sessions, the exact and the MISR verdict alike: no stale prediction
 //     read, MISR state, ledger bit or accumulator carries into a later unit.
+//   * The prediction a transparent session derives from its snapshots
+//     equals, read by read and lane by lane, the stream the scalar runner
+//     records, pauses and AF port views included.
 //   * TOMT sessions run from the block compiled into the plan reproduce the
 //     scheduler-free oracle (tests/oracle.h) on both backends, and the
 //     whole-memory run_tomt, which builds its own block, agrees with both.
 //   * Once the buffers have grown, a packed unit allocates nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "analysis/campaign.h"
 #include "analysis/campaign_exec.h"
+#include "bist/engine.h"
 #include "core/scheme_session.h"
 #include "core/tomt.h"
 #include "march/library.h"
@@ -148,6 +154,101 @@ TEST(PackedSession, ReusedScratchMatchesFreshSessions) {
   }
 }
 
+// The derived prediction (packed_detail::DerivedPrediction) equals, read by
+// read and lane by lane, the prediction stream the scalar MarchRunner
+// records for each lane's fault, and leaves every cell of every lane as
+// the swept prediction pass would.  Covered: every scheme with a
+// transparent session; a plan without pauses (March C-) and one with them
+// (March G's `del` elements, RET faults injected); every width the
+// transforms accept; seeds 0 and nonzero; AF faults, whose port view the
+// snapshots must reproduce; a walk over every word and one over the
+// footprint of a few faults, whose reads keep their full-walk positions.
+TEST(PackedSession, DerivedPredictionEqualsTheRecordedOne) {
+  constexpr std::size_t kWords = 24;
+  constexpr SchemeKind kTransparent[] = {SchemeKind::ProposedExact, SchemeKind::ProposedMisr,
+                                         SchemeKind::TsmarchOnly, SchemeKind::Scheme1Exact};
+  for (const char* name : {"March C-", "March G"}) {
+    const MarchTest march = march_by_name(name);
+    for (const unsigned width : {1u, 2u, 4u, 8u, 16u, 32u}) {
+      std::vector<Fault> faults = mixed_faults(kWords, width, 56, width);
+      // A few faults up front, so the footprint walk below meets decoder
+      // faults and cells that decay over one pause or only over two.
+      const std::vector<Fault> first = {
+          Fault::ret({3, 0}, true, 1), Fault::af_no_access(5),     Fault::af_alias(9, 3),
+          Fault::ret({9, width - 1}, false, 2), Fault::ret({17, 0}, false, 1),
+          Fault::af_no_access(17), Fault::ret({20, 0}, true, 2)};
+      faults.insert(faults.begin(), first.begin(), first.end());
+      for (const SchemeKind k : kTransparent) {
+        const SchemePlan plan = make_scheme_plan(k, march, width);
+        const PlanOpMasks masks(plan);
+        const bool pauses = std::any_of(plan.prediction.elements.begin(),
+                                        plan.prediction.elements.end(),
+                                        [](const MarchElement& e) { return e.pause_before; });
+        EXPECT_EQ(pauses, std::string(name) == "March G") << to_string(k);
+        for (const std::uint64_t seed : {0ull, 5ull}) {
+          const auto where = [&] {
+            return std::string(name) + " " + to_string(k) + " width " + std::to_string(width) +
+                   " seed " + std::to_string(seed);
+          };
+          // [lane][read] and [lane][word] of the scalar reference, lane 0
+          // fault-free and lane i + 1 holding faults[i].
+          std::vector<std::vector<BitVec>> stream, cells;
+          for (std::size_t lane = 0; lane <= faults.size(); ++lane) {
+            Memory ref(kWords, width);
+            ref.fill_seeded(seed);
+            if (lane) ref.inject(faults[lane - 1]);
+            MarchRunner runner(ref);
+            StreamRecorder rec;
+            runner.run_prediction(plan.prediction, rec);
+            stream.push_back(rec.stream());
+            cells.emplace_back();
+            for (std::size_t a = 0; a < kWords; ++a) cells.back().push_back(ref.peek(a));
+          }
+
+          for (const unsigned count : {static_cast<unsigned>(faults.size()), 5u}) {
+            std::vector<std::size_t> footprint;
+            fault_footprint(faults.data(), count, footprint);
+            const AddressList list =
+                count == faults.size() ? AddressList::all(kWords) : AddressList::of(footprint);
+            PackedMemory mem(kWords, width);
+            prepare(mem, faults.data(), count, seed);
+            packed_detail::DerivedPrediction derived;
+            derived.start(mem, list, plan.prediction, masks.prediction);
+            const std::size_t reads = plan.prediction.read_count() * list.size;
+            std::uint64_t last = 0;
+            for (std::size_t i = 0; i < reads; ++i) {
+              const packed_detail::DerivedPrediction::Read p = derived.next();
+              ASSERT_LT(p.pos, stream[0].size()) << where();
+              if (list.full()) {
+                ASSERT_EQ(p.pos, i) << where();
+              }
+              if (i) {
+                ASSERT_GT(p.pos, last) << where();
+              }
+              last = p.pos;
+              for (unsigned j = 0; j < width; ++j) {
+                const LaneMask got = p.word[j] ^ p.mask[j];
+                for (unsigned lane = 0; lane <= count; ++lane)
+                  ASSERT_EQ((got >> lane) & 1u, stream[lane][p.pos].get(j) ? 1u : 0u)
+                      << where() << " lanes " << count << " read " << i << " position "
+                      << p.pos << " bit " << j << " lane " << lane;
+              }
+            }
+            for (std::size_t a = 0; a < kWords; ++a) {
+              const LaneMask* word = mem.peek(a);
+              for (unsigned j = 0; j < width; ++j)
+                for (unsigned lane = 0; lane <= count; ++lane)
+                  ASSERT_EQ((word[j] >> lane) & 1u, cells[lane][a].get(j) ? 1u : 0u)
+                      << where() << " lanes " << count << " word " << a << " bit " << j
+                      << " lane " << lane;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // TOMT runs from the plan's compiled block (SchemePlan::tomt, PlanOpMasks
 // ::tomt) on both backends; the oracle's scalar sessions derive the block's
 // masks from its ops, and run_tomt builds the block itself.
@@ -184,39 +285,44 @@ TEST(PackedSession, PlanCompiledTomtBlockMatchesTheOracle) {
 
 // A worker's steady state: the same units again, after two passes have
 // grown the memory's store and every scratch buffer, allocate nothing —
-// no prediction stream, TOMT block, op masks, ledger or footprint per unit.
+// no prediction snapshot, TOMT block, op masks, ledger or footprint per
+// unit.
 TEST(PackedSession, SteadyStateUnitsAllocateNothing) {
   constexpr std::size_t kWords = 4096;
   constexpr unsigned kWidth = 8;
   constexpr unsigned kBatches[] = {63, 20, 63};
   const std::vector<Fault> faults = mixed_faults(kWords, kWidth, 146, 7);
-  for (const SchemeKind k : kAllSchemes) {
-    const SchemePlan plan = make_scheme_plan(k, march_by_name("March C-"), kWidth);
-    const PlanOpMasks masks(plan);
-    SessionScratch<PackedEngine> scratch;
-    PackedMemory mem(kWords, kWidth);
-    LaneMask sink{};
-    const auto units = [&] {
-      for (const std::uint64_t seed : {0ull, 3ull}) {
-        std::size_t lo = 0;
-        for (const unsigned n : kBatches) {
-          fault_footprint(faults.data() + lo, n, scratch.footprint);
-          SessionBrake brake = PackedEngine::make_brake(mem, used_lane_mask(n));
-          sink |= run_campaign_unit_in<PackedEngine>(mem, plan, masks, scratch,
-                                                     faults.data() + lo, n, seed, &brake,
-                                                     AddressList::of(scratch.footprint));
-          lo += n;
+  // March G's pauses give a transparent session several snapshots.
+  for (const char* name : {"March C-", "March G"}) {
+    const MarchTest march = march_by_name(name);
+    for (const SchemeKind k : kAllSchemes) {
+      const SchemePlan plan = make_scheme_plan(k, march, kWidth);
+      const PlanOpMasks masks(plan);
+      SessionScratch<PackedEngine> scratch;
+      PackedMemory mem(kWords, kWidth);
+      LaneMask sink{};
+      const auto units = [&] {
+        for (const std::uint64_t seed : {0ull, 3ull}) {
+          std::size_t lo = 0;
+          for (const unsigned n : kBatches) {
+            fault_footprint(faults.data() + lo, n, scratch.footprint);
+            SessionBrake brake = PackedEngine::make_brake(mem, used_lane_mask(n));
+            sink |= run_campaign_unit_in<PackedEngine>(mem, plan, masks, scratch,
+                                                       faults.data() + lo, n, seed, &brake,
+                                                       AddressList::of(scratch.footprint));
+            lo += n;
+          }
         }
-      }
-    };
-    units();
-    units();
-    g_allocations.store(0);
-    g_counting.store(true);
-    units();
-    g_counting.store(false);
-    EXPECT_EQ(g_allocations.load(), 0u) << to_string(k);
-    EXPECT_EQ(sink & 1u, 0u) << to_string(k) << ": golden lane";
+      };
+      units();
+      units();
+      g_allocations.store(0);
+      g_counting.store(true);
+      units();
+      g_counting.store(false);
+      EXPECT_EQ(g_allocations.load(), 0u) << name << " " << to_string(k);
+      EXPECT_EQ(sink & 1u, 0u) << name << " " << to_string(k) << ": golden lane";
+    }
   }
 }
 

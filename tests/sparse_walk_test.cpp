@@ -312,22 +312,36 @@ TEST(SparseWalk, SlotStoreHoldsExactlyTheFootprint) {
   }
 }
 
-// The jump table reproduces zero-input feeds of every lane of the packed
-// MISR exactly.
+// skip(k) multiplies every lane's state by x^k mod p: it equals k zero
+// feeds at every default register width and a fallback one (19), from
+// random lane states, and skips compose (skip(a); skip(b) == skip(a + b))
+// far beyond what feeding could reach.
 TEST(SparseWalk, MisrJumpsEqualZeroFeeds) {
-  for (const unsigned width : {1u, 4u, 16u, 19u}) {
+  for (const unsigned width : {1u, 2u, 3u, 4u, 8u, 16u, 32u, 64u, 128u, 19u}) {
     const MisrJumps jumps = MisrJumps::build(width);
-    PackedMisr fed(width), skipped(width);
+    PackedMisr fed(jumps), skipped(jumps);
     Rng rng(width);
     std::vector<std::uint64_t> input(width);
     for (std::uint64_t& lanes : input) lanes = rng.next_u64();
     fed.feed(input.data(), width);
     skipped.feed(input.data(), width);
     const std::vector<std::uint64_t> zeros(width, 0);
-    for (const std::uint64_t step : {1ull, 3ull, 64ull, 777ull}) {
+    for (const std::uint64_t step : {1ull, 2ull, 3ull, 15ull, 16ull, 17ull, 64ull, 255ull, 256ull,
+                                     777ull, 4097ull, 65536ull, 99999ull}) {
       for (std::uint64_t i = 0; i < step; ++i) fed.feed(zeros.data(), width);
-      skipped.skip(jumps, step);
-      EXPECT_EQ(skipped.state(), fed.state()) << width << " skip " << step;
+      skipped.skip(step);
+      ASSERT_EQ(skipped.state(), fed.state()) << width << " skip " << step;
+    }
+    for (int trial = 0; trial < 8; ++trial) {
+      for (std::uint64_t& lanes : input) lanes = rng.next_u64();
+      PackedMisr once(jumps), twice(jumps);
+      once.feed(input.data(), width);
+      twice.feed(input.data(), width);
+      const std::uint64_t a = rng.next_u64() >> 24, b = rng.next_u64() >> 24;  // < 2^40
+      once.skip(a + b);
+      twice.skip(a);
+      twice.skip(b);
+      EXPECT_EQ(once.state(), twice.state()) << width << " skip " << a << " + " << b;
     }
   }
 }

@@ -12,7 +12,11 @@
 #     generated from twmbench/workloads.py at seed 1 (the file is only
 #     read), for a copy of each with `run.threads` 1 (one worker runs
 #     every unit, the longest chain of reused session buffers), and for a
-#     width-32 copy of seed-mix.
+#     width-32 copy of seed-mix;
+#   * `run SPEC --sink jsonl` for two specs of its own: March G (whose
+#     `del` elements pause the prediction and test passes) under `ret` and
+#     `af` faults, over every scheme with a transparent session, at width 4
+#     with two nonzero seeds; and `twm-misr` at width 64 (a 64-bit MISR).
 #
 # The wall-clock "seconds" field is masked; every other byte, and the exit
 # status, must match.  Prints one line per case and exits 1 on any
@@ -31,7 +35,8 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# The twmbench specs at seed 1, one JSON file per workload.
+# The twmbench specs at seed 1, one JSON file per workload, and the
+# script's own pause and wide-MISR specs.
 python3 - "$root/twmbench" "$work" <<'EOF'
 import json
 import os
@@ -42,18 +47,37 @@ sys.path.insert(0, sys.argv[1])
 from workloads import WORKLOADS  # noqa: E402
 
 def write(name, spec):
-    with open(os.path.join(sys.argv[2], f"twmbench-{name}.json"), "w") as f:
+    with open(os.path.join(sys.argv[2], f"{name}.json"), "w") as f:
         json.dump(spec, f)
 
 
 for name, (make_spec, _) in WORKLOADS.items():
-    write(name, make_spec(1))
+    write(f"twmbench-{name}", make_spec(1))
     single = make_spec(1)
     single["run"]["threads"] = 1
-    write(f"{name}-threads1", single)
+    write(f"twmbench-{name}-threads1", single)
 wide = WORKLOADS["seed-mix"][0](1)
 wide["memory"]["width"] = 32
-write("seed-mix-width32", wide)
+write("twmbench-seed-mix-width32", wide)
+run = {"backend": "packed", "threads": 2, "simd": "auto"}
+write("march-g-pauses", {
+    "name": "march-g-pauses",
+    "memory": {"words": 64, "width": 4},
+    "march": "March G",
+    "schemes": ["twm", "twm-misr", "tsmarch", "s1"],
+    "classes": ["ret", "af"],
+    "seeds": [7, 1234567],
+    "run": run,
+})
+write("misr-width64", {
+    "name": "misr-width64",
+    "memory": {"words": 32, "width": 64},
+    "march": "March C-",
+    "schemes": ["twm-misr"],
+    "classes": ["saf@512", "tf@512", "cfid:inter@512"],
+    "seeds": [0, 99],
+    "run": run,
+})
 EOF
 
 # Runs one case under both binaries: `case NAME ARGS...`, where the
@@ -99,7 +123,7 @@ for regions in 4 1; do
   case_ "huge_memory-regions$regions" run "$root/examples/specs/huge_memory.json" \
     --sink jsonl --regions "$regions"
 done
-for spec in "$work"/twmbench-*.json; do
+for spec in "$work"/*.json; do
   case_ "$(basename "$spec" .json)" run "$spec" --sink jsonl
 done
 
