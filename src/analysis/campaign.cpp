@@ -72,7 +72,8 @@ bool VerdictMatrix::detected_any(std::size_t fault) const {
 namespace {
 
 // Translates a region sub-campaign's fault indices back to the positions
-// the faults hold in the original (unpartitioned) list.
+// the faults hold in the original (unpartitioned) list.  A run stays one
+// run where its faults are contiguous in the original list too.
 class RemappingObserver final : public UnitObserver {
  public:
   RemappingObserver(UnitObserver* inner, const std::vector<std::uint32_t>& map)
@@ -80,8 +81,12 @@ class RemappingObserver final : public UnitObserver {
 
   void on_unit_settled(std::size_t first, unsigned count, const char* all,
                        const char* any) override {
-    for (unsigned k = 0; k < count; ++k)
-      inner_->on_unit_settled(map_[first + k], 1, all + k, any + k);
+    for (unsigned k = 0; k < count;) {
+      unsigned len = 1;
+      while (k + len < count && map_[first + k + len] == map_[first + k] + len) ++len;
+      inner_->on_unit_settled(map_[first + k], len, all + k, any + k);
+      k += len;
+    }
   }
 
   void on_seed_verdict(std::size_t fault, std::size_t seed_index, bool detected) override {

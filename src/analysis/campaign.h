@@ -143,22 +143,28 @@ void run_pool(unsigned threads, const std::function<void()>& worker);
 void require_golden_lane_clear(LaneMask verdicts);
 
 // Low-level streaming observer for one CampaignRunner call.  The engine
-// invokes it from WORKER threads as units settle — implementations must be
-// thread-safe (the api layer's sink adapter serializes with a mutex).
-// on_unit_settled and flush() arrive on the calling thread, from the
-// report loop that runs after each repack round.
+// invokes it from WORKER threads while the round runs — implementations
+// must be thread-safe (the api layer's sink adapter serializes with a
+// mutex).  on_unit_settled comes from the report drain
+// (analysis/campaign_exec.h): on whichever engine worker or calling thread
+// holds the report mutex, one call at a time, in the thread-count-
+// independent fault order.  flush() comes on the calling thread once per
+// round, after the pool joined.
 //
-// cancelled() is polled before each unit is claimed: returning true makes
-// every worker stop claiming new units (in-flight units still complete and
-// are still reported), which is the cooperative-cancellation contract the
-// api::ResultSink surface builds on.
+// cancelled() is polled before each unit is claimed and before each
+// on_unit_settled run: returning true makes every worker stop claiming new
+// units and ends the reports (units still in flight complete unreported),
+// which is the cooperative-cancellation contract the api::ResultSink
+// surface builds on.  The records delivered are a prefix of the full
+// stream.
 class UnitObserver {
  public:
   virtual ~UnitObserver() = default;
 
-  // Final verdicts for faults [first, first + count) — their unit finished
-  // its seed loop.  `all` / `any` point at the per-fault flags of exactly
-  // this range.
+  // Final verdicts for faults [first, first + count): a run of one unit's
+  // faults, contiguous in fault order, whose verdicts can no longer change
+  // (decided, or the last seed ran).  `all` / `any` point at the per-fault
+  // flags of exactly this range.
   virtual void on_unit_settled(std::size_t first, unsigned count, const char* all,
                                const char* any) = 0;
 
@@ -172,8 +178,9 @@ class UnitObserver {
   }
   virtual bool want_seed_verdicts() const { return false; }
 
-  // A report batch settled: fired once at the end of each round's report
-  // loop, after its last on_unit_settled (a buffering consumer writes now).
+  // A report batch settled: fired once per round on the calling thread,
+  // after the pool joined and the round's last on_unit_settled (a
+  // buffering consumer writes now).
   virtual void flush() {}
 
   virtual bool cancelled() const { return false; }

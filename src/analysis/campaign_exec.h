@@ -11,6 +11,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "analysis/campaign.h"
 #include "core/scheme_session.h"
@@ -31,9 +33,9 @@ struct CampaignJob {
   char* all = nullptr;            // [num_faults] detected under every seed
   char* any = nullptr;            // [num_faults] detected under some seed
   VerdictMatrix* matrix = nullptr;  // non-null disables the early exit
-  // Optional streaming observer: notified per settled unit (and, opt-in,
-  // per evaluated seed) and polled for cooperative cancellation before a
-  // worker claims its next unit.
+  // Optional streaming observer: notified per run of reported faults (and,
+  // opt-in, per evaluated seed) and polled for cooperative cancellation
+  // before a worker claims its next unit and before each reported run.
   UnitObserver* observer = nullptr;
   CampaignStats* stats = nullptr;   // optional forward-progress counters
 };
@@ -116,9 +118,20 @@ inline bool golden_certificate(const SchemePlan& plan, const PlanOpMasks& masks,
 //   round s:  pack the live faults densely into units of kFaultsPerUnit,
 //             shard the units across the pool, evaluate every unit under
 //             seeds[s] with an armed session brake (mid-session settle-exit
-//             + per-lane fault dropping for monotone schemes), then — on
-//             the caller's thread — report every fault whose verdicts can
-//             no longer change and rebuild the live list from the rest.
+//             + per-lane fault dropping for monotone schemes), and — while
+//             the round runs — report every fault whose verdicts can no
+//             longer change and rebuild the live list from the rest.
+//
+// Reporting is an in-order drain, the one report path.  A worker that
+// finishes unit u marks it done and, if it wins a try_lock on the report
+// mutex, reports every finished unit at the frontier (the first unit not
+// yet reported), in `live` order; a unit that finishes ahead of the
+// frontier waits for it.  After the pool joins, the caller drains what is
+// left and flushes the observer once: the round's records form one batch.
+// So records stream during the round, on whichever thread holds the
+// mutex (an engine worker or the caller), in the same order and grouping
+// for every thread count.  The drain depends only on the units' done
+// flags, not on how the pool starts its threads.
 //
 // A packed unit walks its fault footprint (the sorted victim, aggressor and
 // alias words of the batch); the scalar reference walks every word.  Before
@@ -175,14 +188,70 @@ void run_campaign_engine(const CampaignJob& job) {
   for (std::size_t i = 0; i < n; ++i) live[i] = static_cast<std::uint32_t>(i);
   std::vector<std::uint32_t> survivors;  // reused across rounds
 
-  bool cancelled = false;
-  for (std::size_t s = 0; s < job.num_seeds && !live.empty() && !cancelled; ++s) {
+  // The report drain's state (see the scheduler comment): done[u] marks a
+  // finished unit of the round (release store after its verdicts are
+  // written); `frontier` is the first unit not yet reported.  frontier,
+  // survivors and every observer report are guarded by report_mu.  Round 0
+  // has the most units, so `done` is sized once.
+  std::vector<std::atomic<bool>> done((n + kPerUnit - 1) / kPerUnit);
+  std::mutex report_mu;
+
+  for (std::size_t s = 0; s < job.num_seeds && !live.empty(); ++s) {
     const std::size_t units = (live.size() + kPerUnit - 1) / kPerUnit;
     // A failed certificate is a golden-lane detection at an unlisted word.
     if (Engine::kSparseWalk && !golden_certificate(*job.plan, masks, job.words, job.seeds[s]))
       require_golden_lane_clear(LaneMask{1});
+    const bool final_round = s + 1 == job.num_seeds;
+    for (std::size_t u = 0; u < units; ++u) done[u].store(false, std::memory_order_relaxed);
+    std::size_t frontier = 0;
+    survivors.clear();
+    if (!final_round) survivors.reserve(live.size());
     std::atomic<std::size_t> next{0};
+    // Set by a cancelled() poll or a throwing report; once set, no unit is
+    // claimed and nothing more is reported.
     std::atomic<bool> stop{false};
+
+    // Reports the finished units at the frontier, in `live` order (the
+    // thread-count-independent fault order), and carries their undecided
+    // faults into `survivors`.  A fault is reported once decided, or in
+    // the final round.  A unit's reportable faults that are contiguous in
+    // fault order go out as one on_unit_settled run, each run after one
+    // cancelled() poll.  Caller holds report_mu, and the observer is called
+    // under it: a delivery must be atomic with the frontier's advance, or
+    // two drains could interleave their records.
+    const auto drain = [&] {
+      const auto reportable = [&](std::uint32_t g) {
+        return final_round ||
+               (!no_drop && job.all[g] == 0 && (!job.need_any || job.any[g] != 0));
+      };
+      try {
+        for (; frontier < units && !stop.load(std::memory_order_relaxed) &&
+               done[frontier].load(std::memory_order_acquire);
+             ++frontier) {
+          const std::size_t hi = std::min(live.size(), (frontier + 1) * kPerUnit);
+          for (std::size_t k = frontier * kPerUnit; k < hi;) {
+            const std::uint32_t g = live[k++];
+            if (!reportable(g)) {
+              survivors.push_back(g);
+              continue;
+            }
+            unsigned count = 1;
+            while (k < hi && live[k] == g + count && reportable(live[k])) ++k, ++count;
+            if (!job.observer) continue;
+            if (job.observer->cancelled()) {
+              stop.store(true, std::memory_order_relaxed);
+              return;
+            }
+            job.observer->on_unit_settled(g, count, job.all + g, job.any + g);
+          }
+        }
+      } catch (...) {
+        // Still under report_mu: no later drain re-reports this unit.
+        stop.store(true, std::memory_order_relaxed);
+        throw;
+      }
+    };
+
     state_slot.store(0, std::memory_order_relaxed);
     run_pool(threads, [&] {
       std::unique_ptr<WorkerState>& st =
@@ -190,7 +259,7 @@ void run_campaign_engine(const CampaignJob& job) {
       if (!st) st = std::make_unique<WorkerState>(job.words, job.plan->width);
       typename Engine::Memory& mem = st->mem;
       std::vector<Fault>& batch = st->batch;
-      for (;;) {
+      while (!stop.load(std::memory_order_relaxed)) {
         if (job.observer && job.observer->cancelled()) {
           stop.store(true, std::memory_order_relaxed);
           break;
@@ -235,31 +304,21 @@ void run_campaign_engine(const CampaignJob& job) {
           if (job.matrix) job.matrix->bits[g * job.num_seeds + s] = static_cast<char>(bit);
           if (seed_events) job.observer->on_seed_verdict(g, s, bit);
         }
+        // Publish the unit, then drain if no other worker is draining: a
+        // busy drain picks this unit up when it reaches it, and whatever
+        // is left when the round ends the caller drains below.
+        done[u].store(true, std::memory_order_release);
+        const std::unique_lock<std::mutex> lock(report_mu, std::try_to_lock);
+        if (lock.owns_lock()) drain();
       }
     });
-    if (stop.load(std::memory_order_relaxed)) break;
-
-    // Report + repack, on the calling thread: every decided fault streams
-    // its final verdicts now and leaves the live set; the rest roll into
-    // the next round's densely packed batches.  The walk follows `live`,
-    // whose order is the thread-count-independent fault order, and ends
-    // in one observer flush: the round's records form one batch.
-    const bool final_round = s + 1 == job.num_seeds;
-    survivors.clear();
-    if (!final_round) survivors.reserve(live.size());
-    for (const std::uint32_t g : live) {
-      const bool decided =
-          !no_drop && job.all[g] == 0 && (!job.need_any || job.any[g] != 0);
-      if ((decided || final_round) && job.observer) {
-        if (job.observer->cancelled()) {
-          cancelled = true;
-          break;
-        }
-        job.observer->on_unit_settled(g, 1, job.all + g, job.any + g);
-      }
-      if (!decided && !final_round) survivors.push_back(g);
+    {
+      const std::lock_guard<std::mutex> lock(report_mu);
+      drain();
     }
+    // The round's records form one batch.
     if (job.observer) job.observer->flush();
+    if (stop.load(std::memory_order_relaxed)) break;
     live.swap(survivors);
   }
 

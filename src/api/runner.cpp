@@ -36,10 +36,11 @@ class DeadlineGate {
   mutable std::atomic<bool> fired_{false};
 };
 
-// Bridges the engine's raw UnitObserver events (fault ranges + flag
-// pointers, fired from worker threads) to the public ResultSink records
-// (one per fault, serialized by a mutex, stamped with scheme/class), and
-// counts the cell's aggregate as units go by.  Replayed cache records take
+// Bridges the engine's raw UnitObserver events (runs of contiguous faults
+// + flag pointers, fired from the report drain on a worker or the calling
+// thread) to the public ResultSink records (one per fault, serialized by a
+// mutex taken once per run, stamped with scheme/class), and counts the
+// cell's aggregate as units go by.  Replayed cache records take
 // the same path through emit(); the engine's end-of-batch flush() reaches
 // the sink as ResultSink::flush().  `sink` may be null (cache-recording runs
 // without a consumer); `record`, when non-null, captures every unit in

@@ -1,7 +1,9 @@
 #include "api/sink.h"
 
 #include <charconv>
+#include <cstring>
 #include <ostream>
+#include <string_view>
 
 #include "api/json.h"
 #include "analysis/report.h"
@@ -20,6 +22,44 @@ const char* bool_str(bool b) { return b ? "true" : "false"; }
 void append_uint(std::string& out, std::uint64_t v) {
   char buf[20];
   out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+// A unit record after its cell's fixed head: the fault index, the opening
+// of the describe() field, the text itself, and one of four endings
+// indexed by 2 * detected_all + detected_any.
+struct UnitTail {
+  std::string_view open_describe;
+  std::string_view endings[4];
+};
+
+// describe() text needs no JSON escaping and holds no '"' (memsim/fault.h),
+// so both formats embed it as is.
+constexpr UnitTail kJsonUnitTail{",\"describe\":\"",
+                                 {"\",\"detected_all\":false,\"detected_any\":false}\n",
+                                  "\",\"detected_all\":false,\"detected_any\":true}\n",
+                                  "\",\"detected_all\":true,\"detected_any\":false}\n",
+                                  "\",\"detected_all\":true,\"detected_any\":true}\n"}};
+constexpr UnitTail kCsvUnitTail{",\"", {"\",0,0\n", "\",0,1\n", "\",1,0\n", "\",1,1\n"}};
+
+// Room a tail needs: a 20-digit index, the longest opening plus ending,
+// and the longest describe() text.
+constexpr std::size_t kMaxTailFraming = 64;
+constexpr std::size_t kMaxUnitTail = 20 + kMaxTailFraming + Fault::kDescribeMax;
+static_assert(kJsonUnitTail.open_describe.size() + kJsonUnitTail.endings[0].size() <=
+              kMaxTailFraming);
+
+char* put(char* p, std::string_view s) {
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+// Formats r's tail at p (which has kMaxUnitTail bytes of room); returns
+// the end.
+char* write_unit_tail(char* p, const UnitTail& tail, const UnitRecord& r) {
+  p = std::to_chars(p, p + 20, static_cast<std::uint64_t>(r.fault_index)).ptr;
+  p = put(p, tail.open_describe);
+  if (r.fault) p = r.fault->write_describe(p);
+  return put(p, tail.endings[2 * r.detected_all + r.detected_any]);
 }
 
 }  // namespace
@@ -65,21 +105,16 @@ void JsonLinesSink::select_cell(SchemeKind scheme, const ClassSel& cls) {
   cell_cls_ = cls;
   cell_fields_ = "\"scheme\":" + json_quote(scheme_id(scheme)) +
                  ",\"class\":" + json_quote(to_string(cls)) + ",\"fault\":";
+  unit_record_ = "{\"type\":\"unit\"," + cell_fields_;
+  unit_head_ = unit_record_.size();
+  unit_record_.resize(unit_head_ + kMaxUnitTail);
 }
 
 void JsonLinesSink::on_unit(const UnitRecord& r) {
   select_cell(r.scheme, r.cls);
-  pending_ += "{\"type\":\"unit\",";
-  pending_ += cell_fields_;
-  append_uint(pending_, r.fault_index);
-  // describe() text needs no JSON escaping (memsim/fault.h).
-  pending_ += ",\"describe\":\"";
-  if (r.fault) r.fault->append_describe(pending_);
-  pending_ += "\",\"detected_all\":";
-  pending_ += bool_str(r.detected_all);
-  pending_ += ",\"detected_any\":";
-  pending_ += bool_str(r.detected_any);
-  pending_ += "}\n";
+  char* const line = unit_record_.data();
+  const char* end = write_unit_tail(line + unit_head_, kJsonUnitTail, r);
+  pending_.append(line, static_cast<std::size_t>(end - line));
   if (pending_.size() >= kMaxPendingBytes) JsonLinesSink::flush();
 }
 
@@ -155,28 +190,24 @@ std::string csv_quote(const std::string& s) {
 
 void CsvSink::on_campaign_begin(const CampaignMeta& meta) {
   campaign_ = csv_quote(meta.spec->name);
+  cell_cached_ = false;
   if (header_written_) return;
   out_ << "campaign,scheme,class,fault,describe,detected_all,detected_any\n";
   header_written_ = true;
 }
 
 void CsvSink::on_unit(const UnitRecord& r) {
-  row_ = campaign_;
-  row_ += ',';
-  row_ += scheme_id(r.scheme);
-  row_ += ',';
-  row_ += to_string(r.cls);
-  row_ += ',';
-  append_uint(row_, r.fault_index);
-  // describe() text holds no '"' (memsim/fault.h): quoting it is enough.
-  row_ += ",\"";
-  if (r.fault) r.fault->append_describe(row_);
-  row_ += "\",";
-  row_ += r.detected_all ? '1' : '0';
-  row_ += ',';
-  row_ += r.detected_any ? '1' : '0';
-  row_ += '\n';
-  out_.write(row_.data(), static_cast<std::streamsize>(row_.size()));
+  if (!cell_cached_ || r.scheme != cell_scheme_ || r.cls != cell_cls_) {
+    cell_cached_ = true;
+    cell_scheme_ = r.scheme;
+    cell_cls_ = r.cls;
+    row_ = campaign_ + ',' + scheme_id(r.scheme) + ',' + to_string(r.cls) + ',';
+    row_head_ = row_.size();
+    row_.resize(row_head_ + kMaxUnitTail);
+  }
+  char* const line = row_.data();
+  const char* end = write_unit_tail(line + row_head_, kCsvUnitTail, r);
+  out_.write(line, static_cast<std::streamsize>(end - line));
 }
 
 // ---- TableSink ----------------------------------------------------------

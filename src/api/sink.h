@@ -18,13 +18,22 @@
 //                       run_campaign rethrows it as CampaignError; a
 //                       failed campaign's stream ends in an error record,
 //                       not a campaign_end
-//   cancelled()         polled between units; returning true stops the
-//                       campaign cooperatively (in-flight units finish,
+//   cancelled()         polled before the engine claims each unit, before
+//                       it delivers each run of a unit's records (the
+//                       faults a unit settles that are contiguous in fault
+//                       order), and at cell and region boundaries — never
+//                       once per record; returning true stops the campaign
+//                       cooperatively (in-flight units finish unreported,
 //                       the record stream ends in a truncated prefix)
+//
+// Records stream while a repack round runs: the engine's in-order report
+// drain (analysis/campaign_exec.h) delivers each finished unit's records
+// as soon as every earlier unit's went out, in the same order for every
+// thread count.
 //
 // The flush contract (what a tailing consumer can rely on): the runner
 // calls flush() once per settled report batch — after each repack round's
-// report loop, and after a cell's replayed cache records — and once more
+// last record, and after a cell's replayed cache records — and once more
 // right before on_error.  So a round's records are visible before the next
 // round's first record, and every record delivered before a failure, a
 // deadline cut or a sink cancel precedes the error or campaign_end record.
@@ -38,9 +47,12 @@
 // record stream is the exact prefix of the fault-free stream that fit in
 // the budget (the PR 4 cancellation contract, with a clock as the sink).
 //
-// Sink callbacks are SERIALIZED by the runner (a mutex around every event)
-// — implementations need no locking of their own, but cancelled() is read
-// from worker threads, so a cancelling sink flips an atomic.
+// Sink callbacks are SERIALIZED by the runner (a mutex around every event,
+// taken once per delivered run of records) — implementations need no
+// locking of their own.  They may run on an engine worker thread, not only
+// on the thread that called run_campaign: on_unit comes from whichever
+// thread holds the report drain.  cancelled() is read concurrently from
+// worker threads, so a cancelling sink flips an atomic.
 //
 // Three sinks ship: JSON-lines (machine tailing), CSV (spreadsheets), and
 // the human tables the CLI always printed.
@@ -117,7 +129,8 @@ class ResultSink {
   virtual void on_error(const Error& error) { (void)error; }
 
   virtual bool want_seed_records() const { return false; }
-  // Polled (possibly concurrently) between units.
+  // Polled (possibly concurrently) between units and between runs of
+  // records, not per record.
   virtual bool cancelled() const { return false; }
 };
 
@@ -146,7 +159,7 @@ class JsonLinesSink : public ResultSink {
   bool want_seed_records() const override { return include_seed_records_; }
 
  private:
-  // Points cell_fields_ at the (scheme, class) cell.
+  // Points cell_fields_ and unit_record_ at the (scheme, class) cell.
   void select_cell(SchemeKind scheme, const ClassSel& cls);
   // Writes the pending records to the stream (without flushing it).
   void write_pending();
@@ -160,6 +173,11 @@ class JsonLinesSink : public ResultSink {
   SchemeKind cell_scheme_ = SchemeKind::ProposedExact;
   ClassSel cell_cls_;
   std::string cell_fields_;
+  // The cell's unit-record head ({"type":"unit",…"fault":) followed by
+  // room for one record's tail: on_unit formats the tail in place and
+  // appends the whole line to pending_ in one copy.
+  std::string unit_record_;
+  std::size_t unit_head_ = 0;
 };
 
 // CSV: one header row (emitted at the first campaign's begin, never
@@ -175,8 +193,15 @@ class CsvSink : public ResultSink {
  private:
   std::ostream& out_;
   std::string campaign_;  // current spec's name, CSV-quoted
-  std::string row_;       // reused row buffer
   bool header_written_ = false;
+  // The cell's row head (campaign,scheme,class,) followed by room for one
+  // row's tail, as JsonLinesSink's unit_record_; rebuilt per campaign and
+  // per cell.
+  bool cell_cached_ = false;
+  SchemeKind cell_scheme_ = SchemeKind::ProposedExact;
+  ClassSel cell_cls_;
+  std::string row_;
+  std::size_t row_head_ = 0;
 };
 
 // The human tables `twm_cli coverage` always printed: a header line at

@@ -21,16 +21,22 @@ const char* class_name(FaultClass c) {
   return "?";
 }
 
-void append_uint(std::string& out, std::size_t v) {
-  char buf[20];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+char* put(char* p, const char* text) {
+  while (*text) *p++ = *text++;
+  return p;
 }
 
-void append_cell(std::string& out, const CellAddr& c) {
-  out += 'w';
-  append_uint(out, c.word);
-  out += ".b";
-  append_uint(out, c.bit);
+// Fault::kDescribeMax counts 20 digits for a word and 10 for a bit.
+static_assert(sizeof(std::size_t) <= 8 && sizeof(unsigned) <= 4);
+
+char* put_uint(char* p, std::size_t v) { return std::to_chars(p, p + 20, v).ptr; }
+
+char* put_cell(char* p, const CellAddr& c) {
+  *p++ = 'w';
+  p = put_uint(p, c.word);
+  *p++ = '.';
+  *p++ = 'b';
+  return put_uint(p, c.bit);
 }
 
 char trans_char(Transition t) { return t == Transition::Up ? '^' : 'v'; }
@@ -47,54 +53,54 @@ std::string Fault::describe() const {
 }
 
 void Fault::append_describe(std::string& out) const {
-  out += class_name(cls);
+  char buf[kDescribeMax];
+  out.append(buf, static_cast<std::size_t>(write_describe(buf) - buf));
+}
+
+char* Fault::write_describe(char* p) const {
+  p = put(p, class_name(cls));
   switch (cls) {
     case FaultClass::SAF:
-      out += '(';
-      out += bit_char(value);
-      out += ") @";
-      append_cell(out, victim);
-      break;
+      *p++ = '(';
+      *p++ = bit_char(value);
+      p = put(p, ") @");
+      return put_cell(p, victim);
     case FaultClass::TF:
-      out += '(';
-      out += trans_char(trans);
-      out += ") @";
-      append_cell(out, victim);
-      break;
+      *p++ = '(';
+      *p++ = trans_char(trans);
+      p = put(p, ") @");
+      return put_cell(p, victim);
     case FaultClass::CFst:
     case FaultClass::CFid:
     case FaultClass::CFin:
-      out += '<';
-      out += cls == FaultClass::CFst ? bit_char(state) : trans_char(trans);
+      *p++ = '<';
+      *p++ = cls == FaultClass::CFst ? bit_char(state) : trans_char(trans);
       if (cls != FaultClass::CFin) {
-        out += ';';
-        out += bit_char(value);
+        *p++ = ';';
+        *p++ = bit_char(value);
       }
-      out += "> ";
-      append_cell(out, aggressor);
-      out += "->";
-      append_cell(out, victim);
-      out += intra_word() ? " [intra]" : " [inter]";
-      break;
+      p = put(p, "> ");
+      p = put_cell(p, aggressor);
+      p = put(p, "->");
+      p = put_cell(p, victim);
+      return put(p, intra_word() ? " [intra]" : " [inter]");
     case FaultClass::RET:
-      out += '(';
-      out += bit_char(value);
-      out += ',';
-      append_uint(out, retention);
-      out += "u) @";
-      append_cell(out, victim);
-      break;
+      *p++ = '(';
+      *p++ = bit_char(value);
+      *p++ = ',';
+      p = put_uint(p, retention);
+      p = put(p, "u) @");
+      return put_cell(p, victim);
     case FaultClass::AFna:
-      out += " @w";
-      append_uint(out, victim.word);
-      break;
+      p = put(p, " @w");
+      return put_uint(p, victim.word);
     case FaultClass::AFaw:
-      out += " w";
-      append_uint(out, victim.word);
-      out += "~w";
-      append_uint(out, aggressor.word);
-      break;
+      p = put(p, " w");
+      p = put_uint(p, victim.word);
+      p = put(p, "~w");
+      return put_uint(p, aggressor.word);
   }
+  return p;
 }
 
 Fault Fault::saf(CellAddr cell, bool stuck_value) {

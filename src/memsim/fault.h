@@ -63,10 +63,15 @@ struct Fault {
 
   // "SAF(1) @w3.b0", "CFid<^;0> w0.b1->w2.b1 [inter]", ... — printable
   // ASCII without quotes or backslashes, so JSON and CSV writers embed it
-  // unescaped.  append_describe appends the same text to `out` without
-  // streams or temporaries (the record sinks' hot path).
+  // unescaped.  write_describe is the one formatter: it writes the text at
+  // `out` (no terminator) and returns the end; `out` must have room for
+  // kDescribeMax chars, the length of a CFst/CFid with word and bit at
+  // their type maxima.  describe() and append_describe (which appends to
+  // `out`) wrap it.
+  static constexpr std::size_t kDescribeMax = 86;
   std::string describe() const;
   void append_describe(std::string& out) const;
+  char* write_describe(char* out) const;
 
   // Convenience constructors.
   static Fault saf(CellAddr cell, bool stuck_value);

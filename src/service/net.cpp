@@ -56,15 +56,15 @@ ssize_t net_recv(int fd, char* buf, std::size_t size) {
 }
 
 int net_accept(int listen_fd) {
-  bool inject_err = false;
-  if (auto fp = TWM_FAILPOINT("socket.accept"))
-    inject_err = *fp != util::FailAction::Eintr;
   while (true) {
     const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0 && errno == EINTR) continue;
-    if (fd >= 0 && inject_err) {
-      // The connection was already completed by the kernel; failing the
-      // accept means hanging up on it immediately.
+    if (fd < 0) return fd;
+    // Evaluated once a connection arrived, not before blocking: a failpoint
+    // configured while the loop waits in accept4 hits the next connection.
+    // The kernel already completed it, so failing the accept means hanging
+    // up on it at once.  A synthetic EINTR is absorbed like a real one.
+    if (auto fp = TWM_FAILPOINT("socket.accept"); fp && *fp != util::FailAction::Eintr) {
       ::close(fd);
       errno = ECONNABORTED;
       return -1;

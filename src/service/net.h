@@ -10,9 +10,11 @@
 //   socket.recv    err -> recv fails with ECONNRESET
 //                  drop -> recv reports EOF (peer looks closed)
 //                  eintr -> one synthetic EINTR, then the real recv
-//   socket.accept  err -> the accepted connection is closed immediately
-//                  (client sees an instant disconnect), eintr -> synthetic
-//                  EINTR before the real accept
+//   socket.accept  evaluated when a connection arrives, so one set while
+//                  the loop waits in accept hits the next connection:
+//                  err -> that connection is closed immediately (client
+//                  sees an instant disconnect), eintr -> no effect (the
+//                  EINTR retry absorbs it)
 #ifndef TWM_SERVICE_NET_H
 #define TWM_SERVICE_NET_H
 

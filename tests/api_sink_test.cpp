@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <clocale>
+#include <cstring>
+#include <stdexcept>
 #include <sstream>
 #include <streambuf>
 
@@ -492,6 +494,229 @@ TEST(ResultSinkTest, TableSinkPrintsPlaceholderRowsForCancelledCampaigns) {
   CancellingTableSink msink(mout, /*cancel_after=*/3);
   run_campaign(spec, &msink);
   EXPECT_NE(mout.str().find("—"), std::string::npos) << mout.str();
+}
+
+// ---- records stream while the round runs -------------------------------------
+
+// Packed, three content seeds, two cells per scheme: sym x tf decides
+// faults in non-final rounds (its TF verdicts depend on the content), so the
+// report drain builds the survivor list across rounds; twm x saf reports
+// everything in the final round.  64 words x 8 bits: 17 units per round.
+CampaignSpec drain_spec(unsigned threads, unsigned regions) {
+  CampaignSpec s;
+  s.name = "drain";
+  s.words = 64;
+  s.width = 8;
+  s.march = "March C-";
+  s.schemes = {SchemeKind::ProposedSymmetricXor, SchemeKind::ProposedExact};
+  s.classes = {{ClassKind::Tf, CfScope::Both}, {ClassKind::Saf, CfScope::Both}};
+  s.seeds = {0, 1, 2};
+  s.backend = CoverageBackend::Packed;
+  s.threads = threads;
+  s.regions = regions;
+  return s;
+}
+
+// The stream with its two run-dependent fields masked.
+std::string masked(std::string text) {
+  for (const char* key : {"\"threads\":", "\"seconds\":"}) {
+    for (std::size_t at = text.find(key); at != std::string::npos; at = text.find(key, at)) {
+      at += std::strlen(key);
+      const std::size_t end = text.find_first_of(",}", at);
+      text.replace(at, end - at, "#");
+    }
+  }
+  return text;
+}
+
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+// Counts the records of each flush batch.
+class BatchCounter : public ResultSink {
+ public:
+  void on_unit(const UnitRecord&) override { ++open; }
+  void flush() override {
+    if (open) batches.push_back(open);
+    open = 0;
+  }
+  std::size_t open = 0;
+  std::vector<std::size_t> batches;
+};
+
+TEST(ResultSinkTest, StreamBytesDoNotDependOnTheThreadCount) {
+  {
+    // Not degenerate: one cell reports in more than one round.
+    BatchCounter counter;
+    run_campaign(drain_spec(1, 1), &counter);
+    ASSERT_GE(counter.batches.size(), 5u) << "4 cells, and at least one multi-round cell";
+  }
+  std::vector<std::string> json_by_regions, csv_by_regions;
+  for (const unsigned regions : {1u, 4u}) {
+    std::string json_ref, csv_ref;
+    for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+      std::ostringstream json_out, csv_out;
+      JsonLinesSink json(json_out);
+      CsvSink csv(csv_out);
+      run_campaign(drain_spec(threads, regions), &json);
+      run_campaign(drain_spec(threads, regions), &csv);
+      const std::string json_text = masked(json_out.str());
+      ASSERT_EQ(count_lines(json_text), 2u + 4u * 1024u);
+      if (threads == 1) {
+        json_ref = json_text;
+        csv_ref = csv_out.str();
+        continue;
+      }
+      EXPECT_EQ(json_text, json_ref) << "threads " << threads << ", regions " << regions;
+      EXPECT_EQ(csv_out.str(), csv_ref) << "threads " << threads << ", regions " << regions;
+    }
+    json_by_regions.push_back(json_ref);
+    csv_by_regions.push_back(csv_ref);
+  }
+  // Regions reorder the stream (region by region), never its records.
+  EXPECT_EQ(sorted_lines(json_by_regions[0]), sorted_lines(json_by_regions[1]));
+  EXPECT_EQ(sorted_lines(csv_by_regions[0]), sorted_lines(csv_by_regions[1]));
+}
+
+// Collects unit records and throws from on_unit at the k-th.
+class ThrowingSink : public ResultSink {
+ public:
+  explicit ThrowingSink(std::size_t throw_at) : throw_at_(throw_at) {}
+  void on_unit(const UnitRecord& r) override {
+    if (++calls_ == throw_at_) throw std::runtime_error("sink write failed");
+    units.push_back({r.scheme, r.cls, r.fault_index, r.detected_all, r.detected_any});
+  }
+  void on_error(const Error& e) override { errors.push_back(e); }
+  std::vector<CollectingSink::StoredUnit> units;
+  std::vector<Error> errors;
+
+ private:
+  std::size_t throw_at_;
+  std::size_t calls_ = 0;
+};
+
+void expect_prefix(const std::vector<CollectingSink::StoredUnit>& part,
+                   const std::vector<CollectingSink::StoredUnit>& full) {
+  ASSERT_LE(part.size(), full.size());
+  for (std::size_t i = 0; i < part.size(); ++i) {
+    EXPECT_EQ(part[i].scheme, full[i].scheme) << "record " << i;
+    EXPECT_TRUE(part[i].cls == full[i].cls) << "record " << i;
+    EXPECT_EQ(part[i].fault_index, full[i].fault_index) << "record " << i;
+    EXPECT_EQ(part[i].detected_all, full[i].detected_all) << "record " << i;
+    EXPECT_EQ(part[i].detected_any, full[i].detected_any) << "record " << i;
+  }
+}
+
+TEST(ResultSinkTest, ThrowingSinkEndsTheCampaignAfterAPrefix) {
+  // One 4096-fault round of 66 units: a throw early in it leaves most
+  // units still to run on the other workers.
+  CampaignSpec spec = drain_spec(4, 1);
+  spec.words = 256;
+  spec.schemes = {SchemeKind::ProposedExact};
+  spec.classes = {{ClassKind::Saf, CfScope::Both}};
+  spec.seeds = {0};
+  CollectingSink full;
+  run_campaign(spec, &full);
+  ASSERT_EQ(full.units.size(), 4096u);
+  for (const std::size_t k : {70u, 2000u}) {
+    ThrowingSink sink(k);
+    EXPECT_THROW(run_campaign(spec, &sink), CampaignError) << "k " << k;
+    // Nothing after the throw: the report mutex was released on unwind and
+    // no later drain re-reported or skipped ahead.
+    EXPECT_EQ(sink.units.size(), k - 1);
+    expect_prefix(sink.units, full.units);
+    ASSERT_EQ(sink.errors.size(), 1u);
+  }
+}
+
+TEST(ResultSinkTest, CancellingMidRoundLeavesAPrefix) {
+  CampaignSpec spec = drain_spec(4, 1);
+  spec.seeds = {0};  // one round per cell: the 1024-record TF cell is one round
+  CollectingSink full;
+  run_campaign(spec, &full);
+  for (const std::size_t k : {1u, 100u, 700u}) {
+    CollectingSink cancelling(/*cancel_after_units=*/k);
+    const CampaignSummary summary = run_campaign(spec, &cancelling);
+    EXPECT_TRUE(summary.cancelled);
+    // The run being delivered when the flag flipped completes; nothing
+    // after it arrives.
+    EXPECT_GE(cancelling.units.size(), k);
+    EXPECT_LT(cancelling.units.size(), 1024u);
+    expect_prefix(cancelling.units, full.units);
+    EXPECT_TRUE(summary.cells.empty());
+  }
+}
+
+// ---- the record formatter -------------------------------------------------
+
+TEST(ResultSinkTest, UnitLinesHaveOneGoldenTailPerVerdictPair) {
+  std::ostringstream json_out, csv_out;
+  JsonLinesSink json(json_out);
+  CsvSink csv(csv_out);
+  CampaignSpec spec = sequential_spec();
+  CampaignMeta meta;
+  meta.spec = &spec;
+  csv.on_campaign_begin(meta);
+  const Fault f = Fault::cfid({12, 3}, Transition::Down, {4096, 7}, true);
+  UnitRecord r;
+  r.scheme = SchemeKind::ProposedMisr;
+  r.cls = {ClassKind::CFid, CfScope::InterWord, 20000};
+  r.fault_index = 151071;
+  r.fault = &f;
+  for (const bool all : {false, true})
+    for (const bool any : {false, true}) {
+      r.detected_all = all;
+      r.detected_any = any;
+      json.on_unit(r);
+      csv.on_unit(r);
+    }
+  json.flush();
+  const std::string head =
+      "{\"type\":\"unit\",\"scheme\":\"twm-misr\",\"class\":\"cfid:inter@20000\","
+      "\"fault\":151071,\"describe\":\"CFid<v;1> w12.b3->w4096.b7 [inter]\",";
+  EXPECT_EQ(json_out.str(),
+            head + "\"detected_all\":false,\"detected_any\":false}\n" +
+                head + "\"detected_all\":false,\"detected_any\":true}\n" +
+                head + "\"detected_all\":true,\"detected_any\":false}\n" +
+                head + "\"detected_all\":true,\"detected_any\":true}\n");
+  const std::string row =
+      "\"sink-test\",twm-misr,cfid:inter@20000,151071,\"CFid<v;1> w12.b3->w4096.b7 [inter]\",";
+  EXPECT_EQ(csv_out.str(),
+            "campaign,scheme,class,fault,describe,detected_all,detected_any\n" + row +
+                "0,0\n" + row + "0,1\n" + row + "1,0\n" + row + "1,1\n");
+}
+
+// Counts cancelled() polls; never cancels.
+class PollCountingSink : public ResultSink {
+ public:
+  void on_unit(const UnitRecord&) override { ++records; }
+  bool cancelled() const override {
+    polls.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  std::size_t records = 0;
+  mutable std::atomic<std::size_t> polls{0};
+};
+
+TEST(ResultSinkTest, CancellationIsPolledPerUnitAndRunNotPerRecord) {
+  CampaignSpec spec = drain_spec(4, 1);
+  spec.schemes = {SchemeKind::ProposedExact};
+  spec.classes = {{ClassKind::Saf, CfScope::Both}};
+  spec.seeds = {0};
+  PollCountingSink sink;
+  run_campaign(spec, &sink);
+  ASSERT_EQ(sink.records, 1024u);
+  // 17 units of 63 faults, each one contiguous run: one poll per claimed
+  // unit, one per delivered run, one per worker that finds no unit left,
+  // and a few at the cell boundary.  Once per record would be 1024.
+  const std::size_t units = (1024 + 62) / 63;
+  EXPECT_GE(sink.polls.load(), 2 * units);
+  EXPECT_LE(sink.polls.load(), 2 * units + spec.threads + 8);
 }
 
 // ---- locale-independent float formatting ---------------------------------

@@ -8,9 +8,14 @@
 // Failpoints are process-global; every test holds a FailpointGuard so a
 // failing assertion cannot leak an armed failpoint into later tests.
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -644,6 +649,49 @@ TEST_F(ServiceChaosTest, AcceptFailureDropsOneConnectionNotTheDaemon) {
   const auto pong = second.recv_line();
   ASSERT_TRUE(pong.has_value());
   EXPECT_NE(pong->find("\"type\":\"pong\""), std::string::npos);
+}
+
+// The failpoint is configured only once the accept loop is provably back in
+// accept (a completed ping round trip on another connection): it must hit
+// the next connection, not the one after.  The probe is a raw socket with a
+// receive timeout, so a connection the daemon wrongly serves fails the case
+// (EAGAIN) instead of hanging it.
+TEST_F(ServiceChaosTest, AcceptFailpointSetWhileTheLoopWaitsHitsTheNextConnection) {
+  const auto port = start_server();
+  service::LineClient warm = connect(port);
+  ASSERT_TRUE(warm.send_line(service::ping_frame()));
+  ASSERT_TRUE(warm.recv_line().has_value());
+  ASSERT_TRUE(util::failpoints_configure("socket.accept=err@1"));
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  // The handshake completes in the kernel whatever accept does next.
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  const std::string ping = service::ping_frame() + "\n";
+  (void)::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL);
+  char byte = 0;
+  const ssize_t n = ::recv(fd, &byte, 1, 0);
+  const int err = errno;
+  ::close(fd);
+  if (n < 0) {
+    EXPECT_NE(err, EAGAIN) << "the connection was served: the failpoint missed it";
+    EXPECT_NE(err, EWOULDBLOCK) << "the connection was served: the failpoint missed it";
+  } else {
+    EXPECT_EQ(n, 0) << "the daemon answered a connection it should have dropped";
+  }
+
+  // The daemon lives on, and so does the connection it served before.
+  service::LineClient after = connect(port);
+  ASSERT_TRUE(after.send_line(service::ping_frame()));
+  EXPECT_TRUE(after.recv_line().has_value());
+  ASSERT_TRUE(warm.send_line(service::ping_frame()));
+  EXPECT_TRUE(warm.recv_line().has_value());
 }
 
 TEST_F(ServiceChaosTest, EngineFaultReachesTheClientAsARetryableErrorFrame) {

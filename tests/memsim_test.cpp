@@ -2,6 +2,10 @@
 // activation/observation behaviour, plus fault-free integrity properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -243,6 +247,48 @@ TEST(FaultDescribe, AppendDescribeAppendsToTheBuffer) {
   Fault::af_alias(1, 2).append_describe(out);
   Fault::cfin({3, 0}, Transition::Up, {3, 1}).append_describe(out);
   EXPECT_EQ(out, "x:AFaw w1~w2CFin<^> w3.b0->w3.b1 [intra]");
+}
+
+// write_describe is the one formatter describe() and append_describe wrap:
+// the same text for every class, within the documented kDescribeMax bound,
+// which a coupling fault with word and bit at their type maxima reaches.
+TEST(FaultDescribe, WriteDescribeMatchesDescribeWithinTheBound) {
+  constexpr std::size_t kWordMax = std::numeric_limits<std::size_t>::max();
+  constexpr unsigned kBitMax = std::numeric_limits<unsigned>::max();
+  const CellAddr hi{kWordMax, kBitMax};
+  const CellAddr lo{0, 0};
+  const Fault faults[] = {
+      Fault::saf(hi, true),
+      Fault::tf(hi, Transition::Down),
+      Fault::cfst(hi, true, hi, false),
+      Fault::cfst(lo, false, hi, true),
+      Fault::cfid(hi, Transition::Up, hi, true),
+      Fault::cfid(hi, Transition::Down, lo, false),
+      Fault::cfin(hi, Transition::Down, hi),
+      Fault::ret(hi, true, kBitMax),
+      Fault::af_no_access(kWordMax),
+      Fault::af_alias(kWordMax, kWordMax),
+      Fault::saf(lo, false),
+      Fault::af_alias(0, 1),
+  };
+  std::set<FaultClass> classes;
+  std::size_t longest = 0;
+  for (const Fault& f : faults) {
+    classes.insert(f.cls);
+    char buf[Fault::kDescribeMax + 8];
+    std::fill(std::begin(buf), std::end(buf), '#');
+    const char* end = f.write_describe(buf);
+    const std::size_t len = static_cast<std::size_t>(end - buf);
+    EXPECT_LE(len, Fault::kDescribeMax) << f.describe();
+    EXPECT_EQ(std::string(buf, len), f.describe());
+    EXPECT_EQ(buf[len], '#') << "wrote past its end: " << f.describe();
+    longest = std::max(longest, len);
+  }
+  EXPECT_EQ(classes.size(), 8u) << "every FaultClass";
+  EXPECT_EQ(longest, Fault::kDescribeMax);
+  EXPECT_EQ(Fault::cfst(hi, true, hi, false).describe(),
+            "CFst<1;0> w18446744073709551615.b4294967295->w18446744073709551615.b4294967295"
+            " [intra]");
 }
 
 TEST(Memory, ClearFaultsStopsInjection) {
