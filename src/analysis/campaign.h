@@ -5,16 +5,18 @@
 // lane on the packed backend) is independent.  CampaignRunner owns the
 // machinery every campaign needs —
 //
-//   * one SchemePlan compiled per campaign (march transforms amortized
+//   * one SchemePlan compiled per scheme (march transforms amortized
 //     over every fault x seed),
-//   * sharding of units across a thread pool (run_pool),
+//   * one scheduler per campaign (analysis/campaign_exec.h): one worker
+//     pool and one in-order report drain for every cell and region,
 //   * the per-seed early exit once the requested verdicts have settled,
 //   * the packed golden-lane self-check (lane 0 carries no fault; a
 //     detection there is an engine bug and aborts the campaign),
 //
-// — and exposes three result shapes: aggregate counts (evaluate), a
-// per-fault verdict vector (per_fault), and the full per-fault x per-seed
-// verdict matrix (matrix).
+// — and exposes three result shapes for one cell: aggregate counts
+// (evaluate), a per-fault verdict vector (per_fault), and the full
+// per-fault x per-seed verdict matrix (matrix), plus run_cells, which
+// schedules a whole campaign's cells at once.
 //
 // Schemes (SchemeKind, core/scheme_session.h) are evaluated per fault under
 // each seed in `seeds`: detection may in principle depend on the initial
@@ -29,9 +31,13 @@
 #define TWM_ANALYSIS_CAMPAIGN_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scheme_session.h"
@@ -68,13 +74,11 @@ struct CoverageOptions {
   // Address-region sharding, orthogonal to the fault sharding above: the
   // fault list is partitioned into `regions` slices of the address space
   // (a fault belongs to the region owning its victim word; inter-region
-  // couplings follow their victim) and the slices run as independent
-  // sequential sub-campaigns whose merged verdicts are identical to the
-  // unsharded run.  Each sub-campaign's working set (slots + prediction
-  // streams) is bounded by its slice's fault footprint, which is what
-  // keeps huge-geometry campaigns inside a fixed memory budget and gives
-  // cached resume its unit of progress.  1 = off (the byte-identical
-  // legacy path).
+  // couplings follow their victim) and each slice is one job of the
+  // scheduler, reported in region order; merged verdicts are identical to
+  // the unsharded run.  A region is a fault-list partition and a
+  // checkpoint point (RegionProgress): it gives cached resume its unit of
+  // progress.  1 = off.
   unsigned regions = 1;
 };
 
@@ -116,6 +120,13 @@ struct CampaignStats {
   // are added instead of growing per round (tests/campaign_test.cpp pins
   // it).
   std::atomic<std::uint64_t> page_allocs{0};
+  // Worker pools that started threads (WorkerPool): one per campaign that
+  // runs on more than one thread, whatever its cells, regions and rounds.
+  std::atomic<std::uint64_t> pool_starts{0};
+  // Seeded baselines the worker memories generated (fill_seeded of a
+  // nonzero seed): a worker memory lives for the whole campaign and keeps
+  // each seed's contents, so this is at most workers x nonzero seeds.
+  std::atomic<std::uint64_t> baselines_generated{0};
 
   double mean_live_lanes() const {
     const std::uint64_t u = units.load();
@@ -132,9 +143,52 @@ struct CoverageOutcome {
   double pct_any() const { return total ? 100.0 * detected_any / total : 0.0; }
 };
 
+// A campaign's worker threads, started once and parked between runs.
+// run(fn) calls fn(w) once on every pool thread — the caller is worker 0 —
+// and returns when all of them returned, rethrowing the first exception
+// any of them raised.  Threads start on the first run() (so a pool that
+// only ever runs trivial work starts none); if the OS refuses to spawn
+// more, the pool runs with the ones it got.  One run() at a time.
+class WorkerPool {
+ public:
+  // `stats`, when non-null, counts the thread start in pool_starts.
+  explicit WorkerPool(unsigned threads, CampaignStats* stats = nullptr);
+  ~WorkerPool();
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  // Threads a run() may use, the caller included (the request, until the
+  // first run() finds out how many the OS grants).
+  unsigned size() const { return size_; }
+
+  void run(const std::function<void(unsigned worker)>& fn);
+
+  // task(i) for every i in [0, n), claimed in order by the pool's threads
+  // (n <= 1 runs on the caller alone).
+  void for_each(std::size_t n, const std::function<void(std::size_t)>& task);
+
+ private:
+  void start();
+  void serve(unsigned worker);
+
+  unsigned size_;
+  CampaignStats* stats_;
+  bool started_ = false;
+  // mu_ guards the run handed to the threads: its task, generation, the
+  // threads still in it, the first exception, and quit_.
+  std::mutex mu_;
+  std::condition_variable wake_, idle_;
+  const std::function<void(unsigned)>* task_ = nullptr;
+  std::uint64_t generation_ = 0;
+  unsigned busy_ = 0;
+  bool quit_ = false;
+  std::exception_ptr error_;
+  std::vector<std::thread> threads_;  // last: the threads use every member above
+};
+
 // Runs `worker` on `threads` threads (including the calling one), joins
-// them all, and rethrows the first exception any of them raised.  If the OS
-// refuses to spawn more threads, the pool simply runs with the ones it got.
+// them all, and rethrows the first exception any of them raised: a
+// one-run WorkerPool.
 void run_pool(unsigned threads, const std::function<void()>& worker);
 
 // Packed campaigns keep lane 0 fault-free; a detection there means the
@@ -142,21 +196,20 @@ void run_pool(unsigned threads, const std::function<void()>& worker);
 // of `verdicts` is set.
 void require_golden_lane_clear(LaneMask verdicts);
 
-// Low-level streaming observer for one CampaignRunner call.  The engine
-// invokes it from WORKER threads while the round runs — implementations
+// Low-level streaming observer for one cell of a campaign.  The engine
+// invokes it from WORKER threads while the rounds run — implementations
 // must be thread-safe (the api layer's sink adapter serializes with a
-// mutex).  on_unit_settled comes from the report drain
-// (analysis/campaign_exec.h): on whichever engine worker or calling thread
-// holds the report mutex, one call at a time, in the thread-count-
-// independent fault order.  flush() comes on the calling thread once per
-// round, after the pool joined.
+// mutex).  on_unit_settled and flush() come from the report drain
+// (analysis/campaign_exec.h): on whichever pool thread holds the report
+// mutex, one call at a time, in the thread-count-independent fault order;
+// flush() follows each round's last record.
 //
-// cancelled() is polled before each unit is claimed and before each
-// on_unit_settled run: returning true makes every worker stop claiming new
-// units and ends the reports (units still in flight complete unreported),
-// which is the cooperative-cancellation contract the api::ResultSink
-// surface builds on.  The records delivered are a prefix of the full
-// stream.
+// cancelled() is polled before each unit is claimed, before each
+// on_unit_settled run and at cell and region boundaries: returning true
+// makes every worker stop claiming new units and ends the reports (units
+// still in flight complete unreported), which is the cooperative-
+// cancellation contract the api::ResultSink surface builds on.  The
+// records delivered are a prefix of the full stream.
 class UnitObserver {
  public:
   virtual ~UnitObserver() = default;
@@ -178,15 +231,12 @@ class UnitObserver {
   }
   virtual bool want_seed_verdicts() const { return false; }
 
-  // A report batch settled: fired once per round on the calling thread,
-  // after the pool joined and the round's last on_unit_settled (a
-  // buffering consumer writes now).
+  // A report batch settled: fired once per round, right after the round's
+  // last on_unit_settled (a buffering consumer writes now).
   virtual void flush() {}
 
   virtual bool cancelled() const { return false; }
 };
-
-struct CampaignJob;  // analysis/campaign_exec.h
 
 // Region that owns a fault under a `regions`-way split of the address
 // space: the victim word's slice (inter-region couplings follow their
@@ -197,8 +247,10 @@ unsigned fault_region(const Fault& f, std::size_t words, unsigned regions);
 // done[r] marks regions whose verdicts the caller already holds from a
 // previous run — they are skipped wholesale and the caller is responsible
 // for patching their all/any/matrix entries and replaying their records.
-// on_region_done fires on the calling thread after each region's faults
-// settle, with the original fault indices the region owns.
+// on_region_done fires from the report drain on the calling thread (worker
+// 0, under the report mutex) right after a region's last record was
+// delivered, with the original fault indices the region owns; it is not
+// called for a region a stop cut.
 struct RegionProgress {
   std::vector<char> done;  // [region] -> already complete, skip
   std::function<void(unsigned region, const std::vector<std::uint32_t>& fault_indices)>
@@ -216,6 +268,44 @@ struct VerdictMatrix {
   }
   bool detected_all(std::size_t fault) const;  // under every seed
   bool detected_any(std::size_t fault) const;  // under at least one seed
+};
+
+// One scheme x fault-list cell of a campaign (CampaignRunner::run_cells).
+// The result slots are optional: all/any are sized to the fault list
+// (1 / 0 preset) and filled as each region's job completes, a matrix is
+// sized and filled like CampaignRunner::matrix's.  Left null, a job's
+// verdicts live only from its first claimed unit until it drained; the
+// observer is how they leave the scheduler.
+struct CampaignCell {
+  const SchemePlan* plan = nullptr;  // shared by every cell of its scheme
+  // Null: nothing to simulate; the drain only passes the cell (CellFeed).
+  const std::vector<Fault>* faults = nullptr;
+  bool need_any = true;
+  std::vector<char>* all = nullptr;
+  std::vector<char>* any = nullptr;
+  VerdictMatrix* matrix = nullptr;  // non-null disables the early exit
+  UnitObserver* observer = nullptr;
+  // Regions to skip and the per-region callback; null runs every region.
+  const RegionProgress* progress = nullptr;
+};
+
+// The cells of one campaign, in report order.  The scheduler asks for a
+// cell when it enters its window (a few cells ahead of the report drain),
+// and tells it when the drain reaches it and when it passed its last
+// record.  Every call comes from the calling thread (under the report
+// mutex once the pool runs), cells in order.
+class CellFeed {
+ public:
+  virtual ~CellFeed() = default;
+  virtual std::size_t size() const = 0;
+  // Describes cell c; the pointers in it stay valid until drained(c).
+  virtual CampaignCell cell(std::size_t c) = 0;
+  // The drain reached cell c: whatever the feed delivers here (replayed
+  // records) precedes the cell's live records.
+  virtual void reached(std::size_t c) { (void)c; }
+  // The drain delivered cell c's last record (not called for a cell a
+  // stop cut).
+  virtual void drained(std::size_t c) { (void)c; }
 };
 
 class CampaignRunner {
@@ -258,22 +348,24 @@ class CampaignRunner {
   // `stats` is non-null the scheduler's forward-progress counters are
   // accumulated into it (occupancy / settle-exit attribution).
   // When options().regions > 1 (or `progress` is non-null) the fault list
-  // is partitioned by fault_region() and the regions run sequentially as
-  // independent sub-campaigns; merged verdicts are identical to regions=1.
+  // is partitioned by fault_region() and each region is one job, reported
+  // in region order; merged verdicts are identical to regions=1.  This is
+  // run_cells with one cell.
   void run(SchemeKind scheme, const MarchTest& bit_march, const std::vector<Fault>& faults,
            const std::vector<std::uint64_t>& seeds, bool need_any, std::vector<char>& all,
            std::vector<char>& any, VerdictMatrix* out_matrix = nullptr,
            UnitObserver* observer = nullptr, CampaignStats* stats = nullptr,
            const RegionProgress* progress = nullptr) const;
 
- private:
-  // One fault list through dispatch; all/any point at (and a non-null
-  // matrix is pre-sized for) exactly this list.
-  void run_list(const SchemePlan& plan, const std::vector<Fault>& faults,
-                const std::vector<std::uint64_t>& seeds, bool need_any, char* all, char* any,
-                VerdictMatrix* out_matrix, UnitObserver* observer, CampaignStats* stats) const;
-  void dispatch(const CampaignJob& job) const;
+  // A whole campaign: every cell of `feed`, all under `seeds`, on one
+  // scheduler — one worker pool (`pool`, or one of options().threads
+  // threads started here), one worker memory and session scratch per
+  // thread, and one report drain that delivers the cells in feed order.
+  // Idle workers compute the next cells while a cell's records drain.
+  void run_cells(CellFeed& feed, const std::vector<std::uint64_t>& seeds,
+                 WorkerPool* pool = nullptr, CampaignStats* stats = nullptr) const;
 
+ private:
   std::size_t words_;
   unsigned width_;
   CoverageOptions options_;

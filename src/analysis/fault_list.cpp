@@ -188,16 +188,18 @@ FaultCollapse collapse_faults(const std::vector<Fault>& faults, const SchemePlan
 std::vector<Fault> sampled_cfs(std::size_t words, unsigned width, FaultClass cls, CfScope scope,
                                std::size_t count, Rng& rng) {
   std::vector<Fault> out;
-  out.reserve(count);
+  out.reserve(count + 3);  // room for one pair's variants past the last draw
   while (out.size() < count) {
     const CellAddr agg{static_cast<std::size_t>(rng.next_below(words)),
                        static_cast<unsigned>(rng.next_below(width))};
     const CellAddr vic{static_cast<std::size_t>(rng.next_below(words)),
                        static_cast<unsigned>(rng.next_below(width))};
     if (agg == vic || !scope_ok(agg, vic, scope)) continue;
-    std::vector<Fault> variants;
-    push_variants(variants, cls, agg, vic);
-    out.push_back(variants[rng.next_below(variants.size())]);
+    // The pair's variants go to the tail of `out`; the drawn one stays.
+    const std::size_t first = out.size();
+    push_variants(out, cls, agg, vic);
+    out[first] = out[first + rng.next_below(out.size() - first)];
+    out.resize(first + 1);
   }
   return out;
 }

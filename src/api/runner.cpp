@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
+#include <utility>
 
 #include "api/error.h"
 #include "march/library.h"
@@ -37,14 +39,14 @@ class DeadlineGate {
 };
 
 // Bridges the engine's raw UnitObserver events (runs of contiguous faults
-// + flag pointers, fired from the report drain on a worker or the calling
-// thread) to the public ResultSink records (one per fault, serialized by a
-// mutex taken once per run, stamped with scheme/class), and counts the
-// cell's aggregate as units go by.  Replayed cache records take
-// the same path through emit(); the engine's end-of-batch flush() reaches
-// the sink as ResultSink::flush().  `sink` may be null (cache-recording runs
-// without a consumer); `record`, when non-null, captures every unit in
-// emission order for the cache.
+// + flag pointers, fired from the report drain on a pool thread) to the
+// public ResultSink records (one per fault, serialized by a mutex taken
+// once per run, stamped with scheme/class), and counts the cell's
+// aggregate as units go by.  Replayed cache records take the same path
+// through replay(); the engine's end-of-batch flush() reaches the sink as
+// ResultSink::flush().  `sink` may be null (cache-recording runs without a
+// consumer); `record`, when non-null, captures every unit in emission
+// order for the cache.
 class SinkAdapter : public UnitObserver {
  public:
   SinkAdapter(ResultSink* sink, std::mutex& mu, SchemeKind scheme, const ClassSel& cls,
@@ -64,24 +66,10 @@ class SinkAdapter : public UnitObserver {
   std::size_t units_seen() const { return units_seen_; }
   const CoverageOutcome& outcome() const { return outcome_; }
 
-  // One settled unit, live or replayed.  Callers hold mu_ or run before
-  // the engine starts its workers.
-  void emit(const CachedUnit& u) {
-    if (record_) record_->push_back(u);
-    if (sink_) {
-      UnitRecord r;
-      r.scheme = scheme_;
-      r.cls = cls_;
-      r.fault_index = u.fault_index;
-      r.fault = &faults_[u.fault_index];
-      r.detected_all = u.detected_all;
-      r.detected_any = u.detected_any;
-      sink_->on_unit(r);
-      ++units_emitted_;
-    }
-    outcome_.detected_all += u.detected_all;
-    outcome_.detected_any += u.detected_any;
-    ++units_seen_;
+  // Stored records of the cell, in their stored order.
+  void replay(const std::vector<CachedUnit>& units) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (const CachedUnit& u : units) emit(u);
   }
 
   void on_unit_settled(std::size_t first, unsigned count, const char* all,
@@ -113,6 +101,25 @@ class SinkAdapter : public UnitObserver {
   }
 
  private:
+  // One settled unit, live or replayed; the caller holds mu_.
+  void emit(const CachedUnit& u) {
+    if (record_) record_->push_back(u);
+    if (sink_) {
+      UnitRecord r;
+      r.scheme = scheme_;
+      r.cls = cls_;
+      r.fault_index = u.fault_index;
+      r.fault = &faults_[u.fault_index];
+      r.detected_all = u.detected_all;
+      r.detected_any = u.detected_any;
+      sink_->on_unit(r);
+      ++units_emitted_;
+    }
+    outcome_.detected_all += u.detected_all;
+    outcome_.detected_any += u.detected_any;
+    ++units_seen_;
+  }
+
   ResultSink* sink_;
   const DeadlineGate* gate_;
   std::mutex& mu_;
@@ -145,8 +152,176 @@ bool replayable(const std::vector<CachedUnit>& units, std::size_t num_faults,
   return true;
 }
 
+// The spec's scheme x class cells, scheme-major, as a CellFeed: a cell's
+// cache lookups run when the scheduler asks for it (a few cells ahead of
+// the report drain), its stored records replay when the drain reaches it,
+// and it is stored whole and counted complete once the drain passed it.
+class SpecCells final : public CellFeed {
+ public:
+  SpecCells(const CampaignSpec& spec, const MarchTest& march,
+            const std::vector<std::vector<Fault>>& fault_lists, ResultSink* sink,
+            CellCache* cache, CacheStats* cache_stats, const DeadlineGate* gate,
+            std::size_t& units_emitted)
+      : spec_(spec),
+        march_(march),
+        fault_lists_(fault_lists),
+        sink_(sink),
+        cache_(cache),
+        cache_stats_(cache_stats),
+        gate_(gate),
+        units_emitted_(units_emitted),
+        regions_(std::max(1u, spec.regions)),
+        // Seed-record consumers bypass the replay path: stored entries
+        // carry no per-seed stream.  Settled regions and live cells are
+        // still stored.
+        replay_ok_(!(sink && sink->want_seed_records())),
+        cells_(spec.schemes.size() * spec.classes.size()) {}
+
+  std::size_t size() const override { return cells_.size(); }
+
+  // Cells whose every record streamed, in spec order.
+  std::vector<CellResult> completed() const { return completed_; }
+
+  CampaignCell cell(std::size_t c) override {
+    const SchemeKind scheme = spec_.schemes[c / spec_.classes.size()];
+    const ClassSel& cls = spec_.classes[c % spec_.classes.size()];
+    const std::vector<Fault>& faults = fault_lists_[c % spec_.classes.size()];
+    auto state = std::make_unique<State>();
+    State& st = *state;
+    cells_[c] = std::move(state);
+    if (cache_) {
+      st.identity = cell_identity_json(spec_, scheme, cls);
+      st.key = content_key(st.identity);
+    }
+
+    // Stored records of this cell: the whole-cell entry, or else the
+    // entries of whichever regions an earlier run settled.  done[r] tells
+    // the scheduler which regions to skip.
+    st.progress.done.assign(regions_, 0);
+    bool whole_hit = false;
+    if (cache_ && replay_ok_) {
+      if (auto hit = cache_->lookup(st.key, st.identity);
+          hit && replayable(hit->units, faults.size(), faults.size())) {
+        st.stored = std::move(hit->units);
+        whole_hit = true;
+      } else if (regions_ > 1) {
+        // Region ownership of this cell's faults (identical to the split
+        // the scheduler performs).
+        std::vector<unsigned> region_of(faults.size());
+        std::vector<std::size_t> owned(regions_, 0);
+        for (std::size_t i = 0; i < faults.size(); ++i)
+          ++owned[region_of[i] = fault_region(faults[i], spec_.words, regions_)];
+        for (unsigned r = 0; r < regions_; ++r) {
+          if (owned[r] == 0) {  // nothing to redo, nothing stored
+            st.progress.done[r] = 1;
+            continue;
+          }
+          const std::string rid = region_identity_json(st.identity, r, regions_);
+          const auto part = cache_->lookup(content_key(rid), rid);
+          if (!part || !replayable(part->units, faults.size(), owned[r], &region_of, r))
+            continue;
+          st.progress.done[r] = 1;
+          st.stored.insert(st.stored.end(), part->units.begin(), part->units.end());
+        }
+      }
+    }
+    st.simulate = !whole_hit && std::find(st.progress.done.begin(), st.progress.done.end(),
+                                          0) != st.progress.done.end();
+    // A cell not served whole is stored whole once it completes.
+    st.store_whole = cache_ && !whole_hit;
+    if (st.store_whole) st.recorded.reserve(faults.size());
+    st.adapter = std::make_unique<SinkAdapter>(sink_, sink_mu_, scheme, cls, faults, spec_.seeds,
+                                               units_emitted_,
+                                               st.store_whole ? &st.recorded : nullptr, gate_);
+
+    CampaignCell out;
+    out.observer = st.adapter.get();
+    if (!st.simulate || faults.empty()) return out;
+    out.plan = &plan(scheme);
+    out.faults = &faults;
+    // Every region that settles becomes its own entry: the region's
+    // records are the tail the adapter just recorded.
+    if (cache_ && regions_ > 1) {
+      st.progress.on_region_done = [this, &st](unsigned r, const std::vector<std::uint32_t>& idx) {
+        if (idx.empty() || st.recorded.size() < idx.size()) return;
+        const std::string rid = region_identity_json(st.identity, r, regions_);
+        cache_->store(content_key(rid), rid,
+                      {{st.recorded.end() - static_cast<std::ptrdiff_t>(idx.size()),
+                        st.recorded.end()}});
+      };
+      out.progress = &st.progress;
+    }
+    return out;
+  }
+
+  // Stored records stream first (they settled first in the run that
+  // stored them), then the missing regions' live records.
+  void reached(std::size_t c) override {
+    State& st = *cells_[c];
+    if (!st.stored.empty()) {
+      st.adapter->replay(st.stored);
+      st.adapter->flush();
+    }
+    if (cache_stats_) {
+      ++(st.simulate ? cache_stats_->cells_simulated : cache_stats_->cells_cached);
+      cache_stats_->faults_replayed += st.stored.size();
+    }
+    st.stored = {};
+  }
+
+  void drained(std::size_t c) override {
+    const std::unique_ptr<State> st = std::move(cells_[c]);
+    const std::size_t total = fault_lists_[c % spec_.classes.size()].size();
+    if (st->adapter->units_seen() != total) return;
+    if (st->store_whole) cache_->store(st->key, st->identity, {std::move(st->recorded)});
+    CellResult cell;
+    cell.scheme = spec_.schemes[c / spec_.classes.size()];
+    cell.cls = spec_.classes[c % spec_.classes.size()];
+    cell.outcome = st->adapter->outcome();
+    cell.outcome.total = total;
+    completed_.push_back(cell);
+  }
+
+ private:
+  struct State {
+    std::string identity, key;
+    std::vector<CachedUnit> stored, recorded;
+    RegionProgress progress;
+    bool simulate = false, store_whole = false;
+    std::unique_ptr<SinkAdapter> adapter;
+  };
+
+  // One plan per scheme, compiled when a cell of it first simulates.
+  const SchemePlan& plan(SchemeKind scheme) {
+    for (const auto& [kind, plan] : plans_)
+      if (kind == scheme) return *plan;
+    plans_.emplace_back(scheme, std::make_unique<SchemePlan>(
+                                    make_scheme_plan(scheme, march_, spec_.width)));
+    return *plans_.back().second;
+  }
+
+  const CampaignSpec& spec_;
+  const MarchTest& march_;
+  const std::vector<std::vector<Fault>>& fault_lists_;
+  ResultSink* sink_;
+  CellCache* cache_;
+  CacheStats* cache_stats_;
+  const DeadlineGate* gate_;
+  std::size_t& units_emitted_;
+  const unsigned regions_;
+  const bool replay_ok_;
+  std::mutex sink_mu_;
+  std::vector<std::pair<SchemeKind, std::unique_ptr<SchemePlan>>> plans_;
+  std::vector<std::unique_ptr<State>> cells_;  // from cell(c) to drained(c)
+  std::vector<CellResult> completed_;
+};
+
+// Fewer faults than this build in well under a millisecond on one thread.
+constexpr std::uint64_t kParallelListFaults = std::uint64_t{1} << 15;
+
 CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
-                                  CellCache* cache, CacheStats* cache_stats) {
+                                  CellCache* cache, CacheStats* cache_stats,
+                                  CampaignStats* stats) {
   require_valid(spec);
   const MarchTest march = resolve_march(spec);
 
@@ -156,13 +331,23 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
   if (spec.deadline_ms != 0) gate_storage.emplace(spec.deadline_ms);
   const DeadlineGate* gate = gate_storage ? &*gate_storage : nullptr;
 
-  const unsigned regions = std::max(1u, spec.regions);
-
-  // One fault list per distinct class selector, shared across schemes.
-  std::vector<std::vector<Fault>> fault_lists;
-  fault_lists.reserve(spec.classes.size());
-  for (const ClassSel& cls : spec.classes)
-    fault_lists.push_back(build_fault_list(cls, spec.words, spec.width));
+  // The campaign's one worker pool: it builds the class fault lists (one
+  // per distinct class selector, shared across schemes), then runs every
+  // cell.  Lists build in parallel once they are big enough to pay for
+  // starting threads (page faults dominate a large list); smaller ones
+  // build on the calling thread, so a campaign the cache serves whole
+  // starts no thread at all.
+  WorkerPool pool(spec.threads, stats);
+  std::vector<std::vector<Fault>> fault_lists(spec.classes.size());
+  const auto build = [&](std::size_t c) {
+    fault_lists[c] = build_fault_list(spec.classes[c], spec.words, spec.width);
+  };
+  std::uint64_t planned = 0;
+  for (const ClassSel& cls : spec.classes) planned += fault_list_size(cls, spec.words, spec.width);
+  if (planned >= kParallelListFaults)
+    pool.for_each(spec.classes.size(), build);
+  else
+    for (std::size_t c = 0; c < spec.classes.size(); ++c) build(c);
 
   CampaignSummary summary;
   for (const auto& list : fault_lists) summary.total_faults += list.size();
@@ -179,105 +364,14 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
     *cache_stats = {};
     cache_stats->cells_total = spec.schemes.size() * spec.classes.size();
   }
-  // Seed-record consumers bypass the replay path: stored entries carry no
-  // per-seed stream.  Settled regions and live cells are still stored.
-  const bool replay_ok = !(sink && sink->want_seed_records());
 
-  const CampaignRunner runner(spec.words, spec.width, spec.options());
-  std::mutex sink_mu;
   const auto t0 = std::chrono::steady_clock::now();
-  for (SchemeKind scheme : spec.schemes) {
-    for (std::size_t c = 0; c < spec.classes.size() && !summary.cancelled; ++c) {
-      const std::vector<Fault>& faults = fault_lists[c];
-      std::string identity, key;
-      if (cache) {
-        identity = cell_identity_json(spec, scheme, spec.classes[c]);
-        key = content_key(identity);
-      }
-
-      // Stored records of this cell: the whole-cell entry, or else the
-      // entries of whichever regions an earlier run settled.  done[r] tells
-      // the runner which regions to skip.
-      std::vector<CachedUnit> stored;
-      RegionProgress progress;
-      progress.done.assign(regions, 0);
-      bool whole_hit = false;
-      if (cache && replay_ok) {
-        if (auto hit = cache->lookup(key, identity);
-            hit && replayable(hit->units, faults.size(), faults.size())) {
-          stored = std::move(hit->units);
-          whole_hit = true;
-        } else if (regions > 1) {
-          // Region ownership of this cell's faults (identical to the split
-          // CampaignRunner::run performs).
-          std::vector<unsigned> region_of(faults.size());
-          std::vector<std::size_t> owned(regions, 0);
-          for (std::size_t i = 0; i < faults.size(); ++i)
-            ++owned[region_of[i] = fault_region(faults[i], spec.words, regions)];
-          for (unsigned r = 0; r < regions; ++r) {
-            if (owned[r] == 0) {  // nothing to redo, nothing stored
-              progress.done[r] = 1;
-              continue;
-            }
-            const std::string rid = region_identity_json(identity, r, regions);
-            const auto part = cache->lookup(content_key(rid), rid);
-            if (!part || !replayable(part->units, faults.size(), owned[r], &region_of, r))
-              continue;
-            progress.done[r] = 1;
-            stored.insert(stored.end(), part->units.begin(), part->units.end());
-          }
-        }
-      }
-      const bool simulate =
-          !whole_hit && std::find(progress.done.begin(), progress.done.end(), 0) !=
-                            progress.done.end();
-
-      // A cell not served whole is stored whole once it completes.
-      const bool store_whole = cache && !whole_hit;
-      std::vector<CachedUnit> recorded;
-      SinkAdapter adapter(sink, sink_mu, scheme, spec.classes[c], faults, spec.seeds,
-                          summary.units_emitted, store_whole ? &recorded : nullptr, gate);
-      // Stored records stream first (they settled first in the run that
-      // stored them), then the missing regions simulate.
-      for (const CachedUnit& u : stored) adapter.emit(u);
-      if (!stored.empty()) adapter.flush();
-      if (cache_stats) {
-        ++(simulate ? cache_stats->cells_simulated : cache_stats->cells_cached);
-        cache_stats->faults_replayed += stored.size();
-      }
-      if (simulate) {
-        // Every region that settles becomes its own entry: the region's
-        // records are the tail the adapter just recorded.
-        const bool store_regions = cache && regions > 1;
-        if (store_regions) {
-          progress.on_region_done = [&](unsigned r, const std::vector<std::uint32_t>& idx) {
-            if (idx.empty() || recorded.size() < idx.size()) return;
-            const std::string rid = region_identity_json(identity, r, regions);
-            cache->store(content_key(rid), rid,
-                         {{recorded.end() - static_cast<std::ptrdiff_t>(idx.size()),
-                           recorded.end()}});
-          };
-        }
-        std::vector<char> all, any;
-        runner.run(scheme, march, faults, spec.seeds, /*need_any=*/true, all, any,
-                   /*out_matrix=*/nullptr, &adapter, /*stats=*/nullptr,
-                   store_regions ? &progress : nullptr);
-      }
-      if ((sink && sink->cancelled()) || (gate && gate->expired())) summary.cancelled = true;
-      // The flag may flip only after the cell's last unit settled (or
-      // every in-flight unit may still have completed): the aggregate of
-      // a fully-streamed cell is valid and must not be dropped.
-      if (adapter.units_seen() != faults.size()) break;
-      if (store_whole) cache->store(key, identity, {std::move(recorded)});
-      CellResult cell;
-      cell.scheme = scheme;
-      cell.cls = spec.classes[c];
-      cell.outcome = adapter.outcome();
-      cell.outcome.total = faults.size();
-      summary.cells.push_back(cell);
-    }
-    if (summary.cancelled) break;
-  }
+  SpecCells cells(spec, march, fault_lists, sink, cache, cache_stats, gate,
+                  summary.units_emitted);
+  CampaignRunner(spec.words, spec.width, spec.options()).run_cells(cells, spec.seeds, &pool,
+                                                                   stats);
+  summary.cells = cells.completed();
+  if ((sink && sink->cancelled()) || (gate && gate->expired())) summary.cancelled = true;
   summary.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   // The deadline reports as a cancellation with a cause, mirroring the sink
@@ -294,9 +388,9 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
 }  // namespace
 
 CampaignSummary run_campaign(const CampaignSpec& spec, ResultSink* sink, CellCache* cache,
-                             CacheStats* cache_stats) {
+                             CacheStats* cache_stats, CampaignStats* stats) {
   try {
-    return run_campaign_impl(spec, sink, cache, cache_stats);
+    return run_campaign_impl(spec, sink, cache, cache_stats, stats);
   } catch (const SpecValidationError&) {
     throw;  // structured spec errors keep their own type (and field paths)
   } catch (const std::exception& e) {

@@ -5,11 +5,12 @@
 //   api::CampaignSummary summary = api::run_campaign(spec, &sink);
 //
 // run_campaign validates the spec (throwing SpecValidationError with the
-// offending field paths), resolves the march, builds
-// each fault class's list once, then runs one CampaignRunner call per
-// scheme x class cell, streaming per-unit records into the sink as worker
-// threads settle them.  The sink can cancel cooperatively at any point;
-// the summary then carries the completed prefix and cancelled = true.
+// offending field paths), resolves the march, builds each fault class's
+// list once (in parallel, on the campaign's worker pool), then hands every
+// scheme x class cell to one CampaignRunner::run_cells call, streaming
+// per-unit records into the sink as worker threads settle them.  The sink
+// can cancel cooperatively at any point; the summary then carries the
+// completed prefix and cancelled = true.
 #ifndef TWM_API_RUNNER_H
 #define TWM_API_RUNNER_H
 
@@ -98,8 +99,12 @@ struct CacheStats {
 // and rethrown as CampaignError — catch sites that only need the message
 // keep catching std::exception, ones that route on retryability catch
 // CampaignError.
+//
+// `stats`, when non-null, receives the scheduler's counters
+// (analysis/campaign.h) over the whole campaign.
 CampaignSummary run_campaign(const CampaignSpec& spec, ResultSink* sink = nullptr,
-                             CellCache* cache = nullptr, CacheStats* cache_stats = nullptr);
+                             CellCache* cache = nullptr, CacheStats* cache_stats = nullptr,
+                             CampaignStats* stats = nullptr);
 
 // Diagnosis front-end of the same surface: localizes every fault of the
 // spec's class selection with the transparent TWMarch session, using the

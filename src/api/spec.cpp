@@ -294,6 +294,17 @@ std::vector<Fault> exhaustive_fault_list(const ClassSel& c, std::size_t words,
   throw std::logic_error("build_fault_list: unknown class kind");
 }
 
+// How many faults exhaustive_fault_list(c, words, width) enumerates.
+std::uint64_t enumeration_size(const ClassSel& c, std::size_t words, unsigned width) {
+  const std::uint64_t cells = std::uint64_t{words} * width;
+  if (c.kind == ClassKind::Af) return std::uint64_t{words} * words;
+  if (!c.is_coupling()) return 2 * cells;
+  const std::uint64_t pairs = c.scope == CfScope::IntraWord   ? cells * (width - 1)
+                              : c.scope == CfScope::InterWord ? cells * (cells - width)
+                                                              : cells * (cells - 1);
+  return pairs * (c.kind == ClassKind::CFin ? 2 : 4);
+}
+
 // Fault at position `i` of the exhaustive enumeration of a non-coupling
 // class — the decode of all_safs/all_tfs/all_rets/all_afs' loop order,
 // without materializing the list.
@@ -333,9 +344,7 @@ std::vector<Fault> build_fault_list(const ClassSel& c, std::size_t words, unsign
     return sampled_cfs(words, width, cls, c.scope, c.sample, rng);
   }
 
-  const std::uint64_t total = c.kind == ClassKind::Af
-                                  ? words + words * (words - 1)
-                                  : 2ull * words * width;
+  const std::uint64_t total = enumeration_size(c, words, width);
   if (c.sample >= total) return exhaustive_fault_list(c, words, width);
   std::vector<Fault> out;
   out.reserve(c.sample);
@@ -344,6 +353,13 @@ std::vector<Fault> build_fault_list(const ClassSel& c, std::size_t words, unsign
   for (std::uint64_t k = 0; k < c.sample; ++k)
     out.push_back(decode_enumerated_fault(c, words, width, k * total / c.sample));
   return out;
+}
+
+std::uint64_t fault_list_size(const ClassSel& c, std::size_t words, unsigned width) {
+  const std::uint64_t total = enumeration_size(c, words, width);
+  if (c.sample == 0) return total;
+  // A coupling sample draws exactly `sample` faults, repeats allowed.
+  return c.is_coupling() ? c.sample : std::min<std::uint64_t>(c.sample, total);
 }
 
 MarchTest resolve_march(const CampaignSpec& spec) {

@@ -201,6 +201,9 @@ std::string march_display(const CampaignSpec& spec);
 // sampled cells stay content-addressable.
 std::vector<Fault> build_fault_list(const ClassSel& c, std::size_t words, unsigned width);
 
+// build_fault_list(c, words, width).size(), without building the list.
+std::uint64_t fault_list_size(const ClassSel& c, std::size_t words, unsigned width);
+
 // ---- content addressing ---------------------------------------------------
 //
 // A campaign's results are cacheable because the spec is a canonically

@@ -85,6 +85,8 @@ class Memory : public MemoryIf {
   // 0 — the campaign unit contract — with the generated contents cached
   // per seed, so a refill is one copy instead of a regeneration.
   void fill_seeded(std::uint64_t seed);
+  // Seeded baselines fill_seeded generated (one per distinct nonzero seed).
+  std::uint64_t baseline_generations() const { return baselines_.size(); }
 
   BitVec peek(std::size_t addr) const;
   std::vector<BitVec> snapshot() const;

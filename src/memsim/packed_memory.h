@@ -469,6 +469,8 @@ class PackedMemory {
   // Growth allocations of the store; stays flat across refill rounds once
   // the capacity covers the peak (the allocation-free repack contract).
   std::uint64_t store_growths() const { return store_growths_; }
+  // Seeded baselines fill_seeded generated (one per distinct nonzero seed).
+  std::uint64_t baseline_generations() const { return baselines_.size(); }
 
  private:
   struct LaneFault {

@@ -3,8 +3,8 @@
 // One TCP listener (127.0.0.1 by default), one thread per connected
 // client, ONE campaign executing at a time: submissions from concurrent
 // clients queue on the shared engine lock, and the running campaign fans
-// out over its own spec.threads through the engine's run_pool — the
-// "shared pool" every front-end submission multiplexes onto.  Results
+// out over its own spec.threads through the campaign's one WorkerPool —
+// the "shared pool" every front-end submission multiplexes onto.  Results
 // stream back per client as the api::JsonLinesSink record stream while the
 // campaign runs, so a client tails its own campaign only.
 //

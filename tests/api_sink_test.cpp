@@ -5,11 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <clocale>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <sstream>
 #include <streambuf>
+#include <thread>
 
 #include "analysis/report.h"
 #include "api/json.h"
@@ -17,6 +23,7 @@
 #include "api/sink.h"
 #include "march/library.h"
 #include "oracle.h"
+#include "util/failpoint.h"
 
 namespace twm::api {
 namespace {
@@ -652,6 +659,206 @@ TEST(ResultSinkTest, CancellingMidRoundLeavesAPrefix) {
   }
 }
 
+// ---- one scheduler per campaign -------------------------------------------
+
+// An in-memory CellCache that can hand out copies of itself.
+class MapCache : public CellCache {
+ public:
+  std::optional<CellRecords> lookup(const std::string& key,
+                                    const std::string& identity) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end() || it->second.first != identity) return std::nullopt;
+    return it->second.second;
+  }
+  void store(const std::string& key, const std::string& identity,
+             const CellRecords& records) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    entries_[key] = {identity, records};
+  }
+  // A cache holding only the given keys of this one.
+  std::unique_ptr<MapCache> subset(const std::vector<std::string>& keys) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    auto out = std::make_unique<MapCache>();
+    for (const std::string& key : keys) out->entries_[key] = entries_.at(key);
+    return out;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::string, std::pair<std::string, CellRecords>> entries_;
+};
+
+// drain_spec with a third scheme: six cells, three schemes sharing the
+// scheduler's plans and seeds.
+CampaignSpec mixed_spec(unsigned threads, unsigned regions) {
+  CampaignSpec s = drain_spec(threads, regions);
+  s.schemes.push_back(SchemeKind::TomtModel);
+  return s;
+}
+
+// Live cells and cache replays take their places in one drain: with one
+// cell cached whole and (at regions 4) another with two of its regions
+// stored, the stream is the same at every thread count.
+TEST(CampaignScheduler, StreamBytesDoNotDependOnThreadsWithAPartlyWarmCache) {
+  for (const unsigned regions : {1u, 4u}) {
+    const CampaignSpec spec = mixed_spec(1, regions);
+    MapCache full;
+    CollectingSink cold;
+    run_campaign(spec, &cold, &full);
+    // Cell 1 (sym x saf) whole; regions 0 and 2 of cell 4 (tomt x tf).
+    const std::string whole = cell_identity_json(spec, spec.schemes[0], spec.classes[1]);
+    std::vector<std::string> keys = {content_key(whole)};
+    if (regions > 1) {
+      const std::string cell = cell_identity_json(spec, spec.schemes[2], spec.classes[0]);
+      for (const unsigned r : {0u, 2u})
+        keys.push_back(content_key(region_identity_json(cell, r, regions)));
+    }
+    std::string reference;
+    for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+      const std::unique_ptr<MapCache> cache = full.subset(keys);
+      std::ostringstream out;
+      JsonLinesSink sink(out);
+      CacheStats stats;
+      const CampaignSummary summary = run_campaign(mixed_spec(threads, regions), &sink,
+                                                   cache.get(), &stats);
+      EXPECT_FALSE(summary.cancelled);
+      ASSERT_EQ(summary.cells.size(), 6u);
+      EXPECT_EQ(stats.cells_cached, 1u);
+      EXPECT_EQ(stats.cells_simulated, 5u);
+      EXPECT_EQ(stats.faults_replayed, regions > 1 ? 1024u + 512u : 1024u);
+      const std::string text = masked(out.str());
+      ASSERT_EQ(count_lines(text), 2u + 6u * 1024u);
+      if (threads == 1)
+        reference = text;
+      else
+        EXPECT_EQ(text, reference) << "threads " << threads << ", regions " << regions;
+    }
+    // The replays hold the records of a cold run, cell by cell.
+    EXPECT_EQ(sorted_lines(reference), sorted_lines([&] {
+                std::ostringstream out;
+                JsonLinesSink sink(out);
+                run_campaign(spec, &sink);
+                return masked(out.str());
+              }()));
+  }
+}
+
+// One pool per campaign, whatever its cells, regions and rounds, and at
+// most one seeded baseline per (worker, nonzero seed), however many cells
+// and regions use the seed.
+TEST(CampaignScheduler, OnePoolAndOneBaselinePerWorkerAndSeed) {
+  CampaignSpec spec = mixed_spec(1, 4);  // seeds 0, 1, 2: two nonzero
+  CampaignStats one;
+  run_campaign(spec, nullptr, nullptr, nullptr, &one);
+  EXPECT_EQ(one.pool_starts.load(), 0u) << "one thread starts no pool";
+  EXPECT_EQ(one.baselines_generated.load(), 2u);
+  EXPECT_GT(one.units.load(), 6u * 4u) << "6 cells x 4 regions, several rounds each";
+
+  spec.threads = 4;
+  CampaignStats four;
+  run_campaign(spec, nullptr, nullptr, nullptr, &four);
+  EXPECT_EQ(four.pool_starts.load(), 1u);
+  EXPECT_GE(four.baselines_generated.load(), 2u);
+  EXPECT_LE(four.baselines_generated.load(), 4u * 2u);
+  EXPECT_EQ(four.units.load(), one.units.load());
+
+  // CampaignRunner::run is the same scheduler with one cell.
+  const std::vector<Fault> faults = all_tfs(64, 8);
+  CoverageOptions options;
+  options.backend = CoverageBackend::Packed;
+  options.threads = 4;
+  options.regions = 4;
+  CampaignStats cell;
+  CampaignRunner(64, 8, options)
+      .per_fault(SchemeKind::ProposedSymmetricXor, march_by_name("March C-"), faults, {0, 1, 2},
+                 &cell);
+  EXPECT_EQ(cell.pool_starts.load(), 1u);
+  EXPECT_LE(cell.baselines_generated.load(), 4u * 2u);
+}
+
+// Holds the report drain in the flush after cell 1's first round until
+// every unit the workers may run ahead has been computed (cells 2 and 3
+// included), then strikes: throws, arms the campaign.worker failpoint, or
+// waits out the spec's deadline.
+class StrikingSink : public ResultSink {
+ public:
+  enum class Strike { Throw, Failpoint, Deadline };
+  StrikingSink(Strike strike, const CampaignStats& stats, std::uint64_t units_ahead,
+               std::chrono::steady_clock::time_point deadline)
+      : strike_(strike), stats_(stats), units_ahead_(units_ahead), deadline_(deadline) {}
+
+  void on_unit(const UnitRecord& r) override {
+    units.push_back({r.scheme, r.cls, r.fault_index, r.detected_all, r.detected_any});
+  }
+  void flush() override {
+    if (++flushes_ != 3) return;  // cell 0: rounds 0 and 1; cell 1: round 0
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (stats_.units.load() < units_ahead_ && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    computed_ahead = stats_.units.load() == units_ahead_;
+    switch (strike_) {
+      case Strike::Throw: throw std::runtime_error("sink write failed");
+      case Strike::Failpoint: util::failpoints_configure("campaign.worker=err"); break;
+      case Strike::Deadline: std::this_thread::sleep_until(deadline_); break;
+    }
+  }
+  void on_error(const Error& e) override { errors.push_back(e); }
+
+  std::vector<CollectingSink::StoredUnit> units;
+  std::vector<Error> errors;
+  bool computed_ahead = false;
+
+ private:
+  Strike strike_;
+  const CampaignStats& stats_;
+  std::uint64_t units_ahead_;
+  std::chrono::steady_clock::time_point deadline_;
+  int flushes_ = 0;
+};
+
+TEST(CampaignScheduler, AStrikeWhileTheNextCellsAreComputedLeavesAPrefix) {
+  // Four cells of 4096 faults (66 units) and two seeds: no fault settles
+  // in round 0, so each cell runs two rounds and reports in the second.
+  CampaignSpec spec = drain_spec(4, 1);
+  spec.words = 256;
+  spec.schemes = {SchemeKind::ProposedExact, SchemeKind::TomtModel};
+  spec.seeds = {0, 1};
+  CollectingSink full;
+  run_campaign(spec, &full);
+  ASSERT_EQ(full.units.size(), 4u * 4096u);
+  // Cell 0's two rounds, cell 1's first, and the first rounds of cells 2
+  // and 3, which idle workers compute while cell 1 drains.
+  const std::uint64_t units_ahead = 5 * 66;
+
+  for (const auto strike : {StrikingSink::Strike::Throw, StrikingSink::Strike::Failpoint,
+                            StrikingSink::Strike::Deadline}) {
+    util::failpoints_clear();
+    CampaignSpec run = spec;
+    // The deadline must not expire before the strike (the runs above take
+    // a few milliseconds, far less under any sanitizer than this margin).
+    if (strike == StrikingSink::Strike::Deadline) run.deadline_ms = 3000;
+    CampaignStats stats;
+    StrikingSink sink(strike, stats, units_ahead,
+                      std::chrono::steady_clock::now() + std::chrono::milliseconds(3100));
+    const int label = static_cast<int>(strike);
+    if (strike == StrikingSink::Strike::Deadline) {
+      const CampaignSummary summary = run_campaign(run, &sink, nullptr, nullptr, &stats);
+      EXPECT_TRUE(summary.timed_out);
+      EXPECT_EQ(summary.cells.size(), 1u);
+    } else {
+      EXPECT_THROW(run_campaign(run, &sink, nullptr, nullptr, &stats), CampaignError) << label;
+      EXPECT_EQ(sink.errors.size(), 1u) << label;
+    }
+    util::failpoints_clear();
+    EXPECT_TRUE(sink.computed_ahead) << label;
+    // Every record of cell 0 and none of cell 1, whose records come in
+    // its second round: a prefix that ends at a cell boundary.
+    EXPECT_EQ(sink.units.size(), 4096u) << label;
+    expect_prefix(sink.units, full.units);
+  }
+}
+
 // ---- the record formatter -------------------------------------------------
 
 TEST(ResultSinkTest, UnitLinesHaveOneGoldenTailPerVerdictPair) {
@@ -753,19 +960,23 @@ TEST(ReportFormat, FloatsKeepTheirDotUnderACommaDecimalLocale) {
   std::ostringstream out;
   JsonLinesSink sink(out);
   run_campaign(sequential_spec(), &sink);
+  const std::string half = fixed_str(0.5, 2);  // still under the comma locale
   std::setlocale(LC_NUMERIC, saved.c_str());
 
-  EXPECT_EQ(out.str().find(','), std::string::npos)
-      << "comma leaked into the JSON-lines stream";
-  // Every line still parses; the end record's seconds field survives.
-  std::istringstream lines(out.str());
-  std::string line, last;
-  while (std::getline(lines, line)) {
-    ASSERT_NO_THROW(json_parse(line)) << line;
-    last = line;
-  }
-  EXPECT_NE(json_parse(last).find("seconds"), nullptr);
-  EXPECT_EQ(fixed_str(0.5, 2), "0.50");  // direct check under the C locale again
+  EXPECT_EQ(half, "0.50");
+  // The end record's "seconds" value, up to the field separator: digits
+  // around a dot ("0,001234" would read as the value "0").
+  const std::string text = out.str();
+  const std::string key = "\"seconds\":";
+  const std::size_t at = text.rfind(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t begin = at + key.size();
+  const std::string value = text.substr(begin, text.find_first_of(",}", begin) - begin);
+  EXPECT_NE(value.find('.'), std::string::npos) << "seconds value '" << value << "'";
+  EXPECT_EQ(value.find_first_not_of("0123456789."), std::string::npos) << value;
+  // Every line still parses.
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) ASSERT_NO_THROW(json_parse(line)) << line;
 }
 
 }  // namespace

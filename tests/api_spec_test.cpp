@@ -656,6 +656,67 @@ TEST(SpecClasses, SampledFaultListIsDeterministicAndBounded) {
             cell_key(s, s.schemes[0], {ClassKind::Saf, CfScope::Both}));
 }
 
+TEST(SpecClasses, FaultListSizeMatchesTheBuiltList) {
+  const ClassKind kinds[] = {ClassKind::Saf,  ClassKind::Tf,   ClassKind::Ret,
+                             ClassKind::CFst, ClassKind::CFid, ClassKind::CFin,
+                             ClassKind::Af};
+  for (const ClassKind kind : kinds)
+    for (const CfScope scope : {CfScope::Both, CfScope::IntraWord, CfScope::InterWord})
+      for (const std::uint32_t sample : {0u, 7u, 100000u})
+        for (const auto& [words, width] : {std::pair<std::size_t, unsigned>{6, 4}, {5, 2}}) {
+          const ClassSel sel{kind, scope, sample};
+          EXPECT_EQ(fault_list_size(sel, words, width),
+                    build_fault_list(sel, words, width).size())
+              << to_string(sel) << " " << words << "x" << width;
+        }
+}
+
+// FNV-1a over each fault's describe() line: a fault list's identity.
+std::uint64_t list_digest(const std::vector<Fault>& faults) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const Fault& f : faults)
+    for (const char c : f.describe() + "\n") {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  return h;
+}
+
+// Sampled coupling lists are part of every cell identity (and of the
+// cache and twmbench digests), so the draws must never move.  The digests
+// were computed from the sampler that built a vector per draw; the
+// sampler that picks among the variants in place must reproduce them.
+TEST(SpecClasses, SampledCouplingListsArePinned) {
+  struct Case {
+    FaultClass cls;
+    CfScope scope;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {FaultClass::CFid, CfScope::InterWord, 0x1baec7df0cfdb327ull},
+      {FaultClass::CFid, CfScope::IntraWord, 0x051f99acde9b8dc8ull},
+      {FaultClass::CFst, CfScope::InterWord, 0x89b124d3cbb0f12eull},
+      {FaultClass::CFst, CfScope::IntraWord, 0x545834e0a3df1e46ull},
+      {FaultClass::CFin, CfScope::InterWord, 0xf17bffca15bf99e5ull},
+      {FaultClass::CFin, CfScope::IntraWord, 0x7779ba26e06159acull},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    Rng rng(7 + 10 * (i / 2) + i % 2);
+    const std::vector<Fault> list = sampled_cfs(64, 8, c.cls, c.scope, 1500, rng);
+    ASSERT_EQ(list.size(), 1500u);
+    EXPECT_EQ(list_digest(list), c.digest) << to_string(c.cls) << " case " << i;
+  }
+  // Through the spec surface, at mid-list's geometry and sample size.
+  const std::pair<const char*, std::uint64_t> selectors[] = {
+      {"cfid:inter@20000", 0x896e80381da39335ull},
+      {"cfst:intra@300", 0x87347797595a0048ull},
+      {"cfin@700", 0xcf42688fb0dffe7aull},
+  };
+  for (const auto& [text, digest] : selectors)
+    EXPECT_EQ(list_digest(build_fault_list(*parse_class(text), 4096, 8)), digest) << text;
+}
+
 TEST(SpecJson, SampledClassRoundTripsThroughSpecJson) {
   auto s = valid_spec();
   s.classes = {{ClassKind::Saf, CfScope::Both, 2048},

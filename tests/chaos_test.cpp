@@ -30,12 +30,15 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/campaign.h"
+#include "analysis/fault_list.h"
 #include "api/error.h"
 #include "api/json.h"
 #include "api/runner.h"
 #include "api/sink.h"
 #include "api/spec.h"
 #include "cli/cli.h"
+#include "march/library.h"
 #include "service/cache.h"
 #include "service/client.h"
 #include "service/protocol.h"
@@ -90,8 +93,8 @@ api::CampaignSpec big_scalar_spec() {
 // Packed, one thread, several content seeds: the symmetric scheme's TF
 // verdicts settle over several repack rounds.  A fault needs two contents
 // to settle early (missed under one, caught under another), so round 2
-// reports the first batch of records, before round 3 runs (each round is
-// one run_pool call: one hit of the campaign.worker failpoint).
+// reports the first batch of records, before round 3 runs (the one
+// worker hits the campaign.worker failpoint once per round it runs).
 api::CampaignSpec multi_round_spec() {
   api::CampaignSpec s = scalar_spec();
   s.name = "chaos-test-rounds";
@@ -497,6 +500,28 @@ TEST(EngineChaos, MidCampaignFailureStreamsAUnitPrefixThenTheError) {
   }
   EXPECT_EQ(lines.back().rfind("{\"type\":\"error\",\"scope\":\"engine\"", 0), 0u)
       << lines.back();
+}
+
+// Four threads over four region jobs of four rounds each (a verdict
+// matrix keeps every fault live to the last round) and 66 units per
+// job round: workers move between jobs as rounds open, yet each hits the
+// campaign.worker failpoint at most once per job round, 4 x 16 hits in
+// all, so a trigger one hit later never fires.
+TEST(EngineChaos, WorkerFailpointHitsOncePerWorkerPerRound) {
+  FailpointGuard guard;
+  const std::vector<Fault> faults = all_tfs(1024, 8);
+  CoverageOptions options;
+  options.backend = CoverageBackend::Packed;
+  options.threads = 4;
+  options.regions = 4;
+  const CampaignRunner runner(1024, 8, options);
+  for (int run = 0; run < 5; ++run) {
+    ASSERT_TRUE(util::failpoints_configure("campaign.worker=err@65"));
+    EXPECT_NO_THROW(runner.matrix(SchemeKind::ProposedSymmetricXor, march_by_name("March C-"),
+                                  faults, {0, 1, 2, 3}))
+        << "run " << run;
+    EXPECT_EQ(util::failpoint_trips("campaign.worker"), 0u);
+  }
 }
 
 TEST(EngineChaos, SpecValidationStillThrowsItsOwnType) {

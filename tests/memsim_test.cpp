@@ -23,6 +23,25 @@ TEST(Memory, GeometryValidation) {
   EXPECT_THROW(Memory(8, 0), std::invalid_argument);
 }
 
+// seeded_word_values lists the distinct words of fill_seeded(seed)'s
+// contents in order of first appearance (the values a golden certificate
+// checks): at a width whose every value appears, at wider ones and past
+// 64 bits.
+TEST(Memory, SeededWordValuesAreTheSeededWordsInOrder) {
+  const std::size_t words = 300;
+  for (const unsigned width : {3u, 8u, 16u, 24u, 64u, 70u}) {
+    Memory mem(words, width);
+    mem.fill_seeded(42);
+    std::vector<BitVec> want;
+    for (std::size_t a = 0; a < words; ++a) {
+      const BitVec v = mem.peek(a);
+      if (std::find(want.begin(), want.end(), v) == want.end()) want.push_back(v);
+    }
+    EXPECT_EQ(seeded_word_values(words, width, 42), want) << "width " << width;
+  }
+  EXPECT_EQ(seeded_word_values(16, 8, 0), std::vector<BitVec>{BitVec::zeros(8)});
+}
+
 TEST(Memory, FaultFreeReadsBackWrites) {
   Memory m(16, 8);
   Rng rng(3);

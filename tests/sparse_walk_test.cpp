@@ -146,25 +146,21 @@ VerdictMatrix engine_matrix(const SchemePlan& plan, std::size_t words,
                             const std::vector<Fault>& faults,
                             const std::vector<std::uint64_t>& seeds, CampaignStats* stats,
                             UnitObserver* observer = nullptr) {
+  class OneCell final : public CellFeed {
+   public:
+    explicit OneCell(const CampaignCell& cell) : cell_(cell) {}
+    std::size_t size() const override { return 1; }
+    CampaignCell cell(std::size_t) override { return cell_; }
+
+   private:
+    CampaignCell cell_;
+  };
   VerdictMatrix m;
-  m.num_faults = faults.size();
-  m.num_seeds = seeds.size();
-  m.bits.assign(faults.size() * seeds.size(), 0);
-  std::vector<char> all(faults.size(), 1), any(faults.size(), 0);
-  CampaignJob job;
-  job.plan = &plan;
-  job.words = words;
-  job.faults = faults.data();
-  job.num_faults = faults.size();
-  job.seeds = seeds.data();
-  job.num_seeds = seeds.size();
-  job.need_any = true;
-  job.all = all.data();
-  job.any = any.data();
-  job.matrix = &m;
-  job.observer = observer;
-  job.stats = stats;
-  run_campaign_engine<PackedEngine>(job);
+  std::vector<char> all, any;
+  OneCell feed({&plan, &faults, /*need_any=*/true, &all, &any, &m, observer, nullptr});
+  CoverageOptions options;
+  options.backend = CoverageBackend::Packed;
+  CampaignRunner(words, plan.width, options).run_cells(feed, seeds, nullptr, stats);
   return m;
 }
 

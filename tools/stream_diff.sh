@@ -13,10 +13,16 @@
 #     read), for a copy of each with `run.threads` 1 (one worker runs
 #     every unit, the longest chain of reused session buffers), and for a
 #     width-32 copy of seed-mix;
-#   * `run SPEC --sink jsonl` for two specs of its own: March G (whose
+#   * `run SPEC --sink jsonl` for specs of its own: March G (whose
 #     `del` elements pause the prediction and test passes) under `ret` and
 #     `af` faults, over every scheme with a transparent session, at width 4
-#     with two nonzero seeds; and `twm-misr` at width 64 (a 64-bit MISR).
+#     with two nonzero seeds; `twm-misr` at width 64 (a 64-bit MISR); and
+#     a twelve-cell, two-seed spec at `regions: 4` and `threads: 7`;
+#   * that twelve-cell spec at `threads: 3` with `--cache-dir`: cold (an
+#     empty directory), warm (the directory the cold run filled), and
+#     partly warm (a copy of the old binary's warm directory that keeps
+#     one cell's whole entry and two regions of another cell), where
+#     replayed and live cells share one report drain.
 #
 # The wall-clock "seconds" field is masked; every other byte, and the exit
 # status, must match.  Prints one line per case and exits 1 on any
@@ -69,6 +75,26 @@ write("march-g-pauses", {
     "seeds": [7, 1234567],
     "run": run,
 })
+write("cells-regions4-threads7", {
+    "name": "cells-regions4",
+    "memory": {"words": 256, "width": 8},
+    "march": "March C-",
+    "schemes": ["twm", "twm-misr", "tomt", "sym"],
+    "classes": ["saf", "tf", "cfid:inter@2000"],
+    "seeds": [0, 5],
+    "run": {"backend": "packed", "threads": 7, "regions": 4},
+})
+cache_spec = {
+    "name": "cells-cached",
+    "memory": {"words": 256, "width": 8},
+    "march": "March C-",
+    "schemes": ["twm", "twm-misr", "tomt", "sym"],
+    "classes": ["saf", "tf", "cfid:inter@2000"],
+    "seeds": [0, 5],
+    "run": {"backend": "packed", "threads": 3, "regions": 4},
+}
+with open(os.path.join(sys.argv[2], "cache.spec"), "w") as f:
+    json.dump(cache_spec, f)
 write("misr-width64", {
     "name": "misr-width64",
     "memory": {"words": 32, "width": 64},
@@ -81,7 +107,8 @@ write("misr-width64", {
 EOF
 
 # Runs one case under both binaries: `case NAME ARGS...`, where the
-# literal OUT in ARGS becomes a per-binary output file that is diffed too.
+# literal OUT in ARGS becomes a per-binary output file that is diffed too,
+# and DIR:D a per-binary directory $work/D.old or $work/D.new.
 failed=0
 case_() {
   local name=$1
@@ -92,7 +119,11 @@ case_() {
     [ "$side" = new ] && bin=$new
     local args=() a
     for a in "$@"; do
-      if [ "$a" = OUT ]; then args+=("$work/$name.$side.out"); else args+=("$a"); fi
+      case $a in
+        OUT) args+=("$work/$name.$side.out") ;;
+        DIR:*) args+=("$work/${a#DIR:}.$side") ;;
+        *) args+=("$a") ;;
+      esac
     done
     local status=0
     "$bin" "${args[@]}" > "$work/$name.$side.stdout" 2> /dev/null || status=$?
@@ -126,6 +157,36 @@ done
 for spec in "$work"/*.json; do
   case_ "$(basename "$spec" .json)" run "$spec" --sink jsonl
 done
+
+# The cache cases.  The partly warm directory is cut from the old
+# binary's warm one and copied to both sides, so both start from the same
+# entries: twm x saf whole, regions 1 and 3 of tomt x tf.
+case_ cache-cold run "$work/cache.spec" --sink jsonl --cache-dir DIR:cache
+case_ cache-warm run "$work/cache.spec" --sink jsonl --cache-dir DIR:cache
+python3 - "$work/cache.old" "$work/partial.old" "$work/partial.new" <<'EOF'
+import json
+import os
+import shutil
+import sys
+
+keep = 0
+for dest in sys.argv[2:]:
+    os.makedirs(dest)
+for name in sorted(os.listdir(sys.argv[1])):
+    path = os.path.join(sys.argv[1], name)
+    with open(path) as f:
+        identity = json.load(f)["identity"]
+    cell = (identity["scheme"], identity["class"])
+    region = identity.get("region")
+    if (cell == ("twm", "saf") and region is None) or (
+            cell == ("tomt", "tf") and region in (1, 3)):
+        keep += 1
+        for dest in sys.argv[2:]:
+            shutil.copy(path, dest)
+if keep != 3:
+    sys.exit(f"stream_diff: expected 3 cache entries to keep, found {keep}")
+EOF
+case_ cache-partial run "$work/cache.spec" --sink jsonl --cache-dir DIR:partial
 
 if [ "$failed" -ne 0 ]; then
   echo "stream_diff: outputs differ" >&2
