@@ -7,7 +7,6 @@
 //     events; the ATMarch checkerboard sweeps add the flip-and-hold events
 //     — printed as a per-condition coverage matrix with and without
 //     ATMarch.
-#include <atomic>
 #include <cstdio>
 #include <iostream>
 
@@ -94,17 +93,11 @@ void figure_1b(unsigned threads) {
     bool solo_all = false, full_all = false, fliphold = false;
   };
   std::vector<PairVerdicts> verdicts(pair_list.size());
-  std::atomic<std::size_t> next{0};
-  run_pool(threads, [&] {
-    for (;;) {
-      const std::size_t p = next.fetch_add(1);
-      if (p >= pair_list.size()) break;
-      const auto [i, j] = pair_list[p];
-      const auto solo = run_pair(r.tsmarch, width, i, j);
-      const auto full = run_pair(r.twmarch, width, i, j);
-      verdicts[p] = {solo.all(), full.all(),
-                     full.aggressor_flip_victim_holds_both_dirs()};
-    }
+  WorkerPool(threads).for_each(pair_list.size(), [&](std::size_t p) {
+    const auto [i, j] = pair_list[p];
+    const auto solo = run_pair(r.tsmarch, width, i, j);
+    const auto full = run_pair(r.twmarch, width, i, j);
+    verdicts[p] = {solo.all(), full.all(), full.aggressor_flip_victim_holds_both_dirs()};
   });
   unsigned pairs = static_cast<unsigned>(pair_list.size());
   unsigned full_all = 0, solo_all = 0, full_fliphold = 0;

@@ -6,7 +6,6 @@
 // Campaign: March C-, B = 8, N = 16 words, exhaustive inter-word CFid;
 // segments 1 / 2 / 4 / 8; a fault counts detected when *any* segment's
 // session flags it.
-#include <atomic>
 #include <cstdio>
 #include <iostream>
 
@@ -65,13 +64,8 @@ int main(int argc, char** argv) {
     // Each fault's segmented session is independent — shard over the same
     // worker pool the coverage campaigns use (--threads).
     std::vector<char> verdicts(faults.size());
-    std::atomic<std::size_t> next{0};
-    run_pool(args.spec.threads, [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= faults.size()) break;
-        verdicts[i] = detect_segmented(twm, faults[i], kWords, kWidth, segments, 3);
-      }
+    WorkerPool(args.spec.threads).for_each(faults.size(), [&](std::size_t i) {
+      verdicts[i] = detect_segmented(twm, faults[i], kWords, kWidth, segments, 3);
     });
     std::size_t detected = 0, cross = 0, cross_escaped = 0;
     for (std::size_t i = 0; i < faults.size(); ++i) {

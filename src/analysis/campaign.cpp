@@ -96,11 +96,6 @@ void WorkerPool::for_each(std::size_t n, const std::function<void(std::size_t)>&
   });
 }
 
-void run_pool(unsigned threads, const std::function<void()>& worker) {
-  WorkerPool pool(threads);
-  pool.run([&](unsigned) { worker(); });
-}
-
 unsigned fault_region(const Fault& f, std::size_t words, unsigned regions) {
   if (regions <= 1) return 0;
   const std::size_t span = (words + regions - 1) / regions;

@@ -186,23 +186,18 @@ class WorkerPool {
   std::vector<std::thread> threads_;  // last: the threads use every member above
 };
 
-// Runs `worker` on `threads` threads (including the calling one), joins
-// them all, and rethrows the first exception any of them raised: a
-// one-run WorkerPool.
-void run_pool(unsigned threads, const std::function<void()>& worker);
-
 // Packed campaigns keep lane 0 fault-free; a detection there means the
 // engine corrupted the golden universe.  Throws std::logic_error when bit 0
 // of `verdicts` is set.
 void require_golden_lane_clear(LaneMask verdicts);
 
 // Low-level streaming observer for one cell of a campaign.  The engine
-// invokes it from WORKER threads while the rounds run — implementations
-// must be thread-safe (the api layer's sink adapter serializes with a
-// mutex).  on_unit_settled and flush() come from the report drain
-// (analysis/campaign_exec.h): on whichever pool thread holds the report
-// mutex, one call at a time, in the thread-count-independent fault order;
-// flush() follows each round's last record.
+// invokes it while the rounds run.  on_unit_settled and flush() come from
+// the report drain (analysis/campaign_exec.h): on whichever pool thread
+// holds the report mutex, one call at a time, in the thread-count-
+// independent fault order; flush() follows each round's last record.
+// cancelled() may run on any worker thread at the same time, so it must be
+// thread-safe.
 //
 // cancelled() is polled before each unit is claimed, before each
 // on_unit_settled run and at cell and region boundaries: returning true
@@ -220,16 +215,6 @@ class UnitObserver {
   // flags of exactly this range.
   virtual void on_unit_settled(std::size_t first, unsigned count, const char* all,
                                const char* any) = 0;
-
-  // One (fault, seed) verdict, fired as each seed of a unit is evaluated.
-  // Only called when want_seed_verdicts() is true — extracting per-lane
-  // bits costs real work on the packed backends, so it is opt-in.
-  virtual void on_seed_verdict(std::size_t fault, std::size_t seed_index, bool detected) {
-    (void)fault;
-    (void)seed_index;
-    (void)detected;
-  }
-  virtual bool want_seed_verdicts() const { return false; }
 
   // A report batch settled: fired once per round, right after the round's
   // last on_unit_settled (a buffering consumer writes now).

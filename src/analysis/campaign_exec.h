@@ -138,11 +138,6 @@ inline bool golden_certificate(const SchemePlan& plan, const PlanOpMasks& masks,
 // stranded.  Records stream on whichever pool thread holds the mutex, in
 // the same order and grouping for every thread count.
 //
-// A cell whose observer wants per-seed verdicts (on_seed_verdict comes
-// from the worker that ran the unit) is computed one job at a time and no
-// cell runs ahead of it, so its seed records keep their place between
-// the unit records as with one job at a time.
-//
 // A packed unit walks its fault footprint (the sorted victim, aggressor and
 // alias words of the batch); the scalar reference walks every word.  Before
 // a packed round opens, the golden certificate must hold for its (plan,
@@ -154,9 +149,9 @@ inline bool golden_certificate(const SchemePlan& plan, const PlanOpMasks& masks,
 // exactly those of a plain fault x seed loop: every evaluated (fault, seed)
 // pair yields the same bit (lanes are independent, so batch composition is
 // irrelevant), and skipped pairs are skipped only when provably
-// irrelevant.  A matrix request or a per-seed-verdict observer needs the
-// COMPLETE (fault, seed) stream, which disables dropping (every fault
-// stays live to the last round) but keeps repacked batches + settle-exit.
+// irrelevant.  A matrix request needs the COMPLETE (fault, seed) stream,
+// which disables dropping (every fault stays live to the last round) but
+// keeps repacked batches + settle-exit.
 //
 // Stopping.  A cancelled() poll (before each claimed unit, before each
 // reported run, at each cell and region boundary) or an exception
@@ -262,7 +257,7 @@ class CampaignScheduler {
     std::size_t index = 0;
     CampaignCell spec;
     PlanState* plan = nullptr;
-    bool seed_events = false, no_drop = false;
+    bool no_drop = false;
     std::vector<std::vector<std::uint32_t>> owned;  // region -> fault indices
     std::vector<Job> jobs;
     std::size_t drain_job = 0;  // written under both mutexes
@@ -321,8 +316,7 @@ class CampaignScheduler {
     }
     if (n == 0) return cell;
     cell->plan = plan_state(*spec.plan);
-    cell->seed_events = spec.observer && spec.observer->want_seed_verdicts();
-    cell->no_drop = spec.matrix != nullptr || cell->seed_events;
+    cell->no_drop = spec.matrix != nullptr;
     if (regions_ == 1 && !spec.progress) {
       cell->jobs.resize(1);
       cell->jobs[0].size = n;
@@ -374,11 +368,7 @@ class CampaignScheduler {
   bool claim(Task& t, unsigned w) {
     for (std::size_t k = 0; k < window_.size(); ++k) {
       Cell& cell = *window_[k];
-      if (k > 0 && (window_[0]->seed_events || cell.seed_events)) break;
-      const std::size_t first = k == 0 ? cell.drain_job : 0;
-      const std::size_t last =
-          cell.seed_events ? std::min(cell.jobs.size(), first + 1) : cell.jobs.size();
-      for (std::size_t j = first; j < last; ++j) {
+      for (std::size_t j = k == 0 ? cell.drain_job : 0; j < cell.jobs.size(); ++j) {
         Job& job = cell.jobs[j];
         if (job.phase == Job::Phase::Idle && job.size != 0) {
           job.phase = Job::Phase::Opening;
@@ -490,7 +480,6 @@ class CampaignScheduler {
       if (bit) job.any[k] = 1;
       if (spec.matrix)
         spec.matrix->bits[job.global(k) * seeds_.size() + t.round] = static_cast<char>(bit);
-      if (cell.seed_events) spec.observer->on_seed_verdict(job.global(k), t.round, bit);
     }
     // The worker's last touch of the job: the drain may free it after this.
     job.done[t.unit].store(true, std::memory_order_release);

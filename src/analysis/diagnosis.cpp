@@ -1,6 +1,5 @@
 #include "analysis/diagnosis.h"
 
-#include <atomic>
 #include <stdexcept>
 
 #include "analysis/campaign.h"
@@ -69,19 +68,14 @@ std::vector<Diagnosis> diagnose_campaign(const MarchTest& bit_march, std::size_t
   const SchemePlan plan = make_scheme_plan(SchemeKind::ProposedExact, bit_march, width);
 
   std::vector<Diagnosis> out(faults.size());
-  std::atomic<std::size_t> next{0};
-  run_pool(std::max(1u, threads), [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= faults.size()) break;
-      Memory mem(words, width);
-      if (seed != 0) {
-        Rng rng(seed);
-        mem.fill_random(rng);
-      }
-      mem.inject(faults[i]);
-      out[i] = diagnose_transparent(mem, plan.trans, plan.prediction);
+  WorkerPool(threads).for_each(faults.size(), [&](std::size_t i) {
+    Memory mem(words, width);
+    if (seed != 0) {
+      Rng rng(seed);
+      mem.fill_random(rng);
     }
+    mem.inject(faults[i]);
+    out[i] = diagnose_transparent(mem, plan.trans, plan.prediction);
   });
   return out;
 }

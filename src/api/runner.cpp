@@ -50,16 +50,14 @@ class DeadlineGate {
 class SinkAdapter : public UnitObserver {
  public:
   SinkAdapter(ResultSink* sink, std::mutex& mu, SchemeKind scheme, const ClassSel& cls,
-              const std::vector<Fault>& faults, const std::vector<std::uint64_t>& seeds,
-              std::size_t& units_emitted, std::vector<CachedUnit>* record,
-              const DeadlineGate* gate)
+              const std::vector<Fault>& faults, std::size_t& units_emitted,
+              std::vector<CachedUnit>* record, const DeadlineGate* gate)
       : sink_(sink),
         gate_(gate),
         mu_(mu),
         scheme_(scheme),
         cls_(cls),
         faults_(faults),
-        seeds_(seeds),
         units_emitted_(units_emitted),
         record_(record) {}
 
@@ -78,24 +76,12 @@ class SinkAdapter : public UnitObserver {
     for (unsigned i = 0; i < count; ++i) emit({first + i, all[i] != 0, any[i] != 0});
   }
 
-  void on_seed_verdict(std::size_t fault, std::size_t seed_index, bool detected) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    SeedRecord r;
-    r.scheme = scheme_;
-    r.cls = cls_;
-    r.fault_index = fault;
-    r.seed = seeds_[seed_index];
-    r.detected = detected;
-    sink_->on_seed_settled(r);
-  }
-
   void flush() override {
     if (!sink_) return;
     const std::lock_guard<std::mutex> lock(mu_);
     sink_->flush();
   }
 
-  bool want_seed_verdicts() const override { return sink_ && sink_->want_seed_records(); }
   bool cancelled() const override {
     return (gate_ && gate_->expired()) || (sink_ && sink_->cancelled());
   }
@@ -126,7 +112,6 @@ class SinkAdapter : public UnitObserver {
   SchemeKind scheme_;
   ClassSel cls_;
   const std::vector<Fault>& faults_;
-  const std::vector<std::uint64_t>& seeds_;
   std::size_t& units_emitted_;
   std::vector<CachedUnit>* record_;
   CoverageOutcome outcome_;
@@ -171,10 +156,6 @@ class SpecCells final : public CellFeed {
         gate_(gate),
         units_emitted_(units_emitted),
         regions_(std::max(1u, spec.regions)),
-        // Seed-record consumers bypass the replay path: stored entries
-        // carry no per-seed stream.  Settled regions and live cells are
-        // still stored.
-        replay_ok_(!(sink && sink->want_seed_records())),
         cells_(spec.schemes.size() * spec.classes.size()) {}
 
   std::size_t size() const override { return cells_.size(); }
@@ -199,7 +180,7 @@ class SpecCells final : public CellFeed {
     // the scheduler which regions to skip.
     st.progress.done.assign(regions_, 0);
     bool whole_hit = false;
-    if (cache_ && replay_ok_) {
+    if (cache_) {
       if (auto hit = cache_->lookup(st.key, st.identity);
           hit && replayable(hit->units, faults.size(), faults.size())) {
         st.stored = std::move(hit->units);
@@ -230,8 +211,7 @@ class SpecCells final : public CellFeed {
     // A cell not served whole is stored whole once it completes.
     st.store_whole = cache_ && !whole_hit;
     if (st.store_whole) st.recorded.reserve(faults.size());
-    st.adapter = std::make_unique<SinkAdapter>(sink_, sink_mu_, scheme, cls, faults, spec_.seeds,
-                                               units_emitted_,
+    st.adapter = std::make_unique<SinkAdapter>(sink_, sink_mu_, scheme, cls, faults, units_emitted_,
                                                st.store_whole ? &st.recorded : nullptr, gate_);
 
     CampaignCell out;
@@ -309,7 +289,6 @@ class SpecCells final : public CellFeed {
   const DeadlineGate* gate_;
   std::size_t& units_emitted_;
   const unsigned regions_;
-  const bool replay_ok_;
   std::mutex sink_mu_;
   std::vector<std::pair<SchemeKind, std::unique_ptr<SchemePlan>>> plans_;
   std::vector<std::unique_ptr<State>> cells_;  // from cell(c) to drained(c)

@@ -81,12 +81,10 @@ struct CacheStats {
 
 // Runs the whole campaign a spec denotes.  `sink` may be null (aggregates
 // only).  With a `cache`, each cell is served by replay when its content
-// key hits, or resumed from its stored regions (sinks that want seed
-// records bypass the lookups — stored entries carry no per-seed stream —
-// but settled regions and completed live cells are still stored).  Pass a
-// disk-backed service::ResultCache to make a run resumable across
-// processes; its disk failures warn and degrade to memory-only, never
-// costing the campaign.
+// key hits, or resumed from its stored regions; settled regions and
+// completed live cells are stored.  Pass a disk-backed
+// service::ResultCache to make a run resumable across processes; its disk
+// failures warn and degrade to memory-only, never costing the campaign.
 //
 // A spec with run.deadline_ms != 0 stops itself at the first between-units
 // cancellation point past the budget; the summary then has cancelled AND

@@ -19,11 +19,6 @@ std::string seconds_str(double seconds) { return fixed_str(seconds, 6); }
 
 const char* bool_str(bool b) { return b ? "true" : "false"; }
 
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[20];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
-
 // A unit record after its cell's fixed head: the fault index, the opening
 // of the describe() field, the text itself, and one of four endings
 // indexed by 2 * detected_all + detected_any.
@@ -103,9 +98,8 @@ void JsonLinesSink::select_cell(SchemeKind scheme, const ClassSel& cls) {
   cell_cached_ = true;
   cell_scheme_ = scheme;
   cell_cls_ = cls;
-  cell_fields_ = "\"scheme\":" + json_quote(scheme_id(scheme)) +
+  unit_record_ = "{\"type\":\"unit\",\"scheme\":" + json_quote(scheme_id(scheme)) +
                  ",\"class\":" + json_quote(to_string(cls)) + ",\"fault\":";
-  unit_record_ = "{\"type\":\"unit\"," + cell_fields_;
   unit_head_ = unit_record_.size();
   unit_record_.resize(unit_head_ + kMaxUnitTail);
 }
@@ -115,19 +109,6 @@ void JsonLinesSink::on_unit(const UnitRecord& r) {
   char* const line = unit_record_.data();
   const char* end = write_unit_tail(line + unit_head_, kJsonUnitTail, r);
   pending_.append(line, static_cast<std::size_t>(end - line));
-  if (pending_.size() >= kMaxPendingBytes) JsonLinesSink::flush();
-}
-
-void JsonLinesSink::on_seed_settled(const SeedRecord& r) {
-  select_cell(r.scheme, r.cls);
-  pending_ += "{\"type\":\"seed\",";
-  pending_ += cell_fields_;
-  append_uint(pending_, r.fault_index);
-  pending_ += ",\"seed\":";
-  append_uint(pending_, r.seed);
-  pending_ += ",\"detected\":";
-  pending_ += bool_str(r.detected);
-  pending_ += "}\n";
   if (pending_.size() >= kMaxPendingBytes) JsonLinesSink::flush();
 }
 
@@ -295,8 +276,6 @@ void CollectingSink::on_unit(const UnitRecord& r) {
   if (cancel_after_units_ && units.size() >= cancel_after_units_)
     cancelled_.store(true, std::memory_order_relaxed);
 }
-
-void CollectingSink::on_seed_settled(const SeedRecord& r) { seeds.push_back(r); }
 
 void CollectingSink::on_campaign_end(const CampaignSummary& s) {
   ++ends;

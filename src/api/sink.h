@@ -6,9 +6,6 @@
 // a stream a scheduler can tail, persist, or abort:
 //
 //   on_campaign_begin   once, with the spec and the campaign's fault total
-//   on_seed_settled     one (fault, seed) verdict — opt-in via
-//                       want_seed_records(), off by default (per-lane bit
-//                       extraction costs real work on the packed backends)
 //   on_unit             one fault's final all/any verdict
 //   flush               a report batch settled: every record delivered so
 //                       far must now reach the consumer
@@ -54,6 +51,9 @@
 // thread holds the report drain.  cancelled() is read concurrently from
 // worker threads, so a cancelling sink flips an atomic.
 //
+// A sink sees each fault's final verdicts only; the per-(fault, seed)
+// verdicts come from CampaignRunner::matrix (analysis/campaign.h).
+//
 // Three sinks ship: JSON-lines (machine tailing), CSV (spreadsheets), and
 // the human tables the CLI always printed.
 #ifndef TWM_API_SINK_H
@@ -88,15 +88,6 @@ struct UnitRecord {
   bool detected_any = false;  // under at least one content
 };
 
-// One (fault, seed) verdict (want_seed_records() sinks only).
-struct SeedRecord {
-  SchemeKind scheme = SchemeKind::ProposedExact;
-  ClassSel cls;
-  std::size_t fault_index = 0;
-  std::uint64_t seed = 0;
-  bool detected = false;
-};
-
 // Aggregate of one scheme x class cell.
 struct CellResult {
   SchemeKind scheme = SchemeKind::ProposedExact;
@@ -120,7 +111,6 @@ class ResultSink {
 
   virtual void on_campaign_begin(const CampaignMeta& meta) { (void)meta; }
   virtual void on_unit(const UnitRecord& record) { (void)record; }
-  virtual void on_seed_settled(const SeedRecord& record) { (void)record; }
   // A report batch settled; a buffering sink hands its records on now.
   virtual void flush() {}
   virtual void on_campaign_end(const CampaignSummary& summary) { (void)summary; }
@@ -128,7 +118,6 @@ class ResultSink {
   // which run_campaign throws CampaignError); never after on_campaign_end.
   virtual void on_error(const Error& error) { (void)error; }
 
-  virtual bool want_seed_records() const { return false; }
   // Polled (possibly concurrently) between units and between runs of
   // records, not per record.
   virtual bool cancelled() const { return false; }
@@ -136,7 +125,7 @@ class ResultSink {
 
 // JSON-lines: one self-describing record per line, streamed one report
 // batch at a time (the flush contract above).  Line shapes:
-// {"type":"campaign_begin",...}, {"type":"seed",...}, {"type":"unit",...},
+// {"type":"campaign_begin",...}, {"type":"unit",...},
 // {"type":"campaign_end","cells":[...]}, and on abort
 // {"type":"error","scope":...,"retryable":...,"message":...}.
 class JsonLinesSink : public ResultSink {
@@ -145,37 +134,32 @@ class JsonLinesSink : public ResultSink {
   // the buffer (and peak RSS) stays bounded whatever a batch's size.
   static constexpr std::size_t kMaxPendingBytes = 64 * 1024;
 
-  explicit JsonLinesSink(std::ostream& out, bool include_seed_records = false)
-      : out_(out), include_seed_records_(include_seed_records) {
+  explicit JsonLinesSink(std::ostream& out) : out_(out) {
     pending_.reserve(kMaxPendingBytes + 1024);  // the cap plus a record: no regrowth
   }
 
   void on_campaign_begin(const CampaignMeta& meta) override;
   void on_unit(const UnitRecord& record) override;
-  void on_seed_settled(const SeedRecord& record) override;
   void flush() override;
   void on_campaign_end(const CampaignSummary& summary) override;
   void on_error(const Error& error) override;
-  bool want_seed_records() const override { return include_seed_records_; }
 
  private:
-  // Points cell_fields_ and unit_record_ at the (scheme, class) cell.
+  // Points unit_record_ at the (scheme, class) cell.
   void select_cell(SchemeKind scheme, const ClassSel& cls);
   // Writes the pending records to the stream (without flushing it).
   void write_pending();
 
   std::ostream& out_;
-  bool include_seed_records_;
   std::string pending_;  // formatted records not yet written; reused
-  // "scheme":…,"class":…,"fault": of the cell the last record belonged to
-  // (records arrive cell by cell, so it is formatted once per cell).
+  // The unit-record head ({"type":"unit","scheme":…,"class":…,"fault":) of
+  // the cell the last record belonged to, followed by room for one
+  // record's tail: on_unit formats the tail in place and appends the whole
+  // line to pending_ in one copy.  Records arrive cell by cell, so the head
+  // is formatted once per cell.
   bool cell_cached_ = false;
   SchemeKind cell_scheme_ = SchemeKind::ProposedExact;
   ClassSel cell_cls_;
-  std::string cell_fields_;
-  // The cell's unit-record head ({"type":"unit",…"fault":) followed by
-  // room for one record's tail: on_unit formats the tail in place and
-  // appends the whole line to pending_ in one copy.
   std::string unit_record_;
   std::size_t unit_head_ = 0;
 };
@@ -224,15 +208,13 @@ class TableSink : public ResultSink {
 // campaign after a fixed number of unit records.
 class CollectingSink : public ResultSink {
  public:
-  explicit CollectingSink(std::size_t cancel_after_units = 0, bool seed_records = false)
-      : cancel_after_units_(cancel_after_units), seed_records_(seed_records) {}
+  explicit CollectingSink(std::size_t cancel_after_units = 0)
+      : cancel_after_units_(cancel_after_units) {}
 
   void on_campaign_begin(const CampaignMeta& meta) override;
   void on_unit(const UnitRecord& record) override;
-  void on_seed_settled(const SeedRecord& record) override;
   void on_campaign_end(const CampaignSummary& summary) override;
   void on_error(const Error& error) override { errors.push_back(error); }
-  bool want_seed_records() const override { return seed_records_; }
   bool cancelled() const override { return cancelled_.load(std::memory_order_relaxed); }
 
   struct StoredUnit {
@@ -243,13 +225,11 @@ class CollectingSink : public ResultSink {
   };
   std::size_t begins = 0, ends = 0;
   std::vector<StoredUnit> units;
-  std::vector<SeedRecord> seeds;
   std::vector<Error> errors;
   CampaignSummary summary;
 
  private:
   std::size_t cancel_after_units_;
-  bool seed_records_;
   std::atomic<bool> cancelled_{false};
 };
 

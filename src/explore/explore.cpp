@@ -472,7 +472,6 @@ ExploreResult run_explore(const ExploreSpec& spec, ExploreObserver* observer,
   result.evaluations = st.counters.evaluations;
   result.cells_simulated = st.counters.cells_simulated;
   result.cells_cached = st.counters.cells_cached;
-  if (observer) observer->on_search_end(result);
   return result;
 }
 

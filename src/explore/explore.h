@@ -87,7 +87,6 @@ class ExploreObserver {
     (void)resumed;
   }
   virtual void on_round(const RoundSummary& summary) { (void)summary; }
-  virtual void on_search_end(const ExploreResult& result) { (void)result; }
   virtual bool cancelled() const { return false; }
 };
 

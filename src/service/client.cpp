@@ -102,8 +102,4 @@ void LineClient::close() {
   buffer_.clear();
 }
 
-void LineClient::shutdown_write() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 }  // namespace twm::service

@@ -37,10 +37,6 @@ class LineClient {
   // cooperative cancel reacts to.
   void close();
 
-  // Half-close of the write side only; also read by the server as a
-  // disconnect (POLLRDHUP), while this end can still drain responses.
-  void shutdown_write();
-
  private:
   int fd_ = -1;
   std::string buffer_;

@@ -120,39 +120,6 @@ TEST(ResultSinkTest, CancellationAtCellBoundaryKeepsTheCompletedCell) {
   EXPECT_EQ(summary.cells[0].outcome.total, 8u);
 }
 
-TEST(ResultSinkTest, SeedRecordsAreOptInAndComplete) {
-  CollectingSink sink(/*cancel_after_units=*/0, /*seed_records=*/true);
-  run_campaign(sequential_spec(), &sink);
-  EXPECT_EQ(sink.seeds.size(), 8u * 2u);
-  for (const SeedRecord& r : sink.seeds) {
-    EXPECT_TRUE(r.seed == 0 || r.seed == 1);
-    EXPECT_TRUE(r.detected);
-  }
-  // Off by default.
-  CollectingSink quiet;
-  run_campaign(sequential_spec(), &quiet);
-  EXPECT_TRUE(quiet.seeds.empty());
-}
-
-TEST(ResultSinkTest, SeedRecordsSuppressTheEarlyExit) {
-  // The symmetric scheme misses many TFs, so per-unit verdicts settle
-  // before the last seed; a seed-record consumer must still receive the
-  // COMPLETE (fault, seed) stream — requesting it disables the early exit
-  // exactly like the matrix path does.
-  CampaignSpec spec = sequential_spec();
-  spec.words = 2;
-  spec.width = 4;  // 2*4*2 = 16 TFs
-  spec.schemes = {SchemeKind::ProposedSymmetricXor};
-  spec.classes = {{ClassKind::Tf, CfScope::Both}};
-  spec.seeds = {0, 1, 2};
-  CollectingSink sink(/*cancel_after_units=*/0, /*seed_records=*/true);
-  const CampaignSummary summary = run_campaign(spec, &sink);
-  ASSERT_EQ(summary.cells.size(), 1u);
-  // Not a degenerate campaign: some faults escape under some content.
-  EXPECT_LT(summary.cells[0].outcome.detected_all, summary.cells[0].outcome.total);
-  EXPECT_EQ(sink.seeds.size(), 16u * 3u);
-}
-
 TEST(ResultSinkTest, JsonLinesStreamIsWellFormed) {
   std::ostringstream out;
   JsonLinesSink sink(out);

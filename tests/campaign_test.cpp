@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "analysis/campaign.h"
 #include "analysis/diagnosis.h"
@@ -61,48 +64,79 @@ TEST(SchemePlan, PerFaultAlsoCompilesOnce) {
   EXPECT_EQ(scheme_plan_build_count() - before, 1u);
 }
 
-// --- run_pool ----------------------------------------------------------
+// --- WorkerPool ----------------------------------------------------------
 
-TEST(RunPool, ExecutesWorkOnEveryThread) {
-  std::atomic<unsigned> calls{0};
-  run_pool(4, [&] { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 4u);
+TEST(WorkerPool, RunExecutesWorkOnEveryThread) {
+  std::mutex mu;
+  std::vector<unsigned> workers;
+  WorkerPool pool(4);
+  pool.run([&](unsigned w) {
+    const std::lock_guard<std::mutex> lock(mu);
+    workers.push_back(w);
+  });
+  std::sort(workers.begin(), workers.end());
+  EXPECT_EQ(workers, (std::vector<unsigned>{0, 1, 2, 3}));
 }
 
-TEST(RunPool, SingleThreadRunsOnCaller) {
-  std::atomic<unsigned> calls{0};
-  run_pool(1, [&] { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 1u);
+TEST(WorkerPool, SingleThreadRunsOnCaller) {
+  std::vector<std::thread::id> ran;
+  WorkerPool pool(1);
+  pool.run([&](unsigned w) {
+    EXPECT_EQ(w, 0u);
+    ran.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(ran, (std::vector<std::thread::id>{std::this_thread::get_id()}));
 }
 
 // An exception thrown on any worker thread must surface on the caller, and
 // every pool thread must still be joined (ASan/TSan would flag leaks).
-TEST(RunPool, PropagatesWorkerException) {
+TEST(WorkerPool, PropagatesWorkerException) {
   std::atomic<unsigned> entered{0};
-  EXPECT_THROW(run_pool(4,
-                        [&] {
-                          // Exactly one worker (whichever claims ticket 2)
-                          // fails; the others finish normally.
-                          if (entered.fetch_add(1) == 2)
-                            throw std::runtime_error("worker failed");
-                        }),
+  WorkerPool pool(4);
+  EXPECT_THROW(pool.run([&](unsigned) {
+                 // Exactly one worker (whichever claims ticket 2) fails; the
+                 // others finish normally.
+                 if (entered.fetch_add(1) == 2) throw std::runtime_error("worker failed");
+               }),
                std::runtime_error);
   EXPECT_EQ(entered.load(), 4u) << "non-throwing workers must have run to completion";
 }
 
-TEST(RunPool, PropagatesExceptionFromCallingThreadToo) {
-  EXPECT_THROW(run_pool(1, [] { throw std::invalid_argument("boom"); }), std::invalid_argument);
+TEST(WorkerPool, PropagatesExceptionFromCallingThreadToo) {
+  WorkerPool pool(1);
+  EXPECT_THROW(pool.run([](unsigned) { throw std::invalid_argument("boom"); }),
+               std::invalid_argument);
 }
 
-TEST(RunPool, FirstExceptionWinsWhenAllWorkersThrow) {
-  EXPECT_THROW(run_pool(4, [] { throw std::runtime_error("every worker fails"); }),
+TEST(WorkerPool, FirstExceptionWinsWhenAllWorkersThrow) {
+  WorkerPool pool(4);
+  EXPECT_THROW(pool.run([](unsigned) { throw std::runtime_error("every worker fails"); }),
                std::runtime_error);
 }
 
-// A worker exception inside a real campaign must propagate through
-// CampaignRunner (here: TOMT's ledger validation tripped by a width-0-safe
-// scheme misuse is hard to force, so use run_pool directly above and prove
-// the campaign path with the golden-lane test below).
+// for_each is the one fan-out helper: every index exactly once at any
+// thread count, a task's exception reaches the caller, and the pool serves
+// the next call after it.
+TEST(WorkerPool, ForEachRunsEveryIndexOnce) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    WorkerPool pool(threads);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{1000}}) {
+      std::vector<std::atomic<unsigned>> hits(n);
+      pool.for_each(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i].load(), 1u) << "threads " << threads << " n " << n << " index " << i;
+    }
+    EXPECT_THROW(pool.for_each(100,
+                               [](std::size_t i) {
+                                 if (i == 37) throw std::runtime_error("task failed");
+                               }),
+                 std::runtime_error)
+        << "threads " << threads;
+    std::atomic<std::size_t> sum{0};
+    pool.for_each(100, [&](std::size_t i) { sum.fetch_add(i); });
+    EXPECT_EQ(sum.load(), 4950u) << "threads " << threads;
+  }
+}
 
 // --- packed golden lane ------------------------------------------------
 

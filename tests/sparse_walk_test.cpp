@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <iterator>
 #include <stdexcept>
@@ -97,14 +96,12 @@ TEST(SparseWalk, EveryPackedCellEqualsTheOracle) {
   // The scalar oracle dominates the cost; its (geometry, scheme) matrices
   // are independent, so compute them on a few threads up front.
   std::vector<VerdictMatrix> oracle(std::size(kGeometries) * kSchemes);
-  std::atomic<std::size_t> next{0};
-  run_pool(std::clamp(std::thread::hardware_concurrency(), 1u, 4u), [&] {
-    for (std::size_t i; (i = next.fetch_add(1)) < oracle.size();) {
-      const Geometry& g = kGeometries[i / kSchemes];
-      oracle[i] = oracle_matrix(kAllSchemes[i % kSchemes], march_by_name(g.march), g.words,
-                                g.width, sampled_faults(g.words, g.width, 18), seed_sets[1]);
-    }
-  });
+  WorkerPool(std::clamp(std::thread::hardware_concurrency(), 1u, 4u))
+      .for_each(oracle.size(), [&](std::size_t i) {
+        const Geometry& g = kGeometries[i / kSchemes];
+        oracle[i] = oracle_matrix(kAllSchemes[i % kSchemes], march_by_name(g.march), g.words,
+                                  g.width, sampled_faults(g.words, g.width, 18), seed_sets[1]);
+      });
 
   for (std::size_t gi = 0; gi < std::size(kGeometries); ++gi) {
     const Geometry& g = kGeometries[gi];

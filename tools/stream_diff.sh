@@ -29,6 +29,11 @@
 # difference, 2 on bad usage.  A change that claims to leave the engine's
 # verdicts alone (a storage or scheduling rewrite) should pass this against
 # its parent's build.
+#
+# Known blind spot: a wrong post-pause prediction leaves every stream
+# identical.  Only PackedSession.DerivedPredictionEqualsTheRecordedOne
+# (tests/packed_session_test.cpp) catches it, so a change to
+# packed_detail::DerivedPrediction must pass that test as well as this diff.
 set -euo pipefail
 
 if [ $# -ne 2 ] || [ ! -x "$1" ] || [ ! -x "$2" ]; then
