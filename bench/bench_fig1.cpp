@@ -73,9 +73,10 @@ void figure_1b(unsigned threads) {
   for (auto [agg, vic] : {std::pair<unsigned, unsigned>{0, 1}, {1, 0}, {0, 4}, {2, 5}}) {
     const auto solo = run_pair(r.tsmarch, width, agg, vic);
     const auto full = run_pair(r.twmarch, width, agg, vic);
-    t.add_row({"b" + std::to_string(agg) + ",b" + std::to_string(vic), "TSMarch only",
-               fmt(solo.covered[0][0]), fmt(solo.covered[1][0]), fmt(solo.covered[0][1]),
-               fmt(solo.covered[1][1])});
+    const std::string cells =
+        std::string("b").append(std::to_string(agg)).append(",b").append(std::to_string(vic));
+    t.add_row({cells, "TSMarch only", fmt(solo.covered[0][0]), fmt(solo.covered[1][0]),
+               fmt(solo.covered[0][1]), fmt(solo.covered[1][1])});
     t.add_row({"", "TWMarch (+ATMarch)", fmt(full.covered[0][0]), fmt(full.covered[1][0]),
                fmt(full.covered[0][1]), fmt(full.covered[1][1])});
     t.add_rule();

@@ -123,10 +123,6 @@ struct CampaignStats {
   // Worker pools that started threads (WorkerPool): one per campaign that
   // runs on more than one thread, whatever its cells, regions and rounds.
   std::atomic<std::uint64_t> pool_starts{0};
-  // Seeded baselines the worker memories generated (fill_seeded of a
-  // nonzero seed): a worker memory lives for the whole campaign and keeps
-  // each seed's contents, so this is at most workers x nonzero seeds.
-  std::atomic<std::uint64_t> baselines_generated{0};
 
   double mean_live_lanes() const {
     const std::uint64_t u = units.load();

@@ -20,6 +20,7 @@
 
 #include "analysis/campaign.h"
 #include "core/scheme_session.h"
+#include "memsim/limb_bits.h"
 #include "memsim/memory.h"
 #include "util/failpoint.h"
 
@@ -42,7 +43,8 @@ inline void check_golden_lane(std::uint64_t verdicts) { require_golden_lane_clea
 // when its one-word session is clean: no stream difference, no mismatch,
 // no ledger or read-back failure, and an XOR signature equal to
 // expected_signature(1).  The certificate runs that session once for each
-// distinct initial value of the seed's baseline, one value per lane
+// distinct initial value in the seed's table `limbs` (seeded_limbs, null
+// for seed 0), one value per lane
 // (TOMT's ledger holds one parity per word, so each parity gets its own
 // passes), and also requires the test and prediction passes to be
 // walk-aligned, which a one-word memory cannot reveal.  Only the packed
@@ -60,10 +62,10 @@ inline bool transparent_compare(SchemeKind k) {
 }
 
 inline bool golden_certificate(const SchemePlan& plan, const PlanOpMasks& masks,
-                               std::size_t words, std::uint64_t seed) {
+                               std::size_t words, const std::uint64_t* limbs) {
   if (transparent_compare(plan.scheme) && !transparent_passes_aligned(plan.trans, plan.prediction))
     return false;
-  const std::vector<BitVec> values = seeded_word_values(words, plan.width, seed);
+  const std::vector<BitVec> values = seeded_word_values(words, plan.width, limbs);
   const AddressList one = AddressList::all(1);
   SessionScratch<PackedEngine> scratch;
   for (const bool parity : {false, true}) {
@@ -113,7 +115,8 @@ inline bool golden_certificate(const SchemePlan& plan, const PlanOpMasks& masks,
 //             over the rest.
 //
 // One WorkerPool serves the whole campaign, each of its threads with one
-// worker memory and one session scratch.  A worker claims units in
+// worker memory and one session scratch, and every worker reads one table
+// of each seed's contents (table()).  A worker claims units in
 // (cell, region, round, unit) order: the first unclaimed unit of an open
 // round, among the drain's cell and the kCellsAhead cells after it (a
 // cell with nothing to compute ends that window).  A job's round 0 opens
@@ -171,7 +174,8 @@ class CampaignScheduler {
         words_(words),
         width_(width),
         regions_(std::max(1u, regions)),
-        stats_(stats) {}
+        stats_(stats),
+        tables_(seeds.size()) {}
 
   void run(WorkerPool& pool) {
     refill();
@@ -198,6 +202,11 @@ class CampaignScheduler {
   static constexpr unsigned kPerUnit = Engine::kFaultsPerUnit;
   // Cells past the drain's whose units idle workers may compute.
   static constexpr std::size_t kCellsAhead = 2;
+
+  struct SeedTable {
+    std::once_flag once;
+    std::vector<std::uint64_t> limbs;
+  };
 
   // A plan's companions for the campaign: its op masks and one golden
   // certificate per seed, computed by whichever thread first opens a round
@@ -274,12 +283,12 @@ class CampaignScheduler {
   };
 
   // Worker state lives for the WHOLE campaign: the memory (a packed one's
-  // slot store and fault index buckets, either's per-seed baselines), the
-  // batch and the session scratch keep their allocations across every
-  // unit of every cell, region and round — memories and scratches are
-  // fully reset per unit.  So a steady-state packed unit allocates
-  // nothing, stats->page_allocs stays flat as rounds are added, and each
-  // worker generates a seed's contents once per campaign.
+  // slot store and fault index buckets), the batch and the session scratch
+  // keep their allocations across every unit of every cell, region and
+  // round — memories and scratches are fully reset per unit, from the
+  // campaign's one table of the round's seed (tables_).  So a steady-state
+  // packed unit allocates nothing, stats->page_allocs stays flat as rounds
+  // are added, and no worker keeps contents of its own.
   struct WorkerState {
     typename Engine::Memory mem;
     std::vector<Fault> batch;
@@ -350,11 +359,19 @@ class CampaignScheduler {
     }
   }
 
+  // Seed s's contents (seeded_limbs; null for seed 0): generated once per
+  // campaign, by whichever thread first asks, and read by every worker.
+  const std::uint64_t* table(std::size_t s) {
+    SeedTable& t = tables_[s];
+    std::call_once(t.once, [&] { t.limbs = seeded_limbs(words_, width_, seeds_[s]); });
+    return seeds_[s] != 0 ? t.limbs.data() : nullptr;
+  }
+
   bool certified(PlanState& p, std::size_t s) {
     if (!Engine::kSparseWalk) return true;
     typename PlanState::Cert& cert = p.certs[s];
     std::call_once(cert.once,
-                   [&] { cert.ok = golden_certificate(*p.plan, p.masks, words_, seeds_[s]); });
+                   [&] { cert.ok = golden_certificate(*p.plan, p.masks, words_, table(s)); });
     return cert.ok;
   }
 
@@ -459,7 +476,7 @@ class CampaignScheduler {
     // brake).
     typename Engine::Brake brake = Engine::make_brake(st.mem, Engine::used_mask(count));
     const Verdict d = run_campaign_unit_in<Engine>(st.mem, *plan.plan, plan.masks, st.scratch,
-                                                   st.batch.data(), count, seeds_[t.round],
+                                                   st.batch.data(), count, table(t.round),
                                                    &brake, list);
     check_golden_lane(d);
     if (stats_) {
@@ -704,9 +721,9 @@ class CampaignScheduler {
     }
   }
 
-  // Slot high-water marks, store growths and baseline generations over
-  // every worker memory, once the pool is done.  Only a PackedMemory has a
-  // slot store; the scalar Memory is one dense array and reports 0.
+  // Slot high-water marks and store growths over every worker memory, once
+  // the pool is done.  Only a PackedMemory has a slot store; the scalar
+  // Memory is one dense array and reports 0.
   void add_memory_stats() {
     const auto fetch_max = [](std::atomic<std::uint64_t>& slot, std::uint64_t mine) {
       std::uint64_t cur = slot.load(std::memory_order_relaxed);
@@ -715,8 +732,6 @@ class CampaignScheduler {
     };
     for (const std::unique_ptr<WorkerState>& st : states_) {
       if (!st) continue;
-      stats_->baselines_generated.fetch_add(st->mem.baseline_generations(),
-                                            std::memory_order_relaxed);
       if constexpr (Engine::kSparseWalk) {
         fetch_max(stats_->pages_peak, st->mem.slots_peak());
         fetch_max(stats_->packed_pages_peak, st->mem.slots_peak());
@@ -732,6 +747,7 @@ class CampaignScheduler {
   const unsigned regions_;
   CampaignStats* const stats_;
 
+  std::vector<SeedTable> tables_;  // [seed index]
   std::deque<PlanState> plans_;  // prepared cells' plans (drain side)
   std::size_t next_cell_ = 0;    // next cell to prepare (drain side)
   unsigned workers_ = 0;

@@ -5,7 +5,7 @@
 #include "analysis/campaign.h"
 #include "bist/address_gen.h"
 #include "bist/engine.h"
-#include "util/rng.h"
+#include "memsim/limb_bits.h"
 
 namespace twm {
 
@@ -67,13 +67,12 @@ std::vector<Diagnosis> diagnose_campaign(const MarchTest& bit_march, std::size_t
   // are consulted.
   const SchemePlan plan = make_scheme_plan(SchemeKind::ProposedExact, bit_march, width);
 
+  // The seed's contents, generated once and copied into each fault's memory.
+  const std::vector<std::uint64_t> limbs = seeded_limbs(words, width, seed);
   std::vector<Diagnosis> out(faults.size());
   WorkerPool(threads).for_each(faults.size(), [&](std::size_t i) {
     Memory mem(words, width);
-    if (seed != 0) {
-      Rng rng(seed);
-      mem.fill_random(rng);
-    }
+    mem.fill_limbs(seed != 0 ? limbs.data() : nullptr);
     mem.inject(faults[i]);
     out[i] = diagnose_transparent(mem, plan.trans, plan.prediction);
   });

@@ -42,7 +42,8 @@ struct Diagnosis {
 Diagnosis diagnose_transparent(MemoryIf& mem, const MarchTest& test, const MarchTest& prediction);
 
 // Diagnosis campaign: one Diagnosis per fault, each obtained by injecting
-// the fault into a fresh memory (seeded contents; seed 0 = all-zero) and
+// the fault into a fresh memory holding the seed's contents (one table,
+// seeded_limbs, for every fault; seed 0 = all-zero) and
 // running the TWMarch transparent session compiled once into a SchemePlan.
 // Faults are sharded across `threads` workers with the same pool the
 // coverage campaigns use (analysis/campaign.h).

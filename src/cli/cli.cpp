@@ -266,8 +266,7 @@ int cmd_simulate(const Options& o, std::ostream& out, std::ostream& err) {
   if (!seed) return 1;
 
   Memory mem(*words, *width);
-  Rng rng(*seed);
-  mem.fill_random(rng);
+  mem.fill_seeded(*seed);
   for (const auto& spec : o.faults) {
     const auto f = parse_fault(spec, err);
     if (!f) return 1;

@@ -31,7 +31,7 @@ Scheme1Result scheme1_transform(const MarchTest& bit_march, unsigned width) {
 
   for (std::size_t k = 0; k < backgrounds.size(); ++k) {
     const BitVec& d = backgrounds[k];
-    const std::string label = "D" + std::to_string(k);
+    const std::string label = std::string("D").append(std::to_string(k));
 
     // Per-bit transparency: bits where Dk = 1 run the test with inverted
     // data, so w0/r0 carry mask Dk and w1/r1 carry mask ~Dk.

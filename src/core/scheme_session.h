@@ -39,7 +39,6 @@
 #include "core/tomt.h"
 #include "march/test.h"
 #include "memsim/fault.h"
-#include "util/rng.h"
 
 namespace twm {
 
@@ -232,28 +231,27 @@ typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t w
   return run_scheme_session<Engine>(mem, plan, ledger);
 }
 
-// run_campaign_unit against a caller-owned memory, reset in place, with the
-// session walking `list`: the repack scheduler keeps one memory and one
-// session scratch per worker and re-seeds the memory per unit (retire +
-// reinject into a live batch), so the slot store, the fault index buckets
-// and the session buffers keep their allocations across the thousands of
-// units a campaign shards: a packed unit allocates nothing in steady
-// state.  `list` is every word (scalar) or the batch's fault_footprint()
-// (packed, usually held in scratch.footprint); `masks` are the plan's,
-// compiled once per campaign.
+// run_campaign_unit against a caller-owned memory, reset in place to the
+// seed's table `limbs` (seeded_limbs, memsim/limb_bits.h; null for seed 0),
+// with the session walking `list`: the repack scheduler keeps one memory
+// and one session scratch per worker, generates each seed's table once per
+// campaign and re-seeds the memory from it per unit, so the slot store, the
+// fault index buckets and the session buffers keep their allocations
+// across the thousands of units a campaign shards: a packed unit allocates
+// nothing in steady state.  `list` is every word (scalar) or the batch's
+// fault_footprint() (packed, usually held in scratch.footprint); `masks`
+// are the plan's, compiled once per campaign.
 template <class Engine>
 typename Engine::Verdict run_campaign_unit_in(typename Engine::Memory& mem,
                                               const SchemePlan& plan, const PlanOpMasks& masks,
                                               SessionScratch<Engine>& scratch,
                                               const Fault* faults, unsigned count,
-                                              std::uint64_t seed,
+                                              const std::uint64_t* limbs,
                                               typename Engine::Brake* brake, AddressList list) {
   mem.clear_faults();
-  // Seed 0 = all-zero background; otherwise the cached per-seed baseline
-  // (contents of fill_random(Rng(seed))).  A packed refill is O(live
-  // slots), not O(words), and repack rounds reuse the store's capacity; the
-  // scalar reference copies its dense array, as it walks every word anyway.
-  mem.fill_seeded(seed);
+  // A packed refill borrows the table and costs O(live slots), not
+  // O(words); the scalar reference copies it, as it walks every word anyway.
+  mem.fill_limbs(limbs);
 
   // The listed words' ledger bits, read from the pre-injection background.
   if (plan.scheme == SchemeKind::TomtModel)

@@ -28,7 +28,7 @@ MarchTest tomt_test(unsigned width) {
     unit.set(j, true);
     DataSpec flip = base;
     flip.pattern = unit;
-    flip.label = "e" + std::to_string(j);
+    flip.label = std::string("e").append(std::to_string(j));
     DataSpec flip_inv = inv;
     flip_inv.pattern = unit;
     flip_inv.label = flip.label;

@@ -19,7 +19,7 @@ MarchTest atmarch(unsigned width, bool base_inverted) {
   for (std::size_t k = 0; k < ds.size(); ++k) {
     DataSpec flipped = base;
     flipped.pattern = ds[k];
-    flipped.label = "D" + std::to_string(k + 1);
+    flipped.label = std::string("D").append(std::to_string(k + 1));
     MarchElement e;
     e.order = AddrOrder::Any;
     e.ops = {Op::read(base), Op::write(flipped), Op::read(flipped), Op::write(base),

@@ -36,7 +36,7 @@ std::string DataSpec::to_string() const {
 }
 
 std::string Op::to_string() const {
-  return (kind == OpKind::Read ? "r" : "w") + std::string("(") + data.to_string() + ")";
+  return std::string(kind == OpKind::Read ? "r(" : "w(").append(data.to_string()).append(")");
 }
 
 std::string to_string(AddrOrder o) {

@@ -22,7 +22,7 @@ MarchTest word_oriented_march(const MarchTest& bit_march, unsigned width) {
   t.name = "WO-" + bit_march.name;
   for (std::size_t k = 0; k < backgrounds.size(); ++k) {
     const BitVec& d = backgrounds[k];
-    const std::string label = "D" + std::to_string(k);
+    const std::string label = std::string("D").append(std::to_string(k));
     for (const auto& e : bit_march.elements) {
       MarchElement we;
       we.order = e.order;
@@ -51,7 +51,7 @@ MarchTest nontransparent_amarch(unsigned width, bool base_complement) {
   const DataSpec base{false, base_complement, {}, {}};
   const auto ds = checkerboard_backgrounds(width);
   for (std::size_t k = 0; k < ds.size(); ++k) {
-    DataSpec flipped{false, base_complement, ds[k], "D" + std::to_string(k + 1)};
+    DataSpec flipped{false, base_complement, ds[k], std::string("D").append(std::to_string(k + 1))};
     MarchElement e;
     e.order = AddrOrder::Any;
     e.ops = {Op::read(base), Op::write(flipped), Op::read(flipped), Op::write(base),

@@ -3,8 +3,10 @@
 // Both memories keep per-word contents as a flat array of 64-bit limbs,
 // cell (addr, bit) at bit position addr * width + bit: the scalar Memory as
 // its whole state, PackedMemory as the background its slots materialize
-// from.  One generator for the seeded contents keeps the contract "scalar
-// and packed see the same seeded memory" behind a single function.
+// from.  seeded_limbs is the one generator of seeded contents.  A campaign
+// generates each seed's table once (CampaignScheduler, campaign_exec.h),
+// and every worker memory fills from that one copy: a PackedMemory
+// borrows it as its background, a Memory copies it.
 #ifndef TWM_MEMSIM_LIMB_BITS_H
 #define TWM_MEMSIM_LIMB_BITS_H
 
@@ -41,6 +43,16 @@ inline void random_limbs(std::size_t words, unsigned width, Rng& rng,
   out.assign(limb_count(words, width), 0);
   for (std::size_t a = 0; a < words; ++a)
     for (unsigned j = 0; j < width; ++j) set_limb_bit(out.data(), a * width + j, rng.next_bool());
+}
+
+// What seed `seed` holds: random_limbs over Rng(seed), or no limbs for seed
+// 0, whose contents are all zero.
+inline std::vector<std::uint64_t> seeded_limbs(std::size_t words, unsigned width,
+                                               std::uint64_t seed) {
+  std::vector<std::uint64_t> out;
+  Rng rng(seed);
+  if (seed != 0) random_limbs(words, width, rng, out);
+  return out;
 }
 
 }  // namespace twm

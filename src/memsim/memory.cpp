@@ -190,32 +190,22 @@ void Memory::load(const std::vector<BitVec>& contents) {
   enforce_static_faults();
 }
 
-void Memory::fill(const BitVec& pattern) {
-  if (pattern.width() != width_) throw std::invalid_argument("Memory::fill: width mismatch");
-  if (pattern.all_zero())
-    std::fill(bits_.begin(), bits_.end(), std::uint64_t{0});
-  else
-    for (std::size_t a = 0; a < words_; ++a) set_word(a, pattern);
-  enforce_static_faults();
-}
-
 void Memory::fill_random(Rng& rng) {
   random_limbs(words_, width_, rng, bits_);
   enforce_static_faults();
 }
 
-void Memory::fill_seeded(std::uint64_t seed) {
-  if (seed == 0) {
-    fill(BitVec::zeros(width_));
-    return;
-  }
-  std::vector<std::uint64_t>& baseline = baselines_[seed];
-  if (baseline.empty()) {
-    Rng rng(seed);
-    random_limbs(words_, width_, rng, baseline);
-  }
-  std::copy(baseline.begin(), baseline.end(), bits_.begin());
+void Memory::fill_limbs(const std::uint64_t* limbs) {
+  if (limbs)
+    std::copy(limbs, limbs + bits_.size(), bits_.begin());
+  else
+    std::fill(bits_.begin(), bits_.end(), std::uint64_t{0});
   enforce_static_faults();
+}
+
+void Memory::fill_seeded(std::uint64_t seed) {
+  const std::vector<std::uint64_t> limbs = seeded_limbs(words_, width_, seed);
+  fill_limbs(seed != 0 ? limbs.data() : nullptr);
 }
 
 BitVec Memory::peek(std::size_t addr) const {
@@ -237,19 +227,19 @@ bool Memory::equals(const std::vector<BitVec>& snap) const {
   return true;
 }
 
-std::vector<BitVec> seeded_word_values(std::size_t words, unsigned width, std::uint64_t seed) {
-  if (seed == 0) return {BitVec::zeros(width)};
-  Rng rng(seed);
+std::vector<BitVec> seeded_word_values(std::size_t words, unsigned width,
+                                       const std::uint64_t* limbs) {
+  if (!limbs) return {BitVec::zeros(width)};
   std::vector<BitVec> out;
   if (width <= 16) {
-    // A bitmap of the 2^width values marks the ones seen (next_word's
-    // draws, bit j from the j-th): no allocation per value.  Golden
-    // certificates start from this list; with std::set below, seed-mix
-    // read about 2% more peak RSS (BENCHMARKS.md).
+    // A bitmap of the 2^width values marks the ones seen: no allocation per
+    // value.  Golden certificates start from this list; with std::set
+    // below, seed-mix read about 2% more peak RSS (BENCHMARKS.md).
     std::vector<bool> seen(std::size_t{1} << width);
     for (std::size_t a = 0; a < words && out.size() < seen.size(); ++a) {
       std::uint64_t v = 0;
-      for (unsigned j = 0; j < width; ++j) v |= std::uint64_t{rng.next_bool()} << j;
+      for (unsigned j = 0; j < width; ++j)
+        v |= std::uint64_t{get_limb_bit(limbs, a * width + j)} << j;
       if (seen[v]) continue;
       seen[v] = true;
       out.push_back(BitVec::from_uint(width, v));
@@ -259,7 +249,8 @@ std::vector<BitVec> seeded_word_values(std::size_t words, unsigned width, std::u
   const std::uint64_t space = width < 64 ? std::uint64_t{1} << width : ~std::uint64_t{0};
   std::set<BitVec> seen;
   for (std::size_t a = 0; a < words && out.size() < space; ++a) {
-    BitVec v = rng.next_word(width);
+    BitVec v(width);
+    for (unsigned j = 0; j < width; ++j) v.set(j, get_limb_bit(limbs, a * width + j));
     if (seen.insert(v).second) out.push_back(std::move(v));
   }
   return out;

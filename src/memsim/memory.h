@@ -33,7 +33,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "memsim/fault.h"
@@ -79,14 +78,12 @@ class Memory : public MemoryIf {
   // Loads raw contents, then enforces static fault conditions (SAF, CFst)
   // so the state is consistent with the injected defects.
   void load(const std::vector<BitVec>& contents);
-  void fill(const BitVec& pattern);
   void fill_random(Rng& rng);
-  // Contents of fill_random(Rng(seed)) for seed != 0, fill(zeros) for seed
-  // 0 — the campaign unit contract — with the generated contents cached
-  // per seed, so a refill is one copy instead of a regeneration.
+  // Copies a limb table (memsim/limb_bits.h) in; null loads all zeros.
+  void fill_limbs(const std::uint64_t* limbs);
+  // fill_limbs of seeded_limbs(seed), generated afresh on every call: the
+  // campaign unit contract for callers without a campaign's shared table.
   void fill_seeded(std::uint64_t seed);
-  // Seeded baselines fill_seeded generated (one per distinct nonzero seed).
-  std::uint64_t baseline_generations() const { return baselines_.size(); }
 
   BitVec peek(std::size_t addr) const;
   std::vector<BitVec> snapshot() const;
@@ -110,8 +107,6 @@ class Memory : public MemoryIf {
 
   // [addr * width_ + bit] (memsim/limb_bits.h).
   std::vector<std::uint64_t> bits_;
-  // fill_seeded's per-seed contents, generated on first use.
-  std::map<std::uint64_t, std::vector<std::uint64_t>> baselines_;
 
   std::vector<Fault> faults_;
   // Pause units since the last write of each retention fault's cell;
@@ -121,11 +116,11 @@ class Memory : public MemoryIf {
   std::uint64_t ops_ = 0;
 };
 
-// The distinct word values of the contents fill_seeded(seed) loads into a
-// `words` x `width` memory ({0} for seed 0), in order of first appearance.
-// Consumes the generator exactly like fill_random; stops early once every
-// value a width can hold has appeared.
-std::vector<BitVec> seeded_word_values(std::size_t words, unsigned width, std::uint64_t seed);
+// The distinct word values of the contents fill_limbs(limbs) loads into a
+// `words` x `width` memory ({0} for null), in order of first appearance.
+// Stops early once every value a width can hold has appeared.
+std::vector<BitVec> seeded_word_values(std::size_t words, unsigned width,
+                                       const std::uint64_t* limbs);
 
 }  // namespace twm
 

@@ -23,11 +23,12 @@
 // sizeof(LaneMask) — 1 GiB for 16M words at width 8 — which caps workloads
 // at toy geometries.  Instead each word is in one of two states:
 //
-//   * background — no slot at all; every cell reads as the fill background
-//     (a broadcast pattern, or one word of a seeded/loaded per-word bit
-//     baseline).  This is what fill()/fill_seeded() leave behind: an
-//     O(live slots) reset instead of an O(words) rewrite.  Reads and peeks
-//     of a background word broadcast its value without giving it a slot.
+//   * background — no slot at all; every cell reads as the background:
+//     zero, or its bits in a limb table (memsim/limb_bits.h) — a campaign's
+//     shared seeded table, or one this memory generated or loaded.  This is
+//     what fill_limbs()/fill_seeded() leave behind: an O(live slots) reset
+//     instead of an O(words) rewrite.  Reads and peeks of a background word
+//     broadcast its value without giving it a slot.
 //   * live — the word owns a slot: width lane masks in cells_ plus its
 //     fault index buckets.  Every word in any injected fault's footprint
 //     (victim, aggressor, alias target) gets a slot at inject() time and
@@ -43,7 +44,7 @@
 // the same value in every lane, so its read skips the fault machinery
 // entirely.  A campaign unit walks only its fault footprint, so its memory
 // holds exactly the footprint's words, and the store keeps its capacity
-// across refills: the repack scheduler's clear_faults()/fill() round
+// across refills: the repack scheduler's clear_faults()/fill_limbs() round
 // rebuild allocates nothing in steady state.  (The scalar Memory walks
 // every word, so it keeps a dense bit array instead.)
 //
@@ -76,7 +77,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <new>
 #include <stdexcept>
 #include <utility>
@@ -86,7 +86,6 @@
 #include "memsim/limb_bits.h"
 #include "util/bitvec.h"
 #include "util/failpoint.h"
-#include "util/rng.h"
 
 namespace twm {
 
@@ -123,10 +122,9 @@ class PackedMemory {
         peek_buf_(word_width) {
     if (num_words == 0 || word_width == 0)
       throw std::invalid_argument("PackedMemory: empty geometry");
-    bg_pattern_ = BitVec::zeros(width_);
   }
 
-  // The background baseline pointers reference this object's own storage;
+  // The background pointer may reference this object's own storage;
   // copying would leave the copy aliasing the original.  Nothing copies a
   // packed memory (workers construct their own), so forbid it outright.
   PackedMemory(const PackedMemory&) = delete;
@@ -394,42 +392,24 @@ class PackedMemory {
     for (std::size_t a = 0; a < words_; ++a)
       for (unsigned j = 0; j < width_; ++j)
         set_limb_bit(loaded_bits_.data(), a * width_ + j, contents[a].get(j));
-    set_background_bits(loaded_bits_.data());
+    fill_limbs(loaded_bits_.data());
   }
 
-  void fill(const BitVec& pattern) {
-    if (pattern.width() != width_)
-      throw std::invalid_argument("PackedMemory::fill: width mismatch");
-    bg_pattern_ = pattern;
-    bg_bits_ = nullptr;
+  // Makes a limb table (memsim/limb_bits.h) the background; null means all
+  // zero.  The table is borrowed, not copied: it must outlive every read of
+  // the background, up to the next fill.  The campaign scheduler hands
+  // every worker memory the same table of a seed.
+  void fill_limbs(const std::uint64_t* limbs) {
+    bg_bits_ = limbs;
     reset_to_background();
   }
 
-  void fill_random(Rng& rng) {
-    // The scalar Memory's generator, so the same seed broadcasts the same
-    // contents the scalar evaluation path sees.
-    random_limbs(words_, width_, rng, loaded_bits_);
-    set_background_bits(loaded_bits_.data());
-  }
-
-  // Contents of fill_random(Rng(seed)) for seed != 0, fill(zeros) for seed
-  // 0 — the campaign unit contract — but with the generated baseline
-  // cached per seed, so the repack scheduler's seed-major rounds pay the
-  // O(words) generation once per (worker, seed) instead of once per unit.
+  // fill_limbs of seeded_limbs(seed), generated afresh into this memory's
+  // own storage on every call: the campaign unit contract for callers
+  // without a campaign's shared table.
   void fill_seeded(std::uint64_t seed) {
-    if (seed == 0) {
-      // fill(zeros) without building a pattern per unit.
-      if (!bg_pattern_.all_zero()) bg_pattern_ = BitVec::zeros(width_);
-      bg_bits_ = nullptr;
-      reset_to_background();
-      return;
-    }
-    auto& bits = baselines_[seed];
-    if (bits.empty()) {
-      Rng rng(seed);
-      random_limbs(words_, width_, rng, bits);
-    }
-    set_background_bits(bits.data());
+    loaded_bits_ = seeded_limbs(words_, width_, seed);
+    fill_limbs(seed != 0 ? loaded_bits_.data() : nullptr);
   }
 
   // Lane extraction for differential checking against the scalar Memory.
@@ -469,8 +449,6 @@ class PackedMemory {
   // Growth allocations of the store; stays flat across refill rounds once
   // the capacity covers the peak (the allocation-free repack contract).
   std::uint64_t store_growths() const { return store_growths_; }
-  // Seeded baselines fill_seeded generated (one per distinct nonzero seed).
-  std::uint64_t baseline_generations() const { return baselines_.size(); }
 
  private:
   struct LaneFault {
@@ -581,8 +559,7 @@ class PackedMemory {
 
   // Bit j of a background word.
   bool background_bit(std::size_t addr, unsigned j) const {
-    if (bg_bits_) return get_limb_bit(bg_bits_, addr * width_ + j);
-    return bg_pattern_.get(j);
+    return bg_bits_ && get_limb_bit(bg_bits_, addr * width_ + j);
   }
 
   // Broadcasts a background word into `dst` (width_ lane masks).
@@ -607,11 +584,6 @@ class PackedMemory {
       bucket_push(faults_[ret_entries_[e].idx].victim_slot, kRet, static_cast<std::uint32_t>(e));
     }
     enforce_static_faults();
-  }
-
-  void set_background_bits(const std::uint64_t* bits) {
-    bg_bits_ = bits;
-    reset_to_background();
   }
 
   void materialize_footprint(LaneFault& lf) {
@@ -776,14 +748,12 @@ class PackedMemory {
   std::size_t slots_peak_ = 0;
   std::uint64_t store_growths_ = 0;
 
-  // Background: what a word without a slot reads as.  Either a broadcast
-  // pattern or a per-word bit baseline (seeded/loaded; bg_bits_ points into
-  // baselines_ or loaded_bits_ — this object's own storage, hence no
-  // copying).
-  BitVec bg_pattern_;
+  // Background: what a word without a slot reads as — bit (addr, j) of
+  // bg_bits_, or zero when it is null.  bg_bits_ is a borrowed table
+  // (fill_limbs) or loaded_bits_ (load, fill_seeded), this object's own
+  // storage, hence no copying.
   const std::uint64_t* bg_bits_ = nullptr;
   std::vector<std::uint64_t> loaded_bits_;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> baselines_;
 
   std::vector<LaneFault> faults_;
   std::vector<std::uint32_t> cfst_all_, saf_all_;  // statics, injection order

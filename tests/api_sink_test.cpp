@@ -497,7 +497,7 @@ std::string masked(std::string text) {
     for (std::size_t at = text.find(key); at != std::string::npos; at = text.find(key, at)) {
       at += std::strlen(key);
       const std::size_t end = text.find_first_of(",}", at);
-      text.replace(at, end - at, "#");
+      text.replace(at, end - at, 1, '#');
     }
   }
   return text;
@@ -711,23 +711,18 @@ TEST(CampaignScheduler, StreamBytesDoNotDependOnThreadsWithAPartlyWarmCache) {
   }
 }
 
-// One pool per campaign, whatever its cells, regions and rounds, and at
-// most one seeded baseline per (worker, nonzero seed), however many cells
-// and regions use the seed.
-TEST(CampaignScheduler, OnePoolAndOneBaselinePerWorkerAndSeed) {
-  CampaignSpec spec = mixed_spec(1, 4);  // seeds 0, 1, 2: two nonzero
+// One pool per campaign, whatever its cells, regions and rounds.
+TEST(CampaignScheduler, OnePoolPerCampaign) {
+  CampaignSpec spec = mixed_spec(1, 4);  // seeds 0, 1, 2
   CampaignStats one;
   run_campaign(spec, nullptr, nullptr, nullptr, &one);
   EXPECT_EQ(one.pool_starts.load(), 0u) << "one thread starts no pool";
-  EXPECT_EQ(one.baselines_generated.load(), 2u);
   EXPECT_GT(one.units.load(), 6u * 4u) << "6 cells x 4 regions, several rounds each";
 
   spec.threads = 4;
   CampaignStats four;
   run_campaign(spec, nullptr, nullptr, nullptr, &four);
   EXPECT_EQ(four.pool_starts.load(), 1u);
-  EXPECT_GE(four.baselines_generated.load(), 2u);
-  EXPECT_LE(four.baselines_generated.load(), 4u * 2u);
   EXPECT_EQ(four.units.load(), one.units.load());
 
   // CampaignRunner::run is the same scheduler with one cell.
@@ -741,7 +736,6 @@ TEST(CampaignScheduler, OnePoolAndOneBaselinePerWorkerAndSeed) {
       .per_fault(SchemeKind::ProposedSymmetricXor, march_by_name("March C-"), faults, {0, 1, 2},
                  &cell);
   EXPECT_EQ(cell.pool_starts.load(), 1u);
-  EXPECT_LE(cell.baselines_generated.load(), 4u * 2u);
 }
 
 // Holds the report drain in the flush after cell 1's first round until

@@ -315,8 +315,12 @@ TEST(Explore, DemoSearchBeatsTheMarchCMinusBaseline) {
   // The front is mutually nondominated and sorted by weighted complexity.
   for (std::size_t i = 0; i < r.front.size(); ++i) {
     for (std::size_t j = 0; j < r.front.size(); ++j)
-      if (i != j) EXPECT_FALSE(dominates(r.front[i], r.front[j])) << i << " vs " << j;
-    if (i) EXPECT_LE(r.front[i - 1].weighted, r.front[i].weighted);
+      if (i != j) {
+        EXPECT_FALSE(dominates(r.front[i], r.front[j])) << i << " vs " << j;
+      }
+    if (i) {
+      EXPECT_LE(r.front[i - 1].weighted, r.front[i].weighted);
+    }
   }
 }
 

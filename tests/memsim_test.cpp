@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "memsim/limb_bits.h"
 #include "memsim/memory.h"
 #include "util/rng.h"
 
@@ -23,23 +24,25 @@ TEST(Memory, GeometryValidation) {
   EXPECT_THROW(Memory(8, 0), std::invalid_argument);
 }
 
-// seeded_word_values lists the distinct words of fill_seeded(seed)'s
-// contents in order of first appearance (the values a golden certificate
-// checks): at a width whose every value appears, at wider ones and past
-// 64 bits.
+// seeded_word_values lists the distinct words of the contents
+// fill_limbs(limbs) loads from a seed's table, in order of first
+// appearance (the values a golden certificate checks): at a width whose
+// every value appears, at wider ones and past 64 bits.  A null table
+// holds only zero.
 TEST(Memory, SeededWordValuesAreTheSeededWordsInOrder) {
   const std::size_t words = 300;
   for (const unsigned width : {3u, 8u, 16u, 24u, 64u, 70u}) {
+    const std::vector<std::uint64_t> limbs = seeded_limbs(words, width, 42);
     Memory mem(words, width);
-    mem.fill_seeded(42);
+    mem.fill_limbs(limbs.data());
     std::vector<BitVec> want;
     for (std::size_t a = 0; a < words; ++a) {
       const BitVec v = mem.peek(a);
       if (std::find(want.begin(), want.end(), v) == want.end()) want.push_back(v);
     }
-    EXPECT_EQ(seeded_word_values(words, width, 42), want) << "width " << width;
+    EXPECT_EQ(seeded_word_values(words, width, limbs.data()), want) << "width " << width;
   }
-  EXPECT_EQ(seeded_word_values(16, 8, 0), std::vector<BitVec>{BitVec::zeros(8)});
+  EXPECT_EQ(seeded_word_values(16, 8, nullptr), std::vector<BitVec>{BitVec::zeros(8)});
 }
 
 TEST(Memory, FaultFreeReadsBackWrites) {
@@ -371,7 +374,8 @@ TEST(Memory, SnapshotRoundTrip) {
 // The campaign's per-unit reset: after writes and injected faults,
 // clear_faults() + fill_seeded(s) reads back exactly what a fresh memory
 // does after fill_seeded(s), and that is the word sequence Rng(s) draws
-// (zeros for seed 0).  Words straddle limb boundaries: words * width is
+// (zeros for seed 0); so does fill_limbs of the seed's table, the
+// scheduler's refill.  Words straddle limb boundaries: words * width is
 // not a multiple of 64 in the first two geometries.
 TEST(Memory, RefillRestoresTheSeededBaseline) {
   const std::vector<std::pair<std::size_t, unsigned>> geometries = {{67, 3}, {1000, 5}, {64, 8}};
@@ -402,13 +406,17 @@ TEST(Memory, RefillRestoresTheSeededBaseline) {
       const std::string ctx = geo + " seed " + std::to_string(seed);
       EXPECT_EQ(m.snapshot(), fresh.snapshot()) << ctx;
       EXPECT_EQ(m.snapshot(), expected(seed)) << ctx;
+      const std::vector<std::uint64_t> table = seeded_limbs(words, width, seed);
+      dirty();
+      m.fill_limbs(seed != 0 ? table.data() : nullptr);
+      EXPECT_EQ(m.snapshot(), expected(seed)) << ctx << " from its table";
     }
-    // A nonzero broadcast pattern lands in every word, and a seeded refill
-    // after it still restores the baseline.
+    // Loaded contents land in every word, and a seeded refill after them
+    // still restores the seed's contents.
     dirty();
     BitVec pattern = BitVec::zeros(width);
     for (unsigned j = 0; j < width; j += 2) pattern.set(j, true);
-    m.fill(pattern);
+    m.load(std::vector<BitVec>(words, pattern));
     EXPECT_EQ(m.snapshot(), std::vector<BitVec>(words, pattern)) << geo;
     m.fill_seeded(9);
     EXPECT_EQ(m.snapshot(), expected(9)) << geo;

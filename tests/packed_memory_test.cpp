@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "memsim/limb_bits.h"
 #include "memsim/memory.h"
 #include "memsim/packed_memory.h"
 #include "util/rng.h"
@@ -414,14 +415,15 @@ TEST(PackedMemorySim, RefillRoundsReuseSlotsWithoutAllocating) {
   PackedMemory m(4096, 8);
   std::vector<std::uint64_t> data(8, ~0ull);
   const std::vector<std::size_t> addrs = {0, 100, 1000, 4000};
+  const std::vector<std::uint64_t> tables[] = {seeded_limbs(4096, 8, 1), seeded_limbs(4096, 8, 2)};
   const auto round = [&](std::uint64_t seed) {
     m.clear_faults();
-    m.fill_seeded(seed);
+    m.fill_limbs(tables[seed - 1].data());
     m.inject(Fault::saf({100, 0}, true), 2);
     for (const std::size_t a : addrs) m.write(a, data.data());
   };
   round(1);
-  round(2);  // warm-up: both cached baselines generated, store grown
+  round(2);  // warm-up: store grown
   const std::uint64_t warm = m.store_growths();
   EXPECT_GT(warm, 0u);
   for (int r = 0; r < 6; ++r) round(1 + static_cast<std::uint64_t>(r % 2));
@@ -431,21 +433,26 @@ TEST(PackedMemorySim, RefillRoundsReuseSlotsWithoutAllocating) {
 }
 
 // Reads and peeks of background packed words must not give them slots — a
-// read-heavy march over a huge background costs no memory.
+// read-heavy march over a huge background costs no memory — whether the
+// memory generated the seed's contents or borrows a shared table.
 TEST(PackedMemorySim, ReadsOfBackgroundWordsDontMaterialize) {
   Memory m(4096, 4);
   m.fill_seeded(3);
 
-  PackedMemory p(4096, 4);
-  p.fill_seeded(3);
-  for (std::size_t a = 0; a < 4096; a += 61) {
-    (void)p.read(a);
-    (void)p.peek(a);
+  const std::vector<std::uint64_t> table = seeded_limbs(4096, 4, 3);
+  PackedMemory seeded(4096, 4), borrowed(4096, 4);
+  seeded.fill_seeded(3);
+  borrowed.fill_limbs(table.data());
+  for (PackedMemory* p : {&seeded, &borrowed}) {
+    for (std::size_t a = 0; a < 4096; a += 61) {
+      (void)p->read(a);
+      (void)p->peek(a);
+    }
+    EXPECT_EQ(p->slots_live(), 0u);
+    // The seeded background broadcast matches the scalar contents.
+    for (std::size_t a = 0; a < 4096; a += 127)
+      ASSERT_EQ(p->lane_word(0, a), m.peek(a)) << "word " << a;
   }
-  EXPECT_EQ(p.slots_live(), 0u);
-  // The seeded background broadcast matches the scalar baseline.
-  for (std::size_t a = 0; a < 4096; a += 127)
-    ASSERT_EQ(p.lane_word(0, a), m.peek(a)) << "word " << a;
 }
 
 TEST(PackedMemorySim, RejectsBadGeometryAndCells) {

@@ -102,6 +102,7 @@ TEST(PackedSession, ReusedScratchMatchesFreshSessions) {
   SessionScratch<PackedEngine> reused;  // one scratch for every session below
   for (const unsigned width : {1u, 3u, 8u, 16u, 32u}) {
     const std::vector<Fault> faults = mixed_faults(kWords, width, total, width);
+    const std::vector<std::uint64_t> table3 = seeded_limbs(kWords, width, 3);
     PackedMemory mem(kWords, width);
     for (const SchemeKind k : kAllSchemes) {
       // The word-oriented transforms need a power-of-two width; TOMT does not.
@@ -109,6 +110,7 @@ TEST(PackedSession, ReusedScratchMatchesFreshSessions) {
       const SchemePlan plan = make_scheme_plan(k, march, width);
       const PlanOpMasks masks(plan);
       for (const std::uint64_t seed : {0ull, 3ull}) {
+        const std::uint64_t* limbs = seed != 0 ? table3.data() : nullptr;
         std::size_t lo = 0;
         for (const unsigned n : kBatches) {
           const Fault* batch = faults.data() + lo;
@@ -127,9 +129,9 @@ TEST(PackedSession, ReusedScratchMatchesFreshSessions) {
             SessionBrake b1 = PackedEngine::make_brake(mem, used_lane_mask(n));
             SessionBrake b2 = PackedEngine::make_brake(fresh_mem, used_lane_mask(n));
             const LaneMask got = run_campaign_unit_in<PackedEngine>(
-                mem, plan, masks, reused, batch, n, seed, braked ? &b1 : nullptr, list);
+                mem, plan, masks, reused, batch, n, limbs, braked ? &b1 : nullptr, list);
             const LaneMask want = run_campaign_unit_in<PackedEngine>(
-                fresh_mem, plan, masks, fresh, batch, n, seed, braked ? &b2 : nullptr, list);
+                fresh_mem, plan, masks, fresh, batch, n, limbs, braked ? &b2 : nullptr, list);
             EXPECT_EQ(got, want) << where() << (braked ? " braked" : "");
           }
 
@@ -285,13 +287,14 @@ TEST(PackedSession, PlanCompiledTomtBlockMatchesTheOracle) {
 
 // A worker's steady state: the same units again, after two passes have
 // grown the memory's store and every scratch buffer, allocate nothing —
-// no prediction snapshot, TOMT block, op masks, ledger or footprint per
-// unit.
+// no prediction snapshot, TOMT block, op masks, ledger, footprint or
+// seeded contents per unit (a unit borrows the campaign's table).
 TEST(PackedSession, SteadyStateUnitsAllocateNothing) {
   constexpr std::size_t kWords = 4096;
   constexpr unsigned kWidth = 8;
   constexpr unsigned kBatches[] = {63, 20, 63};
   const std::vector<Fault> faults = mixed_faults(kWords, kWidth, 146, 7);
+  const std::vector<std::uint64_t> table = seeded_limbs(kWords, kWidth, 3);
   // March G's pauses give a transparent session several snapshots.
   for (const char* name : {"March C-", "March G"}) {
     const MarchTest march = march_by_name(name);
@@ -303,12 +306,13 @@ TEST(PackedSession, SteadyStateUnitsAllocateNothing) {
       LaneMask sink{};
       const auto units = [&] {
         for (const std::uint64_t seed : {0ull, 3ull}) {
+          const std::uint64_t* limbs = seed != 0 ? table.data() : nullptr;
           std::size_t lo = 0;
           for (const unsigned n : kBatches) {
             fault_footprint(faults.data() + lo, n, scratch.footprint);
             SessionBrake brake = PackedEngine::make_brake(mem, used_lane_mask(n));
             sink |= run_campaign_unit_in<PackedEngine>(mem, plan, masks, scratch,
-                                                       faults.data() + lo, n, seed, &brake,
+                                                       faults.data() + lo, n, limbs, &brake,
                                                        AddressList::of(scratch.footprint));
             lo += n;
           }

@@ -184,7 +184,7 @@ TEST(SparseWalk, GoldenLaneCheckStillFiresOnABrokenPlan) {
         flipped = true;
       }
   ASSERT_TRUE(flipped);
-  EXPECT_FALSE(golden_certificate(plan, PlanOpMasks(plan), kWords, 0));
+  EXPECT_FALSE(golden_certificate(plan, PlanOpMasks(plan), kWords, nullptr));
   try {
     engine_matrix(plan, kWords, word0_faults(), {0}, nullptr);
     FAIL() << "the broken plan must trip the golden-lane check";
@@ -222,7 +222,7 @@ TEST(SparseWalk, UnalignedPlanIsRefused) {
   for (const SchemeKind k : {SchemeKind::ProposedExact, SchemeKind::ProposedMisr}) {
     const SchemePlan plan = misordered_plan(k);
     ASSERT_FALSE(transparent_passes_aligned(plan.trans, plan.prediction)) << to_string(k);
-    EXPECT_FALSE(golden_certificate(plan, PlanOpMasks(plan), kWords, 0)) << to_string(k);
+    EXPECT_FALSE(golden_certificate(plan, PlanOpMasks(plan), kWords, nullptr)) << to_string(k);
     CountingObserver observer;
     CampaignStats stats;
     try {
@@ -257,7 +257,8 @@ TEST(SparseWalk, CertificateHoldsForEveryBuiltPlan) {
         const PlanOpMasks masks(plan);
         for (const std::size_t words : {1u, 3u, 64u, 1000u})
           for (const std::uint64_t seed : {0ull, 1ull, 3ull, 11ull, 12345ull}) {
-            EXPECT_TRUE(golden_certificate(plan, masks, words, seed))
+            const std::vector<std::uint64_t> limbs = seeded_limbs(words, width, seed);
+            EXPECT_TRUE(golden_certificate(plan, masks, words, seed ? limbs.data() : nullptr))
                 << to_string(k) << " width " << width << " words " << words << " seed " << seed
                 << ": " << to_string(m);
           }
@@ -289,6 +290,7 @@ TEST(SparseWalk, SlotStoreHoldsExactlyTheFootprint) {
   const std::vector<Fault> faults = sampled_faults(kBigWords, kWidth, 63);
   std::vector<std::size_t> footprint;
   fault_footprint(faults.data(), faults.size(), footprint);
+  const std::vector<std::uint64_t> table3 = seeded_limbs(kBigWords, kWidth, 3);
   for (const SchemeKind k : kAllSchemes) {
     const SchemePlan plan = make_scheme_plan(k, march_by_name("March G"), kWidth);
     const PlanOpMasks masks(plan);
@@ -297,7 +299,8 @@ TEST(SparseWalk, SlotStoreHoldsExactlyTheFootprint) {
     for (const std::uint64_t seed : {0ull, 3ull}) {
       SessionBrake brake = PackedEngine::make_brake(mem, used_lane_mask(63));
       const LaneMask d = run_campaign_unit_in<PackedEngine>(
-          mem, plan, masks, scratch, faults.data(), 63, seed, &brake, AddressList::of(footprint));
+          mem, plan, masks, scratch, faults.data(), 63, seed ? table3.data() : nullptr, &brake,
+          AddressList::of(footprint));
       EXPECT_EQ(d & 1u, 0u) << to_string(k) << " seed " << seed << ": golden lane";
       EXPECT_EQ(mem.slots_live(), footprint.size()) << to_string(k) << " seed " << seed;
     }

@@ -165,7 +165,7 @@ TEST(TwmTa, TransparencyHoldsForAdversarialContents) {
   const TwmResult r = twm_transform(march_by_name("March C-"), 8);
   for (const std::string pat : {"00000000", "11111111", "01010101", "00110011"}) {
     Memory mem(6, 8);
-    mem.fill(BitVec::from_string(pat));
+    mem.load(std::vector<BitVec>(6, BitVec::from_string(pat)));
     const auto snapshot = mem.snapshot();
     MarchRunner runner(mem);
     const auto out = runner.run_transparent_session(r.twmarch, r.prediction, 8);

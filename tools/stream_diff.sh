@@ -16,8 +16,10 @@
 #   * `run SPEC --sink jsonl` for specs of its own: March G (whose
 #     `del` elements pause the prediction and test passes) under `ret` and
 #     `af` faults, over every scheme with a transparent session, at width 4
-#     with two nonzero seeds; `twm-misr` at width 64 (a 64-bit MISR); and
-#     a twelve-cell, two-seed spec at `regions: 4` and `threads: 7`;
+#     with two nonzero seeds; `twm-misr` at width 64 (a 64-bit MISR); a
+#     twelve-cell, two-seed spec at `regions: 4` and `threads: 7`; and a
+#     2^18-word spec with two nonzero seeds at `regions: 4` and `threads:
+#     4`, where four workers read each seed's contents across regions;
 #   * that twelve-cell spec at `threads: 3` with `--cache-dir`: cold (an
 #     empty directory), warm (the directory the cold run filled), and
 #     partly warm (a copy of the old binary's warm directory that keeps
@@ -100,6 +102,15 @@ cache_spec = {
 }
 with open(os.path.join(sys.argv[2], "cache.spec"), "w") as f:
     json.dump(cache_spec, f)
+write("seeded-regions4-threads4", {
+    "name": "seeded-regions4",
+    "memory": {"words": 1 << 18, "width": 4},
+    "march": "March C-",
+    "schemes": ["twm", "tomt"],
+    "classes": ["saf@2048", "tf@1024", "cfid:inter@512"],
+    "seeds": [0, 11, 12],
+    "run": {"backend": "packed", "threads": 4, "regions": 4},
+})
 write("misr-width64", {
     "name": "misr-width64",
     "memory": {"words": 32, "width": 64},
