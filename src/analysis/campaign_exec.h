@@ -283,7 +283,7 @@ class CampaignScheduler {
   };
 
   // Worker state lives for the WHOLE campaign: the memory (a packed one's
-  // slot store and fault index buckets), the batch and the session scratch
+  // slot store, fault masks and buckets), the batch and the session scratch
   // keep their allocations across every unit of every cell, region and
   // round — memories and scratches are fully reset per unit, from the
   // campaign's one table of the round's seed (tables_).  So a steady-state

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "api/error.h"
@@ -40,21 +39,22 @@ class DeadlineGate {
 
 // Bridges the engine's raw UnitObserver events (runs of contiguous faults
 // + flag pointers, fired from the report drain on a pool thread) to the
-// public ResultSink records (one per fault, serialized by a mutex taken
-// once per run, stamped with scheme/class), and counts the cell's
-// aggregate as units go by.  Replayed cache records take the same path
-// through replay(); the engine's end-of-batch flush() reaches the sink as
-// ResultSink::flush().  `sink` may be null (cache-recording runs without a
-// consumer); `record`, when non-null, captures every unit in emission
-// order for the cache.
+// public ResultSink records (one per fault, stamped with scheme/class),
+// and counts the cell's aggregate as units go by.  Replayed cache records
+// take the same path through replay(); the engine's end-of-batch flush()
+// reaches the sink as ResultSink::flush().  Every call but cancelled()
+// comes from the scheduler's in-order report drain, which one thread holds
+// at a time (analysis/campaign_exec.h), or from the calling thread once
+// the pool has joined, so the adapter takes no lock of its own.  `sink`
+// may be null (cache-recording runs without a consumer); `record`, when
+// non-null, captures every unit in emission order for the cache.
 class SinkAdapter : public UnitObserver {
  public:
-  SinkAdapter(ResultSink* sink, std::mutex& mu, SchemeKind scheme, const ClassSel& cls,
+  SinkAdapter(ResultSink* sink, SchemeKind scheme, const ClassSel& cls,
               const std::vector<Fault>& faults, std::size_t& units_emitted,
               std::vector<CachedUnit>* record, const DeadlineGate* gate)
       : sink_(sink),
         gate_(gate),
-        mu_(mu),
         scheme_(scheme),
         cls_(cls),
         faults_(faults),
@@ -66,20 +66,16 @@ class SinkAdapter : public UnitObserver {
 
   // Stored records of the cell, in their stored order.
   void replay(const std::vector<CachedUnit>& units) {
-    const std::lock_guard<std::mutex> lock(mu_);
     for (const CachedUnit& u : units) emit(u);
   }
 
   void on_unit_settled(std::size_t first, unsigned count, const char* all,
                        const char* any) override {
-    const std::lock_guard<std::mutex> lock(mu_);
     for (unsigned i = 0; i < count; ++i) emit({first + i, all[i] != 0, any[i] != 0});
   }
 
   void flush() override {
-    if (!sink_) return;
-    const std::lock_guard<std::mutex> lock(mu_);
-    sink_->flush();
+    if (sink_) sink_->flush();
   }
 
   bool cancelled() const override {
@@ -87,7 +83,7 @@ class SinkAdapter : public UnitObserver {
   }
 
  private:
-  // One settled unit, live or replayed; the caller holds mu_.
+  // One settled unit, live or replayed.
   void emit(const CachedUnit& u) {
     if (record_) record_->push_back(u);
     if (sink_) {
@@ -108,7 +104,6 @@ class SinkAdapter : public UnitObserver {
 
   ResultSink* sink_;
   const DeadlineGate* gate_;
-  std::mutex& mu_;
   SchemeKind scheme_;
   ClassSel cls_;
   const std::vector<Fault>& faults_;
@@ -211,7 +206,7 @@ class SpecCells final : public CellFeed {
     // A cell not served whole is stored whole once it completes.
     st.store_whole = cache_ && !whole_hit;
     if (st.store_whole) st.recorded.reserve(faults.size());
-    st.adapter = std::make_unique<SinkAdapter>(sink_, sink_mu_, scheme, cls, faults, units_emitted_,
+    st.adapter = std::make_unique<SinkAdapter>(sink_, scheme, cls, faults, units_emitted_,
                                                st.store_whole ? &st.recorded : nullptr, gate_);
 
     CampaignCell out;
@@ -289,7 +284,6 @@ class SpecCells final : public CellFeed {
   const DeadlineGate* gate_;
   std::size_t& units_emitted_;
   const unsigned regions_;
-  std::mutex sink_mu_;
   std::vector<std::pair<SchemeKind, std::unique_ptr<SchemePlan>>> plans_;
   std::vector<std::unique_ptr<State>> cells_;  // from cell(c) to drained(c)
   std::vector<CellResult> completed_;

@@ -44,12 +44,15 @@
 // record stream is the exact prefix of the fault-free stream that fit in
 // the budget (the PR 4 cancellation contract, with a clock as the sink).
 //
-// Sink callbacks are SERIALIZED by the runner (a mutex around every event,
-// taken once per delivered run of records) — implementations need no
-// locking of their own.  They may run on an engine worker thread, not only
-// on the thread that called run_campaign: on_unit comes from whichever
-// thread holds the report drain.  cancelled() is read concurrently from
-// worker threads, so a cancelling sink flips an atomic.
+// Sink callbacks are SERIALIZED by the campaign scheduler's in-order
+// report drain (analysis/campaign_exec.h): on_unit and the per-round
+// flush() come from the drain, which one thread at a time holds under its
+// mutex, and every other call from the thread that called run_campaign
+// while no drain runs — implementations need no locking of their own.
+// They may run on an engine worker thread, not only on the thread that
+// called run_campaign: on_unit comes from whichever thread holds the
+// report drain.  cancelled() is read concurrently from worker threads, so
+// a cancelling sink flips an atomic.
 //
 // A sink sees each fault's final verdicts only; the per-(fault, seed)
 // verdicts come from CampaignRunner::matrix (analysis/campaign.h).

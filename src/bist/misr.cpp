@@ -1,6 +1,7 @@
 #include "bist/misr.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
@@ -63,18 +64,51 @@ void MisrJumps::times_x(std::uint64_t* a) const {
     for (std::size_t l = 0; l < limbs; ++l) a[l] ^= feedback[l];
 }
 
-void MisrJumps::multiply(const std::uint64_t* a, const std::uint64_t* b,
-                         std::uint64_t* out) const {
-  // Horner over a's coefficients, highest first: out = out * x + a_i * b.
-  std::fill(out, out + limbs, std::uint64_t{0});
-  for (unsigned i = width; i-- > 0;) {
-    times_x(out);
-    if ((a[i / 64] >> (i % 64)) & 1u)
-      for (std::size_t l = 0; l < limbs; ++l) out[l] ^= b[l];
+void MisrJumps::multiples(const std::uint64_t* b, std::uint64_t* m) const {
+  std::fill(m, m + limbs, std::uint64_t{0});
+  std::copy(b, b + limbs, m + limbs);
+  for (unsigned v = 2; v < 16; ++v) {
+    std::uint64_t* mv = m + v * limbs;
+    if ((v & (v - 1)) == 0) {  // x^i * b = x * (x^(i-1) * b)
+      std::copy(m + v / 2 * limbs, m + v / 2 * limbs + limbs, mv);
+      times_x(mv);
+    } else {  // the sum of v's top term and the rest
+      const unsigned top = 1u << (31 - std::countl_zero(v));
+      for (std::size_t l = 0; l < limbs; ++l)
+        mv[l] = m[top * limbs + l] ^ m[(v - top) * limbs + l];
+    }
   }
 }
 
-void MisrJumps::power(std::uint64_t k, std::uint64_t* out, std::uint64_t* tmp) const {
+void MisrJumps::multiply(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
+                         std::uint64_t* scratch) const {
+  multiples(b, scratch);
+  // Horner over a's 4-bit windows, highest first: out = out * x^4 + a_i * b.
+  // A window never spans two limbs (64 is a multiple of 4).
+  std::fill(out, out + limbs, std::uint64_t{0});
+  for (unsigned i = (width + 3) / 4; i-- > 0;) {
+    times_x4(out);
+    const unsigned v = (a[i / 16] >> (i % 16 * 4)) & 15u;
+    for (std::size_t l = 0; l < limbs; ++l) out[l] ^= scratch[v * limbs + l];
+  }
+}
+
+void MisrJumps::times_x4(std::uint64_t* a) const {
+  // The coefficients that reach x^W..x^(W+3) are those of
+  // x^(W-4)..x^(W-1) now; they fold back in through high[].
+  unsigned h = 0;
+  for (unsigned t = 0; t < 4; ++t)
+    if (width + t >= 4) {
+      const unsigned pos = width + t - 4;
+      h |= static_cast<unsigned>((a[pos / 64] >> (pos % 64)) & 1u) << t;
+    }
+  for (std::size_t l = limbs; l-- > 1;) a[l] = (a[l] << 4) | (a[l - 1] >> 60);
+  a[0] <<= 4;
+  if (width % 64) a[limbs - 1] &= (std::uint64_t{1} << (width % 64)) - 1;
+  for (std::size_t l = 0; l < limbs; ++l) a[l] ^= high[h * limbs + l];
+}
+
+void MisrJumps::power(std::uint64_t k, std::uint64_t* out, std::uint64_t* scratch) const {
   // x^k = product over the hex digits v_b of k of x^(v_b * 16^b).
   bool first = true;
   for (unsigned b = 0; k; ++b, k >>= 4) {
@@ -85,8 +119,8 @@ void MisrJumps::power(std::uint64_t k, std::uint64_t* out, std::uint64_t* tmp) c
       std::copy(factor, factor + limbs, out);
       first = false;
     } else {
-      multiply(out, factor, tmp);
-      std::copy(tmp, tmp + limbs, out);
+      multiply(out, factor, scratch, scratch + limbs);
+      std::copy(scratch, scratch + limbs, out);
     }
   }
   if (first) {  // x^0 = 1
@@ -108,9 +142,14 @@ MisrJumps MisrJumps::build(unsigned width, const std::vector<unsigned>& taps) {
   // Each tap once, as Misr sets them: a repeated tap is one term of p.
   for (unsigned t = 0; t < width; ++t)
     if ((j.feedback[t / 64] >> (t % 64)) & 1u) j.taps.push_back(t);
+  // high[h] = h(x) * x^W mod p, the fold of the four coefficients a
+  // window shift pushes past x^(W-1): the multiples of x^W mod p.
+  const std::size_t n = j.limbs;
+  j.high.assign(16 * n, 0);
+  j.multiples(j.feedback.data(), j.high.data());
   // digits[b][v] = digits[b][v - 1] * digits[b][1], starting from
   // digits[b][0] = 1; digits[0][1] = x and digits[b + 1][1] = digits[b][1]^16.
-  const std::size_t n = j.limbs;
+  std::vector<std::uint64_t> scratch(j.scratch_limbs());
   j.digits.assign(16 * 16 * n, 0);
   for (unsigned b = 0; b < 16; ++b) {
     std::uint64_t* row = &j.digits[b * 16 * n];
@@ -120,9 +159,11 @@ MisrJumps MisrJumps::build(unsigned width, const std::vector<unsigned>& taps) {
       j.times_x(row + n);
     } else {
       const std::uint64_t* prev = &j.digits[(b - 1) * 16 * n];
-      j.multiply(prev + 15 * n, prev + n, row + n);  // x^(15 * 16^(b-1) + 16^(b-1))
+      // x^(15 * 16^(b-1) + 16^(b-1))
+      j.multiply(prev + 15 * n, prev + n, row + n, scratch.data());
     }
-    for (unsigned v = 2; v < 16; ++v) j.multiply(row + (v - 1) * n, row + n, row + v * n);
+    for (unsigned v = 2; v < 16; ++v)
+      j.multiply(row + (v - 1) * n, row + n, row + v * n, scratch.data());
   }
   return j;
 }

@@ -15,6 +15,9 @@
 // x^k mod p.  MisrJumps holds p and tables of x^(v * 16^b) mod p, from
 // which a compactor assembles x^k mod p in at most 15 polynomial products
 // and skips such a run with one product of the state (PackedMisr::skip).
+// A product walks one factor four coefficients at a time: per window, one
+// shift by x^4 with a table fold of the four overflowing coefficients, and
+// one XOR of a precomputed multiple of the other factor.
 #ifndef TWM_BIST_MISR_H
 #define TWM_BIST_MISR_H
 
@@ -68,18 +71,28 @@ struct MisrJumps {
   std::size_t limbs = 0;            // 64-bit limbs per polynomial
   std::vector<std::uint64_t> feedback;  // x^W mod p: the taps as a polynomial
   std::vector<std::uint64_t> digits;    // [b][v][limb]: x^(v * 16^b) mod p
+  std::vector<std::uint64_t> high;      // [h][limb]: h(x) * x^W mod p, h < 16
 
-  // out = x^k mod p.  `out` and `tmp` span `limbs` words each and are
-  // distinct.
-  void power(std::uint64_t k, std::uint64_t* out, std::uint64_t* tmp) const;
-  // out = a * b mod p; `out` aliases neither factor.
-  void multiply(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
+  // Words of scratch power() and multiply() take.
+  std::size_t scratch_limbs() const { return 17 * limbs; }
+
+  // out = x^k mod p.  `out` spans `limbs` words, `scratch` scratch_limbs(),
+  // and they are distinct.
+  void power(std::uint64_t k, std::uint64_t* out, std::uint64_t* scratch) const;
+  // out = a * b mod p; `out` aliases neither factor, and `scratch` (16 *
+  // limbs words: the multiples of b) none of the three.
+  void multiply(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
+                std::uint64_t* scratch) const;
 
   static MisrJumps build(unsigned width, const std::vector<unsigned>& taps);
   static MisrJumps build(unsigned width) { return build(width, Misr::default_taps(width)); }
 
  private:
-  void times_x(std::uint64_t* a) const;  // a = a * x mod p, in place
+  void times_x(std::uint64_t* a) const;   // a = a * x mod p, in place
+  void times_x4(std::uint64_t* a) const;  // a = a * x^4 mod p, in place
+  // m[v] = v(x) * b mod p for the 16 polynomials v of degree < 4; `m`
+  // spans 16 * limbs words.
+  void multiples(const std::uint64_t* b, std::uint64_t* m) const;
 };
 
 }  // namespace twm

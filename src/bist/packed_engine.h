@@ -23,7 +23,9 @@
 // whole session, so its reads contribute in lane k exactly what they
 // contribute in golden lane 0, which the certificate proved to be nothing
 // (exact and direct compare) or a known constant (XOR and MISR compaction,
-// both linear).
+// both linear).  A pass resolves each listed word's slot once when it
+// starts and then reads and writes through PackedMemory's slot port, with
+// no bounds check or index probe per op.
 //
 // run_transparent_session() runs a transparent session — the read-only
 // signature-prediction pass, then the test pass — and reports, per lane,
@@ -92,7 +94,7 @@ class PackedMisr {
     poly_ = &poly;
     state_.assign(poly.width, LaneMask{});
     factor_.resize(poly.limbs);
-    tmp_.resize(poly.limbs);
+    tmp_.resize(poly.scratch_limbs());
   }
 
   unsigned width() const { return static_cast<unsigned>(state_.size()); }
@@ -162,8 +164,9 @@ struct PackedTransparentOutcome {
 //   * abort the remaining march work once every lane in `target` has a
 //     final verdict (settle-exit — checked after each address's ops), and
 //   * drop the faults of lanes that settled mid-session from the packed
-//     memory's index buckets (retire_lanes, at element boundaries), so the
-//     write path stops paying for universes whose verdict is already known.
+//     memory's masks and buckets (retire_lanes, at element boundaries), so
+//     the write path stops paying for universes whose verdict is already
+//     known.
 //
 // Both actions are verdict-preserving only for monotone verdicts; sessions
 // with order-insensitive compaction (XOR accumulator) or signature
@@ -199,11 +202,13 @@ struct SessionBrake {
 // The broadcast data masks of every op of a march test at one word width,
 // flattened in march order: op i of element e spans `width` lane masks at
 // at(e, i).  For absolute specs mask(w) == value(w, ·), the write data or
-// expected read value; for relative ones it is the operation mask.
+// expected read value; for relative ones it is the operation mask.  It
+// also keeps the test's read count, so a session need not recount it.
 class PackedOpMasks {
  public:
   PackedOpMasks() = default;
-  PackedOpMasks(const MarchTest& test, unsigned width) : width_(width) {
+  PackedOpMasks(const MarchTest& test, unsigned width)
+      : width_(width), reads_(test.read_count()) {
     first_.reserve(test.elements.size());
     std::size_t ops = 0;
     for (const MarchElement& e : test.elements) {
@@ -222,8 +227,12 @@ class PackedOpMasks {
     return &masks_[(first_[element] + op) * width_];
   }
 
+  // MarchTest::read_count() of the compiled test.
+  std::size_t read_count() const { return reads_; }
+
  private:
   unsigned width_ = 0;
+  std::size_t reads_ = 0;
   std::vector<std::size_t> first_;  // [element] -> index of its first op
   std::vector<LaneMask> masks_;     // [op * width + bit]
 };
@@ -241,7 +250,8 @@ namespace packed_detail {
 // takes one snapshot.  The memory then holds exactly what the swept pass
 // would have left for the test pass.  next() yields the predicted reads in
 // stream order.  A session scratch reuses one instance unit after unit,
-// and start() keeps its capacity.
+// and start() keeps its capacity.  The snapshots read through the slot
+// port: `slots[k]` is PackedMemory::slot_of(list[k]).
 class DerivedPrediction {
  public:
   struct Read {
@@ -252,8 +262,8 @@ class DerivedPrediction {
 
   // `masks` are the prediction's and must outlive the reads.  Throws
   // std::invalid_argument when the prediction writes.
-  void start(PackedMemory& mem, AddressList list, const MarchTest& prediction,
-             const PackedOpMasks& masks) {
+  void start(PackedMemory& mem, AddressList list, const std::uint32_t* slots,
+             const MarchTest& prediction, const PackedOpMasks& masks) {
     width_ = mem.word_width();
     words_ = mem.num_words();
     list_ = list;
@@ -274,7 +284,7 @@ class DerivedPrediction {
           throw std::invalid_argument("DerivedPrediction: prediction test must be read-only");
       if (elem.ops.empty()) continue;
       if (!fresh) {
-        snap = snapshot(mem);
+        snap = snapshot(mem, slots);
         fresh = true;
       }
       elements_.push_back(
@@ -314,11 +324,11 @@ class DerivedPrediction {
   };
 
   // Appends the port view of every listed word; returns its offset.
-  std::size_t snapshot(PackedMemory& mem) {
+  std::size_t snapshot(PackedMemory& mem, const std::uint32_t* slots) {
     const std::size_t at = snap_.size();
     snap_.resize(at + list_.size * width_);
     for (std::size_t k = 0; k < list_.size; ++k) {
-      const LaneMask* v = mem.read(list_[k]);
+      const LaneMask* v = mem.read_slot(slots[k], list_[k]);
       std::copy(v, v + width_, snap_.begin() + static_cast<std::ptrdiff_t>(at + k * width_));
     }
     return at;
@@ -384,13 +394,15 @@ class SessionTestSink {
 
 // The buffers a packed session needs, kept across sessions so that a
 // campaign worker's units allocate nothing once the buffers have grown to
-// the largest unit: the test pass's one-word registers, the derived
-// prediction's snapshots, the test sink's difference word and the
-// difference MISR.  Each session resets what it uses before it starts, so
-// a scratch carries capacity from one session to the next, never state.
+// the largest unit: the listed words' slots, the test pass's one-word
+// registers, the derived prediction's snapshots, the test sink's
+// difference word and the difference MISR.  Each session resets what it
+// uses before it starts, so a scratch carries capacity from one session to
+// the next, never state.
 // A campaign worker owns one (inside SessionScratch,
 // core/scheme_session.h); other callers build a local one.
 struct PackedSessionScratch {
+  std::vector<std::uint32_t> slots;              // [k] -> slot_of(list[k])
   std::vector<LaneMask> data, cur;               // test-pass registers
   packed_detail::DerivedPrediction prediction;   // snapshots of the listed words
   std::vector<LaneMask> diff;                    // test read ^ predicted read
@@ -401,7 +413,9 @@ class PackedMarchRunner {
  public:
   // Walks the words in `list` (ascending, within the memory) with the
   // buffers of `scratch`; both must outlive the runner, and the scratch
-  // serves one runner at a time.
+  // serves one runner at a time.  Each pass resolves the listed words'
+  // slots when it starts (a pass sees the faults injected before it) and
+  // then addresses the memory through its slot port.
   PackedMarchRunner(PackedMemory& mem, AddressList list, PackedSessionScratch& scratch)
       : mem_(mem), list_(list), scratch_(scratch) {}
 
@@ -416,19 +430,20 @@ class PackedMarchRunner {
                       const PackedOpMasks* masks = nullptr) {
     const unsigned w = mem_.word_width();
     LaneMask mismatch{};
+    resolve();
     sweep_braked(
         test, masks,
-        [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
+        [&](std::size_t k, const Op& op, const LaneMask* mask) {
           if (op.data.relative)
             throw std::invalid_argument(
                 "run_direct: test contains transparent (relative) operations");
           // For absolute specs, mask(w) == value(w, ·): the expected read
           // value / the write data, broadcast over lanes.
           if (op.is_write()) {
-            mem_.write(addr, mask);
+            write_at(k, mask);
             return;
           }
-          const LaneMask* actual = mem_.read(addr);
+          const LaneMask* actual = read_at(k);
           for (unsigned j = 0; j < w; ++j) mismatch |= actual[j] ^ mask[j];
         },
         brake, [&] { return mismatch; });
@@ -437,48 +452,8 @@ class PackedMarchRunner {
 
   template <typename Sink>
   void run_test(const MarchTest& test, Sink& sink, const PackedOpMasks* masks = nullptr) {
+    resolve();
     run_test_braked(test, masks, sink, nullptr, [] { return LaneMask{}; });
-  }
-
-  // run_test with an armed brake: `verdict` reports the caller's current
-  // (monotone) detection state — here that is the exact stream comparison
-  // accumulated by the sink, which the runner itself cannot see.  Sink is
-  // any type with on_read(addr, const LaneMask*); the call inlines.
-  template <typename Sink, typename VerdictFn>
-  void run_test_braked(const MarchTest& test, const PackedOpMasks* masks, Sink& sink,
-                       SessionBrake* brake, VerdictFn&& verdict) {
-    // Every relative write follows a read of the same word earlier in its
-    // element's op list, so by the time the write fires the "most recent
-    // read of this word" is the one just performed at the current address:
-    // the base estimate register is O(width), not an O(words x width)
-    // shadow copy of the memory.
-    const unsigned w = mem_.word_width();
-    std::vector<LaneMask>& data = scratch_.data;
-    std::vector<LaneMask>& cur = scratch_.cur;
-    data.resize(w);
-    cur.resize(w);
-    std::size_t cur_addr = static_cast<std::size_t>(-1);
-    sweep_braked(
-        test, masks,
-        [&](std::size_t addr, std::size_t, const Op& op, const LaneMask* mask) {
-          if (op.is_read()) {
-            const LaneMask* v = mem_.read(addr);
-            sink.on_read(addr, v);
-            for (unsigned j = 0; j < w; ++j) cur[j] = v[j] ^ mask[j];
-            cur_addr = addr;
-            return;
-          }
-          if (op.data.relative) {
-            if (cur_addr != addr)
-              throw std::logic_error("run_test: transparent write before any read of word");
-            for (unsigned j = 0; j < w; ++j) data[j] = cur[j] ^ mask[j];
-            mem_.write(addr, data.data());
-          } else {
-            // Absolute write: mask(w) == value(w, ·), lane-uniform.
-            mem_.write(addr, mask);
-          }
-        },
-        brake, std::forward<VerdictFn>(verdict));
   }
 
   // `want_misr` = false skips the MISR compaction (detected_misr is then
@@ -495,10 +470,65 @@ class PackedMarchRunner {
                                                    const PackedOpMasks* prediction_masks = nullptr);
 
  private:
-  // Visits every (element, listed address, op) in march order, handing
-  // per_op the address, its slot in the list and the op's broadcast data
-  // mask.  An optional SessionBrake counts elements entered, polls the
-  // settle predicate after each address and drops settled lanes' faults at
+  // Resolves every listed word's slot for the pass about to start.
+  void resolve() {
+    std::vector<std::uint32_t>& slots = scratch_.slots;
+    slots.resize(list_.size);
+    for (std::size_t k = 0; k < list_.size; ++k) slots[k] = mem_.slot_of(list_[k]);
+  }
+
+  // The port ops on listed word k.
+  const LaneMask* read_at(std::size_t k) { return mem_.read_slot(scratch_.slots[k], list_[k]); }
+  void write_at(std::size_t k, const LaneMask* data) {
+    mem_.write_slot(scratch_.slots[k], list_[k], data);
+  }
+
+  // run_test on resolved slots, with an armed brake: `verdict` reports the
+  // caller's current (monotone) detection state — for a transparent
+  // session that is the exact stream comparison accumulated by the sink,
+  // which the runner itself cannot see.  Sink is any type with
+  // on_read(addr, const LaneMask*); the call inlines.
+  template <typename Sink, typename VerdictFn>
+  void run_test_braked(const MarchTest& test, const PackedOpMasks* masks, Sink& sink,
+                       SessionBrake* brake, VerdictFn&& verdict) {
+    // Every relative write follows a read of the same word earlier in its
+    // element's op list, so by the time the write fires the "most recent
+    // read of this word" is the one just performed at the current address:
+    // the base estimate register is O(width), not an O(words x width)
+    // shadow copy of the memory.
+    const unsigned w = mem_.word_width();
+    std::vector<LaneMask>& data = scratch_.data;
+    std::vector<LaneMask>& cur = scratch_.cur;
+    data.resize(w);
+    cur.resize(w);
+    std::size_t cur_k = static_cast<std::size_t>(-1);
+    sweep_braked(
+        test, masks,
+        [&](std::size_t k, const Op& op, const LaneMask* mask) {
+          if (op.is_read()) {
+            const LaneMask* v = read_at(k);
+            sink.on_read(list_[k], v);
+            for (unsigned j = 0; j < w; ++j) cur[j] = v[j] ^ mask[j];
+            cur_k = k;
+            return;
+          }
+          if (op.data.relative) {
+            if (cur_k != k)
+              throw std::logic_error("run_test: transparent write before any read of word");
+            for (unsigned j = 0; j < w; ++j) data[j] = cur[j] ^ mask[j];
+            write_at(k, data.data());
+          } else {
+            // Absolute write: mask(w) == value(w, ·), lane-uniform.
+            write_at(k, mask);
+          }
+        },
+        brake, std::forward<VerdictFn>(verdict));
+  }
+
+  // Visits every (element, listed word, op) in march order, handing per_op
+  // the word's position k in the list and the op's broadcast data mask.  An
+  // optional SessionBrake counts elements entered, polls the settle
+  // predicate after each address and drops settled lanes' faults at
   // element boundaries; `verdict` yields the caller's current monotone
   // detection state.
   template <typename PerOp, typename VerdictFn>
@@ -516,11 +546,9 @@ class PackedMarchRunner {
       if (elem.pause_before) mem_.elapse(1);
       if (elem.ops.empty() || n == 0) continue;
       const bool down = elem.order == AddrOrder::Down;
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t slot = down ? n - 1 - k : k;
-        const std::size_t addr = list_[slot];
-        for (std::size_t i = 0; i < elem.ops.size(); ++i)
-          per_op(addr, slot, elem.ops[i], masks->at(e, i));
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t k = down ? n - 1 - i : i;
+        for (std::size_t o = 0; o < elem.ops.size(); ++o) per_op(k, elem.ops[o], masks->at(e, o));
         if (brake && brake->should_stop(verdict())) return;
       }
       if (brake) brake->on_element_end(verdict());
@@ -536,20 +564,26 @@ inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
     const MarchTest& test, const MarchTest& prediction, const MisrJumps& misr,
     SessionBrake* brake, bool want_misr, const PackedOpMasks* test_masks,
     const PackedOpMasks* prediction_masks) {
-  if (test.read_count() != prediction.read_count())
-    throw std::logic_error("run_transparent_session: prediction/test read counts differ");
   const unsigned w = mem_.word_width();
-  PackedSessionScratch& s = scratch_;
-  PackedOpMasks own;
-  if (!prediction_masks) {
-    own = PackedOpMasks(prediction, w);
-    prediction_masks = &own;
+  PackedOpMasks own_test, own_prediction;
+  if (!test_masks) {
+    own_test = PackedOpMasks(test, w);
+    test_masks = &own_test;
   }
+  if (!prediction_masks) {
+    own_prediction = PackedOpMasks(prediction, w);
+    prediction_masks = &own_prediction;
+  }
+  const std::size_t reads = test_masks->read_count();
+  if (reads != prediction_masks->read_count())
+    throw std::logic_error("run_transparent_session: prediction/test read counts differ");
+  PackedSessionScratch& s = scratch_;
+  resolve();
 
   // The prediction pass has no comparison, so the brake only counts its
   // elements; the settle predicate cannot fire before the test pass.
   if (brake) brake->elements_entered += prediction.elements.size();
-  s.prediction.start(mem_, list_, prediction, *prediction_masks);
+  s.prediction.start(mem_, list_, s.slots.data(), prediction, *prediction_masks);
 
   if (want_misr) s.misr.reset(misr);
   packed_detail::SessionTestSink test_sink(w, s.prediction, want_misr ? &s.misr : nullptr,
@@ -559,7 +593,7 @@ inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
   PackedTransparentOutcome out;
   out.detected_exact = test_sink.stream_diff();
   if (want_misr) {
-    test_sink.finish(test.read_count() * mem_.num_words());
+    test_sink.finish(reads * mem_.num_words());
     for (const LaneMask& b : s.misr.state()) out.detected_misr |= b;
   }
   return out;

@@ -190,10 +190,11 @@ struct ScalarEngine {
     return out;
   }
   static const Mask& mask_at(const OpMaskTable& table, std::size_t op) { return table[op]; }
-  static void read_word(Memory& mem, std::size_t addr, Word& out) { out = mem.read(addr); }
-  static void write_word(Memory& mem, std::size_t addr, const Word& data) {
-    mem.write(addr, data);
-  }
+  // A word the TOMT block works on: its address.
+  using WordRef = std::size_t;
+  static WordRef word_ref(const Memory& /*mem*/, std::size_t addr) { return addr; }
+  static void read_word(Memory& mem, WordRef addr, Word& out) { out = mem.read(addr); }
+  static void write_word(Memory& mem, WordRef addr, const Word& data) { mem.write(addr, data); }
   static void xor_word(Word& dst, const Word& src, const Mask& mask) { dst = src ^ mask; }
   static Verdict parity_mismatch(const Word& w, bool expected) { return w.parity() != expected; }
   static Verdict differs(const Word& a, const Word& b) { return a != b; }
@@ -227,7 +228,7 @@ struct PackedEngine {
   static constexpr bool kSparseWalk = true;
 
   // An armed brake also drops settled lanes' faults from the memory's
-  // per-address index buckets (fault dropping inside a live batch).
+  // per-word masks and buckets (fault dropping inside a live batch).
   static Brake make_brake(Memory& mem, Verdict used) {
     Brake b;
     b.target = used;
@@ -289,13 +290,22 @@ struct PackedEngine {
     return masks;
   }
   static Mask mask_at(OpMaskTable table, std::size_t op) { return table->at(0, op); }
-  static void read_word(Memory& mem, std::size_t addr, Word& out) {
+  // A word the TOMT block works on, resolved to its slot once: every op of
+  // the block goes through the slot port.
+  struct WordRef {
+    std::size_t addr;
+    std::uint32_t slot;  // PackedMemory::slot_of(addr), updated by a write
+  };
+  static WordRef word_ref(const Memory& mem, std::size_t addr) {
+    return {addr, mem.slot_of(addr)};
+  }
+  static void read_word(Memory& mem, const WordRef& ref, Word& out) {
     // The port's pointer is invalidated by the next port op; take a copy.
-    const LaneMask* v = mem.read(addr);
+    const LaneMask* v = mem.read_slot(ref.slot, ref.addr);
     std::copy(v, v + out.size(), out.begin());
   }
-  static void write_word(Memory& mem, std::size_t addr, const Word& data) {
-    mem.write(addr, data.data());
+  static void write_word(Memory& mem, WordRef& ref, const Word& data) {
+    mem.write_slot(ref.slot, ref.addr, data.data());
   }
   static void xor_word(Word& dst, const Word& src, Mask mask) {
     for (std::size_t j = 0; j < dst.size(); ++j) dst[j] = src[j] ^ mask[j];

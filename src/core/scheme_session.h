@@ -236,7 +236,7 @@ typename Engine::Verdict run_campaign_unit(const SchemePlan& plan, std::size_t w
 // with the session walking `list`: the repack scheduler keeps one memory
 // and one session scratch per worker, generates each seed's table once per
 // campaign and re-seeds the memory from it per unit, so the slot store, the
-// fault index buckets and the session buffers keep their allocations
+// fault masks and buckets and the session buffers keep their allocations
 // across the thousands of units a campaign shards: a packed unit allocates
 // nothing in steady state.  `list` is every word (scalar) or the batch's
 // fault_footprint() (packed, usually held in scratch.footprint); `masks`

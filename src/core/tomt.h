@@ -117,23 +117,25 @@ TomtSessionResult<Engine> run_tomt_session(typename Engine::Memory& mem, const M
   Engine::reset_word(expect, w);
 
   bool done = false;
-  for (std::size_t slot = 0; slot < list.size && !done; ++slot) {
-    const std::size_t addr = list[slot];
+  for (std::size_t k = 0; k < list.size && !done; ++k) {
+    const std::size_t addr = list[k];
+    // The block works on one word: resolve it once.
+    typename Engine::WordRef word = Engine::word_ref(mem, addr);
     bool have_base = false;
     for (std::size_t i = 0; i < elem.ops.size(); ++i) {
       const Op& op = elem.ops[i];
       if (op.is_write()) {
         Engine::xor_word(expect, base, Engine::mask_at(op_masks, i));
-        Engine::write_word(mem, addr, expect);
+        Engine::write_word(mem, word, expect);
         continue;
       }
-      Engine::read_word(mem, addr, value);
+      Engine::read_word(mem, word, value);
       if (!have_base) {
         // mask is zero for the leading r(a); keeps intent clear.
         Engine::xor_word(base, value, Engine::mask_at(op_masks, i));
         have_base = true;
         // Concurrent parity check on the word's first observation.
-        res.detected |= Engine::parity_mismatch(base, parity_ledger[slot]);
+        res.detected |= Engine::parity_mismatch(base, parity_ledger[k]);
       } else {
         Engine::xor_word(expect, base, Engine::mask_at(op_masks, i));
         res.detected |= Engine::differs(value, expect);  // read-back comparator

@@ -174,10 +174,15 @@ Fault Fault::af_alias(std::size_t word, std::size_t also) {
 
 void fault_footprint(const Fault* faults, std::size_t count, std::vector<std::size_t>& words) {
   words.clear();
+  // Consecutive faults of an exhaustive list share a word: skipping a
+  // repeat of the last word leaves a handful to sort instead of 63 or more.
+  const auto add = [&](std::size_t w) {
+    if (words.empty() || words.back() != w) words.push_back(w);
+  };
   for (std::size_t i = 0; i < count; ++i) {
     const Fault& f = faults[i];
-    words.push_back(f.victim.word);
-    if (f.is_coupling() || f.cls == FaultClass::AFaw) words.push_back(f.aggressor.word);
+    add(f.victim.word);
+    if (f.is_coupling() || f.cls == FaultClass::AFaw) add(f.aggressor.word);
   }
   std::sort(words.begin(), words.end());
   words.erase(std::unique(words.begin(), words.end()), words.end());

@@ -4,6 +4,7 @@
 // and for randomized operation traces (writes, reads, pauses).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <string>
@@ -452,6 +453,131 @@ TEST(PackedMemorySim, ReadsOfBackgroundWordsDontMaterialize) {
     // The seeded background broadcast matches the scalar contents.
     for (std::size_t a = 0; a < 4096; a += 127)
       ASSERT_EQ(p->lane_word(0, a), m.peek(a)) << "word " << a;
+  }
+}
+
+// ---- folded SAF/TF masks on dense words ------------------------------------
+
+// Every SAF, TF, RET and intra-word CFst of a small memory, in exhaustive
+// list order (class by class, word by word): consecutive faults share a
+// word, so a 63-fault batch puts many folded and bucketed faults on one
+// slot.
+std::vector<Fault> dense_word_faults(std::size_t words, unsigned width) {
+  std::vector<Fault> out;
+  for (std::size_t w = 0; w < words; ++w)
+    for (unsigned b = 0; b < width; ++b)
+      for (const bool v : {false, true}) out.push_back(Fault::saf({w, b}, v));
+  for (std::size_t w = 0; w < words; ++w)
+    for (unsigned b = 0; b < width; ++b)
+      for (const Transition t : {Transition::Up, Transition::Down})
+        out.push_back(Fault::tf({w, b}, t));
+  for (std::size_t w = 0; w < words; ++w)
+    for (unsigned b = 0; b < width; ++b)
+      for (const bool v : {false, true}) out.push_back(Fault::ret({w, b}, v, 1 + (b + v) % 3));
+  for (std::size_t w = 0; w < words; ++w)
+    for (unsigned a = 0; a < width; ++a)
+      for (unsigned b = 0; b < width; ++b)
+        if (a != b)
+          for (const bool state : {false, true})
+            for (const bool v : {false, true}) out.push_back(Fault::cfst({w, a}, state, {w, b}, v));
+  return out;
+}
+
+// The dense lists in disjoint lanes, 63 per batch over a seeded background,
+// under random broadcast and per-lane writes, reads and pauses, with lanes
+// retired mid-trace: every lane must track a scalar Memory holding its
+// fault, and a retired lane one whose fault was cleared at the retire.
+TEST(PackedMemorySim, DenseWordFoldsMatchTheScalarMemory) {
+  constexpr std::size_t kWords = 4;
+  Rng rng(20261020);
+  for (const unsigned width : {1u, 3u, 8u}) {
+    const std::vector<Fault> faults = dense_word_faults(kWords, width);
+    const std::vector<std::uint64_t> table = seeded_limbs(kWords, width, 5);
+    PackedMemory packed(kWords, width);  // reused batch after batch, as a worker's
+    std::vector<std::uint64_t> data(width);
+    for (std::size_t lo = 0; lo < faults.size(); lo += kPackedLanes - 1) {
+      const std::size_t n = std::min<std::size_t>(kPackedLanes - 1, faults.size() - lo);
+      const std::string batch =
+          "width " + std::to_string(width) + ", batch at " + std::to_string(lo);
+      packed.clear_faults();
+      packed.fill_limbs(table.data());
+      std::vector<Memory> refs(n + 1, Memory(kWords, width));  // [lane]
+      for (Memory& ref : refs) ref.fill_limbs(table.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        packed.inject(faults[lo + i], LaneMask{1} << (i + 1));
+        refs[i + 1].inject(faults[lo + i]);
+      }
+      const auto check = [&](const std::string& ctx) {
+        for (std::size_t lane = 0; lane <= n; ++lane)
+          for (std::size_t a = 0; a < kWords; ++a)
+            ASSERT_EQ(packed.lane_word(static_cast<unsigned>(lane), a), refs[lane].peek(a))
+                << batch << ", " << ctx << ": lane " << lane << ", word " << a;
+      };
+      check("after inject");
+      for (int op = 0; op < 160; ++op) {
+        const std::string ctx = "op " + std::to_string(op);
+        const std::size_t addr = rng.next_below(kWords);
+        const unsigned kind = static_cast<unsigned>(rng.next_below(10));
+        if (op == 60 || op == 110) {
+          // Retire about a quarter of the fault lanes.
+          const LaneMask lanes = rng.next_u64() & rng.next_u64() &
+                                 used_lane_mask(static_cast<unsigned>(n));
+          packed.retire_lanes(lanes);
+          for (std::size_t lane = 1; lane <= n; ++lane)
+            if ((lanes >> lane) & 1u) refs[lane].clear_faults();
+        } else if (kind == 0) {
+          const unsigned units = 1 + static_cast<unsigned>(rng.next_below(2));
+          packed.elapse(units);
+          for (Memory& ref : refs) ref.elapse(units);
+        } else if (kind <= 3) {
+          const LaneMask* v = packed.read(addr);
+          for (std::size_t lane = 0; lane <= n; ++lane) {
+            const BitVec want = refs[lane].read(addr);
+            for (unsigned j = 0; j < width; ++j)
+              ASSERT_EQ((v[j] >> lane) & 1u, static_cast<LaneMask>(want.get(j)))
+                  << batch << ", " << ctx << ": read of word " << addr << ", lane " << lane;
+          }
+        } else {
+          // Broadcast data (an absolute march write) or per-lane data (a
+          // transparent one).
+          const bool broadcast = kind <= 6;
+          const BitVec word = rng.next_word(width);
+          for (unsigned j = 0; j < width; ++j)
+            data[j] = broadcast ? (word.get(j) ? ~LaneMask{0} : LaneMask{}) : rng.next_u64();
+          packed.write(addr, data.data());
+          for (std::size_t lane = 0; lane <= n; ++lane) {
+            BitVec d(width);
+            for (unsigned j = 0; j < width; ++j) d.set(j, (data[j] >> lane) & 1u);
+            refs[lane].write(addr, d);
+          }
+        }
+        check(ctx);
+      }
+    }
+  }
+}
+
+// Two SAFs of opposite value on one cell and lane: the lanes overlap, the
+// masks cannot say which came last, and the injection order must win, as
+// in the scalar Memory.
+TEST(PackedMemorySim, OverlappingOppositeSafsFollowInjectionOrder) {
+  for (const bool first : {false, true}) {
+    PackedMemory packed(2, 2);
+    Memory ref(2, 2);
+    const Fault a = Fault::saf({1, 0}, first), b = Fault::saf({1, 0}, !first);
+    const Fault tf = Fault::tf({1, 1}, Transition::Up);
+    for (const Fault& f : {a, b, tf}) {
+      packed.inject(f, LaneMask{1} << 3);
+      ref.inject(f);
+    }
+    for (const std::uint64_t value : {0u, 3u, 1u, 2u, 3u}) {
+      const BitVec word = BitVec::from_uint(2, value);
+      const std::vector<LaneMask> data = broadcast_word(word);
+      packed.write(1, data.data());
+      ref.write(1, word);
+      EXPECT_EQ(packed.lane_word(3, 1), ref.peek(1)) << "first " << first << ", wrote " << value;
+      EXPECT_EQ(packed.lane_word(0, 1), word) << "golden lane";
+    }
   }
 }
 

@@ -214,8 +214,11 @@ TEST(PackedSession, DerivedPredictionEqualsTheRecordedOne) {
                 count == faults.size() ? AddressList::all(kWords) : AddressList::of(footprint);
             PackedMemory mem(kWords, width);
             prepare(mem, faults.data(), count, seed);
+            // The snapshots read through the slot port, as a runner's do.
+            std::vector<std::uint32_t> slots(list.size);
+            for (std::size_t k = 0; k < list.size; ++k) slots[k] = mem.slot_of(list[k]);
             packed_detail::DerivedPrediction derived;
-            derived.start(mem, list, plan.prediction, masks.prediction);
+            derived.start(mem, list, slots.data(), plan.prediction, masks.prediction);
             const std::size_t reads = plan.prediction.read_count() * list.size;
             std::uint64_t last = 0;
             for (std::size_t i = 0; i < reads; ++i) {

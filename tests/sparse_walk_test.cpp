@@ -309,11 +309,12 @@ TEST(SparseWalk, SlotStoreHoldsExactlyTheFootprint) {
 }
 
 // skip(k) multiplies every lane's state by x^k mod p: it equals k zero
-// feeds at every default register width and a fallback one (19), from
-// random lane states, and skips compose (skip(a); skip(b) == skip(a + b))
-// far beyond what feeding could reach.
+// feeds at every default register width and two fallback ones (19, and 67,
+// whose top four coefficients span two limbs), from random lane states,
+// and skips compose (skip(a); skip(b) == skip(a + b)) far beyond what
+// feeding could reach.
 TEST(SparseWalk, MisrJumpsEqualZeroFeeds) {
-  for (const unsigned width : {1u, 2u, 3u, 4u, 8u, 16u, 32u, 64u, 128u, 19u}) {
+  for (const unsigned width : {1u, 2u, 3u, 4u, 8u, 16u, 32u, 64u, 128u, 19u, 67u}) {
     const MisrJumps jumps = MisrJumps::build(width);
     PackedMisr fed(jumps), skipped(jumps);
     Rng rng(width);

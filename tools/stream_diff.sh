@@ -17,9 +17,14 @@
 #     `del` elements pause the prediction and test passes) under `ret` and
 #     `af` faults, over every scheme with a transparent session, at width 4
 #     with two nonzero seeds; `twm-misr` at width 64 (a 64-bit MISR); a
-#     twelve-cell, two-seed spec at `regions: 4` and `threads: 7`; and a
+#     twelve-cell, two-seed spec at `regions: 4` and `threads: 7`; a
 #     2^18-word spec with two nonzero seeds at `regions: 4` and `threads:
 #     4`, where four workers read each seed's contents across regions;
+#     and a dense 64 x 4 spec: every SAF, TF, RET, intra-word CFst and
+#     CFid and AF fault, over every scheme with two nonzero seeds, so each
+#     unit packs many faults onto a few words, and a worker memory's
+#     slots carry folded masks (SAF, TF) in one unit and fault buckets
+#     in the next;
 #   * that twelve-cell spec at `threads: 3` with `--cache-dir`: cold (an
 #     empty directory), warm (the directory the cold run filled), and
 #     partly warm (a copy of the old binary's warm directory that keeps
@@ -110,6 +115,15 @@ write("seeded-regions4-threads4", {
     "classes": ["saf@2048", "tf@1024", "cfid:inter@512"],
     "seeds": [0, 11, 12],
     "run": {"backend": "packed", "threads": 4, "regions": 4},
+})
+write("dense-mixed", {
+    "name": "dense-mixed",
+    "memory": {"words": 64, "width": 4},
+    "march": "March C-",
+    "schemes": ["ref", "womarch", "twm", "twm-misr", "sym", "tsmarch", "s1", "tomt"],
+    "classes": ["saf", "tf", "ret", "cfst:intra", "cfid:intra", "af"],
+    "seeds": [3, 77],
+    "run": run,
 })
 write("misr-width64", {
     "name": "misr-width64",
