@@ -108,11 +108,10 @@ inline bool golden_certificate(const SchemePlan& plan, const PlanOpMasks& masks,
 //
 //   round s:  pack the job's live faults densely into units of
 //             kFaultsPerUnit, evaluate every unit under seeds[s] with an
-//             armed session brake (mid-session settle-exit + per-lane
-//             fault dropping for monotone schemes), and — while the round
-//             runs — report every fault whose verdicts can no longer
-//             change, mark it dropped, and start the next round's units
-//             over the rest.
+//             armed session brake (mid-session settle-exit for monotone
+//             schemes), and — while the round runs — report every fault
+//             whose verdicts can no longer change, mark it dropped, and
+//             start the next round's units over the rest.
 //
 // One WorkerPool serves the whole campaign, each of its threads with one
 // worker memory and one session scratch, and every worker reads one table
@@ -127,19 +126,22 @@ inline bool golden_certificate(const SchemePlan& plan, const PlanOpMasks& masks,
 // at a barrier.
 //
 // Reporting is one in-order drain, the one report path.  A worker that
-// finishes unit u marks it done (release) and, if it wins a try_lock on
-// the report mutex, walks the campaign in (cell, region, round, unit)
-// order from where the last drain stopped: it reports every finished
-// unit, flushes the cell's observer after each round's last record, opens
-// the next round, fires RegionProgress::on_region_done after a region's
-// last record, and tells the feed when it reaches a cell (replayed
-// records go out there) and when it passed one — those boundaries on the
-// calling thread only (see drain()).  It stops at the first unit not yet
-// done.  A worker with nothing to claim takes the report mutex with a
-// blocking lock before it sleeps, if it finished a unit since its last
-// drain: so a unit finished while another thread held the drain is never
-// stranded.  Records stream on whichever pool thread holds the mutex, in
-// the same order and grouping for every thread count.
+// finishes unit u marks it done (release), requests a drain and, if it
+// wins a try_lock on the report mutex, walks the campaign in (cell,
+// region, round, unit) order from where the last drain stopped: it
+// reports every finished unit, flushes the cell's observer after each
+// round's last record, opens the next round, fires
+// RegionProgress::on_region_done after a region's last record, and tells
+// the feed when it reaches a cell (replayed records go out there) and
+// when it passed one — those boundaries on the calling thread only (see
+// drain()).  It stops at the first unit not yet done.  A worker that loses
+// the try_lock goes back to claiming: the holder re-reads the request
+// after it unlocks and drains again (drain_requested()), so a finished
+// unit is never stranded and no pool thread waits for the drain — it
+// computes whatever the drain just opened.  Only the calling thread
+// blocks on the report mutex, to pass a boundary.  Records stream on
+// whichever pool thread holds the mutex, in the same order and grouping
+// for every thread count.
 //
 // A packed unit walks its fault footprint (the sorted victim, aggressor and
 // alias words of the batch); the scalar reference walks every word.  Before
@@ -474,7 +476,7 @@ class CampaignScheduler {
     // (the MISR case turns the exit off and only keeps the skip of the
     // unconsumed stream compare; the symmetric session never sees the
     // brake).
-    typename Engine::Brake brake = Engine::make_brake(st.mem, Engine::used_mask(count));
+    typename Engine::Brake brake = Engine::make_brake(Engine::used_mask(count));
     const Verdict d = run_campaign_unit_in<Engine>(st.mem, *plan.plan, plan.masks, st.scratch,
                                                    st.batch.data(), count, table(t.round),
                                                    &brake, list);
@@ -670,12 +672,27 @@ class CampaignScheduler {
 
   // ---- the worker loop ---------------------------------------------------
 
+  // Requests a drain and runs it unless another thread holds the drain.
+  // The holder reads the request only after it unlocks, so a request made
+  // while it held the mutex — whose try_lock failed — is drained by the
+  // holder's next turn.  The calling thread at a boundary (`block`) waits
+  // for the mutex instead; a pool thread never waits.
+  void drain_requested(bool caller, bool block) {
+    drain_wanted_.exchange(true);
+    do {
+      std::unique_lock<std::mutex> lock(report_mu_, std::defer_lock);
+      if (block)
+        lock.lock();
+      else if (!lock.try_lock())
+        return;
+      block = false;
+      drain_wanted_.exchange(false);
+      drain(caller);
+    } while (drain_wanted_.load());
+  }
+
   void work(unsigned w) {
     const bool caller = w == 0;
-    // Set while this worker finished a unit it has not drained since: it
-    // then drains (blocking) before it sleeps.  The caller also drains
-    // whenever a boundary waits for it.
-    bool undrained = false;
     try {
       for (;;) {
         Task t;
@@ -685,14 +702,12 @@ class CampaignScheduler {
           for (;;) {
             if (stop_ || finished_) return;
             if (caller && boundary_) break;
-            if ((claimed = claim(t, w)) || undrained) break;
+            if ((claimed = claim(t, w))) break;
             work_cv_.wait(lock);
           }
         }
         if (!claimed) {
-          const std::lock_guard<std::mutex> lock(report_mu_);
-          drain(caller);
-          undrained = false;
+          drain_requested(caller, /*block=*/true);
           continue;
         }
         if (t.open) {
@@ -707,13 +722,7 @@ class CampaignScheduler {
           throw std::runtime_error("injected worker failure (campaign.worker failpoint)");
         if (!states_[w]) states_[w] = std::make_unique<WorkerState>(words_, width_);
         compute(*states_[w], t);
-        undrained = true;
-        std::unique_lock<std::mutex> lock(report_mu_, std::try_to_lock);
-        if (!lock.owns_lock() && caller && boundary_) lock.lock();
-        if (lock.owns_lock()) {
-          drain(caller);
-          undrained = false;
-        }
+        drain_requested(caller, caller && boundary_);
       }
     } catch (...) {
       request_stop();
@@ -763,6 +772,10 @@ class CampaignScheduler {
   std::atomic<bool> stop_{false};
   // A boundary waits for the calling thread (set under sched_mu_).
   std::atomic<bool> boundary_{false};
+  // A finished unit waits for a drain (drain_requested()).  Set and taken
+  // by read-modify-writes, so a drain that takes the request also sees
+  // every unit marked done before any request it replaced.
+  std::atomic<bool> drain_wanted_{false};
   bool finished_ = false;
 };
 

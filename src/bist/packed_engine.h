@@ -159,43 +159,29 @@ struct PackedTransparentOutcome {
 // Cooperative mid-session brake for sessions whose per-lane verdict is
 // MONOTONE (exact stream/value comparison: a lane's bit, once set, is
 // final).  The campaign scheduler (analysis/campaign_exec.h) arms one per
-// unit so a session can
+// unit so a session can abort the remaining march work once every lane in
+// `target` has a final verdict (settle-exit — checked after each
+// address's ops).  `Verdict` is the engine's: a LaneMask on the packed
+// engine, a bool (one universe) on the scalar reference, where the
+// predicate reads "detected".
 //
-//   * abort the remaining march work once every lane in `target` has a
-//     final verdict (settle-exit — checked after each address's ops), and
-//   * drop the faults of lanes that settled mid-session from the packed
-//     memory's masks and buckets (retire_lanes, at element boundaries), so
-//     the write path stops paying for universes whose verdict is already
-//     known.
-//
-// Both actions are verdict-preserving only for monotone verdicts; sessions
+// Settle-exit is verdict-preserving only for monotone verdicts; sessions
 // with order-insensitive compaction (XOR accumulator) or signature
 // compression (MISR) must not arm `exit_enabled` — their lanes' verdicts
 // are not final until the session ends (aliasing can cancel a mismatch).
 // With exit_enabled false the brake still counts march elements entered,
 // which is what the scheduler's occupancy/forward-progress counters read.
+template <typename Verdict>
 struct SessionBrake {
-  LaneMask target{};   // lanes whose verdicts the caller needs (fault lanes)
-  LaneMask already{};  // verdict contribution of earlier passes (e.g. SMarch)
+  Verdict target{};   // lanes whose verdicts the caller needs (fault lanes)
+  Verdict already{};  // verdict contribution of earlier passes (e.g. SMarch)
   bool exit_enabled = false;
-  PackedMemory* retire_from = nullptr;  // optional fault dropping
-  LaneMask retired{};                   // lanes already dropped
-  std::uint64_t elements_entered = 0;   // march elements started
+  std::uint64_t elements_entered = 0;  // march elements started
 
   // Every target lane's verdict is final -> abort the rest of the session.
-  bool should_stop(LaneMask verdict) const {
-    if (!exit_enabled || target == 0) return false;
+  bool should_stop(Verdict verdict) const {
+    if (!exit_enabled || target == Verdict{}) return false;
     return ((verdict | already) & target) == target;
-  }
-
-  // Element boundary: drop the faults of lanes that settled since the last
-  // boundary (only meaningful for monotone sessions, hence the exit gate).
-  void on_element_end(LaneMask verdict) {
-    if (!exit_enabled || !retire_from) return;
-    const LaneMask settled = (verdict | already) & target & ~retired;
-    if (settled == 0) return;
-    retired |= settled;
-    retire_from->retire_lanes(retired);
   }
 };
 
@@ -422,11 +408,9 @@ class PackedMarchRunner {
   // `brake`, when non-null, is polled after each address's ops: the sweep
   // aborts once every brake-target lane's mismatch bit is set (the verdict
   // is monotone — an abort returns exactly the final verdict of the target
-  // lanes), and lanes that settle mid-march have their faults dropped from
-  // the memory at element boundaries.  `masks`, when non-null, holds the
-  // test's compiled op masks (otherwise the pass compiles its own); so for
-  // every run_* below.
-  LaneMask run_direct(const MarchTest& test, SessionBrake* brake = nullptr,
+  // lanes).  `masks`, when non-null, holds the test's compiled op masks
+  // (otherwise the pass compiles its own); so for every run_* below.
+  LaneMask run_direct(const MarchTest& test, SessionBrake<LaneMask>* brake = nullptr,
                       const PackedOpMasks* masks = nullptr) {
     const unsigned w = mem_.word_width();
     LaneMask mismatch{};
@@ -464,7 +448,7 @@ class PackedMarchRunner {
   PackedTransparentOutcome run_transparent_session(const MarchTest& test,
                                                    const MarchTest& prediction,
                                                    const MisrJumps& misr,
-                                                   SessionBrake* brake = nullptr,
+                                                   SessionBrake<LaneMask>* brake = nullptr,
                                                    bool want_misr = true,
                                                    const PackedOpMasks* test_masks = nullptr,
                                                    const PackedOpMasks* prediction_masks = nullptr);
@@ -490,7 +474,7 @@ class PackedMarchRunner {
   // on_read(addr, const LaneMask*); the call inlines.
   template <typename Sink, typename VerdictFn>
   void run_test_braked(const MarchTest& test, const PackedOpMasks* masks, Sink& sink,
-                       SessionBrake* brake, VerdictFn&& verdict) {
+                       SessionBrake<LaneMask>* brake, VerdictFn&& verdict) {
     // Every relative write follows a read of the same word earlier in its
     // element's op list, so by the time the write fires the "most recent
     // read of this word" is the one just performed at the current address:
@@ -527,13 +511,12 @@ class PackedMarchRunner {
 
   // Visits every (element, listed word, op) in march order, handing per_op
   // the word's position k in the list and the op's broadcast data mask.  An
-  // optional SessionBrake counts elements entered, polls the settle
-  // predicate after each address and drops settled lanes' faults at
-  // element boundaries; `verdict` yields the caller's current monotone
-  // detection state.
+  // optional SessionBrake counts elements entered and polls the settle
+  // predicate after each address; `verdict` yields the caller's current
+  // monotone detection state.
   template <typename PerOp, typename VerdictFn>
   void sweep_braked(const MarchTest& test, const PackedOpMasks* masks, PerOp&& per_op,
-                    SessionBrake* brake, VerdictFn&& verdict) {
+                    SessionBrake<LaneMask>* brake, VerdictFn&& verdict) {
     PackedOpMasks own;
     if (!masks) {
       own = PackedOpMasks(test, mem_.word_width());
@@ -551,7 +534,6 @@ class PackedMarchRunner {
         for (std::size_t o = 0; o < elem.ops.size(); ++o) per_op(k, elem.ops[o], masks->at(e, o));
         if (brake && brake->should_stop(verdict())) return;
       }
-      if (brake) brake->on_element_end(verdict());
     }
   }
 
@@ -562,7 +544,7 @@ class PackedMarchRunner {
 
 inline PackedTransparentOutcome PackedMarchRunner::run_transparent_session(
     const MarchTest& test, const MarchTest& prediction, const MisrJumps& misr,
-    SessionBrake* brake, bool want_misr, const PackedOpMasks* test_masks,
+    SessionBrake<LaneMask>* brake, bool want_misr, const PackedOpMasks* test_masks,
     const PackedOpMasks* prediction_masks) {
   const unsigned w = mem_.word_width();
   PackedOpMasks own_test, own_prediction;

@@ -89,21 +89,6 @@ class PackedXorAccumulator {
   std::vector<LaneMask> acc_;
 };
 
-// Scalar counterpart of SessionBrake (bist/packed_engine.h): one lane, so
-// "every target lane settled" degenerates to "the fault was detected".
-// The scalar reference engine does not abort sessions mid-march (it IS the
-// reference); the brake still carries the settle predicate the TOMT
-// session's stop-on-failure sweep and the scheduler's counters share.
-struct ScalarSessionBrake {
-  bool target = true;
-  bool already = false;
-  bool exit_enabled = false;
-  std::uint64_t elements_entered = 0;
-
-  bool should_stop(bool verdict) const { return exit_enabled && (verdict || already); }
-  void on_element_end(bool /*verdict*/) {}
-};
-
 // The scalar reference keeps no runner buffers across sessions.
 struct ScalarRunnerScratch {};
 
@@ -115,7 +100,11 @@ struct ScalarEngine {
   using Word = BitVec;       // one word's value
   using Mask = BitVec;       // a per-op data mask
   using Accumulator = XorAccumulator;
-  using Brake = ScalarSessionBrake;
+  // One lane: "every target lane settled" reads "the fault was detected".
+  // The reference does not abort sessions mid-march (it IS the reference);
+  // its brake still carries the settle predicate the TOMT session's
+  // stop-on-failure sweep and the scheduler's counters share.
+  using Brake = SessionBrake<bool>;
   using Scratch = ScalarRunnerScratch;
   // The TOMT block's per-op masks: the reference derives its own from the
   // ops every session and ignores the packed compiled ones.
@@ -126,12 +115,7 @@ struct ScalarEngine {
   // The reference walks every word, always: its runner has no address list.
   static constexpr bool kSparseWalk = false;
 
-  static Brake make_brake(Memory& /*mem*/, Verdict used) {
-    Brake b;
-    b.target = used;
-    b.exit_enabled = true;
-    return b;
-  }
+  static Brake make_brake(Verdict used) { return {used, Verdict{}, true}; }
 
   // --- verdict algebra (Verdicts also combine with plain &, |, ==) ------
   static Verdict used_mask(unsigned /*count*/) { return true; }
@@ -217,7 +201,7 @@ struct PackedEngine {
   using Word = std::vector<LaneMask>;  // [bit] -> lane mask
   using Mask = const LaneMask*;        // broadcast op mask (compiled)
   using Accumulator = PackedXorAccumulator;
-  using Brake = SessionBrake;
+  using Brake = SessionBrake<LaneMask>;
   using Scratch = PackedSessionScratch;
   using OpMaskTable = const PackedOpMasks*;
 
@@ -227,15 +211,7 @@ struct PackedEngine {
   // (bist/packed_engine.h); the golden certificate is the precondition.
   static constexpr bool kSparseWalk = true;
 
-  // An armed brake also drops settled lanes' faults from the memory's
-  // per-word masks and buckets (fault dropping inside a live batch).
-  static Brake make_brake(Memory& mem, Verdict used) {
-    Brake b;
-    b.target = used;
-    b.exit_enabled = true;
-    b.retire_from = &mem;
-    return b;
-  }
+  static Brake make_brake(Verdict used) { return {used, Verdict{}, true}; }
 
   // Lanes 1..count — a partial final batch must neither report phantom
   // universes nor mask the golden lane (used_lane_mask documents the rule).

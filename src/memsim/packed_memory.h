@@ -13,11 +13,16 @@
 // (transition suppression, commit, CFid/CFin aggressor-fire, CFst
 // enforcement, SAF dominance) plus RET aging and the AF decoder-fault
 // port distortions, each implemented as lane-masked bitwise operations
-// instead of per-fault branches; faults are applied in injection order
-// (SAFs and TFs through per-word masks wherever their order cannot show,
-// see below), so every lane observes exactly the effect sequence the
-// scalar simulator would produce for its fault subset
+// instead of per-fault branches.  Each lane holds at most one fault (see
+// the contract below), so every lane observes exactly the effect sequence
+// the scalar simulator produces for that fault
 // (tests/packed_memory_test.cpp proves this differentially).
+//
+// The contract: one fault per lane, the same faults from injection to the
+// next clear_faults().  inject() throws std::invalid_argument when a
+// fault's lanes overlap those of a fault injected since the last
+// clear_faults() — one fault universe per lane, as the campaign packs
+// them.  A fault may span several lanes.
 //
 // Storage is a SLOT STORE, grown to the fault footprint, not to `words`.
 // A dense [addr * width + bit] lane-mask array costs words x width x
@@ -60,31 +65,23 @@
 //     and fall-suppress lanes.  The TF fold is exact whatever the lanes:
 //     a suppressed transition leaves no transition for any other TF of
 //     the cell to act on, so the order of several TFs never matters.  The
-//     SAF fold is exact only when no two SAFs share a (cell, lane) with
-//     opposite values, which disjoint lanes guarantee.
+//     SAF fold is exact because no two SAFs share a lane.
 //   * buckets — per-slot lists, in injection order: the CFid/CFin faults
 //     whose aggressor is in the word, the CFst faults whose aggressor or
 //     victim is, and the RET and decoder faults on it.
 //
 // Static-fault enforcement after a write walks only the CFst faults whose
-// aggressor or victim lives in a word the write disturbed, and those words'
-// SAF masks.  Entries the walk skips are idempotent no-ops: statics were
-// already enforced after the previous operation, nothing in their words
-// changed since, and — the load-bearing condition — no *other* fault's
-// effect can re-activate them, because every injected lane mask is
-// pairwise disjoint (one fault per universe, the campaign contract), so
-// cross-fault CFst chains cannot exist.  The moment two faults share a
-// lane (multi-fault universes, as the differential tests build) the
-// simulator detects the overlap at inject time and falls back to the
-// global two-pass enforcement the scalar Memory performs, SAFs in
-// injection order (so the later of two opposite SAFs on a cell wins).
+// aggressor or victim lives in the written word, and that word's SAF
+// masks, once.  A coupling, decoder or RET fault moves other cells only in
+// its own lanes, which hold no static fault, so every other static is
+// still enforced from the previous operation; and no CFst chain exists to
+// need a second pass.  A refill enforces every slot's statics.
 //
 // Port cost.  A write to a word that no coupling or decoder fault starts
-// from, under disjoint lanes, is one O(width) pass — commit, TF
-// suppression and SAF masks together — plus that word's CFst bucket and
-// its RET refresh: no scratch copies and no list of disturbed words.  Under
-// disjoint lanes the SAF masks may apply before the CFst bucket, since no
-// lane holds both.  Other writes take the general five-step path.
+// from is one O(width) pass — commit, TF suppression and SAF masks
+// together — plus that word's CFst bucket and its RET refresh, with no
+// scratch copies.  The SAF masks may apply before the CFst bucket, since
+// no lane holds both.  Other writes take the general five-step path.
 //
 // The slot port.  read(addr)/write(addr) check the address and probe the
 // index on every call.  A session that walks a fixed list of words
@@ -226,7 +223,7 @@ class PackedMemory {
   void write_slot(std::uint32_t& s, std::size_t addr, const LaneMask* data) {
     ++ops_;
     if (s == kNoSlot) s = materialize(addr);
-    if (lanes_overlap_ || (kinds_[s] & (kind_bit(kDyn) | kind_bit(kAf))) != 0) {
+    if ((kinds_[s] & (kind_bit(kDyn) | kind_bit(kAf))) != 0) {
       write_general(s, data);
       return;
     }
@@ -235,29 +232,27 @@ class PackedMemory {
     const LaneMask* sa0 = fold(s, kSa0);
     const LaneMask* rise = fold(s, kRise);
     const LaneMask* fall = fold(s, kFall);
-    // Steps 1, 2 and 5 in one pass (disjoint lanes: see the header).
+    // Steps 1, 2 and 5 in one pass (one fault per lane: see the header).
     for (unsigned j = 0; j < width_; ++j)
       word[j] = (suppress(word[j], data[j], rise[j], fall[j]) | sa1[j]) & ~sa0[j];
     refresh_retention(s);
     // Step 4, for the CFst faults of this word.
-    if (bucket_nonempty(s, kCfst)) apply_cfst_passes(bucket(s, kCfst));
+    if (bucket_nonempty(s, kCfst)) apply_cfsts(bucket(s, kCfst));
   }
 
+  // A decay moves only its own lanes, which hold no static fault to
+  // re-enforce.
   void elapse(unsigned units) {
-    if (ret_entries_.empty()) return;
-    touched_.clear();
     for (RetEntry& e : ret_entries_) {
       const LaneFault& lf = faults_[e.idx];
-      if (lf.retired) continue;
       e.age += units;
       if (e.age >= lf.fault.retention) force(victim_cell(lf), lf.fault.value, lf.lanes);
-      touch(lf.victim_slot);
     }
-    // Decay may expose cells to static coupling conditions.
-    enforce_statics_touched();
   }
 
   // --- fault management ------------------------------------------------
+  // Throws std::invalid_argument if `lanes` overlaps the lanes of a fault
+  // injected since the last clear_faults() (the header's contract).
   void inject(const Fault& f, LaneMask lanes) {
     auto check = [this](const CellAddr& c) {
       if (c.word >= words_ || c.bit >= width_)
@@ -276,38 +271,25 @@ class PackedMemory {
           throw std::invalid_argument("PackedMemory::inject: aggressor == victim");
       }
     }
-    const std::uint32_t idx = static_cast<std::uint32_t>(faults_.size());
-    // Lane overlap disables the disjoint-lanes fast paths for statics.
-    if ((lanes & lanes_union_) != 0) lanes_overlap_ = true;
+    if ((lanes & lanes_union_) != 0)
+      throw std::invalid_argument("PackedMemory::inject: lane already holds a fault");
     lanes_union_ |= lanes;
-    // Re-injecting into a previously retired lane revives it: the new
-    // fault's lanes leave the retired set, or a later retire_lanes call
-    // would silently drop the live fault.
-    retired_union_ &= ~lanes;
+    const std::uint32_t idx = static_cast<std::uint32_t>(faults_.size());
     faults_.push_back({f, lanes});
     // The fault's whole footprint must own slots before any of its effects
     // (or any port op near it) can be applied.
     materialize_footprint(faults_.back());
-    switch (f.cls) {
-      case FaultClass::SAF: saf_all_.push_back(idx); break;
-      case FaultClass::CFst: cfst_all_.push_back(idx); break;
-      default: break;
-    }
     if (f.cls == FaultClass::RET) {
       bucket_push(faults_[idx].victim_slot, kRet, static_cast<std::uint32_t>(ret_entries_.size()));
       ret_entries_.push_back({idx, 0});
     } else {
       index_fault(idx);
     }
-    // Enforce the new fault's static condition.  With pairwise-disjoint
-    // lane masks only the new fault itself can be newly active (its lanes
-    // hold no other fault to chain with, and it cannot disturb other
-    // lanes), so batch construction stays O(faults) instead of the
-    // O(faults^2) a global re-enforcement per inject would cost.  Any lane
-    // overlap falls back to the scalar Memory's global walk.
-    if (lanes_overlap_) {
-      enforce_static_faults();
-    } else if (f.cls == FaultClass::SAF) {
+    // Enforce the new fault's static condition.  Only the new fault itself
+    // can be newly active (its lanes hold no other fault to chain with, and
+    // it cannot disturb other lanes), so batch construction stays O(faults)
+    // instead of the O(faults^2) a global re-enforcement per inject costs.
+    if (f.cls == FaultClass::SAF) {
       force(victim_cell(faults_[idx]), f.value, lanes);
     } else if (f.cls == FaultClass::CFst) {
       apply_cfst(idx);
@@ -316,67 +298,9 @@ class PackedMemory {
 
   void clear_faults() {
     faults_.clear();
-    saf_all_.clear();
-    cfst_all_.clear();
     ret_entries_.clear();
     for (std::uint32_t s = 0; s < live_; ++s) clear_slot_faults(s);
     lanes_union_ = LaneMask{};
-    lanes_overlap_ = false;
-    retired_union_ = LaneMask{};
-  }
-
-  // Retires (drops) every fault whose lane mask lies entirely inside the
-  // accumulated `lanes` set: its bucket entries are removed and its lanes
-  // leave the folded masks, so the port operations stop paying for it —
-  // classic fault dropping, per lane.
-  //
-  // Retiring is only sound when the caller no longer cares how the retired
-  // lanes evolve (their verdicts are final and monotone — the repack
-  // scheduler's settle-exit contract): from this call on the retired lanes
-  // behave as if their fault was never injected, while the other lanes are
-  // unaffected (lane masks are pairwise disjoint in campaign use).  The
-  // batch stays live: inject() keeps working afterwards, so a freed lane
-  // can be reused for a new fault (lane reuse is detected as an overlap
-  // with lanes_union_, which conservatively re-enables the global
-  // static-enforcement walk — correct, just slower).
-  void retire_lanes(LaneMask lanes) {
-    retired_union_ |= lanes;
-    bool unfolded = false;
-    for (std::uint32_t i = 0; i < faults_.size(); ++i) {
-      LaneFault& lf = faults_[i];
-      // Skip a fault dropped before, or one with still-live lanes.
-      if (lf.retired || (lf.lanes & ~retired_union_) != 0) continue;
-      lf.retired = true;
-      switch (lf.fault.cls) {
-        case FaultClass::SAF:
-          unindex(saf_all_, i);
-          [[fallthrough]];
-        case FaultClass::TF:
-          fold_cell(lf) &= ~lf.lanes;
-          unfolded = true;
-          break;
-        case FaultClass::CFst:
-          unindex(cfst_all_, i);
-          bucket_unindex(lf.other_slot, kCfst, i);
-          if (lf.victim_slot != lf.other_slot) bucket_unindex(lf.victim_slot, kCfst, i);
-          break;
-        case FaultClass::CFid:
-        case FaultClass::CFin: bucket_unindex(lf.other_slot, kDyn, i); break;
-        case FaultClass::RET:
-          for (std::size_t e = 0; e < ret_entries_.size(); ++e)
-            if (ret_entries_[e].idx == i)
-              bucket_unindex(lf.victim_slot, kRet, static_cast<std::uint32_t>(e));
-          break;
-        case FaultClass::AFna:
-        case FaultClass::AFaw: bucket_unindex(lf.victim_slot, kAf, i); break;
-      }
-    }
-    // A live fault that shares a mask with a retired one lost its lanes
-    // there too: fold every live one back in.
-    if (unfolded && lanes_overlap_)
-      for (std::uint32_t i = 0; i < faults_.size(); ++i)
-        if (!faults_[i].retired && is_folded(faults_[i].fault.cls))
-          fold_cell(faults_[i]) |= faults_[i].lanes;
   }
 
   // --- backdoor access (broadcast: every lane gets the same contents) --
@@ -456,7 +380,6 @@ class PackedMemory {
     // the victim's own slot for every other class.
     std::uint32_t victim_slot = 0;
     std::uint32_t other_slot = 0;
-    bool retired = false;  // dropped via retire_lanes
   };
   struct RetEntry {
     std::uint32_t idx;  // into faults_
@@ -482,16 +405,13 @@ class PackedMemory {
   static constexpr std::size_t kMinSlots = 16;
 
   // The general write: the five steps of Memory::write over one-word
-  // scratch copies, for words that start a coupling or decoder fault and
-  // for overlapping lanes.
+  // scratch copies, for words that start a coupling or decoder fault.
   void write_general(std::uint32_t s, const LaneMask* data) {
     LaneMask* word = slot_cells(s);
     const LaneMask* rise = fold(s, kRise);
     const LaneMask* fall = fold(s, kFall);
     std::copy(word, word + width_, old_.begin());
     std::copy(data, data + width_, next_.begin());
-    touched_.clear();
-    touched_.push_back(s);
 
     // Step 0: an AFna address decodes to no cell — the write is lost in the
     // faulted lanes (the cells keep their old value, so the later steps see
@@ -510,9 +430,7 @@ class PackedMemory {
     for (unsigned j = 0; j < width_; ++j) word[j] = suppress(old_[j], next_[j], rise[j], fall[j]);
 
     // Step 3: dynamic coupling faults triggered by aggressor transitions
-    // caused by this write.  The aggressor is sampled from the live state,
-    // so earlier coupling effects on the same word are seen — matching the
-    // scalar simulator's fault-by-fault ordering per lane.
+    // caused by this write, sampled from the committed word.
     if (bucket_nonempty(s, kDyn))
       for (const std::uint32_t i : bucket(s, kDyn)) {
         const LaneFault& lf = faults_[i];
@@ -525,12 +443,11 @@ class PackedMemory {
           force(victim_cell(lf), f.value, fired);
         else
           victim_cell(lf) ^= fired;
-        touch(lf.victim_slot);
       }
 
     // Step 3.5: an AFaw address additionally decodes to the alias word —
     // the committed value is raw-copied there in the faulted lanes (no
-    // TF/coupling interplay at the target; statics are re-enforced below).
+    // TF/coupling interplay at the target).
     if (has_af)
       for (const std::uint32_t i : bucket(s, kAf)) {
         const LaneFault& lf = faults_[i];
@@ -539,13 +456,13 @@ class PackedMemory {
         LaneMask* target = slot_cells(lf.other_slot);
         for (unsigned j = 0; j < width_; ++j)
           target[j] = (target[j] & keep) | (word[j] & lf.lanes);
-        touch(lf.other_slot);
       }
 
     refresh_retention(s);
 
-    // Steps 4 and 5, over the candidates the touched words can reach.
-    enforce_statics_touched();
+    // Steps 4 and 5.  Steps 3 and 3.5 moved other words only in their own
+    // faults' lanes, which hold no static fault: only this word needs them.
+    enforce_statics(s);
   }
 
   // Step 1 of a write, one bit: the committed lanes of a cell holding `o`
@@ -675,15 +592,12 @@ class PackedMemory {
   void reset_to_background() {
     release_slots();
     for (std::uint32_t i = 0; i < faults_.size(); ++i) {
-      if (faults_[i].retired) continue;
       materialize_footprint(faults_[i]);
       if (faults_[i].fault.cls != FaultClass::RET) index_fault(i);
     }
-    for (std::size_t e = 0; e < ret_entries_.size(); ++e) {
-      if (faults_[ret_entries_[e].idx].retired) continue;
+    for (std::size_t e = 0; e < ret_entries_.size(); ++e)
       bucket_push(faults_[ret_entries_[e].idx].victim_slot, kRet, static_cast<std::uint32_t>(e));
-    }
-    enforce_static_faults();
+    for (std::uint32_t s = 0; s < live_; ++s) enforce_statics(s);
   }
 
   void materialize_footprint(LaneFault& lf) {
@@ -713,7 +627,6 @@ class PackedMemory {
     }
   }
 
-  static bool is_folded(FaultClass cls) { return cls == FaultClass::SAF || cls == FaultClass::TF; }
   // The folded mask entry of a SAF or TF: its victim cell's stuck-at or
   // suppress lanes.
   LaneMask& fold_cell(const LaneFault& lf) {
@@ -733,12 +646,6 @@ class PackedMemory {
   void bucket_push(std::uint32_t s, unsigned kind, std::uint32_t value) {
     bucket(s, kind).push_back(value);
     kinds_[s] |= kind_bit(kind);
-  }
-  // Removes one index from a slot's bucket (bitmap kept in sync).
-  void bucket_unindex(std::uint32_t s, unsigned kind, std::uint32_t idx) {
-    std::vector<std::uint32_t>& b = bucket(s, kind);
-    unindex(b, idx);
-    if (b.empty()) kinds_[s] &= static_cast<std::uint8_t>(~kind_bit(kind));
   }
   // Empties a slot's buckets and clears its masks.
   void clear_slot_faults(std::uint32_t s) {
@@ -762,22 +669,6 @@ class PackedMemory {
     cell = value ? (cell | mask) : (cell & ~mask);
   }
 
-  void touch(std::uint32_t s) {
-    for (const std::uint32_t t : touched_)
-      if (t == s) return;
-    touched_.push_back(s);
-  }
-
-  // Removes one index from a bucket, preserving the injection order of the
-  // remaining entries (the order static enforcement must apply in).
-  static void unindex(std::vector<std::uint32_t>& bucket, std::uint32_t idx) {
-    for (std::size_t i = 0; i < bucket.size(); ++i)
-      if (bucket[i] == idx) {
-        bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-  }
-
   // One CFst application (lane-masked); `i` indexes faults_.
   void apply_cfst(std::uint32_t i) {
     const LaneFault& lf = faults_[i];
@@ -787,14 +678,14 @@ class PackedMemory {
     force(victim_cell(lf), f.value, active);
   }
 
-  // CFst chains are resolved in injection order; two passes give a fixpoint
-  // for all single-fault and non-cyclic multi-fault configurations.
-  void apply_cfst_passes(const std::vector<std::uint32_t>& cfst) {
-    for (int pass = 0; pass < 2; ++pass)
-      for (const std::uint32_t i : cfst) apply_cfst(i);
+  // Step 4 for a list of CFst faults.  One pass reaches the fixpoint, in
+  // any order, and a repeat is a no-op: no lane holds a second fault that
+  // could move a CFst's aggressor.
+  void apply_cfsts(const std::vector<std::uint32_t>& cfst) {
+    for (const std::uint32_t i : cfst) apply_cfst(i);
   }
 
-  // SAF dominance over one word, from its masks (disjoint lanes only).
+  // SAF dominance over one word, from its masks.
   void apply_saf_masks(std::uint32_t s) {
     LaneMask* word = slot_cells(s);
     const LaneMask* sa1 = fold(s, kSa1);
@@ -802,36 +693,11 @@ class PackedMemory {
     for (unsigned j = 0; j < width_; ++j) word[j] = (word[j] | sa1[j]) & ~sa0[j];
   }
 
-  // Global enforcement — inject/load/fill disturb arbitrary state — the
-  // scalar Memory's contract: CFst passes, then every SAF in injection
-  // order (the later of two opposite SAFs sharing a lane wins).
-  void enforce_static_faults() {
-    apply_cfst_passes(cfst_all_);
-    for (const std::uint32_t i : saf_all_)
-      force(victim_cell(faults_[i]), faults_[i].fault.value, faults_[i].lanes);
-  }
-
-  // Enforcement restricted to the statics whose aggressor or victim lives
-  // in a word the current operation disturbed.  Correct only under the
-  // pairwise-disjoint lane masks the campaign injects (no cross-fault
-  // chains possible — see the header comment); any overlap falls back to
-  // the global walk.
-  void enforce_statics_touched() {
-    if (cfst_all_.empty() && saf_all_.empty()) return;
-    if (lanes_overlap_) {
-      enforce_static_faults();
-      return;
-    }
-    merge_cfst_.clear();
-    for (const std::uint32_t s : touched_)
-      if (bucket_nonempty(s, kCfst))
-        merge_cfst_.insert(merge_cfst_.end(), bucket(s, kCfst).begin(), bucket(s, kCfst).end());
-    // Index order == injection order, the order the passes must apply in;
-    // a CFst within two touched words is listed twice.
-    std::sort(merge_cfst_.begin(), merge_cfst_.end());
-    merge_cfst_.erase(std::unique(merge_cfst_.begin(), merge_cfst_.end()), merge_cfst_.end());
-    apply_cfst_passes(merge_cfst_);
-    for (const std::uint32_t s : touched_) apply_saf_masks(s);
+  // Steps 4 and 5 for the statics whose aggressor or victim lives in word
+  // `s` (a CFst spanning two words runs twice, harmlessly).
+  void enforce_statics(std::uint32_t s) {
+    if (bucket_nonempty(s, kCfst)) apply_cfsts(bucket(s, kCfst));
+    apply_saf_masks(s);
   }
 
   std::size_t words_;
@@ -864,17 +730,12 @@ class PackedMemory {
   std::vector<std::uint64_t> loaded_bits_;
 
   std::vector<LaneFault> faults_;
-  std::vector<std::uint32_t> cfst_all_, saf_all_;  // statics, injection order
   std::vector<RetEntry> ret_entries_;
-  LaneMask lanes_union_{};       // OR of every injected lane mask
-  bool lanes_overlap_ = false;   // two faults share a lane -> global statics
-  LaneMask retired_union_{};     // lanes handed to retire_lanes so far
+  LaneMask lanes_union_{};  // OR of every injected lane mask
 
   std::vector<LaneMask> old_, next_;  // write_general scratch (one word each)
   std::vector<LaneMask> read_buf_;    // AF-merged / broadcast read scratch
   mutable std::vector<LaneMask> peek_buf_;   // peek() expansion scratch
-  std::vector<std::uint32_t> touched_;       // slots disturbed by the current op
-  std::vector<std::uint32_t> merge_cfst_;    // candidate-merge scratch
   std::uint64_t ops_ = 0;
 };
 

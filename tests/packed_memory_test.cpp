@@ -1,12 +1,13 @@
 // Differential property test for the bit-parallel PackedMemory: every lane
 // of the packed simulator must evolve exactly like a scalar Memory holding
-// that lane's fault subset, operation for operation, for every fault class
-// and for randomized operation traces (writes, reads, pauses).
+// that lane's fault, operation for operation, for every fault class and
+// for randomized operation traces (writes, reads, pauses).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -73,12 +74,15 @@ TEST(PackedMemorySim, DifferentialRandomTraces) {
     std::map<unsigned, Memory> refs;
     refs.emplace(0u, Memory(words, width));  // golden lane
 
-    // Random fault list; several faults may share a lane (a multi-fault
-    // universe), exercising the injection-order contract.
-    const unsigned num_faults = 1 + static_cast<unsigned>(rng.next_below(6));
+    // Random fault list, one fault per lane (lanes drawn without
+    // replacement); faults of different lanes share the few words.
+    std::vector<unsigned> lanes(kPackedLanes - 1);
+    std::iota(lanes.begin(), lanes.end(), 1u);
+    const unsigned num_faults = 1 + static_cast<unsigned>(rng.next_below(12));
     for (unsigned i = 0; i < num_faults; ++i) {
       const Fault f = random_fault(rng, words, width);
-      const unsigned lane = 1 + static_cast<unsigned>(rng.next_below(kPackedLanes - 1));
+      std::swap(lanes[i], lanes[i + rng.next_below(lanes.size() - i)]);
+      const unsigned lane = lanes[i];
       refs.emplace(lane, Memory(words, width));
       packed.inject(f, 1ull << lane);
       refs.at(lane).inject(f);
@@ -484,9 +488,8 @@ std::vector<Fault> dense_word_faults(std::size_t words, unsigned width) {
 }
 
 // The dense lists in disjoint lanes, 63 per batch over a seeded background,
-// under random broadcast and per-lane writes, reads and pauses, with lanes
-// retired mid-trace: every lane must track a scalar Memory holding its
-// fault, and a retired lane one whose fault was cleared at the retire.
+// under random broadcast and per-lane writes, reads and pauses: every lane
+// must track a scalar Memory holding its fault.
 TEST(PackedMemorySim, DenseWordFoldsMatchTheScalarMemory) {
   constexpr std::size_t kWords = 4;
   Rng rng(20261020);
@@ -518,14 +521,7 @@ TEST(PackedMemorySim, DenseWordFoldsMatchTheScalarMemory) {
         const std::string ctx = "op " + std::to_string(op);
         const std::size_t addr = rng.next_below(kWords);
         const unsigned kind = static_cast<unsigned>(rng.next_below(10));
-        if (op == 60 || op == 110) {
-          // Retire about a quarter of the fault lanes.
-          const LaneMask lanes = rng.next_u64() & rng.next_u64() &
-                                 used_lane_mask(static_cast<unsigned>(n));
-          packed.retire_lanes(lanes);
-          for (std::size_t lane = 1; lane <= n; ++lane)
-            if ((lanes >> lane) & 1u) refs[lane].clear_faults();
-        } else if (kind == 0) {
+        if (kind == 0) {
           const unsigned units = 1 + static_cast<unsigned>(rng.next_below(2));
           packed.elapse(units);
           for (Memory& ref : refs) ref.elapse(units);
@@ -557,28 +553,31 @@ TEST(PackedMemorySim, DenseWordFoldsMatchTheScalarMemory) {
   }
 }
 
-// Two SAFs of opposite value on one cell and lane: the lanes overlap, the
-// masks cannot say which came last, and the injection order must win, as
-// in the scalar Memory.
-TEST(PackedMemorySim, OverlappingOppositeSafsFollowInjectionOrder) {
-  for (const bool first : {false, true}) {
-    PackedMemory packed(2, 2);
-    Memory ref(2, 2);
-    const Fault a = Fault::saf({1, 0}, first), b = Fault::saf({1, 0}, !first);
-    const Fault tf = Fault::tf({1, 1}, Transition::Up);
-    for (const Fault& f : {a, b, tf}) {
-      packed.inject(f, LaneMask{1} << 3);
-      ref.inject(f);
-    }
-    for (const std::uint64_t value : {0u, 3u, 1u, 2u, 3u}) {
-      const BitVec word = BitVec::from_uint(2, value);
-      const std::vector<LaneMask> data = broadcast_word(word);
-      packed.write(1, data.data());
-      ref.write(1, word);
-      EXPECT_EQ(packed.lane_word(3, 1), ref.peek(1)) << "first " << first << ", wrote " << value;
-      EXPECT_EQ(packed.lane_word(0, 1), word) << "golden lane";
-    }
-  }
+// One fault per lane: a fault on a lane that already holds one is
+// rejected and leaves the memory as it was; clear_faults frees the lane.
+TEST(PackedMemorySim, OverlappingLanesAreRejected) {
+  PackedMemory packed(2, 2);
+  const LaneMask lane3 = LaneMask{1} << 3, lane5 = LaneMask{1} << 5;
+  packed.inject(Fault::saf({1, 0}, true), lane3 | lane5);
+  EXPECT_THROW(packed.inject(Fault::saf({1, 0}, false), lane5), std::invalid_argument);
+  EXPECT_THROW(packed.inject(Fault::tf({0, 1}, Transition::Up), LaneMask{1} << 2 | lane3),
+               std::invalid_argument);
+  packed.inject(Fault::tf({0, 1}, Transition::Up), LaneMask{1} << 2);  // lane 2 is still free
+
+  const std::vector<LaneMask> zeros = broadcast_word(BitVec::zeros(2));
+  const std::vector<LaneMask> ones = broadcast_word(BitVec::ones(2));
+  packed.write(1, zeros.data());
+  EXPECT_TRUE(packed.lane_bit(3, 1, 0));
+  EXPECT_TRUE(packed.lane_bit(5, 1, 0)) << "the rejected stuck-at-0 must leave no trace";
+  EXPECT_FALSE(packed.lane_bit(0, 1, 0));
+
+  packed.clear_faults();
+  packed.inject(Fault::saf({1, 0}, false), lane5);
+  packed.write(1, zeros.data());
+  EXPECT_FALSE(packed.lane_bit(3, 1, 0)) << "clear_faults must drop lane 3's stuck-at-1";
+  packed.write(1, ones.data());
+  EXPECT_FALSE(packed.lane_bit(5, 1, 0));
+  EXPECT_TRUE(packed.lane_bit(3, 1, 0));
 }
 
 TEST(PackedMemorySim, RejectsBadGeometryAndCells) {

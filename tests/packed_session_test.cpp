@@ -126,8 +126,8 @@ TEST(PackedSession, ReusedScratchMatchesFreshSessions) {
           for (const bool braked : {true, false}) {
             SessionScratch<PackedEngine> fresh;
             PackedMemory fresh_mem(kWords, width);
-            SessionBrake b1 = PackedEngine::make_brake(mem, used_lane_mask(n));
-            SessionBrake b2 = PackedEngine::make_brake(fresh_mem, used_lane_mask(n));
+            PackedEngine::Brake b1 = PackedEngine::make_brake(used_lane_mask(n));
+            PackedEngine::Brake b2 = PackedEngine::make_brake(used_lane_mask(n));
             const LaneMask got = run_campaign_unit_in<PackedEngine>(
                 mem, plan, masks, reused, batch, n, limbs, braked ? &b1 : nullptr, list);
             const LaneMask want = run_campaign_unit_in<PackedEngine>(
@@ -313,7 +313,7 @@ TEST(PackedSession, SteadyStateUnitsAllocateNothing) {
           std::size_t lo = 0;
           for (const unsigned n : kBatches) {
             fault_footprint(faults.data() + lo, n, scratch.footprint);
-            SessionBrake brake = PackedEngine::make_brake(mem, used_lane_mask(n));
+            PackedEngine::Brake brake = PackedEngine::make_brake(used_lane_mask(n));
             sink |= run_campaign_unit_in<PackedEngine>(mem, plan, masks, scratch,
                                                        faults.data() + lo, n, limbs, &brake,
                                                        AddressList::of(scratch.footprint));

@@ -7,7 +7,6 @@
 //   * structural fault collapsing (analysis/fault_list.h collapse_faults,
 //     an analysis off the run path): bucket structure of each rule, and
 //     members of one bucket share the oracle's verdict row,
-//   * per-lane retire + reinject on a live PackedMemory batch,
 //   * the scheduler's forward-progress counters (settle-exit actually
 //     skips march elements; every fault of the list is simulated).
 #include <gtest/gtest.h>
@@ -260,57 +259,6 @@ TEST(FaultCollapse, SolidPlanRunnerMatchesTheOracleAndBucketsShareRows) {
     EXPECT_EQ(want.detected(i, 0), want.detected(rep, 0))
         << faults[i].describe() << " vs " << faults[rep].describe();
   }
-}
-
-// --- per-lane retire + reinject into a live batch -----------------------
-
-TEST(RetireLanes, RetiredLaneBehavesFaultFreeOthersKeepTheirFault) {
-  PackedMemory mem(kWords, kWidth);
-  mem.inject(Fault::saf({1, 2}, true), LaneMask{1} << 1);
-  mem.inject(Fault::saf({1, 2}, true), LaneMask{1} << 2);
-  EXPECT_TRUE(mem.lane_bit(1, 1, 2));  // stuck value enforced at inject
-  EXPECT_TRUE(mem.lane_bit(2, 1, 2));
-
-  mem.retire_lanes(LaneMask{1} << 1);
-  // A write of zeros now sticks in the retired lane, stays forced in the
-  // live one, and leaves the golden lane untouched.
-  const auto zeros = broadcast_word(BitVec::zeros(kWidth));
-  mem.write(1, zeros.data());
-  EXPECT_FALSE(mem.lane_bit(1, 1, 2)) << "retired lane must accept the write";
-  EXPECT_TRUE(mem.lane_bit(2, 1, 2)) << "live lane must keep its stuck-at";
-  EXPECT_FALSE(mem.lane_bit(0, 1, 2));
-}
-
-TEST(RetireLanes, RetireCoversEveryClassAndElapse) {
-  PackedMemory mem(kWords, kWidth);
-  mem.inject(Fault::tf({0, 1}, Transition::Up), LaneMask{1} << 1);
-  mem.inject(Fault::cfst({0, 0}, true, {2, 3}, true), LaneMask{1} << 2);
-  mem.inject(Fault::cfin({1, 0}, Transition::Up, {2, 0}), LaneMask{1} << 3);
-  mem.inject(Fault::ret({3, 0}, true, 1), LaneMask{1} << 4);
-  mem.inject(Fault::af_no_access(2), LaneMask{1} << 5);
-  mem.retire_lanes(~0ull & ~1ull);  // retire every fault lane
-
-  // After retiring, every port op behaves fault-free in every lane.
-  const auto ones = broadcast_word(BitVec::ones(kWidth));
-  for (std::size_t a = 0; a < kWords; ++a) mem.write(a, ones.data());
-  mem.elapse(5);  // dead RET entries must not decay
-  for (unsigned lane : {0u, 1u, 2u, 3u, 4u, 5u})
-    for (std::size_t a = 0; a < kWords; ++a)
-      EXPECT_EQ(mem.lane_word(lane, a), BitVec::ones(kWidth)) << "lane " << lane;
-
-  // Reinjecting into a freed lane keeps working (the batch is still live).
-  mem.inject(Fault::saf({0, 0}, false), LaneMask{1} << 1);
-  EXPECT_FALSE(mem.lane_bit(1, 0, 0));
-  const auto ones2 = broadcast_word(BitVec::ones(kWidth));
-  mem.write(0, ones2.data());
-  EXPECT_FALSE(mem.lane_bit(1, 0, 0)) << "reinjected stuck-at-0 must hold";
-  EXPECT_TRUE(mem.lane_bit(0, 0, 0));
-
-  // Re-injection revives the lane: a LATER retire of a different lane must
-  // not sweep the reinjected fault into the previously retired set.
-  mem.retire_lanes(LaneMask{1} << 6);
-  mem.write(0, ones2.data());
-  EXPECT_FALSE(mem.lane_bit(1, 0, 0)) << "reinjected fault must survive later retires";
 }
 
 // --- forward-progress counters ------------------------------------------

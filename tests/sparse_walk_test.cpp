@@ -297,7 +297,7 @@ TEST(SparseWalk, SlotStoreHoldsExactlyTheFootprint) {
     SessionScratch<PackedEngine> scratch;
     PackedMemory mem(kBigWords, kWidth);
     for (const std::uint64_t seed : {0ull, 3ull}) {
-      SessionBrake brake = PackedEngine::make_brake(mem, used_lane_mask(63));
+      PackedEngine::Brake brake = PackedEngine::make_brake(used_lane_mask(63));
       const LaneMask d = run_campaign_unit_in<PackedEngine>(
           mem, plan, masks, scratch, faults.data(), 63, seed ? table3.data() : nullptr, &brake,
           AddressList::of(footprint));
