@@ -36,6 +36,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -292,7 +293,10 @@ class CellFeed {
 class CampaignRunner {
  public:
   CampaignRunner(std::size_t words, unsigned width, const CoverageOptions& options = {})
-      : words_(words), width_(width), options_(options) {}
+      : words_(words), width_(width), options_(options) {
+    if (words > kMaxWords)
+      throw std::invalid_argument("CampaignRunner: more than 2^32 words (a word index is 32 bits)");
+  }
 
   std::size_t words() const { return words_; }
   unsigned width() const { return width_; }

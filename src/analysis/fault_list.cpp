@@ -10,6 +10,10 @@
 namespace twm {
 namespace {
 
+// A word of a list's loop as a CellAddr word: every word a valid geometry
+// enumerates fits its 32 bits (kMaxWords, fault.h).
+std::uint32_t word_index(std::size_t word) { return static_cast<std::uint32_t>(word); }
+
 bool scope_ok(const CellAddr& agg, const CellAddr& vic, CfScope scope) {
   switch (scope) {
     case CfScope::IntraWord: return agg.word == vic.word;
@@ -46,7 +50,7 @@ std::vector<Fault> all_safs(std::size_t words, unsigned width) {
   out.reserve(words * width * 2);
   for (std::size_t w = 0; w < words; ++w)
     for (unsigned b = 0; b < width; ++b)
-      for (bool v : {false, true}) out.push_back(Fault::saf({w, b}, v));
+      for (bool v : {false, true}) out.push_back(Fault::saf({word_index(w), b}, v));
   return out;
 }
 
@@ -56,7 +60,7 @@ std::vector<Fault> all_tfs(std::size_t words, unsigned width) {
   for (std::size_t w = 0; w < words; ++w)
     for (unsigned b = 0; b < width; ++b)
       for (Transition t : {Transition::Up, Transition::Down})
-        out.push_back(Fault::tf({w, b}, t));
+        out.push_back(Fault::tf({word_index(w), b}, t));
   return out;
 }
 
@@ -65,17 +69,17 @@ std::vector<Fault> all_rets(std::size_t words, unsigned width, unsigned hold_uni
   out.reserve(words * width * 2);
   for (std::size_t w = 0; w < words; ++w)
     for (unsigned b = 0; b < width; ++b)
-      for (bool v : {false, true}) out.push_back(Fault::ret({w, b}, v, hold_units));
+      for (bool v : {false, true}) out.push_back(Fault::ret({word_index(w), b}, v, hold_units));
   return out;
 }
 
 std::vector<Fault> all_afs(std::size_t words) {
   std::vector<Fault> out;
   out.reserve(words * words);
-  for (std::size_t w = 0; w < words; ++w) out.push_back(Fault::af_no_access(w));
+  for (std::size_t w = 0; w < words; ++w) out.push_back(Fault::af_no_access(word_index(w)));
   for (std::size_t w = 0; w < words; ++w)
     for (std::size_t also = 0; also < words; ++also)
-      if (also != w) out.push_back(Fault::af_alias(w, also));
+      if (also != w) out.push_back(Fault::af_alias(word_index(w), word_index(also)));
   return out;
 }
 
@@ -85,8 +89,8 @@ std::vector<Fault> all_cfs(std::size_t words, unsigned width, FaultClass cls, Cf
     for (unsigned ab = 0; ab < width; ++ab)
       for (std::size_t vw = 0; vw < words; ++vw)
         for (unsigned vb = 0; vb < width; ++vb) {
-          const CellAddr agg{aw, ab};
-          const CellAddr vic{vw, vb};
+          const CellAddr agg{word_index(aw), ab};
+          const CellAddr vic{word_index(vw), vb};
           if (agg == vic || !scope_ok(agg, vic, scope)) continue;
           push_variants(out, cls, agg, vic);
         }
@@ -190,10 +194,11 @@ std::vector<Fault> sampled_cfs(std::size_t words, unsigned width, FaultClass cls
   std::vector<Fault> out;
   out.reserve(count + 3);  // room for one pair's variants past the last draw
   while (out.size() < count) {
-    const CellAddr agg{static_cast<std::size_t>(rng.next_below(words)),
-                       static_cast<unsigned>(rng.next_below(width))};
-    const CellAddr vic{static_cast<std::size_t>(rng.next_below(words)),
-                       static_cast<unsigned>(rng.next_below(width))};
+    // Braced lists draw left to right: aggressor word, bit, victim word, bit.
+    const CellAddr agg{static_cast<std::uint32_t>(rng.next_below(words)),
+                       static_cast<std::uint32_t>(rng.next_below(width))};
+    const CellAddr vic{static_cast<std::uint32_t>(rng.next_below(words)),
+                       static_cast<std::uint32_t>(rng.next_below(width))};
     if (agg == vic || !scope_ok(agg, vic, scope)) continue;
     // The pair's variants go to the tail of `out`; the drawn one stays.
     const std::size_t first = out.size();

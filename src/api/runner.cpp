@@ -71,7 +71,8 @@ class SinkAdapter : public UnitObserver {
 
   void on_unit_settled(std::size_t first, unsigned count, const char* all,
                        const char* any) override {
-    for (unsigned i = 0; i < count; ++i) emit({first + i, all[i] != 0, any[i] != 0});
+    for (unsigned i = 0; i < count; ++i)
+      emit({static_cast<std::uint32_t>(first + i), all[i] != 0, any[i] != 0});
   }
 
   void flush() override {

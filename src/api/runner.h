@@ -41,12 +41,14 @@ namespace twm::api {
 // One streamed unit record of a completed cell, in the emission order of
 // the run that produced it.
 struct CachedUnit {
-  std::uint64_t fault_index = 0;  // within the cell's fault list
+  std::uint32_t fault_index = 0;  // within the cell's fault list (kMaxClassFaults)
   bool detected_all = false;
   bool detected_any = false;
 
   friend bool operator==(const CachedUnit&, const CachedUnit&) = default;
 };
+
+static_assert(sizeof(CachedUnit) == 8, "a cache entry stores one CachedUnit per fault");
 
 struct CellRecords {
   std::vector<CachedUnit> units;

@@ -50,6 +50,7 @@ SpecValidationError::SpecValidationError(std::vector<SpecError> errors)
 std::vector<SpecError> validate(const CampaignSpec& spec) {
   std::vector<SpecError> errors;
   if (spec.words == 0) errors.push_back({"memory.words", "must be at least 1"});
+  if (auto e = words_limit_error(spec.words)) errors.push_back(*e);
   if (spec.width == 0) errors.push_back({"memory.width", "must be at least 1"});
   if (spec.march.empty() && spec.march_ops.empty()) {
     errors.push_back({"march", "is required (library name, or inline march_ops)"});
@@ -80,6 +81,10 @@ std::vector<SpecError> validate(const CampaignSpec& spec) {
   if (spec.schemes.empty()) errors.push_back({"schemes", "at least one scheme is required"});
   if (spec.classes.empty())
     errors.push_back({"classes", "at least one fault class is required"});
+  for (std::size_t i = 0; i < spec.classes.size(); ++i)
+    if (auto e = class_size_error(spec.classes[i], spec.words, spec.width,
+                                  "classes[" + std::to_string(i) + "]"))
+      errors.push_back(*e);
   if (spec.seeds.empty()) errors.push_back({"seeds", "at least one content seed is required"});
   if (spec.threads == 0) errors.push_back({"run.threads", "must be at least 1"});
   if (spec.regions == 0) {
@@ -90,6 +95,23 @@ std::vector<SpecError> validate(const CampaignSpec& spec) {
     errors.push_back({"run.regions", "must not exceed memory.words"});
   }
   return errors;
+}
+
+std::optional<SpecError> words_limit_error(std::size_t words) {
+  if (words <= kMaxWords) return std::nullopt;
+  return SpecError{"memory.words", "must not exceed 4294967296 (a word index is 32 bits)"};
+}
+
+std::optional<SpecError> class_size_error(const ClassSel& c, std::size_t words, unsigned width,
+                                          const std::string& path) {
+  if (words == 0 || width == 0 || words > kMaxWords) return std::nullopt;
+  const std::uint64_t size = fault_list_size(c, words, width);
+  if (size <= kMaxClassFaults) return std::nullopt;
+  ClassSel sampled = c;
+  sampled.sample = 100000;
+  return SpecError{path, "'" + to_string(c) + "' denotes " + std::to_string(size) +
+                             " faults, more than 4294967295 (a fault index is 32 bits); "
+                             "sample it, e.g. '" + to_string(sampled) + "'"};
 }
 
 void require_valid(const CampaignSpec& spec) {
@@ -294,15 +316,24 @@ std::vector<Fault> exhaustive_fault_list(const ClassSel& c, std::size_t words,
   throw std::logic_error("build_fault_list: unknown class kind");
 }
 
-// How many faults exhaustive_fault_list(c, words, width) enumerates.
+// a * b, or UINT64_MAX when the product does not fit.
+std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t p;
+  return __builtin_mul_overflow(a, b, &p) ? UINT64_MAX : p;
+}
+
+// How many faults exhaustive_fault_list(c, words, width) enumerates,
+// saturated at UINT64_MAX (an exhaustive coupling class on 2^32 words has
+// about 2^70).
 std::uint64_t enumeration_size(const ClassSel& c, std::size_t words, unsigned width) {
-  const std::uint64_t cells = std::uint64_t{words} * width;
-  if (c.kind == ClassKind::Af) return std::uint64_t{words} * words;
-  if (!c.is_coupling()) return 2 * cells;
-  const std::uint64_t pairs = c.scope == CfScope::IntraWord   ? cells * (width - 1)
-                              : c.scope == CfScope::InterWord ? cells * (cells - width)
-                                                              : cells * (cells - 1);
-  return pairs * (c.kind == ClassKind::CFin ? 2 : 4);
+  const std::uint64_t cells = saturating_mul(words, width);
+  if (c.kind == ClassKind::Af) return saturating_mul(words, words);
+  if (!c.is_coupling()) return saturating_mul(2, cells);
+  const std::uint64_t partners = c.scope == CfScope::IntraWord   ? width - 1
+                                 : c.scope == CfScope::InterWord ? cells - width
+                                                                 : cells - 1;
+  const std::uint64_t pairs = saturating_mul(cells, partners);
+  return saturating_mul(pairs, c.kind == ClassKind::CFin ? 2 : 4);
 }
 
 // Fault at position `i` of the exhaustive enumeration of a non-coupling
@@ -311,15 +342,15 @@ std::uint64_t enumeration_size(const ClassSel& c, std::size_t words, unsigned wi
 Fault decode_enumerated_fault(const ClassSel& c, std::size_t words, unsigned width,
                               std::uint64_t i) {
   if (c.kind == ClassKind::Af) {
-    if (i < words) return Fault::af_no_access(static_cast<std::size_t>(i));
+    if (i < words) return Fault::af_no_access(static_cast<std::uint32_t>(i));
     const std::uint64_t k = i - words;
-    const std::size_t w = static_cast<std::size_t>(k / (words - 1));
-    std::size_t also = static_cast<std::size_t>(k % (words - 1));
+    const auto w = static_cast<std::uint32_t>(k / (words - 1));
+    auto also = static_cast<std::uint32_t>(k % (words - 1));
     if (also >= w) ++also;
     return Fault::af_alias(w, also);
   }
-  const CellAddr cell{static_cast<std::size_t>(i / (2ull * width)),
-                      static_cast<unsigned>((i / 2) % width)};
+  const CellAddr cell{static_cast<std::uint32_t>(i / (2ull * width)),
+                      static_cast<std::uint32_t>((i / 2) % width)};
   const bool second = (i & 1) != 0;
   switch (c.kind) {
     case ClassKind::Saf: return Fault::saf(cell, second);
@@ -349,9 +380,12 @@ std::vector<Fault> build_fault_list(const ClassSel& c, std::size_t words, unsign
   std::vector<Fault> out;
   out.reserve(c.sample);
   // Even stride over the enumeration: sample distinct faults spread across
-  // the whole address space (so every region receives work).
+  // the whole address space (so every region receives work).  Position
+  // k * total / sample, split as k * q + k * r / sample (total = q * sample
+  // + r) so no product overflows: k and r are below sample < 2^32.
+  const std::uint64_t q = total / c.sample, r = total % c.sample;
   for (std::uint64_t k = 0; k < c.sample; ++k)
-    out.push_back(decode_enumerated_fault(c, words, width, k * total / c.sample));
+    out.push_back(decode_enumerated_fault(c, words, width, k * q + k * r / c.sample));
   return out;
 }
 

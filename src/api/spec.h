@@ -143,6 +143,18 @@ struct CampaignSpec {
 // Field-by-field validation; empty result means the spec is runnable.
 std::vector<SpecError> validate(const CampaignSpec& spec);
 
+// The largest fault list a class may denote: the scheduler and the result
+// cache index a fault within its list in 32 bits (CachedUnit).
+inline constexpr std::uint64_t kMaxClassFaults = UINT32_MAX;
+
+// The 32-bit limits validate() and explore::validate share: a
+// memory.words beyond kMaxWords (memsim/fault.h), and a class at `path`
+// whose fault list on a words x width memory exceeds kMaxClassFaults (the
+// error suggests sampling it).
+std::optional<SpecError> words_limit_error(std::size_t words);
+std::optional<SpecError> class_size_error(const ClassSel& c, std::size_t words, unsigned width,
+                                          const std::string& path);
+
 // Throws SpecValidationError when validate() is non-empty.
 void require_valid(const CampaignSpec& spec);
 

@@ -120,11 +120,13 @@ std::optional<unsigned> flag_unsigned(const Options& o, const std::string& key,
     return fallback;
   }
   try {
-    return static_cast<unsigned>(std::stoul(it->second));
+    const std::uint64_t v = std::stoull(it->second);
+    if (v <= UINT32_MAX) return static_cast<unsigned>(v);
+    err << "error: --" << key << " must fit 32 bits, got '" << it->second << "'\n";
   } catch (const std::exception&) {
     err << "error: --" << key << " expects a number, got '" << it->second << "'\n";
-    return std::nullopt;
   }
+  return std::nullopt;
 }
 
 // Full-range variant for quantities that exceed 32 bits on huge-memory
@@ -157,13 +159,17 @@ std::optional<Fault> parse_fault(const std::string& spec, std::ostream& err) {
   }
   try {
     const std::string kind = spec.substr(0, colon);
-    const std::size_t word = std::stoul(spec.substr(colon + 1, dot - colon - 1));
-    const unsigned bit = static_cast<unsigned>(std::stoul(spec.substr(dot + 1, eq - dot - 1)));
+    const std::uint64_t word = std::stoull(spec.substr(colon + 1, dot - colon - 1));
+    const std::uint64_t bit = std::stoull(spec.substr(dot + 1, eq - dot - 1));
+    if (word > UINT32_MAX || bit > UINT32_MAX) {
+      err << "error: bad fault spec '" << spec << "' (word and bit must fit 32 bits)\n";
+      return std::nullopt;
+    }
+    const CellAddr cell{static_cast<std::uint32_t>(word), static_cast<std::uint32_t>(bit)};
     const std::string val = spec.substr(eq + 1);
-    if (kind == "saf") return Fault::saf({word, bit}, val == "1");
-    if (kind == "tf")
-      return Fault::tf({word, bit}, val == "u" ? Transition::Up : Transition::Down);
-    if (kind == "ret") return Fault::ret({word, bit}, val == "1", 1);
+    if (kind == "saf") return Fault::saf(cell, val == "1");
+    if (kind == "tf") return Fault::tf(cell, val == "u" ? Transition::Up : Transition::Down);
+    if (kind == "ret") return Fault::ret(cell, val == "1", 1);
     err << "error: unknown fault kind '" << kind << "'\n";
     return std::nullopt;
   } catch (const std::exception&) {

@@ -12,6 +12,7 @@ using api::SpecValidationError;
 std::vector<SpecError> validate(const ExploreSpec& spec) {
   std::vector<SpecError> errors;
   if (spec.words == 0) errors.push_back({"memory.words", "must be at least 1"});
+  if (auto e = api::words_limit_error(spec.words)) errors.push_back(*e);
   if (spec.width == 0) {
     errors.push_back({"memory.width", "must be at least 1"});
   } else if ((spec.width & (spec.width - 1)) != 0) {
@@ -28,6 +29,8 @@ std::vector<SpecError> validate(const ExploreSpec& spec) {
       const ObjectiveClass& oc = spec.objective[i];
       const std::string path = "objective.classes[" + std::to_string(i) + "]";
       if (oc.floor_pct > 100) errors.push_back({path + ".floor", "must be 0..100"});
+      if (auto e = api::class_size_error(oc.sel, spec.words, spec.width, path))
+        errors.push_back(*e);
       for (std::size_t j = 0; j < i; ++j)
         if (spec.objective[j].sel == oc.sel) {
           errors.push_back({path, "duplicate fault class '" + to_string(oc.sel) + "'"});

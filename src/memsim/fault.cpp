@@ -26,10 +26,11 @@ char* put(char* p, const char* text) {
   return p;
 }
 
-// Fault::kDescribeMax counts 20 digits for a word and 10 for a bit.
-static_assert(sizeof(std::size_t) <= 8 && sizeof(unsigned) <= 4);
+// Fault::kDescribeMax counts 10 digits for a word, a bit and a retention.
+static_assert(sizeof(CellAddr::word) <= 4 && sizeof(CellAddr::bit) <= 4 &&
+              sizeof(Fault::retention) <= 4);
 
-char* put_uint(char* p, std::size_t v) { return std::to_chars(p, p + 20, v).ptr; }
+char* put_uint(char* p, std::uint32_t v) { return std::to_chars(p, p + 10, v).ptr; }
 
 char* put_cell(char* p, const CellAddr& c) {
   *p++ = 'w';
@@ -157,14 +158,14 @@ Fault Fault::ret(CellAddr cell, bool decay_value, unsigned hold_units) {
   return f;
 }
 
-Fault Fault::af_no_access(std::size_t word) {
+Fault Fault::af_no_access(std::uint32_t word) {
   Fault f;
   f.cls = FaultClass::AFna;
   f.victim = {word, 0};
   return f;
 }
 
-Fault Fault::af_alias(std::size_t word, std::size_t also) {
+Fault Fault::af_alias(std::uint32_t word, std::uint32_t also) {
   Fault f;
   f.cls = FaultClass::AFaw;
   f.victim = {word, 0};

@@ -28,28 +28,38 @@
 #define TWM_MEMSIM_FAULT_H
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace twm {
 
+// A word index is 32 bits: every front-end rejects a memory of more than
+// 2^32 words (api::validate, explore::validate, CampaignRunner), so no
+// runnable geometry truncates.  A bit index is 32 bits like the width.
 struct CellAddr {
-  std::size_t word = 0;
-  unsigned bit = 0;
+  std::uint32_t word = 0;
+  std::uint32_t bit = 0;
 
   bool operator==(const CellAddr& o) const { return word == o.word && bit == o.bit; }
 };
 
-enum class FaultClass { SAF, TF, CFst, CFid, CFin, RET, AFna, AFaw };
+// The most words a CellAddr addresses (words 0 .. 2^32 - 1).
+inline constexpr std::uint64_t kMaxWords = std::uint64_t{1} << 32;
 
-enum class Transition { Up, Down };  // 0->1 / 1->0
+enum class FaultClass : std::uint8_t { SAF, TF, CFst, CFid, CFin, RET, AFna, AFaw };
 
+enum class Transition : std::uint8_t { Up, Down };  // 0->1 / 1->0
+
+// 24 bytes, no padding: the two addresses lead, the one-byte fields
+// follow.  A campaign's memory is its fault lists (2·N·B SAFs alone for
+// an N-word, B-bit memory), so every byte here counts per fault.
 struct Fault {
-  FaultClass cls = FaultClass::SAF;
   CellAddr victim;        // the affected cell
   CellAddr aggressor;     // coupling faults only
-  bool value = false;     // SAF: stuck value; CFst/CFid: forced value; RET: decay value
+  FaultClass cls = FaultClass::SAF;
   Transition trans = Transition::Up;  // TF: failing transition; CFid/CFin: trigger
+  bool value = false;     // SAF: stuck value; CFst/CFid: forced value; RET: decay value
   bool state = false;     // CFst: aggressor state that activates the fault
   unsigned retention = 0;  // RET: pause units the cell holds data for
 
@@ -68,7 +78,7 @@ struct Fault {
   // kDescribeMax chars, the length of a CFst/CFid with word and bit at
   // their type maxima.  describe() and append_describe (which appends to
   // `out`) wrap it.
-  static constexpr std::size_t kDescribeMax = 86;
+  static constexpr std::size_t kDescribeMax = 66;
   std::string describe() const;
   void append_describe(std::string& out) const;
   char* write_describe(char* out) const;
@@ -83,10 +93,12 @@ struct Fault {
   // the cell, its content decays to `decay_value` (a leaky DRAM-like cell).
   static Fault ret(CellAddr cell, bool decay_value, unsigned hold_units);
   // AF1: `word` decodes to no cell.
-  static Fault af_no_access(std::size_t word);
+  static Fault af_no_access(std::uint32_t word);
   // AF2: `word` additionally decodes to (aliases) word `also`.
-  static Fault af_alias(std::size_t word, std::size_t also);
+  static Fault af_alias(std::uint32_t word, std::uint32_t also);
 };
+
+static_assert(sizeof(Fault) == 24, "Fault is stored once per fault of every list");
 
 std::string to_string(FaultClass c);
 

@@ -30,6 +30,13 @@ inline void set_limb_bit(std::uint64_t* limbs, std::size_t pos, bool v) {
     limbs[pos >> 6] &= ~m;
 }
 
+// Bit position of cell (word, bit) in a `width`-bit-word array.  The
+// product is taken in std::size_t: a 32-bit word index (CellAddr) times
+// the width would wrap once the array passes 2^32 cells.
+constexpr std::size_t cell_bit_pos(std::uint32_t word, unsigned width, unsigned bit) {
+  return std::size_t{word} * width + bit;
+}
+
 // Limbs of a `words` x `width` bit array.
 inline std::size_t limb_count(std::size_t words, unsigned width) {
   return (words * width + 63) / 64;

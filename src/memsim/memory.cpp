@@ -23,11 +23,11 @@ Memory::Memory(std::size_t num_words, unsigned word_width)
 // --- state accessors ---------------------------------------------------------
 
 bool Memory::get_bit(const CellAddr& c) const {
-  return get_limb_bit(bits_.data(), c.word * width_ + c.bit);
+  return get_limb_bit(bits_.data(), cell_bit_pos(c.word, width_, c.bit));
 }
 
 void Memory::set_bit(const CellAddr& c, bool v) {
-  set_limb_bit(bits_.data(), c.word * width_ + c.bit, v);
+  set_limb_bit(bits_.data(), cell_bit_pos(c.word, width_, c.bit), v);
 }
 
 BitVec Memory::word_at(std::size_t addr) const {

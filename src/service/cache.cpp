@@ -1,5 +1,6 @@
 #include "service/cache.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -132,8 +133,11 @@ std::optional<api::CellRecords> ResultCache::load_disk(const std::string& key,
       const auto fault = item.items()[0].as_u64();
       const auto all = item.items()[1].as_u64();
       const auto any = item.items()[2].as_u64();
-      if (!fault || !all || !any || *all > 1 || *any > 1) return std::nullopt;
-      records.units.push_back({*fault, *all == 1, *any == 1});
+      // An index past 32 bits is corrupt: narrowing it could land on a
+      // valid fault.
+      if (!fault || *fault > UINT32_MAX || !all || !any || *all > 1 || *any > 1)
+        return std::nullopt;
+      records.units.push_back({static_cast<std::uint32_t>(*fault), *all == 1, *any == 1});
     }
     return records;
   } catch (const api::JsonParseError&) {

@@ -56,6 +56,52 @@ TEST(SpecValidate, ZeroWidthNamesMemoryWidth) {
   EXPECT_TRUE(has_error_at(validate(s), "memory.width"));
 }
 
+// A word index is 32 bits (CellAddr): 2^32 words is the largest memory.
+TEST(SpecValidate, WordsBeyondTwoToThe32AreRejected) {
+  auto s = valid_spec();
+  s.classes = {{ClassKind::Saf, CfScope::Both, 1024}};
+  s.words = std::size_t{1} << 32;
+  EXPECT_TRUE(validate(s).empty());
+  s.words += 1;
+  const auto errors = validate(s);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].path, "memory.words");
+  EXPECT_NE(errors[0].message.find("4294967296"), std::string::npos) << errors[0].message;
+}
+
+// A fault's index in its class's list is 32 bits too: a class that
+// denotes more faults is rejected, with a sampled spelling to use instead.
+TEST(SpecValidate, AClassOfMoreThan32BitFaultsSuggestsSampling) {
+  auto s = valid_spec();
+  s.words = 8192;
+  s.width = 8;
+  s.classes = {{ClassKind::Saf, CfScope::Both}, {ClassKind::CFid, CfScope::InterWord}};
+  auto errors = validate(s);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].path, "classes[1]");
+  EXPECT_NE(errors[0].message.find("17177772032 faults"), std::string::npos) << errors[0].message;
+  EXPECT_NE(errors[0].message.find("'cfid:inter@100000'"), std::string::npos)
+      << errors[0].message;
+  s.classes[1].sample = 100000;
+  EXPECT_TRUE(validate(s).empty());
+
+  // AF lists hold words^2 faults: 65535^2 fits 32 bits, 65536^2 does not.
+  s.width = 1;
+  s.classes = {{ClassKind::Af, CfScope::Both}};
+  s.words = 65535;
+  EXPECT_TRUE(validate(s).empty());
+  s.words = 65536;
+  EXPECT_TRUE(has_error_at(validate(s), "classes[0]"));
+
+  // Past 64 bits the count saturates rather than wrapping to a small one.
+  s.words = std::size_t{1} << 32;
+  s.classes = {{ClassKind::Af, CfScope::Both}, {ClassKind::CFin, CfScope::Both}};
+  errors = validate(s);
+  EXPECT_TRUE(has_error_at(errors, "classes[0]"));
+  EXPECT_TRUE(has_error_at(errors, "classes[1]"));
+  EXPECT_EQ(errors.size(), 2u);
+}
+
 TEST(SpecValidate, UnknownMarchNamesMarchField) {
   auto s = valid_spec();
   s.march = "March Z";
@@ -669,6 +715,22 @@ TEST(SpecClasses, FaultListSizeMatchesTheBuiltList) {
                     build_fault_list(sel, words, width).size())
               << to_string(sel) << " " << words << "x" << width;
         }
+}
+
+// A sampled AF list on 2^32 words strides over an enumeration of 2^64
+// faults without overflowing: distinct faults, the last near the top.
+TEST(SpecClasses, SampledAfListAtTwoToThe32WordsIsSpread) {
+  const ClassSel sel{ClassKind::Af, CfScope::Both, 4};
+  const std::size_t words = std::size_t{1} << 32;
+  EXPECT_EQ(fault_list_size(sel, words, 8), 4u);
+  const std::vector<Fault> faults = build_fault_list(sel, words, 8);
+  ASSERT_EQ(faults.size(), 4u);
+  EXPECT_EQ(faults[0].describe(), "AFna @w0");
+  for (std::size_t i = 1; i < faults.size(); ++i) {
+    EXPECT_EQ(faults[i].cls, FaultClass::AFaw);
+    EXPECT_GT(faults[i].victim.word, faults[i - 1].victim.word);
+  }
+  EXPECT_GE(faults[3].victim.word, (3u << 30) - 1);  // at 3/4 of the enumeration
 }
 
 // FNV-1a over each fault's describe() line: a fault list's identity.

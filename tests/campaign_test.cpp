@@ -55,6 +55,13 @@ TEST(SchemePlan, CompiledOncePerCampaign) {
   }
 }
 
+// A word index is 32 bits (CellAddr): a runner for more words refuses to
+// exist rather than alias the words past 2^32 onto the low ones.
+TEST(SchemePlan, RunnerRejectsMoreThanTwoToThe32Words) {
+  EXPECT_NO_THROW(CampaignRunner(std::size_t{1} << 32, kWidth));
+  EXPECT_THROW(CampaignRunner((std::size_t{1} << 32) + 1, kWidth), std::invalid_argument);
+}
+
 TEST(SchemePlan, PerFaultAlsoCompilesOnce) {
   const MarchTest march = march_by_name("March C-");
   const auto faults = some_faults();

@@ -131,6 +131,14 @@ TEST(Cli, SimulateRejectsBadFaultSpecs) {
   EXPECT_EQ(cli({"simulate", "March C-", "--width", "8", "--words", "8", "--fault",
                  "saf:9.0=1"}).rc,
             1);  // out of range
+  // A word count or index past 32 bits is refused, not truncated to 1.
+  const auto words = cli({"simulate", "March C-", "--width", "8", "--words", "4294967297"});
+  EXPECT_EQ(words.rc, 1);
+  EXPECT_NE(words.err.find("--words must fit 32 bits"), std::string::npos) << words.err;
+  const auto wide = cli({"simulate", "March C-", "--width", "8", "--words", "8", "--fault",
+                         "saf:4294967297.0=1"});
+  EXPECT_EQ(wide.rc, 1);
+  EXPECT_NE(wide.err.find("32 bits"), std::string::npos) << wide.err;
 }
 
 TEST(Cli, SimulateRetentionFaultWithMarchG) {

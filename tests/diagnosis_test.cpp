@@ -25,7 +25,7 @@ TEST(Diagnosis, CleanMemoryYieldsNoFinding) {
 
 TEST(Diagnosis, LocalizesSafToWordAndBit) {
   const auto r = twm8();
-  for (std::size_t word : {0u, 3u, 7u}) {
+  for (std::uint32_t word : {0u, 3u, 7u}) {
     for (unsigned bit : {0u, 5u}) {
       Rng rng(2);
       Memory mem(8, 8);

@@ -54,6 +54,24 @@ TEST(ExploreSpecValidate, RejectsBadGeometry) {
   EXPECT_TRUE(has_error_at(validate(s), "memory.width"));
 }
 
+// The 32-bit limits the campaign spec enforces (api::validate) hold here too.
+TEST(ExploreSpecValidate, RejectsWordsAndClassesPast32Bits) {
+  auto s = small_spec();
+  s.words = std::size_t{1} << 32;
+  s.objective = {{{api::ClassKind::Saf, CfScope::Both, 512}, 100}};
+  EXPECT_TRUE(validate(s).empty());
+  s.words += 1;
+  EXPECT_TRUE(has_error_at(validate(s), "memory.words"));
+  s = small_spec();
+  s.words = 8192;
+  s.width = 8;
+  s.objective.push_back({{api::ClassKind::CFid, CfScope::Both}, 100});
+  const auto errors = validate(s);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].path, "objective.classes[2]");
+  EXPECT_NE(errors[0].message.find("'cfid@100000'"), std::string::npos) << errors[0].message;
+}
+
 TEST(ExploreSpecValidate, RejectsMarchIndependentScheme) {
   auto s = small_spec();
   s.scheme = SchemeKind::TomtModel;

@@ -42,9 +42,9 @@ bool detects_transparent(const std::string& march, const std::vector<Fault>& fau
 // victim, opposite forced values (the masking configuration).
 std::vector<std::vector<Fault>> linked_cfid_pairs(std::size_t words) {
   std::vector<std::vector<Fault>> pairs;
-  for (std::size_t v = 0; v < words; ++v)
-    for (std::size_t a1 = 0; a1 < words; ++a1)
-      for (std::size_t a2 = 0; a2 < words; ++a2) {
+  for (std::uint32_t v = 0; v < words; ++v)
+    for (std::uint32_t a1 = 0; a1 < words; ++a1)
+      for (std::uint32_t a2 = 0; a2 < words; ++a2) {
         if (a1 == v || a2 == v || a1 == a2) continue;
         for (Transition t1 : {Transition::Up, Transition::Down})
           for (Transition t2 : {Transition::Up, Transition::Down})

@@ -275,8 +275,8 @@ TEST(FaultDescribe, AppendDescribeAppendsToTheBuffer) {
 // the same text for every class, within the documented kDescribeMax bound,
 // which a coupling fault with word and bit at their type maxima reaches.
 TEST(FaultDescribe, WriteDescribeMatchesDescribeWithinTheBound) {
-  constexpr std::size_t kWordMax = std::numeric_limits<std::size_t>::max();
-  constexpr unsigned kBitMax = std::numeric_limits<unsigned>::max();
+  constexpr std::uint32_t kWordMax = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint32_t kBitMax = std::numeric_limits<std::uint32_t>::max();
   const CellAddr hi{kWordMax, kBitMax};
   const CellAddr lo{0, 0};
   const Fault faults[] = {
@@ -309,8 +309,16 @@ TEST(FaultDescribe, WriteDescribeMatchesDescribeWithinTheBound) {
   EXPECT_EQ(classes.size(), 8u) << "every FaultClass";
   EXPECT_EQ(longest, Fault::kDescribeMax);
   EXPECT_EQ(Fault::cfst(hi, true, hi, false).describe(),
-            "CFst<1;0> w18446744073709551615.b4294967295->w18446744073709551615.b4294967295"
-            " [intra]");
+            "CFst<1;0> w4294967295.b4294967295->w4294967295.b4294967295 [intra]");
+}
+
+// The scalar memory's one cell-position formula: the product is taken in
+// std::size_t, so a 32-bit word index past 2^32 cells does not wrap.
+TEST(Memory, CellBitPosDoesNotWrapAt32Bits) {
+  const std::uint32_t word = 0xFFFFFFFFu;
+  EXPECT_EQ(cell_bit_pos(word, 8, 0), std::size_t{34359738360u});
+  EXPECT_EQ(cell_bit_pos(word, 8, 7), std::size_t{34359738367u});
+  EXPECT_EQ(cell_bit_pos(std::uint32_t{1} << 29, 8, 0), std::size_t{1} << 32);
 }
 
 TEST(Memory, ClearFaultsStopsInjection) {
@@ -378,7 +386,7 @@ TEST(Memory, SnapshotRoundTrip) {
 // scheduler's refill.  Words straddle limb boundaries: words * width is
 // not a multiple of 64 in the first two geometries.
 TEST(Memory, RefillRestoresTheSeededBaseline) {
-  const std::vector<std::pair<std::size_t, unsigned>> geometries = {{67, 3}, {1000, 5}, {64, 8}};
+  const std::vector<std::pair<std::uint32_t, unsigned>> geometries = {{67, 3}, {1000, 5}, {64, 8}};
   for (const auto& [words, width] : geometries) {
     const std::string geo = std::to_string(words) + "x" + std::to_string(width);
     Memory m(words, width);

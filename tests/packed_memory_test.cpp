@@ -20,7 +20,8 @@ namespace twm {
 namespace {
 
 CellAddr random_cell(Rng& rng, std::size_t words, unsigned width) {
-  return {rng.next_below(words), static_cast<unsigned>(rng.next_below(width))};
+  return {static_cast<std::uint32_t>(rng.next_below(words)),
+          static_cast<unsigned>(rng.next_below(width))};
 }
 
 // A random fault of any class (decoder faults included).  Coupling faults
@@ -325,7 +326,8 @@ TEST(PackedMemorySim, SlotStoreGrowthMatchesTheScalarMemory) {
   }
   const auto pick = [&](std::size_t limit) { return pool[rng.next_below(limit)]; };
   const auto cell = [&](std::size_t limit) {
-    return CellAddr{pick(limit), static_cast<unsigned>(rng.next_below(width))};
+    return CellAddr{static_cast<std::uint32_t>(pick(limit)),
+                    static_cast<unsigned>(rng.next_below(width))};
   };
 
   // One fault per lane (pairwise-disjoint lanes, the campaign contract),
@@ -468,17 +470,17 @@ TEST(PackedMemorySim, ReadsOfBackgroundWordsDontMaterialize) {
 // slot.
 std::vector<Fault> dense_word_faults(std::size_t words, unsigned width) {
   std::vector<Fault> out;
-  for (std::size_t w = 0; w < words; ++w)
+  for (std::uint32_t w = 0; w < words; ++w)
     for (unsigned b = 0; b < width; ++b)
       for (const bool v : {false, true}) out.push_back(Fault::saf({w, b}, v));
-  for (std::size_t w = 0; w < words; ++w)
+  for (std::uint32_t w = 0; w < words; ++w)
     for (unsigned b = 0; b < width; ++b)
       for (const Transition t : {Transition::Up, Transition::Down})
         out.push_back(Fault::tf({w, b}, t));
-  for (std::size_t w = 0; w < words; ++w)
+  for (std::uint32_t w = 0; w < words; ++w)
     for (unsigned b = 0; b < width; ++b)
       for (const bool v : {false, true}) out.push_back(Fault::ret({w, b}, v, 1 + (b + v) % 3));
-  for (std::size_t w = 0; w < words; ++w)
+  for (std::uint32_t w = 0; w < words; ++w)
     for (unsigned a = 0; a < width; ++a)
       for (unsigned b = 0; b < width; ++b)
         if (a != b)

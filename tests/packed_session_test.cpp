@@ -62,7 +62,7 @@ std::vector<Fault> mixed_faults(std::size_t words, unsigned width, std::size_t c
                                 std::uint64_t seed) {
   Rng rng(seed);
   const auto cell = [&] {
-    return CellAddr{static_cast<std::size_t>(rng.next_below(words)),
+    return CellAddr{static_cast<std::uint32_t>(rng.next_below(words)),
                     static_cast<unsigned>(rng.next_below(width))};
   };
   std::vector<Fault> out;

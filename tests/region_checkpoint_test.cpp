@@ -119,7 +119,8 @@ TEST(RegionShardingTest, PackedSlotsAreBoundedByTheFaultFootprint) {
   std::vector<Fault> faults;
   for (std::size_t w = 0; w < words; w += words / 8)  // 8 spread-out words
     for (unsigned b = 0; b < width; ++b)
-      for (bool v : {false, true}) faults.push_back(Fault::saf(CellAddr{w, b}, v));
+      for (bool v : {false, true})
+        faults.push_back(Fault::saf(CellAddr{static_cast<std::uint32_t>(w), b}, v));
 
   CoverageOptions opt;
   opt.backend = CoverageBackend::Packed;
@@ -298,7 +299,8 @@ TEST(CacheResumeTest, InvalidRegionEntriesSimulateInsteadOfReplaying) {
   std::uint64_t foreign = 0;  // a fault region 0 owns
   for (const auto& u : reference.units) {
     const unsigned r = fault_region(faults[u.fault_index], spec.words, spec.regions);
-    if (r == 1) good.push_back({u.fault_index, u.detected_all, u.detected_any});
+    if (r == 1)
+      good.push_back({static_cast<std::uint32_t>(u.fault_index), u.detected_all, u.detected_any});
     if (r == 0) foreign = u.fault_index;
   }
   ASSERT_EQ(good.size(), 64u);

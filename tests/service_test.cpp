@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -545,6 +546,29 @@ TEST(ServiceCache, ConcurrentWritersOfTheSameCellLeaveOneValidEntry) {
   const auto loaded = cold.lookup("race-key", identity);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->units, records.units);
+  std::filesystem::remove_all(dir);
+}
+
+// A stored fault index past 32 bits is corrupt: it must read as a miss,
+// not narrow onto a valid index (4294967296 would become fault 0).
+TEST(ServiceCache, DiskIndexPast32BitsIsAMiss) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("twm_cache_wide_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  // Identities embed verbatim into the entry JSON: the key, quoted.
+  const auto write_entry = [&](const std::string& key, const std::string& index) {
+    std::ofstream((dir / (key + ".json")).string())
+        << R"({"identity":")" << key << R"(","units":[[)" << index << ",1,1]]}";
+  };
+  write_entry("fits", "4294967295");
+  write_entry("wide", "4294967296");
+  ResultCache cache({dir.string(), 8});
+  const auto fits = cache.lookup("fits", R"("fits")");
+  ASSERT_TRUE(fits.has_value());
+  EXPECT_EQ(fits->units, (std::vector<api::CachedUnit>{{4294967295u, true, true}}));
+  EXPECT_FALSE(cache.lookup("wide", R"("wide")").has_value());
+  EXPECT_EQ(cache.counters().disk_errors, 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -53,7 +53,7 @@ constexpr Geometry kGeometries[] = {{2048, 4, "March C-"}, {1000, 8, "March G"}}
 std::vector<Fault> sampled_faults(std::size_t words, unsigned width, std::size_t count) {
   Rng rng(0x5a11ce);
   const auto cell = [&](std::size_t word) {
-    return CellAddr{word, static_cast<unsigned>(rng.next_below(width))};
+    return CellAddr{static_cast<std::uint32_t>(word), static_cast<unsigned>(rng.next_below(width))};
   };
   const auto word = [&] { return static_cast<std::size_t>(rng.next_below(words)); };
   const auto far = [&](std::size_t w) { return (w + words / 2 + rng.next_below(64)) % words; };
@@ -72,7 +72,7 @@ std::vector<Fault> sampled_faults(std::size_t words, unsigned width, std::size_t
     faults.push_back(Fault::af_no_access(word()));
     const std::size_t d = word();
     faults.push_back(Fault::af_alias(d, far(d)));
-    const std::size_t e = word();
+    const auto e = static_cast<std::uint32_t>(word());
     faults.push_back(Fault::cfid({e, 0}, trans(), {e, width - 1}, rng.next_bool()));
   }
   faults.resize(count);

@@ -20,11 +20,13 @@
 #     twelve-cell, two-seed spec at `regions: 4` and `threads: 7`; a
 #     2^18-word spec with two nonzero seeds at `regions: 4` and `threads:
 #     4`, where four workers read each seed's contents across regions;
-#     and a dense 64 x 4 spec: every SAF, TF, RET, intra-word CFst and
-#     CFid and AF fault, over every scheme with two nonzero seeds, so each
-#     unit packs many faults onto a few words, and a worker memory's
-#     slots carry folded masks (SAF, TF) in one unit and fault buckets
-#     in the next;
+#     a 2^32-word spec at `regions: 4` (the most words a 32-bit word
+#     index addresses; its sampled faults reach word 4.29e9, so a
+#     truncated word index shows as a diff); and a dense 64 x 4 spec:
+#     every SAF, TF, RET, intra-word CFst and CFid and AF fault, over
+#     every scheme with two nonzero seeds, so each unit packs many faults
+#     onto a few words, and a worker memory's slots carry folded masks
+#     (SAF, TF) in one unit and fault buckets in the next;
 #   * that twelve-cell spec at `threads: 3` with `--cache-dir`: cold (an
 #     empty directory), warm (the directory the cold run filled), and
 #     partly warm (a copy of the old binary's warm directory that keeps
@@ -124,6 +126,15 @@ write("dense-mixed", {
     "classes": ["saf", "tf", "ret", "cfst:intra", "cfid:intra", "af"],
     "seeds": [3, 77],
     "run": run,
+})
+write("words-2to32-regions4", {
+    "name": "words-2to32",
+    "memory": {"words": 1 << 32, "width": 8},
+    "march": "March C-",
+    "schemes": ["twm", "tomt"],
+    "classes": ["saf@1024", "tf@512", "cfid:inter@512"],
+    "seeds": [0],
+    "run": {"backend": "packed", "threads": 2, "regions": 4},
 })
 write("misr-width64", {
     "name": "misr-width64",
